@@ -270,8 +270,10 @@ class ConvolutionProblem:
 
     def equilibrium(self) -> float:
         """Smallest positive root of kappa = sum_tau mass_tau g_tau(kappa) on (0, bound]."""
+        terms = [(a.kernel.mass, a.nonlinearity) for a in self.atoms]
+
         def F(x):
-            return sum(a.kernel.mass * float(a.nonlinearity(x)) for a in self.atoms) - x
+            return sum(m * float(g(x)) for m, g in terms) - x
 
         xs = np.linspace(self.bound * 1e-6, self.bound, 4000)
         vals = np.array([F(x) for x in xs])
@@ -349,7 +351,8 @@ class NonlocalKPP(ModelSpec):
                 f"need 1 - mass(J) < g'(0): {1.0 - self.J.mass:g} vs {self.g.gprime0:g}")
 
     def default_bound(self):
-        kap = _equilibrium_of(lambda x: (self.J.mass - 1.0) * x + float(self.g(x)))
+        slope = self.J.mass - 1.0
+        kap = _equilibrium_of(lambda x: slope * x + float(self.g(x)))
         return 1.5 * kap if kap else 1.0
 
     def to_convolution_form(self, c, M=None, margin=1.0):
@@ -490,8 +493,8 @@ class NonlocalDelayedRD(ModelSpec):
         return self.f.inf_deriv(0.0, 100.0)
 
     def default_bound(self):
-        kap = _equilibrium_of(
-            lambda x: self.k.mass * float(self.g(x)) - float(self.f(x)))
+        mass = self.k.mass
+        kap = _equilibrium_of(lambda x: mass * float(self.g(x)) - float(self.f(x)))
         return 1.5 * kap if kap else 1.0
 
     def to_convolution_form(self, c, M=None, margin=1.0):

@@ -3,7 +3,8 @@
 The wave operator N[phi](t) = sum_tau integral K(s,tau) g(phi(t-s),tau) ds
 is applied kernel-by-kernel: exponential pieces use exact O(n) linear
 recurrences on the piecewise-linear interpolant, atomic combs become
-shifted copies, densities without structure fall back to node sums.
+shifted copies, and Gaussian and tabulated densities are sampled at
+multiples of the grid step and applied as one discrete convolution.
 
 Plain iteration of the truncated operator bleeds the marginal left-tail
 mode through the boundary (the profile then slides rightward and
@@ -150,17 +151,29 @@ def _shifted(ts, H, shift, lam_left, right_value):
     return _sample(ts, H, ts - shift, lam_left, right_value)
 
 
-def _node_sum(k: KernelComponent, ts, G, lam_left, right_value, nodes, weights):
-    kv = weights * np.asarray(k.value(nodes), dtype=float)
+def _grid_convolve(k: KernelComponent, ts, G, lam_left, right_value, lo, hi):
+    """Discrete convolution with K sampled at multiples of the grid step on [lo, hi].
+
+    The samples are mass-lumped so constant states stay exact.  Grid-aligned
+    samples need no interpolation: the field is padded with its closure
+    values (the exponential extension on the left, right_value on the
+    right) and convolved once.  Direct summation of nonnegative weights and
+    nonnegative fields cannot produce negative roundoff, unlike an FFT.
+    """
+    dt = ts[1] - ts[0]
+    jlo = min(math.floor(lo / dt), 0)
+    jhi = max(math.ceil(hi / dt), 0)
+    kv = np.asarray(k.value(np.arange(jlo, jhi + 1) * dt), dtype=float) * dt
     total = kv.sum()
-    if total > 0:
-        kv *= k.mass / total  # keep constant states exact (mass lumping)
-    out = np.zeros_like(G)
-    for s, w in zip(nodes, kv):
-        if w == 0.0:
-            continue
-        out += w * _sample(ts, G, ts - s, lam_left, right_value)
-    return out
+    if not total > 0:
+        raise ValueError(f"{type(k).__name__} has no mass on multiples of the grid step {dt:g}")
+    kv *= k.mass / total
+    if lam_left is None:
+        left = np.zeros(jhi)
+    else:
+        left = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
+    padded = np.concatenate((left, G, np.full(-jlo, right_value)))
+    return np.convolve(padded, kv, "valid")
 
 
 def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
@@ -190,19 +203,9 @@ def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
         return convolve_field(k.a, ts, inner, lam_left, float(inner[-1]))
     if isinstance(k, GaussianKernel):
         w = 9.0 * math.sqrt(k.variance)
-        h = min(ts[1] - ts[0], math.sqrt(k.variance) / 8.0)
-        m = int(math.ceil(2.0 * w / h)) + 1
-        nodes = np.linspace(-w, w, m)
-        weights = np.full(m, nodes[1] - nodes[0])
-        weights[0] = weights[-1] = 0.5 * (nodes[1] - nodes[0])
-        return _node_sum(k, ts, G, lam_left, right_value, nodes, weights)
+        return _grid_convolve(k, ts, G, lam_left, right_value, -w, w)
     if isinstance(k, TabulatedKernel):
-        nodes = np.asarray(k.grid)
-        weights = np.empty_like(nodes)
-        weights[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-        weights[0] = 0.5 * (nodes[1] - nodes[0])
-        weights[-1] = 0.5 * (nodes[-1] - nodes[-2])
-        return _node_sum(k, ts, G, lam_left, right_value, nodes, weights)
+        return _grid_convolve(k, ts, G, lam_left, right_value, k.grid[0], k.grid[-1])
     raise TypeError(f"no grid convolution for {type(k).__name__}")
 
 

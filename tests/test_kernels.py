@@ -242,6 +242,37 @@ def test_segment_transform_small_z_series():
         assert complex(a).real == pytest.approx(float(brute), rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [
+    3.0,                                   # scalar real; |z h| straddles 0.2
+    np.linspace(-3.0, 4.0, 9),             # real array
+    np.array([0.5 + 2.0j, -1.0 - 0.3j, 3.0 + 0.0j]),  # complex array
+    np.array([1e-4, 0.5, 1.9]),            # every |z h| < 0.2: series only
+], ids=["scalar-real", "real-array", "complex-array", "series-only"])
+def test_tabulated_laplace_matches_segment_sum(z):
+    # nonuniform nodes with steps h in [0.05, 0.1], so one z can put
+    # segments on both sides of the series switch at |z h| = 0.2
+    u = np.linspace(0.0, 1.0, 161)
+    t = -6.0 + 8.0 * (u + 0.5 * u * u)
+    v = np.exp(-t * t / 2.0) * (1.0 + 0.3 * np.tanh(t))
+    k = wf.TabulatedKernel(tuple(t), tuple(v))
+
+    def reference(zz):
+        return sum(_segment_transform(complex(zz), t[i], t[i + 1], v[i], v[i + 1])
+                   for i in range(len(t) - 1))
+
+    got = k.laplace(z)
+    if np.ndim(z) == 0:
+        expect = reference(z)
+        assert type(got) is float
+        assert abs(got - expect) <= 1e-13 * abs(expect)
+        return
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    assert got.dtype == (np.complex128 if np.iscomplexobj(z) else np.float64)
+    for zz, g in zip(z, got):
+        expect = reference(zz)
+        assert abs(g - expect) <= 1e-13 * abs(expect)
+
+
 def test_csv_loading(tmp_path):
     p = tmp_path / "kern.csv"
     p.write_text("# t,value\n-1.0,0.0\n0.0,1.0\n1.0,0.0\n")

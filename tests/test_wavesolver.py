@@ -26,11 +26,21 @@ def test_grid_validation():
 # --- field convolution building blocks ---------------------------------------
 
 def quad_conv_oracle(kernel, field_fn, t, lo=-60.0, hi=60.0):
+    points = [p for p in (getattr(kernel, "shift", None),) if p is not None]
+    if isinstance(kernel, wf.TabulatedKernel):
+        # panels split at every node, where the interpolant has its kinks
+        lo, hi = kernel.support()
+        points = list(kernel.grid[1:-1])
     val, _ = integrate.quad(lambda s: float(kernel.value(s)) * field_fn(t - s),
-                            lo, hi, limit=400,
-                            points=[p for p in (getattr(kernel, "shift", None),)
-                                    if p is not None])
+                            lo, hi, limit=400, points=points)
     return val
+
+
+def skewed_tabulated(n=161):
+    """Skewed bump whose node step (0.10125) is not a multiple of any test grid step."""
+    nodes = np.linspace(-7.3, 8.9, n)
+    vals = np.exp(-nodes ** 2 / 2.0) * (1.0 + 0.3 * np.tanh(nodes))
+    return wf.TabulatedKernel(tuple(nodes), tuple(vals))
 
 
 @pytest.mark.parametrize("kernel", [
@@ -39,6 +49,7 @@ def quad_conv_oracle(kernel, field_fn, t, lo=-60.0, hi=60.0):
     wf.PiecewiseGreen.from_speed_damping(2.5, 1.0),
     wf.PiecewiseGreen.from_speed_damping(2.0, 1.5, shift=0.8),
     wf.GaussianKernel(0.8),
+    skewed_tabulated(),
 ])
 def test_convolve_field_against_quadrature(kernel):
     grid = wf.Grid(-40.0, 40.0, 4096)
@@ -85,10 +96,33 @@ def test_convolve_field_mass_on_constant():
     G = np.ones_like(ts)
     for kernel in (wf.PiecewiseGreen.from_speed_damping(2.5, 1.0),
                    wf.GaussianKernel(1.0),
-                   wf.OneSidedExponential(rate=2.0, scale=0.5)):
+                   wf.OneSidedExponential(rate=2.0, scale=0.5),
+                   skewed_tabulated()):
         out = convolve_field(kernel, ts, G, lam_left=0.5, right_value=1.0)
         mid = len(ts) // 2
         assert out[mid] == pytest.approx(kernel.mass, rel=1e-9)
+
+
+def test_convolve_field_rejects_kernel_between_grid_points():
+    # a bump that no multiple of the step reaches would act as zero
+    ts = wf.Grid(-10.0, 10.0, 201).ts
+    bump = wf.TabulatedKernel((0.01, 0.02, 0.03), (0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="grid step"):
+        convolve_field(bump, ts, np.ones_like(ts), lam_left=None, right_value=1.0)
+
+
+@pytest.mark.parametrize("kernel", [wf.GaussianKernel(0.8), skewed_tabulated()])
+@pytest.mark.parametrize("lam_left", [None, 3.0])
+def test_convolve_field_density_nonnegative(kernel, lam_left):
+    # the solver's NegativeValues guard allows only -1e-10, the size of the
+    # roundoff an FFT convolution leaves, so a nonnegative field whose tail
+    # underflows through subnormals to zero must map to no negative entry
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    ts = grid.ts
+    G = np.minimum(np.exp(15.0 * ts), 1.0)
+    assert G[0] == 0.0 and np.any((G > 0.0) & (G < np.finfo(float).tiny))
+    out = convolve_field(kernel, ts, G, lam_left=lam_left, right_value=1.0)
+    assert float(np.min(out)) >= 0.0
 
 
 # --- operator examples --------------------------------------------------------

@@ -11,15 +11,15 @@ __version__ = "0.1.0"
 
 from .charfun import (CharacteristicFunction, ScanReport, SpectralData, chi,
                       chi1_margin, min_speed, real_roots, strip_zero_scan)
-from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel, GreenKernel,
+from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel,
                       KernelComponent, OneSidedExponential, PiecewiseGreen,
-                      TabulatedKernel, abscissas, convolve, convolve_green,
-                      laplace, laplace_quadrature, load_tabulated)
+                      TabulatedKernel, convolve, laplace, laplace_quadrature,
+                      load_tabulated)
 from .models import (Atom, ConvolutionProblem, LocalDelayedRD, ModelSpec,
                      NonlocalDelayedRD, NonlocalKPP, NonlocalLattice,
                      Nonlinearity, beta_select, linear, load_model, logistic,
                      mackey_glass, model_chi, model_min_speed,
-                     tabulated_nonlinearity, to_convolution_form)
+                     tabulated_nonlinearity)
 from .wavesolver import (CappedExponential, Grid, SolveOptions, WaveProfile,
                          apply_operator, discrete_decay_rate, residual,
                          solve_profile)

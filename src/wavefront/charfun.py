@@ -123,10 +123,8 @@ class SpectralData:
         return d
 
 
-def _max_bracket(f, hi: float) -> float:
-    """Right end for maximizing concave f over (0, hi); doubles when hi is inf."""
-    if math.isfinite(hi):
-        return hi
+def _max_bracket(f) -> float:
+    """Right end for maximizing concave f over (0, inf), found by doubling."""
     x = 1.0
     fx = f(x)
     while x < DOUBLING_CAP:
@@ -142,6 +140,21 @@ def _concave_max(f, lo: float, hi: float, xatol: float = 1e-11) -> tuple[float, 
     res = optimize.minimize_scalar(lambda x: -f(x), bounds=(lo, hi),
                                    method="bounded", options={"xatol": xatol})
     return float(res.x), float(-res.fun)
+
+
+def _strip_max(f, strip: tuple[float, float]) -> tuple[float, float]:
+    """(maximizer, maximum) of concave f over the positive part of the strip.
+
+    The search runs on (max(sigma, 0) + 1e-13, b), with b just inside a
+    finite gamma and the doubling bracket of :func:`_max_bracket` otherwise.
+    """
+    lo, hi = strip
+    lo = max(lo, 0.0) + 1e-13
+    if math.isfinite(hi):
+        b = hi - max(1e-13, 1e-12 * abs(hi))
+    else:
+        b = _max_bracket(f)
+    return _concave_max(f, lo, b)
 
 
 def real_roots(cf: CharacteristicFunction, value_tol: float = ROOT_VALUE_TOL) -> SpectralData:
@@ -232,12 +245,7 @@ def min_speed(model_chi, strip_of_c, c_bracket: tuple[float, float],
     """
 
     def inner_max(c: float) -> tuple[float, float]:
-        lo, hi = strip_of_c(c)
-        lo = max(lo, 0.0) + 1e-13
-        b = _max_bracket(lambda z: model_chi(z, c), hi)
-        if math.isfinite(hi):
-            b = hi - max(1e-13, 1e-12 * abs(hi))
-        return _concave_max(lambda z: model_chi(z, c), lo, b)
+        return _strip_max(lambda z: model_chi(z, c), strip_of_c(c))
 
     c_lo, c_hi = c_bracket
     m_lo = inner_max(c_lo)[1]
@@ -375,10 +383,7 @@ def chi1_margin(cf1: CharacteristicFunction, sd: SpectralData) -> tuple[float, f
     def f(x):
         return float(np.real(chi(cf1, x)))
 
-    b = _max_bracket(f, hi)
-    if math.isfinite(hi):
-        b = hi - max(1e-13, 1e-12 * abs(hi))
-    m, val = _concave_max(f, 1e-13, b)
+    m, val = _strip_max(f, (0.0, hi))
     if val < 0.0:
         return None
     return m, val

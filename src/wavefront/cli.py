@@ -21,7 +21,7 @@ from ._json import config_hash, dumps
 from .charfun import chi, real_roots, strip_zero_scan
 from .errors import (MaxIterExceeded, NoRoots, NoWave, StripTooNarrow,
                      WavefrontError)
-from .models import model_from_dict, model_min_speed
+from .models import load_model, model_min_speed
 from .verify import uniqueness_probe
 from .wavesolver import CappedExponential, Grid, SolveOptions, solve_profile
 
@@ -79,13 +79,6 @@ def _parse_grid(text: str) -> Grid:
     return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _load(args):
-    with open(args.model) as fh:
-        cfg = json.load(fh)
-    spec = model_from_dict(cfg)
-    return spec, cfg
-
-
 def _stamp(cfg: dict, args) -> dict:
     resolved = {"model": cfg, "grid": args.grid, "tol": args.tol,
                 "max_iter": args.max_iter, "damping": args.damping,
@@ -113,7 +106,7 @@ def _problem(spec, cfg):
 
 
 def cmd_analyze(args) -> int:
-    spec, cfg = _load(args)
+    spec, cfg = load_model(args.model)
     prob = _problem(spec, cfg)
     cf = prob.charfun()
     lo, hi = cf.strip
@@ -140,7 +133,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_speed(args) -> int:
-    spec, cfg = _load(args)
+    spec, cfg = load_model(args.model)
     c_star, z_star = model_min_speed(spec, cfg.get("bound"), cfg.get("margin", 1.0))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "speed.json"),
@@ -155,7 +148,7 @@ def _default_init(prob) -> CappedExponential:
 
 
 def cmd_solve(args) -> int:
-    spec, cfg = _load(args)
+    spec, cfg = load_model(args.model)
     prob = _problem(spec, cfg)
     grid = _parse_grid(args.grid)
     opts = SolveOptions(damping=args.damping, tol=args.tol, max_iter=args.max_iter)
@@ -175,7 +168,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, cfg = _load(args)
+    spec, cfg = load_model(args.model)
     c = _speed_of(cfg)
     grid = _parse_grid(args.grid)
     opts = SolveOptions(damping=args.damping, tol=args.tol, max_iter=args.max_iter)
@@ -197,7 +190,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    spec, cfg = _load(args)
+    spec, cfg = load_model(args.model)
     prob = _problem(spec, cfg)
     cf = prob.charfun()
     try:

@@ -1,4 +1,4 @@
-"""Kernel components and their bilateral Laplace transforms.
+"""Kernel components: transforms, grid action, quadrature windows and JSON.
 
 Every kernel here is a nonnegative integrable function K(s) with positive
 mass, represented exactly enough that its transform
@@ -11,6 +11,15 @@ supported shapes are the analytic families used by the model reductions
 from the roots nu < 0 < mu of z^2 - c z - q = 0), atomic combs, tabulated
 data on a compact grid, and lazy convolutions of the above.
 
+Each shape is one class, the only place that knows it: its transform, its
+action on a grid field (``grid_convolve``), its quadrature windows and
+kinks, and its JSON form (``shape``, ``to_dict``, ``from_dict``).  On the
+grid, exponential pieces run exact O(n) linear recurrences on the
+piecewise-linear interpolant, atomic combs add shifted copies, Gaussian
+and tabulated densities are sampled at multiples of the grid step and
+applied as one discrete convolution, and a lazy product applies its
+factors in turn.
+
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
 sentinel float.
@@ -20,15 +29,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 from scipy import integrate
+from scipy.signal import lfilter
 
 from .errors import EmptyStrip, OutOfStrip, QuadratureFailure
 
 INF = math.inf
+# log of the factor by which a truncated tail is smaller than the integral
+_TAIL = math.log(1e16)
 
 __all__ = [
     "KernelComponent",
@@ -38,13 +51,13 @@ __all__ = [
     "DiracComb",
     "TabulatedKernel",
     "ConvolvedKernel",
-    "GreenKernel",
     "laplace",
-    "abscissas",
     "convolve",
-    "convolve_green",
+    "shift_kernel",
+    "convolve_field",
     "laplace_quadrature",
     "load_tabulated",
+    "kernel_from_dict",
 ]
 
 
@@ -60,8 +73,16 @@ def _check_strip(strip, z):
 
 
 class KernelComponent:
-    """Base class: one kernel K(s) with transform, abscissas and mass."""
+    """Base class: one kernel K(s) and everything the package does with it.
 
+    A new shape sets ``shape`` and implements ``mass``, ``abscissas``,
+    ``laplace``, ``value``, ``support`` and ``grid_convolve``; unless it is
+    compactly supported also ``truncation_window`` and ``density_window``;
+    and ``breakpoints`` where its density has kinks.  ``to_dict`` and
+    ``from_dict`` work on any frozen dataclass of JSON-ready fields.
+    """
+
+    shape = ""
     compact_support = False
     atomic = False
 
@@ -85,8 +106,51 @@ class KernelComponent:
         """Closure bounds of the support (may be +-inf)."""
         raise NotImplementedError
 
-    def convolve(self, other: "KernelComponent") -> "KernelComponent":
-        return convolve(self, other)
+    def grid_convolve(self, ts: np.ndarray, G: np.ndarray, lam_left: float | None,
+                      right_value: float) -> np.ndarray:
+        """integral K(s) G~(t - s) ds on the uniform grid ts; see :func:`convolve_field`."""
+        raise TypeError(f"no grid convolution for {type(self).__name__}")
+
+    def truncation_window(self, x: float) -> tuple[float, float]:
+        """Window outside which K(s)e^{-x s} contributes < ~1e-13 of the integral."""
+        if self.compact_support:
+            return self.support()
+        raise TypeError(f"no quadrature window for {type(self).__name__}")
+
+    def density_window(self) -> tuple[float, float]:
+        """Finite interval holding all but ~1e-16 of the kernel's mass."""
+        if self.compact_support:
+            return self.support()
+        raise TypeError(f"no density window for {type(self).__name__}")
+
+    def breakpoints(self) -> list[float]:
+        """Interior kink locations the adaptive panels must split at."""
+        return []
+
+    def exp_dominated(self, x: float) -> bool:
+        """True when sup_s K(s) e^{-x s} is finite for the given x > 0.
+
+        For every shape here that holds exactly when x <= gamma: as
+        s -> -inf the kernel decays like e^{gamma s} or faster.
+        """
+        return x <= self.abscissas()[1]
+
+    def to_dict(self) -> dict:
+        """JSON form: ``shape`` plus the dataclass fields, tuples as lists."""
+        out = {"shape": self.shape}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = list(v) if isinstance(v, tuple) else v
+        return out
+
+    @classmethod
+    def from_dict(cls, spec: dict, base_dir=None) -> "KernelComponent":
+        """Inverse of :meth:`to_dict`; fields with a default may be left out.
+
+        ``base_dir`` resolves a relative file path in shapes that read one.
+        """
+        return cls(**{f.name: spec[f.name] for f in fields(cls)
+                      if f.name in spec or f.default is MISSING})
 
 
 @dataclass(frozen=True)
@@ -95,6 +159,8 @@ class GaussianKernel(KernelComponent):
 
     variance: float
     scale: float = 1.0
+
+    shape = "gaussian"
 
     def __post_init__(self):
         if self.variance <= 0:
@@ -121,6 +187,20 @@ class GaussianKernel(KernelComponent):
     def support(self):
         return (-INF, INF)
 
+    def grid_convolve(self, ts, G, lam_left, right_value):
+        w = 9.0 * math.sqrt(self.variance)
+        return _sampled_convolve(self, ts, G, lam_left, right_value, -w, w)
+
+    def truncation_window(self, x):
+        v = self.variance
+        center = -x * v
+        w = math.sqrt(2.0 * v * _TAIL) + 2.0 * math.sqrt(v)
+        return (center - w, center + w)
+
+    def density_window(self):
+        w = math.sqrt(2.0 * self.variance * _TAIL)
+        return (-w, w)
+
 
 @dataclass(frozen=True)
 class OneSidedExponential(KernelComponent):
@@ -134,6 +214,8 @@ class OneSidedExponential(KernelComponent):
     direction: int = 1
     shift: float = 0.0
     scale: float = 1.0
+
+    shape = "exponential_onesided"
 
     def __post_init__(self):
         if self.rate <= 0:
@@ -169,6 +251,28 @@ class OneSidedExponential(KernelComponent):
             return (self.shift, INF)
         return (-INF, self.shift)
 
+    def grid_convolve(self, ts, G, lam_left, right_value):
+        if self.direction == 1:
+            H = self.scale * _recurse_forward(ts, G, self.rate, lam_left)
+        else:
+            H = self.scale * _recurse_backward(ts, G, self.rate, right_value)
+        return _shifted(ts, H, self.shift, lam_left, float(H[-1]))
+
+    def _window(self, decay):
+        length = _TAIL / decay
+        if self.direction == 1:
+            return (self.shift, self.shift + length)
+        return (self.shift - length, self.shift)
+
+    def truncation_window(self, x):
+        return self._window(self.rate + x if self.direction == 1 else self.rate - x)
+
+    def density_window(self):
+        return self._window(self.rate)
+
+    def breakpoints(self):
+        return [self.shift]
+
 
 @dataclass(frozen=True)
 class PiecewiseGreen(KernelComponent):
@@ -177,13 +281,16 @@ class PiecewiseGreen(KernelComponent):
     K(s) = scale/(mu - nu) * { e^{nu (s - shift)}  for s >= shift,
                                e^{mu (s - shift)}  for s <  shift },
     with transform scale * e^{-z shift} / (q + c z - z^2) on (nu, mu) and
-    mass scale / q, where c = nu + mu, q = -nu mu.
+    mass scale / q, where c = nu + mu, q = -nu mu.  This is the Green
+    kernel inverting the second-order part of a profile equation.
     """
 
     nu: float
     mu: float
     shift: float = 0.0
     scale: float = 1.0
+
+    shape = "piecewise_green"
 
     def __post_init__(self):
         if not (self.nu < 0 < self.mu):
@@ -228,6 +335,29 @@ class PiecewiseGreen(KernelComponent):
     def support(self):
         return (-INF, INF)
 
+    def grid_convolve(self, ts, G, lam_left, right_value):
+        rho1, rho2 = -self.nu, self.mu
+        amp = self.scale / (self.mu - self.nu)
+        H = amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
+                   + _recurse_backward(ts, G, rho2, right_value) / rho2)
+        return _shifted(ts, H, self.shift, lam_left, float(H[-1]))
+
+    def truncation_window(self, x):
+        return (self.shift - _TAIL / (self.mu - x), self.shift + _TAIL / (x - self.nu))
+
+    def density_window(self):
+        return (self.shift - _TAIL / self.mu, self.shift + _TAIL / (-self.nu))
+
+    def breakpoints(self):
+        return [self.shift]
+
+    @classmethod
+    def from_dict(cls, spec, base_dir=None):
+        if "nu" in spec and "mu" in spec:
+            return super().from_dict(spec)
+        return cls.from_speed_damping(spec["c"], spec["q"], shift=spec.get("shift", 0.0),
+                                      scale=spec.get("scale", 1.0))
+
 
 @dataclass(frozen=True)
 class DiracComb(KernelComponent):
@@ -241,6 +371,7 @@ class DiracComb(KernelComponent):
     offsets: tuple[float, ...]
     weights: tuple[float, ...]
 
+    shape = "dirac_comb"
     atomic = True
     compact_support = True
 
@@ -273,6 +404,12 @@ class DiracComb(KernelComponent):
 
     def support(self):
         return (min(self.offsets), max(self.offsets))
+
+    def grid_convolve(self, ts, G, lam_left, right_value):
+        out = np.zeros_like(G)
+        for a, w in zip(self.offsets, self.weights):
+            out += w * _sample(ts, G, ts - a, lam_left, right_value)
+        return out
 
 
 def _segment_transform(z, t0, t1, v0, v1):
@@ -339,6 +476,7 @@ class TabulatedKernel(KernelComponent):
     grid: tuple[float, ...]
     values: tuple[float, ...]
 
+    shape = "tabulated"
     compact_support = True
 
     def __post_init__(self):
@@ -385,13 +523,28 @@ class TabulatedKernel(KernelComponent):
     def support(self):
         return (self.grid[0], self.grid[-1])
 
+    def grid_convolve(self, ts, G, lam_left, right_value):
+        return _sampled_convolve(self, ts, G, lam_left, right_value,
+                                 self.grid[0], self.grid[-1])
+
+    def breakpoints(self):
+        return [self.grid[0], self.grid[-1]]
+
+    @classmethod
+    def from_dict(cls, spec, base_dir=None):
+        if "path" in spec:
+            return load_tabulated(os.path.join(base_dir or "", spec["path"]))
+        return super().from_dict(spec)
+
 
 class ConvolvedKernel(KernelComponent):
     """Lazy convolution a * b: transform is the product of the factor transforms.
 
     Pointwise values come from adaptive quadrature and are meant for
-    diagnostics; grid-level applications use the factors sequentially.
+    diagnostics; on the grid the factors act one after the other.
     """
+
+    shape = "convolved"
 
     def __init__(self, a: KernelComponent, b: KernelComponent):
         lo_a, hi_a = a.abscissas()
@@ -435,13 +588,13 @@ class ConvolvedKernel(KernelComponent):
         return out[0] if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
     def _value_quad(self, s: float) -> float:
-        lo_a, hi_a = _density_window(self.a)
-        lo_b, hi_b = _density_window(self.b)
+        lo_a, hi_a = self.a.density_window()
+        lo_b, hi_b = self.b.density_window()
         lo, hi = max(lo_a, s - hi_b), min(hi_a, s - lo_b)
         if hi <= lo:
             return 0.0
-        pts = sorted({p for p in _breakpoints(self.a) if lo < p < hi}
-                     | {s - p for p in _breakpoints(self.b) if lo < s - p < hi}) or None
+        pts = sorted({p for p in self.a.breakpoints() if lo < p < hi}
+                     | {s - p for p in self.b.breakpoints() if lo < s - p < hi}) or None
         val, err = integrate.quad(lambda u: float(self.a.value(u)) * float(self.b.value(s - u)),
                                   lo, hi, limit=200, points=pts)
         if err > 1e-7 * (1.0 + abs(val)):
@@ -453,48 +606,43 @@ class ConvolvedKernel(KernelComponent):
         lo_b, hi_b = self.b.support()
         return (lo_a + lo_b, hi_a + hi_b)
 
+    def grid_convolve(self, ts, G, lam_left, right_value):
+        # through the module-level name, so each factor is seen as its own shape
+        inner = convolve_field(self.b, ts, G, lam_left, right_value)
+        return convolve_field(self.a, ts, inner, lam_left, float(inner[-1]))
 
-@dataclass(frozen=True)
-class GreenKernel:
-    """Second-order Green kernel data: nu, mu solve z^2 - c z - q = 0.
+    def truncation_window(self, x):
+        lo_a, hi_a = self.a.truncation_window(x)
+        lo_b, hi_b = self.b.truncation_window(x)
+        return (lo_a + lo_b, hi_a + hi_b)
 
-    Encodes the inverse of the differential part of the profile equation;
-    integrates to 1/q.  The first-order analogue (a one-sided exponential)
-    is represented directly by :class:`OneSidedExponential`.
-    """
+    def density_window(self):
+        lo_a, hi_a = self.a.density_window()
+        lo_b, hi_b = self.b.density_window()
+        return (lo_a + lo_b, hi_a + hi_b)
 
-    c: float
-    q: float
-    nu: float = field(default=None)  # type: ignore[assignment]
-    mu: float = field(default=None)  # type: ignore[assignment]
-    sigma: float = field(default=None)  # type: ignore[assignment]
-    shift: float = 0.0
+    def breakpoints(self):
+        return self.a.breakpoints() + self.b.breakpoints()
 
-    def __post_init__(self):
-        if self.c == 0:
-            raise ValueError("wave speed must be nonzero")
-        if self.q <= 0:
-            raise ValueError("damping coefficient q must be positive")
-        disc = math.sqrt(self.c * self.c + 4.0 * self.q)
-        nu = (self.c - disc) / 2.0
-        mu = (self.c + disc) / 2.0
-        if self.nu is None:
-            object.__setattr__(self, "nu", nu)
-        if self.mu is None:
-            object.__setattr__(self, "mu", mu)
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", disc)
-        if abs(self.nu * self.mu + self.q) > 1e-9 * max(1.0, self.q):
-            raise ValueError("nu, mu must solve z^2 - c z - q = 0")
-        if abs((self.mu - self.nu) - self.sigma) > 1e-9 * max(1.0, self.sigma):
-            raise ValueError("sigma must equal mu - nu")
+    def to_dict(self):
+        return {"shape": self.shape, "a": self.a.to_dict(), "b": self.b.to_dict()}
 
-    @property
-    def mass(self) -> float:
-        return 1.0 / self.q
+    @classmethod
+    def from_dict(cls, spec, base_dir=None):
+        return convolve(kernel_from_dict(spec["a"], base_dir),
+                        kernel_from_dict(spec["b"], base_dir))
 
-    def to_component(self) -> PiecewiseGreen:
-        return PiecewiseGreen(nu=self.nu, mu=self.mu, shift=self.shift)
+
+_BY_SHAPE = {cls.shape: cls for cls in (GaussianKernel, OneSidedExponential, PiecewiseGreen,
+                                        DiracComb, TabulatedKernel, ConvolvedKernel)}
+
+
+def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
+    """Kernel from its JSON form; a relative tabulated ``path`` is read from ``base_dir``."""
+    shape = spec.get("shape")
+    if shape not in _BY_SHAPE:
+        raise ValueError(f"unknown kernel shape {shape!r}")
+    return _BY_SHAPE[shape].from_dict(spec, base_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +653,6 @@ def laplace(k: KernelComponent, z):
     """Bilateral Laplace transform of k at z; raises OutOfStrip outside the strip."""
     _check_strip(k.abscissas(), z)
     return k.laplace(z)
-
-
-def abscissas(k: KernelComponent) -> tuple[float, float]:
-    return k.abscissas()
 
 
 def convolve(a: KernelComponent, b: KernelComponent) -> KernelComponent:
@@ -527,12 +671,6 @@ def convolve(a: KernelComponent, b: KernelComponent) -> KernelComponent:
     return ConvolvedKernel(a, b)
 
 
-def convolve_green(k: KernelComponent, green) -> KernelComponent:
-    """Convolve k with a Green kernel (GreenKernel or any KernelComponent)."""
-    g = green.to_component() if isinstance(green, GreenKernel) else green
-    return convolve(k, g)
-
-
 def shift_kernel(k: KernelComponent, delta: float) -> KernelComponent:
     """K(. - delta), realized exactly as convolution with a unit point mass."""
     if delta == 0.0:
@@ -541,67 +679,104 @@ def shift_kernel(k: KernelComponent, delta: float) -> KernelComponent:
 
 
 # ---------------------------------------------------------------------------
+# grid action: closure-aware sampling and the building blocks of grid_convolve
+
+
+def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
+                   lam_left: float | None, right_value: float | None = None) -> np.ndarray:
+    """integral K(s) G~(t - s) ds on the grid, G~ closed per the solver rules.
+
+    G~ is the piecewise-linear interpolant of G on ts, extended by
+    G[0] e^{lam_left (t - t0)} on the left (0 when lam_left is None) and by
+    right_value (default G[-1]) on the right.
+    """
+    if right_value is None:
+        right_value = float(G[-1])
+    return k.grid_convolve(ts, G, lam_left, right_value)
+
+
+def _sample(ts, values, x, lam_left, right_value):
+    """Piecewise-linear field at points x with the solver's closure rules.
+
+    Left of the grid: 0 when lam_left is None, else the exponential
+    extension values[0] e^{lam (x - t0)}.  Right of the grid: right_value.
+    """
+    out = np.interp(x, ts, values, right=right_value)
+    mask = x < ts[0]
+    if np.any(mask):
+        if lam_left is None:
+            out[mask] = 0.0
+        else:
+            out[mask] = values[0] * np.exp(lam_left * (x[mask] - ts[0]))
+    return out
+
+
+def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
+    """(E, w_far, w_near) for one exact step of rate*int_0^dt e^{-rate u} P1 du."""
+    q = rate * dt
+    E = math.exp(-q)
+    if q < 1e-4:
+        far = q / 2.0 - q * q / 3.0 + q ** 3 / 8.0
+    else:
+        far = (1.0 - E * (1.0 + q)) / q
+    near = (1.0 - E) - far
+    return E, far, near
+
+
+def _recurse_forward(ts, G, rate, lam_left):
+    """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - u) du, exact on the interpolant."""
+    dt = ts[1] - ts[0]
+    E, far, near = _exp_step_weights(rate, dt)
+    src = np.empty_like(G)
+    src[0] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
+    src[1:] = far * G[:-1] + near * G[1:]
+    return lfilter([1.0], [1.0, -E], src)
+
+
+def _recurse_backward(ts, G, rate, right_value):
+    """H(x_i) = rate * int_0^inf e^{-rate v} G~(x_i + v) dv; seeds with the plateau."""
+    dt = ts[1] - ts[0]
+    E, far, near = _exp_step_weights(rate, dt)
+    Grev = G[::-1]
+    src = np.empty_like(G)
+    src[0] = right_value
+    src[1:] = far * Grev[:-1] + near * Grev[1:]
+    return lfilter([1.0], [1.0, -E], src)[::-1]
+
+
+def _shifted(ts, H, shift, lam_left, right_value):
+    if shift == 0.0:
+        return H.copy()
+    return _sample(ts, H, ts - shift, lam_left, right_value)
+
+
+def _sampled_convolve(k: KernelComponent, ts, G, lam_left, right_value, lo, hi):
+    """Discrete convolution with K sampled at multiples of the grid step on [lo, hi].
+
+    The samples are mass-lumped so constant states stay exact.  Grid-aligned
+    samples need no interpolation: the field is padded with its closure
+    values (the exponential extension on the left, right_value on the
+    right) and convolved once.  Direct summation of nonnegative weights and
+    nonnegative fields cannot produce negative roundoff, unlike an FFT.
+    """
+    dt = ts[1] - ts[0]
+    jlo = min(math.floor(lo / dt), 0)
+    jhi = max(math.ceil(hi / dt), 0)
+    kv = np.asarray(k.value(np.arange(jlo, jhi + 1) * dt), dtype=float) * dt
+    total = kv.sum()
+    if not total > 0:
+        raise ValueError(f"{type(k).__name__} has no mass on multiples of the grid step {dt:g}")
+    kv *= k.mass / total
+    if lam_left is None:
+        left = np.zeros(jhi)
+    else:
+        left = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
+    padded = np.concatenate((left, G, np.full(-jlo, right_value)))
+    return np.convolve(padded, kv, "valid")
+
+
+# ---------------------------------------------------------------------------
 # quadrature (the independent route used to cross-check closed forms)
-
-
-def _truncation_window(k: KernelComponent, x: float) -> tuple[float, float]:
-    """Window outside which K(s)e^{-x s} contributes < ~1e-13 of the integral."""
-    tail = math.log(1e16)
-    if isinstance(k, GaussianKernel):
-        v = k.variance
-        center = -x * v
-        w = math.sqrt(2.0 * v * tail) + 2.0 * math.sqrt(v)
-        return (center - w, center + w)
-    if isinstance(k, OneSidedExponential):
-        decay = k.rate + x if k.direction == 1 else k.rate - x
-        length = tail / decay
-        if k.direction == 1:
-            return (k.shift, k.shift + length)
-        return (k.shift - length, k.shift)
-    if isinstance(k, PiecewiseGreen):
-        right = tail / (x - k.nu)
-        left = tail / (k.mu - x)
-        return (k.shift - left, k.shift + right)
-    if isinstance(k, TabulatedKernel):
-        return k.support()
-    if isinstance(k, ConvolvedKernel):
-        lo_a, hi_a = _truncation_window(k.a, x)
-        lo_b, hi_b = _truncation_window(k.b, x)
-        return (lo_a + lo_b, hi_a + hi_b)
-    raise TypeError(f"no quadrature window for {type(k).__name__}")
-
-
-def _density_window(k: KernelComponent) -> tuple[float, float]:
-    """Finite interval holding all but ~1e-16 of the kernel's mass."""
-    tail = math.log(1e16)
-    if isinstance(k, GaussianKernel):
-        w = math.sqrt(2.0 * k.variance * tail)
-        return (-w, w)
-    if isinstance(k, OneSidedExponential):
-        length = tail / k.rate
-        return (k.shift, k.shift + length) if k.direction == 1 else (k.shift - length, k.shift)
-    if isinstance(k, PiecewiseGreen):
-        return (k.shift - tail / k.mu, k.shift + tail / (-k.nu))
-    if isinstance(k, TabulatedKernel):
-        return k.support()
-    if isinstance(k, ConvolvedKernel):
-        lo_a, hi_a = _density_window(k.a)
-        lo_b, hi_b = _density_window(k.b)
-        return (lo_a + lo_b, hi_a + hi_b)
-    if isinstance(k, DiracComb):
-        return k.support()
-    raise TypeError(f"no density window for {type(k).__name__}")
-
-
-def _breakpoints(k: KernelComponent) -> list[float]:
-    """Interior kink locations the adaptive panels must split at."""
-    if isinstance(k, (OneSidedExponential, PiecewiseGreen)):
-        return [k.shift]
-    if isinstance(k, TabulatedKernel):
-        return [k.grid[0], k.grid[-1]]
-    if isinstance(k, ConvolvedKernel):
-        return _breakpoints(k.a) + _breakpoints(k.b)
-    return []
 
 
 def laplace_quadrature(k: KernelComponent, z, tol: float = 1e-10):
@@ -619,8 +794,8 @@ def laplace_quadrature(k: KernelComponent, z, tol: float = 1e-10):
         return k.a.laplace(z) * laplace_quadrature(k.b, z, tol)
     if isinstance(k, ConvolvedKernel) and isinstance(k.b, DiracComb):
         return k.b.laplace(z) * laplace_quadrature(k.a, z, tol)
-    lo, hi = _truncation_window(k, z.real)
-    pts = sorted(p for p in _breakpoints(k) if lo < p < hi) or None
+    lo, hi = k.truncation_window(z.real)
+    pts = sorted(p for p in k.breakpoints() if lo < p < hi) or None
 
     def f_re(s):
         return float(np.real(k.value(s) * np.exp(-z * s)))

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
-from .charfun import (CharacteristicFunction, SpectralData, _concave_max,
-                      _max_bracket, min_speed, real_roots)
+from .charfun import (CharacteristicFunction, SpectralData, _strip_max,
+                      min_speed, real_roots)
 from .errors import (DegenerateRange, HypothesisViolation, NoRoots,
                      StripTooNarrow, ZeroSpeed)
 from .kernels import (DiracComb, KernelComponent, OneSidedExponential,
-                      PiecewiseGreen, convolve, shift_kernel)
+                      PiecewiseGreen, convolve, kernel_from_dict, shift_kernel)
 
 INF = math.inf
 DERIV_SAMPLES = 10_000
@@ -43,13 +44,12 @@ __all__ = [
     "NonlocalDelayedRD",
     "LocalDelayedRD",
     "beta_select",
-    "to_convolution_form",
     "model_chi",
     "ModelChi",
     "model_min_speed",
     "load_model",
     "nonlinearity_from_dict",
-    "kernel_from_dict",
+    "model_from_dict",
 ]
 
 
@@ -271,17 +271,33 @@ class ConvolutionProblem:
     def equilibrium(self) -> float:
         """Smallest positive root of kappa = sum_tau mass_tau g_tau(kappa) on (0, bound]."""
         terms = [(a.kernel.mass, a.nonlinearity) for a in self.atoms]
-
-        def F(x):
-            return sum(m * float(g(x)) for m, g in terms) - x
-
-        xs = np.linspace(self.bound * 1e-6, self.bound, 4000)
-        vals = np.array([F(x) for x in xs])
-        sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
-        if len(sign_change) == 0:
+        kappa = _smallest_root(lambda x: sum(m * g(x) for m, g in terms) - x, self.bound)
+        if kappa is None:
             raise NoRoots(f"no positive equilibrium on (0, {self.bound:g}]")
-        i = sign_change[0]
-        return float(optimize.brentq(F, xs[i], xs[i + 1], xtol=1e-14))
+        return kappa
+
+
+def _smallest_root(F, hi: float) -> float | None:
+    """First sign change of F on 4000 points of [1e-6 hi, hi], refined by brentq.
+
+    F takes an array for the scan and a scalar for brentq; None when F
+    keeps one sign on the scan.
+    """
+    xs = np.linspace(hi * 1e-6, hi, 4000)
+    idx = np.flatnonzero(np.diff(np.sign(F(xs))))
+    if not len(idx):
+        return None
+    i = idx[0]
+    return float(optimize.brentq(F, xs[i], xs[i + 1], xtol=1e-14))
+
+
+def _bound_from(F) -> float:
+    """1.5 times the smallest positive root of F on (0, 1], (0, 10] or (0, 100]; else 1."""
+    for hi in (1.0, 10.0, 100.0):
+        kappa = _smallest_root(F, hi)
+        if kappa is not None:
+            return 1.5 * kappa
+    return 1.0
 
 
 class ModelSpec:
@@ -325,17 +341,6 @@ class ModelSpec:
                 f"family '{self.family}' supports positive wave speeds only")
 
 
-def _equilibrium_of(F, hint: float = 1.0) -> float | None:
-    for hi in (hint, 10.0 * hint, 100.0 * hint):
-        xs = np.linspace(hi * 1e-6, hi, 4000)
-        vals = np.array([F(x) for x in xs])
-        idx = np.where(np.diff(np.sign(vals)) != 0)[0]
-        if len(idx):
-            i = idx[0]
-            return float(optimize.brentq(F, xs[i], xs[i + 1], xtol=1e-14))
-    return None
-
-
 @dataclass(frozen=True)
 class NonlocalKPP(ModelSpec):
     """u_t = J*u - u + g(u) with dispersal kernel J (possibly asymmetric)."""
@@ -352,8 +357,7 @@ class NonlocalKPP(ModelSpec):
 
     def default_bound(self):
         slope = self.J.mass - 1.0
-        kap = _equilibrium_of(lambda x: slope * x + float(self.g(x)))
-        return 1.5 * kap if kap else 1.0
+        return _bound_from(lambda x: slope * x + self.g(x))
 
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
@@ -380,7 +384,7 @@ class NonlocalKPP(ModelSpec):
         return self.J.abscissas()
 
     def to_dict(self):
-        return {"family": self.family, "kernel": _kernel_to_dict(self.J),
+        return {"family": self.family, "kernel": self.J.to_dict(),
                 "nonlinearity": self.g.to_dict()}
 
 
@@ -424,8 +428,7 @@ class NonlocalLattice(ModelSpec):
 
     def default_bound(self):
         s = self._comb_sum()
-        kap = _equilibrium_of(lambda x: s * float(self.g(x)) - self.d * x)
-        return 1.5 * kap if kap else 1.0
+        return _bound_from(lambda x: s * self.g(x) - self.d * x)
 
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
@@ -494,8 +497,7 @@ class NonlocalDelayedRD(ModelSpec):
 
     def default_bound(self):
         mass = self.k.mass
-        kap = _equilibrium_of(lambda x: mass * float(self.g(x)) - float(self.f(x)))
-        return 1.5 * kap if kap else 1.0
+        return _bound_from(lambda x: mass * self.g(x) - self.f(x))
 
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
@@ -530,7 +532,7 @@ class NonlocalDelayedRD(ModelSpec):
 
     def to_dict(self):
         return {"family": self.family, "damping": self.f.to_dict(),
-                "kernel": _kernel_to_dict(self.k), "delay": self.delay,
+                "kernel": self.k.to_dict(), "delay": self.delay,
                 "nonlinearity": self.g.to_dict()}
 
 
@@ -555,8 +557,7 @@ class LocalDelayedRD(ModelSpec):
             raise HypothesisViolation(f"need g'(0) > 1: {self.g.gprime0:g}")
 
     def default_bound(self):
-        kap = _equilibrium_of(lambda x: float(self.g(x)) - x)
-        return 1.5 * kap if kap else 1.0
+        return _bound_from(lambda x: self.g(x) - x)
 
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
@@ -584,11 +585,6 @@ class LocalDelayedRD(ModelSpec):
     def to_dict(self):
         return {"family": self.family, "L": self.L, "delay": self.delay,
                 "nonlinearity": self.g.to_dict()}
-
-
-def to_convolution_form(m: ModelSpec, c: float, M: float | None = None,
-                        margin: float = 1.0) -> ConvolutionProblem:
-    return m.to_convolution_form(c, M, margin)
 
 
 @dataclass(frozen=True)
@@ -674,12 +670,7 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     # expand a bracket on the positive axis; the nonlocal dispersal family
     # admits c* <= 0, which the beta-free closed form handles across c = 0
     def max_at(c):
-        lo, hi = strip_of_c(c)
-        lo = max(lo, 0.0) + 1e-13
-        b = _max_bracket(lambda z: chi_zc(z, c), hi)
-        if math.isfinite(hi):
-            b = hi - max(1e-13, 1e-12 * abs(hi))
-        return _concave_max(lambda z: chi_zc(z, c), lo, b)[1]
+        return _strip_max(lambda z: chi_zc(z, c), strip_of_c(c))[1]
 
     hi = 1.0
     while max_at(hi) < 0.0:
@@ -691,11 +682,12 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
         lo /= 2.0
     if max_at(lo) > 0.0:
         if isinstance(m, NonlocalKPP):
-            # c* <= 0: walk the beta-free closed form to negative speeds,
-            # where it stays regular across c = 0
+            # c* <= 0: walk the beta-free closed form (max_at reads the
+            # rebound chi_zc) to negative speeds, where it stays regular
+            # across c = 0
             chi_zc, strip_of_c = _closed_chi_zc(m)
             lo = -1.0
-            while lo > -512.0 and _closed_max(m, lo) > 0.0:
+            while lo > -512.0 and max_at(lo) > 0.0:
                 lo *= 2.0
             if lo <= -512.0:
                 raise HypothesisViolation("no sign change of max chi down to c = -512")
@@ -706,64 +698,8 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     return min_speed(chi_zc, strip_of_c, (lo, hi))
 
 
-def _closed_max(m: ModelSpec, c: float) -> float:
-    chi_zc, strip_of_c = _closed_chi_zc(m)
-    lo, hi = strip_of_c(c)
-    lo = max(lo, 0.0) + 1e-13
-    b = _max_bracket(lambda z: chi_zc(z, c), hi)
-    if math.isfinite(hi):
-        b = hi - max(1e-13, 1e-12 * abs(hi))
-    return _concave_max(lambda z: chi_zc(z, c), lo, b)[1]
-
-
 # ---------------------------------------------------------------------------
 # JSON model files
-
-
-def _kernel_to_dict(k: KernelComponent) -> dict:
-    from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel,
-                          OneSidedExponential, PiecewiseGreen, TabulatedKernel)
-    if isinstance(k, GaussianKernel):
-        return {"shape": "gaussian", "variance": k.variance, "scale": k.scale}
-    if isinstance(k, OneSidedExponential):
-        return {"shape": "exponential_onesided", "rate": k.rate,
-                "direction": k.direction, "shift": k.shift, "scale": k.scale}
-    if isinstance(k, PiecewiseGreen):
-        return {"shape": "piecewise_green", "nu": k.nu, "mu": k.mu,
-                "shift": k.shift, "scale": k.scale}
-    if isinstance(k, DiracComb):
-        return {"shape": "dirac_comb", "offsets": list(k.offsets), "weights": list(k.weights)}
-    if isinstance(k, TabulatedKernel):
-        return {"shape": "tabulated", "grid": list(k.grid), "values": list(k.values)}
-    if isinstance(k, ConvolvedKernel):
-        return {"shape": "convolved", "a": _kernel_to_dict(k.a), "b": _kernel_to_dict(k.b)}
-    raise TypeError(type(k).__name__)
-
-
-def kernel_from_dict(spec: dict) -> KernelComponent:
-    from .kernels import (GaussianKernel, TabulatedKernel, load_tabulated)
-    shape = spec.get("shape")
-    if shape == "gaussian":
-        return GaussianKernel(variance=spec["variance"], scale=spec.get("scale", 1.0))
-    if shape == "exponential_onesided":
-        return OneSidedExponential(rate=spec["rate"], direction=spec.get("direction", 1),
-                                   shift=spec.get("shift", 0.0), scale=spec.get("scale", 1.0))
-    if shape == "piecewise_green":
-        if "nu" in spec and "mu" in spec:
-            return PiecewiseGreen(nu=spec["nu"], mu=spec["mu"],
-                                  shift=spec.get("shift", 0.0), scale=spec.get("scale", 1.0))
-        return PiecewiseGreen.from_speed_damping(spec["c"], spec["q"],
-                                                 shift=spec.get("shift", 0.0),
-                                                 scale=spec.get("scale", 1.0))
-    if shape == "dirac_comb":
-        return DiracComb(tuple(spec["offsets"]), tuple(spec["weights"]))
-    if shape == "tabulated":
-        if "path" in spec:
-            return load_tabulated(spec["path"])
-        return TabulatedKernel(tuple(spec["grid"]), tuple(spec["values"]))
-    if shape == "convolved":
-        return convolve(kernel_from_dict(spec["a"]), kernel_from_dict(spec["b"]))
-    raise ValueError(f"unknown kernel shape {shape!r}")
 
 
 def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
@@ -779,11 +715,12 @@ def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
     raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
 
-def model_from_dict(spec: dict) -> ModelSpec:
+def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
+    """Model from its JSON form; ``base_dir`` resolves relative kernel file paths."""
     family = spec.get("family")
     g = nonlinearity_from_dict(spec["nonlinearity"])
     if family == "nonlocal_kpp":
-        return NonlocalKPP(J=kernel_from_dict(spec["kernel"]), g=g)
+        return NonlocalKPP(J=kernel_from_dict(spec["kernel"], base_dir), g=g)
     if family == "nonlocal_lattice":
         beta = spec["beta"]
         if isinstance(beta, list):
@@ -792,7 +729,7 @@ def model_from_dict(spec: dict) -> ModelSpec:
                                g=g, delay=spec.get("delay", 0.0))
     if family == "nonlocal_delayed_rd":
         return NonlocalDelayedRD(f=nonlinearity_from_dict(spec["damping"]), g=g,
-                                 k=kernel_from_dict(spec["kernel"]),
+                                 k=kernel_from_dict(spec["kernel"], base_dir),
                                  delay=spec.get("delay", 0.0))
     if family == "local_delayed_rd":
         return LocalDelayedRD(g=g, L=spec.get("L", g.gprime0),
@@ -801,7 +738,10 @@ def model_from_dict(spec: dict) -> ModelSpec:
 
 
 def load_model(path) -> tuple[ModelSpec, dict]:
-    """Load a model JSON file; returns (spec, full config dict)."""
+    """Load a model JSON file; returns (spec, full config dict).
+
+    A relative kernel ``path`` inside it is read from the file's directory.
+    """
     with open(path) as fh:
         cfg = json.load(fh)
-    return model_from_dict(cfg), cfg
+    return model_from_dict(cfg, os.path.dirname(path)), cfg

@@ -16,9 +16,7 @@ from . import wavesolver
 from .asymptotics import fit_decay
 from .charfun import real_roots
 from .errors import NoCrossing, NoRoots, NoWave, StripTooNarrow
-from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel,
-                      KernelComponent, OneSidedExponential, PiecewiseGreen,
-                      TabulatedKernel)
+from .kernels import KernelComponent
 from .models import ConvolutionProblem, ModelSpec
 from .wavesolver import Grid, SolveOptions, WaveProfile, solve_profile
 
@@ -126,21 +124,6 @@ def speed_admissibility(m: ModelSpec, c: float, M: float | None = None,
     return "critical" if sd.critical else "noncritical"
 
 
-def _kernel_exp_dominated(k: KernelComponent, x: float) -> bool:
-    """True when sup_s K(s) e^{-x s} is finite for the given x > 0."""
-    if isinstance(k, GaussianKernel):
-        return True
-    if isinstance(k, (DiracComb, TabulatedKernel)):
-        return True  # compact support
-    if isinstance(k, OneSidedExponential):
-        return True if k.direction == 1 else x <= k.rate
-    if isinstance(k, PiecewiseGreen):
-        return x <= k.mu
-    if isinstance(k, ConvolvedKernel):
-        return _kernel_exp_dominated(k.a, x) and _kernel_exp_dominated(k.b, x)
-    return False
-
-
 def _holder_fit(g, sigma: float) -> tuple[float, float] | None:
     """(C, alpha) from log-log regression of |g(u) - g'(0) u| on (0, sigma]."""
     u = np.geomspace(sigma * 1e-6, sigma, 400)
@@ -209,7 +192,7 @@ def audit_hypotheses(p: ConvolutionProblem, M: float) -> list[Check]:
 
         lam_l = p.spectral.lambda_l if p.spectral is not None else 1.0
         rho = 0.5 * lam_l
-        ok_k = _kernel_exp_dominated(atom.kernel, rho)
+        ok_k = atom.kernel.exp_dominated(rho)
         checks.append(Check(
             f"kernel_domination[{tag}]", "pass" if ok_k else "fail",
             "K(s) <= d1 e^{rho s} for a positive rho below the decay rate",

@@ -1,10 +1,8 @@
 """Semi-wavefront profiles by damped fixed-point iteration on a truncated grid.
 
 The wave operator N[phi](t) = sum_tau integral K(s,tau) g(phi(t-s),tau) ds
-is applied kernel-by-kernel: exponential pieces use exact O(n) linear
-recurrences on the piecewise-linear interpolant, atomic combs become
-shifted copies, and Gaussian and tabulated densities are sampled at
-multiples of the grid step and applied as one discrete convolution.
+is applied kernel-by-kernel through ``convolve_field``; each kernel shape
+defines its own grid action in :mod:`wavefront.kernels`.
 
 Plain iteration of the truncated operator bleeds the marginal left-tail
 mode through the boundary (the profile then slides rightward and
@@ -21,13 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.signal import lfilter
 
 from .charfun import _concave_max
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave)
-from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel,
-                      KernelComponent, OneSidedExponential, PiecewiseGreen,
-                      TabulatedKernel)
+from .kernels import _sample, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -90,123 +85,6 @@ class WaveProfile:
             "grid": {"t_min": self.grid.t_min, "t_max": self.grid.t_max, "n": self.grid.n},
             "convergence": dict(self.convergence),
         }
-
-
-# ---------------------------------------------------------------------------
-# closure-aware sampling and per-shape convolution against a grid field
-
-
-def _sample(ts, values, x, lam_left, right_value):
-    """Piecewise-linear field at points x with the solver's closure rules.
-
-    Left of the grid: 0 when lam_left is None, else the exponential
-    extension values[0] e^{lam (x - t0)}.  Right of the grid: right_value.
-    """
-    out = np.interp(x, ts, values, right=right_value)
-    mask = x < ts[0]
-    if np.any(mask):
-        if lam_left is None:
-            out[mask] = 0.0
-        else:
-            out[mask] = values[0] * np.exp(lam_left * (x[mask] - ts[0]))
-    return out
-
-
-def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
-    """(E, w_far, w_near) for one exact step of rate*int_0^dt e^{-rate u} P1 du."""
-    q = rate * dt
-    E = math.exp(-q)
-    if q < 1e-4:
-        far = q / 2.0 - q * q / 3.0 + q ** 3 / 8.0
-    else:
-        far = (1.0 - E * (1.0 + q)) / q
-    near = (1.0 - E) - far
-    return E, far, near
-
-
-def _recurse_forward(ts, G, rate, lam_left):
-    """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - u) du, exact on the interpolant."""
-    dt = ts[1] - ts[0]
-    E, far, near = _exp_step_weights(rate, dt)
-    src = np.empty_like(G)
-    src[0] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
-    src[1:] = far * G[:-1] + near * G[1:]
-    return lfilter([1.0], [1.0, -E], src)
-
-
-def _recurse_backward(ts, G, rate, right_value):
-    """H(x_i) = rate * int_0^inf e^{-rate v} G~(x_i + v) dv; seeds with the plateau."""
-    dt = ts[1] - ts[0]
-    E, far, near = _exp_step_weights(rate, dt)
-    Grev = G[::-1]
-    src = np.empty_like(G)
-    src[0] = right_value
-    src[1:] = far * Grev[:-1] + near * Grev[1:]
-    return lfilter([1.0], [1.0, -E], src)[::-1]
-
-
-def _shifted(ts, H, shift, lam_left, right_value):
-    if shift == 0.0:
-        return H.copy()
-    return _sample(ts, H, ts - shift, lam_left, right_value)
-
-
-def _grid_convolve(k: KernelComponent, ts, G, lam_left, right_value, lo, hi):
-    """Discrete convolution with K sampled at multiples of the grid step on [lo, hi].
-
-    The samples are mass-lumped so constant states stay exact.  Grid-aligned
-    samples need no interpolation: the field is padded with its closure
-    values (the exponential extension on the left, right_value on the
-    right) and convolved once.  Direct summation of nonnegative weights and
-    nonnegative fields cannot produce negative roundoff, unlike an FFT.
-    """
-    dt = ts[1] - ts[0]
-    jlo = min(math.floor(lo / dt), 0)
-    jhi = max(math.ceil(hi / dt), 0)
-    kv = np.asarray(k.value(np.arange(jlo, jhi + 1) * dt), dtype=float) * dt
-    total = kv.sum()
-    if not total > 0:
-        raise ValueError(f"{type(k).__name__} has no mass on multiples of the grid step {dt:g}")
-    kv *= k.mass / total
-    if lam_left is None:
-        left = np.zeros(jhi)
-    else:
-        left = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
-    padded = np.concatenate((left, G, np.full(-jlo, right_value)))
-    return np.convolve(padded, kv, "valid")
-
-
-def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
-                   lam_left: float | None, right_value: float | None = None) -> np.ndarray:
-    """integral K(s) G~(t - s) ds on the grid, G~ closed per the solver rules."""
-    if right_value is None:
-        right_value = float(G[-1])
-    if isinstance(k, DiracComb):
-        out = np.zeros_like(G)
-        for a, w in zip(k.offsets, k.weights):
-            out += w * _sample(ts, G, ts - a, lam_left, right_value)
-        return out
-    if isinstance(k, OneSidedExponential):
-        if k.direction == 1:
-            H = k.scale * _recurse_forward(ts, G, k.rate, lam_left)
-            return _shifted(ts, H, k.shift, lam_left, float(H[-1]))
-        H = k.scale * _recurse_backward(ts, G, k.rate, right_value)
-        return _shifted(ts, H, k.shift, lam_left, float(H[-1]))
-    if isinstance(k, PiecewiseGreen):
-        rho1, rho2 = -k.nu, k.mu
-        amp = k.scale / (k.mu - k.nu)
-        H = amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
-                   + _recurse_backward(ts, G, rho2, right_value) / rho2)
-        return _shifted(ts, H, k.shift, lam_left, float(H[-1]))
-    if isinstance(k, ConvolvedKernel):
-        inner = convolve_field(k.b, ts, G, lam_left, right_value)
-        return convolve_field(k.a, ts, inner, lam_left, float(inner[-1]))
-    if isinstance(k, GaussianKernel):
-        w = 9.0 * math.sqrt(k.variance)
-        return _grid_convolve(k, ts, G, lam_left, right_value, -w, w)
-    if isinstance(k, TabulatedKernel):
-        return _grid_convolve(k, ts, G, lam_left, right_value, k.grid[0], k.grid[-1])
-    raise TypeError(f"no grid convolution for {type(k).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,22 @@ def test_malformed_model_is_usage_error(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_tabulated_path_is_relative_to_model_file(tmp_path, monkeypatch):
+    model_dir = tmp_path / "m"
+    model_dir.mkdir()
+    (model_dir / "J.csv").write_text("-1.0,0.0\n0.0,1.0\n1.0,0.0\n")
+    cfg = {"family": "nonlocal_kpp", "c": 3.0,
+           "kernel": {"shape": "tabulated", "path": "J.csv"},
+           "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
+    (model_dir / "model.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--model", "m/model.json", "--out", "out"]) == 0
+    monkeypatch.chdir(model_dir)
+    assert main(["analyze", "--model", "model.json", "--out", "out"]) == 0
+    assert read_json(tmp_path / "out" / "spectral.json") == read_json(
+        model_dir / "out" / "spectral.json")
+
+
 def test_missing_key_is_usage_error(tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps({"family": "local_delayed_rd"}))

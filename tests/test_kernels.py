@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy import integrate
 
 import wavefront as wf
 from wavefront.errors import EmptyStrip, OutOfStrip
-from wavefront.kernels import KernelComponent, _segment_transform
+from wavefront.kernels import KernelComponent, _segment_transform, kernel_from_dict
 
 INF = math.inf
 
@@ -73,16 +74,15 @@ def test_piecewise_green_roots_and_mass():
 
 
 def test_green_kernel_dataclass():
-    gk = wf.GreenKernel(c=2.5, q=1.0)
+    # the Green kernel of z^2 - c z - q is PiecewiseGreen.from_speed_damping
+    gk = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
     assert gk.mass == pytest.approx(1.0)
-    assert gk.sigma == pytest.approx(gk.mu - gk.nu, rel=1e-12)
+    assert gk.mu - gk.nu == pytest.approx(math.sqrt(2.5 ** 2 + 4.0), rel=1e-12)
     assert gk.nu * gk.mu == pytest.approx(-1.0, rel=1e-12)
-    comp = gk.to_component()
-    assert isinstance(comp, wf.PiecewiseGreen)
+    assert gk.speed == pytest.approx(2.5, rel=1e-12)
+    assert gk.damping == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
-        wf.GreenKernel(c=0.0, q=1.0)
-    with pytest.raises(ValueError):
-        wf.GreenKernel(c=1.0, q=1.0, nu=-2.0, mu=3.0, sigma=5.0)
+        wf.PiecewiseGreen.from_speed_damping(2.5, 0.0)
 
 
 def test_dirac_comb_exact_sum():
@@ -98,10 +98,10 @@ def test_dirac_comb_exact_sum():
 # --- abscissas --------------------------------------------------------------
 
 def test_abscissas_examples():
-    assert wf.abscissas(wf.DiracComb((-1.0, 0.0, 1.0), (1, 1, 1))) == (-INF, INF)
+    assert wf.DiracComb((-1.0, 0.0, 1.0), (1, 1, 1)).abscissas() == (-INF, INF)
     pg = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
     conv = wf.convolve(wf.GaussianKernel(1.0), pg)
-    assert wf.abscissas(conv) == pytest.approx((-0.3508, 2.8508), abs=1e-4)
+    assert conv.abscissas() == pytest.approx((-0.3508, 2.8508), abs=1e-4)
 
 
 def test_out_of_strip_raises():
@@ -122,8 +122,8 @@ def test_empty_strip_detected():
 def test_convolution_identity_with_unit_point_mass():
     pg = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
     ident = wf.DiracComb((0.0,), (1.0,))
-    conv = wf.convolve_green(ident, wf.GreenKernel(c=2.5, q=1.0))
-    assert conv is pg or isinstance(conv, wf.PiecewiseGreen)
+    conv = wf.convolve(ident, pg)
+    assert conv is pg
     ss = np.linspace(-3, 3, 11)
     np.testing.assert_allclose(conv.value(ss), pg.value(ss), rtol=1e-12)
     zz = 0.8
@@ -131,7 +131,7 @@ def test_convolution_identity_with_unit_point_mass():
 
 
 def test_convolve_green_gaussian_example():
-    conv = wf.convolve_green(wf.GaussianKernel(1.0), wf.GreenKernel(c=2.5, q=1.0))
+    conv = wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))
     assert wf.laplace(conv, 0.5) == pytest.approx(math.exp(0.125) / 2.0, rel=1e-12)
     assert conv.mass == pytest.approx(1.0, rel=1e-12)
 
@@ -283,6 +283,23 @@ def test_csv_loading(tmp_path):
     bad.write_text("0.0,1.0\n0.0,2.0\n")
     with pytest.raises(ValueError):
         wf.load_tabulated(bad)
+
+
+@pytest.mark.parametrize("kernel", [
+    wf.GaussianKernel(0.3, scale=2.0),
+    wf.OneSidedExponential(rate=0.8, direction=-1, shift=-0.5, scale=0.5),
+    wf.PiecewiseGreen.from_speed_damping(-1.5, 2.0, shift=0.75, scale=3.0),
+    wf.DiracComb((-1.0, 0.5), (1.0, 2.0)),
+    wf.TabulatedKernel((-1.0, 0.0, 1.5), (0.0, 1.0, 0.0)),
+    wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)),
+], ids=lambda k: k.shape)
+def test_kernel_json_round_trip(kernel):
+    d = kernel.to_dict()
+    again = kernel_from_dict(json.loads(json.dumps(d)))
+    assert type(again) is type(kernel)
+    assert again.to_dict() == d
+    for z in (-0.2, 0.4):
+        assert again.laplace(z) == kernel.laplace(z)
 
 
 # --- validation -------------------------------------------------------------

@@ -344,6 +344,23 @@ def test_model_json_all_families():
                          "nonlinearity": {"kind": "unknown"}})
 
 
+@pytest.mark.parametrize("model", [
+    wf.NonlocalKPP(J=wf.GaussianKernel(1.0, scale=0.9), g=wf.logistic(2.0, 1.0)),
+    wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={0: 0.6, -1: 0.4},
+                       g=wf.mackey_glass(2.0, 6.0), delay=0.5),
+    wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
+                         k=wf.convolve(wf.DiracComb((0.5,), (1.0,)), wf.GaussianKernel(0.5)),
+                         delay=0.5),
+    wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.5, delay=1.0),
+], ids=lambda m: m.family)
+def test_model_dict_round_trip(model):
+    d = model.to_dict()
+    again = model_from_dict(json.loads(json.dumps(d)))
+    assert type(again) is type(model)
+    assert again.to_dict() == d
+    assert again.tilde_chi(0.4, 3.0) == model.tilde_chi(0.4, 3.0)
+
+
 def test_kernel_from_dict_variants(tmp_path):
     from wavefront.models import kernel_from_dict
     k1 = kernel_from_dict({"shape": "piecewise_green", "c": 2.5, "q": 1.0})

@@ -6,6 +6,7 @@ from scipy import integrate
 
 import wavefront as wf
 from wavefront.errors import MaxIterExceeded, NegativeValues, NoWave
+from wavefront.kernels import shift_kernel
 from wavefront.wavesolver import convolve_field, level_crossing
 
 
@@ -50,6 +51,10 @@ def skewed_tabulated(n=161):
     wf.PiecewiseGreen.from_speed_damping(2.0, 1.5, shift=0.8),
     wf.GaussianKernel(0.8),
     skewed_tabulated(),
+    # the kpp and nonlocal_rd reductions: factors applied one after the other
+    wf.convolve(wf.OneSidedExponential(rate=0.8, scale=0.5), wf.GaussianKernel(1.0)),
+    wf.convolve(shift_kernel(wf.GaussianKernel(1.0), 1.5),
+                wf.PiecewiseGreen.from_speed_damping(3.0, 2.0)),
 ])
 def test_convolve_field_against_quadrature(kernel):
     grid = wf.Grid(-40.0, 40.0, 4096)

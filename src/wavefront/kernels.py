@@ -633,16 +633,17 @@ class ConvolvedKernel(KernelComponent):
                         kernel_from_dict(spec["b"], base_dir))
 
 
-_BY_SHAPE = {cls.shape: cls for cls in (GaussianKernel, OneSidedExponential, PiecewiseGreen,
-                                        DiracComb, TabulatedKernel, ConvolvedKernel)}
+_SHAPES = (GaussianKernel, OneSidedExponential, PiecewiseGreen, DiracComb,
+           TabulatedKernel, ConvolvedKernel)
 
 
 def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
     """Kernel from its JSON form; a relative tabulated ``path`` is read from ``base_dir``."""
     shape = spec.get("shape")
-    if shape not in _BY_SHAPE:
-        raise ValueError(f"unknown kernel shape {shape!r}")
-    return _BY_SHAPE[shape].from_dict(spec, base_dir)
+    for cls in _SHAPES:
+        if cls.shape == shape:
+            return cls.from_dict(spec, base_dir)
+    raise ValueError(f"unknown kernel shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,12 @@ def test_kernel_json_round_trip(kernel):
         assert again.laplace(z) == kernel.laplace(z)
 
 
+def test_kernel_from_dict_rejects_unknown_shape():
+    for shape in ("laplace_two_sided", ["gaussian"], None):
+        with pytest.raises(ValueError, match="unknown kernel shape"):
+            kernel_from_dict({"shape": shape, "variance": 1.0})
+
+
 # --- validation -------------------------------------------------------------
 
 def test_nonnegativity_validation():

@@ -22,7 +22,7 @@ from .charfun import chi, real_roots, strip_zero_scan
 from .errors import (MaxIterExceeded, NoRoots, NoWave, StripTooNarrow,
                      WavefrontError)
 from .models import load_model, model_min_speed
-from .verify import uniqueness_probe
+from .verify import mollison_check, uniqueness_probe
 from .wavesolver import CappedExponential, Grid, SolveOptions, solve_profile
 
 log = logging.getLogger("wavefront")
@@ -169,17 +169,13 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, cfg = load_model(args.model)
-    c = _speed_of(cfg)
     grid = _parse_grid(args.grid)
     opts = SolveOptions(damping=args.damping, tol=args.tol, max_iter=args.max_iter)
-    prob = spec.to_convolution_form(c, cfg.get("bound"), cfg.get("margin", 1.0))
-    kappa = prob.equilibrium()
-    lam = prob.spectral.lambda_l if prob.spectral is not None else 1.0
+    prob = _problem(spec, cfg)
+    first = _default_init(prob)
+    kappa = 2.0 * first.cap  # the cap is kappa / 2, so doubling gives kappa exactly
     ramp = np.clip((grid.ts - grid.t_min) / (0.0 - grid.t_min), 0.0, 1.0) * kappa
-    inits = [CappedExponential(rate=lam, cap=kappa / 2.0), ramp]
-    from .verify import mollison_check
-    report = uniqueness_probe(spec, c, grid, inits, opts,
-                              cfg.get("bound"), cfg.get("margin", 1.0))
+    report = uniqueness_probe(prob, grid, [first, ramp], opts)
     report.checks.insert(0, mollison_check(prob))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "verify.json"),

@@ -84,7 +84,6 @@ class KernelComponent:
 
     shape = ""
     compact_support = False
-    atomic = False
 
     @property
     def mass(self) -> float:
@@ -372,7 +371,6 @@ class DiracComb(KernelComponent):
     weights: tuple[float, ...]
 
     shape = "dirac_comb"
-    atomic = True
     compact_support = True
 
     def __post_init__(self):

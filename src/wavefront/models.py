@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -227,9 +228,9 @@ class ConvolutionProblem:
     """Finite-atom convolution problem at a fixed speed c, assembled and frozen.
 
     ``spectral`` is the real-zero data of the derivative-weighted
-    characteristic function, or None with ``spectral_note`` explaining why
-    (the no-positive-zero regime keeps the problem usable by the solver,
-    which then reports NoWave).
+    characteristic function, found on first read, or None when chi has no
+    positive zero (the problem stays usable by the solver, which then
+    reports NoWave).
     """
 
     atoms: tuple[Atom, ...]
@@ -237,8 +238,6 @@ class ConvolutionProblem:
     beta_used: float
     bound: float
     family: str
-    spectral: SpectralData | None = None
-    spectral_note: str = ""
 
     def __post_init__(self):
         for a in self.atoms:
@@ -251,11 +250,13 @@ class ConvolutionProblem:
         if not sigma_K < 0.0 < gamma_K:
             raise StripTooNarrow(
                 f"assembled strip ({sigma_K:g}, {gamma_K:g}) must straddle 0")
-        if self.spectral is None and not self.spectral_note:
-            try:
-                self.spectral = real_roots(self.charfun())
-            except NoRoots as exc:
-                self.spectral_note = f"no positive zero: {exc}"
+
+    @cached_property
+    def spectral(self) -> SpectralData | None:
+        try:
+            return real_roots(self.charfun())
+        except NoRoots:
+            return None
 
     def chi0(self) -> float:
         return 1.0 - sum(a.weight * a.kernel.mass for a in self.atoms)

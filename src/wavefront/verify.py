@@ -17,7 +17,7 @@ from .asymptotics import fit_decay
 from .charfun import real_roots
 from .errors import NoCrossing, NoRoots, NoWave, StripTooNarrow
 from .kernels import KernelComponent
-from .models import ConvolutionProblem, ModelSpec
+from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, solve_profile
 
 __all__ = [
@@ -106,15 +106,13 @@ def mollison_check(p: ConvolutionProblem) -> Check:
     return Check("mollison", "pass", criterion, details)
 
 
-def speed_admissibility(m: ModelSpec, c: float, M: float | None = None,
-                        margin: float = 1.0) -> str:
-    """Classify c as below_c_star, critical, or noncritical.
+def speed_admissibility(prob: ConvolutionProblem) -> str:
+    """Classify the problem's speed as below_c_star, critical, or noncritical.
 
-    Runs the root dichotomy of the assembled Lipschitz-weighted
-    characteristic function at speed c, so the classification shares the
-    criticality band of the root finder.
+    Runs the root dichotomy of the problem's Lipschitz-weighted
+    characteristic function, so the classification shares the criticality
+    band of the root finder.
     """
-    prob = m.to_convolution_form(c, M, margin)
     try:
         sd = real_roots(prob.charfun_lipschitz())
     except NoRoots:
@@ -239,9 +237,8 @@ def align_translate(phi1: WaveProfile, phi2: WaveProfile,
     return shift, sup
 
 
-def uniqueness_probe(m: ModelSpec, c: float, grid: Grid, inits,
+def uniqueness_probe(prob: ConvolutionProblem, grid: Grid, inits,
                      opts: SolveOptions = SolveOptions(),
-                     M: float | None = None, margin: float = 1.0,
                      tolerance: float | None = None) -> VerifyReport:
     """Solve from several initial data and compare the aligned profiles.
 
@@ -252,14 +249,13 @@ def uniqueness_probe(m: ModelSpec, c: float, grid: Grid, inits,
     report = VerifyReport()
     if len(inits) < 2:
         raise ValueError("need at least two initial conditions")
-    admissibility = speed_admissibility(m, c, M, margin)
+    admissibility = speed_admissibility(prob)
     if admissibility == "below_c_star":
         report.checks.append(Check(
             "admissibility_guard", "fail",
             "speed must be at or above the minimal admissible speed",
-            {"speed": c, "classification": admissibility}))
+            {"speed": prob.speed, "classification": admissibility}))
         return report
-    prob = m.to_convolution_form(c, M, margin)
     report.checks.extend(audit_hypotheses(prob, prob.bound))
 
     profiles: list[WaveProfile] = []

@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+PIN_FRACTION = 0.5
+# NoWave when the settled pin drift exceeds this * step: genuine waves
+# drift O(step^2) per sweep (up to ~1e-3 step at critical speed on coarse
+# grids), receding fronts drift O(10) steps
+DRIFT_GATE_STEPS = 0.02
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid t_min = t_0 < ... < t_{n-1} = t_max with t_min < 0 < t_max."""
@@ -182,13 +189,6 @@ class SolveOptions:
     damping: float = 0.5
     tol: float = 1e-8
     max_iter: int = 5000
-    pin: bool = True
-    pin_fraction: float = 0.5
-    closure_rate: float | None | str = "auto"  # "auto" | None | explicit rate
-    # NoWave when the settled pin drift exceeds this * step: genuine waves
-    # drift O(step^2) per sweep (up to ~1e-3 step at critical speed on coarse
-    # grids), receding fronts drift O(10) steps
-    drift_gate_steps: float = 0.02
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -235,22 +235,19 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
         raise ValueError(
             f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
 
-    if opts.closure_rate == "auto":
-        lam_left = discrete_decay_rate(p, grid, lam_base) if lam_base else None
-    else:
-        lam_left = opts.closure_rate
+    lam_left = discrete_decay_rate(p, grid, lam_base) if lam_base else None
 
     theta = opts.damping
     # anchor below both the equilibrium and the initial range so the
     # crossing exists from the first sweep on
-    pin_level = opts.pin_fraction * min(kappa, float(np.max(values)))
+    pin_level = PIN_FRACTION * min(kappa, float(np.max(values)))
     pin_at = None
-    if opts.pin and pin_level > 0.0:
+    if pin_level > 0.0:
         pin_at = level_crossing(ts, values, pin_level)
 
     update = math.inf
     drift = 0.0
-    drift_gate = opts.drift_gate_steps * grid.step
+    drift_gate = DRIFT_GATE_STEPS * grid.step
     translating_sweeps = 0
     converged = False
     iterations = 0

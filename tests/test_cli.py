@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wavefront.cli import main
+from wavefront.models import LocalDelayedRD
 
 
 @pytest.fixture
@@ -150,6 +151,22 @@ def test_verify_command(tmp_path):
     assert "mollison" in names and "uniqueness_probe" in names
     text = (out / "verify.txt").read_text()
     assert "verdict: PASS" in text
+
+
+def test_verify_assembles_once(tmp_path, monkeypatch):
+    calls = []
+    assemble = LocalDelayedRD.to_convolution_form
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return assemble(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalDelayedRD, "to_convolution_form", counting)
+    model = write_model(tmp_path, c=2.5)
+    rc = main(["verify", "--model", str(model), "--out", str(tmp_path / "out"),
+               "--grid=-60,40,2048", "--tol", "1e-8"])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_verify_command_critical_records_decay_order(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wavefront as wf
+from wavefront import models
 from wavefront.errors import DegenerateRange, HypothesisViolation, ZeroSpeed
 from wavefront.models import model_from_dict
 
@@ -280,6 +281,35 @@ def test_model_min_speed_negative_branch():
     # a speed above the (negative) minimum is admissible, one below is not
     assert m.to_convolution_form(-0.2).spectral is not None
     assert m.to_convolution_form(1.2 * c_star).spectral is None
+
+
+def test_spectral_is_computed_on_first_read(monkeypatch):
+    calls = []
+    real_roots = models.real_roots
+
+    def counting(cf, *args, **kwargs):
+        calls.append(cf)
+        return real_roots(cf, *args, **kwargs)
+
+    monkeypatch.setattr(models, "real_roots", counting)
+    m = wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0)
+    prob = m.to_convolution_form(2.5)
+    assert calls == []
+    sd = prob.spectral
+    assert prob.spectral is sd
+    assert len(calls) == 1
+    # chi = (z^2 - 2.5 z + 1) / (z^2 - 2.5 z - 1) vanishes at 1/2 and 2
+    assert (sd.lambda_l, sd.lambda_r) == pytest.approx((0.5, 2.0), abs=1e-8)
+    assert m.to_convolution_form(1.0).spectral is None
+
+
+def test_min_speed_runs_no_derivative_root_search(monkeypatch):
+    def refuse(cf, *args, **kwargs):
+        raise AssertionError("the tangency search must not look for real roots")
+
+    monkeypatch.setattr(models, "real_roots", refuse)
+    c_star, _ = wf.model_min_speed(wf.LocalDelayedRD(wf.logistic(2.0, 1.0), L=2.0))
+    assert c_star == pytest.approx(2.0, abs=1e-8)
 
 
 def test_beta_invariance_of_min_speed():

@@ -15,8 +15,7 @@ def degenerate_problem(weight, kernel):
     prob.beta_used = 0.0
     prob.bound = 1.0
     prob.family = "synthetic"
-    prob.spectral = None
-    prob.spectral_note = "constructed for diagnostics"
+    prob.spectral = None  # seeds the cached value: no root search runs
     return prob
 
 
@@ -52,9 +51,12 @@ def test_mollison_implied_by_solved_profile(noncritical_profile):
 
 
 def test_speed_admissibility_classification(local_model):
-    assert wf.speed_admissibility(local_model, 1.0) == "below_c_star"
-    assert wf.speed_admissibility(local_model, 2.0) == "critical"
-    assert wf.speed_admissibility(local_model, 2.5) == "noncritical"
+    def classify(c):
+        return wf.speed_admissibility(local_model.to_convolution_form(c))
+
+    assert classify(1.0) == "below_c_star"
+    assert classify(2.0) == "critical"
+    assert classify(2.5) == "noncritical"
 
 
 def test_nonexistence_coherence(local_model, rng):
@@ -68,7 +70,7 @@ def test_nonexistence_coherence(local_model, rng):
             has_roots = True
         except NoRoots:
             has_roots = False
-        classification = wf.speed_admissibility(local_model, float(c))
+        classification = wf.speed_admissibility(prob)
         assert has_roots == (classification != "below_c_star")
 
 
@@ -173,8 +175,8 @@ def test_uniqueness_probe_noncritical(local_model, solver_grid):
     inits = [wf.CappedExponential(0.5, 0.5),
              wf.CappedExponential(0.5, 0.25),
              np.clip((solver_grid.ts + 10.0) / 10.0, 0.0, 1.0) * 0.5]
-    report = wf.uniqueness_probe(local_model, 2.5, solver_grid, inits,
-                                 wf.SolveOptions(tol=1e-9, max_iter=20000))
+    report = wf.uniqueness_probe(local_model.to_convolution_form(2.5), solver_grid,
+                                 inits, wf.SolveOptions(tol=1e-9, max_iter=20000))
     assert report.verdict == "pass"
     probe = {c.name: c for c in report.checks}["uniqueness_probe"]
     assert probe.details["classification"] == "noncritical"
@@ -183,7 +185,7 @@ def test_uniqueness_probe_noncritical(local_model, solver_grid):
 
 
 def test_uniqueness_probe_below_c_star_guard(local_model, solver_grid):
-    report = wf.uniqueness_probe(local_model, 1.0, solver_grid,
+    report = wf.uniqueness_probe(local_model.to_convolution_form(1.0), solver_grid,
                                  [wf.CappedExponential(0.5, 0.5),
                                   wf.CappedExponential(0.5, 0.25)])
     assert report.verdict == "fail"

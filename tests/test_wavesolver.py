@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 import wavefront as wf
-from wavefront.errors import MaxIterExceeded, NegativeValues, NoWave
+from wavefront.errors import MaxIterExceeded, NegativeValues, NoRoots, NoWave
 from wavefront.kernels import shift_kernel
 from wavefront.wavesolver import convolve_field, level_crossing
 
@@ -210,7 +210,9 @@ def test_residual_detects_spike(noncritical_profile):
 
 def test_solve_below_minimal_speed_rejected():
     prob = local_problem(1.0)
-    assert prob.spectral is None and "no positive zero" in prob.spectral_note
+    assert prob.spectral is None
+    with pytest.raises(NoRoots, match="no positive zero"):
+        wf.real_roots(prob.charfun())
     grid = wf.Grid(-60.0, 40.0, 2048)
     with pytest.raises((NoWave, MaxIterExceeded)):
         wf.solve_profile(prob, grid, wf.CappedExponential(0.5, 0.5),

@@ -20,7 +20,7 @@ from . import __version__
 from ._json import config_hash, dumps
 from .charfun import chi, real_roots, strip_zero_scan
 from .errors import (MaxIterExceeded, NoRoots, NoWave, StripTooNarrow,
-                     WavefrontError)
+                     TailUnresolved, WavefrontError)
 from .models import load_model, model_min_speed
 from .verify import mollison_check, uniqueness_probe
 from .wavesolver import CappedExponential, Grid, SolveOptions, solve_profile
@@ -155,7 +155,7 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         profile = solve_profile(prob, grid, _default_init(prob), opts)
-    except (NoWave, MaxIterExceeded) as exc:
+    except (NoWave, MaxIterExceeded, TailUnresolved) as exc:
         _write(os.path.join(args.out, "solve.json"),
                {**_stamp(cfg, args), "error": str(exc),
                 "no_wave": isinstance(exc, NoWave)})

@@ -620,6 +620,8 @@ def model_chi(m: ModelSpec, c: float, M: float | None = None,
 
 
 def _assembled_chi_zc(m: ModelSpec, M, margin):
+    # the bound does not depend on c: resolve it once, not per trial speed
+    M = M if M is not None else m.default_bound()
     cache: dict[float, CharacteristicFunction] = {}
 
     def cf_at(c: float) -> CharacteristicFunction:

@@ -15,7 +15,8 @@ import numpy as np
 from . import wavesolver
 from .asymptotics import fit_decay
 from .charfun import real_roots
-from .errors import NoCrossing, NoRoots, NoWave, StripTooNarrow
+from .errors import (MaxIterExceeded, NoCrossing, NoRoots, NoWave, StripTooNarrow,
+                     TailUnresolved)
 from .kernels import KernelComponent
 from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, solve_profile
@@ -243,8 +244,10 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid, inits,
     """Solve from several initial data and compare the aligned profiles.
 
     PASS is reported as "consistent with uniqueness at tolerance ..."; a
-    solver NoWave aborts with a partial report.  The default tolerance is
-    max(10 * solver tol, 5 * step^2 * |phi''| estimate).
+    solve that ends in NoWave, TailUnresolved or MaxIterExceeded aborts
+    with a partial report whose last check is a failing ``solve[init i]``.
+    The default tolerance is max(10 * solver tol, 5 * step^2 * |phi''|
+    estimate).
     """
     report = VerifyReport()
     if len(inits) < 2:
@@ -262,7 +265,7 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid, inits,
     for i, init in enumerate(inits):
         try:
             profiles.append(solve_profile(prob, grid, init, opts))
-        except (NoWave, NoCrossing) as exc:
+        except (NoWave, NoCrossing, MaxIterExceeded, TailUnresolved) as exc:
             report.checks.append(Check(
                 f"solve[init{i}]", "fail",
                 "fixed-point solve must produce a resolved profile",

@@ -15,13 +15,15 @@ measured against the plain operator with the zero left closure.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
 from .charfun import _concave_max
-from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave)
+from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
+                     TailUnresolved)
 from .kernels import _sample, convolve_field
 from .models import ConvolutionProblem
 
@@ -43,6 +45,8 @@ PIN_FRACTION = 0.5
 # drift O(step^2) per sweep (up to ~1e-3 step at critical speed on coarse
 # grids), receding fronts drift O(10) steps
 DRIFT_GATE_STEPS = 0.02
+# sweeps of pin drift above the gate that back a translation verdict
+TRANSLATION_WINDOW = 50
 
 
 @dataclass(frozen=True)
@@ -214,13 +218,34 @@ def _shift_values(ts, values, delta, lam_left, right_value):
     return _sample(ts, values, ts + delta, lam_left, right_value)
 
 
+def _receding(drifts: deque, gate: float) -> bool:
+    """One-signed drift above the gate over the full window, not shrinking.
+
+    Below c* the init's transient also drifts one way for hundreds of
+    sweeps, but it decays; a front without a standing wave keeps its rate.
+    """
+    if len(drifts) < drifts.maxlen:
+        return False
+    sign = math.copysign(1.0, drifts[-1])
+    return (all(sign * d > gate for d in drifts)
+            and abs(drifts[-1]) >= abs(drifts[0]))
+
+
 def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                   opts: SolveOptions = SolveOptions()) -> WaveProfile:
     """Damped fixed-point iteration phi <- (1-theta) phi + theta N[phi].
 
-    Raises NoWave on collapse to a constant, on an unresolved left tail,
-    or when the pinned iterate keeps translating (no standing profile at
-    this speed); MaxIterExceeded carries the best-effort profile.
+    A pinned iterate that keeps translating has no standing shape at this
+    speed.  The verdict is ``NoWave`` only with two witnesses: chi has no
+    positive zero (``p.spectral is None``, the Diekmann-Kaper necessity
+    condition fails) and the dynamics show the translation, either as a
+    pin drift above the gate with one sign and a steady or growing size
+    over ``TRANSLATION_WINDOW`` sweeps, or as a shape that settles while
+    the pin keeps working.  With a positive zero of chi a wave exists, so
+    a shape that settles while translating is a resolution failure and
+    raises ``TailUnresolved``.  ``NoWave`` is also raised on collapse to
+    zero or a constant and on an unresolved left tail after convergence;
+    ``MaxIterExceeded`` carries the best-effort profile.
     """
     ts = grid.ts
     kappa = p.equilibrium()
@@ -228,7 +253,8 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     if np.any(values < 0):
         raise NegativeValues("initial profile has negative values")
 
-    lam_base = p.spectral.lambda_l if p.spectral is not None else None
+    no_roots = p.spectral is None
+    lam_base = None if no_roots else p.spectral.lambda_l
     if lam_base is None and isinstance(init, CappedExponential):
         lam_base = init.rate
     if lam_base is not None and grid.t_min > -5.0 / lam_base:
@@ -248,8 +274,9 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     update = math.inf
     drift = 0.0
     drift_gate = DRIFT_GATE_STEPS * grid.step
+    drifts = deque(maxlen=TRANSLATION_WINDOW + 1)
     translating_sweeps = 0
-    converged = False
+    receding = converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         new = (1.0 - theta) * values + theta * apply_operator(p, values, grid, lam_left)
@@ -264,22 +291,20 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
             except NoCrossing:
                 raise NoWave("iterates fell below the pinning level") from None
             new = _shift_values(ts, new, drift, lam_left, float(new[-1]))
+            drifts.append(drift)
         update = float(np.max(np.abs(new - values)))
         values = new
         if update < opts.tol:
-            # a settled shape must also stop translating; a profile whose
-            # shape converged while the pin keeps working is a steadily
-            # receding/advancing front, i.e. no standing wave
+            # a settled shape must also stop translating
             if pin_at is None or abs(drift) <= drift_gate:
                 converged = True
                 break
             translating_sweeps += 1
-            if translating_sweeps >= 50:
-                raise NoWave(
-                    f"profile keeps translating ({drift:+.3g} per sweep): "
-                    f"no standing wave at speed {p.speed:g}")
         else:
             translating_sweeps = 0
+        receding = no_roots and _receding(drifts, drift_gate)
+        if receding or translating_sweeps >= TRANSLATION_WINDOW:
+            break
 
     meta = {
         "iterations": iterations,
@@ -293,10 +318,20 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                           plateau=kappa, convergence=meta)
 
     if not converged:
-        if translating_sweeps > 0:
-            raise NoWave(
-                f"profile keeps translating ({drift:+.3g} per sweep): "
-                f"no standing wave at speed {p.speed:g}")
+        if receding or translating_sweeps > 0:
+            motion = (f"({drift:+.3g} per sweep over "
+                      f"{TRANSLATION_WINDOW if receding else translating_sweeps} sweeps, "
+                      f"sweep {iterations})")
+            if no_roots:
+                how = "recedes" if receding else "keeps translating"
+                verdict = NoWave(f"no positive zero of chi and the front {how} {motion}: "
+                                 f"no standing wave at speed {p.speed:g}")
+            else:
+                verdict = TailUnresolved(
+                    f"profile settles while translating {motion} although chi has a "
+                    f"positive zero, so a wave exists that this grid does not "
+                    f"resolve (phi(t_min)/kappa = {values[0] / kappa:.3g})")
+            raise verdict
         raise MaxIterExceeded(
             f"update {update:g} above tol {opts.tol:g} after {iterations} iterations",
             profile=profile)

@@ -127,6 +127,20 @@ def test_solve_below_c_star_reports_no_wave(tmp_path, capsys):
     assert rc == 1
     data = read_json(out / "solve.json")
     assert "error" in data
+    assert data["no_wave"] is True
+
+
+def test_verify_reports_a_solve_that_hits_max_iter(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["verify", "--model", str(write_model(tmp_path)), "--out", str(out),
+               "--max-iter", "30"])
+    assert rc == 1
+    data = read_json(out / "verify.json")
+    assert data["verdict"] == "fail"
+    last = data["checks"][-1]
+    assert (last["name"], last["status"]) == ("solve[init0]", "fail")
+    assert "after 30 iterations" in last["details"]["error"]
+    assert "solve[init0]" in (out / "verify.txt").read_text()
 
 
 def test_scan_command(local_model_file, tmp_path):

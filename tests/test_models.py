@@ -312,6 +312,23 @@ def test_min_speed_runs_no_derivative_root_search(monkeypatch):
     assert c_star == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("m", [
+    wf.LocalDelayedRD(wf.logistic(2.0, 1.0), L=2.0),
+    wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0)),
+], ids=lambda m: m.family)
+def test_min_speed_resolves_the_bound_once(m, monkeypatch):
+    calls = []
+    default_bound = type(m).default_bound
+
+    def counting(self):
+        calls.append(self)
+        return default_bound(self)
+
+    monkeypatch.setattr(type(m), "default_bound", counting)
+    wf.model_min_speed(m)
+    assert len(calls) == 1
+
+
 def test_beta_invariance_of_min_speed():
     kpp = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
     cs = [wf.model_min_speed(kpp, margin=mg)[0] for mg in (0.1, 1.0, 10.0)]

@@ -1,17 +1,36 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import wavefront as wf
-from wavefront.errors import MaxIterExceeded, NegativeValues, NoRoots, NoWave
+from wavefront import wavesolver
+from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
+                              TailUnresolved)
 from wavefront.kernels import shift_kernel
 from wavefront.wavesolver import convolve_field, level_crossing
 
 
+MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
+
+
 def local_problem(c=2.5):
     return wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0, delay=0.0).to_convolution_form(c)
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    apply_operator = wavesolver.apply_operator
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return apply_operator(*args, **kwargs)
+
+    monkeypatch.setattr(wavesolver, "apply_operator", counting)
+    return calls
 
 
 def test_grid_validation():
@@ -214,9 +233,45 @@ def test_solve_below_minimal_speed_rejected():
     with pytest.raises(NoRoots, match="no positive zero"):
         wf.real_roots(prob.charfun())
     grid = wf.Grid(-60.0, 40.0, 2048)
-    with pytest.raises((NoWave, MaxIterExceeded)):
+    with pytest.raises(NoWave, match="no positive zero of chi and the front recedes"):
         wf.solve_profile(prob, grid, wf.CappedExponential(0.5, 0.5),
                          wf.SolveOptions(max_iter=400))
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_models_below_c_star_recede_within_1000_sweeps(path, monkeypatch):
+    # both witnesses: chi has no positive zero and the pinned front recedes
+    spec, cfg = wf.load_model(path)
+    M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
+    c_star, _ = wf.model_min_speed(spec, M, margin)
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    sweeps = count_sweeps(monkeypatch)
+    for fraction in (0.8, 0.95, 0.99):
+        prob = spec.to_convolution_form(fraction * c_star, M, margin)
+        assert prob.spectral is None
+        sweeps.clear()
+        with pytest.raises(NoWave, match="no positive zero of chi") as exc:
+            wf.solve_profile(prob, grid,
+                             wf.CappedExponential(1.0, prob.equilibrium() / 2.0))
+        drift = float(re.search(r"\(([-+][^ ]+) per sweep", str(exc.value)).group(1))
+        assert drift < 0.0, (fraction, str(exc.value))
+        assert len(sweeps) <= 1000, (fraction, len(sweeps))
+
+
+def test_settled_translation_with_roots_is_no_false_no_wave():
+    # the shipped nonlocal_delayed_rd at c = 3 from the verify ramp: chi has
+    # a positive zero, so a wave exists and no translation verdict may say
+    # otherwise; a drifting fixed point is a resolution failure
+    spec, cfg = wf.load_model(MODELS_DIR / "nonlocal_delayed_rd.json")
+    prob = spec.to_convolution_form(cfg["c"])
+    assert prob.spectral is not None
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    ramp = np.clip((grid.ts - grid.t_min) / -grid.t_min, 0.0, 1.0) * prob.equilibrium()
+    try:
+        wf.solve_profile(prob, grid, ramp, wf.SolveOptions(max_iter=20000))
+    except TailUnresolved as exc:
+        assert re.search(r"\(\+[^ ]+ per sweep over 50 sweeps, sweep \d+\)", str(exc))
+        assert "phi(t_min)/kappa" in str(exc)
 
 
 def test_solve_negative_values_detected():

@@ -35,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import integrate
-from scipy.signal import lfilter
 
 from .errors import EmptyStrip, OutOfStrip, QuadratureFailure
 
@@ -722,6 +721,16 @@ def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
     return E, far, near
 
 
+def _first_order(E, src):
+    """y_i = src_i + E y_{i-1}, y_{-1} = 0.
+
+    ``scipy.signal`` is imported here, on the first grid sweep, so that the
+    commands that never convolve on a grid do not pay for loading it.
+    """
+    from scipy.signal import lfilter
+    return lfilter([1.0], [1.0, -E], src)
+
+
 def _recurse_forward(ts, G, rate, lam_left):
     """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - u) du, exact on the interpolant."""
     dt = ts[1] - ts[0]
@@ -729,7 +738,7 @@ def _recurse_forward(ts, G, rate, lam_left):
     src = np.empty_like(G)
     src[0] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
     src[1:] = far * G[:-1] + near * G[1:]
-    return lfilter([1.0], [1.0, -E], src)
+    return _first_order(E, src)
 
 
 def _recurse_backward(ts, G, rate, right_value):
@@ -740,7 +749,7 @@ def _recurse_backward(ts, G, rate, right_value):
     src = np.empty_like(G)
     src[0] = right_value
     src[1:] = far * Grev[:-1] + near * Grev[1:]
-    return lfilter([1.0], [1.0, -E], src)[::-1]
+    return _first_order(E, src)[::-1]
 
 
 def _shifted(ts, H, shift, lam_left, right_value):

@@ -244,8 +244,10 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     the pin keeps working.  With a positive zero of chi a wave exists, so
     a shape that settles while translating is a resolution failure and
     raises ``TailUnresolved``.  ``NoWave`` is also raised on collapse to
-    zero or a constant and on an unresolved left tail after convergence;
-    ``MaxIterExceeded`` carries the best-effort profile.
+    zero or a constant, on an unresolved left tail after convergence, and
+    on any converged profile while chi has no positive zero (a drift below
+    the gate does not make it a wave); ``MaxIterExceeded`` carries the
+    best-effort profile.
     """
     ts = grid.ts
     kappa = p.equilibrium()
@@ -342,6 +344,10 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     if values[0] > 1e-3 * kappa:
         raise NoWave(
             f"left tail unresolved: phi(t_min) = {values[0]:g} > 1e-3 kappa")
+    if no_roots:
+        raise NoWave(f"no positive zero of chi although the profile settles "
+                     f"({drift:+.3g} per sweep, sweep {iterations}): "
+                     f"no standing wave at speed {p.speed:g}")
 
     meta["residual"] = residual(p, profile)
     return profile

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +197,28 @@ def test_verify_command_critical_records_decay_order(tmp_path):
     probe = [c for c in data["checks"] if c["name"] == "uniqueness_probe"][0]
     assert probe["details"]["classification"] == "critical"
     assert probe["details"]["decay_orders"] == [1, 1]
+
+
+SIGNAL_PROBE = """
+import sys
+from wavefront.cli import main
+model, out = sys.argv[1], sys.argv[2]
+for command in ("analyze", "speed", "scan"):
+    assert main([command, "--model", model, "--out", out]) == 0, command
+    assert "scipy.signal" not in sys.modules, command
+assert main(["solve", "--model", model, "--out", out]) == 0
+assert "scipy.signal" in sys.modules
+"""
+
+
+def test_spectral_commands_do_not_load_scipy_signal(tmp_path):
+    # a fresh interpreter, so no other test has loaded scipy.signal yet
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", SIGNAL_PROBE, str(root / "models" / "nonlocal_kpp_gaussian.json"),
+         str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_outputs_are_deterministic(local_model_file, tmp_path):

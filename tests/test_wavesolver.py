@@ -258,6 +258,22 @@ def test_shipped_models_below_c_star_recede_within_1000_sweeps(path, monkeypatch
         assert len(sweeps) <= 1000, (fraction, len(sweeps))
 
 
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_models_just_below_c_star_give_no_wave(path):
+    # just below c* the drift can settle under the gate; with no positive
+    # zero of chi a settled profile is still no wave (necessity argument)
+    spec, cfg = wf.load_model(path)
+    M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
+    c_star, _ = wf.model_min_speed(spec, M, margin)
+    prob = spec.to_convolution_form(0.999 * c_star, M, margin)
+    assert prob.spectral is None
+    # the CLI's grid, tolerance, iteration cap and default init
+    with pytest.raises(NoWave, match="no positive zero of chi"):
+        wf.solve_profile(prob, wf.Grid(-60.0, 40.0, 4096),
+                         wf.CappedExponential(1.0, prob.equilibrium() / 2.0),
+                         wf.SolveOptions(tol=1e-8, max_iter=20000))
+
+
 def test_settled_translation_with_roots_is_no_false_no_wave():
     # the shipped nonlocal_delayed_rd at c = 3 from the verify ramp: chi has
     # a positive zero, so a wave exists and no translation verdict may say

@@ -35,6 +35,8 @@ TAIL_FRACTION = 0.01   # default window ends where phi first exceeds this * kapp
 # (measured ratio ~0.6 on noncritical solves vs ~0.025 on critical ones);
 # a margin of 10% would misclassify noncritical profiles.
 PARSIMONY = 0.2
+# check_representation passes while the remainder's log-slope is >= -SLOPE_EPS
+SLOPE_EPS = 0.05
 
 
 @dataclass(frozen=True)
@@ -52,23 +54,14 @@ class DecayFit:
     window: tuple[float, float]
     residual_sup: float
     residual_l2: float
-    # raw curve parameters: log phi = lambda t + b (k=0), + log(A - t) (k=1)
+    # intercept of the fitted log phi = lambda t + b, plus log(a + m - t) when k = 1
     b: float = 0.0
-    A: float = 0.0
 
     def __post_init__(self):
         if not self.lambda_hat > 0:
             raise ValueError("fitted decay rate must be positive")
         if self.k_hat not in (0, 1):
             raise ValueError("k_hat must be 0 or 1")
-
-    def curve_log(self, t):
-        """Fitted log phi(t) on the window scale (no translation applied)."""
-        t = np.asarray(t, dtype=float)
-        out = self.lambda_hat * t + self.b
-        if self.k_hat == 1:
-            out = out + np.log(np.maximum(self.A - t, 1e-300))
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -153,21 +146,19 @@ def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None,
         res = res1
         m = -b / lam
         a = A1 - m
-        A = A1
         rms = r1
     else:
         k, lam, b = 0, lam0, b0
         res = res0
         m = -b / lam
         a = 0.0
-        A = 0.0
         rms = r0
     if lam <= 0:
         raise TailUnresolved(f"fitted rate {lam:g} is not positive")
     return DecayFit(lambda_hat=float(lam), k_hat=k, a=float(a), m=float(m),
                     window=(float(t[0]), float(t[-1])),
                     residual_sup=float(np.max(np.abs(res))), residual_l2=rms,
-                    b=float(b), A=float(A))
+                    b=float(b))
 
 
 def max_supported_delta(sd: SpectralData, alpha: float) -> float:
@@ -238,14 +229,13 @@ def _remainder_r(profile: WaveProfile, delta: float, floor: float):
 
 
 def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
-                         refined: WaveProfile | None = None,
-                         slope_eps: float = 0.05,
-                         floor: float | None = None) -> RepresentationReport:
+                         refined: WaveProfile | None = None) -> RepresentationReport:
     """Test the remainder law phi(t+m) - (a-t)^k e^{lam t} = e^{(lam+delta)t} r(t).
 
     PASS requires log |r| to have no leftward growth trend (slope of the
-    linear fit >= -slope_eps) and, when a refined profile is supplied, the
-    discrete L2 norm of r to be grid-stable within 20%.
+    linear fit >= -SLOPE_EPS) and, when a refined profile is supplied, the
+    discrete L2 norm of r to be grid-stable within 20%.  Values below
+    max(1e-12, 30 * final update) are noise and are left out.
 
     delta is meaningful only up to max_supported_delta(sd, alpha), with
     alpha the Holder exponent of the nonlinearity.  On a genuine wave a
@@ -256,9 +246,8 @@ def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
     """
     if not 0.0 < delta < sd.gamma_K - sd.lambda_l:
         raise ValueError(f"delta must lie in (0, {sd.gamma_K - sd.lambda_l:g})")
-    if floor is None:
-        fu = profile.convergence.get("final_update", 0.0)
-        floor = max(1e-12, 30.0 * fu)
+    fu = profile.convergence.get("final_update", 0.0)
+    floor = max(1e-12, 30.0 * fu)
     notes = []
     fit, t, r = _remainder_r(profile, delta, floor)
     if len(t) < 10:
@@ -269,7 +258,7 @@ def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
     slope = float(np.polyfit(t, np.log(np.abs(r)), 1)[0])
     sup_r = float(np.max(np.abs(r)))
     l2 = float(np.sqrt(integrate.trapezoid(r * r, t)))
-    passed = slope >= -slope_eps
+    passed = slope >= -SLOPE_EPS
 
     l2_ref = None
     stable = None

@@ -16,8 +16,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import optimize
 
-from .errors import BracketFailure, NoRoots, OutOfStrip, StripTooNarrow
-from .kernels import KernelComponent
+from .errors import BracketFailure, NoRoots, StripTooNarrow
+from .kernels import KernelComponent, _check_strip
 
 INF = math.inf
 
@@ -25,6 +25,12 @@ ROOT_VALUE_TOL = 1e-10
 # criticality band: roots closer than this are one double root
 MULTIPLICITY_RTOL = 1e-5
 DOUBLING_CAP = 1e6
+# absolute tolerance of the tangency search for c*
+SPEED_XTOL = 1e-12
+# strip scan: the half-height of the excluded band around the real axis, and
+# how far right of lambda_l the scan runs when lambda_rK is infinite
+SCAN_EPS_IM = 0.1
+SCAN_RIGHT_CAP = 10.0
 
 __all__ = [
     "CharacteristicFunction",
@@ -42,19 +48,16 @@ __all__ = [
 class CharacteristicFunction:
     """Weighted kernel family defining chi(z) = 1 - sum w_tau T_tau(z).
 
-    ``weight_kind`` records whether the weights are slopes at zero of the
-    per-atom nonlinearities or Lipschitz constants (the chi_1 variant used
-    by the fast-front uniqueness route).
+    The weights are the slopes at zero of the per-atom nonlinearities, or
+    their Lipschitz constants for the chi_1 variant used by the fast-front
+    uniqueness route.
     """
 
     components: tuple[tuple[KernelComponent, float], ...]
-    weight_kind: str = "derivative_at_zero"
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("need at least one weighted kernel")
-        if self.weight_kind not in ("derivative_at_zero", "lipschitz"):
-            raise ValueError("weight_kind must be 'derivative_at_zero' or 'lipschitz'")
         for _, w in self.components:
             if w <= 0:
                 raise ValueError("weights must be positive")
@@ -76,10 +79,7 @@ class CharacteristicFunction:
 
 def chi(cf: CharacteristicFunction, z):
     """Evaluate chi at complex z (scalar or array) inside the open strip."""
-    lo, hi = cf.strip
-    x = np.real(z)
-    if float(np.min(x)) <= lo or float(np.max(x)) >= hi:
-        raise OutOfStrip(f"Re z outside open strip ({lo:g}, {hi:g})")
+    _check_strip(cf.strip, z)
     acc = 1.0
     for k, w in cf.components:
         acc = acc - w * k.laplace(z)
@@ -123,16 +123,21 @@ class SpectralData:
         return d
 
 
-def _max_bracket(f) -> float:
-    """Right end for maximizing concave f over (0, inf), found by doubling."""
+def _max_bracket(f) -> tuple[float, float | None]:
+    """Right end b for maximizing concave f over (0, inf), found by doubling.
+
+    Each of x = 1, 2, 4, ... is evaluated once.  Returns (2x, None) at the
+    first x where f(2x) >= f(x) fails (a drop, or not a number), and
+    (b, f(b)) when f is still nondecreasing at b = DOUBLING_CAP.
+    """
     x = 1.0
     fx = f(x)
     while x < DOUBLING_CAP:
         f2 = f(2.0 * x)
-        if f2 < fx:
-            return 2.0 * x
+        if not f2 >= fx:
+            return 2.0 * x, None
         x, fx = 2.0 * x, f2
-    return x
+    return x, fx
 
 
 def _concave_max(f, lo: float, hi: float, xatol: float = 1e-11) -> tuple[float, float]:
@@ -153,11 +158,11 @@ def _strip_max(f, strip: tuple[float, float]) -> tuple[float, float]:
     if math.isfinite(hi):
         b = hi - max(1e-13, 1e-12 * abs(hi))
     else:
-        b = _max_bracket(f)
+        b = _max_bracket(f)[0]
     return _concave_max(f, lo, b)
 
 
-def real_roots(cf: CharacteristicFunction, value_tol: float = ROOT_VALUE_TOL) -> SpectralData:
+def real_roots(cf: CharacteristicFunction) -> SpectralData:
     """Locate lambda_l <= lambda_r on (0, gamma_K) exploiting concavity.
 
     Raises NoRoots when the concave maximum is negative (the regime with no
@@ -172,34 +177,27 @@ def real_roots(cf: CharacteristicFunction, value_tol: float = ROOT_VALUE_TOL) ->
     if chi0 >= 0:
         raise ValueError(f"chi(0) = {chi0:g} must be negative for a wave analysis")
 
-    eps = 1e-12 * max(1.0, abs(gamma_K)) if math.isfinite(gamma_K) else 0.0
-
     def f(x):
         return float(np.real(chi(cf, x)))
 
     if math.isfinite(gamma_K):
-        b = gamma_K - max(eps, 1e-12)
+        b = gamma_K - 1e-12 * max(1.0, abs(gamma_K))
     else:
-        x = 1.0
-        fx = f(x)
-        while x < DOUBLING_CAP and f(2.0 * x) >= fx:
-            x *= 2.0
-            fx = f(x)
-        if x >= DOUBLING_CAP:
+        b, f_cap = _max_bracket(f)
+        if f_cap is not None:
             # chi nondecreasing out to the cap: either it crossed zero
             # (lambda_l exists, lambda_r absent) or it never will resolve
-            if fx > value_tol:
-                lam_l = optimize.brentq(f, 0.0, x, xtol=1e-14, rtol=8.9e-16)
+            if f_cap > ROOT_VALUE_TOL:
+                lam_l = optimize.brentq(f, 0.0, b, xtol=1e-14, rtol=8.9e-16)
                 return SpectralData(lambda_l=float(lam_l), lambda_r=None,
                                     gamma_K=gamma_K, sigma_K=sigma_K, critical=False,
                                     chi_prime_at_ll=chi_prime(cf, float(lam_l)))
             raise NoRoots(f"chi stays below tolerance up to doubling cap {DOUBLING_CAP:g}")
-        b = 2.0 * x
 
     xhat, chimax = _concave_max(f, 1e-14, b)
-    if chimax < -value_tol:
+    if chimax < -ROOT_VALUE_TOL:
         raise NoRoots(f"max chi = {chimax:g} < 0 on (0, {b:g}): no positive zero")
-    if abs(chimax) <= value_tol:
+    if abs(chimax) <= ROOT_VALUE_TOL:
         return SpectralData(lambda_l=xhat, lambda_r=xhat, gamma_K=gamma_K,
                             sigma_K=sigma_K, critical=True,
                             chi_prime_at_ll=chi_prime(cf, xhat))
@@ -228,6 +226,14 @@ def real_roots(cf: CharacteristicFunction, value_tol: float = ROOT_VALUE_TOL) ->
             fb = math.nan
         if math.isfinite(fb) and fb < 0.0:
             lam_r = float(optimize.brentq(f, left, b, xtol=1e-14, rtol=8.9e-16))
+        elif not math.isfinite(gamma_K):
+            # chi can still be positive at b, the doubling bracket of its
+            # maximizer; concave past that maximum, it falls further right
+            while fb >= 0.0 and b < DOUBLING_CAP:
+                left, b = b, 2.0 * b
+                fb = f(b)
+            if fb < 0.0:
+                lam_r = float(optimize.brentq(f, left, b, xtol=1e-14, rtol=8.9e-16))
 
     critical = lam_r is not None and (lam_r - lam_l) < MULTIPLICITY_RTOL * max(1.0, lam_l)
     return SpectralData(lambda_l=lam_l, lambda_r=lam_r, gamma_K=gamma_K,
@@ -235,8 +241,7 @@ def real_roots(cf: CharacteristicFunction, value_tol: float = ROOT_VALUE_TOL) ->
                         chi_prime_at_ll=chi_prime(cf, lam_l))
 
 
-def min_speed(model_chi, strip_of_c, c_bracket: tuple[float, float],
-              ctol: float = 1e-12) -> tuple[float, float]:
+def min_speed(model_chi, strip_of_c, c_bracket: tuple[float, float]) -> tuple[float, float]:
     """Minimal speed by the tangency condition max_z chi(z, c*) = 0.
 
     model_chi(z, c) must be concave in z on (0, gamma(c)) and strictly
@@ -255,7 +260,7 @@ def min_speed(model_chi, strip_of_c, c_bracket: tuple[float, float],
             f"max chi has no sign change on [{c_lo:g}, {c_hi:g}]: "
             f"values {m_lo:g}, {m_hi:g}")
     c_star = float(optimize.brentq(lambda c: inner_max(c)[1], c_lo, c_hi,
-                                   xtol=ctol, rtol=8.9e-16))
+                                   xtol=SPEED_XTOL, rtol=8.9e-16))
     z_star = inner_max(c_star)[0]
     return c_star, z_star
 
@@ -294,13 +299,13 @@ class ScanReport:
 
 def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
                     grid_density: float = 40.0, eps_re: float = 1e-3,
-                    eps_im: float = 0.1, zero_tol: float = 1e-3,
-                    right_cap: float = 10.0) -> ScanReport:
+                    zero_tol: float = 1e-3) -> ScanReport:
     """Evaluate |chi| over the open strip lambda_l < Re z < lambda_rK.
 
     Off-axis rectangle [lambda_l+eps_re, lambda_rK-eps_re] x ([-y_max, y_max]
-    with |Im z| >= eps_im) plus the two boundary verticals under the same
-    imaginary exclusion; the known real zeros sit on the excluded segments.
+    with |Im z| >= SCAN_EPS_IM) plus the two boundary verticals under the
+    same imaginary exclusion; the known real zeros sit on the excluded
+    segments.  An infinite lambda_rK is capped at lambda_l + SCAN_RIGHT_CAP.
     This is a regression diagnostic: zero-freeness off the real axis holds
     analytically, so PASS means min |chi| > zero_tol there.  The real-axis
     segment is scanned too and reported separately without a gate (its
@@ -312,8 +317,8 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     _, gamma_K = cf.strip
     rk = sd.lambda_rK
     if not math.isfinite(rk):
-        rk = sd.lambda_l + right_cap
-        notes.append(f"lambda_rK infinite; scan capped at lambda_l + {right_cap:g}")
+        rk = sd.lambda_l + SCAN_RIGHT_CAP
+        notes.append(f"lambda_rK infinite; scan capped at lambda_l + {SCAN_RIGHT_CAP:g}")
     # keep evaluation strictly inside the kernel strip
     strip_pad = 1e-9 * max(1.0, abs(gamma_K)) if math.isfinite(gamma_K) else 0.0
     rk_eval = min(rk, gamma_K - strip_pad) if math.isfinite(gamma_K) else rk
@@ -332,14 +337,14 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
             best = (float(vals.ravel()[i]), (float(np.ravel(X)[i]), float(np.ravel(Y)[i])))
 
     def y_band(height):
-        ny = max(81, int(math.ceil(2.0 * (height - eps_im) * grid_density)) + 1)
-        return np.concatenate([np.linspace(-height, -eps_im, ny // 2),
-                               np.linspace(eps_im, height, ny // 2)])
+        ny = max(81, int(math.ceil(2.0 * (height - SCAN_EPS_IM) * grid_density)) + 1)
+        return np.concatenate([np.linspace(-height, -SCAN_EPS_IM, ny // 2),
+                               np.linspace(SCAN_EPS_IM, height, ny // 2)])
 
-    if y_max <= eps_im:
-        notes.append(f"y_max <= {eps_im:g}: off-axis set empty, scan vacuous")
+    if y_max <= SCAN_EPS_IM:
+        notes.append(f"y_max <= {SCAN_EPS_IM:g}: off-axis set empty, scan vacuous")
     axis_min, axis_arg = INF, math.nan
-    if x_hi > x_lo and y_max > eps_im:
+    if x_hi > x_lo and y_max > SCAN_EPS_IM:
         nx = max(41, int(math.ceil((x_hi - x_lo) * grid_density)) + 1)
         xs = np.linspace(x_lo, x_hi, nx)
         ys = y_band(y_max)
@@ -356,7 +361,7 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
         if x_hi <= x_lo:
             notes.append("interior rectangle empty (lambda_l ~ lambda_rK)")
 
-    if y_max > eps_im:
+    if y_max > SCAN_EPS_IM:
         yb = y_band(y_max)
         for x_line in (sd.lambda_l, rk_eval):
             X = np.full(yb.shape, x_line)
@@ -365,7 +370,7 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     passed = best[0] > zero_tol if pts else True
     return ScanReport(min_abs_chi=best[0] if pts else INF, argmin=best[1],
                       grid={**grid_meta, "points": pts, "zero_tol": zero_tol,
-                            "eps_re": eps_re, "eps_im": eps_im},
+                            "eps_re": eps_re, "eps_im": SCAN_EPS_IM},
                       passed=passed, min_abs_chi_real_axis=axis_min,
                       argmin_real_axis=axis_arg,
                       empty=empty, notes="; ".join(notes))

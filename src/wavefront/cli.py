@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WavefrontError as exc:

@@ -12,9 +12,11 @@ from the roots nu < 0 < mu of z^2 - c z - q = 0), atomic combs, tabulated
 data on a compact grid, and lazy convolutions of the above.
 
 Each shape is one class, the only place that knows it: its transform, its
-action on a grid field (``grid_convolve``), its quadrature windows and
-kinks, and its JSON form (``shape``, ``to_dict``, ``from_dict``).  On the
-grid, exponential pieces run exact O(n) linear recurrences on the
+action on a grid field (``grid_convolve(ts, G, lam_left)``), its quadrature
+windows and kinks, and its JSON form (``shape``, ``to_dict``,
+``from_dict``).  On the grid the field is closed by an exponential tail at
+rate ``lam_left`` (or 0) on the left and always by its last value on the
+right.  There, exponential pieces run exact O(n) linear recurrences on the
 piecewise-linear interpolant, atomic combs add shifted copies, Gaussian
 and tabulated densities are sampled at multiples of the grid step and
 applied as one discrete convolution, and a lazy product applies its
@@ -41,6 +43,8 @@ from .errors import EmptyStrip, OutOfStrip, QuadratureFailure
 INF = math.inf
 # log of the factor by which a truncated tail is smaller than the integral
 _TAIL = math.log(1e16)
+# absolute and relative tolerance of the adaptive panels in laplace_quadrature
+_QUAD_TOL = 1e-10
 
 __all__ = [
     "KernelComponent",
@@ -104,8 +108,7 @@ class KernelComponent:
         """Closure bounds of the support (may be +-inf)."""
         raise NotImplementedError
 
-    def grid_convolve(self, ts: np.ndarray, G: np.ndarray, lam_left: float | None,
-                      right_value: float) -> np.ndarray:
+    def grid_convolve(self, ts: np.ndarray, G: np.ndarray, lam_left: float | None) -> np.ndarray:
         """integral K(s) G~(t - s) ds on the uniform grid ts; see :func:`convolve_field`."""
         raise TypeError(f"no grid convolution for {type(self).__name__}")
 
@@ -185,9 +188,9 @@ class GaussianKernel(KernelComponent):
     def support(self):
         return (-INF, INF)
 
-    def grid_convolve(self, ts, G, lam_left, right_value):
+    def grid_convolve(self, ts, G, lam_left):
         w = 9.0 * math.sqrt(self.variance)
-        return _sampled_convolve(self, ts, G, lam_left, right_value, -w, w)
+        return _sampled_convolve(self, ts, G, lam_left, -w, w)
 
     def truncation_window(self, x):
         v = self.variance
@@ -249,12 +252,12 @@ class OneSidedExponential(KernelComponent):
             return (self.shift, INF)
         return (-INF, self.shift)
 
-    def grid_convolve(self, ts, G, lam_left, right_value):
+    def grid_convolve(self, ts, G, lam_left):
         if self.direction == 1:
             H = self.scale * _recurse_forward(ts, G, self.rate, lam_left)
         else:
-            H = self.scale * _recurse_backward(ts, G, self.rate, right_value)
-        return _shifted(ts, H, self.shift, lam_left, float(H[-1]))
+            H = self.scale * _recurse_backward(ts, G, self.rate)
+        return _shifted(ts, H, self.shift, lam_left)
 
     def _window(self, decay):
         length = _TAIL / decay
@@ -333,12 +336,12 @@ class PiecewiseGreen(KernelComponent):
     def support(self):
         return (-INF, INF)
 
-    def grid_convolve(self, ts, G, lam_left, right_value):
+    def grid_convolve(self, ts, G, lam_left):
         rho1, rho2 = -self.nu, self.mu
         amp = self.scale / (self.mu - self.nu)
         H = amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
-                   + _recurse_backward(ts, G, rho2, right_value) / rho2)
-        return _shifted(ts, H, self.shift, lam_left, float(H[-1]))
+                   + _recurse_backward(ts, G, rho2) / rho2)
+        return _shifted(ts, H, self.shift, lam_left)
 
     def truncation_window(self, x):
         return (self.shift - _TAIL / (self.mu - x), self.shift + _TAIL / (x - self.nu))
@@ -402,10 +405,10 @@ class DiracComb(KernelComponent):
     def support(self):
         return (min(self.offsets), max(self.offsets))
 
-    def grid_convolve(self, ts, G, lam_left, right_value):
+    def grid_convolve(self, ts, G, lam_left):
         out = np.zeros_like(G)
         for a, w in zip(self.offsets, self.weights):
-            out += w * _sample(ts, G, ts - a, lam_left, right_value)
+            out += w * _sample(ts, G, ts - a, lam_left)
         return out
 
 
@@ -520,9 +523,8 @@ class TabulatedKernel(KernelComponent):
     def support(self):
         return (self.grid[0], self.grid[-1])
 
-    def grid_convolve(self, ts, G, lam_left, right_value):
-        return _sampled_convolve(self, ts, G, lam_left, right_value,
-                                 self.grid[0], self.grid[-1])
+    def grid_convolve(self, ts, G, lam_left):
+        return _sampled_convolve(self, ts, G, lam_left, self.grid[0], self.grid[-1])
 
     def breakpoints(self):
         return [self.grid[0], self.grid[-1]]
@@ -603,10 +605,10 @@ class ConvolvedKernel(KernelComponent):
         lo_b, hi_b = self.b.support()
         return (lo_a + lo_b, hi_a + hi_b)
 
-    def grid_convolve(self, ts, G, lam_left, right_value):
+    def grid_convolve(self, ts, G, lam_left):
         # through the module-level name, so each factor is seen as its own shape
-        inner = convolve_field(self.b, ts, G, lam_left, right_value)
-        return convolve_field(self.a, ts, inner, lam_left, float(inner[-1]))
+        inner = convolve_field(self.b, ts, G, lam_left)
+        return convolve_field(self.a, ts, inner, lam_left)
 
     def truncation_window(self, x):
         lo_a, hi_a = self.a.truncation_window(x)
@@ -636,6 +638,8 @@ _SHAPES = (GaussianKernel, OneSidedExponential, PiecewiseGreen, DiracComb,
 
 def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
     """Kernel from its JSON form; a relative tabulated ``path`` is read from ``base_dir``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"kernel must be an object, got {spec!r}")
     shape = spec.get("shape")
     for cls in _SHAPES:
         if cls.shape == shape:
@@ -681,25 +685,23 @@ def shift_kernel(k: KernelComponent, delta: float) -> KernelComponent:
 
 
 def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
-                   lam_left: float | None, right_value: float | None = None) -> np.ndarray:
+                   lam_left: float | None) -> np.ndarray:
     """integral K(s) G~(t - s) ds on the grid, G~ closed per the solver rules.
 
     G~ is the piecewise-linear interpolant of G on ts, extended by
     G[0] e^{lam_left (t - t0)} on the left (0 when lam_left is None) and by
-    right_value (default G[-1]) on the right.
+    its last value G[-1] on the right.
     """
-    if right_value is None:
-        right_value = float(G[-1])
-    return k.grid_convolve(ts, G, lam_left, right_value)
+    return k.grid_convolve(ts, G, lam_left)
 
 
-def _sample(ts, values, x, lam_left, right_value):
+def _sample(ts, values, x, lam_left):
     """Piecewise-linear field at points x with the solver's closure rules.
 
     Left of the grid: 0 when lam_left is None, else the exponential
-    extension values[0] e^{lam (x - t0)}.  Right of the grid: right_value.
+    extension values[0] e^{lam (x - t0)}.  Right of the grid: values[-1].
     """
-    out = np.interp(x, ts, values, right=right_value)
+    out = np.interp(x, ts, values)
     mask = x < ts[0]
     if np.any(mask):
         if lam_left is None:
@@ -741,30 +743,31 @@ def _recurse_forward(ts, G, rate, lam_left):
     return _first_order(E, src)
 
 
-def _recurse_backward(ts, G, rate, right_value):
-    """H(x_i) = rate * int_0^inf e^{-rate v} G~(x_i + v) dv; seeds with the plateau."""
+def _recurse_backward(ts, G, rate):
+    """H(x_i) = rate * int_0^inf e^{-rate v} G~(x_i + v) dv; seeds with the plateau G[-1]."""
     dt = ts[1] - ts[0]
     E, far, near = _exp_step_weights(rate, dt)
     Grev = G[::-1]
     src = np.empty_like(G)
-    src[0] = right_value
+    src[0] = G[-1]
     src[1:] = far * Grev[:-1] + near * Grev[1:]
     return _first_order(E, src)[::-1]
 
 
-def _shifted(ts, H, shift, lam_left, right_value):
+def _shifted(ts, H, shift, lam_left):
+    """H(t - shift) on the grid, closed like :func:`_sample`."""
     if shift == 0.0:
         return H.copy()
-    return _sample(ts, H, ts - shift, lam_left, right_value)
+    return _sample(ts, H, ts - shift, lam_left)
 
 
-def _sampled_convolve(k: KernelComponent, ts, G, lam_left, right_value, lo, hi):
+def _sampled_convolve(k: KernelComponent, ts, G, lam_left, lo, hi):
     """Discrete convolution with K sampled at multiples of the grid step on [lo, hi].
 
     The samples are mass-lumped so constant states stay exact.  Grid-aligned
     samples need no interpolation: the field is padded with its closure
-    values (the exponential extension on the left, right_value on the
-    right) and convolved once.  Direct summation of nonnegative weights and
+    values (the exponential extension on the left, G[-1] on the right)
+    and convolved once.  Direct summation of nonnegative weights and
     nonnegative fields cannot produce negative roundoff, unlike an FFT.
     """
     dt = ts[1] - ts[0]
@@ -779,7 +782,7 @@ def _sampled_convolve(k: KernelComponent, ts, G, lam_left, right_value, lo, hi):
         left = np.zeros(jhi)
     else:
         left = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
-    padded = np.concatenate((left, G, np.full(-jlo, right_value)))
+    padded = np.concatenate((left, G, np.full(-jlo, G[-1])))
     return np.convolve(padded, kv, "valid")
 
 
@@ -787,7 +790,7 @@ def _sampled_convolve(k: KernelComponent, ts, G, lam_left, right_value, lo, hi):
 # quadrature (the independent route used to cross-check closed forms)
 
 
-def laplace_quadrature(k: KernelComponent, z, tol: float = 1e-10):
+def laplace_quadrature(k: KernelComponent, z):
     """Transform by adaptive (Gauss-Kronrod) panels on a truncated window.
 
     Independent of the closed forms; used as the second route in tests.
@@ -799,9 +802,9 @@ def laplace_quadrature(k: KernelComponent, z, tol: float = 1e-10):
     if isinstance(k, DiracComb):
         return sum(w * np.exp(-z * a) for a, w in zip(k.offsets, k.weights))
     if isinstance(k, ConvolvedKernel) and isinstance(k.a, DiracComb):
-        return k.a.laplace(z) * laplace_quadrature(k.b, z, tol)
+        return k.a.laplace(z) * laplace_quadrature(k.b, z)
     if isinstance(k, ConvolvedKernel) and isinstance(k.b, DiracComb):
-        return k.b.laplace(z) * laplace_quadrature(k.a, z, tol)
+        return k.b.laplace(z) * laplace_quadrature(k.a, z)
     lo, hi = k.truncation_window(z.real)
     pts = sorted(p for p in k.breakpoints() if lo < p < hi) or None
 
@@ -811,12 +814,12 @@ def laplace_quadrature(k: KernelComponent, z, tol: float = 1e-10):
     def f_im(s):
         return float(np.imag(k.value(s) * np.exp(-z * s)))
 
-    re, err_re = integrate.quad(f_re, lo, hi, limit=400, epsabs=tol, epsrel=tol,
-                                points=pts)
-    im, err_im = integrate.quad(f_im, lo, hi, limit=400, epsabs=tol, epsrel=tol,
-                                points=pts)
+    re, err_re = integrate.quad(f_re, lo, hi, limit=400, epsabs=_QUAD_TOL,
+                                epsrel=_QUAD_TOL, points=pts)
+    im, err_im = integrate.quad(f_im, lo, hi, limit=400, epsabs=_QUAD_TOL,
+                                epsrel=_QUAD_TOL, points=pts)
     scale = 1.0 + abs(complex(re, im))
-    if err_re + err_im > 100.0 * tol * scale:
+    if err_re + err_im > 100.0 * _QUAD_TOL * scale:
         raise QuadratureFailure(f"laplace quadrature error {err_re + err_im:g} at z={z}")
     if z.imag == 0.0:
         return re

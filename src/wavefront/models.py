@@ -168,8 +168,7 @@ def tabulated_nonlinearity(u, g, gprime0: float | None = None) -> Nonlinearity:
                         params={"u": u.tolist(), "g": g.tolist(), "gprime0": gp0})
 
 
-def beta_select(n: Nonlinearity, M: float, role: str = "birth", margin: float = 1.0,
-                damping_tail: float | None = None) -> float:
+def beta_select(n: Nonlinearity, M: float, role: str = "birth", margin: float = 1.0) -> float:
     """Slope shift beta making the shifted term Lipschitz on [0, M].
 
     birth:   g_beta(s) = g(s) + beta s with constant beta + g'(0);
@@ -180,7 +179,7 @@ def beta_select(n: Nonlinearity, M: float, role: str = "birth", margin: float = 
              midpoint rule alone would miss.
 
     ``inf f'`` for the damping role is taken over s >= 0, sampled out to
-    ``damping_tail`` (default max(10 M, 100)).
+    max(10 M, 100).
     """
     if M <= 0:
         raise DegenerateRange("bound M must be positive")
@@ -190,9 +189,8 @@ def beta_select(n: Nonlinearity, M: float, role: str = "birth", margin: float = 
         inf_d = n.inf_deriv(0.0, M)
         return max(0.0, (-inf_d - n.gprime0) / 2.0) + margin
     if role == "damping":
-        tail = damping_tail if damping_tail is not None else max(10.0 * M, 100.0)
         sup_d = n.sup_deriv(0.0, M)
-        inf_d = n.inf_deriv(0.0, tail)
+        inf_d = n.inf_deriv(0.0, max(10.0 * M, 100.0))
         return max(n.gprime0, sup_d - inf_d, sup_d) + margin
     raise ValueError("role must be 'birth' or 'damping'")
 
@@ -262,12 +260,11 @@ class ConvolutionProblem:
         return 1.0 - sum(a.weight * a.kernel.mass for a in self.atoms)
 
     def charfun(self) -> CharacteristicFunction:
-        return CharacteristicFunction(
-            tuple((a.kernel, a.weight) for a in self.atoms), "derivative_at_zero")
+        return CharacteristicFunction(tuple((a.kernel, a.weight) for a in self.atoms))
 
     def charfun_lipschitz(self) -> CharacteristicFunction:
         return CharacteristicFunction(
-            tuple((a.kernel, a.lipschitz_weight) for a in self.atoms), "lipschitz")
+            tuple((a.kernel, a.lipschitz_weight) for a in self.atoms))
 
     def equilibrium(self) -> float:
         """Smallest positive root of kappa = sum_tau mass_tau g_tau(kappa) on (0, bound]."""
@@ -650,8 +647,7 @@ def _closed_chi_zc(m: ModelSpec):
 
 
 def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
-                    via: str = "assembled",
-                    c_bracket: tuple[float, float] | None = None) -> tuple[float, float]:
+                    via: str = "assembled") -> tuple[float, float]:
     """Minimal admissible speed (c*, z*) of the family's characteristic function.
 
     via='assembled' runs the tangency search on the fully assembled
@@ -667,9 +663,6 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     else:
         raise ValueError("via must be 'assembled' or 'closed_form'")
 
-    if c_bracket is not None:
-        return min_speed(chi_zc, strip_of_c, c_bracket)
-
     # expand a bracket on the positive axis; the nonlocal dispersal family
     # admits c* <= 0, which the beta-free closed form handles across c = 0
     def max_at(c):
@@ -681,9 +674,11 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
         if hi > 512.0:
             raise HypothesisViolation("no admissible speed below 512")
     lo = hi / 2.0
-    while lo > 1e-4 and max_at(lo) > 0.0:
+    lo_positive = max_at(lo) > 0.0
+    while lo_positive and lo > 1e-4:
         lo /= 2.0
-    if max_at(lo) > 0.0:
+        lo_positive = max_at(lo) > 0.0
+    if lo_positive:
         if isinstance(m, NonlocalKPP):
             # c* <= 0: walk the beta-free closed form (max_at reads the
             # rebound chi_zc) to negative speeds, where it stays regular
@@ -705,8 +700,14 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
 # JSON model files
 
 
+def _object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be an object, got {spec!r}")
+    return spec
+
+
 def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
-    kind = spec.get("kind")
+    kind = _object(spec, "nonlinearity").get("kind")
     if kind == "logistic":
         return logistic(rate=spec.get("rate", 2.0), carrying=spec.get("carrying", 1.0))
     if kind == "mackey_glass":
@@ -720,14 +721,12 @@ def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
 
 def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
     """Model from its JSON form; ``base_dir`` resolves relative kernel file paths."""
-    family = spec.get("family")
+    family = _object(spec, "model").get("family")
     g = nonlinearity_from_dict(spec["nonlinearity"])
     if family == "nonlocal_kpp":
         return NonlocalKPP(J=kernel_from_dict(spec["kernel"], base_dir), g=g)
     if family == "nonlocal_lattice":
-        beta = spec["beta"]
-        if isinstance(beta, list):
-            beta = {int(k): w for k, w in beta}
+        beta = _object(spec["beta"], "beta")
         return NonlocalLattice(D=spec["D"], d=spec["d"], beta_weights=beta,
                                g=g, delay=spec.get("delay", 0.0))
     if family == "nonlocal_delayed_rd":

@@ -17,7 +17,6 @@ from .asymptotics import fit_decay
 from .charfun import real_roots
 from .errors import (MaxIterExceeded, NoCrossing, NoRoots, NoWave, StripTooNarrow,
                      TailUnresolved)
-from .kernels import KernelComponent
 from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, solve_profile
 
@@ -77,12 +76,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _support_reaches_right(k: KernelComponent) -> bool:
-    """Whether the closed support meets [0, inf)."""
-    lo, hi = k.support()
-    return hi >= 0.0
-
-
 def mollison_check(p: ConvolutionProblem) -> Check:
     """Necessity check: finite weighted transform at some positive argument.
 
@@ -101,7 +94,7 @@ def mollison_check(p: ConvolutionProblem) -> Check:
     if not gamma_K > 0.0:
         return Check("mollison", "fail", criterion,
                      {**details, "note": "no positive argument with finite transform"})
-    if not any(_support_reaches_right(a.kernel) for a in p.atoms):
+    if not any(a.kernel.support()[1] >= 0.0 for a in p.atoms):
         return Check("mollison", "fail", criterion,
                      {**details, "note": "all kernel mass on the negative half-line"})
     return Check("mollison", "pass", criterion, details)
@@ -213,16 +206,15 @@ def audit_hypotheses(p: ConvolutionProblem, M: float) -> list[Check]:
     return checks
 
 
-def align_translate(phi1: WaveProfile, phi2: WaveProfile,
-                    level_fraction: float = 0.5) -> tuple[float, float]:
-    """Shift matching the level crossings, then sup difference on the overlap.
+def align_translate(phi1: WaveProfile, phi2: WaveProfile) -> tuple[float, float]:
+    """Shift matching the half-plateau crossings, then sup difference on the overlap.
 
     Returns (shift, sup_diff) with phi2(t + shift) compared against
     phi1(t); raises NoCrossing when either profile misses the level.
     """
     if phi1.speed != phi2.speed:
         raise ValueError("profiles must share the wave speed")
-    level = level_fraction * phi1.plateau
+    level = 0.5 * phi1.plateau
     ts1, ts2 = phi1.grid.ts, phi2.grid.ts
     c1 = wavesolver.level_crossing(ts1, phi1.values, level)
     c2 = wavesolver.level_crossing(ts2, phi2.values, level)
@@ -239,15 +231,13 @@ def align_translate(phi1: WaveProfile, phi2: WaveProfile,
 
 
 def uniqueness_probe(prob: ConvolutionProblem, grid: Grid, inits,
-                     opts: SolveOptions = SolveOptions(),
-                     tolerance: float | None = None) -> VerifyReport:
+                     opts: SolveOptions = SolveOptions()) -> VerifyReport:
     """Solve from several initial data and compare the aligned profiles.
 
     PASS is reported as "consistent with uniqueness at tolerance ..."; a
     solve that ends in NoWave, TailUnresolved or MaxIterExceeded aborts
     with a partial report whose last check is a failing ``solve[init i]``.
-    The default tolerance is max(10 * solver tol, 5 * step^2 * |phi''|
-    estimate).
+    The tolerance is max(10 * solver tol, 5 * step^2 * |phi''| estimate).
     """
     report = VerifyReport()
     if len(inits) < 2:
@@ -272,9 +262,8 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid, inits,
                 {"error": str(exc)}))
             return report
 
-    if tolerance is None:
-        dphi2 = np.max(np.abs(np.diff(profiles[0].values, 2))) / grid.step ** 2
-        tolerance = max(10.0 * opts.tol, 5.0 * grid.step ** 2 * float(dphi2))
+    dphi2 = np.max(np.abs(np.diff(profiles[0].values, 2))) / grid.step ** 2
+    tolerance = max(10.0 * opts.tol, 5.0 * grid.step ** 2 * float(dphi2))
     worst = 0.0
     pair = (0, 0)
     for i in range(len(profiles)):

@@ -24,7 +24,7 @@ from scipy import optimize
 from .charfun import _concave_max
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
-from .kernels import _sample, convolve_field
+from .kernels import _shifted, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -47,6 +47,8 @@ PIN_FRACTION = 0.5
 DRIFT_GATE_STEPS = 0.02
 # sweeps of pin drift above the gate that back a translation verdict
 TRANSLATION_WINDOW = 50
+# grid points left out of the residual at each edge
+RESIDUAL_MARGIN = 10
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,15 @@ def apply_operator(p: ConvolutionProblem, values: np.ndarray, grid: Grid,
     out = np.zeros_like(values)
     for atom in p.atoms:
         G = np.asarray(atom.nonlinearity(values), dtype=float)
-        out += convolve_field(atom.kernel, ts, G, lam_left, float(G[-1]))
+        out += convolve_field(atom.kernel, ts, G, lam_left)
     return out
 
 
-def residual(p: ConvolutionProblem, profile: WaveProfile, margin_steps: int = 10) -> float:
-    """sup |phi - N[phi]| over interior points, N with the zero left closure."""
+def residual(p: ConvolutionProblem, profile: WaveProfile) -> float:
+    """sup |phi - N[phi]| off the RESIDUAL_MARGIN edge points, N with the zero left closure."""
     vals = profile.values
     out = apply_operator(p, vals, profile.grid, lam_left=None)
-    sl = slice(margin_steps, len(vals) - margin_steps)
+    sl = slice(RESIDUAL_MARGIN, len(vals) - RESIDUAL_MARGIN)
     return float(np.max(np.abs(vals - out)[sl]))
 
 
@@ -154,7 +156,7 @@ def discrete_decay_rate(p: ConvolutionProblem, grid: Grid,
         fieldv = np.exp(np.minimum(lam * (ts - ts[mid]), 700.0))
         acc = 0.0
         for atom in p.atoms:
-            out = convolve_field(atom.kernel, ts, fieldv, lam, float(fieldv[-1]))
+            out = convolve_field(atom.kernel, ts, fieldv, lam)
             acc += atom.weight * out[mid]
         return 1.0 - acc
 
@@ -204,18 +206,10 @@ class SolveOptions:
 def _init_values(init, grid: Grid) -> np.ndarray:
     if isinstance(init, CappedExponential):
         return init.on(grid)
-    if isinstance(init, WaveProfile):
-        return _sample(init.grid.ts, init.values, grid.ts, None, float(init.values[-1]))
     vals = np.asarray(init, dtype=float)
     if vals.shape != (grid.n,):
         raise ValueError(f"init array must have shape ({grid.n},)")
     return vals.copy()
-
-
-def _shift_values(ts, values, delta, lam_left, right_value):
-    if delta == 0.0:
-        return values
-    return _sample(ts, values, ts + delta, lam_left, right_value)
 
 
 def _receding(drifts: deque, gate: float) -> bool:
@@ -292,7 +286,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                 drift = level_crossing(ts, new, pin_level) - pin_at
             except NoCrossing:
                 raise NoWave("iterates fell below the pinning level") from None
-            new = _shift_values(ts, new, drift, lam_left, float(new[-1]))
+            new = _shifted(ts, new, -drift, lam_left)
             drifts.append(drift)
         update = float(np.max(np.abs(new - values)))
         values = new

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wavefront as wf
+from wavefront import charfun
 from wavefront.charfun import chi_prime
 from wavefront.errors import BracketFailure, NoRoots, OutOfStrip, StripTooNarrow
 from wavefront.kernels import KernelComponent
@@ -79,11 +80,32 @@ def test_real_roots_dichotomy():
 
 
 def test_root_values_vanish_to_tolerance():
-    cf = local_cf(2.7)
-    sd = wf.real_roots(cf)
-    assert abs(wf.chi(cf, sd.lambda_l)) <= 1e-10
-    assert abs(wf.chi(cf, sd.lambda_r)) <= 1e-10
-    assert sd.lambda_l <= sd.lambda_r
+    # the lattice chi at 2 c* is still positive at the doubling bracket of
+    # its maximizer, and tends to -inf further right: lambda_r lies beyond it
+    lattice = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={-1: 1.0}, g=wf.logistic(2.0, 1.0))
+    c_star, _ = wf.model_min_speed(lattice)
+    for cf in (local_cf(2.7), lattice.to_convolution_form(2.0 * c_star).charfun()):
+        sd = wf.real_roots(cf)
+        assert sd.lambda_r is not None
+        assert abs(wf.chi(cf, sd.lambda_l)) <= 1e-10
+        assert abs(wf.chi(cf, sd.lambda_r)) <= 1e-10
+        assert sd.lambda_l <= sd.lambda_r
+
+
+def test_real_roots_evaluates_each_doubling_point_once(monkeypatch):
+    # chi = 1 - 3 e^{z^2/200} / (1 + z) rises on 1, 2, 4, 8 and falls at 16
+    cf = wf.CharacteristicFunction(
+        ((wf.convolve(wf.OneSidedExponential(1.0), wf.GaussianKernel(0.01)), 3.0),))
+    points = []
+    chi = charfun.chi
+
+    def recording_chi(cf, z):
+        points.append(z)
+        return chi(cf, z)
+
+    monkeypatch.setattr(charfun, "chi", recording_chi)
+    wf.real_roots(cf)
+    assert [points.count(x) for x in (2.0, 4.0, 8.0)] == [1, 1, 1]
 
 
 def test_real_roots_gamma_infinite_branch():

@@ -68,6 +68,34 @@ def test_malformed_model_is_usage_error(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+KPP = {"family": "nonlocal_kpp", "c": 3.0,
+       "kernel": {"shape": "gaussian", "variance": 1.0},
+       "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
+LOCAL = {"family": "local_delayed_rd", "c": 2.5, "L": 2.0,
+         "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
+LATTICE = {"family": "nonlocal_lattice", "c": 2.5, "D": 1.0, "d": 1.0,
+           "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("analyze", {**LOCAL, "c": None}),
+    ("analyze", {**LOCAL, "nonlinearity": {"kind": "logistic", "rate": "2"}}),
+    ("analyze", {**KPP, "kernel": {"shape": "gaussian", "variance": "1"}}),
+    ("analyze", {**KPP, "kernel": "gaussian"}),
+    ("analyze", [LOCAL]),
+    ("analyze", {**KPP, "kernel": {"shape": "dirac_comb", "offsets": 1.0, "weights": [1.0]}}),
+    ("analyze", {**LATTICE, "beta": [[0, 1.0]]}),
+    ("solve", {**LOCAL, "bound": "x"}),
+], ids=["c-null", "rate-string", "variance-string", "kernel-string", "top-level-list",
+        "offsets-number", "beta-list", "bound-string"])
+def test_wrongly_typed_model_value_is_usage_error(tmp_path, capsys, command, cfg):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main([command, "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_tabulated_path_is_relative_to_model_file(tmp_path, monkeypatch):
     model_dir = tmp_path / "m"
     model_dir.mkdir()

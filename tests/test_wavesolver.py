@@ -80,7 +80,7 @@ def test_convolve_field_against_quadrature(kernel):
     ts = grid.ts
     field_fn = lambda t: math.exp(-((t - 2.0) ** 2) / 8.0)
     G = np.array([field_fn(t) for t in ts])
-    out = convolve_field(kernel, ts, G, lam_left=None, right_value=G[-1])
+    out = convolve_field(kernel, ts, G, lam_left=None)
     for idx in (1000, 2048, 3000):
         expect = quad_conv_oracle(kernel, field_fn, ts[idx])
         assert out[idx] == pytest.approx(expect, abs=2e-5 * (1 + abs(expect)))
@@ -94,7 +94,7 @@ def test_convolve_field_second_order_convergence():
         grid = wf.Grid(-40.0, 40.0, n)
         ts = grid.ts
         G = np.array([field_fn(t) for t in ts])
-        out = convolve_field(kernel, ts, G, lam_left=None, right_value=G[-1])
+        out = convolve_field(kernel, ts, G, lam_left=None)
         mid = n // 2
         errs.append(abs(out[mid] - quad_conv_oracle(kernel, field_fn, ts[mid])))
     assert errs[1] <= errs[0] / 3.0  # ~ O(step^2)
@@ -105,7 +105,7 @@ def test_convolve_field_comb_is_exact_shift():
     ts = grid.ts
     G = np.sin(ts) + 2.0
     comb = wf.DiracComb((1.0,), (2.0,))
-    out = convolve_field(comb, ts, G, lam_left=None, right_value=G[-1])
+    out = convolve_field(comb, ts, G, lam_left=None)
     expect = 2.0 * np.interp(ts - 1.0, ts, G, left=0.0, right=G[-1])
     sel = ts - 1.0 >= ts[0]
     np.testing.assert_allclose(out[sel], expect[sel], rtol=1e-12)
@@ -122,7 +122,7 @@ def test_convolve_field_mass_on_constant():
                    wf.GaussianKernel(1.0),
                    wf.OneSidedExponential(rate=2.0, scale=0.5),
                    skewed_tabulated()):
-        out = convolve_field(kernel, ts, G, lam_left=0.5, right_value=1.0)
+        out = convolve_field(kernel, ts, G, lam_left=0.5)
         mid = len(ts) // 2
         assert out[mid] == pytest.approx(kernel.mass, rel=1e-9)
 
@@ -132,7 +132,7 @@ def test_convolve_field_rejects_kernel_between_grid_points():
     ts = wf.Grid(-10.0, 10.0, 201).ts
     bump = wf.TabulatedKernel((0.01, 0.02, 0.03), (0.0, 1.0, 0.0))
     with pytest.raises(ValueError, match="grid step"):
-        convolve_field(bump, ts, np.ones_like(ts), lam_left=None, right_value=1.0)
+        convolve_field(bump, ts, np.ones_like(ts), lam_left=None)
 
 
 @pytest.mark.parametrize("kernel", [wf.GaussianKernel(0.8), skewed_tabulated()])
@@ -145,7 +145,7 @@ def test_convolve_field_density_nonnegative(kernel, lam_left):
     ts = grid.ts
     G = np.minimum(np.exp(15.0 * ts), 1.0)
     assert G[0] == 0.0 and np.any((G > 0.0) & (G < np.finfo(float).tiny))
-    out = convolve_field(kernel, ts, G, lam_left=lam_left, right_value=1.0)
+    out = convolve_field(kernel, ts, G, lam_left=lam_left)
     assert float(np.min(out)) >= 0.0
 
 

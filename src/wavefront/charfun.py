@@ -5,7 +5,10 @@ On the real strip chi is strictly concave (kernel transforms are
 log-convex, hence convex), so it has at most two real zeros
 lambda_l <= lambda_r and they bracket the concave maximum.  All root
 location here exploits that structure: locate the maximizer, classify,
-then bisect on each side.
+then bisect on each side.  The minimal speed c* solves max_z chi(z, c) = 0
+in c alone: ``min_speed`` sees chi only through ``max_at(c) -> (z_c, max)``,
+which the caller builds per family and caches, so each trial speed is
+assembled and maximized once.
 """
 
 from __future__ import annotations
@@ -204,36 +207,28 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
 
     lam_l = float(optimize.brentq(f, 0.0, xhat, xtol=1e-14, rtol=8.9e-16))
 
-    # lambda_r: first point right of the maximizer where chi has recrossed
-    lam_r = None
-    left = xhat
-    for j in range(1, 64):
-        t = xhat + (b - xhat) * (1.0 - 0.5 ** j)
-        try:
-            ft = f(t)
-        except (OverflowError, FloatingPointError):
-            break
-        if not math.isfinite(ft):
-            break
-        if ft < 0.0:
-            lam_r = float(optimize.brentq(f, left, t, xtol=1e-14, rtol=8.9e-16))
-            break
-        left = t
-    if lam_r is None:
-        try:
+    # lambda_r: concave past xhat, chi crosses zero at most once more
+    lam_r, left = None, xhat
+    fb = f(b)
+    if fb < 0.0:
+        # the first negative point halving the gap to b closes the bracket;
+        # 1 - 2^-53 is the last factor below 1
+        right = b
+        for j in range(1, 54):
+            t = xhat + (b - xhat) * (1.0 - 0.5 ** j)
+            if f(t) < 0.0:
+                right = t
+                break
+            left = t
+        lam_r = float(optimize.brentq(f, left, right, xtol=1e-14, rtol=8.9e-16))
+    elif not math.isfinite(gamma_K):
+        # chi can still be positive at b, the doubling bracket of its
+        # maximizer; it falls further right
+        while fb >= 0.0 and b < DOUBLING_CAP:
+            left, b = b, 2.0 * b
             fb = f(b)
-        except Exception:
-            fb = math.nan
-        if math.isfinite(fb) and fb < 0.0:
+        if fb < 0.0:
             lam_r = float(optimize.brentq(f, left, b, xtol=1e-14, rtol=8.9e-16))
-        elif not math.isfinite(gamma_K):
-            # chi can still be positive at b, the doubling bracket of its
-            # maximizer; concave past that maximum, it falls further right
-            while fb >= 0.0 and b < DOUBLING_CAP:
-                left, b = b, 2.0 * b
-                fb = f(b)
-            if fb < 0.0:
-                lam_r = float(optimize.brentq(f, left, b, xtol=1e-14, rtol=8.9e-16))
 
     critical = lam_r is not None and (lam_r - lam_l) < MULTIPLICITY_RTOL * max(1.0, lam_l)
     return SpectralData(lambda_l=lam_l, lambda_r=lam_r, gamma_K=gamma_K,
@@ -241,28 +236,24 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
                         chi_prime_at_ll=chi_prime(cf, lam_l))
 
 
-def min_speed(model_chi, strip_of_c, c_bracket: tuple[float, float]) -> tuple[float, float]:
+def min_speed(max_at, c_bracket: tuple[float, float]) -> tuple[float, float]:
     """Minimal speed by the tangency condition max_z chi(z, c*) = 0.
 
-    model_chi(z, c) must be concave in z on (0, gamma(c)) and strictly
-    increasing in c for fixed z > 0; strip_of_c(c) -> (sigma, gamma).
-    Returns (c*, z*) with z* the tangency point.
+    max_at(c) -> (z_c, max_z chi(z, c)) over the positive part of the strip
+    at speed c, with chi concave in z and strictly increasing in c for fixed
+    z > 0; every trial speed is passed to it, so a caching max_at maximizes
+    each speed once.  Returns (c*, z*) with z* the tangency point.
     """
-
-    def inner_max(c: float) -> tuple[float, float]:
-        return _strip_max(lambda z: model_chi(z, c), strip_of_c(c))
-
     c_lo, c_hi = c_bracket
-    m_lo = inner_max(c_lo)[1]
-    m_hi = inner_max(c_hi)[1]
+    m_lo = max_at(c_lo)[1]
+    m_hi = max_at(c_hi)[1]
     if m_lo > 0 or m_hi < 0:
         raise BracketFailure(
             f"max chi has no sign change on [{c_lo:g}, {c_hi:g}]: "
             f"values {m_lo:g}, {m_hi:g}")
-    c_star = float(optimize.brentq(lambda c: inner_max(c)[1], c_lo, c_hi,
+    c_star = float(optimize.brentq(lambda c: max_at(c)[1], c_lo, c_hi,
                                    xtol=SPEED_XTOL, rtol=8.9e-16))
-    z_star = inner_max(c_star)[0]
-    return c_star, z_star
+    return c_star, max_at(c_star)[0]
 
 
 @dataclass(frozen=True)

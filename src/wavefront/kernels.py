@@ -484,6 +484,8 @@ class TabulatedKernel(KernelComponent):
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
             raise ValueError("need matching 1-d grid/values with >= 2 points")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("kernel grid and values must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(v < 0):

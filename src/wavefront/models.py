@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import optimize
@@ -158,6 +158,8 @@ def tabulated_nonlinearity(u, g, gprime0: float | None = None) -> Nonlinearity:
     g = np.asarray(g, dtype=float)
     if u.ndim != 1 or u.shape != g.shape or u.size < 3:
         raise ValueError("need matching 1-d u/g samples with >= 3 points")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
+        raise ValueError("u/g samples must be finite")
     if u[0] != 0.0 or abs(g[0]) > 1e-12:
         raise ValueError("samples must start at u=0 with g(0)=0")
     if np.any(np.diff(u) <= 0):
@@ -616,34 +618,13 @@ def model_chi(m: ModelSpec, c: float, M: float | None = None,
     )
 
 
-def _assembled_chi_zc(m: ModelSpec, M, margin):
-    # the bound does not depend on c: resolve it once, not per trial speed
-    M = M if M is not None else m.default_bound()
-    cache: dict[float, CharacteristicFunction] = {}
+def _closed_max_at(m: ModelSpec):
+    @cache
+    def max_at(c: float) -> tuple[float, float]:
+        return _strip_max(lambda z: float(np.real(m.tilde_chi_lipschitz(z, c))),
+                          m.tilde_strip(c))
 
-    def cf_at(c: float) -> CharacteristicFunction:
-        if c not in cache:
-            cache.clear()
-            cache[c] = m.to_convolution_form(c, M, margin).charfun_lipschitz()
-        return cache[c]
-
-    def chi_zc(z, c):
-        return float(np.real(cf_at(c)(z)))
-
-    def strip_of_c(c):
-        return cf_at(c).strip
-
-    return chi_zc, strip_of_c
-
-
-def _closed_chi_zc(m: ModelSpec):
-    def chi_zc(z, c):
-        return float(np.real(m.tilde_chi_lipschitz(z, c)))
-
-    def strip_of_c(c):
-        return m.tilde_strip(c)
-
-    return chi_zc, strip_of_c
+    return max_at
 
 
 def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
@@ -653,47 +634,47 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     via='assembled' runs the tangency search on the fully assembled
     Lipschitz-weighted chi, so the slope shift enters and must cancel;
     via='closed_form' uses the family's beta-free closed form directly.
-    Both routes agree to solver tolerance.
+    Both routes agree to solver tolerance.  Each trial speed is assembled
+    and maximized once: the bracket walk and the root search share one cache.
     """
     m.validate()
     if via == "assembled":
-        chi_zc, strip_of_c = _assembled_chi_zc(m, M, margin)
+        # the bound does not depend on c: resolve it once, not per trial speed
+        M = M if M is not None else m.default_bound()
+
+        @cache
+        def max_at(c: float) -> tuple[float, float]:
+            cf = m.to_convolution_form(c, M, margin).charfun_lipschitz()
+            return _strip_max(lambda z: float(np.real(cf(z))), cf.strip)
     elif via == "closed_form":
-        chi_zc, strip_of_c = _closed_chi_zc(m)
+        max_at = _closed_max_at(m)
     else:
         raise ValueError("via must be 'assembled' or 'closed_form'")
 
     # expand a bracket on the positive axis; the nonlocal dispersal family
     # admits c* <= 0, which the beta-free closed form handles across c = 0
-    def max_at(c):
-        return _strip_max(lambda z: chi_zc(z, c), strip_of_c(c))[1]
-
     hi = 1.0
-    while max_at(hi) < 0.0:
+    while max_at(hi)[1] < 0.0:
         hi *= 2.0
         if hi > 512.0:
             raise HypothesisViolation("no admissible speed below 512")
     lo = hi / 2.0
-    lo_positive = max_at(lo) > 0.0
-    while lo_positive and lo > 1e-4:
+    while max_at(lo)[1] > 0.0 and lo > 1e-4:
         lo /= 2.0
-        lo_positive = max_at(lo) > 0.0
-    if lo_positive:
-        if isinstance(m, NonlocalKPP):
-            # c* <= 0: walk the beta-free closed form (max_at reads the
-            # rebound chi_zc) to negative speeds, where it stays regular
-            # across c = 0
-            chi_zc, strip_of_c = _closed_chi_zc(m)
-            lo = -1.0
-            while lo > -512.0 and max_at(lo) > 0.0:
-                lo *= 2.0
-            if lo <= -512.0:
-                raise HypothesisViolation("no sign change of max chi down to c = -512")
-            return min_speed(chi_zc, strip_of_c, (lo, hi))
-        raise HypothesisViolation(
-            f"max chi positive down to c = {lo:g}; c* at or below zero is outside "
-            f"the supported range for family '{m.family}'")
-    return min_speed(chi_zc, strip_of_c, (lo, hi))
+    if max_at(lo)[1] > 0.0:
+        if not isinstance(m, NonlocalKPP):
+            raise HypothesisViolation(
+                f"max chi positive down to c = {lo:g}; c* at or below zero is outside "
+                f"the supported range for family '{m.family}'")
+        # c* <= 0: walk the closed form to negative speeds, where it stays
+        # regular across c = 0
+        max_at = _closed_max_at(m)
+        lo = -1.0
+        while lo > -512.0 and max_at(lo)[1] > 0.0:
+            lo *= 2.0
+        if lo <= -512.0:
+            raise HypothesisViolation("no sign change of max chi down to c = -512")
+    return min_speed(max_at, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +720,20 @@ def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _finite_float(text: str) -> float:
+    # json hands NaN, Infinity and -Infinity (not JSON) here as well as
+    # literals such as 1e999 that overflow
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def load_model(path) -> tuple[ModelSpec, dict]:
     """Load a model JSON file; returns (spec, full config dict).
 
     A relative kernel ``path`` inside it is read from the file's directory.
     """
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
     return model_from_dict(cfg, os.path.dirname(path)), cfg

@@ -6,7 +6,7 @@ import pytest
 
 import wavefront as wf
 from wavefront import charfun
-from wavefront.charfun import chi_prime
+from wavefront.charfun import _strip_max, chi_prime
 from wavefront.errors import BracketFailure, NoRoots, OutOfStrip, StripTooNarrow
 from wavefront.kernels import KernelComponent
 
@@ -79,13 +79,25 @@ def test_real_roots_dichotomy():
         wf.real_roots(local_cf(1.0))
 
 
-def test_root_values_vanish_to_tolerance():
+def test_root_values_vanish_to_tolerance(monkeypatch):
     # the lattice chi at 2 c* is still positive at the doubling bracket of
-    # its maximizer, and tends to -inf further right: lambda_r lies beyond it
+    # its maximizer, and tends to -inf further right: lambda_r lies beyond it,
+    # and the walk right doubles without probing up to that bracket
     lattice = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={-1: 1.0}, g=wf.logistic(2.0, 1.0))
     c_star, _ = wf.model_min_speed(lattice)
-    for cf in (local_cf(2.7), lattice.to_convolution_form(2.0 * c_star).charfun()):
+    calls = []
+    chi = charfun.chi
+
+    def counting_chi(cf, z):
+        calls.append(z)
+        return chi(cf, z)
+
+    monkeypatch.setattr(charfun, "chi", counting_chi)
+    for cf, budget in ((local_cf(2.7), 33),
+                       (lattice.to_convolution_form(2.0 * c_star).charfun(), 45)):
+        calls.clear()
         sd = wf.real_roots(cf)
+        assert len(calls) <= budget
         assert sd.lambda_r is not None
         assert abs(wf.chi(cf, sd.lambda_l)) <= 1e-10
         assert abs(wf.chi(cf, sd.lambda_r)) <= 1e-10
@@ -163,29 +175,28 @@ def test_concavity_property(rng):
 
 # --- minimal speed ----------------------------------------------------------
 
+def max_at_of(chi_zc, strip_of_c):
+    """The per-speed maximum min_speed takes: maximize chi_zc(., c) over the strip."""
+    return lambda c: _strip_max(lambda z: float(np.real(chi_zc(z, c))), strip_of_c(c))
+
+
 def test_min_speed_local_family_closed_form():
     m = wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0, delay=0.0)
-    c_star, z_star = wf.min_speed(
-        lambda z, c: float(np.real(m.tilde_chi_lipschitz(z, c))),
-        m.tilde_strip, (1.0, 4.0))
+    c_star, z_star = wf.min_speed(max_at_of(m.tilde_chi_lipschitz, m.tilde_strip), (1.0, 4.0))
     assert c_star == pytest.approx(2.0, abs=1e-8)
     assert z_star == pytest.approx(1.0, abs=1e-6)
 
 
 def test_min_speed_gaussian_dispersal():
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    c_star, z_star = wf.min_speed(
-        lambda z, c: float(np.real(m.tilde_chi(z, c))),
-        m.tilde_strip, (1.0, 4.0))
+    c_star, z_star = wf.min_speed(max_at_of(m.tilde_chi, m.tilde_strip), (1.0, 4.0))
     assert c_star == pytest.approx(GAUSS_C_STAR, abs=1e-9)
     assert z_star == pytest.approx(GAUSS_Z_STAR, abs=1e-6)
 
 
 def test_min_speed_lattice():
     m = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={0: 1.0}, g=wf.logistic(2.0, 1.0))
-    c_star, z_star = wf.min_speed(
-        lambda z, c: float(np.real(m.tilde_chi(z, c))),
-        lambda c: (0.0, 6.0), (1.0, 4.0))
+    c_star, z_star = wf.min_speed(max_at_of(m.tilde_chi, lambda c: (0.0, 6.0)), (1.0, 4.0))
     assert c_star == pytest.approx(LATTICE_C_STAR, abs=1e-9)
     assert c_star == pytest.approx(2.07, abs=5e-3)
     assert z_star == pytest.approx(LATTICE_Z_STAR, abs=1e-6)
@@ -194,8 +205,7 @@ def test_min_speed_lattice():
 def test_min_speed_bracket_failure():
     m = wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0, delay=0.0)
     with pytest.raises(BracketFailure):
-        wf.min_speed(lambda z, c: float(np.real(m.tilde_chi_lipschitz(z, c))),
-                     m.tilde_strip, (3.0, 4.0))
+        wf.min_speed(max_at_of(m.tilde_chi_lipschitz, m.tilde_strip), (3.0, 4.0))
 
 
 def test_min_speed_roots_coherence():

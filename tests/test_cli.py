@@ -96,6 +96,36 @@ def test_wrongly_typed_model_value_is_usage_error(tmp_path, capsys, command, cfg
     assert "invalid input" in capsys.readouterr().err
 
 
+NLRD = {"family": "nonlocal_delayed_rd", "c": 3.0, "delay": 0.5,
+        "damping": {"kind": "linear", "slope": 1.0},
+        "kernel": {"shape": "gaussian", "variance": 1.0},
+        "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({**KPP, "c": NAN}),
+    json.dumps({**LOCAL, "c": -INF}),
+    json.dumps({**LATTICE, "c": -INF}),
+    json.dumps({**NLRD, "c": -INF}),
+    json.dumps({**LOCAL, "L": NAN}),
+    json.dumps({**LOCAL, "bound": NAN}),
+    json.dumps({**LOCAL, "margin": NAN}),
+    json.dumps({**NLRD, "damping": {"kind": "linear", "slope": NAN}}),
+    json.dumps(LOCAL).replace("2.5", "1e999"),
+    json.dumps({**KPP, "kernel": {"shape": "tabulated", "path": "J.csv"}}),
+], ids=["kpp-c-nan", "local-c-minus-inf", "lattice-c-minus-inf", "nlrd-c-minus-inf",
+        "L-nan", "bound-nan", "margin-nan", "damping-slope-nan", "c-overflow",
+        "tabulated-csv-nan"])
+def test_non_finite_model_number_is_usage_error(tmp_path, capsys, text):
+    (tmp_path / "J.csv").write_text("-1.0,0.0\n0.0,nan\n1.0,0.0\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_tabulated_path_is_relative_to_model_file(tmp_path, monkeypatch):
     model_dir = tmp_path / "m"
     model_dir.mkdir()

@@ -67,6 +67,8 @@ def test_tabulated_nonlinearity():
     assert g.gprime0 == pytest.approx(2.0, rel=0.02)
     g2 = wf.tabulated_nonlinearity(u, 2 * u * (1 - u), gprime0=2.0)
     assert g2.gprime0 == 2.0
+    with pytest.raises(ValueError, match="finite"):
+        wf.tabulated_nonlinearity(u, np.where(u == 1.0, np.nan, 2 * u * (1 - u)))
 
 
 # --- reductions to convolution form ------------------------------------------
@@ -312,10 +314,13 @@ def test_min_speed_runs_no_derivative_root_search(monkeypatch):
     assert c_star == pytest.approx(2.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("m", [
+TANGENCY_MODELS = [
     wf.LocalDelayedRD(wf.logistic(2.0, 1.0), L=2.0),
     wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0)),
-], ids=lambda m: m.family)
+]
+
+
+@pytest.mark.parametrize("m", TANGENCY_MODELS, ids=lambda m: m.family)
 def test_min_speed_resolves_the_bound_once(m, monkeypatch):
     calls = []
     default_bound = type(m).default_bound
@@ -327,6 +332,32 @@ def test_min_speed_resolves_the_bound_once(m, monkeypatch):
     monkeypatch.setattr(type(m), "default_bound", counting)
     wf.model_min_speed(m)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", TANGENCY_MODELS, ids=lambda m: m.family)
+def test_min_speed_assembles_each_trial_speed_once(m, monkeypatch):
+    speeds = []
+    to_convolution_form = type(m).to_convolution_form
+
+    def counting(self, c, *args, **kwargs):
+        speeds.append(c)
+        return to_convolution_form(self, c, *args, **kwargs)
+
+    monkeypatch.setattr(type(m), "to_convolution_form", counting)
+    wf.model_min_speed(m)
+    assert len(speeds) == len(set(speeds))
+
+
+@pytest.mark.parametrize("m, message", [
+    (wf.LocalDelayedRD(wf.logistic(1e5, 1.0), L=1e5), "no admissible speed below 512"),
+    (wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={2: 1.0}, g=wf.logistic(1.5, 1.0)),
+     r"c\* at or below zero is outside the supported range"),
+    (wf.NonlocalKPP(J=wf.DiracComb((5000.0,), (1.0,)), g=wf.logistic(0.5, 1.0)),
+     "no sign change of max chi down to c = -512"),
+], ids=["no-speed-below-512", "c-star-not-positive", "no-sign-change-above-minus-512"])
+def test_min_speed_bracket_walk_gives_up(m, message):
+    with pytest.raises(HypothesisViolation, match=message):
+        wf.model_min_speed(m)
 
 
 def test_beta_invariance_of_min_speed():

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, integrate
 
 from .charfun import SpectralData
 from .errors import NonPositiveTail, TailUnresolved
+from .kernels import _trapezoid
 from .wavesolver import WaveProfile
 
 __all__ = [
@@ -94,6 +94,8 @@ def _fit_k0(t, logp):
 
 
 def _fit_k1(t, logp, lam0, b0):
+    from scipy.optimize import least_squares
+
     t_hi = t[-1]
 
     def model(params):
@@ -101,7 +103,7 @@ def _fit_k1(t, logp, lam0, b0):
         return lam * t + np.log(np.maximum(A - t, 1e-12)) + b - logp
 
     span = t_hi - t[0]
-    ls = optimize.least_squares(
+    ls = least_squares(
         model, x0=[lam0, t_hi + span, b0 - math.log(span)],
         bounds=([1e-8, t_hi + 1e-9, -700.0], [50.0, 1e9, 700.0]))
     lam, A, b = ls.x
@@ -257,7 +259,7 @@ def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
                                     notes="remainder below noise floor everywhere")
     slope = float(np.polyfit(t, np.log(np.abs(r)), 1)[0])
     sup_r = float(np.max(np.abs(r)))
-    l2 = float(np.sqrt(integrate.trapezoid(r * r, t)))
+    l2 = float(np.sqrt(_trapezoid(r * r, t)))
     passed = slope >= -SLOPE_EPS
 
     l2_ref = None
@@ -266,7 +268,7 @@ def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
         fu_ref = refined.convergence.get("final_update", 0.0)
         _, t2, r2 = _remainder_r(refined, delta, max(1e-12, 30.0 * fu_ref))
         if len(t2) >= 10:
-            l2_ref = float(np.sqrt(integrate.trapezoid(r2 * r2, t2)))
+            l2_ref = float(np.sqrt(_trapezoid(r2 * r2, t2)))
             stable = abs(l2_ref - l2) <= 0.2 * max(l2, l2_ref)
             passed = passed and stable
         else:
@@ -290,5 +292,6 @@ def psi_integral(profile: WaveProfile, fit: DecayFit | None = None) -> np.ndarra
     if fit is None:
         fit = fit_decay(profile)
     tail = vals[0] / fit.lambda_hat
-    out = integrate.cumulative_trapezoid(vals, profile.grid.ts, initial=0.0)
+    steps = np.diff(profile.grid.ts) * (vals[1:] + vals[:-1]) / 2.0
+    out = np.concatenate(([0.0], np.cumsum(steps)))
     return out + tail

@@ -9,6 +9,10 @@ then bisect on each side.  The minimal speed c* solves max_z chi(z, c) = 0
 in c alone: ``min_speed`` sees chi only through ``max_at(c) -> (z_c, max)``,
 which the caller builds per family and caches, so each trial speed is
 assembled and maximized once.
+
+The maximizer is Brent's bounded golden-section/parabolic search and the
+root finder Brent's ``brentq``, both ported bit for bit from SciPy in
+:mod:`wavefront._scalar` so that the spectral commands load no SciPy.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import optimize
 
+from ._scalar import brentq, minimize_bounded
 from .errors import BracketFailure, NoRoots, StripTooNarrow
 from .kernels import KernelComponent, _check_strip
 
@@ -143,11 +147,10 @@ def _max_bracket(f) -> tuple[float, float | None]:
     return x, fx
 
 
-def _concave_max(f, lo: float, hi: float, xatol: float = 1e-11) -> tuple[float, float]:
+def _concave_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Maximize concave f on (lo, hi) (finite hi) by bounded golden/parabolic search."""
-    res = optimize.minimize_scalar(lambda x: -f(x), bounds=(lo, hi),
-                                   method="bounded", options={"xatol": xatol})
-    return float(res.x), float(-res.fun)
+    x, fx = minimize_bounded(lambda x: -f(x), lo, hi, xatol=1e-11)
+    return float(x), float(-fx)
 
 
 def _strip_max(f, strip: tuple[float, float]) -> tuple[float, float]:
@@ -191,10 +194,10 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
             # chi nondecreasing out to the cap: either it crossed zero
             # (lambda_l exists, lambda_r absent) or it never will resolve
             if f_cap > ROOT_VALUE_TOL:
-                lam_l = optimize.brentq(f, 0.0, b, xtol=1e-14, rtol=8.9e-16)
-                return SpectralData(lambda_l=float(lam_l), lambda_r=None,
+                lam_l = brentq(f, 0.0, b, xtol=1e-14, rtol=8.9e-16)
+                return SpectralData(lambda_l=lam_l, lambda_r=None,
                                     gamma_K=gamma_K, sigma_K=sigma_K, critical=False,
-                                    chi_prime_at_ll=chi_prime(cf, float(lam_l)))
+                                    chi_prime_at_ll=chi_prime(cf, lam_l))
             raise NoRoots(f"chi stays below tolerance up to doubling cap {DOUBLING_CAP:g}")
 
     xhat, chimax = _concave_max(f, 1e-14, b)
@@ -205,7 +208,7 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
                             sigma_K=sigma_K, critical=True,
                             chi_prime_at_ll=chi_prime(cf, xhat))
 
-    lam_l = float(optimize.brentq(f, 0.0, xhat, xtol=1e-14, rtol=8.9e-16))
+    lam_l = brentq(f, 0.0, xhat, xtol=1e-14, rtol=8.9e-16)
 
     # lambda_r: concave past xhat, chi crosses zero at most once more
     lam_r, left = None, xhat
@@ -220,7 +223,7 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
                 right = t
                 break
             left = t
-        lam_r = float(optimize.brentq(f, left, right, xtol=1e-14, rtol=8.9e-16))
+        lam_r = brentq(f, left, right, xtol=1e-14, rtol=8.9e-16)
     elif not math.isfinite(gamma_K):
         # chi can still be positive at b, the doubling bracket of its
         # maximizer; it falls further right
@@ -228,7 +231,7 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
             left, b = b, 2.0 * b
             fb = f(b)
         if fb < 0.0:
-            lam_r = float(optimize.brentq(f, left, b, xtol=1e-14, rtol=8.9e-16))
+            lam_r = brentq(f, left, b, xtol=1e-14, rtol=8.9e-16)
 
     critical = lam_r is not None and (lam_r - lam_l) < MULTIPLICITY_RTOL * max(1.0, lam_l)
     return SpectralData(lambda_l=lam_l, lambda_r=lam_r, gamma_K=gamma_K,
@@ -251,8 +254,7 @@ def min_speed(max_at, c_bracket: tuple[float, float]) -> tuple[float, float]:
         raise BracketFailure(
             f"max chi has no sign change on [{c_lo:g}, {c_hi:g}]: "
             f"values {m_lo:g}, {m_hi:g}")
-    c_star = float(optimize.brentq(lambda c: max_at(c)[1], c_lo, c_hi,
-                                   xtol=SPEED_XTOL, rtol=8.9e-16))
+    c_star = brentq(lambda c: max_at(c)[1], c_lo, c_hi, xtol=SPEED_XTOL, rtol=8.9e-16)
     return c_star, max_at(c_star)[0]
 
 

@@ -36,7 +36,6 @@ from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .errors import EmptyStrip, OutOfStrip, QuadratureFailure
 
@@ -464,6 +463,11 @@ def _segments_transform(z: complex, t: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.sum(np.exp(-z * t[:-1]) * h * (v[:-1] * c0 + dv * c1)))
 
 
+def _trapezoid(v, t):
+    """Trapezoid rule for samples v at nodes t, summed as ``scipy.integrate.trapezoid`` sums."""
+    return np.sum(np.diff(t) * (v[1:] + v[:-1]) / 2.0)
+
+
 @dataclass(frozen=True)
 class TabulatedKernel(KernelComponent):
     """Kernel given by samples on a strictly increasing grid, linearly interpolated.
@@ -490,14 +494,14 @@ class TabulatedKernel(KernelComponent):
             raise ValueError("grid must be strictly increasing")
         if np.any(v < 0):
             raise ValueError("kernel values must be nonnegative")
-        if integrate.trapezoid(v, t) <= 0:
+        if _trapezoid(v, t) <= 0:
             raise ValueError("kernel mass must be positive")
         object.__setattr__(self, "grid", tuple(t.tolist()))
         object.__setattr__(self, "values", tuple(v.tolist()))
 
     @cached_property
     def mass(self) -> float:
-        return float(integrate.trapezoid(np.asarray(self.values), np.asarray(self.grid)))
+        return float(_trapezoid(np.asarray(self.values), np.asarray(self.grid)))
 
     def abscissas(self):
         return (-INF, INF)
@@ -596,8 +600,9 @@ class ConvolvedKernel(KernelComponent):
             return 0.0
         pts = sorted({p for p in self.a.breakpoints() if lo < p < hi}
                      | {s - p for p in self.b.breakpoints() if lo < s - p < hi}) or None
-        val, err = integrate.quad(lambda u: float(self.a.value(u)) * float(self.b.value(s - u)),
-                                  lo, hi, limit=200, points=pts)
+        from scipy.integrate import quad
+        val, err = quad(lambda u: float(self.a.value(u)) * float(self.b.value(s - u)),
+                        lo, hi, limit=200, points=pts)
         if err > 1e-7 * (1.0 + abs(val)):
             raise QuadratureFailure(f"convolution value at s={s:g}: error {err:g}")
         return val
@@ -729,7 +734,10 @@ def _first_order(E, src):
     """y_i = src_i + E y_{i-1}, y_{-1} = 0.
 
     ``scipy.signal`` is imported here, on the first grid sweep, so that the
-    commands that never convolve on a grid do not pay for loading it.
+    commands that never convolve on a grid do not pay for loading it.  It
+    brings ``scipy.optimize``, ``scipy.integrate`` and ``scipy.linalg`` in
+    with it, so the first sweep is also where ``solve`` and ``verify`` load
+    those.
     """
     from scipy.signal import lfilter
     return lfilter([1.0], [1.0, -E], src)
@@ -816,10 +824,9 @@ def laplace_quadrature(k: KernelComponent, z):
     def f_im(s):
         return float(np.imag(k.value(s) * np.exp(-z * s)))
 
-    re, err_re = integrate.quad(f_re, lo, hi, limit=400, epsabs=_QUAD_TOL,
-                                epsrel=_QUAD_TOL, points=pts)
-    im, err_im = integrate.quad(f_im, lo, hi, limit=400, epsabs=_QUAD_TOL,
-                                epsrel=_QUAD_TOL, points=pts)
+    from scipy.integrate import quad
+    re, err_re = quad(f_re, lo, hi, limit=400, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, points=pts)
+    im, err_im = quad(f_im, lo, hi, limit=400, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, points=pts)
     scale = 1.0 + abs(complex(re, im))
     if err_re + err_im > 100.0 * _QUAD_TOL * scale:
         raise QuadratureFailure(f"laplace quadrature error {err_re + err_im:g} at z={z}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import optimize
 
+from ._scalar import brentq
 from .charfun import (CharacteristicFunction, SpectralData, _strip_max,
                       min_speed, real_roots)
 from .errors import (DegenerateRange, HypothesisViolation, NoRoots,
@@ -288,7 +288,7 @@ def _smallest_root(F, hi: float) -> float | None:
     if not len(idx):
         return None
     i = idx[0]
-    return float(optimize.brentq(F, xs[i], xs[i + 1], xtol=1e-14))
+    return brentq(F, xs[i], xs[i + 1], xtol=1e-14)
 
 
 def _bound_from(F) -> float:
@@ -729,11 +729,23 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _float_sized_int(text: str) -> int:
+    # every model number is used as a float; a larger integer would
+    # overflow there
+    n = int(text)
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"integer of {len(text)} digits is too large for a float") from None
+    return n
+
+
 def load_model(path) -> tuple[ModelSpec, dict]:
     """Load a model JSON file; returns (spec, full config dict).
 
     A relative kernel ``path`` inside it is read from the file's directory.
     """
     with open(path) as fh:
-        cfg = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+        cfg = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float,
+                        parse_int=_float_sized_int)
     return model_from_dict(cfg, os.path.dirname(path)), cfg

@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
+from ._scalar import brentq
 from .charfun import _concave_max
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
@@ -171,7 +171,7 @@ def discrete_decay_rate(p: ConvolutionProblem, grid: Grid,
         return float(xhat)
     if chi_h(lo) >= 0.0:
         return lam_guess
-    return float(optimize.brentq(chi_h, lo, xhat, xtol=1e-14))
+    return brentq(chi_h, lo, xhat, xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,11 @@ NAN, INF = math.nan, math.inf
     json.dumps({**NLRD, "damping": {"kind": "linear", "slope": NAN}}),
     json.dumps(LOCAL).replace("2.5", "1e999"),
     json.dumps({**KPP, "kernel": {"shape": "tabulated", "path": "J.csv"}}),
+    json.dumps({**LOCAL, "c": 10 ** 400}),
+    json.dumps({**LOCAL, "L": 10 ** 400}),
 ], ids=["kpp-c-nan", "local-c-minus-inf", "lattice-c-minus-inf", "nlrd-c-minus-inf",
         "L-nan", "bound-nan", "margin-nan", "damping-slope-nan", "c-overflow",
-        "tabulated-csv-nan"])
+        "tabulated-csv-nan", "c-int-overflow", "L-int-overflow"])
 def test_non_finite_model_number_is_usage_error(tmp_path, capsys, text):
     (tmp_path / "J.csv").write_text("-1.0,0.0\n0.0,nan\n1.0,0.0\n")
     bad = tmp_path / "bad.json"
@@ -267,6 +269,31 @@ for command in ("analyze", "speed", "scan"):
 assert main(["solve", "--model", model, "--out", out]) == 0
 assert "scipy.signal" in sys.modules
 """
+
+
+SCIPY_PROBE = """
+import sys
+from wavefront.cli import main
+out, models = sys.argv[1], sys.argv[2:]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy_modules(), scipy_modules()
+for model in models:
+    for command in ("analyze", "speed", "scan"):
+        assert main([command, "--model", model, "--out", out]) == 0, (command, model)
+        assert not scipy_modules(), (command, model, scipy_modules())
+"""
+
+
+def test_spectral_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter, so no other test has loaded SciPy yet
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    models = sorted(str(p) for p in (root / "models").glob("*.json"))
+    assert len(models) == 4
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *models],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_spectral_commands_do_not_load_scipy_signal(tmp_path):

@@ -304,8 +304,10 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     segment is scanned too and reported separately without a gate (its
     minimum is pinned at |chi'| * eps_re by the adjacent real zeros).
     """
-    if y_max < 0:
-        raise ValueError("y_max must be >= 0")
+    if not 0.0 <= y_max < INF:
+        raise ValueError(f"y_max must be finite and >= 0, got {y_max:g}")
+    if not 0.0 < grid_density < INF:
+        raise ValueError(f"grid_density must be finite and positive, got {grid_density:g}")
     notes = []
     _, gamma_K = cf.strip
     rk = sd.lambda_rK

@@ -315,6 +315,16 @@ class ModelSpec:
                             margin: float = 1.0) -> ConvolutionProblem:
         raise NotImplementedError
 
+    def _resolve_bound(self, M: float | None, margin: float) -> float:
+        """The solution bound M (``default_bound()`` when None); M and margin must be positive."""
+        if not margin > 0:
+            raise ValueError(f"margin must be positive, got {margin:g}")
+        if M is None:
+            return self.default_bound()
+        if not M > 0:
+            raise ValueError(f"bound must be positive, got {M:g}")
+        return M
+
     def tilde_chi(self, z, c: float):
         """Closed-form numerator of the assembled chi (derivative weights)."""
         raise NotImplementedError
@@ -362,7 +372,7 @@ class NonlocalKPP(ModelSpec):
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
         self._check_speed(c, negative_ok=True)
-        M = M if M is not None else self.default_bound()
+        M = self._resolve_bound(M, margin)
         beta = beta_select(self.g, M, role="birth", margin=margin)
         k = OneSidedExponential(rate=(1.0 + beta) / abs(c),
                                 direction=1 if c > 0 else -1,
@@ -433,7 +443,7 @@ class NonlocalLattice(ModelSpec):
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
         self._check_speed(c)
-        M = M if M is not None else self.default_bound()
+        M = self._resolve_bound(M, margin)
         H0 = OneSidedExponential(rate=(2.0 * self.D + self.d) / c,
                                  scale=1.0 / (2.0 * self.D + self.d))
         neigh = DiracComb((-1.0, 1.0), (self.D, self.D))
@@ -502,7 +512,7 @@ class NonlocalDelayedRD(ModelSpec):
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
         self._check_speed(c)
-        M = M if M is not None else self.default_bound()
+        M = self._resolve_bound(M, margin)
         beta = beta_select(self.f, M, role="damping", margin=margin)
         green = PiecewiseGreen.from_speed_damping(c, beta)
         k_h = shift_kernel(self.k, c * self.delay)
@@ -562,7 +572,7 @@ class LocalDelayedRD(ModelSpec):
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
         self._check_speed(c)
-        M = M if M is not None else self.default_bound()
+        M = self._resolve_bound(M, margin)
         green = PiecewiseGreen.from_speed_damping(c, 1.0, shift=c * self.delay)
         atoms = (Atom(green, self.g, self.g.gprime0, self.L),)
         return ConvolutionProblem(atoms, c, 0.0, M, self.family)
@@ -640,7 +650,7 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     m.validate()
     if via == "assembled":
         # the bound does not depend on c: resolve it once, not per trial speed
-        M = M if M is not None else m.default_bound()
+        M = m._resolve_bound(M, margin)
 
         @cache
         def max_at(c: float) -> tuple[float, float]:

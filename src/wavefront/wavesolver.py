@@ -10,12 +10,14 @@ collapses), so the solver iterates with a tail-transparent left closure
 (exponential extension at the discrete decay rate) and pins the phase at
 a fixed level crossing each sweep.  The reported residual is always
 measured against the plain operator with the zero left closure.
+
+Whether a wave exists is decided by chi alone: with no positive zero of
+chi there is no semi-wavefront, and the solver says so before any sweep.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +43,11 @@ __all__ = [
 
 
 PIN_FRACTION = 0.5
-# NoWave when the settled pin drift exceeds this * step: genuine waves
-# drift O(step^2) per sweep (up to ~1e-3 step at critical speed on coarse
-# grids), receding fronts drift O(10) steps
+# a settled shape whose pin drifts more than this * step per sweep is not
+# converged: genuine waves drift O(step^2) per sweep (up to ~1e-3 step at
+# critical speed on coarse grids)
 DRIFT_GATE_STEPS = 0.02
-# sweeps of pin drift above the gate that back a translation verdict
+# settled sweeps of pin drift above the gate that back a TailUnresolved verdict
 TRANSLATION_WINDOW = 50
 # grid points left out of the residual at each edge
 RESIDUAL_MARGIN = 10
@@ -60,8 +62,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not self.t_min < 0.0 < self.t_max:
-            raise ValueError("need t_min < 0 < t_max")
+        if not -math.inf < self.t_min < 0.0 < self.t_max < math.inf:
+            raise ValueError("need finite t_min < 0 < t_max")
         if self.n < 64:
             raise ValueError("need at least 64 grid points")
 
@@ -199,8 +201,8 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+        if not 0.0 < self.tol < math.inf or self.max_iter < 1:
+            raise ValueError("tol must be positive and finite, and max_iter >= 1")
 
 
 def _init_values(init, grid: Grid) -> np.ndarray:
@@ -212,52 +214,34 @@ def _init_values(init, grid: Grid) -> np.ndarray:
     return vals.copy()
 
 
-def _receding(drifts: deque, gate: float) -> bool:
-    """One-signed drift above the gate over the full window, not shrinking.
-
-    Below c* the init's transient also drifts one way for hundreds of
-    sweeps, but it decays; a front without a standing wave keeps its rate.
-    """
-    if len(drifts) < drifts.maxlen:
-        return False
-    sign = math.copysign(1.0, drifts[-1])
-    return (all(sign * d > gate for d in drifts)
-            and abs(drifts[-1]) >= abs(drifts[0]))
-
-
 def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                   opts: SolveOptions = SolveOptions()) -> WaveProfile:
     """Damped fixed-point iteration phi <- (1-theta) phi + theta N[phi].
 
-    A pinned iterate that keeps translating has no standing shape at this
-    speed.  The verdict is ``NoWave`` only with two witnesses: chi has no
-    positive zero (``p.spectral is None``, the Diekmann-Kaper necessity
-    condition fails) and the dynamics show the translation, either as a
-    pin drift above the gate with one sign and a steady or growing size
-    over ``TRANSLATION_WINDOW`` sweeps, or as a shape that settles while
-    the pin keeps working.  With a positive zero of chi a wave exists, so
-    a shape that settles while translating is a resolution failure and
-    raises ``TailUnresolved``.  ``NoWave`` is also raised on collapse to
-    zero or a constant, on an unresolved left tail after convergence, and
-    on any converged profile while chi has no positive zero (a drift below
-    the gate does not make it a wave); ``MaxIterExceeded`` carries the
-    best-effort profile.
+    A semi-wavefront needs a positive zero of chi (the Diekmann-Kaper
+    necessity condition), so when ``p.spectral is None`` the verdict is
+    ``NoWave`` before the first sweep, once the initial profile has passed
+    its shape and sign checks.  Otherwise a wave exists, and a shape that
+    settles while the pin keeps translating for ``TRANSLATION_WINDOW``
+    sweeps is a resolution failure of the truncated grid: it raises
+    ``TailUnresolved``.  ``NoWave`` is also raised on collapse to zero or a
+    constant and on an unresolved left tail after convergence;
+    ``MaxIterExceeded`` carries the best-effort profile.
     """
     ts = grid.ts
     kappa = p.equilibrium()
     values = _init_values(init, grid)
     if np.any(values < 0):
         raise NegativeValues("initial profile has negative values")
+    if p.spectral is None:
+        raise NoWave(f"no positive zero of chi: no semi-wavefront at speed {p.speed:g}")
 
-    no_roots = p.spectral is None
-    lam_base = None if no_roots else p.spectral.lambda_l
-    if lam_base is None and isinstance(init, CappedExponential):
-        lam_base = init.rate
-    if lam_base is not None and grid.t_min > -5.0 / lam_base:
+    lam_base = p.spectral.lambda_l
+    if grid.t_min > -5.0 / lam_base:
         raise ValueError(
             f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
 
-    lam_left = discrete_decay_rate(p, grid, lam_base) if lam_base else None
+    lam_left = discrete_decay_rate(p, grid, lam_base)
 
     theta = opts.damping
     # anchor below both the equilibrium and the initial range so the
@@ -270,9 +254,8 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     update = math.inf
     drift = 0.0
     drift_gate = DRIFT_GATE_STEPS * grid.step
-    drifts = deque(maxlen=TRANSLATION_WINDOW + 1)
     translating_sweeps = 0
-    receding = converged = False
+    converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         new = (1.0 - theta) * values + theta * apply_operator(p, values, grid, lam_left)
@@ -287,7 +270,6 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
             except NoCrossing:
                 raise NoWave("iterates fell below the pinning level") from None
             new = _shifted(ts, new, -drift, lam_left)
-            drifts.append(drift)
         update = float(np.max(np.abs(new - values)))
         values = new
         if update < opts.tol:
@@ -298,8 +280,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
             translating_sweeps += 1
         else:
             translating_sweeps = 0
-        receding = no_roots and _receding(drifts, drift_gate)
-        if receding or translating_sweeps >= TRANSLATION_WINDOW:
+        if translating_sweeps >= TRANSLATION_WINDOW:
             break
 
     meta = {
@@ -314,20 +295,12 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                           plateau=kappa, convergence=meta)
 
     if not converged:
-        if receding or translating_sweeps > 0:
-            motion = (f"({drift:+.3g} per sweep over "
-                      f"{TRANSLATION_WINDOW if receding else translating_sweeps} sweeps, "
-                      f"sweep {iterations})")
-            if no_roots:
-                how = "recedes" if receding else "keeps translating"
-                verdict = NoWave(f"no positive zero of chi and the front {how} {motion}: "
-                                 f"no standing wave at speed {p.speed:g}")
-            else:
-                verdict = TailUnresolved(
-                    f"profile settles while translating {motion} although chi has a "
-                    f"positive zero, so a wave exists that this grid does not "
-                    f"resolve (phi(t_min)/kappa = {values[0] / kappa:.3g})")
-            raise verdict
+        if translating_sweeps > 0:
+            raise TailUnresolved(
+                f"profile settles while translating ({drift:+.3g} per sweep over "
+                f"{translating_sweeps} sweeps, sweep {iterations}) although chi has a "
+                f"positive zero, so a wave exists that this grid does not "
+                f"resolve (phi(t_min)/kappa = {values[0] / kappa:.3g})")
         raise MaxIterExceeded(
             f"update {update:g} above tol {opts.tol:g} after {iterations} iterations",
             profile=profile)
@@ -338,10 +311,6 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     if values[0] > 1e-3 * kappa:
         raise NoWave(
             f"left tail unresolved: phi(t_min) = {values[0]:g} > 1e-3 kappa")
-    if no_roots:
-        raise NoWave(f"no positive zero of chi although the profile settles "
-                     f"({drift:+.3g} per sweep, sweep {iterations}): "
-                     f"no standing wave at speed {p.speed:g}")
 
     meta["residual"] = residual(p, profile)
     return profile

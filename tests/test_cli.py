@@ -128,6 +128,41 @@ def test_non_finite_model_number_is_usage_error(tmp_path, capsys, text):
     assert "invalid input" in capsys.readouterr().err
 
 
+MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
+
+
+@pytest.mark.parametrize("field", ["bound", "margin"])
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_non_positive_bound_or_margin_is_usage_error(tmp_path, capsys, path, field):
+    cfg = json.loads(path.read_text())
+    for value in (-1.0, 0.0):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**cfg, field: value}))
+        for command in ("analyze", "speed", "solve"):
+            rc = main([command, "--model", str(bad), "--out", str(tmp_path / "o")])
+            assert rc == 64, (command, value)
+            assert f"invalid input: {field} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--tol=inf"),
+    ("solve", "--tol=nan"),
+    ("verify", "--tol=nan"),
+    ("solve", "--grid=-inf,40,4096"),
+    ("solve", "--grid=-60,inf,4096"),
+    ("scan", "--y-max=nan"),
+    ("scan", "--y-max=inf"),
+    ("scan", "--density=inf"),
+    ("scan", "--density=nan"),
+    ("scan", "--density=0"),
+])
+def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, command, flag):
+    model = write_model(tmp_path)
+    rc = main([command, "--model", str(model), "--out", str(tmp_path / "o"), flag])
+    assert rc == 64
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_tabulated_path_is_relative_to_model_file(tmp_path, monkeypatch):
     model_dir = tmp_path / "m"
     model_dir.mkdir()
@@ -190,8 +225,9 @@ def test_solve_below_c_star_reports_no_wave(tmp_path, capsys):
                "--grid=-60,40,1024", "--max-iter", "400"])
     assert rc == 1
     data = read_json(out / "solve.json")
-    assert "error" in data
+    assert "no positive zero of chi" in data["error"]
     assert data["no_wave"] is True
+    assert "no positive zero of chi" in capsys.readouterr().err
 
 
 def test_verify_reports_a_solve_that_hits_max_iter(tmp_path):

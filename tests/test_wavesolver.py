@@ -233,45 +233,41 @@ def test_solve_below_minimal_speed_rejected():
     with pytest.raises(NoRoots, match="no positive zero"):
         wf.real_roots(prob.charfun())
     grid = wf.Grid(-60.0, 40.0, 2048)
-    with pytest.raises(NoWave, match="no positive zero of chi and the front recedes"):
+    with pytest.raises(NoWave, match="no positive zero of chi"):
         wf.solve_profile(prob, grid, wf.CappedExponential(0.5, 0.5),
                          wf.SolveOptions(max_iter=400))
 
 
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_models_below_c_star_recede_within_1000_sweeps(path, monkeypatch):
-    # both witnesses: chi has no positive zero and the pinned front recedes
+    # chi has no positive zero, so the verdict needs no sweep, also just
+    # below c* where the pinned front barely drifts
     spec, cfg = wf.load_model(path)
     M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
     c_star, _ = wf.model_min_speed(spec, M, margin)
     grid = wf.Grid(-60.0, 40.0, 4096)
     sweeps = count_sweeps(monkeypatch)
-    for fraction in (0.8, 0.95, 0.99):
+    for fraction in (0.8, 0.95, 0.99, 0.999):
         prob = spec.to_convolution_form(fraction * c_star, M, margin)
         assert prob.spectral is None
-        sweeps.clear()
-        with pytest.raises(NoWave, match="no positive zero of chi") as exc:
+        # the CLI's grid, tolerance, iteration cap and default init
+        with pytest.raises(NoWave, match="no positive zero of chi"):
             wf.solve_profile(prob, grid,
-                             wf.CappedExponential(1.0, prob.equilibrium() / 2.0))
-        drift = float(re.search(r"\(([-+][^ ]+) per sweep", str(exc.value)).group(1))
-        assert drift < 0.0, (fraction, str(exc.value))
-        assert len(sweeps) <= 1000, (fraction, len(sweeps))
+                             wf.CappedExponential(1.0, prob.equilibrium() / 2.0),
+                             wf.SolveOptions(tol=1e-8, max_iter=20000))
+        assert sweeps == [], fraction
 
 
-@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_shipped_models_just_below_c_star_give_no_wave(path):
-    # just below c* the drift can settle under the gate; with no positive
-    # zero of chi a settled profile is still no wave (necessity argument)
-    spec, cfg = wf.load_model(path)
-    M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
-    c_star, _ = wf.model_min_speed(spec, M, margin)
-    prob = spec.to_convolution_form(0.999 * c_star, M, margin)
+def test_below_c_star_bad_init_still_rejected():
+    # the init checks come before the spectral verdict
+    prob = local_problem(1.0)
     assert prob.spectral is None
-    # the CLI's grid, tolerance, iteration cap and default init
-    with pytest.raises(NoWave, match="no positive zero of chi"):
-        wf.solve_profile(prob, wf.Grid(-60.0, 40.0, 4096),
-                         wf.CappedExponential(1.0, prob.equilibrium() / 2.0),
-                         wf.SolveOptions(tol=1e-8, max_iter=20000))
+    grid = wf.Grid(-60.0, 40.0, 1024)
+    negative = np.minimum(np.exp(0.5 * grid.ts), 0.5) - 1e-3
+    with pytest.raises(NegativeValues, match="initial profile"):
+        wf.solve_profile(prob, grid, negative)
+    with pytest.raises(ValueError, match="shape"):
+        wf.solve_profile(prob, grid, np.full(grid.n - 1, 0.25))
 
 
 def test_settled_translation_with_roots_is_no_false_no_wave():

@@ -240,22 +240,37 @@ def test_solve_below_minimal_speed_rejected():
 
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_models_below_c_star_recede_within_1000_sweeps(path, monkeypatch):
-    # chi has no positive zero, so the verdict needs no sweep, also just
-    # below c* where the pinned front barely drifts
+    # chi has no positive zero, so the verdict needs no sweep
     spec, cfg = wf.load_model(path)
     M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
     c_star, _ = wf.model_min_speed(spec, M, margin)
     grid = wf.Grid(-60.0, 40.0, 4096)
     sweeps = count_sweeps(monkeypatch)
-    for fraction in (0.8, 0.95, 0.99, 0.999):
+    for fraction in (0.8, 0.95, 0.99):
         prob = spec.to_convolution_form(fraction * c_star, M, margin)
         assert prob.spectral is None
-        # the CLI's grid, tolerance, iteration cap and default init
         with pytest.raises(NoWave, match="no positive zero of chi"):
             wf.solve_profile(prob, grid,
-                             wf.CappedExponential(1.0, prob.equilibrium() / 2.0),
-                             wf.SolveOptions(tol=1e-8, max_iter=20000))
+                             wf.CappedExponential(1.0, prob.equilibrium() / 2.0))
         assert sweeps == [], fraction
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_models_just_below_c_star_give_no_wave(path, monkeypatch):
+    # just below c* the pinned front barely drifts; with no positive zero of
+    # chi there is still no wave (necessity argument), decided before a sweep
+    spec, cfg = wf.load_model(path)
+    M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
+    c_star, _ = wf.model_min_speed(spec, M, margin)
+    prob = spec.to_convolution_form(0.999 * c_star, M, margin)
+    assert prob.spectral is None
+    sweeps = count_sweeps(monkeypatch)
+    # the CLI's grid, tolerance, iteration cap and default init
+    with pytest.raises(NoWave, match="no positive zero of chi"):
+        wf.solve_profile(prob, wf.Grid(-60.0, 40.0, 4096),
+                         wf.CappedExponential(1.0, prob.equilibrium() / 2.0),
+                         wf.SolveOptions(tol=1e-8, max_iter=20000))
+    assert sweeps == []
 
 
 def test_below_c_star_bad_init_still_rejected():

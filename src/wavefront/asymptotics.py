@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scalar import minimize_bounded
 from .charfun import SpectralData
 from .errors import NonPositiveTail, TailUnresolved
 from .kernels import _trapezoid
@@ -35,6 +36,9 @@ TAIL_FRACTION = 0.01   # default window ends where phi first exceeds this * kapp
 # (measured ratio ~0.6 on noncritical solves vs ~0.025 on critical ones);
 # a margin of 10% would misclassify noncritical profiles.
 PARSIMONY = 0.2
+# A k=0 rms within NOISE_ULPS ulps of max |log phi| is rounding error, which
+# the k=1 fit's third parameter can still cut 5-fold; such a tail stays k=0.
+NOISE_ULPS = 1000.0
 # check_representation passes while the remainder's log-slope is >= -SLOPE_EPS
 SLOPE_EPS = 0.05
 
@@ -93,21 +97,31 @@ def _fit_k0(t, logp):
     return float(lam), float(b), res
 
 
-def _fit_k1(t, logp, lam0, b0):
-    from scipy.optimize import least_squares
+def _fit_k1(t, logp):
+    """(lambda, A, b, residual) of logp ~ lambda t + log(A - t) + b.
 
+    Variable projection: at fixed A the model is linear in (lambda, b), so
+    only u = log((A - t_hi) / span) is searched, over A in
+    (t_hi + 1e-9, 1e9).
+    """
     t_hi = t[-1]
-
-    def model(params):
-        lam, A, b = params
-        return lam * t + np.log(np.maximum(A - t, 1e-12)) + b - logp
-
     span = t_hi - t[0]
-    ls = least_squares(
-        model, x0=[lam0, t_hi + span, b0 - math.log(span)],
-        bounds=([1e-8, t_hi + 1e-9, -700.0], [50.0, 1e9, 700.0]))
-    lam, A, b = ls.x
-    return float(lam), float(A), float(b), ls.fun
+    design = np.column_stack((t, np.ones_like(t)))
+
+    def project(u):
+        A = t_hi + span * math.exp(u)
+        shift = np.log(A - t)
+        (lam, b), *_ = np.linalg.lstsq(design, logp - shift, rcond=None)
+        return A, lam, b, logp - (lam * t + shift + b)
+
+    def cost(u):
+        res = project(u)[3]
+        return float(res @ res)
+
+    u, _ = minimize_bounded(cost, math.log(1e-9 / span), math.log((1e9 - t_hi) / span),
+                            xatol=1e-10)
+    A, lam, b, res = project(u)
+    return float(lam), float(A), float(b), res
 
 
 def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None,
@@ -140,8 +154,10 @@ def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None,
 
     lam0, b0, res0 = _fit_k0(t, logp)
     r0 = float(np.sqrt(np.mean(res0 ** 2)))
-    lam1, A1, b1, res1 = _fit_k1(t, logp, lam0, b0)
-    r1 = float(np.sqrt(np.mean(res1 ** 2)))
+    r1 = math.inf
+    if r0 > NOISE_ULPS * np.finfo(float).eps * float(np.max(np.abs(logp))):
+        lam1, A1, b1, res1 = _fit_k1(t, logp)
+        r1 = float(np.sqrt(np.mean(res1 ** 2)))
 
     if r1 <= PARSIMONY * r0:
         k, lam, b = 1, lam1, b1
@@ -222,7 +238,7 @@ def _remainder_r(profile: WaveProfile, delta: float, floor: float):
         lam, b, _ = _fit_k0(t[deep], logp[deep])
         main = np.exp(lam * t + b)
     else:
-        lam, A, b, _ = _fit_k1(t[deep], logp[deep], fit.lambda_hat, fit.b)
+        lam, A, b, _ = _fit_k1(t[deep], logp[deep])
         main = np.exp(lam * t + b) * np.maximum(A - t, 1e-300)
     rem = p - main
     keep = shallow & (np.abs(rem) > floor)

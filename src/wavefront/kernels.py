@@ -33,7 +33,7 @@ import csv
 import math
 import os
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -730,17 +730,45 @@ def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
     return E, far, near
 
 
-def _first_order(E, src):
-    """y_i = src_i + E y_{i-1}, y_{-1} = 0.
+_BLOCK = 64   # points per block of the blocked first-order recurrence
 
-    ``scipy.signal`` is imported here, on the first grid sweep, so that the
-    commands that never convolve on a grid do not pay for loading it.  It
-    brings ``scipy.optimize``, ``scipy.integrate`` and ``scipy.linalg`` in
-    with it, so the first sweep is also where ``solve`` and ``verify`` load
-    those.
+
+@lru_cache(maxsize=32)
+def _block_powers(E, blocks):
+    """(within, across, step) for :func:`_first_order` on ``blocks`` blocks.
+
+    ``within`` is the upper-triangular matrix E^(j-i) that maps one block
+    row to its solution from a zero start, ``across`` the lower-triangular
+    matrix (E^64)^(k-j) on the block ends, and ``step`` the row E^(1..64).
+    Powers that underflow are 0.
     """
-    from scipy.signal import lfilter
-    return lfilter([1.0], [1.0, -E], src)
+    def lower(base, size):
+        d = np.arange(size)[:, None] - np.arange(size)
+        return np.where(d >= 0, base ** np.maximum(d, 0), 0.0)
+
+    step = E ** np.arange(1, _BLOCK + 1)
+    # C-contiguous: the block product runs faster than on a transposed view
+    return lower(E, _BLOCK).T.copy(), lower(step[-1], blocks), step
+
+
+def _first_order(E, src):
+    """y_i = src_i + E y_{i-1}, y_{-1} = 0, for 0 <= E < 1.
+
+    Blocked in two levels: one matrix product solves every 64-point block
+    from a zero start, a second one carries the block ends across blocks,
+    and each block then adds its predecessor's end times E^(1..64).  Each
+    y_i is still a sum of E^(i-j) src_j, so its error is at rounding level
+    relative to the same sum over |src_j|.
+    """
+    n = len(src)
+    blocks = -(-n // _BLOCK)
+    within, across, step = _block_powers(E, blocks)
+    y = np.zeros(blocks * _BLOCK)
+    y[:n] = src
+    y = y.reshape(blocks, _BLOCK) @ within
+    ends = across @ y[:, -1]
+    y[1:] += np.outer(ends[:-1], step)
+    return y.ravel()[:n]
 
 
 def _recurse_forward(ts, G, rate, lam_left):

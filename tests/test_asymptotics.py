@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 import wavefront as wf
+from wavefront.asymptotics import _fit_k0, _fit_k1
 from wavefront.errors import NonPositiveTail, TailUnresolved
 
 
@@ -31,6 +35,41 @@ def test_fit_decay_critical_model():
     assert fit.k_hat == 1
     assert fit.a == pytest.approx(1.0, abs=1e-6)
     assert fit.m == pytest.approx(0.0, abs=1e-8)
+
+
+def trust_region_k1(t, logp):
+    """(lambda, A, b) of the same k=1 model by a bounded trust-region solve from the k=0 fit."""
+    lam0, b0, _ = _fit_k0(t, logp)
+    t_hi, span = t[-1], t[-1] - t[0]
+    ls = least_squares(
+        lambda x: x[0] * t + np.log(np.maximum(x[1] - t, 1e-12)) + x[2] - logp,
+        x0=[lam0, t_hi + span, b0 - math.log(span)],
+        bounds=([1e-8, t_hi + 1e-9, -700.0], [50.0, 1e9, 700.0]))
+    return ls.x
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("a", [-19.0, -10.0, 0.0, 30.0])
+def test_fit_k1_matches_trust_region_on_critical_tails(lam, a):
+    t = np.linspace(-40.0, -20.0, 800)
+    logp = np.log((a - t) * np.exp(lam * t + 0.3))
+    lam1, A1, b1, res = _fit_k1(t, logp)
+    lam_ref, A_ref, _ = trust_region_k1(t, logp)
+    assert lam1 == pytest.approx(lam_ref, rel=1e-8)
+    assert lam1 == pytest.approx(lam, rel=1e-8)
+    assert A1 == pytest.approx(A_ref, rel=1e-6, abs=1e-9)
+    assert float(np.sqrt(np.mean(res ** 2))) < 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.05, 5.0), shift=st.floats(-20.0, 20.0),
+       lo=st.floats(-55.0, -10.0), width=st.floats(1.0, 40.0))
+def test_fit_decay_keeps_k0_on_pure_exponentials(lam, shift, lo, width):
+    # the k=1 fit can undercut a k=0 fit that is exact up to rounding
+    prof = synthetic_profile(lambda t: math.exp(lam * (t - shift)))
+    fit = wf.fit_decay(prof, window=(lo, min(lo + width, 0.0)))
+    assert fit.k_hat == 0
+    assert fit.lambda_hat == pytest.approx(lam, rel=1e-9)
 
 
 def test_fit_decay_translation_equivariance():

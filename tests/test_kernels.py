@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.signal import lfilter
 
 import wavefront as wf
 from wavefront.errors import EmptyStrip, OutOfStrip
-from wavefront.kernels import KernelComponent, _segment_transform, kernel_from_dict
+from wavefront.kernels import (KernelComponent, _first_order, _segment_transform,
+                               kernel_from_dict)
 
 INF = math.inf
 
@@ -306,6 +310,37 @@ def test_kernel_from_dict_rejects_unknown_shape():
     for shape in ("laplace_two_sided", ["gaussian"], None):
         with pytest.raises(ValueError, match="unknown kernel shape"):
             kernel_from_dict({"shape": shape, "variance": 1.0})
+
+
+# --- grid recurrence -----------------------------------------------------------
+
+def first_order_loop(E, src):
+    """y_i = src_i + E y_{i-1}, y_{-1} = 0, one step at a time."""
+    out, y = [], 0.0
+    for s in src:
+        y = s + E * y
+        out.append(y)
+    return np.array(out)
+
+
+decays = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.99999, max_value=1.0, exclude_max=True),
+    st.just(math.exp(-800.0)),  # underflows to 0
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(E=decays, n=st.sampled_from([1, 63, 64, 65, 4096, 8193]),
+       seed=st.integers(0, 2 ** 32 - 1), signed=st.booleans())
+def test_first_order_matches_loop_and_lfilter(E, n, seed, signed):
+    rng = np.random.default_rng(seed)
+    src = rng.standard_normal(n) if signed else rng.random(n)
+    y = _first_order(E, src)
+    # each y_i sums E^(i-j) src_j; rounding is relative to the sum over |src_j|
+    scale = first_order_loop(E, np.abs(src))
+    for ref in (first_order_loop(E, src), lfilter([1.0], [1.0, -E], src)):
+        assert np.all(np.abs(y - ref) <= 1e-13 * scale)
 
 
 # --- validation -------------------------------------------------------------

@@ -230,7 +230,8 @@ class ConvolutionProblem:
     ``spectral`` is the real-zero data of the derivative-weighted
     characteristic function, found on first read, or None when chi has no
     positive zero (the problem stays usable by the solver, which then
-    reports NoWave).
+    reports NoWave).  ``closure_rates`` holds the solver's grid-level tail
+    rate per ``Grid``, filled on the first solve on that grid.
     """
 
     atoms: tuple[Atom, ...]
@@ -238,6 +239,7 @@ class ConvolutionProblem:
     beta_used: float
     bound: float
     family: str
+    closure_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in self.atoms:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from ._scalar import brentq
 from .charfun import _concave_max
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
-from .kernels import _shifted, convolve_field
+from .kernels import _sample, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -71,9 +72,12 @@ class Grid:
     def step(self) -> float:
         return (self.t_max - self.t_min) / (self.n - 1)
 
-    @property
+    @cached_property
     def ts(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n)
+        """The grid points, one read-only array per Grid."""
+        ts = np.linspace(self.t_min, self.t_max, self.n)
+        ts.setflags(write=False)
+        return ts
 
 
 @dataclass
@@ -227,6 +231,9 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     ``TailUnresolved``.  ``NoWave`` is also raised on collapse to zero or a
     constant and on an unresolved left tail after convergence;
     ``MaxIterExceeded`` carries the best-effort profile.
+
+    The tail closure rate is found once per grid and kept in
+    ``p.closure_rates``, so a second solve on the same grid reuses it.
     """
     ts = grid.ts
     kappa = p.equilibrium()
@@ -241,7 +248,9 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
         raise ValueError(
             f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
 
-    lam_left = discrete_decay_rate(p, grid, lam_base)
+    lam_left = p.closure_rates.get(grid)
+    if lam_left is None:
+        lam_left = p.closure_rates[grid] = discrete_decay_rate(p, grid, lam_base)
 
     theta = opts.damping
     # anchor below both the equilibrium and the initial range so the
@@ -269,7 +278,8 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                 drift = level_crossing(ts, new, pin_level) - pin_at
             except NoCrossing:
                 raise NoWave("iterates fell below the pinning level") from None
-            new = _shifted(ts, new, -drift, lam_left)
+            if drift != 0.0:
+                new = _sample(ts, new, ts + drift, lam_left)
         update = float(np.max(np.abs(new - values)))
         values = new
         if update < opts.tol:

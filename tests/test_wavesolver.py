@@ -1,16 +1,20 @@
+import dataclasses
+import gc
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import wavefront as wf
-from wavefront import wavesolver
+from wavefront import kernels, wavesolver
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
-from wavefront.kernels import shift_kernel
+from wavefront.kernels import _sample, _shift_plan, shift_kernel
 from wavefront.wavesolver import convolve_field, level_crossing
 
 
@@ -31,6 +35,16 @@ def count_sweeps(monkeypatch):
 
     monkeypatch.setattr(wavesolver, "apply_operator", counting)
     return calls
+
+
+def test_grid_points_are_one_read_only_linspace():
+    g = wf.Grid(-10.0, 10.0, 101)
+    ts = g.ts
+    assert g.ts is ts
+    assert ts.tobytes() == np.linspace(-10.0, 10.0, 101).tobytes()
+    assert not ts.flags.writeable
+    with pytest.raises(ValueError):
+        ts[0] = 0.0
 
 
 def test_grid_validation():
@@ -100,15 +114,51 @@ def test_convolve_field_second_order_convergence():
     assert errs[1] <= errs[0] / 3.0  # ~ O(step^2)
 
 
-def test_convolve_field_comb_is_exact_shift():
-    grid = wf.Grid(-10.0, 10.0, 201)
+@st.composite
+def shifted_cases(draw):
+    """A grid, a shift in one of the classes a plan must handle, a field and a closure."""
+    n = draw(st.integers(64, 8193))
+    grid = wf.Grid(-draw(st.floats(1.0, 100.0)), draw(st.floats(1.0, 100.0)), n)
+    span = grid.t_max - grid.t_min
+    shift = draw(st.one_of(
+        st.just(0.0),
+        st.integers(-n, n).map(lambda k: k * grid.step),
+        st.floats(-1e-6, 1e-6),
+        st.floats(1.0, 3.0).map(lambda f: f * span) | st.floats(-3.0, -1.0).map(lambda f: f * span),
+        st.floats(-0.5 * span, 0.5 * span)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = np.exp(rng.uniform(math.log(1e-300), math.log(1e3), n))
+    order = draw(st.sampled_from(["random", "sorted", "signed zeros"]))
+    if order == "sorted":
+        G.sort()
+    elif order == "signed zeros":
+        G[rng.random(n) < 0.2] = -0.0
+    lam_left = draw(st.none() | st.floats(0.01, 5.0))
+    return grid, shift, G, lam_left
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=shifted_cases(), shape=st.sampled_from(["comb", "exponential", "green"]))
+def test_convolve_field_comb_is_exact_shift(case, shape):
+    # a shifted copy through the cached plan is bit for bit np.interp plus the closure
+    grid, shift, G, lam_left = case
     ts = grid.ts
-    G = np.sin(ts) + 2.0
-    comb = wf.DiracComb((1.0,), (2.0,))
-    out = convolve_field(comb, ts, G, lam_left=None)
-    expect = 2.0 * np.interp(ts - 1.0, ts, G, left=0.0, right=G[-1])
-    sel = ts - 1.0 >= ts[0]
-    np.testing.assert_allclose(out[sel], expect[sel], rtol=1e-12)
+    if shape == "comb":
+        kernel, H = wf.DiracComb((shift,), (0.75,)), G
+        expect = np.zeros_like(G)
+        expect += 0.75 * _sample(ts, G, ts - shift, lam_left)
+    else:
+        unshifted = (wf.OneSidedExponential(rate=1.3) if shape == "exponential"
+                     else wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))
+        kernel = dataclasses.replace(unshifted, shift=shift)
+        H = convolve_field(unshifted, ts, G, lam_left)
+        expect = _sample(ts, H, ts - shift, lam_left)
+    # bytes, so that the sign of a zero counts too
+    assert convolve_field(kernel, ts, G, lam_left).tobytes() == expect.tobytes()
+    assert (_shift_plan(ts, shift).apply(G, lam_left).tobytes()
+            == _sample(ts, G, ts - shift, lam_left).tobytes())
+    # a writable copy of the grid gets an uncached plan with the same values
+    assert convolve_field(kernel, np.array(ts), G, lam_left).tobytes() == expect.tobytes()
 
 
 def test_convolve_field_mass_on_constant():
@@ -191,6 +241,91 @@ def test_operator_upper_solution_property():
             -40.0, 60.0, limit=400, points=[0.0])
         assert val <= phi_fn(t) + 1e-9
         assert out[i] == pytest.approx(val, abs=5e-6)
+
+
+# --- shift plans and per-grid values -----------------------------------------
+
+def kernel_shifts(prob) -> set[float]:
+    """The distinct shifts at which the problem's kernels sample a field."""
+    shifts = set()
+
+    def walk(k):
+        if isinstance(k, wf.ConvolvedKernel):
+            walk(k.a)
+            walk(k.b)
+        elif isinstance(k, wf.DiracComb):
+            shifts.update(k.offsets)
+        elif getattr(k, "shift", 0.0) != 0.0:
+            shifts.add(k.shift)
+
+    for atom in prob.atoms:
+        walk(atom.kernel)
+    return shifts
+
+
+def test_shift_plans_after_lattice_solve_one_per_kernel_shift():
+    model = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={-1: 0.5, 0: 0.3, 1: 0.2},
+                               g=wf.logistic(2.0, 1.0), delay=0.5)
+    prob = model.to_convolution_form(1.3 * wf.model_min_speed(model)[0])
+    grid = wf.Grid(-60.0, 40.0, 2048)
+    init = wf.CappedExponential(prob.spectral.lambda_l, prob.equilibrium() / 2.0)
+    prof = wf.solve_profile(prob, grid, init)
+    assert prof.convergence["iterations"] >= 100
+    mine = [key for key in kernels._plans if key[0] == id(grid.ts)]
+    assert 0 < len(mine) <= len(kernel_shifts(prob)) == 5
+
+
+def test_shift_plan_serves_only_its_own_array():
+    grid = wf.Grid(-10.0, 10.0, 201)
+    ts = grid.ts
+    # same endpoints and length, other interior points
+    other = ts.copy()
+    other[1:-1] += 0.25 * grid.step
+    other.setflags(write=False)
+    G = np.linspace(0.0, 1.0, 201) ** 2
+    for shift in (0.37, -1.5, 3 * grid.step):
+        plan = _shift_plan(ts, shift)
+        assert _shift_plan(ts, shift) is plan
+        assert _shift_plan(other, shift) is not plan
+        assert np.array_equal(_shift_plan(other, shift).apply(G, 0.5),
+                              _sample(other, G, other - shift, 0.5))
+    # an array's plans go with it, before its identity can be reused
+    ident = id(other)
+    del other
+    gc.collect()
+    assert not any(key[0] == ident for key in kernels._plans)
+    # the cache is bounded, and the least recently used plan goes first
+    for k in range(1, kernels._PLAN_CACHE_SIZE + 6):
+        _shift_plan(ts, 0.01 * k)
+    assert len(kernels._plans) == kernels._PLAN_CACHE_SIZE
+    assert (id(ts), 0.01) not in kernels._plans
+    assert (id(ts), 0.01 * (kernels._PLAN_CACHE_SIZE + 5)) in kernels._plans
+
+
+def test_closure_rate_found_once_per_problem_and_grid(monkeypatch):
+    calls = []
+    direct = wavesolver.discrete_decay_rate
+
+    def counting(p, grid, lam_guess):
+        calls.append(grid)
+        return direct(p, grid, lam_guess)
+
+    monkeypatch.setattr(wavesolver, "discrete_decay_rate", counting)
+    prob = local_problem(2.5)
+    grid = wf.Grid(-60.0, 40.0, 1024)
+    kappa = prob.equilibrium()
+    init = wf.CappedExponential(prob.spectral.lambda_l, kappa / 2.0)
+    ramp = np.clip((grid.ts - grid.t_min) / -grid.t_min, 0.0, 1.0) * kappa
+    report = wf.uniqueness_probe(prob, grid, [init, ramp])
+    assert report.checks[-1].name == "uniqueness_probe"
+    assert calls == [grid]
+    # another grid needs its own rate
+    other = wf.Grid(-60.0, 40.0, 2048)
+    prof = wf.solve_profile(prob, other, init)
+    assert calls == [grid, other]
+    for g in (grid, other):
+        assert prob.closure_rates[g].hex() == direct(prob, g, prob.spectral.lambda_l).hex()
+    assert prof.convergence["closure_rate"] == prob.closure_rates[other]
 
 
 # --- solver -------------------------------------------------------------------

@@ -20,11 +20,11 @@ right.  There, exponential pieces run exact O(n) linear recurrences on the
 piecewise-linear interpolant, atomic combs add shifted copies, Gaussian
 and tabulated densities are sampled at multiples of the grid step and
 applied as one discrete convolution, and a lazy product applies its
-factors in turn.  A shifted copy (a comb atom, or a shifted exponential
-or Green kernel) evaluates the interpolant at ts - shift through a plan
-built once per (grid array, shift): the interval search and offsets are
-kept, and each application repeats ``np.interp``'s own arithmetic, so
-the result is bit for bit the same.
+factors in turn.  A shifted copy (a comb atom, a shifted exponential or
+Green kernel, or the solver's phase pin) is one two-tap stencil on the
+uniform grid: a whole number of steps moves the field by whole indices,
+any other shift interpolates linearly between two neighbours, and the
+closure fills the points moved in from beyond either end.
 
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
@@ -36,10 +36,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-import weakref
-from collections import OrderedDict
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,6 +48,8 @@ INF = math.inf
 _TAIL = math.log(1e16)
 # absolute and relative tolerance of the adaptive panels in laplace_quadrature
 _QUAD_TOL = 1e-10
+# float64 machine epsilon, the rounding unit of a shift measured in steps
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "KernelComponent",
@@ -262,7 +262,7 @@ class OneSidedExponential(KernelComponent):
             H = self.scale * _recurse_forward(ts, G, self.rate, lam_left)
         else:
             H = self.scale * _recurse_backward(ts, G, self.rate)
-        return _shifted(ts, H, self.shift, lam_left)
+        return _shift(ts, H, self.shift, lam_left)
 
     def _window(self, decay):
         length = _TAIL / decay
@@ -346,7 +346,7 @@ class PiecewiseGreen(KernelComponent):
         amp = self.scale / (self.mu - self.nu)
         H = amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
                    + _recurse_backward(ts, G, rho2) / rho2)
-        return _shifted(ts, H, self.shift, lam_left)
+        return _shift(ts, H, self.shift, lam_left)
 
     def truncation_window(self, x):
         return (self.shift - _TAIL / (self.mu - x), self.shift + _TAIL / (x - self.nu))
@@ -413,7 +413,7 @@ class DiracComb(KernelComponent):
     def grid_convolve(self, ts, G, lam_left):
         out = np.zeros_like(G)
         for a, w in zip(self.offsets, self.weights):
-            out += w * _shift_plan(ts, a).apply(G, lam_left)
+            out += w * _shift(ts, G, a, lam_left)
         return out
 
 
@@ -708,112 +708,6 @@ def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
     return k.grid_convolve(ts, G, lam_left)
 
 
-def _sample(ts, values, x, lam_left):
-    """Piecewise-linear field at points x with the solver's closure rules.
-
-    Left of the grid: 0 when lam_left is None, else the exponential
-    extension values[0] e^{lam (x - t0)}.  Right of the grid: values[-1].
-    """
-    out = np.interp(x, ts, values)
-    mask = x < ts[0]
-    if np.any(mask):
-        if lam_left is None:
-            out[mask] = 0.0
-        else:
-            out[mask] = values[0] * np.exp(lam_left * (x[mask] - ts[0]))
-    return out
-
-
-class _ShiftPlan:
-    """``_sample(ts, G, ts - shift, lam_left)`` for any G, searched once.
-
-    Points left of ts[0] keep their offsets x - ts[0] for the closure, and
-    points at or right of ts[-1] take G[-1].  An interior point x in
-    [ts[j], ts[j+1]) takes np.interp's value, computed the same way,
-    (G[j+1] - G[j]) / (ts[j+1] - ts[j]) * (x - ts[j]) + G[j], or G[j]
-    where x equals ts[j].  The interval indices j are one slice when they
-    are consecutive; an index array serves the other case, where a shift
-    that is a multiple of the step rounds neighbouring points into
-    intervals that are not adjacent.  For finite fields the result equals
-    :func:`_sample`'s bit for bit.
-    """
-
-    __slots__ = ("left", "lo", "hi", "g0", "g1", "dx", "off", "hits", "hit_j")
-
-    def __init__(self, ts, shift):
-        x = ts - shift
-        self.lo = lo = int(np.searchsorted(x, ts[0], side="left"))
-        self.hi = hi = int(np.searchsorted(x, ts[-1], side="left"))
-        self.left = x[:lo] - ts[0]
-        j = np.searchsorted(ts, x[lo:hi], side="right") - 1
-        self.off = x[lo:hi] - ts[j]
-        self.dx = ts[j + 1] - ts[j]
-        if np.all(np.diff(j) == 1):
-            first = int(j[0]) if len(j) else 0
-            self.g0 = slice(first, first + len(j))
-            self.g1 = slice(first + 1, first + len(j) + 1)
-        else:
-            self.g0, self.g1 = j, j + 1
-        hits = np.flatnonzero(self.off == 0.0)
-        self.hits = hits if len(hits) else None
-        self.hit_j = j[hits]
-
-    def apply(self, G, lam_left):
-        lo, hi = self.lo, self.hi
-        out = np.empty(len(G))
-        if lam_left is None:
-            out[:lo] = 0.0
-        else:
-            np.multiply(G[0], np.exp(lam_left * self.left), out=out[:lo])
-        mid = out[lo:hi]
-        g0 = G[self.g0]
-        np.subtract(G[self.g1], g0, out=mid)
-        mid /= self.dx
-        mid *= self.off
-        mid += g0
-        if self.hits is not None:
-            mid[self.hits] = G[self.hit_j]
-        out[hi:] = G[-1]
-        return out
-
-
-# plans kept at most; a solve uses one per distinct shift of its kernels
-_PLAN_CACHE_SIZE = 32
-# (id of a read-only grid array, shift) -> plan, least recently used first
-_plans: OrderedDict = OrderedDict()
-# id -> weak reference whose callback drops that array's plans when it dies
-_plan_arrays: dict = {}
-
-
-def _forget_plans(ident, _ref):
-    _plan_arrays.pop(ident, None)
-    for key in [k for k in _plans if k[0] == ident]:
-        del _plans[key]
-
-
-def _shift_plan(ts, shift) -> _ShiftPlan:
-    """The plan for ``ts - shift``, cached while ``ts`` is alive and read-only.
-
-    A plan serves only the array it was built from: the key is the array's
-    identity, and a weak reference drops the array's plans before that
-    identity can be reused.  A writable array could change under its plan,
-    so it gets a fresh one on every call.  ``Grid.ts`` is read-only.
-    """
-    if ts.flags.writeable:
-        return _ShiftPlan(ts, shift)
-    key = (id(ts), shift)
-    plan = _plans.get(key)
-    if plan is not None:
-        _plans.move_to_end(key)
-        return plan
-    plan = _plans[key] = _ShiftPlan(ts, shift)
-    if key[0] not in _plan_arrays:
-        _plan_arrays[key[0]] = weakref.ref(ts, partial(_forget_plans, key[0]))
-    if len(_plans) > _PLAN_CACHE_SIZE:
-        _plans.popitem(last=False)
-    return plan
-
-
 def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
     """(E, w_far, w_near) for one exact step of rate*int_0^dt e^{-rate u} P1 du."""
     q = rate * dt
@@ -888,11 +782,37 @@ def _recurse_backward(ts, G, rate):
     return _first_order(E, src)[::-1]
 
 
-def _shifted(ts, H, shift, lam_left):
-    """H(t - shift) on the grid, closed like :func:`_sample`."""
+def _shift(ts, G, shift, lam_left):
+    """G~(t - shift) on the uniform grid ts, G~ closed as in :func:`convolve_field`.
+
+    With s = shift / step and m = ceil(s), point i takes the two-tap
+    stencil G[i-m] + (m - s)(G[i-m+1] - G[i-m]).  A shift within rounding
+    of a whole number of steps moves G by whole indices, bit for bit.
+    Points left of ts[0] take the closure (0, or G[0] e^{lam_left (x - t0)}),
+    points at or right of ts[-1] take G[-1], and a zero shift is a copy.
+    """
     if shift == 0.0:
-        return H.copy()
-    return _shift_plan(ts, shift).apply(H, lam_left)
+        return G.copy()
+    n = len(G)
+    s = shift / ((ts[-1] - ts[0]) / (n - 1))
+    if abs(s - round(s)) <= 4.0 * _EPS * abs(s):
+        s = round(s)
+    m = math.ceil(s)
+    lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
+    out = np.empty(n)
+    if lam_left is None:
+        out[:lo] = 0.0
+    else:
+        out[:lo] = G[0] * np.exp(lam_left * (ts[:lo] - shift - ts[0]))
+    mid, g0 = out[lo:hi], G[lo - m:hi - m]
+    if m == s:
+        mid[:] = g0
+    else:
+        np.subtract(G[lo - m + 1:hi - m + 1], g0, out=mid)
+        mid *= m - s
+        mid += g0
+    out[hi:] = G[-1]
+    return out
 
 
 def _sampled_convolve(k: KernelComponent, ts, G, lam_left, lo, hi):

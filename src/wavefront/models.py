@@ -67,7 +67,6 @@ class Nonlinearity:
     fn: callable
     gprime0: float
     deriv: callable | None = None
-    holder: tuple[float, float] | None = None  # (C, alpha) with |g(u)-g'(0)u| <= C u^{1+alpha}
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -118,7 +117,6 @@ def logistic(rate: float = 2.0, carrying: float = 1.0) -> Nonlinearity:
         fn=lambda u: rate * np.asarray(u) * (1.0 - np.asarray(u) / carrying),
         deriv=lambda u: rate * (1.0 - 2.0 * np.asarray(u) / carrying),
         gprime0=rate,
-        holder=(rate / carrying, 1.0),
         name="logistic",
         params={"rate": rate, "carrying": carrying},
     )
@@ -138,7 +136,7 @@ def mackey_glass(p: float = 2.0, n: float = 6.0) -> Nonlinearity:
         un = u ** n
         return p * (1.0 + (1.0 - n) * un) / (1.0 + un) ** 2
 
-    return Nonlinearity(fn=fn, deriv=deriv, gprime0=p, holder=(p, min(n, 1.0)),
+    return Nonlinearity(fn=fn, deriv=deriv, gprime0=p,
                         name="mackey_glass", params={"p": p, "n": n})
 
 
@@ -201,7 +199,7 @@ def _birth_shift(g: Nonlinearity, beta: float) -> Nonlinearity:
     return Nonlinearity(fn=lambda u: np.asarray(g.fn(u)) + beta * np.asarray(u, dtype=float),
                         deriv=(None if g.deriv is None
                                else lambda u: np.asarray(g.deriv(u)) + beta),
-                        gprime0=g.gprime0 + beta, holder=g.holder,
+                        gprime0=g.gprime0 + beta,
                         name=f"{g.name}+beta*u", params={**g.params, "beta": beta})
 
 

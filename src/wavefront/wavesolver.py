@@ -27,7 +27,7 @@ from ._scalar import brentq
 from .charfun import _concave_max
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
-from .kernels import _sample, convolve_field
+from .kernels import _shift, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -278,8 +278,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                 drift = level_crossing(ts, new, pin_level) - pin_at
             except NoCrossing:
                 raise NoWave("iterates fell below the pinning level") from None
-            if drift != 0.0:
-                new = _sample(ts, new, ts + drift, lam_left)
+            new = _shift(ts, new, -drift, lam_left)
         update = float(np.max(np.abs(new - values)))
         values = new
         if update < opts.tol:

@@ -135,7 +135,7 @@ def test_criterion_06_wave_solve_and_decay(solved_noncritical):
         assert rep.passed
 
 
-def test_criterion_06_representation_delta_075(local_family, solved_noncritical):
+def test_criterion_06_representation_delta_075(solved_noncritical):
     """Representation FAIL at delta = 0.75, beyond the harmonic gap.
 
     The quadratic birth term puts the harmonic e^{(1+alpha) lambda_l t} into
@@ -146,7 +146,8 @@ def test_criterion_06_representation_delta_075(local_family, solved_noncritical)
     companion criterion-6 test.
     """
     prob, prof = solved_noncritical
-    alpha = local_family.g.holder[1]
+    # the logistic g(u) - g'(0) u = -(rate / carrying) u^2 has Hoelder exponent 1
+    alpha = 1.0
     cap = wf.max_supported_delta(prob.spectral, alpha)
     with criterion(6, 60.0, "representation check at delta = 0.75 (beyond the harmonic gap)"):
         assert cap == pytest.approx(0.5)

@@ -1,9 +1,10 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.signal import lfilter
@@ -323,6 +324,17 @@ def first_order_loop(E, src):
     return np.array(out)
 
 
+def first_order_exact(E, src):
+    """The same recurrence in 113-bit arithmetic, rounded once to float64."""
+    out, y = [], mpmath.mpf(0)
+    with mpmath.workprec(113):
+        E = mpmath.mpf(E)
+        for s in src.tolist():
+            y = s + E * y
+            out.append(float(y))
+    return np.array(out)
+
+
 decays = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     st.floats(min_value=0.99999, max_value=1.0, exclude_max=True),
@@ -333,14 +345,20 @@ decays = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(E=decays, n=st.sampled_from([1, 63, 64, 65, 4096, 8193]),
        seed=st.integers(0, 2 ** 32 - 1), signed=st.booleans())
+# the float64 loop is 1.7e-13 of the scale off here, past the 1e-13 bound
+@example(E=0.9999999999999999, n=8193, seed=0, signed=False)
 def test_first_order_matches_loop_and_lfilter(E, n, seed, signed):
     rng = np.random.default_rng(seed)
     src = rng.standard_normal(n) if signed else rng.random(n)
-    y = _first_order(E, src)
+    exact = first_order_exact(E, src)
     # each y_i sums E^(i-j) src_j; rounding is relative to the sum over |src_j|
     scale = first_order_loop(E, np.abs(src))
+    assert np.all(np.abs(_first_order(E, src) - exact) <= 1e-13 * scale)
+    # a step-by-step loop rounds twice per step, so y_i may be (i + 1) eps
+    # of the scale off (E^(i-j) scale_j <= scale_i)
+    bound = (np.arange(n) + 2) * np.finfo(float).eps * scale
     for ref in (first_order_loop(E, src), lfilter([1.0], [1.0, -E], src)):
-        assert np.all(np.abs(y - ref) <= 1e-13 * scale)
+        assert np.all(np.abs(ref - exact) <= bound)
 
 
 # --- validation -------------------------------------------------------------

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import math
 import re
 from pathlib import Path
@@ -11,10 +10,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import wavefront as wf
-from wavefront import kernels, wavesolver
+from wavefront import wavesolver
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
-from wavefront.kernels import _sample, _shift_plan, shift_kernel
+from wavefront.kernels import _shift, shift_kernel
 from wavefront.wavesolver import convolve_field, level_crossing
 
 
@@ -116,7 +115,7 @@ def test_convolve_field_second_order_convergence():
 
 @st.composite
 def shifted_cases(draw):
-    """A grid, a shift in one of the classes a plan must handle, a field and a closure."""
+    """A grid, a shift from one of the classes `_shift` must handle, a field and a closure."""
     n = draw(st.integers(64, 8193))
     grid = wf.Grid(-draw(st.floats(1.0, 100.0)), draw(st.floats(1.0, 100.0)), n)
     span = grid.t_max - grid.t_min
@@ -137,28 +136,58 @@ def shifted_cases(draw):
     return grid, shift, G, lam_left
 
 
+def interp_shift(ts, G, shift, lam_left):
+    """np.interp of G at ts - shift, closed by 0 or G[0] e^{lam_left (x - t0)} on the left."""
+    x = ts - shift
+    out = np.interp(x, ts, G)
+    left = x < ts[0]
+    out[left] = 0.0 if lam_left is None else G[0] * np.exp(lam_left * (x[left] - ts[0]))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=shifted_cases(), shape=st.sampled_from(["comb", "exponential", "green"]))
 def test_convolve_field_comb_is_exact_shift(case, shape):
-    # a shifted copy through the cached plan is bit for bit np.interp plus the closure
+    # a shifted copy is one two-tap stencil: whole steps move the field by
+    # whole indices, other shifts agree with np.interp plus the closure
     grid, shift, G, lam_left = case
-    ts = grid.ts
+    ts, n, step = grid.ts, grid.n, grid.step
     if shape == "comb":
         kernel, H = wf.DiracComb((shift,), (0.75,)), G
         expect = np.zeros_like(G)
-        expect += 0.75 * _sample(ts, G, ts - shift, lam_left)
+        expect += 0.75 * _shift(ts, G, shift, lam_left)
     else:
         unshifted = (wf.OneSidedExponential(rate=1.3) if shape == "exponential"
                      else wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))
         kernel = dataclasses.replace(unshifted, shift=shift)
         H = convolve_field(unshifted, ts, G, lam_left)
-        expect = _sample(ts, H, ts - shift, lam_left)
+        expect = _shift(ts, H, shift, lam_left)
     # bytes, so that the sign of a zero counts too
     assert convolve_field(kernel, ts, G, lam_left).tobytes() == expect.tobytes()
-    assert (_shift_plan(ts, shift).apply(G, lam_left).tobytes()
-            == _sample(ts, G, ts - shift, lam_left).tobytes())
-    # a writable copy of the grid gets an uncached plan with the same values
-    assert convolve_field(kernel, np.array(ts), G, lam_left).tobytes() == expect.tobytes()
+
+    got = _shift(ts, H, shift, lam_left)
+    ref = interp_shift(ts, H, shift, lam_left)
+    k = round(shift / step)
+    if shift == k * step:
+        whole = ref.copy()  # keeps the left closure
+        if k >= 0:
+            whole[min(k, n):] = H[:max(n - k, 0)]
+        else:
+            whole[:max(n + k, 0)] = H[-k:]
+            whole[max(n + k, 0):] = H[-1]
+        assert got.tobytes() == whole.tobytes()
+        return
+    # np.interp's abscissas ts - shift carry ~|t| eps of rounding, which moves
+    # its value by that over the step relative to the two neighbours
+    j = np.floor(np.arange(n) - shift / step).astype(int)
+    near = np.max([np.abs(H[np.clip(j + d, 0, n - 1)]) for d in (-1, 0, 1, 2)], axis=0)
+    eps = np.finfo(float).eps
+    rounding = 4.0 * eps * (np.max(np.abs(ts)) + abs(shift))
+    tol = (rounding / step + 4.0 * eps) * near
+    # under the zero closure the point within rounding of ts[0] may fall on
+    # either side of it
+    keep = np.abs(ts - shift - ts[0]) > rounding if lam_left is None else np.ones(n, bool)
+    assert np.all(np.abs(got - ref)[keep] <= tol[keep])
 
 
 def test_convolve_field_mass_on_constant():
@@ -243,64 +272,7 @@ def test_operator_upper_solution_property():
         assert out[i] == pytest.approx(val, abs=5e-6)
 
 
-# --- shift plans and per-grid values -----------------------------------------
-
-def kernel_shifts(prob) -> set[float]:
-    """The distinct shifts at which the problem's kernels sample a field."""
-    shifts = set()
-
-    def walk(k):
-        if isinstance(k, wf.ConvolvedKernel):
-            walk(k.a)
-            walk(k.b)
-        elif isinstance(k, wf.DiracComb):
-            shifts.update(k.offsets)
-        elif getattr(k, "shift", 0.0) != 0.0:
-            shifts.add(k.shift)
-
-    for atom in prob.atoms:
-        walk(atom.kernel)
-    return shifts
-
-
-def test_shift_plans_after_lattice_solve_one_per_kernel_shift():
-    model = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={-1: 0.5, 0: 0.3, 1: 0.2},
-                               g=wf.logistic(2.0, 1.0), delay=0.5)
-    prob = model.to_convolution_form(1.3 * wf.model_min_speed(model)[0])
-    grid = wf.Grid(-60.0, 40.0, 2048)
-    init = wf.CappedExponential(prob.spectral.lambda_l, prob.equilibrium() / 2.0)
-    prof = wf.solve_profile(prob, grid, init)
-    assert prof.convergence["iterations"] >= 100
-    mine = [key for key in kernels._plans if key[0] == id(grid.ts)]
-    assert 0 < len(mine) <= len(kernel_shifts(prob)) == 5
-
-
-def test_shift_plan_serves_only_its_own_array():
-    grid = wf.Grid(-10.0, 10.0, 201)
-    ts = grid.ts
-    # same endpoints and length, other interior points
-    other = ts.copy()
-    other[1:-1] += 0.25 * grid.step
-    other.setflags(write=False)
-    G = np.linspace(0.0, 1.0, 201) ** 2
-    for shift in (0.37, -1.5, 3 * grid.step):
-        plan = _shift_plan(ts, shift)
-        assert _shift_plan(ts, shift) is plan
-        assert _shift_plan(other, shift) is not plan
-        assert np.array_equal(_shift_plan(other, shift).apply(G, 0.5),
-                              _sample(other, G, other - shift, 0.5))
-    # an array's plans go with it, before its identity can be reused
-    ident = id(other)
-    del other
-    gc.collect()
-    assert not any(key[0] == ident for key in kernels._plans)
-    # the cache is bounded, and the least recently used plan goes first
-    for k in range(1, kernels._PLAN_CACHE_SIZE + 6):
-        _shift_plan(ts, 0.01 * k)
-    assert len(kernels._plans) == kernels._PLAN_CACHE_SIZE
-    assert (id(ts), 0.01) not in kernels._plans
-    assert (id(ts), 0.01 * (kernels._PLAN_CACHE_SIZE + 5)) in kernels._plans
-
+# --- per-grid values ---------------------------------------------------------
 
 def test_closure_rate_found_once_per_problem_and_grid(monkeypatch):
     calls = []

@@ -1,9 +1,12 @@
 """Command-line front door: analyze | speed | solve | verify | scan.
 
 Loads a model JSON, runs the requested diagnostic, and writes CSV/JSON
-artifacts to the output directory.  Exit codes: 0 all pass, 1 any fail
-(including the no-positive-zero regime under ``analyze``), 2 undetermined
-without failure, 64 malformed input.
+artifacts, stamped with a hash of the model and the command's own flags, to
+the output directory.  Every command takes --model and --out; solve and
+verify add --grid, --tol and --max-iter, and scan adds --y-max and --density.
+Exit codes: 0 all pass, 1 any fail (including the no-positive-zero regime
+under ``analyze``), 2 undetermined without failure, 64 malformed input or
+any usage error.
 """
 
 from __future__ import annotations
@@ -49,24 +52,23 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"wavefront {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
+        return p
+
+    def solver(p):
         p.add_argument("--grid", default="-60,40,4096",
                        help="tmin,tmax,n of the solver grid (default: -60,40,4096)")
         p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
         p.add_argument("--max-iter", type=int, default=20000, help="iteration cap")
-        p.add_argument("--damping", type=float, default=0.5,
-                       help="fixed-point damping in (0, 1]")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in outputs for reproducibility")
-        return p
 
-    common(sub.add_parser("analyze", help="real-zero data and a trace of chi"))
-    common(sub.add_parser("speed", help="minimal admissible speed (c*, z*)"))
-    common(sub.add_parser("solve", help="semi-wavefront profile at the given speed"))
-    common(sub.add_parser("verify", help="hypothesis audit plus a two-init uniqueness probe"))
-    sc = common(sub.add_parser("scan", help="strip scan for complex zeros"))
+    command("analyze", "real-zero data and a trace of chi")
+    command("speed", "minimal admissible speed (c*, z*)")
+    solver(command("solve", "semi-wavefront profile at the given speed"))
+    solver(command("verify", "hypothesis audit plus a two-init uniqueness probe"))
+    sc = command("scan", "strip scan for complex zeros")
     sc.add_argument("--y-max", type=float, default=50.0, help="imaginary scan height")
     sc.add_argument("--density", type=float, default=40.0, help="grid points per unit")
     return ap
@@ -80,11 +82,9 @@ def _parse_grid(text: str) -> Grid:
 
 
 def _stamp(cfg: dict, args) -> dict:
-    resolved = {"model": cfg, "grid": args.grid, "tol": args.tol,
-                "max_iter": args.max_iter, "damping": args.damping,
-                "seed": args.seed, "command": args.command}
-    return {"version": __version__, "config_hash": config_hash(resolved),
-            "seed": args.seed}
+    resolved = {**vars(args), "model": cfg}
+    del resolved["out"]
+    return {"version": __version__, "config_hash": config_hash(resolved)}
 
 
 def _write(path: str, payload: dict) -> None:
@@ -151,7 +151,7 @@ def cmd_solve(args) -> int:
     spec, cfg = load_model(args.model)
     prob = _problem(spec, cfg)
     grid = _parse_grid(args.grid)
-    opts = SolveOptions(damping=args.damping, tol=args.tol, max_iter=args.max_iter)
+    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     os.makedirs(args.out, exist_ok=True)
     try:
         profile = solve_profile(prob, grid, _default_init(prob), opts)
@@ -170,7 +170,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     spec, cfg = load_model(args.model)
     grid = _parse_grid(args.grid)
-    opts = SolveOptions(damping=args.damping, tol=args.tol, max_iter=args.max_iter)
+    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     prob = _problem(spec, cfg)
     first = _default_init(prob)
     kappa = 2.0 * first.cap  # the cap is kappa / 2, so doubling gives kappa exactly
@@ -207,8 +207,13 @@ _COMMANDS = {"analyze": cmd_analyze, "speed": cmd_speed, "solve": cmd_solve,
 
 def main(argv=None) -> int:
     _setup_logging()
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as "undetermined"
+        if exc.code == 2:
+            return EXIT_USAGE
+        raise
     try:
         return _COMMANDS[args.command](args)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:

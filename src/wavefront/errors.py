@@ -42,7 +42,7 @@ class ZeroSpeed(WavefrontError):
 
 
 class NoWave(WavefrontError):
-    """Fixed-point iteration did not produce a genuine non-constant profile."""
+    """No semi-wavefront exists: chi has no positive zero, or the initial profile is zero."""
 
 
 class MaxIterExceeded(WavefrontError):

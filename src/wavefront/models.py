@@ -236,7 +236,6 @@ class ConvolutionProblem:
     speed: float
     beta_used: float
     bound: float
-    family: str
     closure_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -382,7 +381,7 @@ class NonlocalKPP(ModelSpec):
             Atom(convolve(k, self.J), identity(1.0), 1.0, 1.0),
             Atom(k, gb, gb.gprime0, gb.gprime0),
         )
-        return ConvolutionProblem(atoms, c, beta, M, self.family)
+        return ConvolutionProblem(atoms, c, beta, M)
 
     def tilde_chi(self, z, c):
         return 1.0 - self.g.gprime0 + c * np.asarray(z) - self.J.laplace(z)
@@ -454,7 +453,7 @@ class NonlocalLattice(ModelSpec):
             Atom(convolve(neigh, H0), identity(1.0), 1.0, 1.0),
             Atom(convolve(comb, H0), self.g, self.g.gprime0, self.g.gprime0),
         )
-        return ConvolutionProblem(atoms, c, 0.0, M, self.family)
+        return ConvolutionProblem(atoms, c, 0.0, M)
 
     def _comb_transform(self, z):
         z = np.asarray(z)
@@ -521,7 +520,7 @@ class NonlocalDelayedRD(ModelSpec):
             Atom(convolve(k_h, green), self.g, self.g.gprime0, self.g.gprime0),
             Atom(green, fb, beta - self.f.gprime0, beta - self._inf_fprime()),
         )
-        return ConvolutionProblem(atoms, c, beta, M, self.family)
+        return ConvolutionProblem(atoms, c, beta, M)
 
     def tilde_chi(self, z, c):
         z = np.asarray(z)
@@ -575,7 +574,7 @@ class LocalDelayedRD(ModelSpec):
         M = self._resolve_bound(M, margin)
         green = PiecewiseGreen.from_speed_damping(c, 1.0, shift=c * self.delay)
         atoms = (Atom(green, self.g, self.g.gprime0, self.L),)
-        return ConvolutionProblem(atoms, c, 0.0, M, self.family)
+        return ConvolutionProblem(atoms, c, 0.0, M)
 
     def tilde_chi(self, z, c):
         z = np.asarray(z)

@@ -144,8 +144,7 @@ def audit_hypotheses(p: ConvolutionProblem, M: float) -> list[Check]:
     for i, atom in enumerate(p.atoms):
         g = atom.nonlinearity
         tag = f"atom{i}:{g.name}"
-        d = g._deriv_samples(0.0, M)
-        sup_abs = float(np.max(np.abs(d)))
+        sup_abs = g.lipschitz_on(M)
         ok = sup_abs <= g.gprime0 * (1.0 + slack) + 1e-12
         subtangential_all &= ok
         checks.append(Check(

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 
+# theta in the damped sweep phi <- (1 - theta) phi + theta N[phi]
+DAMPING = 0.5
 PIN_FRACTION = 0.5
 # a settled shape whose pin drifts more than this * step per sweep is not
 # converged: genuine waves drift O(step^2) per sweep (up to ~1e-3 step at
@@ -198,13 +200,10 @@ class CappedExponential:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    damping: float = 0.5
     tol: float = 1e-8
     max_iter: int = 5000
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if not 0.0 < self.tol < math.inf or self.max_iter < 1:
             raise ValueError("tol must be positive and finite, and max_iter >= 1")
 
@@ -220,17 +219,19 @@ def _init_values(init, grid: Grid) -> np.ndarray:
 
 def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                   opts: SolveOptions = SolveOptions()) -> WaveProfile:
-    """Damped fixed-point iteration phi <- (1-theta) phi + theta N[phi].
+    """Damped fixed-point iteration phi <- (1-theta) phi + theta N[phi], theta = DAMPING.
 
     A semi-wavefront needs a positive zero of chi (the Diekmann-Kaper
     necessity condition), so when ``p.spectral is None`` the verdict is
     ``NoWave`` before the first sweep, once the initial profile has passed
-    its shape and sign checks.  Otherwise a wave exists, and a shape that
-    settles while the pin keeps translating for ``TRANSLATION_WINDOW``
-    sweeps is a resolution failure of the truncated grid: it raises
-    ``TailUnresolved``.  ``NoWave`` is also raised on collapse to zero or a
-    constant and on an unresolved left tail after convergence;
-    ``MaxIterExceeded`` carries the best-effort profile.
+    its shape and sign checks; an all-zero initial profile is ``NoWave``
+    too.  These are the only ``NoWave`` verdicts.  Otherwise a wave exists,
+    and every failure to resolve it on the truncated grid raises
+    ``TailUnresolved``: a shape that settles while the pin keeps
+    translating for ``TRANSLATION_WINDOW`` sweeps, iterates that collapse
+    to zero or fall below the pinning level, and a converged constant or
+    unresolved left tail.  ``MaxIterExceeded`` carries the best-effort
+    profile.
 
     The tail closure rate is found once per grid and kept in
     ``p.closure_rates``, so a second solve on the same grid reuses it.
@@ -242,6 +243,12 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
         raise NegativeValues("initial profile has negative values")
     if p.spectral is None:
         raise NoWave(f"no positive zero of chi: no semi-wavefront at speed {p.speed:g}")
+    # anchor below both the equilibrium and the initial range so the
+    # crossing exists from the first sweep on
+    pin_level = PIN_FRACTION * min(kappa, float(np.max(values)))
+    if not pin_level > 0.0:
+        raise NoWave("initial profile is identically zero, which is no semi-wavefront")
+    pin_at = level_crossing(ts, values, pin_level)
 
     lam_base = p.spectral.lambda_l
     if grid.t_min > -5.0 / lam_base:
@@ -252,14 +259,6 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     if lam_left is None:
         lam_left = p.closure_rates[grid] = discrete_decay_rate(p, grid, lam_base)
 
-    theta = opts.damping
-    # anchor below both the equilibrium and the initial range so the
-    # crossing exists from the first sweep on
-    pin_level = PIN_FRACTION * min(kappa, float(np.max(values)))
-    pin_at = None
-    if pin_level > 0.0:
-        pin_at = level_crossing(ts, values, pin_level)
-
     update = math.inf
     drift = 0.0
     drift_gate = DRIFT_GATE_STEPS * grid.step
@@ -267,23 +266,22 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        new = (1.0 - theta) * values + theta * apply_operator(p, values, grid, lam_left)
+        new = (1.0 - DAMPING) * values + DAMPING * apply_operator(p, values, grid, lam_left)
         if float(np.min(new)) < -1e-10 * max(1.0, kappa):
             raise NegativeValues(
                 f"iteration produced negative values (min {float(np.min(new)):g})")
         if float(np.max(new)) < 1e-10 * kappa:
-            raise NoWave("iterates collapsed to zero")
-        if pin_at is not None:
-            try:
-                drift = level_crossing(ts, new, pin_level) - pin_at
-            except NoCrossing:
-                raise NoWave("iterates fell below the pinning level") from None
-            new = _shift(ts, new, -drift, lam_left)
+            raise TailUnresolved("iterates collapsed to zero")
+        try:
+            drift = level_crossing(ts, new, pin_level) - pin_at
+        except NoCrossing:
+            raise TailUnresolved("iterates fell below the pinning level") from None
+        new = _shift(ts, new, -drift, lam_left)
         update = float(np.max(np.abs(new - values)))
         values = new
         if update < opts.tol:
             # a settled shape must also stop translating
-            if pin_at is None or abs(drift) <= drift_gate:
+            if abs(drift) <= drift_gate:
                 converged = True
                 break
             translating_sweeps += 1
@@ -295,8 +293,6 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     meta = {
         "iterations": iterations,
         "final_update": update,
-        "damping": theta,
-        "pinned": pin_at is not None,
         "closure_rate": lam_left,
         "final_drift": drift,
     }
@@ -316,9 +312,9 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
 
     vmax, vmin = float(np.max(values)), float(np.min(values))
     if vmax - vmin < 1e-6 * max(vmax, kappa):
-        raise NoWave(f"iterates converged to a constant ({vmax:g})")
+        raise TailUnresolved(f"iterates converged to a constant ({vmax:g})")
     if values[0] > 1e-3 * kappa:
-        raise NoWave(
+        raise TailUnresolved(
             f"left tail unresolved: phi(t_min) = {values[0]:g} > 1e-3 kappa")
 
     meta["residual"] = residual(p, profile)

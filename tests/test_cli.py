@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefront.cli import main
+from wavefront.cli import build_parser, main
 from wavefront.models import LocalDelayedRD
 
 
@@ -349,9 +349,59 @@ def test_cli_commands_load_no_scipy(tmp_path):
 def test_outputs_are_deterministic(local_model_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert main(["scan", "--model", str(local_model_file), "--out", str(out),
-                     "--seed", "7"]) == 0
+        assert main(["scan", "--model", str(local_model_file), "--out", str(out)]) == 0
     assert (out1 / "scan.json").read_bytes() == (out2 / "scan.json").read_bytes()
+
+
+def test_scan_hash_covers_its_own_flags(local_model_file, tmp_path):
+    hashes = []
+    for y_max in ("10", "50"):
+        out = tmp_path / y_max
+        assert main(["scan", "--model", str(local_model_file), "--out", str(out),
+                     "--y-max", y_max]) == 0
+        hashes.append(read_json(out / "scan.json")["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+def test_solve_defaults_hash_like_the_same_values_given(local_model_file, tmp_path):
+    explicit = ["--grid=-60,40,4096", "--tol", "1e-8", "--max-iter", "20000"]
+    for out, flags in ((tmp_path / "a", []), (tmp_path / "b", explicit)):
+        assert main(["solve", "--model", str(local_model_file), "--out", str(out),
+                     *flags]) == 0
+    assert (tmp_path / "a" / "solve.json").read_bytes() == \
+        (tmp_path / "b" / "solve.json").read_bytes()
+
+
+def test_each_command_takes_only_its_own_flags():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    dests = {name: {a.dest for a in p._actions} - {"help"}
+             for name, p in sub.choices.items()}
+    base = {"model", "out"}
+    solver = base | {"grid", "tol", "max_iter"}
+    assert dests == {"analyze": base, "speed": base, "solve": solver, "verify": solver,
+                     "scan": base | {"y_max", "density"}}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", ["--tol", "1e-8"]),
+    ("speed", ["--grid=-60,40,4096"]),
+    ("scan", ["--max-iter", "10"]),
+    ("solve", ["--bogus"]),
+    ("solve", ["--damping", "0.5"]),
+    ("verify", ["--seed", "7"]),
+    ("solve", ["--tol"]),
+], ids=["analyze-tol", "speed-grid", "scan-max-iter", "solve-bogus", "solve-damping",
+        "verify-seed", "solve-tol-no-value"])
+def test_usage_error_exits_64(tmp_path, capsys, command, flags):
+    model = write_model(tmp_path)
+    assert main([command, "--model", str(model), "--out", str(tmp_path / "o"), *flags]) == 64
+    assert "usage: wavefront" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_command_or_model_exits_64(tmp_path):
+    assert main([]) == 64
+    assert main(["analyze", "--out", str(tmp_path)]) == 64
 
 
 def test_analyze_with_tabulated_kernel(tmp_path):
@@ -377,3 +427,10 @@ def test_cli_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "wavefront" in capsys.readouterr().out
+
+
+def test_cli_help_flag_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--max-iter" in capsys.readouterr().out

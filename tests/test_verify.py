@@ -14,7 +14,6 @@ def degenerate_problem(weight, kernel):
     prob.speed = 1.0
     prob.beta_used = 0.0
     prob.bound = 1.0
-    prob.family = "synthetic"
     prob.spectral = None  # seeds the cached value: no root search runs
     return prob
 

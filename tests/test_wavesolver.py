@@ -302,11 +302,23 @@ def test_closure_rate_found_once_per_problem_and_grid(monkeypatch):
 
 # --- solver -------------------------------------------------------------------
 
-def test_solve_zero_init_is_no_wave():
+def test_solve_zero_init_is_no_wave(monkeypatch):
     prob = local_problem()
     grid = wf.Grid(-30.0, 20.0, 512)
-    with pytest.raises(NoWave):
+    sweeps = count_sweeps(monkeypatch)
+    with pytest.raises(NoWave, match="initial profile is identically zero"):
         wf.solve_profile(prob, grid, np.zeros(512), wf.SolveOptions(max_iter=5))
+    assert sweeps == []
+
+
+def test_unresolved_left_tail_with_roots_is_no_false_no_wave():
+    # c = 2.5 lies above c* = 2, so a wave exists; a left margin this short
+    # leaves the converged tail above 1e-3 kappa, a resolution failure
+    spec, cfg = wf.load_model(MODELS_DIR / "local_delayed_rd.json")
+    prob = spec.to_convolution_form(cfg["c"])
+    assert prob.spectral is not None
+    with pytest.raises(TailUnresolved, match=r"left tail unresolved: phi\(t_min\) = 0.00146758"):
+        wf.solve_profile(prob, wf.Grid(-14.0, 40.0, 512), wf.CappedExponential(0.5, 0.25))
 
 
 def test_solve_noncritical(noncritical_profile):
@@ -401,11 +413,10 @@ def test_settled_translation_with_roots_is_no_false_no_wave():
     assert prob.spectral is not None
     grid = wf.Grid(-60.0, 40.0, 4096)
     ramp = np.clip((grid.ts - grid.t_min) / -grid.t_min, 0.0, 1.0) * prob.equilibrium()
-    try:
+    with pytest.raises(TailUnresolved) as exc:
         wf.solve_profile(prob, grid, ramp, wf.SolveOptions(max_iter=20000))
-    except TailUnresolved as exc:
-        assert re.search(r"\(\+[^ ]+ per sweep over 50 sweeps, sweep \d+\)", str(exc))
-        assert "phi(t_min)/kappa" in str(exc)
+    assert re.search(r"\(\+[^ ]+ per sweep over 50 sweeps, sweep \d+\)", str(exc.value))
+    assert "phi(t_min)/kappa" in str(exc.value)
 
 
 def test_solve_negative_values_detected():

@@ -1,9 +1,10 @@
-"""Deterministic JSON output: sorted keys, 17-significant-digit floats.
+"""Deterministic JSON and CSV output: sorted keys, 17-significant-digit floats.
 
 Floats are emitted via '%.17g' so identical inputs give byte-identical
 files and every value round-trips exactly.  Non-finite values have no
 JSON literal and are emitted as the strings "inf", "-inf", "nan"
-(extended-real abscissas are data here, not errors).
+(extended-real abscissas are data here, not errors); in CSV they are
+written bare, as '%.17g' prints them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dumps", "config_hash"]
+__all__ = ["dumps", "config_hash", "write_csv"]
 
 
 def _fmt_float(x: float) -> str:
@@ -53,3 +54,10 @@ def dumps(obj) -> str:
 def config_hash(cfg: dict) -> str:
     """Stable short hash of a resolved configuration dictionary."""
     return hashlib.sha256(dumps(cfg).encode()).hexdigest()[:16]
+
+
+def write_csv(path, header: str, a, b) -> None:
+    """Two float columns under a header line, each value as '%.17g', in one write."""
+    rows = np.column_stack((a, b)).ravel().tolist()
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + ("%.17g,%.17g\n" * (len(rows) // 2)) % tuple(rows))

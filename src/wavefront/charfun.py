@@ -38,6 +38,9 @@ SPEED_XTOL = 1e-12
 # how far right of lambda_l the scan runs when lambda_rK is infinite
 SCAN_EPS_IM = 0.1
 SCAN_RIGHT_CAP = 10.0
+# strip scan: most points per chi call, in whole x-rows, so that the complex
+# temporaries of one call stay in cache
+SCAN_BLOCK_POINTS = 4096
 
 __all__ = [
     "CharacteristicFunction",
@@ -303,6 +306,14 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     analytically, so PASS means min |chi| > zero_tol there.  The real-axis
     segment is scanned too and reported separately without a gate (its
     minimum is pinned at |chi'| * eps_re by the adjacent real zeros).
+
+    The imaginary band is an exact mirror, the upper half ``pos`` and the
+    lower half ``-pos[::-1]``, and chi is evaluated on the upper half only,
+    in blocks of whole x-rows of at most SCAN_BLOCK_POINTS points.  Every
+    kernel is a real measure, so chi(conj z) = conj chi(z) and the lower
+    half has the same |chi| bit for bit.  The minimum, and its first
+    position in row-major order over the whole grid (lower half first), are
+    those of the full grid; ``points`` counts the whole grid covered.
     """
     if not 0.0 <= y_max < INF:
         raise ValueError(f"y_max must be finite and >= 0, got {y_max:g}")
@@ -319,22 +330,32 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     rk_eval = min(rk, gamma_K - strip_pad) if math.isfinite(gamma_K) else rk
 
     x_lo, x_hi = sd.lambda_l + eps_re, rk_eval - eps_re
+    ny = max(81, int(math.ceil(2.0 * (y_max - SCAN_EPS_IM) * grid_density)) + 1)
+    pos = np.linspace(SCAN_EPS_IM, y_max, ny // 2)
     best = (INF, (math.nan, math.nan))
     pts = 0
 
-    def scan_block(X, Y):
+    def scan_block(xs):
+        # |chi| over xs x (-pos[::-1], pos), evaluated at xs x pos[::-1]: row
+        # by row that is the lower half mirrored, so the first minimum of
+        # these values is the first minimum of the whole block
         nonlocal best, pts
-        Z = X + 1j * Y
-        vals = np.abs(chi(cf, Z))
-        pts += vals.size
-        i = int(np.argmin(vals))
-        if vals.ravel()[i] < best[0]:
-            best = (float(vals.ravel()[i]), (float(np.ravel(X)[i]), float(np.ravel(Y)[i])))
-
-    def y_band(height):
-        ny = max(81, int(math.ceil(2.0 * (height - SCAN_EPS_IM) * grid_density)) + 1)
-        return np.concatenate([np.linspace(-height, -SCAN_EPS_IM, ny // 2),
-                               np.linspace(SCAN_EPS_IM, height, ny // 2)])
+        pts += 2 * xs.size * pos.size
+        iy = 1j * pos[::-1]
+        rows = max(1, SCAN_BLOCK_POINTS // pos.size)
+        low = (INF, (math.nan, math.nan))
+        for r in range(0, xs.size, rows):
+            vals = np.abs(chi(cf, xs[r:r + rows, None] + iy))
+            i = int(np.argmin(vals))
+            v = float(vals.ravel()[i])
+            if math.isnan(v):
+                # argmin over the whole block would stop at this nan
+                return
+            if v < low[0]:
+                row, col = divmod(i, pos.size)
+                low = (v, (float(xs[r + row]), float(-pos[-1 - col])))
+        if low[0] < best[0]:
+            best = low
 
     if y_max <= SCAN_EPS_IM:
         notes.append(f"y_max <= {SCAN_EPS_IM:g}: off-axis set empty, scan vacuous")
@@ -342,10 +363,8 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     if x_hi > x_lo and y_max > SCAN_EPS_IM:
         nx = max(41, int(math.ceil((x_hi - x_lo) * grid_density)) + 1)
         xs = np.linspace(x_lo, x_hi, nx)
-        ys = y_band(y_max)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        scan_block(X, Y)
-        grid_meta = {"nx": nx, "ny": ys.size, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
+        scan_block(xs)
+        grid_meta = {"nx": nx, "ny": 2 * pos.size, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
         empty = False
         axis_vals = np.abs(chi(cf, xs + 0.0j))
         i = int(np.argmin(axis_vals))
@@ -357,10 +376,8 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
             notes.append("interior rectangle empty (lambda_l ~ lambda_rK)")
 
     if y_max > SCAN_EPS_IM:
-        yb = y_band(y_max)
         for x_line in (sd.lambda_l, rk_eval):
-            X = np.full(yb.shape, x_line)
-            scan_block(X, yb)
+            scan_block(np.array([x_line]))
 
     passed = best[0] > zero_tol if pts else True
     return ScanReport(min_abs_chi=best[0] if pts else INF, argmin=best[1],

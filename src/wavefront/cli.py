@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._json import config_hash, dumps
+from ._json import config_hash, dumps, write_csv
 from .charfun import chi, real_roots, strip_zero_scan
 from .errors import (MaxIterExceeded, NoRoots, NoWave, StripTooNarrow,
                      TailUnresolved, WavefrontError)
@@ -115,10 +115,7 @@ def cmd_analyze(args) -> int:
     xs = np.linspace(lo_plot, hi_plot, 401)
     trace = np.real(chi(cf, xs))
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "chi_trace.csv"), "w") as fh:
-        fh.write("x,chi\n")
-        for x, v in zip(xs, trace):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+    write_csv(os.path.join(args.out, "chi_trace.csv"), "x,chi", xs, trace)
     try:
         sd = real_roots(cf)
     except (NoRoots, StripTooNarrow) as exc:

@@ -244,6 +244,9 @@ class OneSidedExponential(KernelComponent):
         z = np.asarray(z)
         r = self.rate
         den = r + z if self.direction == 1 else r - z
+        if self.shift == 0.0:
+            # e^{-z 0} = 1: the same floats without a complex exp per point
+            return self.scale * r / den
         return self.scale * np.exp(-z * self.shift) * r / den
 
     def value(self, s):
@@ -329,6 +332,8 @@ class PiecewiseGreen(KernelComponent):
     def laplace(self, z):
         z = np.asarray(z)
         den = self.damping + self.speed * z - z * z
+        if self.shift == 0.0:
+            return self.scale / den
         return self.scale * np.exp(-z * self.shift) / den
 
     def value(self, s):

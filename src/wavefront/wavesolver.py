@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._json import write_csv
 from ._scalar import brentq
 from .charfun import _concave_max
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
@@ -93,11 +94,7 @@ class WaveProfile:
     convergence: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        ts = self.grid.ts
-        with open(path, "w") as fh:
-            fh.write("t,phi\n")
-            for t, v in zip(ts, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        write_csv(path, "t,phi", self.grid.ts, self.values)
 
     def meta_dict(self) -> dict:
         return {

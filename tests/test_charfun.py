@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 
 import wavefront as wf
 from wavefront import charfun
+from wavefront._json import dumps
 from wavefront.charfun import _strip_max, chi_prime
 from wavefront.errors import BracketFailure, NoRoots, OutOfStrip, StripTooNarrow
 from wavefront.kernels import KernelComponent
+
+MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
 
 # frozen oracles (quadratic formula / high-resolution 1-d and 2-d grid search
 # refined by bisection, computed independently before the build)
@@ -283,6 +287,143 @@ def test_strip_zero_scan_critical_interior_empty():
     rep = wf.strip_zero_scan(cf, sd, y_max=5.0)
     assert rep.empty
     assert rep.passed  # boundary lines only
+    assert dumps(rep.to_dict()) == dumps(scan_reference(cf, sd, y_max=5.0))
+
+
+@pytest.mark.parametrize("kernel", [
+    wf.GaussianKernel(0.7, scale=1.5),
+    wf.OneSidedExponential(rate=2.5, direction=1, shift=0.3, scale=0.8),
+    wf.OneSidedExponential(rate=2.5, direction=-1, shift=-0.4),
+    wf.PiecewiseGreen.from_speed_damping(2.5, 1.0, shift=0.6, scale=2.0),
+    wf.DiracComb((-1.0, 0.25, 2.0), (0.5, 1.0, 0.125)),
+    wf.TabulatedKernel((-1.0, -0.2, 0.5, 2.0), (0.0, 1.0, 0.4, 0.0)),
+    wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)),
+], ids=["gaussian", "exponential+", "exponential-", "green", "comb", "tabulated",
+        "convolved"])
+def test_chi_conjugate_symmetry_is_bitwise(kernel):
+    # every kernel is a real measure; the strip scan evaluates only the upper
+    # half of its band and relies on the lower half mirroring it bit for bit
+    cf = wf.CharacteristicFunction(((kernel, 1.3),))
+    lo, hi = cf.strip
+    xs = np.linspace(max(lo, -1.5) + 0.01, min(hi, 2.0) - 0.01, 37)
+    ys = np.linspace(0.1, 30.0, 53)
+    Z = xs[:, None] + 1j * ys
+    assert wf.chi(cf, np.conj(Z)).tobytes() == np.conj(wf.chi(cf, Z)).tobytes()
+
+
+def scan_reference(cf, sd, y_max, grid_density=40.0, eps_re=1e-3, zero_tol=1e-3):
+    """strip_zero_scan over the whole mirrored band: one meshgrid, one chi call per block."""
+    INF = math.inf
+    notes = []
+    _, gamma_K = cf.strip
+    rk = sd.lambda_rK
+    if not math.isfinite(rk):
+        rk = sd.lambda_l + charfun.SCAN_RIGHT_CAP
+        notes.append(f"lambda_rK infinite; scan capped at lambda_l + {charfun.SCAN_RIGHT_CAP:g}")
+    strip_pad = 1e-9 * max(1.0, abs(gamma_K)) if math.isfinite(gamma_K) else 0.0
+    rk_eval = min(rk, gamma_K - strip_pad) if math.isfinite(gamma_K) else rk
+    eps_im = charfun.SCAN_EPS_IM
+    x_lo, x_hi = sd.lambda_l + eps_re, rk_eval - eps_re
+    best = (INF, (math.nan, math.nan))
+    pts = 0
+
+    def scan_block(X, Y):
+        nonlocal best, pts
+        vals = np.abs(wf.chi(cf, X + 1j * Y))
+        pts += vals.size
+        i = int(np.argmin(vals))
+        if vals.ravel()[i] < best[0]:
+            best = (float(vals.ravel()[i]), (float(np.ravel(X)[i]), float(np.ravel(Y)[i])))
+
+    def y_band(height):
+        ny = max(81, int(math.ceil(2.0 * (height - eps_im) * grid_density)) + 1)
+        pos = np.linspace(eps_im, height, ny // 2)
+        return np.concatenate([-pos[::-1], pos])
+
+    if y_max <= eps_im:
+        notes.append(f"y_max <= {eps_im:g}: off-axis set empty, scan vacuous")
+    axis_min, axis_arg = INF, math.nan
+    if x_hi > x_lo and y_max > eps_im:
+        nx = max(41, int(math.ceil((x_hi - x_lo) * grid_density)) + 1)
+        xs = np.linspace(x_lo, x_hi, nx)
+        ys = y_band(y_max)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        scan_block(X, Y)
+        grid_meta = {"nx": nx, "ny": ys.size, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
+        empty = False
+        axis_vals = np.abs(wf.chi(cf, xs + 0.0j))
+        i = int(np.argmin(axis_vals))
+        axis_min, axis_arg = float(axis_vals[i]), float(xs[i])
+    else:
+        grid_meta = {"nx": 0, "ny": 0, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
+        empty = True
+        if x_hi <= x_lo:
+            notes.append("interior rectangle empty (lambda_l ~ lambda_rK)")
+    if y_max > eps_im:
+        yb = y_band(y_max)
+        for x_line in (sd.lambda_l, rk_eval):
+            scan_block(np.full(yb.shape, x_line), yb)
+    return {"min_abs_chi": best[0] if pts else INF, "argmin": list(best[1]),
+            "grid": {**grid_meta, "points": pts, "zero_tol": zero_tol,
+                     "eps_re": eps_re, "eps_im": eps_im},
+            "pass": best[0] > zero_tol if pts else True,
+            "min_abs_chi_real_axis": axis_min, "argmin_real_axis": axis_arg,
+            "empty": empty, "notes": "; ".join(notes)}
+
+
+class HoleyGreen(KernelComponent):
+    """A Green kernel whose transform is nan on a patch of the scan rectangle."""
+
+    def __init__(self, patch):
+        self.green = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
+        self.patch = patch
+
+    def abscissas(self):
+        return self.green.abscissas()
+
+    def laplace(self, z):
+        out = np.array(self.green.laplace(z), dtype=complex)
+        x0, x1, y0 = self.patch
+        out[(np.real(z) > x0) & (np.real(z) < x1) & (np.abs(np.imag(z)) > y0)] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("patch", [(1.9, 1.95, 45.0), (0.51, 0.53, 0.2)],
+                         ids=["late-rows", "first-rows"])
+def test_strip_zero_scan_nan_skips_block_like_full_band(patch):
+    # a nan anywhere in the rectangle stops the full-band argmin there, so the
+    # rectangle reports nothing and the boundary verticals set the minimum
+    cf = local_cf(2.5)
+    sd = wf.real_roots(cf)
+    holey = wf.CharacteristicFunction(((HoleyGreen(patch), 2.0),))
+    rep = wf.strip_zero_scan(holey, sd, y_max=50.0)
+    assert rep.argmin[0] in (sd.lambda_l, sd.lambda_rK)
+    assert dumps(rep.to_dict()) == dumps(scan_reference(holey, sd, y_max=50.0))
+
+
+def test_strip_zero_scan_ties_break_like_full_band():
+    # |chi| constant: the first point of the whole grid, the lowest y of the
+    # lower half in the first row, is the argmin
+    sd = wf.real_roots(local_cf(2.5))
+    flat = wf.CharacteristicFunction(((StubKernel((-1.0, 3.0)), 2.0),))
+    rep = wf.strip_zero_scan(flat, sd, y_max=50.0)
+    assert rep.argmin == (sd.lambda_l + 1e-3, -50.0)
+    assert dumps(rep.to_dict()) == dumps(scan_reference(flat, sd, y_max=50.0))
+
+
+@pytest.mark.parametrize("flags", [
+    {"y_max": 50.0},                        # the CLI defaults
+    {"y_max": 10.0, "grid_density": 7.3},   # an odd number of y values per half
+    {"y_max": 0.05},                        # off-axis set empty
+], ids=["default", "odd-half", "vacuous"])
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_strip_zero_scan_matches_full_band_reference(path, flags):
+    spec, cfg = wf.load_model(path)
+    cf = spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"),
+                                  cfg.get("margin", 1.0)).charfun()
+    sd = wf.real_roots(cf)
+    rep = wf.strip_zero_scan(cf, sd, **flags)
+    assert dumps(rep.to_dict()) == dumps(scan_reference(cf, sd, **flags))
 
 
 # --- chi_1 margin -----------------------------------------------------------

@@ -100,6 +100,33 @@ def test_dirac_comb_exact_sum():
         comb.value(0.0)
 
 
+@pytest.mark.parametrize("kernel", [
+    wf.OneSidedExponential(rate=1.7, direction=1, scale=0.6),
+    wf.OneSidedExponential(rate=1.7, direction=-1, scale=0.6),
+    wf.PiecewiseGreen.from_speed_damping(2.5, 1.3, scale=0.6),
+], ids=["exponential+", "exponential-", "green"])
+@pytest.mark.parametrize("z", [
+    0.3,
+    -0.2,
+    np.linspace(-0.3, 1.2, 11),
+    np.array([0.4 + 3.0j, -0.2 - 0.7j, 1.1 + 0.0j, 0.5 - 0.0j, 0.9 + 1e-20j]),
+], ids=["real-scalar", "negative-scalar", "real-array", "complex-array"])
+def test_unshifted_laplace_skips_exp_bit_for_bit(kernel, z):
+    # at shift 0 the factor e^{-z 0} = 1 is left out; the floats must be the
+    # ones the explicit factor gives, signed zeros and result type included
+    zz = np.asarray(z)
+    if isinstance(kernel, wf.OneSidedExponential):
+        r = kernel.rate
+        den = r + zz if kernel.direction == 1 else r - zz
+        expect = kernel.scale * np.exp(-zz * 0.0) * r / den
+    else:
+        den = kernel.damping + kernel.speed * zz - zz * zz
+        expect = kernel.scale * np.exp(-zz * 0.0) / den
+    got = kernel.laplace(z)
+    assert type(got) is type(expect)
+    assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+
 # --- abscissas --------------------------------------------------------------
 
 def test_abscissas_examples():

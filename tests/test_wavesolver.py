@@ -11,6 +11,7 @@ from scipy import integrate
 
 import wavefront as wf
 from wavefront import wavesolver
+from wavefront._json import write_csv
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
 from wavefront.kernels import _shift, shift_kernel
@@ -500,3 +501,21 @@ def test_profile_csv_round_trip(tmp_path, noncritical_profile):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 0], prof.grid.ts, rtol=1e-15)
     np.testing.assert_allclose(data[:, 1], prof.values, rtol=1e-15)
+
+
+def test_csv_writer_matches_row_loop(tmp_path):
+    # profile.csv and chi_trace.csv are written in one call; the bytes must be
+    # those of the per-row f"{a:.17g},{b:.17g}" loop they replaced
+    grid = wf.Grid(-3.0, 2.0, 64)
+    values = np.linspace(-1.0, 1.0, 64) / 3.0
+    values[[0, 5, 9, 17, 30, 41, 63]] = [-0.0, np.inf, np.nan, 5e-324, -np.inf,
+                                         2.2250738585072014e-308 / 3.0, 0.0]
+    path = tmp_path / "profile.csv"
+    wf.WaveProfile(grid, values, speed=1.0, plateau=1.0).to_csv(path)
+    loop = "t,phi\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(grid.ts, values))
+    assert path.read_bytes() == loop.encode()
+    for text in (",-0\n", ",inf\n", ",-inf\n", ",nan\n", ",4.9406564584124654e-324\n"):
+        assert text in loop
+    write_csv(path, "x,chi", values[::-1], values)
+    loop = "x,chi\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(values[::-1], values))
+    assert path.read_bytes() == loop.encode()

@@ -3,7 +3,7 @@
 Builds characteristic functions for convolution-form models, locates
 their real zeros, computes minimal wave speeds by the tangency condition,
 reduces four concrete model families to convolution form, computes
-profiles by damped fixed-point iteration, extracts decay laws at the left
+profiles by relaxed fixed-point iteration, extracts decay laws at the left
 tail, and runs hypothesis audits and uniqueness probes.
 """
 

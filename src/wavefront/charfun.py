@@ -313,7 +313,9 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     kernel is a real measure, so chi(conj z) = conj chi(z) and the lower
     half has the same |chi| bit for bit.  The minimum, and its first
     position in row-major order over the whole grid (lower half first), are
-    those of the full grid; ``points`` counts the whole grid covered.
+    those of the full grid; ``points`` counts the whole grid covered.  A nan
+    |chi| is left out of the minimum, counted in ``notes``, and fails the
+    scan, since a point chi cannot be evaluated at is not known zero-free.
     """
     if not 0.0 <= y_max < INF:
         raise ValueError(f"y_max must be finite and >= 0, got {y_max:g}")
@@ -333,29 +335,28 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     ny = max(81, int(math.ceil(2.0 * (y_max - SCAN_EPS_IM) * grid_density)) + 1)
     pos = np.linspace(SCAN_EPS_IM, y_max, ny // 2)
     best = (INF, (math.nan, math.nan))
-    pts = 0
+    pts = nans = 0
 
     def scan_block(xs):
         # |chi| over xs x (-pos[::-1], pos), evaluated at xs x pos[::-1]: row
         # by row that is the lower half mirrored, so the first minimum of
         # these values is the first minimum of the whole block
-        nonlocal best, pts
+        nonlocal best, pts, nans
         pts += 2 * xs.size * pos.size
         iy = 1j * pos[::-1]
         rows = max(1, SCAN_BLOCK_POINTS // pos.size)
-        low = (INF, (math.nan, math.nan))
         for r in range(0, xs.size, rows):
             vals = np.abs(chi(cf, xs[r:r + rows, None] + iy))
+            nan = np.isnan(vals)
+            if nan.any():
+                # each value stands for itself and its mirror image
+                nans += 2 * int(np.count_nonzero(nan))
+                vals = np.where(nan, INF, vals)
             i = int(np.argmin(vals))
             v = float(vals.ravel()[i])
-            if math.isnan(v):
-                # argmin over the whole block would stop at this nan
-                return
-            if v < low[0]:
+            if v < best[0]:
                 row, col = divmod(i, pos.size)
-                low = (v, (float(xs[r + row]), float(-pos[-1 - col])))
-        if low[0] < best[0]:
-            best = low
+                best = (v, (float(xs[r + row]), float(-pos[-1 - col])))
 
     if y_max <= SCAN_EPS_IM:
         notes.append(f"y_max <= {SCAN_EPS_IM:g}: off-axis set empty, scan vacuous")
@@ -379,7 +380,10 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
         for x_line in (sd.lambda_l, rk_eval):
             scan_block(np.array([x_line]))
 
-    passed = best[0] > zero_tol if pts else True
+    if nans:
+        notes.append(f"|chi| is nan at {nans} of {pts} scanned points; "
+                     f"the minimum is over the finite ones")
+    passed = best[0] > zero_tol and not nans if pts else True
     return ScanReport(min_abs_chi=best[0] if pts else INF, argmin=best[1],
                       grid={**grid_meta, "points": pts, "zero_tol": zero_tol,
                             "eps_re": eps_re, "eps_im": SCAN_EPS_IM},

@@ -228,8 +228,10 @@ class ConvolutionProblem:
     ``spectral`` is the real-zero data of the derivative-weighted
     characteristic function, found on first read, or None when chi has no
     positive zero (the problem stays usable by the solver, which then
-    reports NoWave).  ``closure_rates`` holds the solver's grid-level tail
-    rate per ``Grid``, filled on the first solve on that grid.
+    reports NoWave).  ``relaxation`` is the solver's sweep weight theta,
+    set from the negative slopes of the atoms on [0, kappa].
+    ``closure_rates`` holds the solver's grid-level tail rate per ``Grid``,
+    filled on the first solve on that grid.
     """
 
     atoms: tuple[Atom, ...]
@@ -256,6 +258,21 @@ class ConvolutionProblem:
             return real_roots(self.charfun())
         except NoRoots:
             return None
+
+    @cached_property
+    def relaxation(self) -> float:
+        """theta = 2 / (2 + min(ell, 2)) with ell = sum_tau mass_tau max(0, -inf_[0, kappa] g_tau').
+
+        ell bounds the negative part of the sweep map's slope near the
+        plateau: theta = 1 (plain iteration) where N is order-preserving on
+        [0, kappa], 2 / (2 + ell) to balance a real spectrum in [-ell, 0],
+        and 1/2 once ell >= 2.  theta <= 1 always, so every sweep stays a
+        convex combination of nonnegative fields.
+        """
+        kappa = self.equilibrium()
+        ell = sum(a.kernel.mass * max(0.0, -a.nonlinearity.inf_deriv(0.0, kappa))
+                  for a in self.atoms)
+        return 2.0 / (2.0 + min(ell, 2.0))
 
     def chi0(self) -> float:
         return 1.0 - sum(a.weight * a.kernel.mass for a in self.atoms)

@@ -1,4 +1,4 @@
-"""Semi-wavefront profiles by damped fixed-point iteration on a truncated grid.
+"""Semi-wavefront profiles by relaxed fixed-point iteration on a truncated grid.
 
 The wave operator N[phi](t) = sum_tau integral K(s,tau) g(phi(t-s),tau) ds
 is applied kernel-by-kernel through ``convolve_field``; each kernel shape
@@ -8,8 +8,11 @@ Plain iteration of the truncated operator bleeds the marginal left-tail
 mode through the boundary (the profile then slides rightward and
 collapses), so the solver iterates with a tail-transparent left closure
 (exponential extension at the discrete decay rate) and pins the phase at
-a fixed level crossing each sweep.  The reported residual is always
-measured against the plain operator with the zero left closure.
+a fixed level crossing each sweep.  Each sweep is
+phi <- (1 - theta) phi + theta N[phi] with theta = ``p.relaxation``: 1 where
+N is order-preserving on [0, kappa], down to 1/2 as the negative slopes of
+the atoms near the plateau grow.  The reported residual is always measured
+against the plain operator with the zero left closure.
 
 Whether a wave exists is decided by chi alone: with no positive zero of
 chi there is no semi-wavefront, and the solver says so before any sweep.
@@ -44,13 +47,12 @@ __all__ = [
 ]
 
 
-# theta in the damped sweep phi <- (1 - theta) phi + theta N[phi]
-DAMPING = 0.5
 PIN_FRACTION = 0.5
-# a settled shape whose pin drifts more than this * step per sweep is not
-# converged: genuine waves drift O(step^2) per sweep (up to ~1e-3 step at
-# critical speed on coarse grids)
-DRIFT_GATE_STEPS = 0.02
+# a settled shape whose pin drifts more than theta * this * step per sweep
+# is not converged (a sweep moves the pin theta times as far as a unit of
+# pseudo-time): genuine waves drift O(step^2) per sweep (up to ~1e-3 step
+# at critical speed on coarse grids)
+DRIFT_GATE_STEPS = 0.04
 # settled sweeps of pin drift above the gate that back a TailUnresolved verdict
 TRANSLATION_WINDOW = 50
 # grid points left out of the residual at each edge
@@ -216,7 +218,7 @@ def _init_values(init, grid: Grid) -> np.ndarray:
 
 def solve_profile(p: ConvolutionProblem, grid: Grid, init,
                   opts: SolveOptions = SolveOptions()) -> WaveProfile:
-    """Damped fixed-point iteration phi <- (1-theta) phi + theta N[phi], theta = DAMPING.
+    """Relaxed fixed-point iteration phi <- (1-theta) phi + theta N[phi], theta = p.relaxation.
 
     A semi-wavefront needs a positive zero of chi (the Diekmann-Kaper
     necessity condition), so when ``p.spectral is None`` the verdict is
@@ -231,7 +233,9 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     profile.
 
     The tail closure rate is found once per grid and kept in
-    ``p.closure_rates``, so a second solve on the same grid reuses it.
+    ``p.closure_rates``, so a second solve on the same grid reuses it;
+    theta is cached on the problem the same way.  The pin must drift at
+    most theta * DRIFT_GATE_STEPS grid steps per sweep to count as settled.
     """
     ts = grid.ts
     kappa = p.equilibrium()
@@ -256,14 +260,15 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     if lam_left is None:
         lam_left = p.closure_rates[grid] = discrete_decay_rate(p, grid, lam_base)
 
+    theta = p.relaxation
     update = math.inf
     drift = 0.0
-    drift_gate = DRIFT_GATE_STEPS * grid.step
+    drift_gate = theta * DRIFT_GATE_STEPS * grid.step
     translating_sweeps = 0
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        new = (1.0 - DAMPING) * values + DAMPING * apply_operator(p, values, grid, lam_left)
+        new = (1.0 - theta) * values + theta * apply_operator(p, values, grid, lam_left)
         if float(np.min(new)) < -1e-10 * max(1.0, kappa):
             raise NegativeValues(
                 f"iteration produced negative values (min {float(np.min(new)):g})")
@@ -292,6 +297,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
         "final_update": update,
         "closure_rate": lam_left,
         "final_drift": drift,
+        "relaxation": theta,
     }
     profile = WaveProfile(grid=grid, values=values, speed=p.speed,
                           plateau=kappa, convergence=meta)

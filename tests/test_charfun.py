@@ -325,12 +325,14 @@ def scan_reference(cf, sd, y_max, grid_density=40.0, eps_re=1e-3, zero_tol=1e-3)
     eps_im = charfun.SCAN_EPS_IM
     x_lo, x_hi = sd.lambda_l + eps_re, rk_eval - eps_re
     best = (INF, (math.nan, math.nan))
-    pts = 0
+    pts = nans = 0
 
     def scan_block(X, Y):
-        nonlocal best, pts
+        nonlocal best, pts, nans
         vals = np.abs(wf.chi(cf, X + 1j * Y))
         pts += vals.size
+        nans += int(np.count_nonzero(np.isnan(vals)))
+        vals = np.where(np.isnan(vals), INF, vals)
         i = int(np.argmin(vals))
         if vals.ravel()[i] < best[0]:
             best = (float(vals.ravel()[i]), (float(np.ravel(X)[i]), float(np.ravel(Y)[i])))
@@ -363,10 +365,13 @@ def scan_reference(cf, sd, y_max, grid_density=40.0, eps_re=1e-3, zero_tol=1e-3)
         yb = y_band(y_max)
         for x_line in (sd.lambda_l, rk_eval):
             scan_block(np.full(yb.shape, x_line), yb)
+    if nans:
+        notes.append(f"|chi| is nan at {nans} of {pts} scanned points; "
+                     f"the minimum is over the finite ones")
     return {"min_abs_chi": best[0] if pts else INF, "argmin": list(best[1]),
             "grid": {**grid_meta, "points": pts, "zero_tol": zero_tol,
                      "eps_re": eps_re, "eps_im": eps_im},
-            "pass": best[0] > zero_tol if pts else True,
+            "pass": best[0] > zero_tol and not nans if pts else True,
             "min_abs_chi_real_axis": axis_min, "argmin_real_axis": axis_arg,
             "empty": empty, "notes": "; ".join(notes)}
 
@@ -388,16 +393,23 @@ class HoleyGreen(KernelComponent):
         return out
 
 
-@pytest.mark.parametrize("patch", [(1.9, 1.95, 45.0), (0.51, 0.53, 0.2)],
+@pytest.mark.parametrize("patch,nans", [((1.9, 1.95, 45.0), 800), ((0.51, 0.53, 0.2), 3984)],
                          ids=["late-rows", "first-rows"])
-def test_strip_zero_scan_nan_skips_block_like_full_band(patch):
-    # a nan anywhere in the rectangle stops the full-band argmin there, so the
-    # rectangle reports nothing and the boundary verticals set the minimum
+def test_strip_zero_scan_nan_keeps_finite_minimum_and_fails(patch, nans):
+    # the minimum is taken over the finite points, so a nan patch hides no
+    # finite minimum in its row block (both patches miss the clean argmin);
+    # the nan points are counted in the notes and fail the scan
     cf = local_cf(2.5)
     sd = wf.real_roots(cf)
+    green = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
+    clean = wf.strip_zero_scan(wf.CharacteristicFunction(((green, 2.0),)), sd, y_max=50.0)
     holey = wf.CharacteristicFunction(((HoleyGreen(patch), 2.0),))
     rep = wf.strip_zero_scan(holey, sd, y_max=50.0)
-    assert rep.argmin[0] in (sd.lambda_l, sd.lambda_rK)
+    assert clean.passed and not rep.passed
+    assert (rep.min_abs_chi, rep.argmin) == (clean.min_abs_chi, clean.argmin)
+    assert sd.lambda_l < rep.argmin[0] < sd.lambda_rK
+    assert rep.notes == (f"|chi| is nan at {nans} of {rep.grid['points']} scanned points; "
+                         f"the minimum is over the finite ones")
     assert dumps(rep.to_dict()) == dumps(scan_reference(holey, sd, y_max=50.0))
 
 

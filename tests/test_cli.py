@@ -218,6 +218,17 @@ def test_solve_command(local_model_file, tmp_path):
     assert abs(rows[-1, 1] - kappa) < 1e-4
 
 
+def test_solve_records_relaxation(tmp_path):
+    # order-preserving logistic: plain sweeps; Mackey-Glass with g'(kappa) = -2: half
+    for nonlinearity, L, theta in [({"kind": "logistic", "rate": 2.0, "carrying": 1.0}, 2.0, 1.0),
+                                   ({"kind": "mackey_glass", "p": 2.0, "n": 6.0}, 3.0, 0.5)]:
+        model = write_model(tmp_path, L=L, nonlinearity=nonlinearity)
+        out = tmp_path / nonlinearity["kind"]
+        assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
+        assert read_json(out / "solve.json")["convergence"]["relaxation"] == \
+            pytest.approx(theta, abs=1e-12)
+
+
 def test_solve_below_c_star_reports_no_wave(tmp_path, capsys):
     model = write_model(tmp_path, c=1.0)
     out = tmp_path / "out"

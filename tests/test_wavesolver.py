@@ -12,6 +12,7 @@ from scipy import integrate
 import wavefront as wf
 from wavefront import wavesolver
 from wavefront._json import write_csv
+from wavefront.cli import main
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
 from wavefront.kernels import _shift, shift_kernel
@@ -318,8 +319,69 @@ def test_unresolved_left_tail_with_roots_is_no_false_no_wave():
     spec, cfg = wf.load_model(MODELS_DIR / "local_delayed_rd.json")
     prob = spec.to_convolution_form(cfg["c"])
     assert prob.spectral is not None
-    with pytest.raises(TailUnresolved, match=r"left tail unresolved: phi\(t_min\) = 0.00146758"):
+    with pytest.raises(TailUnresolved, match=r"left tail unresolved: phi\(t_min\) = 0.00146757"):
         wf.solve_profile(prob, wf.Grid(-14.0, 40.0, 512), wf.CappedExponential(0.5, 0.25))
+
+
+# --- relaxation ---------------------------------------------------------------
+
+def mackey_glass_problem():
+    # g'(kappa) = -2 on [0, kappa]: ell = 2, the largest theta damps by half
+    return wf.LocalDelayedRD(g=wf.mackey_glass(2.0, 6.0), L=3.0,
+                             delay=0.0).to_convolution_form(2.5)
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_relaxation_is_one_on_shipped_models(path):
+    # every shipped problem is order-preserving on [0, kappa]; on
+    # local_delayed_rd kappa rounds up and leaves theta one rounding below 1
+    spec, cfg = wf.load_model(path)
+    prob = spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"), cfg.get("margin", 1.0))
+    assert prob.relaxation == pytest.approx(1.0, abs=1e-12)
+
+
+def test_relaxation_balances_a_negative_slope():
+    # logistic rate 2.5 with L = 2.5: ell = 0.5, theta = 2 / 2.5
+    prob = wf.LocalDelayedRD(g=wf.logistic(2.5, 1.0), L=2.5,
+                             delay=0.0).to_convolution_form(3.0)
+    assert prob.relaxation == pytest.approx(0.8, abs=1e-9)
+
+
+def test_relaxation_halves_once_ell_reaches_two(monkeypatch):
+    prob = mackey_glass_problem()
+    assert prob.relaxation == pytest.approx(0.5, abs=1e-9)
+    # cached: the slopes are sampled once per problem
+    calls = []
+    inf_deriv = wf.Nonlinearity.inf_deriv
+    monkeypatch.setattr(wf.Nonlinearity, "inf_deriv",
+                        lambda *a: calls.append(a) or inf_deriv(*a))
+    assert prob.relaxation == pytest.approx(0.5, abs=1e-9)
+    assert calls == []
+
+
+def test_mackey_glass_converges_within_80_sweeps(monkeypatch):
+    # plain iteration (theta = 1) needs 256 sweeps here, the relaxed one 69
+    prob = mackey_glass_problem()
+    sweeps = count_sweeps(monkeypatch)
+    prof = wf.solve_profile(prob, wf.Grid(-60.0, 40.0, 4096),
+                            wf.CappedExponential(prob.spectral.lambda_l,
+                                                 prob.equilibrium() / 2.0))
+    assert prof.convergence["relaxation"] == prob.relaxation
+    assert prof.convergence["iterations"] == len(sweeps) - 1  # one residual
+    assert len(sweeps) - 1 <= 80
+
+
+# apply_operator calls of verify at each shipped model's own c with the
+# constant damping theta = 0.5 that preceded the per-problem relaxation
+DAMPED_VERIFY_SWEEPS = {"local_delayed_rd": 271, "nonlocal_delayed_rd": 284,
+                        "nonlocal_kpp_gaussian": 491, "nonlocal_lattice": 594}
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_verify_sweeps_at_most_three_quarters_of_damped(path, tmp_path, monkeypatch):
+    sweeps = count_sweeps(monkeypatch)
+    main(["verify", "--model", str(path), "--out", str(tmp_path / "out")])
+    assert 0 < len(sweeps) <= 0.75 * DAMPED_VERIFY_SWEEPS[path.stem]
 
 
 def test_solve_noncritical(noncritical_profile):

@@ -1,4 +1,4 @@
-"""Kernel components: transforms, grid action, quadrature windows and JSON.
+"""Kernel components: transforms, grid action, quadrature window and JSON.
 
 Every kernel here is a nonnegative integrable function K(s) with positive
 mass, represented exactly enough that its transform
@@ -13,7 +13,7 @@ data on a compact grid, and lazy convolutions of the above.
 
 Each shape is one class, the only place that knows it: its transform, its
 action on a grid field (``grid_convolve(ts, G, lam_left)``), its quadrature
-windows and kinks, and its JSON form (``shape``, ``to_dict``,
+window and kinks, and its JSON form (``shape``, ``to_dict``,
 ``from_dict``).  On the grid the field is closed by an exponential tail at
 rate ``lam_left`` (or 0) on the left and always by its last value on the
 right.  There, exponential pieces run exact O(n) linear recurrences on the
@@ -41,13 +41,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._scalar import QUAD_TOL, gauss_kronrod
 from .errors import EmptyStrip, OutOfStrip, QuadratureFailure
 
 INF = math.inf
 # log of the factor by which a truncated tail is smaller than the integral
 _TAIL = math.log(1e16)
-# absolute and relative tolerance of the adaptive panels in laplace_quadrature
-_QUAD_TOL = 1e-10
 # float64 machine epsilon, the rounding unit of a shift measured in steps
 _EPS = np.finfo(float).eps
 
@@ -85,9 +84,9 @@ class KernelComponent:
 
     A new shape sets ``shape`` and implements ``mass``, ``abscissas``,
     ``laplace``, ``value``, ``support`` and ``grid_convolve``; unless it is
-    compactly supported also ``truncation_window`` and ``density_window``;
-    and ``breakpoints`` where its density has kinks.  ``to_dict`` and
-    ``from_dict`` work on any frozen dataclass of JSON-ready fields.
+    compactly supported also ``truncation_window``, its one quadrature
+    window; and ``breakpoints`` where its density has kinks.  ``to_dict``
+    and ``from_dict`` work on any frozen dataclass of JSON-ready fields.
     """
 
     shape = ""
@@ -118,16 +117,10 @@ class KernelComponent:
         raise TypeError(f"no grid convolution for {type(self).__name__}")
 
     def truncation_window(self, x: float) -> tuple[float, float]:
-        """Window outside which K(s)e^{-x s} contributes < ~1e-13 of the integral."""
+        """Window holding all but ~1e-13 of the integral of K(s)e^{-x s} (the mass at x = 0)."""
         if self.compact_support:
             return self.support()
         raise TypeError(f"no quadrature window for {type(self).__name__}")
-
-    def density_window(self) -> tuple[float, float]:
-        """Finite interval holding all but ~1e-16 of the kernel's mass."""
-        if self.compact_support:
-            return self.support()
-        raise TypeError(f"no density window for {type(self).__name__}")
 
     def breakpoints(self) -> list[float]:
         """Interior kink locations the adaptive panels must split at."""
@@ -203,10 +196,6 @@ class GaussianKernel(KernelComponent):
         w = math.sqrt(2.0 * v * _TAIL) + 2.0 * math.sqrt(v)
         return (center - w, center + w)
 
-    def density_window(self):
-        w = math.sqrt(2.0 * self.variance * _TAIL)
-        return (-w, w)
-
 
 @dataclass(frozen=True)
 class OneSidedExponential(KernelComponent):
@@ -267,17 +256,11 @@ class OneSidedExponential(KernelComponent):
             H = self.scale * _recurse_backward(ts, G, self.rate)
         return _shift(ts, H, self.shift, lam_left)
 
-    def _window(self, decay):
-        length = _TAIL / decay
+    def truncation_window(self, x):
+        length = _TAIL / (self.rate + self.direction * x)
         if self.direction == 1:
             return (self.shift, self.shift + length)
         return (self.shift - length, self.shift)
-
-    def truncation_window(self, x):
-        return self._window(self.rate + x if self.direction == 1 else self.rate - x)
-
-    def density_window(self):
-        return self._window(self.rate)
 
     def breakpoints(self):
         return [self.shift]
@@ -355,9 +338,6 @@ class PiecewiseGreen(KernelComponent):
 
     def truncation_window(self, x):
         return (self.shift - _TAIL / (self.mu - x), self.shift + _TAIL / (x - self.nu))
-
-    def density_window(self):
-        return (self.shift - _TAIL / self.mu, self.shift + _TAIL / (-self.nu))
 
     def breakpoints(self):
         return [self.shift]
@@ -573,10 +553,6 @@ class ConvolvedKernel(KernelComponent):
         self._strip = (lo, hi)
 
     @property
-    def compact_support(self):
-        return self.a.compact_support and self.b.compact_support
-
-    @property
     def mass(self) -> float:
         return self.a.mass * self.b.mass
 
@@ -599,21 +575,17 @@ class ConvolvedKernel(KernelComponent):
             for off, w in zip(comb.offsets, comb.weights):
                 out = out + w * other.value(s - off)
             return out
-        ss = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.array([self._value_quad(float(x)) for x in ss])
+        out = np.array([self._value_quad(float(x)) for x in np.ravel(s)])
         return out[0] if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
     def _value_quad(self, s: float) -> float:
-        lo_a, hi_a = self.a.density_window()
-        lo_b, hi_b = self.b.density_window()
+        lo_a, hi_a = self.a.truncation_window(0.0)
+        lo_b, hi_b = self.b.truncation_window(0.0)
         lo, hi = max(lo_a, s - hi_b), min(hi_a, s - lo_b)
         if hi <= lo:
             return 0.0
-        pts = sorted({p for p in self.a.breakpoints() if lo < p < hi}
-                     | {s - p for p in self.b.breakpoints() if lo < s - p < hi}) or None
-        from scipy.integrate import quad
-        val, err = quad(lambda u: float(self.a.value(u)) * float(self.b.value(s - u)),
-                        lo, hi, limit=200, points=pts)
+        pts = self.a.breakpoints() + [s - p for p in self.b.breakpoints()]
+        val, err = gauss_kronrod(lambda u: self.a.value(u) * self.b.value(s - u), lo, hi, pts)
         if err > 1e-7 * (1.0 + abs(val)):
             raise QuadratureFailure(f"convolution value at s={s:g}: error {err:g}")
         return val
@@ -631,11 +603,6 @@ class ConvolvedKernel(KernelComponent):
     def truncation_window(self, x):
         lo_a, hi_a = self.a.truncation_window(x)
         lo_b, hi_b = self.b.truncation_window(x)
-        return (lo_a + lo_b, hi_a + hi_b)
-
-    def density_window(self):
-        lo_a, hi_a = self.a.density_window()
-        lo_b, hi_b = self.b.density_window()
         return (lo_a + lo_b, hi_a + hi_b)
 
     def breakpoints(self):
@@ -850,38 +817,23 @@ def _sampled_convolve(k: KernelComponent, ts, G, lam_left, lo, hi):
 
 
 def laplace_quadrature(k: KernelComponent, z):
-    """Transform by adaptive (Gauss-Kronrod) panels on a truncated window.
+    """Transform by adaptive Gauss-Kronrod panels on a truncated window.
 
     Independent of the closed forms; used as the second route in tests.
-    Atomic combs are summed exactly (no quadrature error on discrete
-    measures); a comb convolved with a density reduces to shifted copies.
+    Atomic combs are summed exactly, and a convolution is the product of
+    its factors' quadratures (Fubini).
     """
     z = complex(z)
     _check_strip(k.abscissas(), z)
     if isinstance(k, DiracComb):
-        return sum(w * np.exp(-z * a) for a, w in zip(k.offsets, k.weights))
-    if isinstance(k, ConvolvedKernel) and isinstance(k.a, DiracComb):
-        return k.a.laplace(z) * laplace_quadrature(k.b, z)
-    if isinstance(k, ConvolvedKernel) and isinstance(k.b, DiracComb):
-        return k.b.laplace(z) * laplace_quadrature(k.a, z)
+        return k.laplace(z)
+    if isinstance(k, ConvolvedKernel):
+        return laplace_quadrature(k.a, z) * laplace_quadrature(k.b, z)
     lo, hi = k.truncation_window(z.real)
-    pts = sorted(p for p in k.breakpoints() if lo < p < hi) or None
-
-    def f_re(s):
-        return float(np.real(k.value(s) * np.exp(-z * s)))
-
-    def f_im(s):
-        return float(np.imag(k.value(s) * np.exp(-z * s)))
-
-    from scipy.integrate import quad
-    re, err_re = quad(f_re, lo, hi, limit=400, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, points=pts)
-    im, err_im = quad(f_im, lo, hi, limit=400, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, points=pts)
-    scale = 1.0 + abs(complex(re, im))
-    if err_re + err_im > 100.0 * _QUAD_TOL * scale:
-        raise QuadratureFailure(f"laplace quadrature error {err_re + err_im:g} at z={z}")
-    if z.imag == 0.0:
-        return re
-    return complex(re, im)
+    val, err = gauss_kronrod(lambda s: k.value(s) * np.exp(-z * s), lo, hi, k.breakpoints())
+    if err > 100.0 * QUAD_TOL * (1.0 + abs(val)):
+        raise QuadratureFailure(f"laplace quadrature error {err:g} at z={z}")
+    return val.real if z.imag == 0.0 else val
 
 
 def load_tabulated(path) -> TabulatedKernel:

@@ -109,9 +109,7 @@ def speed_admissibility(prob: ConvolutionProblem) -> str:
     """
     try:
         sd = real_roots(prob.charfun_lipschitz())
-    except NoRoots:
-        return "below_c_star"
-    except StripTooNarrow:
+    except (NoRoots, StripTooNarrow):
         return "below_c_star"
     return "critical" if sd.critical else "noncritical"
 

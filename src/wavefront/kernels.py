@@ -12,8 +12,9 @@ from the roots nu < 0 < mu of z^2 - c z - q = 0), atomic combs, tabulated
 data on a compact grid, and lazy convolutions of the above.
 
 Each shape is one class, the only place that knows it: its transform, its
-action on a grid field (``grid_convolve(ts, G, lam_left)``), its quadrature
-window and kinks, and its JSON form (``shape``, ``to_dict``,
+action on a grid field (``grid_convolve(ts, G, lam_left)``) and the factor
+that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``), its
+quadrature window and kinks, and its JSON form (``shape``, ``to_dict``,
 ``from_dict``).  On the grid the field is closed by an exponential tail at
 rate ``lam_left`` (or 0) on the left and always by its last value on the
 right.  There, exponential pieces run exact O(n) linear recurrences on the
@@ -83,7 +84,8 @@ class KernelComponent:
     """Base class: one kernel K(s) and everything the package does with it.
 
     A new shape sets ``shape`` and implements ``mass``, ``abscissas``,
-    ``laplace``, ``value``, ``support`` and ``grid_convolve``; unless it is
+    ``laplace``, ``value``, ``support``, ``grid_convolve`` and
+    ``grid_laplace``; unless it is
     compactly supported also ``truncation_window``, its one quadrature
     window; and ``breakpoints`` where its density has kinks.  ``to_dict``
     and ``from_dict`` work on any frozen dataclass of JSON-ready fields.
@@ -115,6 +117,15 @@ class KernelComponent:
     def grid_convolve(self, ts: np.ndarray, G: np.ndarray, lam_left: float | None) -> np.ndarray:
         """integral K(s) G~(t - s) ds on the uniform grid ts; see :func:`convolve_field`."""
         raise TypeError(f"no grid convolution for {type(self).__name__}")
+
+    def grid_laplace(self, lam: float, dt: float) -> float:
+        """Factor by which ``grid_convolve`` multiplies e^{lam t} on an unbounded grid of step dt.
+
+        This is the grid-level transform at real lam inside the strip: the
+        same arithmetic as ``grid_convolve`` applied to an exact exponential,
+        with no array and no closure at either end.
+        """
+        raise TypeError(f"no grid transform for {type(self).__name__}")
 
     def truncation_window(self, x: float) -> tuple[float, float]:
         """Window holding all but ~1e-13 of the integral of K(s)e^{-x s} (the mass at x = 0)."""
@@ -186,9 +197,15 @@ class GaussianKernel(KernelComponent):
     def support(self):
         return (-INF, INF)
 
-    def grid_convolve(self, ts, G, lam_left):
+    def _sample_window(self):
         w = 9.0 * math.sqrt(self.variance)
-        return _sampled_convolve(self, ts, G, lam_left, -w, w)
+        return (-w, w)
+
+    def grid_convolve(self, ts, G, lam_left):
+        return _sampled_convolve(self, ts, G, lam_left)
+
+    def grid_laplace(self, lam, dt):
+        return _sampled_laplace(self, lam, dt)
 
     def truncation_window(self, x):
         v = self.variance
@@ -255,6 +272,10 @@ class OneSidedExponential(KernelComponent):
         else:
             H = self.scale * _recurse_backward(ts, G, self.rate)
         return _shift(ts, H, self.shift, lam_left)
+
+    def grid_laplace(self, lam, dt):
+        H = self.scale * _recurse_factor(self.rate, math.exp(-self.direction * lam * dt), dt)
+        return H * _shift_factor(self.shift, lam, dt)
 
     def truncation_window(self, x):
         length = _TAIL / (self.rate + self.direction * x)
@@ -336,6 +357,13 @@ class PiecewiseGreen(KernelComponent):
                    + _recurse_backward(ts, G, rho2) / rho2)
         return _shift(ts, H, self.shift, lam_left)
 
+    def grid_laplace(self, lam, dt):
+        rho1, rho2 = -self.nu, self.mu
+        amp = self.scale / (self.mu - self.nu)
+        H = amp * (_recurse_factor(rho1, math.exp(-lam * dt), dt) / rho1
+                   + _recurse_factor(rho2, math.exp(lam * dt), dt) / rho2)
+        return H * _shift_factor(self.shift, lam, dt)
+
     def truncation_window(self, x):
         return (self.shift - _TAIL / (self.mu - x), self.shift + _TAIL / (x - self.nu))
 
@@ -400,6 +428,9 @@ class DiracComb(KernelComponent):
         for a, w in zip(self.offsets, self.weights):
             out += w * _shift(ts, G, a, lam_left)
         return out
+
+    def grid_laplace(self, lam, dt):
+        return sum(w * _shift_factor(a, lam, dt) for a, w in zip(self.offsets, self.weights))
 
 
 def _segment_transform(z, t0, t1, v0, v1):
@@ -520,11 +551,18 @@ class TabulatedKernel(KernelComponent):
     def support(self):
         return (self.grid[0], self.grid[-1])
 
+    def _sample_window(self):
+        return self.support()
+
     def grid_convolve(self, ts, G, lam_left):
-        return _sampled_convolve(self, ts, G, lam_left, self.grid[0], self.grid[-1])
+        return _sampled_convolve(self, ts, G, lam_left)
+
+    def grid_laplace(self, lam, dt):
+        return _sampled_laplace(self, lam, dt)
 
     def breakpoints(self):
-        return [self.grid[0], self.grid[-1]]
+        # the interpolant has a kink at every node
+        return list(self.grid)
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):
@@ -599,6 +637,9 @@ class ConvolvedKernel(KernelComponent):
         # through the module-level name, so each factor is seen as its own shape
         inner = convolve_field(self.b, ts, G, lam_left)
         return convolve_field(self.a, ts, inner, lam_left)
+
+    def grid_laplace(self, lam, dt):
+        return self.a.grid_laplace(lam, dt) * self.b.grid_laplace(lam, dt)
 
     def truncation_window(self, x):
         lo_a, hi_a = self.a.truncation_window(x)
@@ -680,6 +721,15 @@ def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
     return k.grid_convolve(ts, G, lam_left)
 
 
+def _grid_step(ts):
+    """Step of the uniform grid ts, bit for bit ``Grid.step``.
+
+    ts[1] - ts[0] would carry the rounding of ts[1] (1.6e-13 of the step
+    on [-60, 60] with 6,001 points), so every grid action uses this one.
+    """
+    return (ts[-1] - ts[0]) / (len(ts) - 1)
+
+
 def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
     """(E, w_far, w_near) for one exact step of rate*int_0^dt e^{-rate u} P1 du."""
     q = rate * dt
@@ -735,7 +785,7 @@ def _first_order(E, src):
 
 def _recurse_forward(ts, G, rate, lam_left):
     """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - u) du, exact on the interpolant."""
-    dt = ts[1] - ts[0]
+    dt = _grid_step(ts)
     E, far, near = _exp_step_weights(rate, dt)
     src = np.empty_like(G)
     src[0] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
@@ -745,13 +795,33 @@ def _recurse_forward(ts, G, rate, lam_left):
 
 def _recurse_backward(ts, G, rate):
     """H(x_i) = rate * int_0^inf e^{-rate v} G~(x_i + v) dv; seeds with the plateau G[-1]."""
-    dt = ts[1] - ts[0]
+    dt = _grid_step(ts)
     E, far, near = _exp_step_weights(rate, dt)
     Grev = G[::-1]
     src = np.empty_like(G)
     src[0] = G[-1]
     src[1:] = far * Grev[:-1] + near * Grev[1:]
     return _first_order(E, src)[::-1]
+
+
+def _recurse_factor(rate, e, dt):
+    """Factor (far e + near) / (1 - E e) by which a recurrence multiplies e^{lam t}.
+
+    y_i = c G_i solves y_i = far G_{i-1} + near G_i + E y_{i-1} when
+    G_{i-1} = e G_i: e = e^{-lam dt} for :func:`_recurse_forward`
+    (lam > -rate) and e = e^{+lam dt} for :func:`_recurse_backward`, which
+    runs on the reversed field (lam < rate).
+    """
+    E, far, near = _exp_step_weights(rate, dt)
+    return (far * e + near) / (1.0 - E * e)
+
+
+def _snap_steps(shift, dt):
+    """(s, m): ``shift`` in grid steps, snapped to a whole number within rounding, and m = ceil(s)."""
+    s = shift / dt
+    if abs(s - round(s)) <= 4.0 * _EPS * abs(s):
+        s = round(s)
+    return s, math.ceil(s)
 
 
 def _shift(ts, G, shift, lam_left):
@@ -766,10 +836,7 @@ def _shift(ts, G, shift, lam_left):
     if shift == 0.0:
         return G.copy()
     n = len(G)
-    s = shift / ((ts[-1] - ts[0]) / (n - 1))
-    if abs(s - round(s)) <= 4.0 * _EPS * abs(s):
-        s = round(s)
-    m = math.ceil(s)
+    s, m = _snap_steps(shift, _grid_step(ts))
     lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
     out = np.empty(n)
     if lam_left is None:
@@ -787,16 +854,20 @@ def _shift(ts, G, shift, lam_left):
     return out
 
 
-def _sampled_convolve(k: KernelComponent, ts, G, lam_left, lo, hi):
-    """Discrete convolution with K sampled at multiples of the grid step on [lo, hi].
+def _shift_factor(shift, lam, dt):
+    """Factor by which :func:`_shift` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1))."""
+    if shift == 0.0:
+        return 1.0
+    s, m = _snap_steps(shift, dt)
+    return math.exp(-lam * m * dt) * (1.0 + (m - s) * math.expm1(lam * dt))
 
-    The samples are mass-lumped so constant states stay exact.  Grid-aligned
-    samples need no interpolation: the field is padded with its closure
-    values (the exponential extension on the left, G[-1] on the right)
-    and convolved once.  Direct summation of nonnegative weights and
-    nonnegative fields cannot produce negative roundoff, unlike an FFT.
+
+def _lumped_samples(k: KernelComponent, dt):
+    """(jlo, jhi, kv): K at j dt for jlo <= j <= jhi, mass-lumped to sum to k.mass.
+
+    The indices cover ``k._sample_window()`` and always include 0.
     """
-    dt = ts[1] - ts[0]
+    lo, hi = k._sample_window()
     jlo = min(math.floor(lo / dt), 0)
     jhi = max(math.ceil(hi / dt), 0)
     kv = np.asarray(k.value(np.arange(jlo, jhi + 1) * dt), dtype=float) * dt
@@ -804,12 +875,33 @@ def _sampled_convolve(k: KernelComponent, ts, G, lam_left, lo, hi):
     if not total > 0:
         raise ValueError(f"{type(k).__name__} has no mass on multiples of the grid step {dt:g}")
     kv *= k.mass / total
+    return jlo, jhi, kv
+
+
+def _sampled_convolve(k: KernelComponent, ts, G, lam_left):
+    """Discrete convolution with the samples of :func:`_lumped_samples`.
+
+    The samples are mass-lumped so constant states stay exact.  Grid-aligned
+    samples need no interpolation: the field is padded with its closure
+    values (the exponential extension on the left, G[-1] on the right)
+    and convolved once, so out[i] = sum_j kv_j G[i - j].  Direct summation
+    of nonnegative weights and nonnegative fields cannot produce negative
+    roundoff, unlike an FFT.
+    """
+    dt = _grid_step(ts)
+    jlo, jhi, kv = _lumped_samples(k, dt)
     if lam_left is None:
         left = np.zeros(jhi)
     else:
         left = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
     padded = np.concatenate((left, G, np.full(-jlo, G[-1])))
     return np.convolve(padded, kv, "valid")
+
+
+def _sampled_laplace(k: KernelComponent, lam, dt):
+    """Factor by which :func:`_sampled_convolve` multiplies e^{lam t}: sum_j kv_j e^{-lam j dt}."""
+    jlo, jhi, kv = _lumped_samples(k, dt)
+    return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -230,15 +230,12 @@ class ConvolutionProblem:
     positive zero (the problem stays usable by the solver, which then
     reports NoWave).  ``relaxation`` is the solver's sweep weight theta,
     set from the negative slopes of the atoms on [0, kappa].
-    ``closure_rates`` holds the solver's grid-level tail rate per ``Grid``,
-    filled on the first solve on that grid.
     """
 
     atoms: tuple[Atom, ...]
     speed: float
     beta_used: float
     bound: float
-    closure_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in self.atoms:

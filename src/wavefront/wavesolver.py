@@ -150,22 +150,18 @@ def discrete_decay_rate(p: ConvolutionProblem, grid: Grid,
                         lam_guess: float) -> float:
     """Decay rate selected by the discretized linear operator.
 
-    Applies the linearization (weights g'(0,tau)) to pure exponential
-    fields and root-finds the grid-level characteristic function; this is
-    the rate the discrete profile tail actually adopts, within O(step^2)
-    of the analytic lambda_l.  Falls back to the tangency point when the
-    discretization just misses a double root.
+    Root-finds the grid-level characteristic function
+    chi_h(lam) = 1 - sum_tau g'(0,tau) T_h[K_tau](lam), where the grid
+    transform T_h = ``kernel.grid_laplace(lam, step)`` is the factor by
+    which the kernel's grid action multiplies e^{lam t} (no field and no
+    grid sweep).  This is the rate the discrete profile tail actually
+    adopts, within O(step^2) of the analytic lambda_l.  Falls back to the
+    tangency point when the discretization just misses a double root.
     """
-    ts = grid.ts
-    mid = grid.n // 2
+    dt = grid.step
 
     def chi_h(lam: float) -> float:
-        fieldv = np.exp(np.minimum(lam * (ts - ts[mid]), 700.0))
-        acc = 0.0
-        for atom in p.atoms:
-            out = convolve_field(atom.kernel, ts, fieldv, lam)
-            acc += atom.weight * out[mid]
-        return 1.0 - acc
+        return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, dt) for a in p.atoms)
 
     _, gamma = p.charfun().strip
     hi = min(1.7 * lam_guess, gamma - 1e-9 * max(1.0, abs(gamma))) \
@@ -232,10 +228,9 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     unresolved left tail.  ``MaxIterExceeded`` carries the best-effort
     profile.
 
-    The tail closure rate is found once per grid and kept in
-    ``p.closure_rates``, so a second solve on the same grid reuses it;
-    theta is cached on the problem the same way.  The pin must drift at
-    most theta * DRIFT_GATE_STEPS grid steps per sweep to count as settled.
+    Each solve finds its tail closure rate with :func:`discrete_decay_rate`;
+    theta is cached on the problem.  The pin must drift at most
+    theta * DRIFT_GATE_STEPS grid steps per sweep to count as settled.
     """
     ts = grid.ts
     kappa = p.equilibrium()
@@ -256,9 +251,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
         raise ValueError(
             f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
 
-    lam_left = p.closure_rates.get(grid)
-    if lam_left is None:
-        lam_left = p.closure_rates[grid] = discrete_decay_rate(p, grid, lam_base)
+    lam_left = discrete_decay_rate(p, grid, lam_base)
 
     theta = p.relaxation
     update = math.inf

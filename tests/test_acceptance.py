@@ -74,17 +74,24 @@ def test_criterion_02_root_dichotomy(local_family):
 
 def test_criterion_03_laplace_exactness():
     rng = np.random.default_rng(3)
+    nodes = np.linspace(-8.0, 8.0, 161)
+    tabulated = wf.TabulatedKernel(tuple(nodes), tuple(np.exp(-nodes ** 2 / 2.0)))
     kernels = [wf.GaussianKernel(1.0),
                wf.OneSidedExponential(rate=1.5, shift=0.3),
-               wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)]
+               wf.PiecewiseGreen.from_speed_damping(2.5, 1.0),
+               tabulated]
     with criterion(3, 5.0, "transforms match closed forms at 200 strip points"):
         for k in kernels:
             lo, hi = k.abscissas()
             lo, hi = max(lo, -6.0), min(hi, 6.0)
-            xs = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 200)
-            for x in xs:
-                closed = complex(np.asarray(k.laplace(complex(x))).item())
-                quad = wf.laplace_quadrature(k, complex(x))
+            zs = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 200).astype(complex)
+            if k is tabulated:
+                # half the points off the real axis too: the quadrature must
+                # split at every node, where the interpolant kinks
+                zs[100:] += 1j * rng.uniform(-2.0, 2.0, 100)
+            for z in zs:
+                closed = complex(np.asarray(k.laplace(z)).item())
+                quad = wf.laplace_quadrature(k, z)
                 assert abs(closed - quad) <= 1e-8 * (1.0 + abs(closed))
 
 

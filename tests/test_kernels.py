@@ -11,8 +11,8 @@ from scipy.signal import lfilter
 
 import wavefront as wf
 from wavefront.errors import EmptyStrip, OutOfStrip
-from wavefront.kernels import (KernelComponent, _first_order, _segment_transform,
-                               kernel_from_dict)
+from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
+                               _segment_transform, convolve_field, kernel_from_dict)
 
 INF = math.inf
 
@@ -386,6 +386,65 @@ def test_first_order_matches_loop_and_lfilter(E, n, seed, signed):
     bound = (np.arange(n) + 2) * np.finfo(float).eps * scale
     for ref in (first_order_loop(E, src), lfilter([1.0], [1.0, -E], src)):
         assert np.all(np.abs(ref - exact) <= bound)
+
+
+# --- grid transform -----------------------------------------------------------
+
+def grid_shifts(dt):
+    """No shift, a whole number of grid steps, or a shift off the grid."""
+    return st.one_of(st.just(0.0),
+                     st.integers(-60, 60).map(lambda j: j * dt),
+                     st.floats(-3.0, 3.0))
+
+
+def leaf_kernels(dt):
+    positive = st.floats(0.5, 2.0)
+    rates = st.floats(1.0, 4.0)
+    tabulated = st.tuples(st.floats(-3.0, 2.0), st.floats(1.0, 4.0),
+                          st.lists(st.floats(0.1, 1.0), min_size=2, max_size=40))
+    atoms = st.lists(st.tuples(grid_shifts(dt), positive), min_size=1, max_size=4)
+    return st.one_of(
+        st.builds(wf.GaussianKernel, variance=st.floats(0.1, 4.0), scale=positive),
+        tabulated.map(lambda a: wf.TabulatedKernel(
+            tuple(np.linspace(a[0], a[0] + a[1], len(a[2]))), tuple(a[2]))),
+        st.builds(wf.OneSidedExponential, rate=rates, direction=st.sampled_from([1, -1]),
+                  shift=grid_shifts(dt), scale=positive),
+        st.builds(wf.PiecewiseGreen, nu=rates.map(lambda r: -r), mu=rates,
+                  shift=grid_shifts(dt), scale=positive),
+        atoms.map(lambda aw: wf.DiracComb(*zip(*aw))),
+    )
+
+
+@st.composite
+def grid_kernels(draw):
+    """(kernel, dt): one shape, a convolution of two, or a convolution nested in another."""
+    dt = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    leaves = leaf_kernels(dt)
+    depth = draw(st.integers(0, 2))
+    k = draw(leaves)
+    for _ in range(depth):
+        k = ConvolvedKernel(k, draw(leaves))
+    return k, dt
+
+
+@settings(max_examples=200, deadline=None)
+@given(kd=grid_kernels(), u=st.floats(0.2, 0.8))
+def test_grid_laplace_matches_convolve_field(kd, u):
+    # grid_laplace is the factor the grid action multiplies e^{lam t} by; on a
+    # grid wide enough that the end closures decay away before its midpoint,
+    # convolve_field on the exponential field must return it there
+    k, dt = kd
+    lo, hi = k.abscissas()
+    lam = max(lo, -3.0) + u * (min(hi, 3.0) - max(lo, -3.0))
+    # a recurrence forgets its seed at an end like e^{-dist t}
+    dist = min(lam - lo, hi - lam)
+    half = 60.0 + 36.0 / dist
+    n = 2 * math.ceil(half / dt) + 1
+    grid = wf.Grid(-half, half, n)
+    ts = grid.ts
+    mid = n // 2
+    ref = convolve_field(k, ts, np.exp(lam * (ts - ts[mid])), lam)[mid]
+    assert abs(k.grid_laplace(lam, grid.step) - ref) <= 1e-13 * abs(ref)
 
 
 # --- validation -------------------------------------------------------------

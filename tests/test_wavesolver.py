@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import wavefront as wf
-from wavefront import wavesolver
+from wavefront import kernels, wavesolver
+from wavefront import verify as wf_verify
+from wavefront._scalar import brentq
 from wavefront._json import write_csv
+from wavefront.charfun import _concave_max
 from wavefront.cli import main
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
@@ -274,32 +277,86 @@ def test_operator_upper_solution_property():
         assert out[i] == pytest.approx(val, abs=5e-6)
 
 
-# --- per-grid values ---------------------------------------------------------
+# --- closure rate ------------------------------------------------------------
 
-def test_closure_rate_found_once_per_problem_and_grid(monkeypatch):
+def shipped_problem(path):
+    spec, cfg = wf.load_model(path)
+    return spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"), cfg.get("margin", 1.0))
+
+
+def full_grid_decay_rate(p, grid, lam_guess):
+    """discrete_decay_rate as it was: chi_h from convolve_field on a whole grid, read at its midpoint."""
+    ts = grid.ts
+    mid = grid.n // 2
+
+    def chi_h(lam):
+        fieldv = np.exp(np.minimum(lam * (ts - ts[mid]), 700.0))
+        acc = 0.0
+        for atom in p.atoms:
+            acc += atom.weight * convolve_field(atom.kernel, ts, fieldv, lam)[mid]
+        return 1.0 - acc
+
+    _, gamma = p.charfun().strip
+    hi = min(1.7 * lam_guess, gamma - 1e-9 * max(1.0, abs(gamma))) \
+        if math.isfinite(gamma) else 1.7 * lam_guess
+    lo = 0.3 * lam_guess
+    if not lo < hi:
+        return lam_guess
+    xhat, fmax = _concave_max(chi_h, lo, hi)
+    if fmax <= 0.0:
+        return float(xhat)
+    if chi_h(lo) >= 0.0:
+        return lam_guess
+    return brentq(chi_h, lo, xhat, xtol=1e-14)
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_decay_rate_matches_full_grid_chi_h(path):
+    prob = shipped_problem(path)
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    lam = prob.spectral.lambda_l
+    ref = full_grid_decay_rate(prob, grid, lam)
+    assert abs(wf.discrete_decay_rate(prob, grid, lam) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_decay_rate_makes_no_grid_convolution(path, monkeypatch):
     calls = []
-    direct = wavesolver.discrete_decay_rate
 
-    def counting(p, grid, lam_guess):
-        calls.append(grid)
-        return direct(p, grid, lam_guess)
+    def counting(*args):
+        calls.append(None)
+        return convolve_field(*args)
 
-    monkeypatch.setattr(wavesolver, "discrete_decay_rate", counting)
-    prob = local_problem(2.5)
-    grid = wf.Grid(-60.0, 40.0, 1024)
-    kappa = prob.equilibrium()
-    init = wf.CappedExponential(prob.spectral.lambda_l, kappa / 2.0)
-    ramp = np.clip((grid.ts - grid.t_min) / -grid.t_min, 0.0, 1.0) * kappa
-    report = wf.uniqueness_probe(prob, grid, [init, ramp])
-    assert report.checks[-1].name == "uniqueness_probe"
-    assert calls == [grid]
-    # another grid needs its own rate
-    other = wf.Grid(-60.0, 40.0, 2048)
-    prof = wf.solve_profile(prob, other, init)
-    assert calls == [grid, other]
-    for g in (grid, other):
-        assert prob.closure_rates[g].hex() == direct(prob, g, prob.spectral.lambda_l).hex()
-    assert prof.convergence["closure_rate"] == prob.closure_rates[other]
+    # a convolved kernel applies its factors through the kernels module's name
+    monkeypatch.setattr(kernels, "convolve_field", counting)
+    monkeypatch.setattr(wavesolver, "convolve_field", counting)
+    prob = shipped_problem(path)
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    wf.discrete_decay_rate(prob, grid, prob.spectral.lambda_l)
+    assert calls == []
+    wavesolver.apply_operator(prob, grid.ts * 0.0, grid)
+    assert calls
+
+
+def test_verify_solves_report_bit_identical_closure_rate(monkeypatch, tmp_path):
+    # each solve finds its own closure rate; the two verify solves on one
+    # problem and grid must find the same float
+    rates = []
+    solve = wf_verify.solve_profile
+
+    def recording(*args):
+        profile = solve(*args)
+        rates.append(profile.convergence["closure_rate"])
+        return profile
+
+    monkeypatch.setattr(wf_verify, "solve_profile", recording)
+    path = MODELS_DIR / "local_delayed_rd.json"
+    assert main(["verify", "--model", str(path), "--out", str(tmp_path)]) == 0
+    assert len(rates) == 2
+    assert rates[0].hex() == rates[1].hex()
+    prob = shipped_problem(path)
+    direct = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 4096), prob.spectral.lambda_l)
+    assert rates[0].hex() == direct.hex()
 
 
 # --- solver -------------------------------------------------------------------

@@ -20,12 +20,13 @@ rate ``lam_left`` (or 0) on the left and always by its last value on the
 right.  There, exponential pieces run exact O(n) linear recurrences on the
 piecewise-linear interpolant, atomic combs add shifted copies, Gaussian
 and tabulated densities are sampled at multiples of the grid step and
-applied as one discrete convolution, and a lazy product applies its
-factors in turn.  A shifted copy (a comb atom, a shifted exponential or
-Green kernel, or the solver's phase pin) is one two-tap stencil on the
-uniform grid: a whole number of steps moves the field by whole indices,
-any other shift interpolates linearly between two neighbours, and the
-closure fills the points moved in from beyond either end.
+applied as one discrete convolution, summed as a blocked Toeplitz
+product, and a lazy product applies its factors in turn.  A shifted copy
+(a comb atom, a shifted exponential or Green kernel, or the solver's
+phase pin) is one two-tap stencil on the uniform grid: a whole number of
+steps moves the field by whole indices, any other shift interpolates
+linearly between two neighbours, and the closure fills the points moved
+in from beyond either end.
 
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
@@ -41,6 +42,7 @@ from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._scalar import QUAD_TOL, gauss_kronrod
 from .errors import EmptyStrip, OutOfStrip, QuadratureFailure
@@ -271,6 +273,8 @@ class OneSidedExponential(KernelComponent):
             H = self.scale * _recurse_forward(ts, G, self.rate, lam_left)
         else:
             H = self.scale * _recurse_backward(ts, G, self.rate)
+        if self.shift == 0.0:
+            return H
         return _shift(ts, H, self.shift, lam_left)
 
     def grid_laplace(self, lam, dt):
@@ -355,6 +359,8 @@ class PiecewiseGreen(KernelComponent):
         amp = self.scale / (self.mu - self.nu)
         H = amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
                    + _recurse_backward(ts, G, rho2) / rho2)
+        if self.shift == 0.0:
+            return H
         return _shift(ts, H, self.shift, lam_left)
 
     def grid_laplace(self, lam, dt):
@@ -742,7 +748,7 @@ def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
     return E, far, near
 
 
-_BLOCK = 64   # points per block of the blocked first-order recurrence
+_BLOCK = 64   # points per block of the first-order recurrence and the sampled convolution
 
 
 @lru_cache(maxsize=32)
@@ -862,10 +868,13 @@ def _shift_factor(shift, lam, dt):
     return math.exp(-lam * m * dt) * (1.0 + (m - s) * math.expm1(lam * dt))
 
 
+@lru_cache(maxsize=32)
 def _lumped_samples(k: KernelComponent, dt):
     """(jlo, jhi, kv): K at j dt for jlo <= j <= jhi, mass-lumped to sum to k.mass.
 
-    The indices cover ``k._sample_window()`` and always include 0.
+    The indices cover ``k._sample_window()`` and always include 0.  Cached
+    per (kernel, step), so ``k.value`` runs once per kernel and grid, not
+    once per sweep and per closure-rate evaluation; ``kv`` is read-only.
     """
     lo, hi = k._sample_window()
     jlo = min(math.floor(lo / dt), 0)
@@ -875,7 +884,26 @@ def _lumped_samples(k: KernelComponent, dt):
     if not total > 0:
         raise ValueError(f"{type(k).__name__} has no mass on multiples of the grid step {dt:g}")
     kv *= k.mass / total
+    kv.flags.writeable = False
     return jlo, jhi, kv
+
+
+@lru_cache(maxsize=8)
+def _toeplitz_block(k: KernelComponent, dt):
+    """(jlo, jhi, T): the samples of :func:`_lumped_samples` as one Toeplitz block.
+
+    With m samples, T is the (64 + m - 1) x 64 matrix whose column c holds
+    the reversed samples from row c down, so one row of 64 + m - 1 field
+    values times T gives 64 consecutive outputs of the convolution.
+    Cached per (kernel, step) and read-only, like the samples; the cache
+    is smaller, since T takes 64 times the memory of the samples.
+    """
+    jlo, jhi, kv = _lumped_samples(k, dt)
+    m = len(kv)
+    d = np.arange(_BLOCK + m - 1)[:, None] - np.arange(_BLOCK)
+    T = np.where((d >= 0) & (d < m), kv[::-1][np.clip(d, 0, m - 1)], 0.0)
+    T.flags.writeable = False
+    return jlo, jhi, T
 
 
 def _sampled_convolve(k: KernelComponent, ts, G, lam_left):
@@ -883,19 +911,28 @@ def _sampled_convolve(k: KernelComponent, ts, G, lam_left):
 
     The samples are mass-lumped so constant states stay exact.  Grid-aligned
     samples need no interpolation: the field is padded with its closure
-    values (the exponential extension on the left, G[-1] on the right)
-    and convolved once, so out[i] = sum_j kv_j G[i - j].  Direct summation
-    of nonnegative weights and nonnegative fields cannot produce negative
-    roundoff, unlike an FFT.
+    values (the exponential extension on the left, G[-1] on the right), so
+    out[i] = sum_j kv_j G[i - j].  That sum is one matrix product: the
+    padded field, with zeros after it to fill the last block, is viewed as
+    rows of 64 + m - 1 values, one row starting every 64 points, and each
+    row times the Toeplitz block of :func:`_toeplitz_block` gives 64
+    outputs.  Every output is still a sum of the same nonnegative products,
+    summed in another order, so nonnegative weights and fields cannot
+    produce negative roundoff, unlike an FFT, and the deep left tail keeps
+    its relative accuracy.
     """
     dt = _grid_step(ts)
-    jlo, jhi, kv = _lumped_samples(k, dt)
-    if lam_left is None:
-        left = np.zeros(jhi)
-    else:
-        left = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
-    padded = np.concatenate((left, G, np.full(-jlo, G[-1])))
-    return np.convolve(padded, kv, "valid")
+    jlo, jhi, T = _toeplitz_block(k, dt)
+    n = len(G)
+    blocks = -(-n // _BLOCK)
+    padded = np.zeros(blocks * _BLOCK + jhi - jlo)
+    if lam_left is not None:
+        padded[:jhi] = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
+    padded[jhi:jhi + n] = G
+    padded[jhi + n:jhi + n - jlo] = G[-1]
+    item = padded.itemsize
+    rows = as_strided(padded, (blocks, len(T)), (_BLOCK * item, item), writeable=False)
+    return np.dot(rows, T).ravel()[:n]
 
 
 def _sampled_laplace(k: KernelComponent, lam, dt):

@@ -12,6 +12,7 @@ from scipy.signal import lfilter
 import wavefront as wf
 from wavefront.errors import EmptyStrip, OutOfStrip
 from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
+                               _grid_step, _lumped_samples, _sampled_convolve,
                                _segment_transform, convolve_field, kernel_from_dict)
 
 INF = math.inf
@@ -445,6 +446,64 @@ def test_grid_laplace_matches_convolve_field(kd, u):
     mid = n // 2
     ref = convolve_field(k, ts, np.exp(lam * (ts - ts[mid])), lam)[mid]
     assert abs(k.grid_laplace(lam, grid.step) - ref) <= 1e-13 * abs(ref)
+
+
+# --- sampled convolution --------------------------------------------------------
+
+def direct_convolve(k, ts, G, lam_left):
+    """The sampled convolution as one np.convolve of the closure-padded field."""
+    dt = _grid_step(ts)
+    jlo, jhi, kv = _lumped_samples(k, dt)
+    left = np.zeros(jhi) if lam_left is None else G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
+    padded = np.concatenate((left, G, np.full(-jlo, G[-1])))
+    return np.convolve(padded, kv, "valid")
+
+
+def tabulated_on(lo, width, values):
+    return wf.TabulatedKernel(tuple(np.linspace(lo, lo + width, len(values))), tuple(values))
+
+
+@st.composite
+def sampled_cases(draw):
+    """A Gaussian or tabulated kernel, a grid, a field spanning 1e-300 to 1e3 and a closure."""
+    n = draw(st.integers(64, 9000))
+    dt = draw(st.floats(0.02, 0.2))
+    t0 = -draw(st.floats(0.01, 0.99)) * (n - 1) * dt
+    grid = wf.Grid(t0, t0 + (n - 1) * dt, n)
+    values = st.lists(st.floats(0.1, 1.0), min_size=2, max_size=40)
+    width = st.floats(1.0, 4.0)
+    kernel = draw(st.one_of(
+        st.builds(wf.GaussianKernel, variance=st.floats(0.05, 20.0), scale=st.floats(0.5, 2.0)),
+        # support wholly right of 0 (jlo = 0), wholly left of 0 (jhi = 0), or across it
+        st.builds(tabulated_on, st.floats(0.0, 3.0), width, values),
+        st.builds(lambda w, v, gap: tabulated_on(-gap - w, w, v), width, values, st.floats(0.0, 3.0)),
+        st.builds(lambda w, v, u: tabulated_on(-u * w, w, v), width, values, st.floats(0.0, 1.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = np.exp(rng.uniform(math.log(1e-300), math.log(1e3), n))
+    if draw(st.booleans()):
+        G.sort()
+    lam_left = draw(st.none() | st.floats(0.01, 5.0))
+    return kernel, grid, G, lam_left
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sampled_cases())
+# n below the sample count, not a multiple of 64, and a support right of 0
+@example(case=(wf.GaussianKernel(20.0), wf.Grid(-1.0, -1.0 + 99 * 0.02, 100),
+               np.geomspace(1e-300, 1e3, 100), 0.5))
+@example(case=(tabulated_on(0.5, 2.0, [1.0, 0.5, 0.25]), wf.Grid(-5.0, 5.0, 65),
+               np.geomspace(1e3, 1e-300, 65), None))
+def test_sampled_convolve_matches_direct_sum(case):
+    # the blocked Toeplitz product sums the same nonnegative products as the
+    # direct convolution, in another order
+    k, grid, G, lam_left = case
+    ts = grid.ts
+    ref = direct_convolve(k, ts, G, lam_left)
+    got = _sampled_convolve(k, ts, G, lam_left)
+    assert got.shape == ref.shape
+    assert not np.any(got < 0)
+    normal = ref >= np.finfo(float).tiny
+    assert np.all(np.abs(got - ref)[normal] <= 1e-13 * ref[normal])
 
 
 # --- validation -------------------------------------------------------------

@@ -338,6 +338,36 @@ def test_decay_rate_makes_no_grid_convolution(path, monkeypatch):
     assert calls
 
 
+def test_sampled_kernel_is_sampled_once_per_step(monkeypatch):
+    # the lumped samples are cached per (kernel, step): a whole solve samples
+    # the Gaussian once, not once per sweep and per closure-rate evaluation
+    kernels._lumped_samples.cache_clear()
+    kernels._toeplitz_block.cache_clear()
+    calls = []
+    value = wf.GaussianKernel.value
+
+    def counting(self, s):
+        calls.append(self)
+        return value(self, s)
+
+    monkeypatch.setattr(wf.GaussianKernel, "value", counting)
+    sweeps = count_sweeps(monkeypatch)
+    prob = shipped_problem(MODELS_DIR / "nonlocal_kpp_gaussian.json")
+    # the Gaussian is the second factor of the first atom's kernel
+    kernel = prob.atoms[0].kernel.b
+    assert isinstance(kernel, wf.GaussianKernel)
+    init = wf.CappedExponential(prob.spectral.lambda_l, prob.equilibrium() / 2.0)
+    grids = [wf.Grid(-60.0, 40.0, 4096), wf.Grid(-60.0, 40.0, 4001), wf.Grid(-60.0, 40.0, 4096)]
+    for grid in grids:
+        wf.solve_profile(prob, grid, init)
+    assert len(sweeps) > 2 * len(grids)
+    assert calls == [kernel, kernel]
+    for cached in (kernels._lumped_samples(kernel, grids[0].step)[2],
+                   kernels._toeplitz_block(kernel, grids[0].step)[2]):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+
 def test_verify_solves_report_bit_identical_closure_rate(monkeypatch, tmp_path):
     # each solve finds its own closure rate; the two verify solves on one
     # problem and grid must find the same float

@@ -18,7 +18,7 @@ from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel,
 from .models import (Atom, ConvolutionProblem, LocalDelayedRD, ModelSpec,
                      NonlocalDelayedRD, NonlocalKPP, NonlocalLattice,
                      Nonlinearity, beta_select, linear, load_model, logistic,
-                     mackey_glass, model_chi, model_min_speed,
+                     mackey_glass, model_min_speed,
                      tabulated_nonlinearity)
 from .wavesolver import (CappedExponential, Grid, SolveOptions, WaveProfile,
                          apply_operator, discrete_decay_rate, residual,

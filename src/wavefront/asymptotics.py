@@ -67,13 +67,6 @@ class DecayFit:
         if self.k_hat not in (0, 1):
             raise ValueError("k_hat must be 0 or 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat, "k_hat": self.k_hat, "a": self.a,
-            "m": self.m, "window": list(self.window),
-            "residual_sup": self.residual_sup, "residual_l2": self.residual_l2,
-        }
-
 
 def _default_window(profile: WaveProfile, floor: float) -> np.ndarray:
     ts = profile.grid.ts
@@ -203,13 +196,6 @@ class RepresentationReport:
     l2_refined: float | None = None
     stable: bool | None = None
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed, "slope": self.slope, "sup_r": self.sup_r,
-            "l2_r": self.l2_r, "delta": self.delta, "window": list(self.window),
-            "l2_refined": self.l2_refined, "stable": self.stable, "notes": self.notes,
-        }
 
 
 def _remainder_r(profile: WaveProfile, delta: float, floor: float):

@@ -38,6 +38,10 @@ SPEED_XTOL = 1e-12
 # how far right of lambda_l the scan runs when lambda_rK is infinite
 SCAN_EPS_IM = 0.1
 SCAN_RIGHT_CAP = 10.0
+# strip scan: the inset of the rectangle from lambda_l and lambda_rK, and the
+# floor of |chi| that counts as zero-free
+SCAN_EPS_RE = 1e-3
+SCAN_ZERO_TOL = 1e-3
 # strip scan: most points per chi call, in whole x-rows, so that the complex
 # temporaries of one call stay in cache
 SCAN_BLOCK_POINTS = 4096
@@ -294,18 +298,18 @@ class ScanReport:
 
 
 def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
-                    grid_density: float = 40.0, eps_re: float = 1e-3,
-                    zero_tol: float = 1e-3) -> ScanReport:
+                    grid_density: float = 40.0) -> ScanReport:
     """Evaluate |chi| over the open strip lambda_l < Re z < lambda_rK.
 
-    Off-axis rectangle [lambda_l+eps_re, lambda_rK-eps_re] x ([-y_max, y_max]
-    with |Im z| >= SCAN_EPS_IM) plus the two boundary verticals under the
-    same imaginary exclusion; the known real zeros sit on the excluded
-    segments.  An infinite lambda_rK is capped at lambda_l + SCAN_RIGHT_CAP.
-    This is a regression diagnostic: zero-freeness off the real axis holds
-    analytically, so PASS means min |chi| > zero_tol there.  The real-axis
-    segment is scanned too and reported separately without a gate (its
-    minimum is pinned at |chi'| * eps_re by the adjacent real zeros).
+    Off-axis rectangle [lambda_l + SCAN_EPS_RE, lambda_rK - SCAN_EPS_RE] x
+    ([-y_max, y_max] with |Im z| >= SCAN_EPS_IM) plus the two boundary
+    verticals under the same imaginary exclusion; the known real zeros sit
+    on the excluded segments.  An infinite lambda_rK is capped at
+    lambda_l + SCAN_RIGHT_CAP.  This is a regression diagnostic:
+    zero-freeness off the real axis holds analytically, so PASS means
+    min |chi| > SCAN_ZERO_TOL there.  The real-axis segment is scanned too
+    and reported separately without a gate (its minimum is pinned at
+    |chi'| * SCAN_EPS_RE by the adjacent real zeros).
 
     The imaginary band is an exact mirror, the upper half ``pos`` and the
     lower half ``-pos[::-1]``, and chi is evaluated on the upper half only,
@@ -331,7 +335,7 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     strip_pad = 1e-9 * max(1.0, abs(gamma_K)) if math.isfinite(gamma_K) else 0.0
     rk_eval = min(rk, gamma_K - strip_pad) if math.isfinite(gamma_K) else rk
 
-    x_lo, x_hi = sd.lambda_l + eps_re, rk_eval - eps_re
+    x_lo, x_hi = sd.lambda_l + SCAN_EPS_RE, rk_eval - SCAN_EPS_RE
     ny = max(81, int(math.ceil(2.0 * (y_max - SCAN_EPS_IM) * grid_density)) + 1)
     pos = np.linspace(SCAN_EPS_IM, y_max, ny // 2)
     best = (INF, (math.nan, math.nan))
@@ -383,10 +387,10 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
     if nans:
         notes.append(f"|chi| is nan at {nans} of {pts} scanned points; "
                      f"the minimum is over the finite ones")
-    passed = best[0] > zero_tol and not nans if pts else True
+    passed = best[0] > SCAN_ZERO_TOL and not nans if pts else True
     return ScanReport(min_abs_chi=best[0] if pts else INF, argmin=best[1],
-                      grid={**grid_meta, "points": pts, "zero_tol": zero_tol,
-                            "eps_re": eps_re, "eps_im": SCAN_EPS_IM},
+                      grid={**grid_meta, "points": pts, "zero_tol": SCAN_ZERO_TOL,
+                            "eps_re": SCAN_EPS_RE, "eps_im": SCAN_EPS_IM},
                       passed=passed, min_abs_chi_real_axis=axis_min,
                       argmin_real_axis=axis_arg,
                       empty=empty, notes="; ".join(notes))

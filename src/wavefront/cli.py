@@ -61,8 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     def solver(p):
         p.add_argument("--grid", default="-60,40,4096",
                        help="tmin,tmax,n of the solver grid (default: -60,40,4096)")
-        p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-        p.add_argument("--max-iter", type=int, default=20000, help="iteration cap")
+        p.add_argument("--tol", type=float, default=SolveOptions.tol,
+                       help="solver tolerance")
+        p.add_argument("--max-iter", type=int, default=SolveOptions.max_iter,
+                       help="iteration cap")
 
     command("analyze", "real-zero data and a trace of chi")
     command("speed", "minimal admissible speed (c*, z*)")
@@ -169,10 +171,8 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     prob = _problem(spec, cfg)
-    first = _default_init(prob)
-    kappa = 2.0 * first.cap  # the cap is kappa / 2, so doubling gives kappa exactly
-    ramp = np.clip((grid.ts - grid.t_min) / (0.0 - grid.t_min), 0.0, 1.0) * kappa
-    report = uniqueness_probe(prob, grid, [first, ramp], opts)
+    ramp = np.clip((grid.ts - grid.t_min) / (0.0 - grid.t_min), 0.0, 1.0) * prob.equilibrium()
+    report = uniqueness_probe(prob, grid, [_default_init(prob), ramp], opts)
     report.checks.insert(0, mollison_check(prob))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "verify.json"),

@@ -14,7 +14,7 @@ data on a compact grid, and lazy convolutions of the above.
 Each shape is one class, the only place that knows it: its transform, its
 action on a grid field (``grid_convolve(ts, G, lam_left)``) and the factor
 that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``), its
-quadrature window and kinks, and its JSON form (``shape``, ``to_dict``,
+quadrature window and kinks, and how it is read from JSON (``shape``,
 ``from_dict``).  On the grid the field is closed by an exponential tail at
 rate ``lam_left`` (or 0) on the left and always by its last value on the
 right.  There, exponential pieces run exact O(n) linear recurrences on the
@@ -89,8 +89,8 @@ class KernelComponent:
     ``laplace``, ``value``, ``support``, ``grid_convolve`` and
     ``grid_laplace``; unless it is
     compactly supported also ``truncation_window``, its one quadrature
-    window; and ``breakpoints`` where its density has kinks.  ``to_dict``
-    and ``from_dict`` work on any frozen dataclass of JSON-ready fields.
+    window; and ``breakpoints`` where its density has kinks.  ``from_dict``
+    works on any frozen dataclass of JSON-ready fields.
     """
 
     shape = ""
@@ -147,19 +147,12 @@ class KernelComponent:
         """
         return x <= self.abscissas()[1]
 
-    def to_dict(self) -> dict:
-        """JSON form: ``shape`` plus the dataclass fields, tuples as lists."""
-        out = {"shape": self.shape}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
     @classmethod
     def from_dict(cls, spec: dict, base_dir=None) -> "KernelComponent":
-        """Inverse of :meth:`to_dict`; fields with a default may be left out.
+        """Kernel from a JSON object holding one key per dataclass field.
 
-        ``base_dir`` resolves a relative file path in shapes that read one.
+        Fields with a default may be left out.  ``base_dir`` resolves a
+        relative file path in shapes that read one.
         """
         return cls(**{f.name: spec[f.name] for f in fields(cls)
                       if f.name in spec or f.default is MISSING})
@@ -654,9 +647,6 @@ class ConvolvedKernel(KernelComponent):
 
     def breakpoints(self):
         return self.a.breakpoints() + self.b.breakpoints()
-
-    def to_dict(self):
-        return {"shape": self.shape, "a": self.a.to_dict(), "b": self.b.to_dict()}
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):

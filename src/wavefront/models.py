@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -45,8 +45,6 @@ __all__ = [
     "NonlocalDelayedRD",
     "LocalDelayedRD",
     "beta_select",
-    "model_chi",
-    "ModelChi",
     "model_min_speed",
     "load_model",
     "nonlinearity_from_dict",
@@ -68,7 +66,6 @@ class Nonlinearity:
     gprime0: float
     deriv: callable | None = None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.gprime0 <= 0:
@@ -105,9 +102,6 @@ class Nonlinearity:
         d = self._deriv_samples(0.0, M)
         return float(np.max(np.abs(d)))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.name, **self.params}
-
 
 def logistic(rate: float = 2.0, carrying: float = 1.0) -> Nonlinearity:
     """g(u) = rate * u * (1 - u/carrying); slope at zero is ``rate``."""
@@ -118,7 +112,6 @@ def logistic(rate: float = 2.0, carrying: float = 1.0) -> Nonlinearity:
         deriv=lambda u: rate * (1.0 - 2.0 * np.asarray(u) / carrying),
         gprime0=rate,
         name="logistic",
-        params={"rate": rate, "carrying": carrying},
     )
 
 
@@ -136,8 +129,7 @@ def mackey_glass(p: float = 2.0, n: float = 6.0) -> Nonlinearity:
         un = u ** n
         return p * (1.0 + (1.0 - n) * un) / (1.0 + un) ** 2
 
-    return Nonlinearity(fn=fn, deriv=deriv, gprime0=p,
-                        name="mackey_glass", params={"p": p, "n": n})
+    return Nonlinearity(fn=fn, deriv=deriv, gprime0=p, name="mackey_glass")
 
 
 def linear(slope: float = 1.0) -> Nonlinearity:
@@ -145,13 +137,14 @@ def linear(slope: float = 1.0) -> Nonlinearity:
         raise ValueError("slope must be positive")
     return Nonlinearity(fn=lambda u: slope * np.asarray(u, dtype=float),
                         deriv=lambda u: np.full_like(np.asarray(u, dtype=float), slope),
-                        gprime0=slope, name="linear", params={"slope": slope})
+                        gprime0=slope, name="linear")
 
 
 identity = linear  # the tau-atoms carrying the linear part use g(s, tau) = s
 
 
-def tabulated_nonlinearity(u, g, gprime0: float | None = None) -> Nonlinearity:
+def tabulated_nonlinearity(u, g) -> Nonlinearity:
+    """Piecewise-linear interpolant of the samples; g'(0) is its first segment's slope."""
     u = np.asarray(u, dtype=float)
     g = np.asarray(g, dtype=float)
     if u.ndim != 1 or u.shape != g.shape or u.size < 3:
@@ -162,10 +155,8 @@ def tabulated_nonlinearity(u, g, gprime0: float | None = None) -> Nonlinearity:
         raise ValueError("samples must start at u=0 with g(0)=0")
     if np.any(np.diff(u) <= 0):
         raise ValueError("u samples must be strictly increasing")
-    gp0 = gprime0 if gprime0 is not None else float(g[1] / u[1])
     return Nonlinearity(fn=lambda x: np.interp(np.asarray(x, dtype=float), u, g),
-                        gprime0=gp0, name="tabulated",
-                        params={"u": u.tolist(), "g": g.tolist(), "gprime0": gp0})
+                        gprime0=float(g[1] / u[1]), name="tabulated")
 
 
 def beta_select(n: Nonlinearity, M: float, role: str = "birth", margin: float = 1.0) -> float:
@@ -200,7 +191,7 @@ def _birth_shift(g: Nonlinearity, beta: float) -> Nonlinearity:
                         deriv=(None if g.deriv is None
                                else lambda u: np.asarray(g.deriv(u)) + beta),
                         gprime0=g.gprime0 + beta,
-                        name=f"{g.name}+beta*u", params={**g.params, "beta": beta})
+                        name=f"{g.name}+beta*u")
 
 
 def _damping_shift(f: Nonlinearity, beta: float) -> Nonlinearity:
@@ -208,7 +199,7 @@ def _damping_shift(f: Nonlinearity, beta: float) -> Nonlinearity:
                         deriv=(None if f.deriv is None
                                else lambda u: beta - np.asarray(f.deriv(u))),
                         gprime0=beta - f.gprime0,
-                        name=f"beta*u-{f.name}", params={**f.params, "beta": beta})
+                        name=f"beta*u-{f.name}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +273,14 @@ class ConvolutionProblem:
             tuple((a.kernel, a.lipschitz_weight) for a in self.atoms))
 
     def equilibrium(self) -> float:
-        """Smallest positive root of kappa = sum_tau mass_tau g_tau(kappa) on (0, bound]."""
+        """Smallest positive root of kappa = sum_tau mass_tau g_tau(kappa) on (0, bound].
+
+        Found on the first call; later calls return the same float.
+        """
+        return self._kappa
+
+    @cached_property
+    def _kappa(self) -> float:
         terms = [(a.kernel.mass, a.nonlinearity) for a in self.atoms]
         kappa = _smallest_root(lambda x: sum(m * g(x) for m, g in terms) - x, self.bound)
         if kappa is None:
@@ -353,9 +351,6 @@ class ModelSpec:
         """z-interval on which tilde_chi is evaluable (independent of beta)."""
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
     def _check_speed(self, c: float, negative_ok: bool = False) -> None:
         if c == 0:
             raise ZeroSpeed("c = 0: stationary fronts are out of scope")
@@ -405,10 +400,6 @@ class NonlocalKPP(ModelSpec):
 
     def tilde_strip(self, c):
         return self.J.abscissas()
-
-    def to_dict(self):
-        return {"family": self.family, "kernel": self.J.to_dict(),
-                "nonlinearity": self.g.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -487,11 +478,6 @@ class NonlocalLattice(ModelSpec):
     def tilde_strip(self, c):
         return (-INF, INF)
 
-    def to_dict(self):
-        return {"family": self.family, "D": self.D, "d": self.d,
-                "beta": {str(k): w for k, w in sorted(self.beta_weights.items())},
-                "delay": self.delay, "nonlinearity": self.g.to_dict()}
-
 
 @dataclass(frozen=True)
 class NonlocalDelayedRD(ModelSpec):
@@ -553,11 +539,6 @@ class NonlocalDelayedRD(ModelSpec):
     def tilde_strip(self, c):
         return self.k.abscissas()
 
-    def to_dict(self):
-        return {"family": self.family, "damping": self.f.to_dict(),
-                "kernel": self.k.to_dict(), "delay": self.delay,
-                "nonlinearity": self.g.to_dict()}
-
 
 @dataclass(frozen=True)
 class LocalDelayedRD(ModelSpec):
@@ -604,41 +585,6 @@ class LocalDelayedRD(ModelSpec):
 
     def tilde_strip(self, c):
         return (-INF, INF)
-
-    def to_dict(self):
-        return {"family": self.family, "L": self.L, "delay": self.delay,
-                "nonlinearity": self.g.to_dict()}
-
-
-@dataclass(frozen=True)
-class ModelChi:
-    """Assembled characteristic functions plus their closed-form factorization."""
-
-    problem: ConvolutionProblem
-    cf: CharacteristicFunction
-    cf_lipschitz: CharacteristicFunction
-    tilde: callable
-    tilde_lipschitz: callable
-    denominator: callable
-
-
-def model_chi(m: ModelSpec, c: float, M: float | None = None,
-              margin: float = 1.0) -> ModelChi:
-    """Assemble the problem at speed c and expose both chi routes.
-
-    The identity chi(z) == tilde(z) / denominator(z) on the strip is the
-    core test surface tying the reduction to its closed form.
-    """
-    prob = m.to_convolution_form(c, M, margin)
-    beta = prob.beta_used
-    return ModelChi(
-        problem=prob,
-        cf=prob.charfun(),
-        cf_lipschitz=prob.charfun_lipschitz(),
-        tilde=lambda z: m.tilde_chi(z, c),
-        tilde_lipschitz=lambda z: m.tilde_chi_lipschitz(z, c),
-        denominator=lambda z: m.denominator(z, c, beta),
-    )
 
 
 def _closed_max_at(m: ModelSpec):
@@ -719,7 +665,11 @@ def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
     if kind == "linear":
         return linear(slope=spec.get("slope", 1.0))
     if kind == "tabulated":
-        return tabulated_nonlinearity(spec["u"], spec["g"], spec.get("gprime0"))
+        if "gprime0" in spec:
+            # a declared slope would disagree with the interpolant's own
+            raise ValueError("tabulated nonlinearity takes no \"gprime0\": g'(0) is "
+                             "the slope of its first segment")
+        return tabulated_nonlinearity(spec["u"], spec["g"])
     raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
 

@@ -196,7 +196,7 @@ class CappedExponential:
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-8
-    max_iter: int = 5000
+    max_iter: int = 20000
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf or self.max_iter < 1:

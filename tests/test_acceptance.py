@@ -107,14 +107,16 @@ def test_criterion_04_reduction_identity():
     ]
     with criterion(4, 10.0, "assembled chi == tilde/denominator on all four families"):
         for m in families:
-            mc = wf.model_chi(m, 2.0)
-            lo, hi = mc.cf.strip
+            prob = m.to_convolution_form(2.0)
+            cf = prob.charfun()
+            lo, hi = cf.strip
             lo, hi = max(lo, -2.0), min(hi, 3.0)
             xs = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 50)
             for j, x in enumerate(xs):
                 z = complex(x, rng.uniform(-2, 2) if j % 2 else 0.0)
-                lhs = complex(np.asarray(mc.cf(z)).item())
-                rhs = complex(np.asarray(mc.tilde(z) / mc.denominator(z)).item())
+                lhs = complex(np.asarray(cf(z)).item())
+                closed = m.tilde_chi(z, 2.0) / m.denominator(z, 2.0, prob.beta_used)
+                rhs = complex(np.asarray(closed).item())
                 assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
 
 
@@ -230,8 +232,7 @@ def test_criterion_09_strip_zero_freeness(local_family):
         prob = local_family.to_convolution_form(2.5)
         cf = prob.charfun()
         sd = prob.spectral
-        rep = wf.strip_zero_scan(cf, sd, y_max=50.0, grid_density=40.0,
-                                 eps_re=1e-3, zero_tol=1e-3)
+        rep = wf.strip_zero_scan(cf, sd, y_max=50.0, grid_density=40.0)
         assert rep.passed
         assert rep.min_abs_chi > 1e-3
 

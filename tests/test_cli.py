@@ -445,6 +445,30 @@ def test_analyze_with_tabulated_kernel(tmp_path):
     assert data["lambda_l"] == pytest.approx(0.7880, abs=5e-3)
 
 
+def tabulated_birth(tmp_path, **extra):
+    u = np.linspace(0.0, 2.0, 401).tolist()
+    return write_model(tmp_path, nonlinearity={"kind": "tabulated", "u": u,
+                                               "g": [2 * x * (1 - x) for x in u], **extra})
+
+
+def test_tabulated_nonlinearity_solves_and_verifies(tmp_path):
+    model = tabulated_birth(tmp_path)
+    for command in ("analyze", "speed", "solve", "verify"):
+        assert main([command, "--model", str(model), "--out", str(tmp_path / "out")]) == 0
+    conv = read_json(tmp_path / "out" / "solve.json")["convergence"]
+    assert conv["iterations"] == 43
+    assert conv["closure_rate"] == pytest.approx(0.49338, abs=1e-5)
+
+
+def test_tabulated_nonlinearity_with_declared_slope_is_usage_error(tmp_path, capsys):
+    # a declared g'(0) of 2 against the interpolant's 1.99 once gave chi and
+    # the closure rate one slope and the sweeps another: a false TailUnresolved
+    model = tabulated_birth(tmp_path, gprime0=2.0)
+    assert main(["solve", "--model", str(model), "--out", str(tmp_path / "out")]) == 64
+    assert "gprime0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

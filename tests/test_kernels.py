@@ -318,19 +318,34 @@ def test_csv_loading(tmp_path):
         wf.load_tabulated(bad)
 
 
-@pytest.mark.parametrize("kernel", [
-    wf.GaussianKernel(0.3, scale=2.0),
-    wf.OneSidedExponential(rate=0.8, direction=-1, shift=-0.5, scale=0.5),
-    wf.PiecewiseGreen.from_speed_damping(-1.5, 2.0, shift=0.75, scale=3.0),
-    wf.DiracComb((-1.0, 0.5), (1.0, 2.0)),
-    wf.TabulatedKernel((-1.0, 0.0, 1.5), (0.0, 1.0, 0.0)),
-    wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)),
-], ids=lambda k: k.shape)
-def test_kernel_json_round_trip(kernel):
-    d = kernel.to_dict()
-    again = kernel_from_dict(json.loads(json.dumps(d)))
+# each shape's JSON form, with every field written out, and the kernel it names
+_KERNEL_JSON = [
+    ({"shape": "gaussian", "variance": 0.3, "scale": 2.0},
+     wf.GaussianKernel(0.3, scale=2.0)),
+    ({"shape": "exponential_onesided", "rate": 0.8, "direction": -1, "shift": -0.5,
+      "scale": 0.5},
+     wf.OneSidedExponential(rate=0.8, direction=-1, shift=-0.5, scale=0.5)),
+    ({"shape": "piecewise_green", "nu": -2.0, "mu": 0.5, "shift": 0.75, "scale": 3.0},
+     wf.PiecewiseGreen.from_speed_damping(-1.5, 1.0, shift=0.75, scale=3.0)),
+    ({"shape": "dirac_comb", "offsets": [-1.0, 0.5], "weights": [1.0, 2.0]},
+     wf.DiracComb((-1.0, 0.5), (1.0, 2.0))),
+    ({"shape": "tabulated", "grid": [-1.0, 0.0, 1.5], "values": [0.0, 1.0, 0.0]},
+     wf.TabulatedKernel((-1.0, 0.0, 1.5), (0.0, 1.0, 0.0))),
+    ({"shape": "convolved", "a": {"shape": "gaussian", "variance": 1.0},
+      "b": {"shape": "piecewise_green", "c": 2.5, "q": 1.0}},
+     wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))),
+]
+
+
+@pytest.mark.parametrize("spec, kernel", _KERNEL_JSON,
+                         ids=[spec["shape"] for spec, _ in _KERNEL_JSON])
+def test_kernel_json_round_trip(spec, kernel):
+    again = kernel_from_dict(json.loads(json.dumps(spec)))
     assert type(again) is type(kernel)
-    assert again.to_dict() == d
+    if isinstance(kernel, ConvolvedKernel):
+        assert (again.a, again.b) == (kernel.a, kernel.b)
+    else:
+        assert again == kernel
     for z in (-0.2, 0.4):
         assert again.laplace(z) == kernel.laplace(z)
 

@@ -65,10 +65,19 @@ def test_tabulated_nonlinearity():
     g = wf.tabulated_nonlinearity(u, 2 * u * (1 - u))
     assert g(0.5) == pytest.approx(0.5, abs=1e-12)
     assert g.gprime0 == pytest.approx(2.0, rel=0.02)
-    g2 = wf.tabulated_nonlinearity(u, 2 * u * (1 - u), gprime0=2.0)
-    assert g2.gprime0 == 2.0
+    # g'(0) is the slope of the first segment, 2 (1 - u_1)
+    assert g.gprime0 == pytest.approx(1.99, rel=1e-12)
     with pytest.raises(ValueError, match="finite"):
         wf.tabulated_nonlinearity(u, np.where(u == 1.0, np.nan, 2 * u * (1 - u)))
+    # no analytic derivative: slopes come from finite differences of the
+    # interpolant, whose segment j has slope 2 (1 - u_j - u_{j+1})
+    assert g.deriv is None
+    assert float(g.derivative(0.5025)) == pytest.approx(-0.01, abs=1e-8)
+    assert float(g.derivative(0.0)) == pytest.approx(g.gprime0, rel=1e-9)
+    # the steepest segment is the last, [1.995, 2]
+    assert g.lipschitz_on(2.0) == pytest.approx(5.99, rel=1e-8)
+    assert wf.beta_select(g, 2.0, role="birth", margin=1.0) == pytest.approx(
+        (5.99 - 1.99) / 2.0 + 1.0, rel=1e-8)
 
 
 # --- reductions to convolution form ------------------------------------------
@@ -103,12 +112,12 @@ def test_kpp_reduction_atoms():
 def test_kpp_assembled_chi_example():
     # beta = 1, c = 1, z = 1: chi = -e^{1/2}/3
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    mc = wf.model_chi(m, 1.0, M=0.5, margin=1.0)
-    assert mc.problem.beta_used == pytest.approx(1.0, rel=1e-6)
-    val = complex(mc.cf(1.0)).real
+    prob = m.to_convolution_form(1.0, M=0.5, margin=1.0)
+    assert prob.beta_used == pytest.approx(1.0, rel=1e-6)
+    val = complex(prob.charfun()(1.0)).real
     assert val == pytest.approx(-math.exp(0.5) / 3.0, rel=1e-9)
-    assert val == pytest.approx(float(np.real(mc.tilde(1.0) / mc.denominator(1.0))),
-                                rel=1e-12)
+    closed = m.tilde_chi(1.0, 1.0) / m.denominator(1.0, 1.0, prob.beta_used)
+    assert val == pytest.approx(float(np.real(closed)), rel=1e-12)
 
 
 def test_kpp_negative_speed_reduction():
@@ -191,25 +200,27 @@ def test_chi0_negative_iff_hypothesis():
                          ids=["kpp", "lattice", "nonlocal_rd", "local_rd"])
 def test_reduction_identity(m, rng):
     c = 2.0
-    mc = wf.model_chi(m, c)
-    lo, hi = mc.cf.strip
+    prob = m.to_convolution_form(c)
+    cf, cf1 = prob.charfun(), prob.charfun_lipschitz()
+    lo, hi = cf.strip
     lo = max(lo, -2.0)
     hi = min(hi, 3.0)
     xs = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), size=50)
     ys = rng.uniform(-2.0, 2.0, size=50)
     for j, (x, y) in enumerate(zip(xs, ys)):
         z = complex(x, y if j % 2 else 0.0)
-        lhs = complex(np.asarray(mc.cf(z)).item())
-        rhs = complex(np.asarray(mc.tilde(z) / mc.denominator(z)).item())
+        den = m.denominator(z, c, prob.beta_used)
+        lhs = complex(np.asarray(cf(z)).item())
+        rhs = complex(np.asarray(m.tilde_chi(z, c) / den).item())
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
-        lhs1 = complex(np.asarray(mc.cf_lipschitz(z)).item())
-        rhs1 = complex(np.asarray(mc.tilde_lipschitz(z) / mc.denominator(z)).item())
+        lhs1 = complex(np.asarray(cf1(z)).item())
+        rhs1 = complex(np.asarray(m.tilde_chi_lipschitz(z, c) / den).item())
         assert abs(lhs1 - rhs1) <= 1e-8 * (1.0 + abs(rhs1))
 
 
 def test_local_assembled_chi_root():
-    mc = wf.model_chi(wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0), 2.5)
-    assert complex(np.asarray(mc.cf(0.5)).item()).real == pytest.approx(0.0, abs=1e-12)
+    cf = wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0).to_convolution_form(2.5).charfun()
+    assert complex(np.asarray(cf(0.5)).item()).real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delay_shift_multiplies_transform():
@@ -380,6 +391,25 @@ def test_equilibrium_smallest_positive_root():
     assert prob.equilibrium() == pytest.approx(0.5, abs=1e-10)
 
 
+def test_equilibrium_is_found_once_per_problem(monkeypatch):
+    calls = []
+    scan = models._smallest_root
+
+    def counting(F, hi):
+        calls.append(hi)
+        return scan(F, hi)
+
+    prob = wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0).to_convolution_form(2.5)
+    monkeypatch.setattr(models, "_smallest_root", counting)
+    kappa = prob.equilibrium()
+    assert prob.relaxation == pytest.approx(1.0, abs=1e-12)
+    grid = wf.Grid(-60.0, 40.0, 1024)
+    init = wf.CappedExponential(prob.spectral.lambda_l, kappa / 2.0)
+    assert wf.solve_profile(prob, grid, init).plateau == kappa
+    assert prob.equilibrium() == kappa
+    assert len(calls) == 1
+
+
 # --- JSON loading --------------------------------------------------------------
 
 def test_model_json_round_trip(tmp_path):
@@ -392,9 +422,8 @@ def test_model_json_round_trip(tmp_path):
     spec, raw = wf.load_model(p)
     assert isinstance(spec, wf.LocalDelayedRD)
     assert raw["c"] == 2.5
-    d = spec.to_dict()
-    spec2 = model_from_dict(d)
-    assert spec2.L == spec.L and spec2.delay == spec.delay
+    spec2 = model_from_dict(raw)
+    assert spec2.L == spec.L == 2.0 and spec2.delay == spec.delay == 0.0
 
 
 def test_model_json_all_families():
@@ -422,20 +451,43 @@ def test_model_json_all_families():
                          "nonlinearity": {"kind": "unknown"}})
 
 
-@pytest.mark.parametrize("model", [
-    wf.NonlocalKPP(J=wf.GaussianKernel(1.0, scale=0.9), g=wf.logistic(2.0, 1.0)),
-    wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={0: 0.6, -1: 0.4},
-                       g=wf.mackey_glass(2.0, 6.0), delay=0.5),
-    wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
-                         k=wf.convolve(wf.DiracComb((0.5,), (1.0,)), wf.GaussianKernel(0.5)),
-                         delay=0.5),
-    wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.5, delay=1.0),
-], ids=lambda m: m.family)
-def test_model_dict_round_trip(model):
-    d = model.to_dict()
-    again = model_from_dict(json.loads(json.dumps(d)))
+# each family's JSON form, with every field written out, and the model it names
+_MODEL_JSON = [
+    ({"family": "nonlocal_kpp", "kernel": {"shape": "gaussian", "variance": 1.0, "scale": 0.9},
+      "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}},
+     wf.NonlocalKPP(J=wf.GaussianKernel(1.0, scale=0.9), g=wf.logistic(2.0, 1.0))),
+    ({"family": "nonlocal_lattice", "D": 1.0, "d": 1.0, "beta": {"-1": 0.4, "0": 0.6},
+      "delay": 0.5, "nonlinearity": {"kind": "mackey_glass", "p": 2.0, "n": 6.0}},
+     wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={0: 0.6, -1: 0.4},
+                        g=wf.mackey_glass(2.0, 6.0), delay=0.5)),
+    ({"family": "nonlocal_delayed_rd", "damping": {"kind": "linear", "slope": 1.0},
+      "kernel": {"shape": "convolved",
+                 "a": {"shape": "dirac_comb", "offsets": [0.5], "weights": [1.0]},
+                 "b": {"shape": "gaussian", "variance": 0.5}},
+      "delay": 0.5, "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}},
+     wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
+                          k=wf.convolve(wf.DiracComb((0.5,), (1.0,)), wf.GaussianKernel(0.5)),
+                          delay=0.5)),
+    ({"family": "local_delayed_rd", "L": 2.5, "delay": 1.0,
+      "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}},
+     wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.5, delay=1.0)),
+]
+
+
+@pytest.mark.parametrize("spec, model", _MODEL_JSON,
+                         ids=[spec["family"] for spec, _ in _MODEL_JSON])
+def test_model_dict_round_trip(spec, model):
+    again = model_from_dict(json.loads(json.dumps(spec)))
     assert type(again) is type(model)
-    assert again.to_dict() == d
+    # every field but the nonlinearities, which hold functions, compares equal
+    for name, value in vars(model).items():
+        other = getattr(again, name)
+        if isinstance(value, wf.Nonlinearity):
+            assert (other.name, other.gprime0) == (value.name, value.gprime0)
+        elif isinstance(value, wf.ConvolvedKernel):
+            assert (other.a, other.b) == (value.a, value.b)
+        else:
+            assert other == value
     assert again.tilde_chi(0.4, 3.0) == model.tilde_chi(0.4, 3.0)
 
 

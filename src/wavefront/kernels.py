@@ -21,8 +21,9 @@ right.  There, exponential pieces run exact O(n) linear recurrences on the
 piecewise-linear interpolant, atomic combs add shifted copies, Gaussian
 and tabulated densities are sampled at multiples of the grid step and
 applied as one discrete convolution, summed as a blocked Toeplitz
-product, and a lazy product applies its factors in turn.  A shifted copy
-(a comb atom, a shifted exponential or Green kernel, or the solver's
+product, and a lazy product applies its factors in turn.  K(s - d), a
+delay c h included, is K convolved with a unit point mass at d
+(:func:`shift_kernel`), so a shifted copy (a comb atom or the solver's
 phase pin) is one two-tap stencil on the uniform grid: a whole number of
 steps moves the field by whole indices, any other shift interpolates
 linearly between two neighbours, and the closure fills the points moved
@@ -39,7 +40,7 @@ import csv
 import math
 import os
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -89,8 +90,10 @@ class KernelComponent:
     ``laplace``, ``value``, ``support``, ``grid_convolve`` and
     ``grid_laplace``; unless it is
     compactly supported also ``truncation_window``, its one quadrature
-    window; and ``breakpoints`` where its density has kinks.  ``from_dict``
-    works on any frozen dataclass of JSON-ready fields.
+    window; and ``breakpoints`` where its density has kinks (a comb's
+    atoms, which move the kinks of what it is convolved with).  A shape
+    has no shift of its own: K(s - d) is :func:`shift_kernel`.
+    ``from_dict`` works on any frozen dataclass of JSON-ready fields.
     """
 
     shape = ""
@@ -151,9 +154,11 @@ class KernelComponent:
     def from_dict(cls, spec: dict, base_dir=None) -> "KernelComponent":
         """Kernel from a JSON object holding one key per dataclass field.
 
-        Fields with a default may be left out.  ``base_dir`` resolves a
-        relative file path in shapes that read one.
+        Fields with a default may be left out; any key outside them (and
+        ``shape``/``shift``, read by :func:`kernel_from_dict`) is an error.
+        ``base_dir`` resolves a relative file path in shapes that read one.
         """
+        _check_keys(spec, [f.name for f in fields(cls)])
         return cls(**{f.name: spec[f.name] for f in fields(cls)
                       if f.name in spec or f.default is MISSING})
 
@@ -213,13 +218,12 @@ class GaussianKernel(KernelComponent):
 class OneSidedExponential(KernelComponent):
     """One-sided exponential of unit mass times ``scale``.
 
-    direction=+1: K(s) = rate e^{-rate (s - shift)} on s >= shift, strip (-rate, inf).
-    direction=-1: K(s) = rate e^{+rate (s - shift)} on s <= shift, strip (-inf, rate).
+    direction=+1: K(s) = rate e^{-rate s} on s >= 0, strip (-rate, inf).
+    direction=-1: K(s) = rate e^{+rate s} on s <= 0, strip (-inf, rate).
     """
 
     rate: float
     direction: int = 1
-    shift: float = 0.0
     scale: float = 1.0
 
     shape = "exponential_onesided"
@@ -245,59 +249,48 @@ class OneSidedExponential(KernelComponent):
         z = np.asarray(z)
         r = self.rate
         den = r + z if self.direction == 1 else r - z
-        if self.shift == 0.0:
-            # e^{-z 0} = 1: the same floats without a complex exp per point
-            return self.scale * r / den
-        return self.scale * np.exp(-z * self.shift) * r / den
+        return self.scale * r / den
 
     def value(self, s):
-        s = np.asarray(s, dtype=float)
-        u = (s - self.shift) * self.direction
-        out = np.where(u >= 0, self.scale * self.rate * np.exp(-self.rate * np.maximum(u, 0.0)), 0.0)
-        return out
+        u = np.asarray(s, dtype=float) * self.direction
+        return np.where(u >= 0, self.scale * self.rate * np.exp(-self.rate * np.maximum(u, 0.0)), 0.0)
 
     def support(self):
         if self.direction == 1:
-            return (self.shift, INF)
-        return (-INF, self.shift)
+            return (0.0, INF)
+        return (-INF, 0.0)
 
     def grid_convolve(self, ts, G, lam_left):
         if self.direction == 1:
-            H = self.scale * _recurse_forward(ts, G, self.rate, lam_left)
-        else:
-            H = self.scale * _recurse_backward(ts, G, self.rate)
-        if self.shift == 0.0:
-            return H
-        return _shift(ts, H, self.shift, lam_left)
+            return self.scale * _recurse_forward(ts, G, self.rate, lam_left)
+        return self.scale * _recurse_backward(ts, G, self.rate)
 
     def grid_laplace(self, lam, dt):
-        H = self.scale * _recurse_factor(self.rate, math.exp(-self.direction * lam * dt), dt)
-        return H * _shift_factor(self.shift, lam, dt)
+        return self.scale * _recurse_factor(self.rate, math.exp(-self.direction * lam * dt), dt)
 
     def truncation_window(self, x):
         length = _TAIL / (self.rate + self.direction * x)
         if self.direction == 1:
-            return (self.shift, self.shift + length)
-        return (self.shift - length, self.shift)
+            return (0.0, length)
+        return (-length, 0.0)
 
     def breakpoints(self):
-        return [self.shift]
+        return [0.0]
 
 
 @dataclass(frozen=True)
 class PiecewiseGreen(KernelComponent):
     """Two-sided piecewise exponential from the roots nu < 0 < mu of z^2 - c z - q = 0.
 
-    K(s) = scale/(mu - nu) * { e^{nu (s - shift)}  for s >= shift,
-                               e^{mu (s - shift)}  for s <  shift },
-    with transform scale * e^{-z shift} / (q + c z - z^2) on (nu, mu) and
+    K(s) = scale/(mu - nu) * { e^{nu s}  for s >= 0,
+                               e^{mu s}  for s <  0 },
+    with transform scale / (q + c z - z^2) on (nu, mu) and
     mass scale / q, where c = nu + mu, q = -nu mu.  This is the Green
     kernel inverting the second-order part of a profile equation.
     """
 
     nu: float
     mu: float
-    shift: float = 0.0
     scale: float = 1.0
 
     shape = "piecewise_green"
@@ -309,11 +302,11 @@ class PiecewiseGreen(KernelComponent):
             raise ValueError("scale must be positive")
 
     @classmethod
-    def from_speed_damping(cls, c: float, q: float, shift: float = 0.0, scale: float = 1.0):
+    def from_speed_damping(cls, c: float, q: float, scale: float = 1.0):
         if q <= 0:
             raise ValueError("damping q must be positive")
         disc = math.sqrt(c * c + 4.0 * q)
-        return cls(nu=(c - disc) / 2.0, mu=(c + disc) / 2.0, shift=shift, scale=scale)
+        return cls(nu=(c - disc) / 2.0, mu=(c + disc) / 2.0, scale=scale)
 
     @property
     def damping(self) -> float:
@@ -333,16 +326,13 @@ class PiecewiseGreen(KernelComponent):
     def laplace(self, z):
         z = np.asarray(z)
         den = self.damping + self.speed * z - z * z
-        if self.shift == 0.0:
-            return self.scale / den
-        return self.scale * np.exp(-z * self.shift) / den
+        return self.scale / den
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        u = s - self.shift
         amp = self.scale / (self.mu - self.nu)
-        return amp * np.where(u >= 0, np.exp(self.nu * np.maximum(u, 0.0)),
-                              np.exp(self.mu * np.minimum(u, 0.0)))
+        return amp * np.where(s >= 0, np.exp(self.nu * np.maximum(s, 0.0)),
+                              np.exp(self.mu * np.minimum(s, 0.0)))
 
     def support(self):
         return (-INF, INF)
@@ -350,31 +340,27 @@ class PiecewiseGreen(KernelComponent):
     def grid_convolve(self, ts, G, lam_left):
         rho1, rho2 = -self.nu, self.mu
         amp = self.scale / (self.mu - self.nu)
-        H = amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
-                   + _recurse_backward(ts, G, rho2) / rho2)
-        if self.shift == 0.0:
-            return H
-        return _shift(ts, H, self.shift, lam_left)
+        return amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
+                      + _recurse_backward(ts, G, rho2) / rho2)
 
     def grid_laplace(self, lam, dt):
         rho1, rho2 = -self.nu, self.mu
         amp = self.scale / (self.mu - self.nu)
-        H = amp * (_recurse_factor(rho1, math.exp(-lam * dt), dt) / rho1
-                   + _recurse_factor(rho2, math.exp(lam * dt), dt) / rho2)
-        return H * _shift_factor(self.shift, lam, dt)
+        return amp * (_recurse_factor(rho1, math.exp(-lam * dt), dt) / rho1
+                      + _recurse_factor(rho2, math.exp(lam * dt), dt) / rho2)
 
     def truncation_window(self, x):
-        return (self.shift - _TAIL / (self.mu - x), self.shift + _TAIL / (x - self.nu))
+        return (-_TAIL / (self.mu - x), _TAIL / (x - self.nu))
 
     def breakpoints(self):
-        return [self.shift]
+        return [0.0]
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):
         if "nu" in spec and "mu" in spec:
             return super().from_dict(spec)
-        return cls.from_speed_damping(spec["c"], spec["q"], shift=spec.get("shift", 0.0),
-                                      scale=spec.get("scale", 1.0))
+        _check_keys(spec, ("c", "q", "scale"))
+        return cls.from_speed_damping(spec["c"], spec["q"], scale=spec.get("scale", 1.0))
 
 
 @dataclass(frozen=True)
@@ -411,10 +397,7 @@ class DiracComb(KernelComponent):
 
     def laplace(self, z):
         z = np.asarray(z)
-        out = np.zeros(np.shape(z), dtype=complex if np.iscomplexobj(z) else float)
-        for a, w in zip(self.offsets, self.weights):
-            out = out + w * np.exp(-z * a)
-        return out
+        return reduce(np.add, (w * np.exp(-z * a) for a, w in zip(self.offsets, self.weights)))
 
     def value(self, s):
         raise TypeError("atomic comb has no pointwise density")
@@ -423,13 +406,14 @@ class DiracComb(KernelComponent):
         return (min(self.offsets), max(self.offsets))
 
     def grid_convolve(self, ts, G, lam_left):
-        out = np.zeros_like(G)
-        for a, w in zip(self.offsets, self.weights):
-            out += w * _shift(ts, G, a, lam_left)
-        return out
+        return reduce(np.add, (w * _shift(ts, G, a, lam_left)
+                               for a, w in zip(self.offsets, self.weights)))
 
     def grid_laplace(self, lam, dt):
         return sum(w * _shift_factor(a, lam, dt) for a, w in zip(self.offsets, self.weights))
+
+    def breakpoints(self):
+        return list(self.offsets)
 
 
 def _segment_transform(z, t0, t1, v0, v1):
@@ -566,6 +550,7 @@ class TabulatedKernel(KernelComponent):
     @classmethod
     def from_dict(cls, spec, base_dir=None):
         if "path" in spec:
+            _check_keys(spec, ("path",))
             return load_tabulated(os.path.join(base_dir or "", spec["path"]))
         return super().from_dict(spec)
 
@@ -597,7 +582,6 @@ class ConvolvedKernel(KernelComponent):
         return self._strip
 
     def laplace(self, z):
-        _check_strip(self._strip, z)
         return self.a.laplace(z) * self.b.laplace(z)
 
     def value(self, s):
@@ -646,10 +630,13 @@ class ConvolvedKernel(KernelComponent):
         return (lo_a + lo_b, hi_a + hi_b)
 
     def breakpoints(self):
-        return self.a.breakpoints() + self.b.breakpoints()
+        # sums of the factors' kinks; a factor with none counts as one at 0
+        return [p + q for p in self.a.breakpoints() or [0.0]
+                for q in self.b.breakpoints() or [0.0]]
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):
+        _check_keys(spec, ("a", "b"))
         return convolve(kernel_from_dict(spec["a"], base_dir),
                         kernel_from_dict(spec["b"], base_dir))
 
@@ -658,14 +645,24 @@ _SHAPES = (GaussianKernel, OneSidedExponential, PiecewiseGreen, DiracComb,
            TabulatedKernel, ConvolvedKernel)
 
 
+def _check_keys(spec: dict, allowed) -> None:
+    """Reject a JSON key that is neither in ``allowed`` nor ``shape``/``shift``."""
+    unknown = sorted(set(spec) - set(allowed) - {"shape", "shift"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {spec.get('shape')} kernel")
+
+
 def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
-    """Kernel from its JSON form; a relative tabulated ``path`` is read from ``base_dir``."""
+    """Kernel from its JSON form, moved by any ``"shift"``; a relative ``path`` is read from ``base_dir``."""
     if not isinstance(spec, dict):
         raise ValueError(f"kernel must be an object, got {spec!r}")
     shape = spec.get("shape")
+    shift = spec.get("shift", 0.0)
+    if isinstance(shift, bool) or not isinstance(shift, (int, float)):
+        raise ValueError(f"kernel shift must be a number, got {shift!r}")
     for cls in _SHAPES:
         if cls.shape == shape:
-            return cls.from_dict(spec, base_dir)
+            return shift_kernel(cls.from_dict(spec, base_dir), shift)
     raise ValueError(f"unknown kernel shape {shape!r}")
 
 
@@ -680,7 +677,10 @@ def laplace(k: KernelComponent, z):
 
 
 def convolve(a: KernelComponent, b: KernelComponent) -> KernelComponent:
-    """Convolution of two kernels; combs combine exactly, otherwise lazy."""
+    """a * b: a unit point mass at 0 is the identity, combs combine exactly, others are lazy."""
+    for unit, other in ((a, b), (b, a)):
+        if isinstance(unit, DiracComb) and unit.offsets == (0.0,) and unit.weights == (1.0,):
+            return other
     if isinstance(a, DiracComb) and isinstance(b, DiracComb):
         offs, ws = [], []
         for oa, wa in zip(a.offsets, a.weights):
@@ -688,17 +688,11 @@ def convolve(a: KernelComponent, b: KernelComponent) -> KernelComponent:
                 offs.append(oa + ob)
                 ws.append(wa * wb)
         return DiracComb(tuple(offs), tuple(ws))
-    if isinstance(a, DiracComb) and len(a.offsets) == 1 and a.offsets[0] == 0.0 and a.weights[0] == 1.0:
-        return b
-    if isinstance(b, DiracComb) and len(b.offsets) == 1 and b.offsets[0] == 0.0 and b.weights[0] == 1.0:
-        return a
     return ConvolvedKernel(a, b)
 
 
 def shift_kernel(k: KernelComponent, delta: float) -> KernelComponent:
-    """K(. - delta), realized exactly as convolution with a unit point mass."""
-    if delta == 0.0:
-        return k
+    """K(. - delta), realized exactly as convolution with a unit point mass (none at delta = 0)."""
     return convolve(DiracComb((delta,), (1.0,)), k)
 
 

@@ -452,8 +452,8 @@ class NonlocalLattice(ModelSpec):
                                  scale=1.0 / (2.0 * self.D + self.d))
         neigh = DiracComb((-1.0, 1.0), (self.D, self.D))
         ks = sorted(self.beta_weights)
-        comb = DiracComb(tuple(k + c * self.delay for k in ks),
-                         tuple(self.beta_weights[k] for k in ks))
+        comb = shift_kernel(DiracComb(tuple(ks), tuple(self.beta_weights[k] for k in ks)),
+                            c * self.delay)
         atoms = (
             Atom(convolve(neigh, H0), identity(1.0), 1.0, 1.0),
             Atom(convolve(comb, H0), self.g, self.g.gprime0, self.g.gprime0),
@@ -567,7 +567,7 @@ class LocalDelayedRD(ModelSpec):
         self.validate()
         self._check_speed(c)
         M = self._resolve_bound(M, margin)
-        green = PiecewiseGreen.from_speed_damping(c, 1.0, shift=c * self.delay)
+        green = shift_kernel(PiecewiseGreen.from_speed_damping(c, 1.0), c * self.delay)
         atoms = (Atom(green, self.g, self.g.gprime0, self.L),)
         return ConvolutionProblem(atoms, c, 0.0, M)
 

@@ -14,9 +14,7 @@ import numpy as np
 
 from . import wavesolver
 from .asymptotics import fit_decay
-from .charfun import real_roots
-from .errors import (MaxIterExceeded, NoCrossing, NoRoots, NoWave, StripTooNarrow,
-                     TailUnresolved)
+from .errors import MaxIterExceeded, NoCrossing, NoWave, TailUnresolved
 from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, solve_profile
 
@@ -103,13 +101,12 @@ def mollison_check(p: ConvolutionProblem) -> Check:
 def speed_admissibility(prob: ConvolutionProblem) -> str:
     """Classify the problem's speed as below_c_star, critical, or noncritical.
 
-    Runs the root dichotomy of the problem's Lipschitz-weighted
-    characteristic function, so the classification shares the criticality
-    band of the root finder.
+    Reads the real-zero data of the problem's characteristic function chi,
+    so the speed is below c* exactly when chi has no positive zero, and the
+    classification shares the criticality band of the root finder.
     """
-    try:
-        sd = real_roots(prob.charfun_lipschitz())
-    except (NoRoots, StripTooNarrow):
+    sd = prob.spectral
+    if sd is None:
         return "below_c_star"
     return "critical" if sd.critical else "noncritical"
 

@@ -17,6 +17,7 @@ import pytest
 
 import wavefront as wf
 from wavefront.errors import MaxIterExceeded, NoRoots, NoWave
+from wavefront.kernels import shift_kernel
 
 GAUSS_C_STAR = 2.544841358927859  # 1-d grid-search oracle, z in (0.01, 3], step 1e-5
 
@@ -77,7 +78,7 @@ def test_criterion_03_laplace_exactness():
     nodes = np.linspace(-8.0, 8.0, 161)
     tabulated = wf.TabulatedKernel(tuple(nodes), tuple(np.exp(-nodes ** 2 / 2.0)))
     kernels = [wf.GaussianKernel(1.0),
-               wf.OneSidedExponential(rate=1.5, shift=0.3),
+               shift_kernel(wf.OneSidedExponential(rate=1.5), 0.3),
                wf.PiecewiseGreen.from_speed_damping(2.5, 1.0),
                tabulated]
     with criterion(3, 5.0, "transforms match closed forms at 200 strip points"):

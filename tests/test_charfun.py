@@ -10,7 +10,7 @@ from wavefront import charfun
 from wavefront._json import dumps
 from wavefront.charfun import _strip_max, chi_prime
 from wavefront.errors import BracketFailure, NoRoots, OutOfStrip, StripTooNarrow
-from wavefront.kernels import KernelComponent
+from wavefront.kernels import KernelComponent, shift_kernel
 
 MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
 
@@ -24,7 +24,7 @@ LATTICE_Z_STAR = 0.9071032935762898
 
 def local_cf(c: float, weight: float = 2.0, delay: float = 0.0):
     """Characteristic function of the local delayed family at speed c."""
-    green = wf.PiecewiseGreen.from_speed_damping(c, 1.0, shift=c * delay)
+    green = shift_kernel(wf.PiecewiseGreen.from_speed_damping(c, 1.0), c * delay)
     return wf.CharacteristicFunction(((green, weight),))
 
 
@@ -292,9 +292,9 @@ def test_strip_zero_scan_critical_interior_empty():
 
 @pytest.mark.parametrize("kernel", [
     wf.GaussianKernel(0.7, scale=1.5),
-    wf.OneSidedExponential(rate=2.5, direction=1, shift=0.3, scale=0.8),
-    wf.OneSidedExponential(rate=2.5, direction=-1, shift=-0.4),
-    wf.PiecewiseGreen.from_speed_damping(2.5, 1.0, shift=0.6, scale=2.0),
+    shift_kernel(wf.OneSidedExponential(rate=2.5, direction=1, scale=0.8), 0.3),
+    shift_kernel(wf.OneSidedExponential(rate=2.5, direction=-1), -0.4),
+    shift_kernel(wf.PiecewiseGreen.from_speed_damping(2.5, 1.0, scale=2.0), 0.6),
     wf.DiracComb((-1.0, 0.25, 2.0), (0.5, 1.0, 0.125)),
     wf.TabulatedKernel((-1.0, -0.2, 0.5, 2.0), (0.0, 1.0, 0.4, 0.0)),
     wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)),

@@ -86,8 +86,9 @@ LATTICE = {"family": "nonlocal_lattice", "c": 2.5, "D": 1.0, "d": 1.0,
     ("analyze", {**KPP, "kernel": {"shape": "dirac_comb", "offsets": 1.0, "weights": [1.0]}}),
     ("analyze", {**LATTICE, "beta": [[0, 1.0]]}),
     ("solve", {**LOCAL, "bound": "x"}),
+    ("analyze", {**KPP, "kernel": {"shape": "gaussian", "variance": 1.0, "shift": "0.5"}}),
 ], ids=["c-null", "rate-string", "variance-string", "kernel-string", "top-level-list",
-        "offsets-number", "beta-list", "bound-string"])
+        "offsets-number", "beta-list", "bound-string", "shift-string"])
 def test_wrongly_typed_model_value_is_usage_error(tmp_path, capsys, command, cfg):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -177,6 +178,19 @@ def test_tabulated_path_is_relative_to_model_file(tmp_path, monkeypatch):
     assert main(["analyze", "--model", "model.json", "--out", "out"]) == 0
     assert read_json(tmp_path / "out" / "spectral.json") == read_json(
         model_dir / "out" / "spectral.json")
+
+
+@pytest.mark.parametrize("kernel, key", [
+    ({"shape": "gaussian", "variance": 1.0, "scael": 2.0}, "scael"),
+    ({"shape": "convolved", "a": {"shape": "gaussian", "variance": 1.0},
+      "b": {"shape": "dirac_comb", "offsets": [0.5], "weights": [1.0], "delay": 1.0}}, "delay"),
+], ids=["top-level", "nested"])
+def test_unknown_kernel_key_is_usage_error(tmp_path, capsys, kernel, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**KPP, "kernel": kernel}))
+    rc = main(["speed", "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_missing_key_is_usage_error(tmp_path):
@@ -292,6 +306,19 @@ def test_verify_assembles_once(tmp_path, monkeypatch):
                "--grid=-60,40,2048", "--tol", "1e-8"])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_verify_mackey_glass_fails_on_subtangential_only(tmp_path):
+    # c = 2.5 is above chi's c* = 2, so the probe runs and passes; the
+    # verdict still fails on the subtangential slope bound (ROADMAP item 7)
+    model = write_model(tmp_path, L=3.0, nonlinearity={"kind": "mackey_glass", "p": 2.0, "n": 6.0})
+    out = tmp_path / "out"
+    assert main(["verify", "--model", str(model), "--out", str(out)]) == 1
+    status = {c["name"]: c["status"] for c in read_json(out / "verify.json")["checks"]}
+    assert "admissibility_guard" not in status
+    assert [n for n, s in status.items() if s == "fail"] == ["subtangential[atom0:mackey_glass]"]
+    probe = [c for c in read_json(out / "verify.json")["checks"] if c["name"] == "uniqueness_probe"]
+    assert probe[0]["details"]["classification"] == "noncritical"
 
 
 def test_verify_command_critical_records_decay_order(tmp_path):

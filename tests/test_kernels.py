@@ -13,7 +13,8 @@ import wavefront as wf
 from wavefront.errors import EmptyStrip, OutOfStrip
 from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
                                _grid_step, _lumped_samples, _sampled_convolve,
-                               _segment_transform, convolve_field, kernel_from_dict)
+                               _segment_transform, _shift, _shift_factor,
+                               convolve_field, kernel_from_dict, shift_kernel)
 
 INF = math.inf
 
@@ -55,8 +56,8 @@ def test_onesided_exponential_mass_and_transform():
 
 
 def test_onesided_directions_and_strips():
-    right = wf.OneSidedExponential(rate=2.0, direction=1, shift=0.5)
-    left = wf.OneSidedExponential(rate=2.0, direction=-1, shift=-0.5)
+    right = shift_kernel(wf.OneSidedExponential(rate=2.0, direction=1), 0.5)
+    left = shift_kernel(wf.OneSidedExponential(rate=2.0, direction=-1), -0.5)
     assert right.abscissas() == (-2.0, INF)
     assert left.abscissas() == (-INF, 2.0)
     # the left-supported flip is the reduction kernel for negative speeds:
@@ -113,8 +114,9 @@ def test_dirac_comb_exact_sum():
     np.array([0.4 + 3.0j, -0.2 - 0.7j, 1.1 + 0.0j, 0.5 - 0.0j, 0.9 + 1e-20j]),
 ], ids=["real-scalar", "negative-scalar", "real-array", "complex-array"])
 def test_unshifted_laplace_skips_exp_bit_for_bit(kernel, z):
-    # at shift 0 the factor e^{-z 0} = 1 is left out; the floats must be the
-    # ones the explicit factor gives, signed zeros and result type included
+    # the transforms carry no factor e^{-z 0} = 1 (a shift is a separate
+    # point mass); the floats must be the ones that factor would give,
+    # signed zeros and result type included
     zz = np.asarray(z)
     if isinstance(kernel, wf.OneSidedExponential):
         r = kernel.rate
@@ -204,10 +206,10 @@ def test_convolved_value_against_transform_quadrature():
 @pytest.mark.parametrize("kernel", [
     wf.GaussianKernel(1.0),
     wf.GaussianKernel(0.3, scale=2.0),
-    wf.OneSidedExponential(rate=1.5, shift=0.25, scale=0.5),
-    wf.OneSidedExponential(rate=0.8, direction=-1, shift=-0.5),
+    shift_kernel(wf.OneSidedExponential(rate=1.5, scale=0.5), 0.25),
+    shift_kernel(wf.OneSidedExponential(rate=0.8, direction=-1), -0.5),
     wf.PiecewiseGreen.from_speed_damping(2.5, 1.0),
-    wf.PiecewiseGreen.from_speed_damping(-1.5, 2.0, shift=0.75),
+    shift_kernel(wf.PiecewiseGreen.from_speed_damping(-1.5, 2.0), 0.75),
 ])
 def test_laplace_closed_form_vs_quadrature(kernel, rng):
     lo, hi = kernel.abscissas()
@@ -324,9 +326,9 @@ _KERNEL_JSON = [
      wf.GaussianKernel(0.3, scale=2.0)),
     ({"shape": "exponential_onesided", "rate": 0.8, "direction": -1, "shift": -0.5,
       "scale": 0.5},
-     wf.OneSidedExponential(rate=0.8, direction=-1, shift=-0.5, scale=0.5)),
+     shift_kernel(wf.OneSidedExponential(rate=0.8, direction=-1, scale=0.5), -0.5)),
     ({"shape": "piecewise_green", "nu": -2.0, "mu": 0.5, "shift": 0.75, "scale": 3.0},
-     wf.PiecewiseGreen.from_speed_damping(-1.5, 1.0, shift=0.75, scale=3.0)),
+     shift_kernel(wf.PiecewiseGreen.from_speed_damping(-1.5, 1.0, scale=3.0), 0.75)),
     ({"shape": "dirac_comb", "offsets": [-1.0, 0.5], "weights": [1.0, 2.0]},
      wf.DiracComb((-1.0, 0.5), (1.0, 2.0))),
     ({"shape": "tabulated", "grid": [-1.0, 0.0, 1.5], "values": [0.0, 1.0, 0.0]},
@@ -335,10 +337,21 @@ _KERNEL_JSON = [
       "b": {"shape": "piecewise_green", "c": 2.5, "q": 1.0}},
      wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))),
 ]
+# "shift" is read once for every shape: K(s - d) is K convolved with a unit
+# point mass at d, which a comb absorbs into its offsets
+_SHIFTED_KERNEL_JSON = [
+    ({"shape": "gaussian", "variance": 1.0, "shift": 0.5},
+     shift_kernel(wf.GaussianKernel(1.0), 0.5)),
+    ({"shape": "tabulated", "grid": [-1.0, 0.0, 1.5], "values": [0.0, 1.0, 0.0], "shift": -2},
+     shift_kernel(wf.TabulatedKernel((-1.0, 0.0, 1.5), (0.0, 1.0, 0.0)), -2.0)),
+    ({"shape": "dirac_comb", "offsets": [-1.0, 0.5], "weights": [1.0, 2.0], "shift": 0.25},
+     wf.DiracComb((-0.75, 0.75), (1.0, 2.0))),
+]
 
 
-@pytest.mark.parametrize("spec, kernel", _KERNEL_JSON,
-                         ids=[spec["shape"] for spec, _ in _KERNEL_JSON])
+@pytest.mark.parametrize("spec, kernel", _KERNEL_JSON + _SHIFTED_KERNEL_JSON,
+                         ids=[spec["shape"] for spec, _ in _KERNEL_JSON]
+                         + ["shifted_" + spec["shape"] for spec, _ in _SHIFTED_KERNEL_JSON])
 def test_kernel_json_round_trip(spec, kernel):
     again = kernel_from_dict(json.loads(json.dumps(spec)))
     assert type(again) is type(kernel)
@@ -354,6 +367,26 @@ def test_kernel_from_dict_rejects_unknown_shape():
     for shape in ("laplace_two_sided", ["gaussian"], None):
         with pytest.raises(ValueError, match="unknown kernel shape"):
             kernel_from_dict({"shape": shape, "variance": 1.0})
+
+
+@pytest.mark.parametrize("shift", ["0.5", True, None, [0.5], {"d": 0.5}])
+def test_kernel_from_dict_rejects_non_number_shift(shift):
+    with pytest.raises(ValueError, match="kernel shift must be a number"):
+        kernel_from_dict({"shape": "gaussian", "variance": 1.0, "shift": shift})
+
+
+# one misspelled or foreign key per JSON form: the fields (plus shape and
+# shift), Green's c/q form, a tabulated path and a convolution's a/b
+@pytest.mark.parametrize("spec, key", [
+    ({"shape": "gaussian", "variance": 1.0, "scael": 2.0}, "scael"),
+    ({"shape": "piecewise_green", "c": 2.5, "q": 1.0, "nu": -0.35}, "nu"),
+    ({"shape": "tabulated", "path": "missing.csv", "values": [0.0, 1.0]}, "values"),
+    ({"shape": "convolved", "a": {"shape": "gaussian", "variance": 1.0},
+      "b": {"shape": "gaussian", "variance": 2.0}, "c": 1.0}, "c"),
+], ids=["fields", "green-c-q", "tabulated-path", "convolved"])
+def test_kernel_from_dict_rejects_unknown_key(spec, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        kernel_from_dict(spec)
 
 
 # --- grid recurrence -----------------------------------------------------------
@@ -423,10 +456,12 @@ def leaf_kernels(dt):
         st.builds(wf.GaussianKernel, variance=st.floats(0.1, 4.0), scale=positive),
         tabulated.map(lambda a: wf.TabulatedKernel(
             tuple(np.linspace(a[0], a[0] + a[1], len(a[2]))), tuple(a[2]))),
-        st.builds(wf.OneSidedExponential, rate=rates, direction=st.sampled_from([1, -1]),
-                  shift=grid_shifts(dt), scale=positive),
-        st.builds(wf.PiecewiseGreen, nu=rates.map(lambda r: -r), mu=rates,
-                  shift=grid_shifts(dt), scale=positive),
+        st.builds(shift_kernel, st.builds(wf.OneSidedExponential, rate=rates, scale=positive,
+                                          direction=st.sampled_from([1, -1])),
+                  grid_shifts(dt)),
+        st.builds(shift_kernel, st.builds(wf.PiecewiseGreen, nu=rates.map(lambda r: -r), mu=rates,
+                                          scale=positive),
+                  grid_shifts(dt)),
         atoms.map(lambda aw: wf.DiracComb(*zip(*aw))),
     )
 
@@ -461,6 +496,37 @@ def test_grid_laplace_matches_convolve_field(kd, u):
     mid = n // 2
     ref = convolve_field(k, ts, np.exp(lam * (ts - ts[mid])), lam)[mid]
     assert abs(k.grid_laplace(lam, grid.step) - ref) <= 1e-13 * abs(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kd=grid_kernels(), u=st.floats(0.2, 0.8), y=st.floats(-3.0, 3.0),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1), closed=st.booleans())
+def test_shift_kernel_is_a_unit_point_mass(kd, u, y, data, seed, closed):
+    # K(. - d) multiplies the transform by e^{-z d}, the grid transform by
+    # the two-tap stencil's factor, and the grid action is that stencil
+    # applied to the unshifted action, byte for byte; a comb takes the shift
+    # into its offsets instead (one stencil per atom, not two), and its
+    # transform agrees to rounding
+    k, dt = kd
+    d = data.draw(grid_shifts(dt))
+    shifted = shift_kernel(k, d)
+    lo, hi = k.abscissas()
+    lam = max(lo, -3.0) + u * (min(hi, 3.0) - max(lo, -3.0))
+    z = complex(lam, y)
+    got, expect = wf.laplace(shifted, z), np.exp(-np.asarray(z) * d) * wf.laplace(k, z)
+    if isinstance(k, wf.DiracComb):
+        assert shifted == wf.DiracComb(tuple(a + d for a in k.offsets), k.weights)
+        scale = sum(w * math.exp(-lam * (a + d)) for a, w in zip(k.offsets, k.weights))
+        assert abs(got - expect) <= 1e-13 * scale
+        return
+    assert got == expect
+    assert shifted.grid_laplace(lam, dt) == _shift_factor(d, lam, dt) * k.grid_laplace(lam, dt)
+    ts = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1).ts
+    G = np.random.default_rng(seed).random(len(ts))
+    lam_left = lam if closed and lam > 0 else None
+    action = convolve_field(k, ts, G, lam_left)
+    assert (convolve_field(shifted, ts, G, lam_left).tobytes()
+            == _shift(ts, action, d, lam_left).tobytes())
 
 
 # --- sampled convolution --------------------------------------------------------

@@ -87,9 +87,10 @@ def test_local_family_reduction():
     prob = m.to_convolution_form(2.5)
     assert len(prob.atoms) == 1
     k = prob.atoms[0].kernel
-    assert isinstance(k, wf.PiecewiseGreen)
-    assert k.shift == pytest.approx(2.5)  # c * h
-    assert k.damping == pytest.approx(1.0, rel=1e-12)
+    # the delay is a unit point mass at c * h convolved with the Green kernel
+    assert isinstance(k, wf.ConvolvedKernel) and isinstance(k.b, wf.PiecewiseGreen)
+    assert k.a == wf.DiracComb((2.5,), (1.0,))  # c * h
+    assert k.b.damping == pytest.approx(1.0, rel=1e-12)
     assert prob.atoms[0].weight == 2.0
     assert prob.atoms[0].lipschitz_weight == 2.0
     assert prob.beta_used == 0.0
@@ -143,6 +144,18 @@ def test_lattice_reduction_and_comb():
     assert complex(np.asarray(coupling.kernel.laplace(z)).item()).real == pytest.approx(
         float(expect), rel=1e-12)
     assert birth.kernel.mass == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def test_lattice_delay_shifts_comb_offsets_exactly():
+    # the delay is a unit point mass at c h, which the comb absorbs: each
+    # offset is the float k + c h, weights unchanged
+    beta, c, h = {2: 0.3, -1: 0.3, 0: 0.4}, 2.3, 0.37
+    m = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights=beta, g=wf.logistic(2.0, 1.0), delay=h)
+    comb = m.to_convolution_form(c).atoms[1].kernel.a
+    assert isinstance(comb, wf.DiracComb)
+    ks = sorted(beta)
+    assert np.array(comb.offsets).tobytes() == np.array([k + c * h for k in ks]).tobytes()
+    assert comb.weights == tuple(beta[k] for k in ks)
 
 
 def test_lattice_truncation_reported():
@@ -230,7 +243,7 @@ def test_delay_shift_multiplies_transform():
     c = 2.5
     k1 = m1.to_convolution_form(c).atoms[0].kernel
     k2 = m2.to_convolution_form(c).atoms[0].kernel
-    assert k2.shift - k1.shift == pytest.approx(c * 0.5, rel=1e-12)
+    assert k2.a.offsets[0] - k1.a.offsets[0] == pytest.approx(c * 0.5, rel=1e-12)
     for z in (0.3, 0.8, 1.4):
         ratio = complex(np.asarray(k2.laplace(z)).item()) / complex(np.asarray(k1.laplace(z)).item())
         assert ratio == pytest.approx(math.exp(-z * c * 0.5), rel=1e-12)
@@ -369,6 +382,19 @@ def test_min_speed_assembles_each_trial_speed_once(m, monkeypatch):
 def test_min_speed_bracket_walk_gives_up(m, message):
     with pytest.raises(HypothesisViolation, match=message):
         wf.model_min_speed(m)
+
+
+def test_shifted_gaussian_kpp_min_speed_matches_grid_search():
+    # anisotropic dispersal J(s) = N(s - 1/2): c* = min_z (e^{z^2/2 - z/2} + 1)/z
+    spec = {"family": "nonlocal_kpp",
+            "kernel": {"shape": "gaussian", "variance": 1.0, "shift": 0.5},
+            "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
+    m = model_from_dict(spec)
+    z = np.linspace(1e-3, 5.0, 500_001)
+    oracle = float(np.min((np.exp(z * z / 2.0 - z / 2.0) + 1.0) / z))
+    assert oracle == pytest.approx(1.63317, abs=1e-5)
+    for via in ("assembled", "closed_form"):
+        assert wf.model_min_speed(m, via=via)[0] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_beta_invariance_of_min_speed():

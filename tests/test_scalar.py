@@ -15,7 +15,7 @@ from scipy import integrate, optimize
 import wavefront as wf
 from wavefront._scalar import QUAD_TOL, brentq, gauss_kronrod, minimize_bounded
 from wavefront.errors import QuadratureFailure
-from wavefront.kernels import KernelComponent
+from wavefront.kernels import KernelComponent, shift_kernel
 
 
 def recorded(f):
@@ -258,7 +258,7 @@ def test_gauss_kronrod_matches_quad_on_one_sided_exponential_tails(rate, directi
                                                                   margin):
     # the window reaches 37/rate into the tail, and from `margin` beyond the
     # jump at the shift, where the density is 0
-    tail = wf.OneSidedExponential(rate=rate, direction=direction, shift=shift)
+    tail = shift_kernel(wf.OneSidedExponential(rate=rate, direction=direction), shift)
     lo, hi = tail.truncation_window(0.0)
     assert_matches_quad(tail.value, lo - margin, hi + margin, tail.breakpoints())
 

@@ -3,6 +3,7 @@ import pytest
 
 import wavefront as wf
 from wavefront.errors import NoCrossing, NoRoots
+from wavefront.kernels import shift_kernel
 from wavefront.models import Atom, ConvolutionProblem
 
 
@@ -27,7 +28,7 @@ def test_mollison_passes_on_local_family(local_model):
 
 
 def test_mollison_fails_on_left_supported_kernel():
-    k = wf.OneSidedExponential(rate=1.0, direction=-1, shift=-0.25)
+    k = shift_kernel(wf.OneSidedExponential(rate=1.0, direction=-1), -0.25)
     prob = degenerate_problem(2.0, k)
     check = wf.mollison_check(prob)
     assert check.status == "fail"
@@ -47,6 +48,17 @@ def test_mollison_implied_by_solved_profile(noncritical_profile):
     psi = wf.psi_integral(prof)
     assert np.isfinite(psi[0])
     assert wf.mollison_check(prob).status == "pass"
+
+
+def test_speed_admissibility_reads_chi_not_chi_lipschitz():
+    # Mackey-Glass with L = 3 > g'(0) = 2: chi's c* is 2, the Lipschitz
+    # chi_L's is 2 sqrt(L - 1) = 2.83, so c = 2.5 is above c* although chi_L
+    # has no positive zero there
+    m = wf.LocalDelayedRD(g=wf.mackey_glass(2.0, 6.0), L=3.0, delay=0.0)
+    prob = m.to_convolution_form(2.5)
+    with pytest.raises(NoRoots):
+        wf.real_roots(prob.charfun_lipschitz())
+    assert wf.speed_admissibility(prob) == "noncritical"
 
 
 def test_speed_admissibility_classification(local_model):

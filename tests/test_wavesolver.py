@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from pathlib import Path
@@ -64,11 +63,11 @@ def test_grid_validation():
 # --- field convolution building blocks ---------------------------------------
 
 def quad_conv_oracle(kernel, field_fn, t, lo=-60.0, hi=60.0):
-    points = [p for p in (getattr(kernel, "shift", None),) if p is not None]
     if isinstance(kernel, wf.TabulatedKernel):
-        # panels split at every node, where the interpolant has its kinks
         lo, hi = kernel.support()
-        points = list(kernel.grid[1:-1])
+    # panels split at the kinks, which a shift moves and a tabulated kernel
+    # has at every node
+    points = [p for p in kernel.breakpoints() if lo < p < hi]
     val, _ = integrate.quad(lambda s: float(kernel.value(s)) * field_fn(t - s),
                             lo, hi, limit=400, points=points)
     return val
@@ -82,10 +81,10 @@ def skewed_tabulated(n=161):
 
 
 @pytest.mark.parametrize("kernel", [
-    wf.OneSidedExponential(rate=1.3, shift=0.0),
+    shift_kernel(wf.OneSidedExponential(rate=1.3), 0.0),
     wf.OneSidedExponential(rate=0.9, direction=-1),
     wf.PiecewiseGreen.from_speed_damping(2.5, 1.0),
-    wf.PiecewiseGreen.from_speed_damping(2.0, 1.5, shift=0.8),
+    shift_kernel(wf.PiecewiseGreen.from_speed_damping(2.0, 1.5), 0.8),
     wf.GaussianKernel(0.8),
     skewed_tabulated(),
     # the kpp and nonlocal_rd reductions: factors applied one after the other
@@ -159,12 +158,12 @@ def test_convolve_field_comb_is_exact_shift(case, shape):
     ts, n, step = grid.ts, grid.n, grid.step
     if shape == "comb":
         kernel, H = wf.DiracComb((shift,), (0.75,)), G
-        expect = np.zeros_like(G)
-        expect += 0.75 * _shift(ts, G, shift, lam_left)
+        # the sum starts from the first atom, so a -0.0 stays -0.0
+        expect = 0.75 * _shift(ts, G, shift, lam_left)
     else:
         unshifted = (wf.OneSidedExponential(rate=1.3) if shape == "exponential"
                      else wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))
-        kernel = dataclasses.replace(unshifted, shift=shift)
+        kernel = shift_kernel(unshifted, shift)
         H = convolve_field(unshifted, ts, G, lam_left)
         expect = _shift(ts, H, shift, lam_left)
     # bytes, so that the sign of a zero counts too

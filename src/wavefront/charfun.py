@@ -5,10 +5,11 @@ On the real strip chi is strictly concave (kernel transforms are
 log-convex, hence convex), so it has at most two real zeros
 lambda_l <= lambda_r and they bracket the concave maximum.  All root
 location here exploits that structure: locate the maximizer, classify,
-then bisect on each side.  The minimal speed c* solves max_z chi(z, c) = 0
-in c alone: ``min_speed`` sees chi only through ``max_at(c) -> (z_c, max)``,
-which the caller builds per family and caches, so each trial speed is
-assembled and maximized once.
+then bisect on each side; the solver's closure rate is the left zero of
+the grid chi by the same search.  The minimal speed c* solves
+max_z chi(z, c) = 0 in c alone: ``min_speed`` sees chi only through
+``max_at(c) -> (z_c, max)``, which the caller builds per family and
+caches, so each trial speed is assembled and maximized once.
 
 The maximizer is Brent's bounded golden-section/parabolic search and the
 root finder Brent's ``brentq``, both ported bit for bit from SciPy in
@@ -137,21 +138,26 @@ class SpectralData:
         return d
 
 
-def _max_bracket(f) -> tuple[float, float | None]:
+def _max_bracket(f) -> float:
     """Right end b for maximizing concave f over (0, inf), found by doubling.
 
-    Each of x = 1, 2, 4, ... is evaluated once.  Returns (2x, None) at the
-    first x where f(2x) >= f(x) fails (a drop, or not a number), and
-    (b, f(b)) when f is still nondecreasing at b = DOUBLING_CAP.
+    Each of x = 1, 2, 4, ... is evaluated once.  Returns 2x at the first x
+    where f(2x) >= f(x) fails (a drop, or not a number), and the last x
+    once x reaches DOUBLING_CAP with f still nondecreasing.
     """
     x = 1.0
     fx = f(x)
     while x < DOUBLING_CAP:
         f2 = f(2.0 * x)
         if not f2 >= fx:
-            return 2.0 * x, None
+            return 2.0 * x
         x, fx = 2.0 * x, f2
-    return x, fx
+    return x
+
+
+def _inside(gamma: float) -> float:
+    """The abscissa just inside a finite strip end gamma where searches and scans stop."""
+    return gamma - max(1e-13, 1e-12 * abs(gamma))
 
 
 def _concave_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -167,19 +173,53 @@ def _strip_max(f, strip: tuple[float, float]) -> tuple[float, float]:
     finite gamma and the doubling bracket of :func:`_max_bracket` otherwise.
     """
     lo, hi = strip
-    lo = max(lo, 0.0) + 1e-13
-    if math.isfinite(hi):
-        b = hi - max(1e-13, 1e-12 * abs(hi))
-    else:
-        b = _max_bracket(f)[0]
-    return _concave_max(f, lo, b)
+    b = _inside(hi) if math.isfinite(hi) else _max_bracket(f)
+    return _concave_max(f, max(lo, 0.0) + 1e-13, b)
+
+
+def _left_zero(f, gamma: float) -> tuple[float, float, float]:
+    """(xhat, max, lambda_l) for concave f with f(0) < 0 on (0, gamma).
+
+    lambda_l is the zero left of the maximizer xhat, or xhat itself when
+    max <= ROOT_VALUE_TOL (a double zero, or none).
+    """
+    xhat, fmax = _strip_max(f, (0.0, gamma))
+    if fmax <= ROOT_VALUE_TOL:
+        return xhat, fmax, xhat
+    return xhat, fmax, brentq(f, 0.0, xhat, xtol=1e-14, rtol=8.9e-16)
+
+
+def _right_zero(f, xhat: float, gamma: float) -> float | None:
+    """The zero of concave f right of its maximizer xhat and below gamma, if any.
+
+    f is negative at b, just inside a finite gamma or doubling from xhat;
+    halving the gap to b closes the bracket (1 - 2^-53 is the last factor
+    below 1).
+    """
+    left, b = xhat, (_inside(gamma) if math.isfinite(gamma) else 2.0 * xhat)
+    fb = f(b)
+    while fb >= 0.0 and math.isinf(gamma) and b < DOUBLING_CAP:
+        left, b = b, 2.0 * b
+        fb = f(b)
+    if not fb < 0.0:
+        return None
+    right, start = b, left
+    for j in range(1, 54):
+        t = start + (b - start) * (1.0 - 0.5 ** j)
+        if f(t) < 0.0:
+            right = t
+            break
+        left = t
+    return brentq(f, left, right, xtol=1e-14, rtol=8.9e-16)
 
 
 def real_roots(cf: CharacteristicFunction) -> SpectralData:
     """Locate lambda_l <= lambda_r on (0, gamma_K) exploiting concavity.
 
-    Raises NoRoots when the concave maximum is negative (the regime with no
-    semi-wavefront vanishing at -inf) and StripTooNarrow when gamma_K <= 0.
+    lambda_l comes from :func:`_left_zero`, the search the solver's closure
+    rate shares, and lambda_r from :func:`_right_zero`.  Raises NoRoots
+    when the concave maximum is negative (the regime with no semi-wavefront
+    vanishing at -inf) and StripTooNarrow when gamma_K <= 0.
     """
     sigma_K, gamma_K = cf.strip
     if gamma_K <= 0:
@@ -193,53 +233,10 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
     def f(x):
         return float(np.real(chi(cf, x)))
 
-    if math.isfinite(gamma_K):
-        b = gamma_K - 1e-12 * max(1.0, abs(gamma_K))
-    else:
-        b, f_cap = _max_bracket(f)
-        if f_cap is not None:
-            # chi nondecreasing out to the cap: either it crossed zero
-            # (lambda_l exists, lambda_r absent) or it never will resolve
-            if f_cap > ROOT_VALUE_TOL:
-                lam_l = brentq(f, 0.0, b, xtol=1e-14, rtol=8.9e-16)
-                return SpectralData(lambda_l=lam_l, lambda_r=None,
-                                    gamma_K=gamma_K, sigma_K=sigma_K, critical=False,
-                                    chi_prime_at_ll=chi_prime(cf, lam_l))
-            raise NoRoots(f"chi stays below tolerance up to doubling cap {DOUBLING_CAP:g}")
-
-    xhat, chimax = _concave_max(f, 1e-14, b)
+    xhat, chimax, lam_l = _left_zero(f, gamma_K)
     if chimax < -ROOT_VALUE_TOL:
-        raise NoRoots(f"max chi = {chimax:g} < 0 on (0, {b:g}): no positive zero")
-    if abs(chimax) <= ROOT_VALUE_TOL:
-        return SpectralData(lambda_l=xhat, lambda_r=xhat, gamma_K=gamma_K,
-                            sigma_K=sigma_K, critical=True,
-                            chi_prime_at_ll=chi_prime(cf, xhat))
-
-    lam_l = brentq(f, 0.0, xhat, xtol=1e-14, rtol=8.9e-16)
-
-    # lambda_r: concave past xhat, chi crosses zero at most once more
-    lam_r, left = None, xhat
-    fb = f(b)
-    if fb < 0.0:
-        # the first negative point halving the gap to b closes the bracket;
-        # 1 - 2^-53 is the last factor below 1
-        right = b
-        for j in range(1, 54):
-            t = xhat + (b - xhat) * (1.0 - 0.5 ** j)
-            if f(t) < 0.0:
-                right = t
-                break
-            left = t
-        lam_r = brentq(f, left, right, xtol=1e-14, rtol=8.9e-16)
-    elif not math.isfinite(gamma_K):
-        # chi can still be positive at b, the doubling bracket of its
-        # maximizer; it falls further right
-        while fb >= 0.0 and b < DOUBLING_CAP:
-            left, b = b, 2.0 * b
-            fb = f(b)
-        if fb < 0.0:
-            lam_r = brentq(f, left, b, xtol=1e-14, rtol=8.9e-16)
-
+        raise NoRoots(f"max chi = {chimax:g} < 0 on (0, {gamma_K:g}): no positive zero")
+    lam_r = xhat if chimax <= ROOT_VALUE_TOL else _right_zero(f, xhat, gamma_K)
     critical = lam_r is not None and (lam_r - lam_l) < MULTIPLICITY_RTOL * max(1.0, lam_l)
     return SpectralData(lambda_l=lam_l, lambda_r=lam_r, gamma_K=gamma_K,
                         sigma_K=sigma_K, critical=critical,
@@ -332,8 +329,7 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
         rk = sd.lambda_l + SCAN_RIGHT_CAP
         notes.append(f"lambda_rK infinite; scan capped at lambda_l + {SCAN_RIGHT_CAP:g}")
     # keep evaluation strictly inside the kernel strip
-    strip_pad = 1e-9 * max(1.0, abs(gamma_K)) if math.isfinite(gamma_K) else 0.0
-    rk_eval = min(rk, gamma_K - strip_pad) if math.isfinite(gamma_K) else rk
+    rk_eval = min(rk, _inside(gamma_K)) if math.isfinite(gamma_K) else rk
 
     x_lo, x_hi = sd.lambda_l + SCAN_EPS_RE, rk_eval - SCAN_EPS_RE
     ny = max(81, int(math.ceil(2.0 * (y_max - SCAN_EPS_IM) * grid_density)) + 1)
@@ -402,13 +398,6 @@ def chi1_margin(cf1: CharacteristicFunction, sd: SpectralData) -> tuple[float, f
     Returns None when max chi_1 < 0, i.e. the Lipschitz-weighted route has
     no usable margin.
     """
-    _, gamma_K = cf1.strip
-    hi = min(sd.lambda_rK, gamma_K)
-
-    def f(x):
-        return float(np.real(chi(cf1, x)))
-
-    m, val = _strip_max(f, (0.0, hi))
-    if val < 0.0:
-        return None
-    return m, val
+    m, val = _strip_max(lambda x: float(np.real(chi(cf1, x))),
+                        (0.0, min(sd.lambda_rK, cf1.strip[1])))
+    return (m, val) if val >= 0.0 else None

@@ -645,11 +645,13 @@ _SHAPES = (GaussianKernel, OneSidedExponential, PiecewiseGreen, DiracComb,
            TabulatedKernel, ConvolvedKernel)
 
 
-def _check_keys(spec: dict, allowed) -> None:
-    """Reject a JSON key that is neither in ``allowed`` nor ``shape``/``shift``."""
-    unknown = sorted(set(spec) - set(allowed) - {"shape", "shift"})
+def _check_keys(spec: dict, allowed, what: str | None = None) -> None:
+    """Reject a JSON key outside ``allowed``; a kernel (no ``what``) may also have shape/shift."""
+    if what is None:
+        allowed, what = (*allowed, "shape", "shift"), f"{spec.get('shape')} kernel"
+    unknown = sorted(set(spec) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {spec.get('shape')} kernel")
+        raise ValueError(f"unknown key {unknown[0]!r} in {what}")
 
 
 def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:

@@ -25,7 +25,8 @@ from .charfun import (CharacteristicFunction, SpectralData, _strip_max,
 from .errors import (DegenerateRange, HypothesisViolation, NoRoots,
                      StripTooNarrow, ZeroSpeed)
 from .kernels import (DiracComb, KernelComponent, OneSidedExponential,
-                      PiecewiseGreen, convolve, kernel_from_dict, shift_kernel)
+                      PiecewiseGreen, _check_keys, convolve, kernel_from_dict,
+                      shift_kernel)
 
 INF = math.inf
 DERIV_SAMPLES = 10_000
@@ -315,6 +316,8 @@ class ModelSpec:
     """Base for the four reducible families."""
 
     family: str = ""
+    # c* may be <= 0, so speeds c < 0 are valid (c = 0 never is)
+    admits_nonpositive_speed: bool = False
 
     def validate(self) -> None:
         raise NotImplementedError
@@ -351,10 +354,10 @@ class ModelSpec:
         """z-interval on which tilde_chi is evaluable (independent of beta)."""
         raise NotImplementedError
 
-    def _check_speed(self, c: float, negative_ok: bool = False) -> None:
+    def _check_speed(self, c: float) -> None:
         if c == 0:
             raise ZeroSpeed("c = 0: stationary fronts are out of scope")
-        if c < 0 and not negative_ok:
+        if c < 0 and not self.admits_nonpositive_speed:
             raise HypothesisViolation(
                 f"family '{self.family}' supports positive wave speeds only")
 
@@ -367,6 +370,7 @@ class NonlocalKPP(ModelSpec):
     g: Nonlinearity
 
     family = "nonlocal_kpp"
+    admits_nonpositive_speed = True
 
     def validate(self):
         if not 1.0 - self.J.mass < self.g.gprime0:
@@ -379,7 +383,7 @@ class NonlocalKPP(ModelSpec):
 
     def to_convolution_form(self, c, M=None, margin=1.0):
         self.validate()
-        self._check_speed(c, negative_ok=True)
+        self._check_speed(c)
         M = self._resolve_bound(M, margin)
         beta = beta_select(self.g, M, role="birth", margin=margin)
         k = OneSidedExponential(rate=(1.0 + beta) / abs(c),
@@ -498,10 +502,12 @@ class NonlocalDelayedRD(ModelSpec):
         if not self.g.gprime0 > self.f.gprime0:
             raise HypothesisViolation(
                 f"need g'(0) > f'(0): {self.g.gprime0:g} vs {self.f.gprime0:g}")
-        if self.f.inf_deriv(0.0, max(1.0, 10.0)) < -1e-9:
+        if self._inf_fprime < -1e-9:
             raise HypothesisViolation("damping term must be increasing")
 
+    @cached_property
     def _inf_fprime(self) -> float:
+        """inf f' on [0, 100], the one range that validation and chi_1 read."""
         return self.f.inf_deriv(0.0, 100.0)
 
     def default_bound(self):
@@ -518,7 +524,7 @@ class NonlocalDelayedRD(ModelSpec):
         fb = _damping_shift(self.f, beta)
         atoms = (
             Atom(convolve(k_h, green), self.g, self.g.gprime0, self.g.gprime0),
-            Atom(green, fb, beta - self.f.gprime0, beta - self._inf_fprime()),
+            Atom(green, fb, beta - self.f.gprime0, beta - self._inf_fprime),
         )
         return ConvolutionProblem(atoms, c, beta, M)
 
@@ -529,7 +535,7 @@ class NonlocalDelayedRD(ModelSpec):
 
     def tilde_chi_lipschitz(self, z, c):
         z = np.asarray(z)
-        return (c * z - z * z + self._inf_fprime()
+        return (c * z - z * z + self._inf_fprime
                 - self.g.gprime0 * np.exp(-z * c * self.delay) * self.k.laplace(z))
 
     def denominator(self, z, c, beta):
@@ -631,7 +637,7 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     while max_at(lo)[1] > 0.0 and lo > 1e-4:
         lo /= 2.0
     if max_at(lo)[1] > 0.0:
-        if not isinstance(m, NonlocalKPP):
+        if not m.admits_nonpositive_speed:
             raise HypothesisViolation(
                 f"max chi positive down to c = {lo:g}; c* at or below zero is outside "
                 f"the supported range for family '{m.family}'")
@@ -656,26 +662,39 @@ def _object(spec, what: str) -> dict:
     return spec
 
 
+# each kind's parameters; one left out takes its constructor's default.  A
+# tabulated g takes no "gprime0": g'(0) is the slope of its first segment
+_NONLINEARITIES = {"logistic": (logistic, ("rate", "carrying")),
+                   "mackey_glass": (mackey_glass, ("p", "n")),
+                   "linear": (linear, ("slope",)),
+                   "tabulated": (tabulated_nonlinearity, ("u", "g"))}
+
+
 def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
+    """Nonlinearity from its JSON form; a key outside its kind's form is an error."""
     kind = _object(spec, "nonlinearity").get("kind")
-    if kind == "logistic":
-        return logistic(rate=spec.get("rate", 2.0), carrying=spec.get("carrying", 1.0))
-    if kind == "mackey_glass":
-        return mackey_glass(p=spec.get("p", 2.0), n=spec.get("n", 6.0))
-    if kind == "linear":
-        return linear(slope=spec.get("slope", 1.0))
-    if kind == "tabulated":
-        if "gprime0" in spec:
-            # a declared slope would disagree with the interpolant's own
-            raise ValueError("tabulated nonlinearity takes no \"gprime0\": g'(0) is "
-                             "the slope of its first segment")
-        return tabulated_nonlinearity(spec["u"], spec["g"])
-    raise ValueError(f"unknown nonlinearity kind {kind!r}")
+    if kind not in _NONLINEARITIES:
+        raise ValueError(f"unknown nonlinearity kind {kind!r}")
+    make, params = _NONLINEARITIES[kind]
+    _check_keys(spec, ("kind", *params), f"{kind} nonlinearity")
+    return make(**{k: spec[k] for k in params if k in spec})
+
+
+# the keys each family reads, besides "family" and "nonlinearity", and the
+# run keys "c", "bound" and "margin" that the commands read
+_MODEL_KEYS = {"nonlocal_kpp": ("kernel",),
+               "nonlocal_lattice": ("D", "d", "beta", "delay"),
+               "nonlocal_delayed_rd": ("damping", "kernel", "delay"),
+               "local_delayed_rd": ("L", "delay")}
 
 
 def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
     """Model from its JSON form; ``base_dir`` resolves relative kernel file paths."""
     family = _object(spec, "model").get("family")
+    if family not in _MODEL_KEYS:
+        raise ValueError(f"unknown family {family!r}")
+    _check_keys(spec, ("family", "nonlinearity", "c", "bound", "margin",
+                       *_MODEL_KEYS[family]), f"{family} model")
     g = nonlinearity_from_dict(spec["nonlinearity"])
     if family == "nonlocal_kpp":
         return NonlocalKPP(J=kernel_from_dict(spec["kernel"], base_dir), g=g)
@@ -687,10 +706,7 @@ def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
         return NonlocalDelayedRD(f=nonlinearity_from_dict(spec["damping"]), g=g,
                                  k=kernel_from_dict(spec["kernel"], base_dir),
                                  delay=spec.get("delay", 0.0))
-    if family == "local_delayed_rd":
-        return LocalDelayedRD(g=g, L=spec.get("L", g.gprime0),
-                              delay=spec.get("delay", 0.0))
-    raise ValueError(f"unknown family {family!r}")
+    return LocalDelayedRD(g=g, L=spec.get("L", g.gprime0), delay=spec.get("delay", 0.0))
 
 
 def _finite_float(text: str) -> float:

@@ -27,8 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from ._json import write_csv
-from ._scalar import brentq
-from .charfun import _concave_max
+from .charfun import _left_zero
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
 from .kernels import _shift, convolve_field
@@ -146,35 +145,24 @@ def level_crossing(ts: np.ndarray, values: np.ndarray, level: float) -> float:
     return float(ts[i - 1] + f * (ts[i] - ts[i - 1]))
 
 
-def discrete_decay_rate(p: ConvolutionProblem, grid: Grid,
-                        lam_guess: float) -> float:
+def discrete_decay_rate(p: ConvolutionProblem, grid: Grid) -> float:
     """Decay rate selected by the discretized linear operator.
 
-    Root-finds the grid-level characteristic function
-    chi_h(lam) = 1 - sum_tau g'(0,tau) T_h[K_tau](lam), where the grid
-    transform T_h = ``kernel.grid_laplace(lam, step)`` is the factor by
-    which the kernel's grid action multiplies e^{lam t} (no field and no
-    grid sweep).  This is the rate the discrete profile tail actually
-    adopts, within O(step^2) of the analytic lambda_l.  Falls back to the
-    tangency point when the discretization just misses a double root.
+    The left zero (or tangency point) of the grid-level characteristic
+    function chi_h(lam) = 1 - sum_tau g'(0,tau) T_h[K_tau](lam), where
+    T_h = ``kernel.grid_laplace(lam, step)`` is the factor by which the
+    kernel's grid action multiplies e^{lam t}: no field and no grid sweep.
+    Every grid action is a positive discrete kernel, so chi_h is concave
+    like chi, and ``real_roots``' search (:func:`~wavefront.charfun._left_zero`)
+    finds it.  This is the rate the discrete profile tail adopts, within
+    O(step^2) of the analytic lambda_l.
     """
     dt = grid.step
 
     def chi_h(lam: float) -> float:
         return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, dt) for a in p.atoms)
 
-    _, gamma = p.charfun().strip
-    hi = min(1.7 * lam_guess, gamma - 1e-9 * max(1.0, abs(gamma))) \
-        if math.isfinite(gamma) else 1.7 * lam_guess
-    lo = 0.3 * lam_guess
-    if not lo < hi:
-        return lam_guess
-    xhat, fmax = _concave_max(chi_h, lo, hi)
-    if fmax <= 0.0:
-        return float(xhat)
-    if chi_h(lo) >= 0.0:
-        return lam_guess
-    return brentq(chi_h, lo, xhat, xtol=1e-14)
+    return _left_zero(chi_h, p.charfun().strip[1])[2]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +239,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
         raise ValueError(
             f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
 
-    lam_left = discrete_decay_rate(p, grid, lam_base)
+    lam_left = discrete_decay_rate(p, grid)
 
     theta = p.relaxation
     update = math.inf

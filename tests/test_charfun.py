@@ -320,8 +320,7 @@ def scan_reference(cf, sd, y_max, grid_density=40.0, eps_re=1e-3, zero_tol=1e-3)
     if not math.isfinite(rk):
         rk = sd.lambda_l + charfun.SCAN_RIGHT_CAP
         notes.append(f"lambda_rK infinite; scan capped at lambda_l + {charfun.SCAN_RIGHT_CAP:g}")
-    strip_pad = 1e-9 * max(1.0, abs(gamma_K)) if math.isfinite(gamma_K) else 0.0
-    rk_eval = min(rk, gamma_K - strip_pad) if math.isfinite(gamma_K) else rk
+    rk_eval = min(rk, charfun._inside(gamma_K)) if math.isfinite(gamma_K) else rk
     eps_im = charfun.SCAN_EPS_IM
     x_lo, x_hi = sd.lambda_l + eps_re, rk_eval - eps_re
     best = (INF, (math.nan, math.nan))

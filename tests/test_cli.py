@@ -193,6 +193,22 @@ def test_unknown_kernel_key_is_usage_error(tmp_path, capsys, kernel, key):
     assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, key", [
+    ({**LOCAL, "dealy": 0.5, "nonlinearity": {"kind": "logistic", "rat": 3.0}}, "dealy"),
+    ({**LOCAL, "nonlinearity": {"kind": "logistic", "rat": 3.0}}, "rat"),
+    ({**KPP, "delay": 0.5}, "delay"),
+    ({**KPP, "family": "nonlocal_delayed_rd",
+      "damping": {"kind": "linear", "slope": 1.0, "rate": 2.0}}, "rate"),
+], ids=["model", "nonlinearity", "other-family", "damping"])
+def test_unknown_model_key_is_usage_error(tmp_path, capsys, model, key):
+    # each of these once ran with the key dropped: the first gave c* = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model))
+    rc = main(["speed", "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_missing_key_is_usage_error(tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps({"family": "local_delayed_rd"}))

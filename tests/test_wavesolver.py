@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 import wavefront as wf
-from wavefront import kernels, wavesolver
+from wavefront import charfun, kernels, wavesolver
 from wavefront import verify as wf_verify
 from wavefront._scalar import brentq
 from wavefront._json import write_csv
@@ -315,7 +315,40 @@ def test_decay_rate_matches_full_grid_chi_h(path):
     grid = wf.Grid(-60.0, 40.0, 4096)
     lam = prob.spectral.lambda_l
     ref = full_grid_decay_rate(prob, grid, lam)
-    assert abs(wf.discrete_decay_rate(prob, grid, lam) - ref) <= 1e-13 * ref
+    assert abs(wf.discrete_decay_rate(prob, grid) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.01], ids=["c_star", "above"])
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_closure_rate_is_grid_tangency_point_or_left_zero(path, factor):
+    # at c* the grid chi_h of every shipped family stays below 0 (by 4e-5 to 7e-5),
+    # so the rate is its maximizer; at 1.01 c* it is its left zero.  The
+    # oracle is a dense scan of chi_h, refined by SciPy
+    spec, cfg = wf.load_model(path)
+    bound, margin = cfg.get("bound"), cfg.get("margin", 1.0)
+    c_star, z_star = wf.model_min_speed(spec, bound, margin)
+    prob = spec.to_convolution_form(factor * c_star, bound, margin)
+    grid = wf.Grid(-60.0, 40.0, 4096)
+
+    def chi_h(lam):
+        return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, grid.step) for a in prob.atoms)
+
+    xs = np.linspace(0.0, 2.0 * z_star, 2001)
+    vals = np.array([chi_h(x) for x in xs])
+    rate = wf.discrete_decay_rate(prob, grid)
+    if vals.max() > charfun.ROOT_VALUE_TOL:
+        assert factor > 1.0
+        j = int(np.argmax(vals >= 0.0))
+        root = optimize.brentq(chi_h, xs[j - 1], xs[j], xtol=1e-15)
+        assert rate == pytest.approx(root, rel=1e-13)
+    else:
+        assert factor == 1.0
+        i = int(np.argmax(vals))
+        peak = optimize.minimize_scalar(lambda x: -chi_h(x), bounds=(xs[i - 1], xs[i + 1]),
+                                        method="bounded", options={"xatol": 1e-12})
+        # a flat maximum fixes its maximizer to about sqrt(eps)
+        assert rate == pytest.approx(peak.x, rel=1e-6)
+        assert chi_h(rate) >= vals.max()
 
 
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -331,7 +364,7 @@ def test_decay_rate_makes_no_grid_convolution(path, monkeypatch):
     monkeypatch.setattr(wavesolver, "convolve_field", counting)
     prob = shipped_problem(path)
     grid = wf.Grid(-60.0, 40.0, 4096)
-    wf.discrete_decay_rate(prob, grid, prob.spectral.lambda_l)
+    wf.discrete_decay_rate(prob, grid)
     assert calls == []
     wavesolver.apply_operator(prob, grid.ts * 0.0, grid)
     assert calls
@@ -384,7 +417,7 @@ def test_verify_solves_report_bit_identical_closure_rate(monkeypatch, tmp_path):
     assert len(rates) == 2
     assert rates[0].hex() == rates[1].hex()
     prob = shipped_problem(path)
-    direct = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 4096), prob.spectral.lambda_l)
+    direct = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 4096))
     assert rates[0].hex() == direct.hex()
 
 
@@ -621,11 +654,10 @@ def test_max_iter_carries_profile():
 def test_discrete_decay_rate_close_to_analytic():
     prob = local_problem(2.5)
     grid = wf.Grid(-60.0, 40.0, 4096)
-    lam_h = wf.discrete_decay_rate(prob, grid, prob.spectral.lambda_l)
+    lam_h = wf.discrete_decay_rate(prob, grid)
     assert lam_h == pytest.approx(0.5, abs=1e-3)
     # refine the grid: the discrete rate converges to the analytic one
-    lam_h2 = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 8192),
-                                    prob.spectral.lambda_l)
+    lam_h2 = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 8192))
     assert abs(lam_h2 - 0.5) < 0.3 * abs(lam_h - 0.5)
 
 

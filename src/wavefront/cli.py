@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from ._json import config_hash, dumps, write_csv
 from .charfun import chi, real_roots, strip_zero_scan
-from .errors import (MaxIterExceeded, NoRoots, NoWave, StripTooNarrow,
-                     TailUnresolved, WavefrontError)
+from .errors import (MaxIterExceeded, NoRoots, NoWave, TailUnresolved,
+                     WavefrontError)
 from .models import load_model, model_min_speed
 from .verify import mollison_check, uniqueness_probe
 from .wavesolver import CappedExponential, Grid, SolveOptions, solve_profile
@@ -120,7 +120,7 @@ def cmd_analyze(args) -> int:
     write_csv(os.path.join(args.out, "chi_trace.csv"), "x,chi", xs, trace)
     try:
         sd = real_roots(cf)
-    except (NoRoots, StripTooNarrow) as exc:
+    except NoRoots as exc:
         _write(os.path.join(args.out, "spectral.json"),
                {**_stamp(cfg, args), "error": str(exc), "no_roots": True})
         print("no positive zero of the characteristic function: no semi-wavefront "
@@ -188,7 +188,7 @@ def cmd_scan(args) -> int:
     cf = prob.charfun()
     try:
         sd = real_roots(cf)
-    except (NoRoots, StripTooNarrow) as exc:
+    except NoRoots as exc:
         print(f"scan needs real-zero data: {exc}", file=sys.stderr)
         return EXIT_FAIL
     report = strip_zero_scan(cf, sd, y_max=args.y_max, grid_density=args.density)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .kernels import (DiracComb, KernelComponent, OneSidedExponential,
 INF = math.inf
 DERIV_SAMPLES = 10_000
 DERIV_STEP = 1e-6
+S_MAX = 100.0  # inf f' over s >= 0 is read on [0, S_MAX]
 
 __all__ = [
     "Nonlinearity",
@@ -55,12 +56,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Scalar birth/damping term g with g(0) = 0 and g'(0) > 0.
+    """Scalar birth/damping term g with g(0) = 0 and g'(0) > 0; the one owner of its slopes.
 
-    ``deriv`` is the analytic derivative when one is registered; otherwise
-    derivative extremes fall back to dense sampling with central
-    differences (the numerical surrogate for almost-everywhere slope
-    conditions).
+    ``deriv`` is the analytic derivative when one is registered, else
+    central differences.  Every slope condition besides g'(0) reads
+    ``slopes``, dense sampling (the surrogate for almost-everywhere slope
+    conditions) cached once per (nonlinearity, interval).
     """
 
     fn: callable
@@ -86,22 +87,19 @@ class Nonlinearity:
         lo = np.maximum(u - h, 0.0)
         return (np.asarray(self.fn(u + h)) - np.asarray(self.fn(lo))) / (u + h - lo)
 
-    def _deriv_samples(self, lo: float, hi: float) -> np.ndarray:
-        u = np.linspace(lo, hi, DERIV_SAMPLES)
-        return np.asarray(self.derivative(u), dtype=float)
-
-    def inf_deriv(self, lo: float, hi: float) -> float:
-        return float(np.min(self._deriv_samples(lo, hi)))
-
-    def sup_deriv(self, lo: float, hi: float) -> float:
-        return float(np.max(self._deriv_samples(lo, hi)))
+    # bounded: every model load and slope shift makes new nonlinearities
+    @lru_cache(maxsize=256)
+    def slopes(self, lo: float, hi: float) -> tuple[float, float]:
+        """(inf g', sup g') over DERIV_SAMPLES equispaced points of [lo, hi]."""
+        d = np.asarray(self.derivative(np.linspace(lo, hi, DERIV_SAMPLES)), dtype=float)
+        return float(np.min(d)), float(np.max(d))
 
     def lipschitz_on(self, M: float) -> float:
         """Lipschitz constant of g on [0, M] (sup |g'|, analytic or sampled)."""
         if M <= 0:
             raise DegenerateRange("bound M must be positive")
-        d = self._deriv_samples(0.0, M)
-        return float(np.max(np.abs(d)))
+        inf_d, sup_d = self.slopes(0.0, M)
+        return max(sup_d, -inf_d)
 
 
 def logistic(rate: float = 2.0, carrying: float = 1.0) -> Nonlinearity:
@@ -170,19 +168,19 @@ def beta_select(n: Nonlinearity, M: float, role: str = "birth", margin: float = 
              sup f' term keeping f_beta nondecreasing for slope profiles the
              midpoint rule alone would miss.
 
-    ``inf f'`` for the damping role is taken over s >= 0, sampled out to
-    max(10 M, 100).
+    ``inf f'`` for the damping role is taken over s >= 0, read on [0, S_MAX]
+    like the damping's monotonicity check and chi_1 weight.
     """
     if M <= 0:
         raise DegenerateRange("bound M must be positive")
     if margin <= 0:
         raise ValueError("margin must be positive")
     if role == "birth":
-        inf_d = n.inf_deriv(0.0, M)
+        inf_d, _ = n.slopes(0.0, M)
         return max(0.0, (-inf_d - n.gprime0) / 2.0) + margin
     if role == "damping":
-        sup_d = n.sup_deriv(0.0, M)
-        inf_d = n.inf_deriv(0.0, max(10.0 * M, 100.0))
+        _, sup_d = n.slopes(0.0, M)
+        inf_d, _ = n.slopes(0.0, S_MAX)
         return max(n.gprime0, sup_d - inf_d, sup_d) + margin
     raise ValueError("role must be 'birth' or 'damping'")
 
@@ -205,12 +203,15 @@ def _damping_shift(f: Nonlinearity, beta: float) -> Nonlinearity:
 
 @dataclass(frozen=True)
 class Atom:
-    """One tau-atom of the convolution problem."""
+    """One tau-atom of the convolution problem; its chi weight g'(0, tau) is the nonlinearity's."""
 
     kernel: KernelComponent
     nonlinearity: Nonlinearity
-    weight: float            # g'(0, tau)
     lipschitz_weight: float  # lambda(tau)
+
+    @property
+    def weight(self) -> float:
+        return self.nonlinearity.gprime0
 
 
 @dataclass
@@ -259,7 +260,7 @@ class ConvolutionProblem:
         convex combination of nonnegative fields.
         """
         kappa = self.equilibrium()
-        ell = sum(a.kernel.mass * max(0.0, -a.nonlinearity.inf_deriv(0.0, kappa))
+        ell = sum(a.kernel.mass * max(0.0, -a.nonlinearity.slopes(0.0, kappa)[0])
                   for a in self.atoms)
         return 2.0 / (2.0 + min(ell, 2.0))
 
@@ -391,8 +392,8 @@ class NonlocalKPP(ModelSpec):
                                 scale=1.0 / (1.0 + beta))
         gb = _birth_shift(self.g, beta)
         atoms = (
-            Atom(convolve(k, self.J), identity(1.0), 1.0, 1.0),
-            Atom(k, gb, gb.gprime0, gb.gprime0),
+            Atom(convolve(k, self.J), identity(1.0), 1.0),
+            Atom(k, gb, gb.gprime0),
         )
         return ConvolutionProblem(atoms, c, beta, M)
 
@@ -459,8 +460,8 @@ class NonlocalLattice(ModelSpec):
         comb = shift_kernel(DiracComb(tuple(ks), tuple(self.beta_weights[k] for k in ks)),
                             c * self.delay)
         atoms = (
-            Atom(convolve(neigh, H0), identity(1.0), 1.0, 1.0),
-            Atom(convolve(comb, H0), self.g, self.g.gprime0, self.g.gprime0),
+            Atom(convolve(neigh, H0), identity(1.0), 1.0),
+            Atom(convolve(comb, H0), self.g, self.g.gprime0),
         )
         return ConvolutionProblem(atoms, c, 0.0, M)
 
@@ -502,13 +503,8 @@ class NonlocalDelayedRD(ModelSpec):
         if not self.g.gprime0 > self.f.gprime0:
             raise HypothesisViolation(
                 f"need g'(0) > f'(0): {self.g.gprime0:g} vs {self.f.gprime0:g}")
-        if self._inf_fprime < -1e-9:
+        if self.f.slopes(0.0, S_MAX)[0] < -1e-9:
             raise HypothesisViolation("damping term must be increasing")
-
-    @cached_property
-    def _inf_fprime(self) -> float:
-        """inf f' on [0, 100], the one range that validation and chi_1 read."""
-        return self.f.inf_deriv(0.0, 100.0)
 
     def default_bound(self):
         mass = self.k.mass
@@ -523,8 +519,8 @@ class NonlocalDelayedRD(ModelSpec):
         k_h = shift_kernel(self.k, c * self.delay)
         fb = _damping_shift(self.f, beta)
         atoms = (
-            Atom(convolve(k_h, green), self.g, self.g.gprime0, self.g.gprime0),
-            Atom(green, fb, beta - self.f.gprime0, beta - self._inf_fprime),
+            Atom(convolve(k_h, green), self.g, self.g.gprime0),
+            Atom(green, fb, beta - self.f.slopes(0.0, S_MAX)[0]),
         )
         return ConvolutionProblem(atoms, c, beta, M)
 
@@ -535,7 +531,7 @@ class NonlocalDelayedRD(ModelSpec):
 
     def tilde_chi_lipschitz(self, z, c):
         z = np.asarray(z)
-        return (c * z - z * z + self._inf_fprime
+        return (c * z - z * z + self.f.slopes(0.0, S_MAX)[0]
                 - self.g.gprime0 * np.exp(-z * c * self.delay) * self.k.laplace(z))
 
     def denominator(self, z, c, beta):
@@ -574,7 +570,7 @@ class LocalDelayedRD(ModelSpec):
         self._check_speed(c)
         M = self._resolve_bound(M, margin)
         green = shift_kernel(PiecewiseGreen.from_speed_damping(c, 1.0), c * self.delay)
-        atoms = (Atom(green, self.g, self.g.gprime0, self.L),)
+        atoms = (Atom(green, self.g, self.L),)
         return ConvolutionProblem(atoms, c, 0.0, M)
 
     def tilde_chi(self, z, c):

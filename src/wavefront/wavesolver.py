@@ -213,7 +213,8 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     ``TailUnresolved``: a shape that settles while the pin keeps
     translating for ``TRANSLATION_WINDOW`` sweeps, iterates that collapse
     to zero or fall below the pinning level, and a converged constant or
-    unresolved left tail.  ``MaxIterExceeded`` carries the best-effort
+    unresolved left tail; a left margin t_min > -5 / lambda_l raises it
+    before the first sweep.  ``MaxIterExceeded`` carries the best-effort
     profile.
 
     Each solve finds its tail closure rate with :func:`discrete_decay_rate`;
@@ -236,7 +237,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
 
     lam_base = p.spectral.lambda_l
     if grid.t_min > -5.0 / lam_base:
-        raise ValueError(
+        raise TailUnresolved(
             f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
 
     lam_left = discrete_decay_rate(p, grid)

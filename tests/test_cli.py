@@ -284,6 +284,24 @@ def test_verify_reports_a_solve_that_hits_max_iter(tmp_path):
     assert "solve[init0]" in (out / "verify.txt").read_text()
 
 
+def test_grid_too_short_for_the_tail_fails_without_usage_error(tmp_path, capsys):
+    # delayed Mackey-Glass at c = 3 has a wave whose left tail needs
+    # t_min <= -84.48: the default grid does not hold it, which is a failed
+    # solve (exit 1), not malformed input (exit 64)
+    model = write_model(tmp_path, c=3.0, L=3.0, delay=3.0,
+                        nonlinearity={"kind": "mackey_glass", "p": 2.0, "n": 6.0})
+    out = tmp_path / "out"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 1
+    data = read_json(out / "solve.json")
+    assert "left margin too small" in data["error"]
+    assert data["no_wave"] is False
+    assert "solve failed: left margin too small" in capsys.readouterr().err
+    assert main(["verify", "--model", str(model), "--out", str(out)]) == 1
+    last = read_json(out / "verify.json")["checks"][-1]
+    assert (last["name"], last["status"]) == ("solve[init0]", "fail")
+    assert "left margin too small" in last["details"]["error"]
+
+
 def test_scan_command(local_model_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["scan", "--model", str(local_model_file), "--out", str(out),

@@ -1,14 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavefront as wf
 from wavefront import models
 from wavefront.errors import DegenerateRange, HypothesisViolation, ZeroSpeed
 from wavefront.models import model_from_dict
 
+MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 SQRT_LN2 = math.sqrt(math.log(2.0))  # minimal speed of the local family at L=2, h=1
 GAUSS_C_STAR = 2.544841358927859
 
@@ -38,8 +42,53 @@ def test_logistic_basics():
 def test_mackey_glass_derivative_extremes():
     g = wf.mackey_glass(2.0, 6.0)
     # min g' = -p (n-1)^2 / (4 n) at u = ((n+1)/(n-1))^{1/n}
-    assert g.inf_deriv(0.0, 2.0) == pytest.approx(-2.0 * 25.0 / 24.0, rel=1e-4)
-    assert g.sup_deriv(0.0, 2.0) == pytest.approx(2.0, rel=1e-6)
+    inf_d, sup_d = g.slopes(0.0, 2.0)
+    assert inf_d == pytest.approx(-2.0 * 25.0 / 24.0, rel=1e-4)
+    assert sup_d == pytest.approx(2.0, rel=1e-6)
+
+
+_U = np.linspace(0.0, 2.0, 401)
+# the tabulated g has no analytic derivative: its slopes are finite differences
+SLOPED = {"logistic": wf.logistic(2.0, 1.0), "mackey_glass": wf.mackey_glass(2.0, 6.0),
+          "linear": wf.linear(1.5), "tabulated": wf.tabulated_nonlinearity(_U, 2 * _U * (1 - _U))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(SLOPED)), lo=st.floats(0.0, 3.0),
+       width=st.floats(1e-3, 120.0))
+def test_slopes_are_the_extremes_of_one_sample(kind, lo, width):
+    g = SLOPED[kind]
+    hi = lo + width
+
+    def samples(a, b):
+        return np.asarray(g.derivative(np.linspace(a, b, models.DERIV_SAMPLES)), dtype=float)
+
+    d = samples(lo, hi)
+    assert g.slopes(lo, hi) == (float(np.min(d)), float(np.max(d)))
+    assert g.lipschitz_on(hi) == float(np.max(np.abs(samples(0.0, hi))))
+    # a second read is the cached pair itself
+    assert g.slopes(lo, hi) is g.slopes(lo, hi)
+
+
+@pytest.mark.parametrize("name, intervals", [("nonlocal_delayed_rd", 2),
+                                             ("nonlocal_kpp_gaussian", 1),
+                                             ("local_delayed_rd", 0),
+                                             ("nonlocal_lattice", 0)])
+def test_min_speed_samples_each_slope_interval_once(name, intervals, monkeypatch):
+    # the slope shift does not depend on c: the damping reads [0, M] and
+    # [0, S_MAX], the KPP birth term [0, M], however many speeds are tried
+    spec, cfg = wf.load_model(MODELS_DIR / f"{name}.json")
+    sampled = []
+    derivative = wf.Nonlinearity.derivative
+
+    def counting(self, u):
+        if np.ndim(u):
+            sampled.append((float(u[0]), float(u[-1])))
+        return derivative(self, u)
+
+    monkeypatch.setattr(wf.Nonlinearity, "derivative", counting)
+    wf.model_min_speed(spec, cfg.get("bound"), cfg.get("margin", 1.0))
+    assert len(sampled) == len(set(sampled)) == intervals
 
 
 def test_beta_select_birth_branches():

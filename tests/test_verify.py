@@ -9,7 +9,7 @@ from wavefront.models import Atom, ConvolutionProblem
 
 def degenerate_problem(weight, kernel):
     """Assemble a one-atom problem without the wave-hypothesis gate."""
-    atoms = (Atom(kernel, wf.linear(weight), weight, weight),)
+    atoms = (Atom(kernel, wf.linear(weight), weight),)
     prob = ConvolutionProblem.__new__(ConvolutionProblem)
     prob.atoms = atoms
     prob.speed = 1.0

@@ -471,9 +471,9 @@ def test_relaxation_halves_once_ell_reaches_two(monkeypatch):
     assert prob.relaxation == pytest.approx(0.5, abs=1e-9)
     # cached: the slopes are sampled once per problem
     calls = []
-    inf_deriv = wf.Nonlinearity.inf_deriv
-    monkeypatch.setattr(wf.Nonlinearity, "inf_deriv",
-                        lambda *a: calls.append(a) or inf_deriv(*a))
+    derivative = wf.Nonlinearity.derivative
+    monkeypatch.setattr(wf.Nonlinearity, "derivative",
+                        lambda *a: calls.append(a) or derivative(*a))
     assert prob.relaxation == pytest.approx(0.5, abs=1e-9)
     assert calls == []
 
@@ -661,11 +661,22 @@ def test_discrete_decay_rate_close_to_analytic():
     assert abs(lam_h2 - 0.5) < 0.3 * abs(lam_h - 0.5)
 
 
-def test_left_margin_enforced():
+def test_left_margin_enforced(monkeypatch):
+    # a valid wave the grid cannot hold is TailUnresolved, not malformed
+    # input, and it is found before the first sweep
+    sweeps = count_sweeps(monkeypatch)
     prob = local_problem(2.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TailUnresolved, match=r"need t_min <= -10\b"):
         wf.solve_profile(prob, wf.Grid(-6.0, 40.0, 1024),
                          wf.CappedExponential(0.5, 0.5))
+    # delayed Mackey-Glass at c = 3: lambda_l ~ 0.059 needs t_min <= -84.48,
+    # beyond the default grid's -60
+    mg = wf.LocalDelayedRD(g=wf.mackey_glass(2.0, 6.0), L=3.0,
+                           delay=3.0).to_convolution_form(3.0)
+    with pytest.raises(TailUnresolved, match=r"need t_min <= -84\.4782"):
+        wf.solve_profile(mg, wf.Grid(-60.0, 40.0, 4096),
+                         wf.CappedExponential(mg.spectral.lambda_l, mg.equilibrium() / 2.0))
+    assert sweeps == []
 
 
 def test_level_crossing_interpolation():

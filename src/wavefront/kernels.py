@@ -53,6 +53,9 @@ INF = math.inf
 _TAIL = math.log(1e16)
 # float64 machine epsilon, the rounding unit of a shift measured in steps
 _EPS = np.finfo(float).eps
+# k + 1 and (k + 1) / (k + 2) for k = 1..15, the terms of the series in _filon_weights
+_SERIES_DIV = np.arange(2.0, 17.0)
+_SERIES_C1 = _SERIES_DIV / (_SERIES_DIV + 1.0)
 
 __all__ = [
     "KernelComponent",
@@ -416,56 +419,104 @@ class DiracComb(KernelComponent):
         return list(self.offsets)
 
 
-def _segment_transform(z, t0, t1, v0, v1):
-    """Exact transform of the linear segment through (t0,v0),(t1,v1).
+def _filon_weights(q):
+    """(c0(q), c1(q)) elementwise: c0 = int_0^1 e^{-q u} du, c1 = int_0^1 u e^{-q u} du.
 
-    integral_{t0}^{t1} (v0 + m (s-t0)) e^{-z s} ds
-      = e^{-z t0} h [v0 c0(q) + (v1-v0) c1(q)],   q = z h,
-    with c0 = int_0^1 e^{-q u} du and c1 = int_0^1 u e^{-q u} du.  Both are
-    summed by series below |q| = 0.2, where the closed forms cancel.
+    These are Filon's weights for one linear segment of width h at z = q/h.
+    Both are summed by series below |q| = 0.2, where the closed forms cancel.
     """
-    h = t1 - t0
-    q = z * h
-    if abs(q) < 0.2:
-        c0 = term = 1.0 + 0.0j
-        c1 = 0.5 + 0.0j
-        for k in range(1, 30):
-            term = term * (-q) / (k + 1)       # (-q)^k / (k+1)!
-            c0 += term
-            c1 += term * (k + 1) / (k + 2)     # (-q)^k (k+1) / (k+2)!
-            if abs(term) < 1e-18:
-                break
-    else:
-        E = np.exp(-q)
-        c0 = (1.0 - E) / q
-        c1 = (1.0 - E * (1.0 + q)) / (q * q)
-    return np.exp(-z * t0) * h * (v0 * c0 + (v1 - v0) * c1)
-
-
-def _segments_transform(z: complex, t: np.ndarray, v: np.ndarray) -> complex:
-    """Sum of :func:`_segment_transform` over the segments of (t, v), vectorized.
-
-    Takes one scalar z; the same series/closed-form split applies per segment.
-    """
-    h = np.diff(t)
-    dv = np.diff(v)
-    q = z * h
     c0 = np.empty_like(q)
     c1 = np.empty_like(q)
     small = np.abs(q) < 0.2
-    if np.any(small):
+    if small.any():
         # column k-1 holds (-q)^k / (k+1)!; by k = 15 it is below 1e-18 of c0
-        ks = np.arange(1, 16)
-        terms = np.cumprod(-q[small, None] / (ks + 1), axis=1)
+        terms = np.cumprod(-q[small, None] / _SERIES_DIV, axis=1)
         c0[small] = 1.0 + terms.sum(axis=1)
-        c1[small] = 0.5 + terms @ ((ks + 1) / (ks + 2))
+        c1[small] = 0.5 + terms @ _SERIES_C1
     big = ~small
-    if np.any(big):
+    if big.any():
         qb = q[big]
         E = np.exp(-qb)
         c0[big] = (1.0 - E) / qb
         c1[big] = (1.0 - E * (1.0 + qb)) / (qb * qb)
-    return complex(np.sum(np.exp(-z * t[:-1]) * h * (v[:-1] * c0 + dv * c1)))
+    return c0, c1
+
+
+def _segments_transform(z, t: np.ndarray, v: np.ndarray):
+    """Exact transform of the piecewise-linear interpolant of (t, v) at one z.
+
+    Segment j contributes
+    integral_{t_j}^{t_j+1} (v_j + m (s - t_j)) e^{-z s} ds
+      = e^{-z t_j} h_j [v_j c0(q_j) + (v_j+1 - v_j) c1(q_j)],   q_j = z h_j,
+    with the weights of :func:`_filon_weights`.
+    """
+    h = np.diff(t)
+    c0, c1 = _filon_weights(z * h)
+    return np.sum(np.exp(-z * t[:-1]) * h * (v[:-1] * c0 + np.diff(v) * c1))
+
+
+@dataclass(frozen=True, eq=False)
+class _UniformNodes:
+    """Transform of an interpolant on uniform nodes, as two polynomials in w = e^{-z h}.
+
+    With t_j = t_0 + j h every segment has the same q = z h, so the
+    segment sum is h [c0(q) P + c1(q) Q] with P = sum_j e^{-z t_j} v_j and
+    Q = sum_j e^{-z t_j} (v_j+1 - v_j).  The exponentials come in baby and
+    giant steps: segment j = j* + k of a block of B ~ sqrt(n) segments has
+    e^{-z t_j} = w^k e^{-z t_j*}.  The baby powers w^k, k < B, are a
+    running product of one exponential, the giant powers one exponential
+    per block, and one real matrix product sums each block, so a point
+    costs about sqrt(n) exponentials where the segment sum takes 2n.  The
+    giant power is taken at a node of the block (its first for Re z >= 0,
+    its last for Re z < 0), so every baby power has modulus <= 1 and every
+    giant power is a term of the direct sum: nothing overflows that the
+    direct sum does not.  The last block is moved back to end at the last
+    segment, with zero coefficients for the segments the block before
+    holds.
+    """
+
+    h: float
+    anchors: np.ndarray   # 2 x A: left node of each block's first and last segment
+    coef: np.ndarray      # B x 2A: the coefficients of P, then of Q, block by block
+
+    @classmethod
+    def of(cls, t, v):
+        """The uniform form of (t, v); None if a node is over 8 eps max|t| off t_0 + j h."""
+        n = t.size - 1
+        h = (t[-1] - t[0]) / n
+        moved = np.max(np.abs(t - (t[0] + np.arange(n + 1) * h)))
+        if moved > 8.0 * _EPS * max(abs(t[0]), abs(t[-1])):
+            return None
+        B = math.isqrt(n - 1) + 1          # ceil(sqrt(n))
+        A = -(-n // B)
+        starts = np.minimum(np.arange(A) * B, n - B)
+        j = starts + np.arange(B)[:, None]              # B x A segment indices
+        fresh = j >= np.arange(A) * B                    # not held by the block before
+        coef = np.hstack([np.where(fresh, v[j], 0.0), np.where(fresh, np.diff(v)[j], 0.0)])
+        anchors = t[np.stack([starts, starts + B - 1])]
+        coef.flags.writeable = anchors.flags.writeable = False
+        return cls(float(h), anchors, coef)
+
+    def transform(self, z: np.ndarray) -> np.ndarray:
+        """The transform at the 1-d array z, float where z is real."""
+        q = z * self.h
+        back = q.real < 0.0
+        B, A = self.coef.shape[0], self.anchors.shape[1]
+        # w^k for k < B as a running product, w = e^{-q} or e^{q}, whichever
+        # has modulus <= 1
+        w = np.exp(np.where(back, q, -q))
+        powers = np.empty((B, z.size), dtype=z.dtype)
+        powers[0] = 1.0
+        np.cumprod(np.broadcast_to(w, (B - 1, z.size)), axis=0, out=powers[1:])
+        # row b: e^{-q (b - b*)}, b* the block's first segment (Re z >= 0) or its last
+        powers[:, back] = powers[::-1, back]
+        # real and imaginary parts side by side: one real product either way
+        sums = (self.coef.T @ powers.view(float)).view(z.dtype).reshape(2, A, z.size)
+        giant = np.multiply(-z, np.where(back, self.anchors[1][:, None], self.anchors[0][:, None]))
+        sums *= np.exp(giant, out=giant)
+        P, Q = sums.sum(axis=1)
+        c0, c1 = _filon_weights(q)
+        return self.h * (c0 * P + c1 * Q)
 
 
 def _trapezoid(v, t):
@@ -478,8 +529,9 @@ class TabulatedKernel(KernelComponent):
     """Kernel given by samples on a strictly increasing grid, linearly interpolated.
 
     Treated as compactly supported on its grid; no extrapolation beyond it.
-    The transform integrates the interpolant segment-by-segment in closed
-    form, so it is entire in z (strip = all of R, compact-support surrogate).
+    The transform integrates the interpolant exactly (Filon's rule for
+    piecewise-linear data), so it is entire in z (strip = all of R,
+    compact-support surrogate).
     """
 
     grid: tuple[float, ...]
@@ -489,8 +541,8 @@ class TabulatedKernel(KernelComponent):
     compact_support = True
 
     def __post_init__(self):
-        t = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = np.array(self.grid, dtype=float)
+        v = np.array(self.values, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
             raise ValueError("need matching 1-d grid/values with >= 2 points")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
@@ -503,33 +555,37 @@ class TabulatedKernel(KernelComponent):
             raise ValueError("kernel mass must be positive")
         object.__setattr__(self, "grid", tuple(t.tolist()))
         object.__setattr__(self, "values", tuple(v.tolist()))
+        # the one array pair every method reads; the tuples are the JSON form
+        t.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_v", v)
 
     @cached_property
     def mass(self) -> float:
-        return float(_trapezoid(np.asarray(self.values), np.asarray(self.grid)))
+        return float(_trapezoid(self._v, self._t))
+
+    @cached_property
+    def _uniform(self) -> _UniformNodes | None:
+        return _UniformNodes.of(self._t, self._v)
 
     def abscissas(self):
         return (-INF, INF)
 
     def laplace(self, z):
-        t = np.asarray(self.grid)
-        v = np.asarray(self.values)
-        zs = np.asarray(z)
-        # one z at a time keeps temporaries O(segments) on long z traces
-        out = np.array([_segments_transform(complex(zz), t, v) for zz in zs.ravel()],
-                       dtype=complex).reshape(zs.shape)
-        if np.ndim(z) == 0:
-            val = complex(out)
-            return val.real if abs(val.imag) == 0.0 else val
-        if not np.iscomplexobj(zs):
-            if np.allclose(out.imag, 0.0):
-                return out.real
-        return out
+        """Closed form in e^{-z h} on uniform nodes, else one segment sum per z.
+
+        Real z gives float64 (a float for a scalar), complex z complex128.
+        """
+        zs = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
+        if self._uniform is not None:
+            out = self._uniform.transform(zs.ravel())
+        else:
+            out = np.array([_segments_transform(zz, self._t, self._v) for zz in zs.ravel()],
+                           dtype=zs.dtype)
+        return out.reshape(zs.shape) if zs.ndim else out.item()
 
     def value(self, s):
-        t = np.asarray(self.grid)
-        v = np.asarray(self.values)
-        return np.interp(np.asarray(s, dtype=float), t, v, left=0.0, right=0.0)
+        return np.interp(np.asarray(s, dtype=float), self._t, self._v, left=0.0, right=0.0)
 
     def support(self):
         return (self.grid[0], self.grid[-1])

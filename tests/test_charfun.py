@@ -297,9 +297,11 @@ def test_strip_zero_scan_critical_interior_empty():
     shift_kernel(wf.PiecewiseGreen.from_speed_damping(2.5, 1.0, scale=2.0), 0.6),
     wf.DiracComb((-1.0, 0.25, 2.0), (0.5, 1.0, 0.125)),
     wf.TabulatedKernel((-1.0, -0.2, 0.5, 2.0), (0.0, 1.0, 0.4, 0.0)),
+    wf.TabulatedKernel(tuple(np.linspace(-8.0, 8.0, 161)),
+                       tuple(np.exp(-np.linspace(-8.0, 8.0, 161) ** 2 / 2.0))),
     wf.convolve(wf.GaussianKernel(1.0), wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)),
 ], ids=["gaussian", "exponential+", "exponential-", "green", "comb", "tabulated",
-        "convolved"])
+        "tabulated-uniform", "convolved"])
 def test_chi_conjugate_symmetry_is_bitwise(kernel):
     # every kernel is a real measure; the strip scan evaluates only the upper
     # half of its band and relies on the lower half mirroring it bit for bit

@@ -10,10 +10,11 @@ from scipy import integrate
 from scipy.signal import lfilter
 
 import wavefront as wf
+from wavefront import kernels
 from wavefront.errors import EmptyStrip, OutOfStrip
 from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
                                _grid_step, _lumped_samples, _sampled_convolve,
-                               _segment_transform, _shift, _shift_factor,
+                               _segments_transform, _shift, _shift_factor,
                                convolve_field, kernel_from_dict, shift_kernel)
 
 INF = math.inf
@@ -265,6 +266,33 @@ def test_tabulated_is_compact_support_surrogate(tabulated_gaussian):
     assert tabulated_gaussian.mass == pytest.approx(1.0, abs=1e-6)
 
 
+def _segment_transform(z, t0, t1, v0, v1):
+    """Exact transform of the linear segment through (t0,v0),(t1,v1).
+
+    integral_{t0}^{t1} (v0 + m (s-t0)) e^{-z s} ds
+      = e^{-z t0} h [v0 c0(q) + (v1-v0) c1(q)],   q = z h,
+    with c0 = int_0^1 e^{-q u} du and c1 = int_0^1 u e^{-q u} du.  Both are
+    summed by series below |q| = 0.2, where the closed forms cancel.  This
+    scalar form is the reference the vectorized transforms are held to.
+    """
+    h = t1 - t0
+    q = z * h
+    if abs(q) < 0.2:
+        c0 = term = 1.0 + 0.0j
+        c1 = 0.5 + 0.0j
+        for k in range(1, 30):
+            term = term * (-q) / (k + 1)       # (-q)^k / (k+1)!
+            c0 += term
+            c1 += term * (k + 1) / (k + 2)     # (-q)^k (k+1) / (k+2)!
+            if abs(term) < 1e-18:
+                break
+    else:
+        E = np.exp(-q)
+        c0 = (1.0 - E) / q
+        c1 = (1.0 - E * (1.0 + q)) / (q * q)
+    return np.exp(-z * t0) * h * (v0 * c0 + (v1 - v0) * c1)
+
+
 def test_segment_transform_small_z_series():
     # series branch must agree with a high-precision reference across the switch
     import mpmath
@@ -306,6 +334,72 @@ def test_tabulated_laplace_matches_segment_sum(z):
     for zz, g in zip(z, got):
         expect = reference(zz)
         assert abs(g - expect) <= 1e-13 * abs(expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 1999), span=st.floats(0.1, 20.0), frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["wide", "unit", "series"]),
+       r=st.floats(-1.0, 1.0), y=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)))
+@example(n=160, span=16.0, frac=0.5, seed=0, kind="wide", r=-0.8, y=0.0)   # z = -30 on [-8, 8]
+@example(n=1, span=1.0, frac=0.0, seed=0, kind="series", r=0.5, y=0.0)
+def test_uniform_laplace_matches_segment_sum(n, span, frac, seed, kind, r, y):
+    # nodes lo + span j / n as a generator writes them to JSON, each then
+    # moved by up to two ulps; grids reach 0, so max|t| <= span
+    rng = np.random.default_rng(seed)
+    lo = -frac * span
+    t = np.array([lo + span * j / n for j in range(n + 1)])
+    for step in (rng.integers(-1, 2, n + 1), rng.integers(-1, 2, n + 1)):
+        t = np.nextafter(t, t + step)
+    v = rng.uniform(0.0, 1.0, n + 1)
+    k = wf.TabulatedKernel(tuple(t), tuple(v))
+    h = (t[-1] - t[0]) / n
+    tmax = max(abs(t[0]), abs(t[-1]))
+    # |Re z| span up to 600 (no term or Filon weight beyond e^600), Re z in
+    # [-2, 4], or |z h| < 0.2
+    x = {"wide": 600.0 * r / span, "unit": 1.0 + 3.0 * r,
+         "series": max(-600.0, min(600.0, 0.199 * r / h * span)) / span}[kind]
+    z = complex(x, y) if y else x
+    got = k.laplace(z)
+    expect = _segments_transform(z, t, v)
+    assert type(got) is (complex if y else float)
+    assert np.isfinite(expect) and np.isfinite(got)
+    # the closed form puts each node k h from a node of its block, up to
+    # ~2 moved off where it is, which moves e^{-z t_j} by |z| times that;
+    # one rounding of z t_j adds |z| eps max|t|
+    moved = np.max(np.abs(t - (t[0] + np.arange(n + 1) * h)))
+    tol = 1e-13 + 4.0 * abs(z) * (moved + np.finfo(float).eps * tmax)
+    assert abs(got - expect) <= tol * _segments_transform(x, t, v)
+
+
+def test_uniform_laplace_far_left_is_finite():
+    # at z = -60 on [-8, 8] the direct sum is 2.93e192; powers of e^{-z h}
+    # counted from t_0 would reach e^{60 * 16} and overflow
+    t = np.linspace(-8.0, 8.0, 161)
+    v = np.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
+    expect = _segments_transform(-60.0, t, v)
+    got = wf.TabulatedKernel(tuple(t), tuple(v)).laplace(-60.0)
+    assert expect == pytest.approx(2.93e192, rel=1e-3)
+    assert abs(got - expect) <= 1e-13 * expect
+
+
+def test_tabulated_laplace_segment_sum_only_off_uniform_nodes(monkeypatch):
+    # JSON-style nodes -8 + 16 j / 160 are a few ulps off any t_0 + j h and
+    # take the closed form; moving one node by a thousandth of a step does not
+    calls = []
+    segments = kernels._segments_transform
+    monkeypatch.setattr(kernels, "_segments_transform",
+                        lambda *args: calls.append(args[0]) or segments(*args))
+    t = [-8.0 + 16.0 * j / 160 for j in range(161)]
+    v = [math.exp(-s * s / 2.0) for s in t]
+    z = np.array([0.5, 1.0 + 2.0j, -3.0])
+    uniform = wf.TabulatedKernel(tuple(t), tuple(v))
+    got = uniform.laplace(z)
+    assert calls == []
+    t[80] += 1e-4
+    moved = wf.TabulatedKernel(tuple(t), tuple(v))
+    near = moved.laplace(z)
+    assert len(calls) == z.size
+    assert np.all(np.abs(near - got) <= 1e-4 * np.abs(got))
 
 
 def test_csv_loading(tmp_path):

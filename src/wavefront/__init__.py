@@ -13,8 +13,7 @@ from .charfun import (CharacteristicFunction, ScanReport, SpectralData, chi,
                       chi1_margin, min_speed, real_roots, strip_zero_scan)
 from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel,
                       KernelComponent, OneSidedExponential, PiecewiseGreen,
-                      TabulatedKernel, convolve, laplace, laplace_quadrature,
-                      load_tabulated)
+                      TabulatedKernel, convolve, laplace, load_tabulated)
 from .models import (Atom, ConvolutionProblem, LocalDelayedRD, ModelSpec,
                      NonlocalDelayedRD, NonlocalKPP, NonlocalLattice,
                      Nonlinearity, beta_select, linear, load_model, logistic,

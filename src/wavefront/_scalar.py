@@ -1,4 +1,4 @@
-"""Brent's root finder and minimizer, ported from SciPy, and G7-K15 quadrature.
+"""Brent's root finder and minimizer, ported from SciPy.
 
 ``brentq`` is SciPy 1.17's C ``brentq`` (``scipy/optimize/Zeros/brentq.c``)
 behind the checks of its Python wrapper, and ``minimize_bounded`` is
@@ -8,9 +8,6 @@ chapters 4 and 5.  They evaluate f at the same points and return the same
 floats as SciPy does, so the spectral code needs no SciPy import.  SciPy is
 BSD-3-Clause licensed; copyright (c) 2001-2002 Enthought, Inc. and
 2003-2025 SciPy Developers.
-
-``gauss_kronrod`` is no port: it applies the G7-K15 pair of QUADPACK's
-``qk15`` (R. Piessens et al., *QUADPACK*, Springer 1983) to all panels at once.
 """
 
 from __future__ import annotations
@@ -19,26 +16,8 @@ import math
 import operator
 import sys
 
-import numpy as np
-
 # SciPy's floor for the relative tolerance of brentq, 4 eps
 RTOL_FLOOR = 4 * sys.float_info.epsilon
-# absolute and relative tolerance of gauss_kronrod, and its most panels
-QUAD_TOL = 1e-10
-QUAD_PANELS = 400
-# qk15 on [-1, 1] from x = 1 inwards, float64-rounded: the Kronrod nodes (the
-# odd-numbered ones are the Gauss nodes), their weights, and the Gauss weights
-_XK = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-                0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0])
-_WK = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
-                0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
-                0.20443294007529889, 0.20948214108472782])
-_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
-_NODES = np.concatenate((-_XK, _XK[-2::-1]))
-# column 0 the Kronrod weights, column 1 the Gauss weights (0 off the Gauss nodes)
-_WEIGHTS = np.zeros((15, 2))
-_WEIGHTS[:, 0] = np.concatenate((_WK, _WK[-2::-1]))
-_WEIGHTS[1::2, 1] = np.concatenate((_WG, _WG[-2::-1]))
 
 
 def _signbit(v: float) -> bool:
@@ -208,32 +187,3 @@ def minimize_bounded(f, x1, x2, xatol: float, maxiter: int = 500) -> tuple[float
         if num >= maxiter:
             break
     return xf, fx
-
-
-def gauss_kronrod(f, a, b, points=()):
-    """(integral, error estimate) of f over the finite [a, b] by adaptive G7-K15 panels.
-
-    f maps an array of abscissas to its real or complex values.  The first
-    panels split [a, b] at the ``points`` inside it.  Each round calls f
-    once on the nodes of every open panel; a panel is done when its
-    |K15 - G7| is within its share, by width, of QUAD_TOL * max(1, |integral|),
-    and the others are halved.  Where that would make more than QUAD_PANELS
-    panels the rule stops, and the estimate, the sum of all |K15 - G7|,
-    exceeds the tolerance.
-    """
-    edges = np.unique([a, b, *(p for p in points if a < p < b)])
-    lo, hi = edges[:-1], edges[1:]
-    done = done_err = 0.0
-    panels = len(lo)
-    while True:
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        kronrod, gauss = (f(mid[:, None] + half[:, None] * _NODES) @ _WEIGHTS).T * half
-        err = np.abs(kronrod - gauss)
-        total = done + kronrod.sum()
-        split = err > QUAD_TOL * max(1.0, abs(total)) * half / ((b - a) / 2.0)
-        panels += split.sum()
-        if not split.any() or panels > QUAD_PANELS:
-            return total, done_err + err.sum()
-        done += kronrod[~split].sum()
-        done_err += err[~split].sum()
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))

@@ -9,10 +9,6 @@ class OutOfStrip(WavefrontError):
     """Laplace-transform argument lies outside the open convergence strip."""
 
 
-class QuadratureFailure(WavefrontError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class EmptyStrip(WavefrontError):
     """Convolution factors have no common strip of convergence."""
 

@@ -1,4 +1,4 @@
-"""Kernel components: transforms, grid action, quadrature window and JSON.
+"""Kernel components: transforms, grid action and JSON.
 
 Every kernel here is a nonnegative integrable function K(s) with positive
 mass, represented exactly enough that its transform
@@ -13,21 +13,20 @@ data on a compact grid, and lazy convolutions of the above.
 
 Each shape is one class, the only place that knows it: its transform, its
 action on a grid field (``grid_convolve(ts, G, lam_left)``) and the factor
-that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``), its
-quadrature window and kinks, and how it is read from JSON (``shape``,
-``from_dict``).  On the grid the field is closed by an exponential tail at
-rate ``lam_left`` (or 0) on the left and always by its last value on the
-right.  There, exponential pieces run exact O(n) linear recurrences on the
-piecewise-linear interpolant, atomic combs add shifted copies, Gaussian
-and tabulated densities are sampled at multiples of the grid step and
-applied as one discrete convolution, summed as a blocked Toeplitz
-product, and a lazy product applies its factors in turn.  K(s - d), a
-delay c h included, is K convolved with a unit point mass at d
-(:func:`shift_kernel`), so a shifted copy (a comb atom or the solver's
-phase pin) is one two-tap stencil on the uniform grid: a whole number of
-steps moves the field by whole indices, any other shift interpolates
-linearly between two neighbours, and the closure fills the points moved
-in from beyond either end.
+that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``), and how
+it is read from JSON (``shape``, ``from_dict``).  On the grid the field is
+closed by an exponential tail at rate ``lam_left`` (or 0) on the left and
+always by its last value on the right.  There, exponential pieces run
+exact O(n) linear recurrences on the piecewise-linear interpolant, atomic
+combs add shifted copies, Gaussian and tabulated densities are sampled at
+multiples of the grid step and applied as one discrete convolution, summed
+as a blocked Toeplitz product, and a lazy product applies its factors in
+turn.  K(s - d), a delay c h included, is K convolved with a unit point
+mass at d (:func:`shift_kernel`), so a shifted copy (a comb atom or the
+solver's phase pin) is one two-tap stencil on the uniform grid: a whole
+number of steps moves the field by whole indices, any other shift
+interpolates linearly between two neighbours, and the closure fills the
+points moved in from beyond either end.
 
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
@@ -45,12 +44,9 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._scalar import QUAD_TOL, gauss_kronrod
-from .errors import EmptyStrip, OutOfStrip, QuadratureFailure
+from .errors import EmptyStrip, OutOfStrip
 
 INF = math.inf
-# log of the factor by which a truncated tail is smaller than the integral
-_TAIL = math.log(1e16)
 # float64 machine epsilon, the rounding unit of a shift measured in steps
 _EPS = np.finfo(float).eps
 # k + 1 and (k + 1) / (k + 2) for k = 1..15, the terms of the series in _filon_weights
@@ -69,7 +65,6 @@ __all__ = [
     "convolve",
     "shift_kernel",
     "convolve_field",
-    "laplace_quadrature",
     "load_tabulated",
     "kernel_from_dict",
 ]
@@ -91,16 +86,12 @@ class KernelComponent:
 
     A new shape sets ``shape`` and implements ``mass``, ``abscissas``,
     ``laplace``, ``value``, ``support``, ``grid_convolve`` and
-    ``grid_laplace``; unless it is
-    compactly supported also ``truncation_window``, its one quadrature
-    window; and ``breakpoints`` where its density has kinks (a comb's
-    atoms, which move the kinks of what it is convolved with).  A shape
-    has no shift of its own: K(s - d) is :func:`shift_kernel`.
+    ``grid_laplace``.  A shape has no shift of its own: K(s - d) is
+    :func:`shift_kernel`.
     ``from_dict`` works on any frozen dataclass of JSON-ready fields.
     """
 
     shape = ""
-    compact_support = False
 
     @property
     def mass(self) -> float:
@@ -134,16 +125,6 @@ class KernelComponent:
         with no array and no closure at either end.
         """
         raise TypeError(f"no grid transform for {type(self).__name__}")
-
-    def truncation_window(self, x: float) -> tuple[float, float]:
-        """Window holding all but ~1e-13 of the integral of K(s)e^{-x s} (the mass at x = 0)."""
-        if self.compact_support:
-            return self.support()
-        raise TypeError(f"no quadrature window for {type(self).__name__}")
-
-    def breakpoints(self) -> list[float]:
-        """Interior kink locations the adaptive panels must split at."""
-        return []
 
     def exp_dominated(self, x: float) -> bool:
         """True when sup_s K(s) e^{-x s} is finite for the given x > 0.
@@ -210,12 +191,6 @@ class GaussianKernel(KernelComponent):
     def grid_laplace(self, lam, dt):
         return _sampled_laplace(self, lam, dt)
 
-    def truncation_window(self, x):
-        v = self.variance
-        center = -x * v
-        w = math.sqrt(2.0 * v * _TAIL) + 2.0 * math.sqrt(v)
-        return (center - w, center + w)
-
 
 @dataclass(frozen=True)
 class OneSidedExponential(KernelComponent):
@@ -270,15 +245,6 @@ class OneSidedExponential(KernelComponent):
 
     def grid_laplace(self, lam, dt):
         return self.scale * _recurse_factor(self.rate, math.exp(-self.direction * lam * dt), dt)
-
-    def truncation_window(self, x):
-        length = _TAIL / (self.rate + self.direction * x)
-        if self.direction == 1:
-            return (0.0, length)
-        return (-length, 0.0)
-
-    def breakpoints(self):
-        return [0.0]
 
 
 @dataclass(frozen=True)
@@ -352,12 +318,6 @@ class PiecewiseGreen(KernelComponent):
         return amp * (_recurse_factor(rho1, math.exp(-lam * dt), dt) / rho1
                       + _recurse_factor(rho2, math.exp(lam * dt), dt) / rho2)
 
-    def truncation_window(self, x):
-        return (-_TAIL / (self.mu - x), _TAIL / (x - self.nu))
-
-    def breakpoints(self):
-        return [0.0]
-
     @classmethod
     def from_dict(cls, spec, base_dir=None):
         if "nu" in spec and "mu" in spec:
@@ -379,7 +339,6 @@ class DiracComb(KernelComponent):
     weights: tuple[float, ...]
 
     shape = "dirac_comb"
-    compact_support = True
 
     def __post_init__(self):
         if len(self.offsets) != len(self.weights) or not self.offsets:
@@ -415,15 +374,15 @@ class DiracComb(KernelComponent):
     def grid_laplace(self, lam, dt):
         return sum(w * _shift_factor(a, lam, dt) for a, w in zip(self.offsets, self.weights))
 
-    def breakpoints(self):
-        return list(self.offsets)
-
 
 def _filon_weights(q):
     """(c0(q), c1(q)) elementwise: c0 = int_0^1 e^{-q u} du, c1 = int_0^1 u e^{-q u} du.
 
     These are Filon's weights for one linear segment of width h at z = q/h.
     Both are summed by series below |q| = 0.2, where the closed forms cancel.
+    For Re q < 0 they grow like e^{-q}; callers then anchor the segment at
+    its right end, where c0(q) = e^{-q} c0(-q) and
+    c1(q) = e^{-q} (c0(-q) - c1(-q)), and take the weights at -q.
     """
     c0 = np.empty_like(q)
     c1 = np.empty_like(q)
@@ -448,9 +407,14 @@ def _segments_transform(z, t: np.ndarray, v: np.ndarray):
     Segment j contributes
     integral_{t_j}^{t_j+1} (v_j + m (s - t_j)) e^{-z s} ds
       = e^{-z t_j} h_j [v_j c0(q_j) + (v_j+1 - v_j) c1(q_j)],   q_j = z h_j,
-    with the weights of :func:`_filon_weights`.
+    with the weights of :func:`_filon_weights`; for Re z < 0 it is anchored
+    at its right end instead,
+      = e^{-z t_j+1} h_j [v_j+1 c0(-q_j) - (v_j+1 - v_j) c1(-q_j)].
     """
     h = np.diff(t)
+    if np.real(z) < 0.0:
+        c0, c1 = _filon_weights(-z * h)
+        return np.sum(np.exp(-z * t[1:]) * h * (v[1:] * c0 - np.diff(v) * c1))
     c0, c1 = _filon_weights(z * h)
     return np.sum(np.exp(-z * t[:-1]) * h * (v[:-1] * c0 + np.diff(v) * c1))
 
@@ -466,17 +430,19 @@ class _UniformNodes:
     e^{-z t_j} = w^k e^{-z t_j*}.  The baby powers w^k, k < B, are a
     running product of one exponential, the giant powers one exponential
     per block, and one real matrix product sums each block, so a point
-    costs about sqrt(n) exponentials where the segment sum takes 2n.  The
-    giant power is taken at a node of the block (its first for Re z >= 0,
-    its last for Re z < 0), so every baby power has modulus <= 1 and every
-    giant power is a term of the direct sum: nothing overflows that the
-    direct sum does not.  The last block is moved back to end at the last
-    segment, with zero coefficients for the segments the block before
-    holds.
+    costs about sqrt(n) exponentials where the segment sum takes 2n.  For
+    Re z < 0 each segment is anchored at its right end, as in
+    :func:`_segments_transform`: P and Q then take e^{-z t_j+1}, and the
+    sum is h [c0(-q) P + (c0(-q) - c1(-q)) Q].  The giant power is taken at
+    a node of the block (its first for Re z >= 0, its last for Re z < 0),
+    so every baby power has modulus <= 1 and every giant power is a term of
+    the direct sum: nothing overflows that the direct sum does not.  The
+    last block is moved back to end at the last segment, with zero
+    coefficients for the segments the block before holds.
     """
 
     h: float
-    anchors: np.ndarray   # 2 x A: left node of each block's first and last segment
+    anchors: np.ndarray   # 2 x A: left node of each block's first segment, right node of its last
     coef: np.ndarray      # B x 2A: the coefficients of P, then of Q, block by block
 
     @classmethod
@@ -493,7 +459,7 @@ class _UniformNodes:
         j = starts + np.arange(B)[:, None]              # B x A segment indices
         fresh = j >= np.arange(A) * B                    # not held by the block before
         coef = np.hstack([np.where(fresh, v[j], 0.0), np.where(fresh, np.diff(v)[j], 0.0)])
-        anchors = t[np.stack([starts, starts + B - 1])]
+        anchors = t[np.stack([starts, starts + B])]
         coef.flags.writeable = anchors.flags.writeable = False
         return cls(float(h), anchors, coef)
 
@@ -515,8 +481,8 @@ class _UniformNodes:
         giant = np.multiply(-z, np.where(back, self.anchors[1][:, None], self.anchors[0][:, None]))
         sums *= np.exp(giant, out=giant)
         P, Q = sums.sum(axis=1)
-        c0, c1 = _filon_weights(q)
-        return self.h * (c0 * P + c1 * Q)
+        c0, c1 = _filon_weights(np.where(back, -q, q))
+        return self.h * (c0 * P + np.where(back, c0 - c1, c1) * Q)
 
 
 def _trapezoid(v, t):
@@ -538,7 +504,6 @@ class TabulatedKernel(KernelComponent):
     values: tuple[float, ...]
 
     shape = "tabulated"
-    compact_support = True
 
     def __post_init__(self):
         t = np.array(self.grid, dtype=float)
@@ -599,10 +564,6 @@ class TabulatedKernel(KernelComponent):
     def grid_laplace(self, lam, dt):
         return _sampled_laplace(self, lam, dt)
 
-    def breakpoints(self):
-        # the interpolant has a kink at every node
-        return list(self.grid)
-
     @classmethod
     def from_dict(cls, spec, base_dir=None):
         if "path" in spec:
@@ -614,8 +575,9 @@ class TabulatedKernel(KernelComponent):
 class ConvolvedKernel(KernelComponent):
     """Lazy convolution a * b: transform is the product of the factor transforms.
 
-    Pointwise values come from adaptive quadrature and are meant for
-    diagnostics; on the grid the factors act one after the other.
+    A comb factor gives the pointwise density as a sum of shifted copies;
+    two densities have none here.  On the grid the factors act one after
+    the other.
     """
 
     shape = "convolved"
@@ -641,31 +603,11 @@ class ConvolvedKernel(KernelComponent):
         return self.a.laplace(z) * self.b.laplace(z)
 
     def value(self, s):
-        comb, other = None, None
-        if isinstance(self.a, DiracComb):
-            comb, other = self.a, self.b
-        elif isinstance(self.b, DiracComb):
-            comb, other = self.b, self.a
-        if comb is not None:
-            s = np.asarray(s, dtype=float)
-            out = np.zeros(np.shape(s))
-            for off, w in zip(comb.offsets, comb.weights):
-                out = out + w * other.value(s - off)
-            return out
-        out = np.array([self._value_quad(float(x)) for x in np.ravel(s)])
-        return out[0] if np.ndim(s) == 0 else out.reshape(np.shape(s))
-
-    def _value_quad(self, s: float) -> float:
-        lo_a, hi_a = self.a.truncation_window(0.0)
-        lo_b, hi_b = self.b.truncation_window(0.0)
-        lo, hi = max(lo_a, s - hi_b), min(hi_a, s - lo_b)
-        if hi <= lo:
-            return 0.0
-        pts = self.a.breakpoints() + [s - p for p in self.b.breakpoints()]
-        val, err = gauss_kronrod(lambda u: self.a.value(u) * self.b.value(s - u), lo, hi, pts)
-        if err > 1e-7 * (1.0 + abs(val)):
-            raise QuadratureFailure(f"convolution value at s={s:g}: error {err:g}")
-        return val
+        for comb, other in ((self.a, self.b), (self.b, self.a)):
+            if isinstance(comb, DiracComb):
+                s = np.asarray(s, dtype=float)
+                return sum(w * other.value(s - off) for off, w in zip(comb.offsets, comb.weights))
+        raise TypeError("convolution of two densities has no pointwise density")
 
     def support(self):
         lo_a, hi_a = self.a.support()
@@ -679,16 +621,6 @@ class ConvolvedKernel(KernelComponent):
 
     def grid_laplace(self, lam, dt):
         return self.a.grid_laplace(lam, dt) * self.b.grid_laplace(lam, dt)
-
-    def truncation_window(self, x):
-        lo_a, hi_a = self.a.truncation_window(x)
-        lo_b, hi_b = self.b.truncation_window(x)
-        return (lo_a + lo_b, hi_a + hi_b)
-
-    def breakpoints(self):
-        # sums of the factors' kinks; a factor with none counts as one at 0
-        return [p + q for p in self.a.breakpoints() or [0.0]
-                for q in self.b.breakpoints() or [0.0]]
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):
@@ -981,30 +913,6 @@ def _sampled_laplace(k: KernelComponent, lam, dt):
     """Factor by which :func:`_sampled_convolve` multiplies e^{lam t}: sum_j kv_j e^{-lam j dt}."""
     jlo, jhi, kv = _lumped_samples(k, dt)
     return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
-
-
-# ---------------------------------------------------------------------------
-# quadrature (the independent route used to cross-check closed forms)
-
-
-def laplace_quadrature(k: KernelComponent, z):
-    """Transform by adaptive Gauss-Kronrod panels on a truncated window.
-
-    Independent of the closed forms; used as the second route in tests.
-    Atomic combs are summed exactly, and a convolution is the product of
-    its factors' quadratures (Fubini).
-    """
-    z = complex(z)
-    _check_strip(k.abscissas(), z)
-    if isinstance(k, DiracComb):
-        return k.laplace(z)
-    if isinstance(k, ConvolvedKernel):
-        return laplace_quadrature(k.a, z) * laplace_quadrature(k.b, z)
-    lo, hi = k.truncation_window(z.real)
-    val, err = gauss_kronrod(lambda s: k.value(s) * np.exp(-z * s), lo, hi, k.breakpoints())
-    if err > 100.0 * QUAD_TOL * (1.0 + abs(val)):
-        raise QuadratureFailure(f"laplace quadrature error {err:g} at z={z}")
-    return val.real if z.imag == 0.0 else val
 
 
 def load_tabulated(path) -> TabulatedKernel:

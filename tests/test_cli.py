@@ -395,10 +395,7 @@ def test_spectral_commands_load_no_scipy(tmp_path):
 CLI_PROBE = """
 import sys
 sys.modules["scipy"] = None  # any import of SciPy now fails
-import numpy as np
-import wavefront as wf
 from wavefront.cli import main
-from wavefront.models import load_model
 out, models = sys.argv[1], sys.argv[2:]
 for model in models:
     for command in ("analyze", "speed", "solve", "verify", "scan"):
@@ -407,15 +404,6 @@ for model in models:
         # verify stops with TailUnresolved, so that run exits 1 (ROADMAP item 2)
         expected = 1 if command == "verify" and model.endswith("nonlocal_delayed_rd.json") else 0
         assert main([command, "--model", model, "--out", out]) == expected, (command, model)
-    spec, cfg = load_model(model)
-    for atom in spec.to_convolution_form(cfg["c"]).atoms:
-        for z in (0.25, 0.25 + 1.0j):
-            closed = complex(np.asarray(atom.kernel.laplace(z)).item())
-            quad = wf.laplace_quadrature(atom.kernel, z)
-            assert abs(closed - quad) <= 1e-8 * (1.0 + abs(closed)), (model, z, closed, quad)
-conv = wf.convolve(wf.GaussianKernel(0.5), wf.PiecewiseGreen.from_speed_damping(1.5, 1.0))
-# SciPy's quad at tolerances 1e-15 absolute and 1e-13 relative gives 0.23958602477736077
-assert abs(conv.value(0.0) - 0.23958602477736077) <= 1e-12, conv.value(0.0)
 """
 
 

@@ -17,6 +17,8 @@ from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
                                _segments_transform, _shift, _shift_factor,
                                convolve_field, kernel_from_dict, shift_kernel)
 
+from quadrature import laplace_by_quad
+
 INF = math.inf
 
 
@@ -45,8 +47,8 @@ class StubKernel(KernelComponent):
 def test_gaussian_laplace_closed_form():
     g = wf.GaussianKernel(1.0)
     assert wf.laplace(g, 1.0) == pytest.approx(math.exp(0.5), abs=1e-12)
-    # cross-check against adaptive quadrature on the truncated window
-    assert wf.laplace_quadrature(g, 1.0) == pytest.approx(math.exp(0.5), abs=1e-10)
+    # cross-check against adaptive quadrature of the density
+    assert laplace_by_quad(g, [1.0])[0] == pytest.approx(math.exp(0.5), abs=1e-10)
 
 
 def test_onesided_exponential_mass_and_transform():
@@ -194,15 +196,33 @@ def test_convolved_transform_multiplicativity(rng):
 
 
 def test_convolved_value_against_transform_quadrature():
-    # independent dual route: quadrature of the pointwise-convolved density
-    conv = wf.convolve(wf.GaussianKernel(0.5), wf.PiecewiseGreen.from_speed_damping(1.5, 1.0))
+    # independent dual route: quadrature of the pointwise density of a comb
+    # times a density, a sum of shifted copies with kinks at the offsets
+    conv = wf.convolve(wf.DiracComb((-1.0, 0.5), (1.0, 2.0)),
+                       wf.PiecewiseGreen.from_speed_damping(1.5, 1.0))
     for z in (0.2, 0.8):
         direct, err = integrate.quad(lambda s: float(conv.value(s)) * math.exp(-z * s),
-                                     -25.0, 30.0, limit=300)
+                                     -25.0, 30.0, limit=300, points=[-1.0, 0.5])
         assert direct == pytest.approx(float(np.real(conv.laplace(z))), rel=1e-6)
 
 
+def test_convolution_of_two_densities_has_no_pointwise_density():
+    conv = wf.convolve(wf.GaussianKernel(0.5), wf.PiecewiseGreen.from_speed_damping(1.5, 1.0))
+    with pytest.raises(TypeError, match="no pointwise density"):
+        conv.value(0.0)
+
+
 # --- dual-route closed form vs quadrature (the 1e-8 contract) ---------------
+
+def skewed_nonuniform():
+    """A skewed bump on 161 nodes of [-6, 6] with steps h from 0.05 to 0.1.
+
+    One z can put segments on both sides of the series switch at |z h| = 0.2.
+    """
+    u = np.linspace(0.0, 1.0, 161)
+    t = -6.0 + 8.0 * (u + 0.5 * u * u)
+    return wf.TabulatedKernel(tuple(t), tuple(np.exp(-t * t / 2.0) * (1.0 + 0.3 * np.tanh(t))))
+
 
 @pytest.mark.parametrize("kernel", [
     wf.GaussianKernel(1.0),
@@ -211,16 +231,18 @@ def test_convolved_value_against_transform_quadrature():
     shift_kernel(wf.OneSidedExponential(rate=0.8, direction=-1), -0.5),
     wf.PiecewiseGreen.from_speed_damping(2.5, 1.0),
     shift_kernel(wf.PiecewiseGreen.from_speed_damping(-1.5, 2.0), 0.75),
+    wf.convolve(wf.GaussianKernel(0.5), wf.PiecewiseGreen.from_speed_damping(1.5, 1.0)),
+    skewed_nonuniform(),
 ])
 def test_laplace_closed_form_vs_quadrature(kernel, rng):
     lo, hi = kernel.abscissas()
     lo = max(lo, -8.0)
     hi = min(hi, 8.0)
-    xs = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), size=200)
-    for x in xs:
-        closed = complex(np.asarray(kernel.laplace(complex(x))).item())
-        quad = wf.laplace_quadrature(kernel, complex(x))
-        assert abs(closed - quad) <= 1e-8 * (1.0 + abs(closed))
+    zs = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), size=200).astype(complex)
+    zs[100:] += 1j * rng.uniform(-2.0, 2.0, 100)
+    closed = kernel.laplace(zs)
+    quad = laplace_by_quad(kernel, zs)
+    assert np.all(np.abs(closed - quad) <= 1e-8 * (1.0 + np.abs(closed)))
 
 
 @pytest.mark.parametrize("kernel", [
@@ -260,7 +282,6 @@ def test_tabulated_transform_matches_analytic(tabulated_gaussian):
 
 
 def test_tabulated_is_compact_support_surrogate(tabulated_gaussian):
-    assert tabulated_gaussian.compact_support
     assert tabulated_gaussian.abscissas() == (-INF, INF)
     assert tabulated_gaussian.value(9.0) == 0.0
     assert tabulated_gaussian.mass == pytest.approx(1.0, abs=1e-6)
@@ -312,12 +333,8 @@ def test_segment_transform_small_z_series():
     np.array([1e-4, 0.5, 1.9]),            # every |z h| < 0.2: series only
 ], ids=["scalar-real", "real-array", "complex-array", "series-only"])
 def test_tabulated_laplace_matches_segment_sum(z):
-    # nonuniform nodes with steps h in [0.05, 0.1], so one z can put
-    # segments on both sides of the series switch at |z h| = 0.2
-    u = np.linspace(0.0, 1.0, 161)
-    t = -6.0 + 8.0 * (u + 0.5 * u * u)
-    v = np.exp(-t * t / 2.0) * (1.0 + 0.3 * np.tanh(t))
-    k = wf.TabulatedKernel(tuple(t), tuple(v))
+    k = skewed_nonuniform()
+    t, v = k.grid, k.values
 
     def reference(zz):
         return sum(_segment_transform(complex(zz), t[i], t[i + 1], v[i], v[i + 1])
@@ -380,6 +397,24 @@ def test_uniform_laplace_far_left_is_finite():
     got = wf.TabulatedKernel(tuple(t), tuple(v)).laplace(-60.0)
     assert expect == pytest.approx(2.93e192, rel=1e-3)
     assert abs(got - expect) <= 1e-13 * expect
+
+
+@pytest.mark.parametrize("grid, values", [
+    ((-0.5, 0.5), (1.0, 1.0)),            # one segment: uniform nodes
+    ((-0.5, 0.1, 0.5), (2.0, 0.8, 1.4)),  # two steps: the segment sum
+], ids=["one-segment", "nonuniform"])
+def test_tabulated_laplace_far_left_does_not_overflow(grid, values):
+    # at z = -1200 the Filon weights at q = z h reach e^{1200} and overflow;
+    # the integral itself is finite, 3.1e257 on the one segment
+    z = mpmath.mpf(-1200)
+    exact = 0
+    for (t0, v0), (t1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+        m = mpmath.mpf(v1 - v0) / (t1 - t0)
+        # an antiderivative of (v0 + m (s - t0)) e^{-z s}
+        F = lambda s: -mpmath.exp(-z * s) * ((v0 + m * (s - t0)) / z + m / (z * z))
+        exact += F(mpmath.mpf(t1)) - F(mpmath.mpf(t0))
+    got = wf.TabulatedKernel(grid, values).laplace(-1200.0)
+    assert abs(got - float(exact)) <= 1e-13 * float(exact)
 
 
 def test_tabulated_laplace_segment_sum_only_off_uniform_nodes(monkeypatch):

@@ -12,6 +12,8 @@ from wavefront import models
 from wavefront.errors import DegenerateRange, HypothesisViolation, ZeroSpeed
 from wavefront.models import model_from_dict
 
+from quadrature import laplace_by_quad
+
 MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 SQRT_LN2 = math.sqrt(math.log(2.0))  # minimal speed of the local family at L=2, h=1
 GAUSS_C_STAR = 2.544841358927859
@@ -89,6 +91,16 @@ def test_min_speed_samples_each_slope_interval_once(name, intervals, monkeypatch
     monkeypatch.setattr(wf.Nonlinearity, "derivative", counting)
     wf.model_min_speed(spec, cfg.get("bound"), cfg.get("margin", 1.0))
     assert len(sampled) == len(set(sampled)) == intervals
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_atom_transforms_match_quadrature(path):
+    spec, cfg = wf.load_model(path)
+    zs = np.array([0.25, 0.25 + 1.0j])
+    for atom in spec.to_convolution_form(cfg["c"]).atoms:
+        closed = atom.kernel.laplace(zs)
+        quad = laplace_by_quad(atom.kernel, zs)
+        assert np.all(np.abs(closed - quad) <= 1e-8 * (1.0 + np.abs(closed))), atom.kernel
 
 
 def test_beta_select_birth_branches():

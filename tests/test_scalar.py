@@ -1,7 +1,6 @@
 """wavefront._scalar against SciPy.
 
-The Brent ports evaluate at the same points and return the same floats;
-the G7-K15 rule agrees with ``scipy.integrate.quad`` to its tolerance.
+The Brent ports evaluate at the same points and return the same floats.
 """
 
 import math
@@ -10,12 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import optimize
 
-import wavefront as wf
-from wavefront._scalar import QUAD_TOL, brentq, gauss_kronrod, minimize_bounded
-from wavefront.errors import QuadratureFailure
-from wavefront.kernels import KernelComponent, shift_kernel
+from wavefront._scalar import brentq, minimize_bounded
 
 
 def recorded(f):
@@ -202,82 +198,3 @@ def test_minimize_bounded_rejects_bad_bounds(lo, hi):
     with pytest.raises(ValueError) as theirs:
         optimize.minimize_scalar(abs, bounds=(lo, hi), method="bounded")
     assert str(ours.value) == str(theirs.value)
-
-
-# --- the G7-K15 rule against scipy.integrate.quad ----------------------------
-
-def quad_reference(f, a, b, points=()):
-    """SciPy's quad of f over [a, b], its real and imaginary parts apart, at tight tolerance."""
-    pts = [p for p in points if a < p < b] or None
-
-    def part(take):
-        return integrate.quad(lambda s: float(take(f(np.float64(s)))), a, b, points=pts,
-                              limit=1000, epsabs=1e-12, epsrel=1e-12)[0]
-
-    return complex(part(np.real), part(np.imag))
-
-
-def assert_matches_quad(f, a, b, points=()):
-    ours, err = gauss_kronrod(f, a, b, points)
-    want = quad_reference(f, a, b, points)
-    assert abs(ours - want) <= 1e-9 * (1.0 + abs(want))
-    assert err <= 100.0 * QUAD_TOL * (1.0 + abs(ours))
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=coords, width=widths, m=coords, k=rates, w=rates,
-       amp=st.floats(min_value=0.0, max_value=1e3))
-def test_gauss_kronrod_matches_quad_on_smooth_functions(a, width, m, k, w, amp):
-    assert_matches_quad(lambda s: amp * np.exp(-k * (s - m) ** 2) + np.cos(w * s), a, a + width)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=coords, width=widths, at=st.floats(min_value=0.0, max_value=1.0), k=rates,
-       w=st.floats(min_value=-2.0, max_value=2.0))
-def test_gauss_kronrod_matches_quad_on_a_kink_at_a_given_point(a, width, at, k, w):
-    p = a + at * width
-    assert_matches_quad(lambda s: np.exp(-k * np.abs(s - p)) + w * np.abs(s - p),
-                        a, a + width, [p])
-
-
-@settings(max_examples=100, deadline=None)
-@given(v=st.floats(min_value=0.05, max_value=2.0), x=st.floats(min_value=-6.0, max_value=6.0),
-       y=st.floats(min_value=-2.0, max_value=2.0))
-def test_gauss_kronrod_matches_quad_on_a_complex_gaussian_transform(v, x, y):
-    # |integral| is e^{-v y^2 / 2} times the integral of |f|; at v y^2 / 2 = 16
-    # SciPy's reference itself is 5e-9 off the closed form, by cancellation
-    gauss = wf.GaussianKernel(v)
-    z = complex(x, y)
-    assert_matches_quad(lambda s: gauss.value(s) * np.exp(-z * s), *gauss.truncation_window(x))
-
-
-@settings(max_examples=100, deadline=None)
-@given(rate=rates, direction=st.sampled_from([1, -1]), shift=coords,
-       margin=st.floats(min_value=0.0, max_value=5.0))
-def test_gauss_kronrod_matches_quad_on_one_sided_exponential_tails(rate, direction, shift,
-                                                                  margin):
-    # the window reaches 37/rate into the tail, and from `margin` beyond the
-    # jump at the shift, where the density is 0
-    tail = shift_kernel(wf.OneSidedExponential(rate=rate, direction=direction), shift)
-    lo, hi = tail.truncation_window(0.0)
-    assert_matches_quad(tail.value, lo - margin, hi + margin, tail.breakpoints())
-
-
-class Ringing(KernelComponent):
-    """A density that oscillates too fast for the panel limit on its window."""
-
-    def abscissas(self):
-        return (-1.0, 1.0)
-
-    def value(self, s):
-        return 1.0 + np.cos(1e4 * s)
-
-    def truncation_window(self, x):
-        return (0.0, 100.0)
-
-
-def test_gauss_kronrod_reports_an_error_above_tolerance_at_the_panel_limit():
-    total, err = gauss_kronrod(Ringing().value, 0.0, 100.0)
-    assert err > 100.0 * QUAD_TOL * (1.0 + abs(total))
-    with pytest.raises(QuadratureFailure, match="laplace quadrature error"):
-        wf.laplace_quadrature(Ringing(), 0.0)

@@ -20,6 +20,8 @@ from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
 from wavefront.kernels import _shift, shift_kernel
 from wavefront.wavesolver import convolve_field, level_crossing
 
+from quadrature import convolve_by_quad
+
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 
@@ -62,17 +64,6 @@ def test_grid_validation():
 
 # --- field convolution building blocks ---------------------------------------
 
-def quad_conv_oracle(kernel, field_fn, t, lo=-60.0, hi=60.0):
-    if isinstance(kernel, wf.TabulatedKernel):
-        lo, hi = kernel.support()
-    # panels split at the kinks, which a shift moves and a tabulated kernel
-    # has at every node
-    points = [p for p in kernel.breakpoints() if lo < p < hi]
-    val, _ = integrate.quad(lambda s: float(kernel.value(s)) * field_fn(t - s),
-                            lo, hi, limit=400, points=points)
-    return val
-
-
 def skewed_tabulated(n=161):
     """Skewed bump whose node step (0.10125) is not a multiple of any test grid step."""
     nodes = np.linspace(-7.3, 8.9, n)
@@ -99,7 +90,7 @@ def test_convolve_field_against_quadrature(kernel):
     G = np.array([field_fn(t) for t in ts])
     out = convolve_field(kernel, ts, G, lam_left=None)
     for idx in (1000, 2048, 3000):
-        expect = quad_conv_oracle(kernel, field_fn, ts[idx])
+        expect = convolve_by_quad(kernel, field_fn, ts[idx])
         assert out[idx] == pytest.approx(expect, abs=2e-5 * (1 + abs(expect)))
 
 
@@ -113,7 +104,7 @@ def test_convolve_field_second_order_convergence():
         G = np.array([field_fn(t) for t in ts])
         out = convolve_field(kernel, ts, G, lam_left=None)
         mid = n // 2
-        errs.append(abs(out[mid] - quad_conv_oracle(kernel, field_fn, ts[mid])))
+        errs.append(abs(out[mid] - convolve_by_quad(kernel, field_fn, ts[mid])))
     assert errs[1] <= errs[0] / 3.0  # ~ O(step^2)
 
 

@@ -9,7 +9,9 @@ then bisect on each side; the solver's closure rate is the left zero of
 the grid chi by the same search.  The minimal speed c* solves
 max_z chi(z, c) = 0 in c alone: ``min_speed`` sees chi only through
 ``max_at(c) -> (z_c, max)``, which the caller builds per family and
-caches, so each trial speed is assembled and maximized once.
+caches, so each trial speed is assembled and maximized once.  Complex
+zeros are counted by the winding number of chi around a box, in steps
+certified by a bound on |chi'| (:func:`zero_count`).
 
 The maximizer is Brent's bounded golden-section/parabolic search and the
 root finder Brent's ``brentq``, both ported bit for bit from SciPy in
@@ -35,17 +37,10 @@ MULTIPLICITY_RTOL = 1e-5
 DOUBLING_CAP = 1e6
 # absolute tolerance of the tangency search for c*
 SPEED_XTOL = 1e-12
-# strip scan: the half-height of the excluded band around the real axis, and
-# how far right of lambda_l the scan runs when lambda_rK is infinite
-SCAN_EPS_IM = 0.1
+# strip scan: how far right of lambda_l the box reaches when lambda_r is missing
 SCAN_RIGHT_CAP = 10.0
-# strip scan: the inset of the rectangle from lambda_l and lambda_rK, and the
-# floor of |chi| that counts as zero-free
-SCAN_EPS_RE = 1e-3
-SCAN_ZERO_TOL = 1e-3
-# strip scan: most points per chi call, in whole x-rows, so that the complex
-# temporaries of one call stay in cache
-SCAN_BLOCK_POINTS = 4096
+# zero count: the most evaluations of f one count spends before it is undetermined
+COUNT_MAX_POINTS = 2 ** 17
 
 __all__ = [
     "CharacteristicFunction",
@@ -55,6 +50,7 @@ __all__ = [
     "real_roots",
     "min_speed",
     "strip_zero_scan",
+    "zero_count",
     "chi1_margin",
 ]
 
@@ -156,7 +152,7 @@ def _max_bracket(f) -> float:
 
 
 def _inside(gamma: float) -> float:
-    """The abscissa just inside a finite strip end gamma where searches and scans stop."""
+    """The abscissa just inside a finite strip end gamma where searches stop."""
     return gamma - max(1e-13, 1e-12 * abs(gamma))
 
 
@@ -262,134 +258,98 @@ def min_speed(max_at, c_bracket: tuple[float, float]) -> tuple[float, float]:
     return c_star, max_at(c_star)[0]
 
 
+def zero_count(f, slope_bound, box: tuple[float, float, float, float]):
+    """(count, points, min |f|, notes) for analytic f on box = (x0, x1, y0, y1).
+
+    The count of zeros inside, with multiplicity, is the winding number of f
+    around the boundary.  ``slope_bound(xa, xb)`` bounds |f'| on the band
+    xa <= Re z <= xb.  A step [a, b] of a side with bound D counts only when
+    D |b - a| < min(|f(a)|, |f(b)|): f then stays in a disc about f(a) that
+    misses 0 (Ying and Katz, Numer. Math. 53, 1988).  Each round splits a
+    side's failing steps into the fewest equal steps that would pass were |f|
+    its smaller end value, with one call of f.  The count is None when f is
+    nan on a side (min |f| is then nan) or needs over COUNT_MAX_POINTS points.
+    """
+    x0, x1, y0, y1 = box
+    turn, points, least, across = 0.0, 0, INF, slope_bound(x0, x1)
+    for name, a, b, slope in (("bottom", complex(x0, y0), complex(x1, y0), across),
+                              ("right", complex(x1, y0), complex(x1, y1), slope_bound(x1, x1)),
+                              ("top", complex(x1, y1), complex(x0, y1), across),
+                              ("left", complex(x0, y1), complex(x0, y0), slope_bound(x0, x0))):
+        t = np.array([0.0, 1.0])
+        v = np.asarray(f(a + t * (b - a)), dtype=complex)
+        while not np.isnan(v).any():
+            with np.errstate(all="ignore"):
+                ratio = slope * abs(b - a) * np.diff(t) / np.minimum(np.abs(v[:-1]), np.abs(v[1:]))
+            bad = np.flatnonzero(~(ratio < 1.0))
+            pieces = np.floor(ratio[bad]) + 1.0
+            if bad.size == 0 or not points + t.size + np.sum(pieces - 1.0) <= COUNT_MAX_POINTS:
+                break
+            seg = np.repeat(bad, pieces.astype(np.int64) - 1)
+            k = np.arange(1, seg.size + 1) - np.searchsorted(seg, seg)
+            tn = t[seg] + k * (t[seg + 1] - t[seg]) / (np.floor(ratio[seg]) + 1.0)
+            t = np.insert(t, seg + 1, tn)
+            v = np.insert(v, seg + 1, np.asarray(f(a + tn * (b - a)), dtype=complex))
+        points, least = points + v.size, float(np.minimum(least, np.min(np.abs(v))))
+        if math.isnan(least) or bad.size:
+            return None, points, least, (f"f is nan on the {name} side" if math.isnan(least) else
+                                         f"the {name} side (|f'| <= {slope:.3g}) needs over "
+                                         f"{COUNT_MAX_POINTS} points")
+        turn += float(np.sum(np.angle(v[1:] / v[:-1])))
+    return round(turn / (2.0 * math.pi)), points, least, ""
+
+
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a strip scan for complex zeros of chi.
+    """chi's zero count in ``box`` against the ``expected`` one: ``status`` is
+    "pass" if they agree, "undetermined" if the count was not certified (None),
+    and "fail" otherwise or if chi is nan on the boundary (``min_abs_chi``)."""
 
-    ``min_abs_chi`` and ``passed`` cover the off-axis set (the complex-zero
-    content of the scan); the real-axis segment between the known zeros is
-    reported separately, since there |chi| dips to |chi'(lambda_l)| * eps
-    right next to the excluded roots.
-    """
-
+    count: int | None
+    expected: int
+    box: tuple[float, float, float, float]
+    points: int
     min_abs_chi: float
-    argmin: tuple[float, float]
-    grid: dict
-    passed: bool
-    min_abs_chi_real_axis: float = INF
-    argmin_real_axis: float = math.nan
-    empty: bool = False
+    status: str
     notes: str = ""
 
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
     def to_dict(self) -> dict:
-        return {
-            "min_abs_chi": self.min_abs_chi,
-            "argmin": list(self.argmin),
-            "grid": dict(self.grid),
-            "pass": self.passed,
-            "min_abs_chi_real_axis": self.min_abs_chi_real_axis,
-            "argmin_real_axis": self.argmin_real_axis,
-            "empty": self.empty,
-            "notes": self.notes,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
-def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float,
-                    grid_density: float = 40.0) -> ScanReport:
-    """Evaluate |chi| over the open strip lambda_l < Re z < lambda_rK.
+def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float) -> ScanReport:
+    """Count the zeros of chi in [lambda_l / 2, x1] x [-y_max, y_max].
 
-    Off-axis rectangle [lambda_l + SCAN_EPS_RE, lambda_rK - SCAN_EPS_RE] x
-    ([-y_max, y_max] with |Im z| >= SCAN_EPS_IM) plus the two boundary
-    verticals under the same imaginary exclusion; the known real zeros sit
-    on the excluded segments.  An infinite lambda_rK is capped at
-    lambda_l + SCAN_RIGHT_CAP.  This is a regression diagnostic:
-    zero-freeness off the real axis holds analytically, so PASS means
-    min |chi| > SCAN_ZERO_TOL there.  The real-axis segment is scanned too
-    and reported separately without a gate (its minimum is pinned at
-    |chi'| * SCAN_EPS_RE by the adjacent real zeros).
-
-    The imaginary band is an exact mirror, the upper half ``pos`` and the
-    lower half ``-pos[::-1]``, and chi is evaluated on the upper half only,
-    in blocks of whole x-rows of at most SCAN_BLOCK_POINTS points.  Every
-    kernel is a real measure, so chi(conj z) = conj chi(z) and the lower
-    half has the same |chi| bit for bit.  The minimum, and its first
-    position in row-major order over the whole grid (lower half first), are
-    those of the full grid; ``points`` counts the whole grid covered.  A nan
-    |chi| is left out of the minimum, counted in ``notes``, and fails the
-    scan, since a point chi cannot be evaluated at is not known zero-free.
+    x1 is lambda_r + max((lambda_r - lambda_l) / 2, 0.2), or lambda_l +
+    SCAN_RIGHT_CAP without lambda_r, at most halfway to gamma_K; the box
+    should hold just the real zeros (a double one counts twice).  As |s| <=
+    (e^{ds} + e^{-ds}) / (e d), |chi'(x + iy)| <= (2 - chi(x - d) - chi(x + d))
+    / (e d), convex in x.  On a band that is taken at its ends, and least over
+    d = d_max 2^(-k/2), k < 40, with d_max half the least of the box's width
+    and the band's margins in the strip.
     """
-    if not 0.0 <= y_max < INF:
-        raise ValueError(f"y_max must be finite and >= 0, got {y_max:g}")
-    if not 0.0 < grid_density < INF:
-        raise ValueError(f"grid_density must be finite and positive, got {grid_density:g}")
-    notes = []
-    _, gamma_K = cf.strip
-    rk = sd.lambda_rK
-    if not math.isfinite(rk):
-        rk = sd.lambda_l + SCAN_RIGHT_CAP
-        notes.append(f"lambda_rK infinite; scan capped at lambda_l + {SCAN_RIGHT_CAP:g}")
-    # keep evaluation strictly inside the kernel strip
-    rk_eval = min(rk, _inside(gamma_K)) if math.isfinite(gamma_K) else rk
+    if not 0.0 < y_max < INF:
+        raise ValueError(f"y_max must be finite and > 0, got {y_max:g}")
+    sigma_K, gamma_K = cf.strip
+    lam_l, lam_r = sd.lambda_l, sd.lambda_r
+    right, reach, expected = ((lam_l, SCAN_RIGHT_CAP, 1) if lam_r is None
+                              else (lam_r, max((lam_r - lam_l) / 2.0, 0.2), 2))
+    x0, x1 = lam_l / 2.0, right + min(reach, (gamma_K - right) / 2.0)
 
-    x_lo, x_hi = sd.lambda_l + SCAN_EPS_RE, rk_eval - SCAN_EPS_RE
-    ny = max(81, int(math.ceil(2.0 * (y_max - SCAN_EPS_IM) * grid_density)) + 1)
-    pos = np.linspace(SCAN_EPS_IM, y_max, ny // 2)
-    best = (INF, (math.nan, math.nan))
-    pts = nans = 0
+    def slope_bound(xa, xb):
+        d = min(x1 - x0, xa - sigma_K, gamma_K - xb) / 2.0 * 2.0 ** (-0.5 * np.arange(40))
+        mass = [2.0 - np.real(chi(cf, x - d) + chi(cf, x + d)) for x in (xa, xb)]
+        return float(np.min(np.maximum(*mass) / (math.e * d)))
 
-    def scan_block(xs):
-        # |chi| over xs x (-pos[::-1], pos), evaluated at xs x pos[::-1]: row
-        # by row that is the lower half mirrored, so the first minimum of
-        # these values is the first minimum of the whole block
-        nonlocal best, pts, nans
-        pts += 2 * xs.size * pos.size
-        iy = 1j * pos[::-1]
-        rows = max(1, SCAN_BLOCK_POINTS // pos.size)
-        for r in range(0, xs.size, rows):
-            vals = np.abs(chi(cf, xs[r:r + rows, None] + iy))
-            nan = np.isnan(vals)
-            if nan.any():
-                # each value stands for itself and its mirror image
-                nans += 2 * int(np.count_nonzero(nan))
-                vals = np.where(nan, INF, vals)
-            i = int(np.argmin(vals))
-            v = float(vals.ravel()[i])
-            if v < best[0]:
-                row, col = divmod(i, pos.size)
-                best = (v, (float(xs[r + row]), float(-pos[-1 - col])))
-
-    if y_max <= SCAN_EPS_IM:
-        notes.append(f"y_max <= {SCAN_EPS_IM:g}: off-axis set empty, scan vacuous")
-    axis_min, axis_arg = INF, math.nan
-    if x_hi > x_lo and y_max > SCAN_EPS_IM:
-        nx = max(41, int(math.ceil((x_hi - x_lo) * grid_density)) + 1)
-        xs = np.linspace(x_lo, x_hi, nx)
-        scan_block(xs)
-        grid_meta = {"nx": nx, "ny": 2 * pos.size, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
-        empty = False
-        axis_vals = np.abs(chi(cf, xs + 0.0j))
-        i = int(np.argmin(axis_vals))
-        axis_min, axis_arg = float(axis_vals[i]), float(xs[i])
-    else:
-        grid_meta = {"nx": 0, "ny": 0, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
-        empty = True
-        if x_hi <= x_lo:
-            notes.append("interior rectangle empty (lambda_l ~ lambda_rK)")
-
-    if y_max > SCAN_EPS_IM:
-        for x_line in (sd.lambda_l, rk_eval):
-            scan_block(np.array([x_line]))
-
-    if nans:
-        notes.append(f"|chi| is nan at {nans} of {pts} scanned points; "
-                     f"the minimum is over the finite ones")
-    passed = best[0] > SCAN_ZERO_TOL and not nans if pts else True
-    return ScanReport(min_abs_chi=best[0] if pts else INF, argmin=best[1],
-                      grid={**grid_meta, "points": pts, "zero_tol": SCAN_ZERO_TOL,
-                            "eps_re": SCAN_EPS_RE, "eps_im": SCAN_EPS_IM},
-                      passed=passed, min_abs_chi_real_axis=axis_min,
-                      argmin_real_axis=axis_arg,
-                      empty=empty, notes="; ".join(notes))
+    box = (x0, x1, -y_max, y_max)
+    count, points, least, notes = zero_count(cf, slope_bound, box)
+    status = ("pass" if count == expected else
+              "undetermined" if count is None and not math.isnan(least) else "fail")
+    return ScanReport(count, expected, box, points, least, status, notes)
 
 
 def chi1_margin(cf1: CharacteristicFunction, sd: SpectralData) -> tuple[float, float] | None:

@@ -3,7 +3,7 @@
 Loads a model JSON, runs the requested diagnostic, and writes CSV/JSON
 artifacts, stamped with a hash of the model and the command's own flags, to
 the output directory.  Every command takes --model and --out; solve and
-verify add --grid, --tol and --max-iter, and scan adds --y-max and --density.
+verify add --grid, --tol and --max-iter, and scan adds --y-max.
 Exit codes: 0 all pass, 1 any fail (including the no-positive-zero regime
 under ``analyze``), 2 undetermined without failure, 64 malformed input or
 any usage error.
@@ -70,9 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("speed", "minimal admissible speed (c*, z*)")
     solver(command("solve", "semi-wavefront profile at the given speed"))
     solver(command("verify", "hypothesis audit plus a two-init uniqueness probe"))
-    sc = command("scan", "strip scan for complex zeros")
-    sc.add_argument("--y-max", type=float, default=50.0, help="imaginary scan height")
-    sc.add_argument("--density", type=float, default=40.0, help="grid points per unit")
+    sc = command("scan", "count chi's zeros in a box about its real zeros")
+    sc.add_argument("--y-max", type=float, default=50.0, help="half-height of the box")
     return ap
 
 
@@ -191,11 +190,11 @@ def cmd_scan(args) -> int:
     except NoRoots as exc:
         print(f"scan needs real-zero data: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    report = strip_zero_scan(cf, sd, y_max=args.y_max, grid_density=args.density)
+    report = strip_zero_scan(cf, sd, y_max=args.y_max)
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "scan.json"),
            {**_stamp(cfg, args), **report.to_dict()})
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return {"pass": EXIT_OK, "fail": EXIT_FAIL, "undetermined": EXIT_UNDETERMINED}[report.status]
 
 
 _COMMANDS = {"analyze": cmd_analyze, "speed": cmd_speed, "solve": cmd_solve,

@@ -234,7 +234,7 @@ def test_criterion_09_strip_zero_freeness(local_family):
         prob = local_family.to_convolution_form(2.5)
         cf = prob.charfun()
         sd = prob.spectral
-        rep = wf.strip_zero_scan(cf, sd, y_max=50.0, grid_density=40.0)
+        rep = wf.strip_zero_scan(cf, sd, y_max=50.0)
         assert rep.passed
         assert rep.min_abs_chi > 1e-3
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 from pathlib import Path
 
 import mpmath
@@ -7,7 +9,6 @@ import pytest
 
 import wavefront as wf
 from wavefront import charfun
-from wavefront._json import dumps
 from wavefront.charfun import _strip_max, chi_prime
 from wavefront.errors import BracketFailure, NoRoots, OutOfStrip, StripTooNarrow
 from wavefront.kernels import KernelComponent, shift_kernel
@@ -238,32 +239,73 @@ def test_monotone_in_speed(rng):
             assert float(np.real(m.tilde_chi(z, c2))) > float(np.real(m.tilde_chi(z, c)))
 
 
-# --- strip scan -------------------------------------------------------------
+# --- zero count and strip scan ----------------------------------------------
+
+POLY_ROOTS = (1.0, 2.0, 2.0, 1.5 + 0.5j, 5.0, 1.0 + 3.0j)
+
+
+def poly(z):
+    return np.prod([np.asarray(z) - r for r in POLY_ROOTS], axis=0)
+
+
+def poly_slope_bound(y0, y1):
+    """|p'| <= sum_i prod_{j != i} |z - r_j|, each factor at its farthest corner of the band."""
+    def bound(xa, xb):
+        far = [max(abs(complex(x, y) - r) for x in (xa, xb) for y in (y0, y1))
+               for r in POLY_ROOTS]
+        return sum(math.prod(far[:i] + far[i + 1:]) for i in range(len(far)))
+    return bound
+
+
+@pytest.mark.parametrize("box, count", [
+    ((0.0, 3.0, -1.0, 1.0), 4),    # 1, the double 2 and 1.5 + 0.5i
+    ((1.8, 6.0, -0.4, 0.4), 3),    # the double 2 and 5
+    ((2.5, 4.5, -2.0, 2.0), 0),
+    ((-3.0, 8.0, -5.0, 5.0), 6),
+], ids=["three-inside", "double-and-five", "none", "all"])
+def test_zero_count_polynomial(box, count):
+    got, points, least, notes = charfun.zero_count(poly, poly_slope_bound(*box[2:]), box)
+    assert (got, notes) == (count, "")
+    assert 4 <= points <= charfun.COUNT_MAX_POINTS
+    assert least > 0.0
+
+
+def test_zero_count_zero_on_the_boundary_is_undetermined():
+    # the zero 1 sits on the left side: no step across it can be certified
+    box = (1.0, 3.0, -1.0, 1.0)
+    got, points, least, notes = charfun.zero_count(poly, poly_slope_bound(-1.0, 1.0), box)
+    assert got is None and math.isfinite(least)
+    assert points <= charfun.COUNT_MAX_POINTS
+    assert notes.startswith("the left side") and "needs over" in notes
+
 
 def test_strip_zero_scan_pass():
     cf = local_cf(2.5)
     sd = wf.real_roots(cf)
-    rep = wf.strip_zero_scan(cf, sd, y_max=50.0, grid_density=40.0)
-    assert rep.passed
+    rep = wf.strip_zero_scan(cf, sd, y_max=50.0)
+    assert rep.passed and (rep.count, rep.expected, rep.status) == (2, 2, "pass")
+    # x1 is halfway from lambda_r = 2 to the Green pole, short of 2 + 0.75
+    assert rep.box == pytest.approx((0.25, (sd.lambda_r + sd.gamma_K) / 2.0, -50.0, 50.0))
     assert rep.min_abs_chi > 1e-3
-    # on the real-axis segment |chi| dips to |chi'(lambda_l)| * eps_re right
-    # next to the excluded zeros: 0.75e-3 for this family
-    assert rep.min_abs_chi_real_axis == pytest.approx(7.5e-4, rel=2e-2)
     d = rep.to_dict()
-    assert d["pass"] and "min_abs_chi" in d and len(d["argmin"]) == 2
+    assert d["pass"] is True
+    assert set(d) == {"count", "expected", "box", "points", "min_abs_chi", "pass",
+                      "status", "notes"}
 
 
 def test_strip_zero_scan_dense_oracle():
-    # dense off-axis evaluation over the same rectangle confirms the report
+    # a dense |chi| grid over the box, off a band about the real axis where
+    # the two real zeros sit, agrees with the count: nothing else is inside
     cf = local_cf(2.5)
     sd = wf.real_roots(cf)
-    xs = np.linspace(0.5 + 1e-3, 2.0 - 1e-3, 1200)
-    ys = np.concatenate([np.linspace(-50.0, -0.1, 1000), np.linspace(0.1, 50.0, 1000)])
+    rep = wf.strip_zero_scan(cf, sd, y_max=50.0)
+    x0, x1, _, y1 = rep.box
+    xs = np.linspace(x0, x1, 1200)
+    ys = np.concatenate([np.linspace(-y1, -0.1, 1000), np.linspace(0.1, y1, 1000)])
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     dense_min = float(np.min(np.abs(wf.chi(cf, X + 1j * Y))))
     assert dense_min > 1e-3
-    rep = wf.strip_zero_scan(cf, sd, y_max=50.0, grid_density=40.0)
-    assert rep.min_abs_chi >= 0.5 * dense_min
+    assert rep.passed and rep.count == 2
 
 
 def test_strip_zero_scan_boundary_lines():
@@ -275,19 +317,120 @@ def test_strip_zero_scan_boundary_lines():
 
 
 def test_strip_zero_scan_vacuous():
+    # a box needs a height
     cf = local_cf(2.5)
     sd = wf.real_roots(cf)
-    rep = wf.strip_zero_scan(cf, sd, y_max=0.0)
-    assert rep.passed and rep.empty
+    for y_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="y_max must be finite and > 0"):
+            wf.strip_zero_scan(cf, sd, y_max=y_max)
 
 
 def test_strip_zero_scan_critical_interior_empty():
+    # at c* the real zeros are one double zero, which counts twice
     cf = local_cf(2.0)
     sd = wf.real_roots(cf)
+    assert sd.critical
     rep = wf.strip_zero_scan(cf, sd, y_max=5.0)
-    assert rep.empty
-    assert rep.passed  # boundary lines only
-    assert dumps(rep.to_dict()) == dumps(scan_reference(cf, sd, y_max=5.0))
+    assert rep.passed and rep.count == 2
+
+
+def test_strip_zero_scan_other_count_fails():
+    # told lambda_r = 1, the scan expects two zeros in a box that ends at
+    # 1.25, short of the true lambda_r = 2, and holds lambda_l alone
+    cf = local_cf(2.5)
+    sd = dataclasses.replace(wf.real_roots(cf), lambda_r=1.0)
+    rep = wf.strip_zero_scan(cf, sd, y_max=50.0)
+    assert rep.box[1] == pytest.approx(1.25)
+    assert (rep.count, rep.expected, rep.status, rep.passed) == (1, 2, "fail", False)
+
+
+def model_cf(path, at_c_star):
+    spec, cfg = wf.load_model(path)
+    c = (wf.model_min_speed(spec, cfg.get("bound"), cfg.get("margin", 1.0))[0] if at_c_star
+         else float(cfg["c"]))
+    return spec.to_convolution_form(c, cfg.get("bound"), cfg.get("margin", 1.0)).charfun()
+
+
+@pytest.mark.parametrize("at_c_star", [False, True], ids=["c", "c_star"])
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_strip_zero_scan_counts_two_on_models(path, at_c_star):
+    # an adaptive walk that sizes its steps by the change of arg chi reads 0
+    # here: its steps grow across the real-axis crossings of the vertical
+    # sides, where chi(x + iy) and chi(x - iy) are conjugates
+    cf = model_cf(path, at_c_star)
+    rep = wf.strip_zero_scan(cf, wf.real_roots(cf), y_max=50.0)
+    assert (rep.count, rep.status) == (2, "pass")
+    assert rep.points < 10_000
+
+
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_strip_zero_scan_thin_box_holds_both_real_zeros(path):
+    cf = model_cf(path, False)
+    rep = wf.strip_zero_scan(cf, wf.real_roots(cf), y_max=0.05)
+    assert (rep.count, rep.status) == (2, "pass")
+
+
+def mackey_glass_cf(delay):
+    m = wf.LocalDelayedRD(g=wf.mackey_glass(2.0, 6.0), L=3.0, delay=delay)
+    return m.to_convolution_form(3.0).charfun()
+
+
+def test_strip_zero_scan_mackey_glass_without_lambda_r():
+    cf = mackey_glass_cf(3.0)
+    sd = wf.real_roots(cf)
+    assert sd.lambda_r is None
+    rep = wf.strip_zero_scan(cf, sd, y_max=50.0)
+    assert (rep.count, rep.expected, rep.status) == (1, 1, "pass")
+
+
+def test_strip_zero_scan_mackey_glass_pole_is_undetermined():
+    # lambda_r sits 2.8e-5 below the Green pole gamma_K, so the box's right
+    # side is 1.4e-5 from it: the slope bound there is ~3e5, and a certified
+    # walk along the 100-unit side needs some 3e7 points, past the cap
+    cf = mackey_glass_cf(1.0)
+    sd = wf.real_roots(cf)
+    assert 0.0 < sd.gamma_K - sd.lambda_r < 3e-5
+    start = time.perf_counter()
+    rep = wf.strip_zero_scan(cf, sd, y_max=50.0)
+    assert time.perf_counter() - start < 1.0
+    assert (rep.count, rep.status, rep.passed) == (None, "undetermined", False)
+    assert rep.points <= charfun.COUNT_MAX_POINTS
+    assert "needs over" in rep.notes
+
+
+class HoleyGreen(KernelComponent):
+    """A Green kernel whose transform is nan on the patch x0 < Re z < x1, y0 < |Im z| < y1."""
+
+    def __init__(self, patch):
+        self.green = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
+        self.patch = patch
+
+    def abscissas(self):
+        return self.green.abscissas()
+
+    def laplace(self, z):
+        out = np.array(self.green.laplace(z), dtype=complex)
+        x0, x1, y0, y1 = self.patch
+        out[(np.real(z) > x0) & (np.real(z) < x1)
+            & (np.abs(np.imag(z)) > y0) & (np.abs(np.imag(z)) < y1)] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("patch, side", [
+    ((1.9, 1.95, 45.0, math.inf), "bottom"),
+    ((0.2, 0.3, 10.0, 20.0), "left"),
+    ((1.0, 1.2, 10.0, 20.0), None),
+], ids=["horizontal-sides", "left-side", "interior"])
+def test_strip_zero_scan_nan_on_the_boundary_fails(patch, side):
+    # nan on the boundary fails the scan; inside the box the walk never sees it
+    sd = wf.real_roots(local_cf(2.5))
+    rep = wf.strip_zero_scan(wf.CharacteristicFunction(((HoleyGreen(patch), 2.0),)), sd,
+                             y_max=50.0)
+    if side is None:
+        assert (rep.count, rep.status) == (2, "pass")
+    else:
+        assert (rep.count, rep.status, rep.notes) == (None, "fail", f"f is nan on the {side} side")
+        assert math.isnan(rep.min_abs_chi)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -303,140 +446,14 @@ def test_strip_zero_scan_critical_interior_empty():
 ], ids=["gaussian", "exponential+", "exponential-", "green", "comb", "tabulated",
         "tabulated-uniform", "convolved"])
 def test_chi_conjugate_symmetry_is_bitwise(kernel):
-    # every kernel is a real measure; the strip scan evaluates only the upper
-    # half of its band and relies on the lower half mirroring it bit for bit
+    # every kernel is a real measure, so chi(conj z) = conj chi(z); each
+    # transform keeps that bit for bit, though no caller relies on it
     cf = wf.CharacteristicFunction(((kernel, 1.3),))
     lo, hi = cf.strip
     xs = np.linspace(max(lo, -1.5) + 0.01, min(hi, 2.0) - 0.01, 37)
     ys = np.linspace(0.1, 30.0, 53)
     Z = xs[:, None] + 1j * ys
     assert wf.chi(cf, np.conj(Z)).tobytes() == np.conj(wf.chi(cf, Z)).tobytes()
-
-
-def scan_reference(cf, sd, y_max, grid_density=40.0, eps_re=1e-3, zero_tol=1e-3):
-    """strip_zero_scan over the whole mirrored band: one meshgrid, one chi call per block."""
-    INF = math.inf
-    notes = []
-    _, gamma_K = cf.strip
-    rk = sd.lambda_rK
-    if not math.isfinite(rk):
-        rk = sd.lambda_l + charfun.SCAN_RIGHT_CAP
-        notes.append(f"lambda_rK infinite; scan capped at lambda_l + {charfun.SCAN_RIGHT_CAP:g}")
-    rk_eval = min(rk, charfun._inside(gamma_K)) if math.isfinite(gamma_K) else rk
-    eps_im = charfun.SCAN_EPS_IM
-    x_lo, x_hi = sd.lambda_l + eps_re, rk_eval - eps_re
-    best = (INF, (math.nan, math.nan))
-    pts = nans = 0
-
-    def scan_block(X, Y):
-        nonlocal best, pts, nans
-        vals = np.abs(wf.chi(cf, X + 1j * Y))
-        pts += vals.size
-        nans += int(np.count_nonzero(np.isnan(vals)))
-        vals = np.where(np.isnan(vals), INF, vals)
-        i = int(np.argmin(vals))
-        if vals.ravel()[i] < best[0]:
-            best = (float(vals.ravel()[i]), (float(np.ravel(X)[i]), float(np.ravel(Y)[i])))
-
-    def y_band(height):
-        ny = max(81, int(math.ceil(2.0 * (height - eps_im) * grid_density)) + 1)
-        pos = np.linspace(eps_im, height, ny // 2)
-        return np.concatenate([-pos[::-1], pos])
-
-    if y_max <= eps_im:
-        notes.append(f"y_max <= {eps_im:g}: off-axis set empty, scan vacuous")
-    axis_min, axis_arg = INF, math.nan
-    if x_hi > x_lo and y_max > eps_im:
-        nx = max(41, int(math.ceil((x_hi - x_lo) * grid_density)) + 1)
-        xs = np.linspace(x_lo, x_hi, nx)
-        ys = y_band(y_max)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        scan_block(X, Y)
-        grid_meta = {"nx": nx, "ny": ys.size, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
-        empty = False
-        axis_vals = np.abs(wf.chi(cf, xs + 0.0j))
-        i = int(np.argmin(axis_vals))
-        axis_min, axis_arg = float(axis_vals[i]), float(xs[i])
-    else:
-        grid_meta = {"nx": 0, "ny": 0, "x": [x_lo, x_hi], "y": [-y_max, y_max]}
-        empty = True
-        if x_hi <= x_lo:
-            notes.append("interior rectangle empty (lambda_l ~ lambda_rK)")
-    if y_max > eps_im:
-        yb = y_band(y_max)
-        for x_line in (sd.lambda_l, rk_eval):
-            scan_block(np.full(yb.shape, x_line), yb)
-    if nans:
-        notes.append(f"|chi| is nan at {nans} of {pts} scanned points; "
-                     f"the minimum is over the finite ones")
-    return {"min_abs_chi": best[0] if pts else INF, "argmin": list(best[1]),
-            "grid": {**grid_meta, "points": pts, "zero_tol": zero_tol,
-                     "eps_re": eps_re, "eps_im": eps_im},
-            "pass": best[0] > zero_tol and not nans if pts else True,
-            "min_abs_chi_real_axis": axis_min, "argmin_real_axis": axis_arg,
-            "empty": empty, "notes": "; ".join(notes)}
-
-
-class HoleyGreen(KernelComponent):
-    """A Green kernel whose transform is nan on a patch of the scan rectangle."""
-
-    def __init__(self, patch):
-        self.green = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
-        self.patch = patch
-
-    def abscissas(self):
-        return self.green.abscissas()
-
-    def laplace(self, z):
-        out = np.array(self.green.laplace(z), dtype=complex)
-        x0, x1, y0 = self.patch
-        out[(np.real(z) > x0) & (np.real(z) < x1) & (np.abs(np.imag(z)) > y0)] = np.nan
-        return out
-
-
-@pytest.mark.parametrize("patch,nans", [((1.9, 1.95, 45.0), 800), ((0.51, 0.53, 0.2), 3984)],
-                         ids=["late-rows", "first-rows"])
-def test_strip_zero_scan_nan_keeps_finite_minimum_and_fails(patch, nans):
-    # the minimum is taken over the finite points, so a nan patch hides no
-    # finite minimum in its row block (both patches miss the clean argmin);
-    # the nan points are counted in the notes and fail the scan
-    cf = local_cf(2.5)
-    sd = wf.real_roots(cf)
-    green = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
-    clean = wf.strip_zero_scan(wf.CharacteristicFunction(((green, 2.0),)), sd, y_max=50.0)
-    holey = wf.CharacteristicFunction(((HoleyGreen(patch), 2.0),))
-    rep = wf.strip_zero_scan(holey, sd, y_max=50.0)
-    assert clean.passed and not rep.passed
-    assert (rep.min_abs_chi, rep.argmin) == (clean.min_abs_chi, clean.argmin)
-    assert sd.lambda_l < rep.argmin[0] < sd.lambda_rK
-    assert rep.notes == (f"|chi| is nan at {nans} of {rep.grid['points']} scanned points; "
-                         f"the minimum is over the finite ones")
-    assert dumps(rep.to_dict()) == dumps(scan_reference(holey, sd, y_max=50.0))
-
-
-def test_strip_zero_scan_ties_break_like_full_band():
-    # |chi| constant: the first point of the whole grid, the lowest y of the
-    # lower half in the first row, is the argmin
-    sd = wf.real_roots(local_cf(2.5))
-    flat = wf.CharacteristicFunction(((StubKernel((-1.0, 3.0)), 2.0),))
-    rep = wf.strip_zero_scan(flat, sd, y_max=50.0)
-    assert rep.argmin == (sd.lambda_l + 1e-3, -50.0)
-    assert dumps(rep.to_dict()) == dumps(scan_reference(flat, sd, y_max=50.0))
-
-
-@pytest.mark.parametrize("flags", [
-    {"y_max": 50.0},                        # the CLI defaults
-    {"y_max": 10.0, "grid_density": 7.3},   # an odd number of y values per half
-    {"y_max": 0.05},                        # off-axis set empty
-], ids=["default", "odd-half", "vacuous"])
-@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
-def test_strip_zero_scan_matches_full_band_reference(path, flags):
-    spec, cfg = wf.load_model(path)
-    cf = spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"),
-                                  cfg.get("margin", 1.0)).charfun()
-    sd = wf.real_roots(cf)
-    rep = wf.strip_zero_scan(cf, sd, **flags)
-    assert dumps(rep.to_dict()) == dumps(scan_reference(cf, sd, **flags))
 
 
 # --- chi_1 margin -----------------------------------------------------------

@@ -153,9 +153,7 @@ def test_non_positive_bound_or_margin_is_usage_error(tmp_path, capsys, path, fie
     ("solve", "--grid=-60,inf,4096"),
     ("scan", "--y-max=nan"),
     ("scan", "--y-max=inf"),
-    ("scan", "--density=inf"),
-    ("scan", "--density=nan"),
-    ("scan", "--density=0"),
+    ("scan", "--y-max=0"),
 ])
 def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, command, flag):
     model = write_model(tmp_path)
@@ -305,11 +303,23 @@ def test_grid_too_short_for_the_tail_fails_without_usage_error(tmp_path, capsys)
 def test_scan_command(local_model_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["scan", "--model", str(local_model_file), "--out", str(out),
-               "--y-max", "50", "--density", "40"])
+               "--y-max", "50"])
     assert rc == 0
     data = read_json(out / "scan.json")
     assert data["pass"] is True
     assert data["min_abs_chi"] > 1e-3
+
+
+def test_scan_undetermined_exits_2(tmp_path):
+    # Mackey-Glass with L = 3, h = 1 at c = 3: lambda_r sits 2.8e-5 below the
+    # Green pole, too close for any certified walk within the point cap
+    model = write_model(tmp_path, c=3.0, L=3.0, delay=1.0,
+                        nonlinearity={"kind": "mackey_glass", "p": 2.0, "n": 6.0})
+    out = tmp_path / "out"
+    assert main(["scan", "--model", str(model), "--out", str(out)]) == 2
+    data = read_json(out / "scan.json")
+    assert (data["status"], data["count"], data["expected"], data["pass"]) == \
+        ("undetermined", None, 2, False)
 
 
 def test_verify_command(tmp_path):
@@ -451,7 +461,7 @@ def test_each_command_takes_only_its_own_flags():
     base = {"model", "out"}
     solver = base | {"grid", "tol", "max_iter"}
     assert dests == {"analyze": base, "speed": base, "solve": solver, "verify": solver,
-                     "scan": base | {"y_max", "density"}}
+                     "scan": base | {"y_max"}}
 
 
 @pytest.mark.parametrize("command, flags", [

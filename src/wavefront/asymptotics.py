@@ -18,7 +18,7 @@ from ._scalar import minimize_bounded
 from .charfun import SpectralData
 from .errors import NonPositiveTail, TailUnresolved
 from .kernels import _trapezoid
-from .wavesolver import WaveProfile
+from .wavesolver import EDGE_POINTS, WaveProfile
 
 __all__ = [
     "DecayFit",
@@ -72,7 +72,7 @@ def _default_window(profile: WaveProfile, floor: float) -> np.ndarray:
     ts = profile.grid.ts
     vals = profile.values
     kappa = profile.plateau
-    lo_t = profile.grid.t_min + 10.0 * profile.grid.step
+    lo_t = profile.grid.t_min + EDGE_POINTS * profile.grid.step
     above = np.where(vals >= TAIL_FRACTION * kappa)[0]
     if len(above) == 0:
         raise TailUnresolved(
@@ -121,9 +121,9 @@ def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None,
               floor: float | None = None) -> DecayFit:
     """Fit the left-tail decay law over ``window`` (default: resolved tail).
 
-    The default window runs from 10 grid steps above t_min to the first
-    crossing of 0.01 kappa, dropping values at or below the noise floor
-    (iteration-tolerance scale).
+    The default window runs from EDGE_POINTS grid steps above t_min to the
+    first crossing of 0.01 kappa, dropping values at or below the noise
+    floor (iteration-tolerance scale).
     """
     ts = profile.grid.ts
     vals = profile.values

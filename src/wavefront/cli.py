@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
+# the exit code of each verdict that verify and scan report
+EXIT_OF_VERDICT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "undetermined": EXIT_UNDETERMINED}
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
@@ -178,7 +180,7 @@ def cmd_verify(args) -> int:
            {**_stamp(cfg, args), **report.to_dict()})
     with open(os.path.join(args.out, "verify.txt"), "w") as fh:
         fh.write(report.to_text() + "\n")
-    return report.exit_code()
+    return EXIT_OF_VERDICT[report.verdict]
 
 
 def cmd_scan(args) -> int:
@@ -194,7 +196,7 @@ def cmd_scan(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "scan.json"),
            {**_stamp(cfg, args), **report.to_dict()})
-    return {"pass": EXIT_OK, "fail": EXIT_FAIL, "undetermined": EXIT_UNDETERMINED}[report.status]
+    return EXIT_OF_VERDICT[report.status]
 
 
 _COMMANDS = {"analyze": cmd_analyze, "speed": cmd_speed, "solve": cmd_solve,

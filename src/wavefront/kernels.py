@@ -86,8 +86,9 @@ class KernelComponent:
 
     A new shape sets ``shape`` and implements ``mass``, ``abscissas``,
     ``laplace``, ``value``, ``support``, ``grid_convolve`` and
-    ``grid_laplace``.  A shape has no shift of its own: K(s - d) is
-    :func:`shift_kernel`.
+    ``grid_laplace``; a sampled density takes the last two from
+    ``_SampledDensity`` and sets ``_sample_window``.  A shape has no shift
+    of its own: K(s - d) is :func:`shift_kernel`.
     ``from_dict`` works on any frozen dataclass of JSON-ready fields.
     """
 
@@ -126,14 +127,6 @@ class KernelComponent:
         """
         raise TypeError(f"no grid transform for {type(self).__name__}")
 
-    def exp_dominated(self, x: float) -> bool:
-        """True when sup_s K(s) e^{-x s} is finite for the given x > 0.
-
-        For every shape here that holds exactly when x <= gamma: as
-        s -> -inf the kernel decays like e^{gamma s} or faster.
-        """
-        return x <= self.abscissas()[1]
-
     @classmethod
     def from_dict(cls, spec: dict, base_dir=None) -> "KernelComponent":
         """Kernel from a JSON object holding one key per dataclass field.
@@ -147,8 +140,18 @@ class KernelComponent:
                       if f.name in spec or f.default is MISSING})
 
 
+class _SampledDensity(KernelComponent):
+    """A density sampled on the grid (:func:`_lumped_samples`) over its ``_sample_window()``."""
+
+    def grid_convolve(self, ts, G, lam_left):
+        return _sampled_convolve(self, ts, G, lam_left)
+
+    def grid_laplace(self, lam, dt):
+        return _sampled_laplace(self, lam, dt)
+
+
 @dataclass(frozen=True)
-class GaussianKernel(KernelComponent):
+class GaussianKernel(_SampledDensity):
     """scale * normal density with the given variance; transform e^{v z^2 / 2}."""
 
     variance: float
@@ -184,12 +187,6 @@ class GaussianKernel(KernelComponent):
     def _sample_window(self):
         w = 9.0 * math.sqrt(self.variance)
         return (-w, w)
-
-    def grid_convolve(self, ts, G, lam_left):
-        return _sampled_convolve(self, ts, G, lam_left)
-
-    def grid_laplace(self, lam, dt):
-        return _sampled_laplace(self, lam, dt)
 
 
 @dataclass(frozen=True)
@@ -239,12 +236,10 @@ class OneSidedExponential(KernelComponent):
         return (-INF, 0.0)
 
     def grid_convolve(self, ts, G, lam_left):
-        if self.direction == 1:
-            return self.scale * _recurse_forward(ts, G, self.rate, lam_left)
-        return self.scale * _recurse_backward(ts, G, self.rate)
+        return self.scale * _recurse(ts, G, self.rate, self.direction, lam_left)
 
     def grid_laplace(self, lam, dt):
-        return self.scale * _recurse_factor(self.rate, math.exp(-self.direction * lam * dt), dt)
+        return self.scale * _recurse_factor(self.rate, self.direction, lam, dt)
 
 
 @dataclass(frozen=True)
@@ -309,14 +304,14 @@ class PiecewiseGreen(KernelComponent):
     def grid_convolve(self, ts, G, lam_left):
         rho1, rho2 = -self.nu, self.mu
         amp = self.scale / (self.mu - self.nu)
-        return amp * (_recurse_forward(ts, G, rho1, lam_left) / rho1
-                      + _recurse_backward(ts, G, rho2) / rho2)
+        return amp * (_recurse(ts, G, rho1, 1, lam_left) / rho1
+                      + _recurse(ts, G, rho2, -1, lam_left) / rho2)
 
     def grid_laplace(self, lam, dt):
         rho1, rho2 = -self.nu, self.mu
         amp = self.scale / (self.mu - self.nu)
-        return amp * (_recurse_factor(rho1, math.exp(-lam * dt), dt) / rho1
-                      + _recurse_factor(rho2, math.exp(lam * dt), dt) / rho2)
+        return amp * (_recurse_factor(rho1, 1, lam, dt) / rho1
+                      + _recurse_factor(rho2, -1, lam, dt) / rho2)
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):
@@ -491,7 +486,7 @@ def _trapezoid(v, t):
 
 
 @dataclass(frozen=True)
-class TabulatedKernel(KernelComponent):
+class TabulatedKernel(_SampledDensity):
     """Kernel given by samples on a strictly increasing grid, linearly interpolated.
 
     Treated as compactly supported on its grid; no extrapolation beyond it.
@@ -557,12 +552,6 @@ class TabulatedKernel(KernelComponent):
 
     def _sample_window(self):
         return self.support()
-
-    def grid_convolve(self, ts, G, lam_left):
-        return _sampled_convolve(self, ts, G, lam_left)
-
-    def grid_laplace(self, lam, dt):
-        return _sampled_laplace(self, lam, dt)
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):
@@ -642,11 +631,15 @@ def _check_keys(spec: dict, allowed, what: str | None = None) -> None:
         raise ValueError(f"unknown key {unknown[0]!r} in {what}")
 
 
+def _object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be an object, got {spec!r}")
+    return spec
+
+
 def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
     """Kernel from its JSON form, moved by any ``"shift"``; a relative ``path`` is read from ``base_dir``."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"kernel must be an object, got {spec!r}")
-    shape = spec.get("shape")
+    shape = _object(spec, "kernel").get("shape")
     shift = spec.get("shift", 0.0)
     if isinstance(shift, bool) or not isinstance(shift, (int, float)):
         raise ValueError(f"kernel shift must be a number, got {shift!r}")
@@ -763,36 +756,35 @@ def _first_order(E, src):
     return y.ravel()[:n]
 
 
-def _recurse_forward(ts, G, rate, lam_left):
-    """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - u) du, exact on the interpolant."""
+def _recurse(ts, G, rate, direction, lam_left):
+    """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - direction u) du, exact on the interpolant.
+
+    One left-to-right recurrence, seeded by the left closure.  The backward
+    piece (direction -1) runs it on the reversed field, whose left closure
+    is the plateau G[-1], and reverses the result.
+    """
     dt = _grid_step(ts)
     E, far, near = _exp_step_weights(rate, dt)
+    if direction == 1:
+        seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
+    else:
+        G, seed = G[::-1], G[-1]
     src = np.empty_like(G)
-    src[0] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
+    src[0] = seed
     src[1:] = far * G[:-1] + near * G[1:]
-    return _first_order(E, src)
+    return _first_order(E, src)[::direction]
 
 
-def _recurse_backward(ts, G, rate):
-    """H(x_i) = rate * int_0^inf e^{-rate v} G~(x_i + v) dv; seeds with the plateau G[-1]."""
-    dt = _grid_step(ts)
-    E, far, near = _exp_step_weights(rate, dt)
-    Grev = G[::-1]
-    src = np.empty_like(G)
-    src[0] = G[-1]
-    src[1:] = far * Grev[:-1] + near * Grev[1:]
-    return _first_order(E, src)[::-1]
-
-
-def _recurse_factor(rate, e, dt):
-    """Factor (far e + near) / (1 - E e) by which a recurrence multiplies e^{lam t}.
+def _recurse_factor(rate, direction, lam, dt):
+    """Factor (far e + near) / (1 - E e) by which :func:`_recurse` multiplies e^{lam t}.
 
     y_i = c G_i solves y_i = far G_{i-1} + near G_i + E y_{i-1} when
-    G_{i-1} = e G_i: e = e^{-lam dt} for :func:`_recurse_forward`
-    (lam > -rate) and e = e^{+lam dt} for :func:`_recurse_backward`, which
-    runs on the reversed field (lam < rate).
+    G_{i-1} = e G_i, with e = e^{-direction lam dt}: the backward piece runs
+    on the reversed field.  The strip is lam > -rate forward, lam < rate
+    backward.
     """
     E, far, near = _exp_step_weights(rate, dt)
+    e = math.exp(-direction * lam * dt)
     return (far * e + near) / (1.0 - E * e)
 
 
@@ -835,10 +827,17 @@ def _shift(ts, G, shift, lam_left):
 
 
 def _shift_factor(shift, lam, dt):
-    """Factor by which :func:`_shift` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1))."""
+    """Factor by which :func:`_shift` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
+
+    Where e^{lam dt} would overflow (m >= 1), it sums the two taps one by
+    one: (1 - f) e^{-lam m dt} + f e^{-lam (m - 1) dt} with f = m - s.
+    """
     if shift == 0.0:
         return 1.0
     s, m = _snap_steps(shift, dt)
+    if lam * dt > 700.0 and m >= 1:
+        f = m - s
+        return (1.0 - f) * math.exp(-lam * m * dt) + f * math.exp(-lam * (m - 1) * dt)
     return math.exp(-lam * m * dt) * (1.0 + (m - s) * math.expm1(lam * dt))
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .charfun import (CharacteristicFunction, SpectralData, _strip_max,
 from .errors import (DegenerateRange, HypothesisViolation, NoRoots,
                      StripTooNarrow, ZeroSpeed)
 from .kernels import (DiracComb, KernelComponent, OneSidedExponential,
-                      PiecewiseGreen, _check_keys, convolve, kernel_from_dict,
-                      shift_kernel)
+                      PiecewiseGreen, _check_keys, _object, convolve,
+                      kernel_from_dict, shift_kernel)
 
 INF = math.inf
 DERIV_SAMPLES = 10_000
@@ -355,12 +355,15 @@ class ModelSpec:
         """z-interval on which tilde_chi is evaluable (independent of beta)."""
         raise NotImplementedError
 
-    def _check_speed(self, c: float) -> None:
+    def _checked_bound(self, c: float, M: float | None, margin: float) -> float:
+        """Every family's ``to_convolution_form`` preamble: validate, check c, then resolve M."""
+        self.validate()
         if c == 0:
             raise ZeroSpeed("c = 0: stationary fronts are out of scope")
         if c < 0 and not self.admits_nonpositive_speed:
             raise HypothesisViolation(
                 f"family '{self.family}' supports positive wave speeds only")
+        return self._resolve_bound(M, margin)
 
 
 @dataclass(frozen=True)
@@ -383,9 +386,7 @@ class NonlocalKPP(ModelSpec):
         return _bound_from(lambda x: slope * x + self.g(x))
 
     def to_convolution_form(self, c, M=None, margin=1.0):
-        self.validate()
-        self._check_speed(c)
-        M = self._resolve_bound(M, margin)
+        M = self._checked_bound(c, M, margin)
         beta = beta_select(self.g, M, role="birth", margin=margin)
         k = OneSidedExponential(rate=(1.0 + beta) / abs(c),
                                 direction=1 if c > 0 else -1,
@@ -450,9 +451,7 @@ class NonlocalLattice(ModelSpec):
         return _bound_from(lambda x: s * self.g(x) - self.d * x)
 
     def to_convolution_form(self, c, M=None, margin=1.0):
-        self.validate()
-        self._check_speed(c)
-        M = self._resolve_bound(M, margin)
+        M = self._checked_bound(c, M, margin)
         H0 = OneSidedExponential(rate=(2.0 * self.D + self.d) / c,
                                  scale=1.0 / (2.0 * self.D + self.d))
         neigh = DiracComb((-1.0, 1.0), (self.D, self.D))
@@ -511,9 +510,7 @@ class NonlocalDelayedRD(ModelSpec):
         return _bound_from(lambda x: mass * self.g(x) - self.f(x))
 
     def to_convolution_form(self, c, M=None, margin=1.0):
-        self.validate()
-        self._check_speed(c)
-        M = self._resolve_bound(M, margin)
+        M = self._checked_bound(c, M, margin)
         beta = beta_select(self.f, M, role="damping", margin=margin)
         green = PiecewiseGreen.from_speed_damping(c, beta)
         k_h = shift_kernel(self.k, c * self.delay)
@@ -566,9 +563,7 @@ class LocalDelayedRD(ModelSpec):
         return _bound_from(lambda x: self.g(x) - x)
 
     def to_convolution_form(self, c, M=None, margin=1.0):
-        self.validate()
-        self._check_speed(c)
-        M = self._resolve_bound(M, margin)
+        M = self._checked_bound(c, M, margin)
         green = shift_kernel(PiecewiseGreen.from_speed_damping(c, 1.0), c * self.delay)
         atoms = (Atom(green, self.g, self.L),)
         return ConvolutionProblem(atoms, c, 0.0, M)
@@ -589,13 +584,18 @@ class LocalDelayedRD(ModelSpec):
         return (-INF, INF)
 
 
-def _closed_max_at(m: ModelSpec):
+def _cached_max(chi_at):
+    """max_at(c) = (z*, max) of Re chi_1 on its strip, cached per c; chi_at(c) is (chi_1, strip)."""
     @cache
     def max_at(c: float) -> tuple[float, float]:
-        return _strip_max(lambda z: float(np.real(m.tilde_chi_lipschitz(z, c))),
-                          m.tilde_strip(c))
+        f, strip = chi_at(c)
+        return _strip_max(lambda z: float(np.real(f(z))), strip)
 
     return max_at
+
+
+def _closed_max_at(m: ModelSpec):
+    return _cached_max(lambda c: (partial(m.tilde_chi_lipschitz, c=c), m.tilde_strip(c)))
 
 
 def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
@@ -613,10 +613,11 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
         # the bound does not depend on c: resolve it once, not per trial speed
         M = m._resolve_bound(M, margin)
 
-        @cache
-        def max_at(c: float) -> tuple[float, float]:
+        def assembled(c: float):
             cf = m.to_convolution_form(c, M, margin).charfun_lipschitz()
-            return _strip_max(lambda z: float(np.real(cf(z))), cf.strip)
+            return cf, cf.strip
+
+        max_at = _cached_max(assembled)
     elif via == "closed_form":
         max_at = _closed_max_at(m)
     else:
@@ -650,12 +651,6 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # JSON model files
-
-
-def _object(spec, what: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ValueError(f"{what} must be an object, got {spec!r}")
-    return spec
 
 
 # each kind's parameters; one left out takes its constructor's default.  A

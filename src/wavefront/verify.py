@@ -58,9 +58,6 @@ class VerifyReport:
             return "undetermined"
         return "pass"
 
-    def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1, "undetermined": 2}[self.verdict]
-
     def to_dict(self) -> dict:
         return {"verdict": self.verdict,
                 "checks": [c.to_dict() for c in self.checks]}
@@ -178,7 +175,9 @@ def audit_hypotheses(p: ConvolutionProblem, M: float) -> list[Check]:
 
         lam_l = p.spectral.lambda_l if p.spectral is not None else 1.0
         rho = 0.5 * lam_l
-        ok_k = atom.kernel.exp_dominated(rho)
+        # sup_s K(s) e^{-rho s} is finite exactly when rho <= gamma: as
+        # s -> -inf every kernel here decays like e^{gamma s} or faster
+        ok_k = rho <= atom.kernel.abscissas()[1]
         checks.append(Check(
             f"kernel_domination[{tag}]", "pass" if ok_k else "fail",
             "K(s) <= d1 e^{rho s} for a positive rho below the decay rate",
@@ -213,7 +212,7 @@ def align_translate(phi1: WaveProfile, phi2: WaveProfile) -> tuple[float, float]
     c1 = wavesolver.level_crossing(ts1, phi1.values, level)
     c2 = wavesolver.level_crossing(ts2, phi2.values, level)
     shift = c2 - c1
-    m = 10 * max(phi1.grid.step, phi2.grid.step)
+    m = wavesolver.EDGE_POINTS * max(phi1.grid.step, phi2.grid.step)
     lo = max(ts1[0], ts2[0] - shift) + m
     hi = min(ts1[-1], ts2[-1] - shift) - m
     if hi <= lo:

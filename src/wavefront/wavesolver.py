@@ -54,8 +54,9 @@ PIN_FRACTION = 0.5
 DRIFT_GATE_STEPS = 0.04
 # settled sweeps of pin drift above the gate that back a TailUnresolved verdict
 TRANSLATION_WINDOW = 50
-# grid points left out of the residual at each edge
-RESIDUAL_MARGIN = 10
+# points at each grid edge that the closure reaches: the residual, the
+# profile alignment and the default decay-fit window leave them out
+EDGE_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,10 @@ def apply_operator(p: ConvolutionProblem, values: np.ndarray, grid: Grid,
 
 
 def residual(p: ConvolutionProblem, profile: WaveProfile) -> float:
-    """sup |phi - N[phi]| off the RESIDUAL_MARGIN edge points, N with the zero left closure."""
+    """sup |phi - N[phi]| off the EDGE_POINTS at each end, N with the zero left closure."""
     vals = profile.values
     out = apply_operator(p, vals, profile.grid, lam_left=None)
-    sl = slice(RESIDUAL_MARGIN, len(vals) - RESIDUAL_MARGIN)
+    sl = slice(EDGE_POINTS, len(vals) - EDGE_POINTS)
     return float(np.max(np.abs(vals - out)[sl]))
 
 

@@ -257,6 +257,20 @@ def test_solve_records_relaxation(tmp_path):
             pytest.approx(theta, abs=1e-12)
 
 
+def test_solve_rightward_dispersal(tmp_path):
+    # J = delta(s - 2), c* = -0.3734: the closure rate's bracket search once
+    # overflowed e^{lam dt} in the comb's grid transform
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "family": "nonlocal_kpp", "c": 1.0,
+        "kernel": {"shape": "dirac_comb", "offsets": [2.0], "weights": [1.0]},
+        "nonlinearity": {"kind": "logistic", "rate": 0.5, "carrying": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
+    assert read_json(out / "solve.json")["convergence"]["closure_rate"] == \
+        pytest.approx(0.18741, abs=1e-4)
+
+
 def test_solve_below_c_star_reports_no_wave(tmp_path, capsys):
     model = write_model(tmp_path, c=1.0)
     out = tmp_path / "out"

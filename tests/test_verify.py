@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavefront as wf
+from wavefront.cli import EXIT_OF_VERDICT
 from wavefront.errors import NoCrossing, NoRoots
 from wavefront.kernels import shift_kernel
 from wavefront.models import Atom, ConvolutionProblem
@@ -201,16 +202,16 @@ def test_uniqueness_probe_below_c_star_guard(local_model, solver_grid):
                                   wf.CappedExponential(0.5, 0.25)])
     assert report.verdict == "fail"
     assert report.checks[0].name == "admissibility_guard"
-    assert report.exit_code() == 1
+    assert EXIT_OF_VERDICT[report.verdict] == 1
 
 
 def test_verify_report_exit_codes():
     rep = wf.VerifyReport(checks=[wf.Check("a", "pass", "x")])
-    assert rep.verdict == "pass" and rep.exit_code() == 0
+    assert rep.verdict == "pass" and EXIT_OF_VERDICT[rep.verdict] == 0
     rep.checks.append(wf.Check("b", "undetermined", "y"))
-    assert rep.verdict == "undetermined" and rep.exit_code() == 2
+    assert rep.verdict == "undetermined" and EXIT_OF_VERDICT[rep.verdict] == 2
     rep.checks.append(wf.Check("c", "fail", "z"))
-    assert rep.verdict == "fail" and rep.exit_code() == 1
+    assert rep.verdict == "fail" and EXIT_OF_VERDICT[rep.verdict] == 1
     text = rep.to_text()
     assert "FAIL" in text and "verdict" in text
     d = rep.to_dict()

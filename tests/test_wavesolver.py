@@ -17,7 +17,7 @@ from wavefront.charfun import _concave_max
 from wavefront.cli import main
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
-from wavefront.kernels import _shift, shift_kernel
+from wavefront.kernels import _shift, kernel_from_dict, shift_kernel
 from wavefront.wavesolver import convolve_field, level_crossing
 
 from quadrature import convolve_by_quad
@@ -650,6 +650,23 @@ def test_discrete_decay_rate_close_to_analytic():
     # refine the grid: the discrete rate converges to the analytic one
     lam_h2 = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 8192))
     assert abs(lam_h2 - 0.5) < 0.3 * abs(lam_h - 0.5)
+
+
+# rightward dispersal: gamma_K = inf and chi_h rises without bound, so the
+# closure rate's bracket search reaches lam dt > 709
+RIGHTWARD_KERNELS = [
+    {"shape": "dirac_comb", "offsets": [2.0], "weights": [1.0]},
+    {"shape": "exponential_onesided", "rate": 1.0, "shift": 0.5},
+    {"shape": "dirac_comb", "offsets": [1.0, 3.0], "weights": [0.5, 0.5]},
+]
+
+
+@pytest.mark.parametrize("kernel", RIGHTWARD_KERNELS)
+def test_rightward_dispersal_solves(kernel):
+    prob = wf.NonlocalKPP(J=kernel_from_dict(kernel), g=wf.logistic(0.5, 1.0)).to_convolution_form(1.0)
+    profile = wf.solve_profile(prob, wf.Grid(-60.0, 40.0, 4096),
+                               wf.CappedExponential(prob.spectral.lambda_l, prob.equilibrium() / 2.0))
+    assert profile.convergence["closure_rate"] == pytest.approx(prob.spectral.lambda_l, abs=1e-4)
 
 
 def test_left_margin_enforced(monkeypatch):

@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except WavefrontError as exc:
+    except (WavefrontError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

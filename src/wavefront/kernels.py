@@ -829,16 +829,17 @@ def _shift(ts, G, shift, lam_left):
 def _shift_factor(shift, lam, dt):
     """Factor by which :func:`_shift` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
 
-    Where e^{lam dt} would overflow (m >= 1), it sums the two taps one by
-    one: (1 - f) e^{-lam m dt} + f e^{-lam (m - 1) dt} with f = m - s.
+    Where e^{lam dt} would overflow or e^{-lam m dt} underflows to 0 (m >= 1), it sums
+    the two taps one by one: (1 - f) e^{-lam m dt} + f e^{-lam (m - 1) dt}, f = m - s.
     """
     if shift == 0.0:
         return 1.0
     s, m = _snap_steps(shift, dt)
-    if lam * dt > 700.0 and m >= 1:
+    step = math.exp(-lam * m * dt)
+    if m >= 1 and (lam * dt > 700.0 or step == 0.0):
         f = m - s
-        return (1.0 - f) * math.exp(-lam * m * dt) + f * math.exp(-lam * (m - 1) * dt)
-    return math.exp(-lam * m * dt) * (1.0 + (m - s) * math.expm1(lam * dt))
+        return (1.0 - f) * step + f * math.exp(-lam * (m - 1) * dt)
+    return step * (1.0 + (m - s) * math.expm1(lam * dt))
 
 
 @lru_cache(maxsize=32)

@@ -320,9 +320,6 @@ class ModelSpec:
     # c* may be <= 0, so speeds c < 0 are valid (c = 0 never is)
     admits_nonpositive_speed: bool = False
 
-    def validate(self) -> None:
-        raise NotImplementedError
-
     def default_bound(self) -> float:
         raise NotImplementedError
 
@@ -356,8 +353,7 @@ class ModelSpec:
         raise NotImplementedError
 
     def _checked_bound(self, c: float, M: float | None, margin: float) -> float:
-        """Every family's ``to_convolution_form`` preamble: validate, check c, then resolve M."""
-        self.validate()
+        """Every family's ``to_convolution_form`` preamble: check c, then resolve M."""
         if c == 0:
             raise ZeroSpeed("c = 0: stationary fronts are out of scope")
         if c < 0 and not self.admits_nonpositive_speed:
@@ -375,11 +371,6 @@ class NonlocalKPP(ModelSpec):
 
     family = "nonlocal_kpp"
     admits_nonpositive_speed = True
-
-    def validate(self):
-        if not 1.0 - self.J.mass < self.g.gprime0:
-            raise HypothesisViolation(
-                f"need 1 - mass(J) < g'(0): {1.0 - self.J.mass:g} vs {self.g.gprime0:g}")
 
     def default_bound(self):
         slope = self.J.mass - 1.0
@@ -410,7 +401,11 @@ class NonlocalKPP(ModelSpec):
 
 @dataclass(frozen=True)
 class NonlocalLattice(ModelSpec):
-    """Lattice sites coupled to nearest neighbours with dispersed delayed birth."""
+    """Lattice sites coupled to nearest neighbours with dispersed delayed birth.
+
+    ``comb`` is the birth comb sum_k beta(k) delta(s - k), offsets increasing,
+    without the weights below TRUNCATE_RTOL of the largest.
+    """
 
     D: float
     d: float
@@ -432,22 +427,11 @@ class NonlocalLattice(ModelSpec):
         wmax = max(clean.values())
         kept = {k: w for k, w in clean.items() if w > self.TRUNCATE_RTOL * wmax}
         object.__setattr__(self, "beta_weights", kept)
-        object.__setattr__(self, "_truncation_error", sum(clean.values()) - sum(kept.values()))
-
-    @property
-    def truncation_error(self) -> float:
-        return self._truncation_error
-
-    def _comb_sum(self) -> float:
-        return sum(self.beta_weights.values())
-
-    def validate(self):
-        if not self.g.gprime0 * self._comb_sum() > self.d:
-            raise HypothesisViolation(
-                f"need g'(0) sum(beta) > d: {self.g.gprime0 * self._comb_sum():g} vs {self.d:g}")
+        ks = sorted(kept)
+        object.__setattr__(self, "comb", DiracComb(tuple(ks), tuple(kept[k] for k in ks)))
 
     def default_bound(self):
-        s = self._comb_sum()
+        s = self.comb.mass
         return _bound_from(lambda x: s * self.g(x) - self.d * x)
 
     def to_convolution_form(self, c, M=None, margin=1.0):
@@ -455,26 +439,17 @@ class NonlocalLattice(ModelSpec):
         H0 = OneSidedExponential(rate=(2.0 * self.D + self.d) / c,
                                  scale=1.0 / (2.0 * self.D + self.d))
         neigh = DiracComb((-1.0, 1.0), (self.D, self.D))
-        ks = sorted(self.beta_weights)
-        comb = shift_kernel(DiracComb(tuple(ks), tuple(self.beta_weights[k] for k in ks)),
-                            c * self.delay)
+        comb = shift_kernel(self.comb, c * self.delay)
         atoms = (
             Atom(convolve(neigh, H0), identity(1.0), 1.0),
             Atom(convolve(comb, H0), self.g, self.g.gprime0),
         )
         return ConvolutionProblem(atoms, c, 0.0, M)
 
-    def _comb_transform(self, z):
-        z = np.asarray(z)
-        out = 0.0
-        for k, w in sorted(self.beta_weights.items()):
-            out = out + w * np.exp(-k * z)
-        return out
-
     def tilde_chi(self, z, c):
         z = np.asarray(z)
         return (self.d + 2.0 * self.D + c * z - self.D * (np.exp(z) + np.exp(-z))
-                - self.g.gprime0 * np.exp(-c * self.delay * z) * self._comb_transform(z))
+                - self.g.gprime0 * np.exp(-c * self.delay * z) * self.comb.laplace(z))
 
     def denominator(self, z, c, beta):
         return 2.0 * self.D + self.d + c * np.asarray(z)
@@ -497,11 +472,6 @@ class NonlocalDelayedRD(ModelSpec):
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
-
-    def validate(self):
-        if not self.g.gprime0 > self.f.gprime0:
-            raise HypothesisViolation(
-                f"need g'(0) > f'(0): {self.g.gprime0:g} vs {self.f.gprime0:g}")
         if self.f.slopes(0.0, S_MAX)[0] < -1e-9:
             raise HypothesisViolation("damping term must be increasing")
 
@@ -555,10 +525,6 @@ class LocalDelayedRD(ModelSpec):
         if self.L < self.g.gprime0:
             raise ValueError("Lipschitz bound L must be >= g'(0)")
 
-    def validate(self):
-        if not self.g.gprime0 > 1.0:
-            raise HypothesisViolation(f"need g'(0) > 1: {self.g.gprime0:g}")
-
     def default_bound(self):
         return _bound_from(lambda x: self.g(x) - x)
 
@@ -607,8 +573,8 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     via='closed_form' uses the family's beta-free closed form directly.
     Both routes agree to solver tolerance.  Each trial speed is assembled
     and maximized once: the bracket walk and the root search share one cache.
+    A model with chi(0) >= 0 raises HypothesisViolation from the assembly.
     """
-    m.validate()
     if via == "assembled":
         # the bound does not depend on c: resolve it once, not per trial speed
         M = m._resolve_bound(M, margin)
@@ -619,6 +585,8 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
 
         max_at = _cached_max(assembled)
     elif via == "closed_form":
+        # chi_1(0) < 0 need not mean chi(0) < 0: one assembly checks the latter
+        m.to_convolution_form(1.0, M, margin)
         max_at = _closed_max_at(m)
     else:
         raise ValueError("via must be 'assembled' or 'closed_form'")

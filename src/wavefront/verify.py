@@ -75,20 +75,14 @@ def mollison_check(p: ConvolutionProblem) -> Check:
     """Necessity check: finite weighted transform at some positive argument.
 
     pass needs gamma_K > 0 together with kernel support meeting the right
-    half-line; the premise is that the weighted kernel mass lies in
-    (1, inf), without which the necessity statement has no content.
+    half-line, given weighted kernel mass in (1, inf).  An assembled
+    problem has chi(0) < 0, so that mass exceeds 1, and a strip straddling
+    0, so gamma_K > 0: only the support is left to test.
     """
     _, gamma_K = p.charfun().strip
-    premise = 1.0 - p.chi0()  # = sum of weight * mass over atoms
-    details = {"gamma_K": gamma_K, "weighted_mass": premise}
+    details = {"gamma_K": gamma_K, "weighted_mass": 1.0 - p.chi0()}
     criterion = ("weighted kernel transform finite at some z > 0 and kernel "
                  "support meets the right half-line, given weighted mass in (1, inf)")
-    if not (1.0 < premise < math.inf):
-        return Check("mollison", "undetermined", criterion,
-                     {**details, "note": "premise fails: weighted mass outside (1, inf)"})
-    if not gamma_K > 0.0:
-        return Check("mollison", "fail", criterion,
-                     {**details, "note": "no positive argument with finite transform"})
     if not any(a.kernel.support()[1] >= 0.0 for a in p.atoms):
         return Check("mollison", "fail", criterion,
                      {**details, "note": "all kernel mass on the negative half-line"})

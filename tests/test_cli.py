@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wavefront import cli
 from wavefront.cli import build_parser, main
 from wavefront.models import LocalDelayedRD
 
@@ -269,6 +270,19 @@ def test_solve_rightward_dispersal(tmp_path):
     assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
     assert read_json(out / "solve.json")["convergence"]["closure_rate"] == \
         pytest.approx(0.18741, abs=1e-4)
+
+
+def test_solve_delayed_rd_with_kernel_mass_two(tmp_path):
+    # g'(0) = 0.8 < f'(0) = 1, but g'(0) mass(k) = 1.6 > 1: chi(0) = -0.3, c* = 1.1763
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "family": "nonlocal_delayed_rd", "c": 1.3, "delay": 0.5,
+        "damping": {"kind": "linear", "slope": 1.0},
+        "kernel": {"shape": "gaussian", "variance": 1.0, "scale": 2.0},
+        "nonlinearity": {"kind": "logistic", "rate": 0.8, "carrying": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
+    assert read_json(out / "solve.json")["plateau"] == pytest.approx(0.375, abs=1e-6)
 
 
 def test_solve_below_c_star_reports_no_wave(tmp_path, capsys):
@@ -540,6 +554,18 @@ def test_tabulated_nonlinearity_with_declared_slope_is_usage_error(tmp_path, cap
     assert main(["solve", "--model", str(model), "--out", str(tmp_path / "out")]) == 64
     assert "gprime0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_float_overflow_is_a_reported_failure(local_model_file, tmp_path, monkeypatch, capsys):
+    def overflow(args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", overflow)
+    rc = main(["solve", "--model", str(local_model_file), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: math range error" in err
+    assert "Traceback" not in err
 
 
 def test_cli_version_flag(capsys):

@@ -658,11 +658,18 @@ def test_shift_kernel_is_a_unit_point_mass(kd, u, y, data, seed, closed):
             == _shift(ts, action, d, lam_left).tobytes())
 
 
-@pytest.mark.parametrize("shift,dt", [(2.0, 0.0244), (0.5, 0.0244), (0.0370, 0.0244)])
-@pytest.mark.parametrize("lam_dt", [690.0, 700.5, 750.0, 5000.0])
+# (shift, dt, lam dt): a rightward shift at large lam, where e^{lam dt}
+# overflows from lam dt = 709.8 while the factor itself is at most 1; and
+# 1.516 steps, where e^{-2 lam dt} underflows to 0 from lam dt = 372.5 while
+# the factor, about 0.484 e^{-lam dt}, is a normal float
+SHIFT_FACTOR_CASES = ([(shift, 0.0244, lam_dt) for lam_dt in (690.0, 700.5, 750.0, 5000.0)
+                       for shift in (2.0, 0.5, 0.0370)]
+                      + [(1.516 * 0.0244, 0.0244, lam_dt) for lam_dt in (380.0, 500.0, 690.0)])
+
+
+@pytest.mark.parametrize("shift,dt,lam_dt", SHIFT_FACTOR_CASES,
+                         ids=[f"{lam_dt}-{shift}-{dt}" for shift, dt, lam_dt in SHIFT_FACTOR_CASES])
 def test_shift_factor_stays_finite_where_the_step_exponential_overflows(shift, dt, lam_dt):
-    # a rightward shift at large lam: e^{lam dt} overflows from lam dt = 709.8,
-    # while the factor itself is at most 1
     lam = lam_dt / dt
     s = mpmath.mpf(shift) / dt
     if abs(s - round(s)) <= 4.0 * np.finfo(float).eps * abs(s):
@@ -671,9 +678,10 @@ def test_shift_factor_stays_finite_where_the_step_exponential_overflows(shift, d
     with mpmath.workdps(40):
         exact = mpmath.exp(-lam * m * dt) * (1 + (m - s) * mpmath.expm1(lam * dt))
     got = _shift_factor(shift, lam, dt)
-    assert math.isfinite(got)
-    # below the switch e^{-lam m dt} may underflow before its product does
-    assert abs(got - float(exact)) <= 1e-12 * float(exact) + 1e-290
+    if float(exact) >= np.finfo(float).tiny:
+        assert abs(got - float(exact)) <= 1e-12 * float(exact)
+    else:
+        assert got == 0.0
 
 
 # --- sampled convolution --------------------------------------------------------

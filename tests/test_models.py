@@ -79,7 +79,6 @@ def test_slopes_are_the_extremes_of_one_sample(kind, lo, width):
 def test_min_speed_samples_each_slope_interval_once(name, intervals, monkeypatch):
     # the slope shift does not depend on c: the damping reads [0, M] and
     # [0, S_MAX], the KPP birth term [0, M], however many speeds are tried
-    spec, cfg = wf.load_model(MODELS_DIR / f"{name}.json")
     sampled = []
     derivative = wf.Nonlinearity.derivative
 
@@ -89,6 +88,8 @@ def test_min_speed_samples_each_slope_interval_once(name, intervals, monkeypatch
         return derivative(self, u)
 
     monkeypatch.setattr(wf.Nonlinearity, "derivative", counting)
+    # loading reads the damping's [0, S_MAX] slopes already
+    spec, cfg = wf.load_model(MODELS_DIR / f"{name}.json")
     wf.model_min_speed(spec, cfg.get("bound"), cfg.get("margin", 1.0))
     assert len(sampled) == len(set(sampled)) == intervals
 
@@ -219,12 +220,19 @@ def test_lattice_delay_shifts_comb_offsets_exactly():
     assert comb.weights == tuple(beta[k] for k in ks)
 
 
+def test_lattice_bound_ignores_the_order_of_beta_keys():
+    # 0.3 + 0.2 + 0.1 and 0.1 + 0.2 + 0.3 differ in the last bit
+    bounds = {wf.NonlocalLattice(D=1.0, d=0.5, beta_weights=beta,
+                                 g=wf.logistic(2.0, 1.0)).default_bound()
+              for beta in ({1: 0.3, 0: 0.2, -1: 0.1}, {-1: 0.1, 0: 0.2, 1: 0.3})}
+    assert bounds == {0.875}
+
+
 def test_lattice_truncation_reported():
     m = wf.NonlocalLattice(D=1.0, d=1.0,
                            beta_weights={0: 1.0, 7: 1e-20},
                            g=wf.logistic(2.0, 1.0))
     assert 7 not in m.beta_weights
-    assert m.truncation_error == pytest.approx(1e-20)
 
 
 def test_nonlocal_rd_reduction():
@@ -260,6 +268,41 @@ def test_standing_hypotheses():
         wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0).to_convolution_form(0.0)
     with pytest.raises(HypothesisViolation):
         wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0).to_convolution_form(-1.0)
+
+
+def test_delayed_rd_hypothesis_weighs_the_kernel_mass():
+    # chi(0) < 0 reads g'(0) mass(k) > f'(0): 0.8 * 2 > 1 although g'(0) < f'(0)
+    m = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(0.8, 1.0),
+                             k=wf.GaussianKernel(1.0, scale=2.0), delay=0.5)
+    prob = m.to_convolution_form(1.3)
+    assert prob.chi0() == pytest.approx(-0.3, abs=1e-12)
+    assert prob.equilibrium() == pytest.approx(0.375, abs=1e-10)
+    c_a, _ = wf.model_min_speed(m, via="assembled")
+    c_c, _ = wf.model_min_speed(m, via="closed_form")
+    assert c_a == pytest.approx(c_c, abs=1e-9)
+    assert c_a == pytest.approx(1.17625, abs=1e-4)
+
+
+@pytest.mark.parametrize("m", [
+    # g'(0) mass(k) = 0.75 < f'(0) = 1
+    wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(1.5, 1.0),
+                         k=wf.GaussianKernel(1.0, scale=0.5), delay=0.5),
+    # g'(0) < 1, though chi_1(0) = 1 - L < 0 with L = 1.5
+    wf.LocalDelayedRD(g=wf.logistic(0.9, 1.0), L=1.5),
+], ids=["delayed-rd-mass-half", "local-lipschitz-above-one"])
+def test_hypothesis_violation_on_every_route(m):
+    with pytest.raises(HypothesisViolation, match="chi\\(0\\)"):
+        m.to_convolution_form(3.0)
+    for via in ("assembled", "closed_form"):
+        with pytest.raises(HypothesisViolation, match="chi\\(0\\)"):
+            wf.model_min_speed(m, via=via)
+
+
+def test_decreasing_damping_is_refused_on_construction():
+    # logistic damping f(u) = u (1 - u) decreases past u = 1/2
+    with pytest.raises(HypothesisViolation, match="damping term must be increasing"):
+        wf.NonlocalDelayedRD(f=wf.logistic(1.0, 1.0), g=wf.logistic(2.0, 1.0),
+                             k=wf.GaussianKernel(1.0), delay=0.5)
 
 
 def test_chi0_negative_iff_hypothesis():

@@ -3,7 +3,7 @@ import pytest
 
 import wavefront as wf
 from wavefront.cli import EXIT_OF_VERDICT
-from wavefront.errors import NoCrossing, NoRoots
+from wavefront.errors import HypothesisViolation, NoCrossing, NoRoots
 from wavefront.kernels import shift_kernel
 from wavefront.models import Atom, ConvolutionProblem
 
@@ -37,11 +37,10 @@ def test_mollison_fails_on_left_supported_kernel():
 
 
 def test_mollison_premise_gate():
+    # weighted mass 0.9 < 1 is chi(0) > 0, which no assembled problem has
     k = wf.OneSidedExponential(rate=1.0)
-    prob = degenerate_problem(0.9, k)  # weighted mass 0.9 < 1
-    check = wf.mollison_check(prob)
-    assert check.status == "undetermined"
-    assert "premise" in check.details["note"]
+    with pytest.raises(HypothesisViolation):
+        ConvolutionProblem((Atom(k, wf.linear(0.9), 0.9),), 1.0, 0.0, 1.0)
 
 
 def test_mollison_implied_by_solved_profile(noncritical_profile):

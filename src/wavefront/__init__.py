@@ -16,9 +16,8 @@ from .kernels import (ConvolvedKernel, DiracComb, GaussianKernel,
                       TabulatedKernel, convolve, laplace, load_tabulated)
 from .models import (Atom, ConvolutionProblem, LocalDelayedRD, ModelSpec,
                      NonlocalDelayedRD, NonlocalKPP, NonlocalLattice,
-                     Nonlinearity, beta_select, linear, load_model, logistic,
-                     mackey_glass, model_min_speed,
-                     tabulated_nonlinearity)
+                     Nonlinearity, linear, load_model, logistic, mackey_glass,
+                     model_min_speed, tabulated_nonlinearity)
 from .wavesolver import (CappedExponential, Grid, SolveOptions, WaveProfile,
                          apply_operator, discrete_decay_rate, residual,
                          solve_profile)

@@ -68,7 +68,12 @@ class DecayFit:
             raise ValueError("k_hat must be 0 or 1")
 
 
-def _default_window(profile: WaveProfile, floor: float) -> np.ndarray:
+def _noise_floor(profile: WaveProfile) -> float:
+    """Values at or below max(1e-12, 30 * final update) are iteration noise."""
+    return max(1e-12, 30.0 * profile.convergence.get("final_update", 0.0))
+
+
+def _default_window(profile: WaveProfile) -> np.ndarray:
     ts = profile.grid.ts
     vals = profile.values
     kappa = profile.plateau
@@ -78,7 +83,7 @@ def _default_window(profile: WaveProfile, floor: float) -> np.ndarray:
         raise TailUnresolved(
             f"profile never reaches {TAIL_FRACTION:g} kappa: tail window undefined")
     hi_t = ts[above[0]]
-    mask = (ts >= lo_t) & (ts < hi_t) & (vals > floor)
+    mask = (ts >= lo_t) & (ts < hi_t) & (vals > _noise_floor(profile))
     if vals[0] > TAIL_FRACTION * kappa:
         raise TailUnresolved("left tail not resolved down to the window fraction")
     return mask
@@ -117,8 +122,7 @@ def _fit_k1(t, logp):
     return float(lam), float(A), float(b), res
 
 
-def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None,
-              floor: float | None = None) -> DecayFit:
+def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None) -> DecayFit:
     """Fit the left-tail decay law over ``window`` (default: resolved tail).
 
     The default window runs from EDGE_POINTS grid steps above t_min to the
@@ -127,11 +131,8 @@ def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None,
     """
     ts = profile.grid.ts
     vals = profile.values
-    if floor is None:
-        fu = profile.convergence.get("final_update", 0.0)
-        floor = max(1e-13, 30.0 * fu)
     if window is None:
-        mask = _default_window(profile, floor)
+        mask = _default_window(profile)
     else:
         t_a, t_b = window
         mask = (ts >= t_a) & (ts <= t_b)
@@ -198,7 +199,7 @@ class RepresentationReport:
     notes: str = ""
 
 
-def _remainder_r(profile: WaveProfile, delta: float, floor: float):
+def _remainder_r(profile: WaveProfile, delta: float):
     """(t, r(t)) with the fitted main term subtracted and e^{-(lam+delta)t} applied.
 
     Two-stage windowing: the main term is refitted on the deepest part of
@@ -206,7 +207,7 @@ def _remainder_r(profile: WaveProfile, delta: float, floor: float):
     remainder is then examined on the shallow part where it is genuine
     signal above the noise floor.
     """
-    fit = fit_decay(profile, floor=floor)
+    fit = fit_decay(profile)
     ts = profile.grid.ts
     vals = profile.values
     t_a, t_b = fit.window
@@ -227,7 +228,7 @@ def _remainder_r(profile: WaveProfile, delta: float, floor: float):
         lam, A, b, _ = _fit_k1(t[deep], logp[deep])
         main = np.exp(lam * t + b) * np.maximum(A - t, 1e-300)
     rem = p - main
-    keep = shallow & (np.abs(rem) > floor)
+    keep = shallow & (np.abs(rem) > _noise_floor(profile))
     r = rem * np.exp(-(lam + delta) * (t - t[-1]))  # normalized at the window end
     return fit, t[keep], r[keep]
 
@@ -250,10 +251,8 @@ def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
     """
     if not 0.0 < delta < sd.gamma_K - sd.lambda_l:
         raise ValueError(f"delta must lie in (0, {sd.gamma_K - sd.lambda_l:g})")
-    fu = profile.convergence.get("final_update", 0.0)
-    floor = max(1e-12, 30.0 * fu)
     notes = []
-    fit, t, r = _remainder_r(profile, delta, floor)
+    fit, t, r = _remainder_r(profile, delta)
     if len(t) < 10:
         return RepresentationReport(passed=False, slope=math.nan, sup_r=math.nan,
                                     l2_r=math.nan, delta=delta,
@@ -267,8 +266,7 @@ def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
     l2_ref = None
     stable = None
     if refined is not None:
-        fu_ref = refined.convergence.get("final_update", 0.0)
-        _, t2, r2 = _remainder_r(refined, delta, max(1e-12, 30.0 * fu_ref))
+        _, t2, r2 = _remainder_r(refined, delta)
         if len(t2) >= 10:
             l2_ref = float(np.sqrt(_trapezoid(r2 * r2, t2)))
             stable = abs(l2_ref - l2) <= 0.2 * max(l2, l2_ref)

@@ -104,8 +104,7 @@ def _speed_of(cfg: dict) -> float:
 
 
 def _problem(spec, cfg):
-    return spec.to_convolution_form(_speed_of(cfg), cfg.get("bound"),
-                                    cfg.get("margin", 1.0))
+    return spec.to_convolution_form(_speed_of(cfg), cfg.get("bound"))
 
 
 def cmd_analyze(args) -> int:
@@ -134,7 +133,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_speed(args) -> int:
     spec, cfg = load_model(args.model)
-    c_star, z_star = model_min_speed(spec, cfg.get("bound"), cfg.get("margin", 1.0))
+    c_star, z_star = model_min_speed(spec, cfg.get("bound"))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "speed.json"),
            {**_stamp(cfg, args), "c_star": c_star, "z_star": z_star})

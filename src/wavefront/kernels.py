@@ -829,14 +829,14 @@ def _shift(ts, G, shift, lam_left):
 def _shift_factor(shift, lam, dt):
     """Factor by which :func:`_shift` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
 
-    Where e^{lam dt} would overflow or e^{-lam m dt} underflows to 0 (m >= 1), it sums
+    Where e^{lam dt} would overflow or e^{-lam m dt} is subnormal or 0 (m >= 1), it sums
     the two taps one by one: (1 - f) e^{-lam m dt} + f e^{-lam (m - 1) dt}, f = m - s.
     """
     if shift == 0.0:
         return 1.0
     s, m = _snap_steps(shift, dt)
     step = math.exp(-lam * m * dt)
-    if m >= 1 and (lam * dt > 700.0 or step == 0.0):
+    if m >= 1 and (lam * dt > 700.0 or step < np.finfo(float).tiny):
         f = m - s
         return (1.0 - f) * step + f * math.exp(-lam * (m - 1) * dt)
     return step * (1.0 + (m - s) * math.expm1(lam * dt))

@@ -46,7 +46,6 @@ __all__ = [
     "NonlocalLattice",
     "NonlocalDelayedRD",
     "LocalDelayedRD",
-    "beta_select",
     "model_min_speed",
     "load_model",
     "nonlinearity_from_dict",
@@ -156,33 +155,6 @@ def tabulated_nonlinearity(u, g) -> Nonlinearity:
         raise ValueError("u samples must be strictly increasing")
     return Nonlinearity(fn=lambda x: np.interp(np.asarray(x, dtype=float), u, g),
                         gprime0=float(g[1] / u[1]), name="tabulated")
-
-
-def beta_select(n: Nonlinearity, M: float, role: str = "birth", margin: float = 1.0) -> float:
-    """Slope shift beta making the shifted term Lipschitz on [0, M].
-
-    birth:   g_beta(s) = g(s) + beta s with constant beta + g'(0);
-             beta = max(0, (-inf g' - g'(0)) / 2) + margin.
-    damping: f_beta(s) = beta s - f(s) >= 0 with constant beta - inf f';
-             beta = max(f'(0), sup f' - inf f', sup f') + margin, the extra
-             sup f' term keeping f_beta nondecreasing for slope profiles the
-             midpoint rule alone would miss.
-
-    ``inf f'`` for the damping role is taken over s >= 0, read on [0, S_MAX]
-    like the damping's monotonicity check and chi_1 weight.
-    """
-    if M <= 0:
-        raise DegenerateRange("bound M must be positive")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    if role == "birth":
-        inf_d, _ = n.slopes(0.0, M)
-        return max(0.0, (-inf_d - n.gprime0) / 2.0) + margin
-    if role == "damping":
-        _, sup_d = n.slopes(0.0, M)
-        inf_d, _ = n.slopes(0.0, S_MAX)
-        return max(n.gprime0, sup_d - inf_d, sup_d) + margin
-    raise ValueError("role must be 'birth' or 'damping'")
 
 
 def _birth_shift(g: Nonlinearity, beta: float) -> Nonlinearity:
@@ -323,14 +295,11 @@ class ModelSpec:
     def default_bound(self) -> float:
         raise NotImplementedError
 
-    def to_convolution_form(self, c: float, M: float | None = None,
-                            margin: float = 1.0) -> ConvolutionProblem:
+    def to_convolution_form(self, c: float, M: float | None = None) -> ConvolutionProblem:
         raise NotImplementedError
 
-    def _resolve_bound(self, M: float | None, margin: float) -> float:
-        """The solution bound M (``default_bound()`` when None); M and margin must be positive."""
-        if not margin > 0:
-            raise ValueError(f"margin must be positive, got {margin:g}")
+    def _resolve_bound(self, M: float | None) -> float:
+        """The solution bound M (``default_bound()`` when None); M must be positive."""
         if M is None:
             return self.default_bound()
         if not M > 0:
@@ -352,14 +321,14 @@ class ModelSpec:
         """z-interval on which tilde_chi is evaluable (independent of beta)."""
         raise NotImplementedError
 
-    def _checked_bound(self, c: float, M: float | None, margin: float) -> float:
+    def _checked_bound(self, c: float, M: float | None) -> float:
         """Every family's ``to_convolution_form`` preamble: check c, then resolve M."""
         if c == 0:
             raise ZeroSpeed("c = 0: stationary fronts are out of scope")
         if c < 0 and not self.admits_nonpositive_speed:
             raise HypothesisViolation(
                 f"family '{self.family}' supports positive wave speeds only")
-        return self._resolve_bound(M, margin)
+        return self._resolve_bound(M)
 
 
 @dataclass(frozen=True)
@@ -376,9 +345,11 @@ class NonlocalKPP(ModelSpec):
         slope = self.J.mass - 1.0
         return _bound_from(lambda x: slope * x + self.g(x))
 
-    def to_convolution_form(self, c, M=None, margin=1.0):
-        M = self._checked_bound(c, M, margin)
-        beta = beta_select(self.g, M, role="birth", margin=margin)
+    def to_convolution_form(self, c, M=None):
+        M = self._checked_bound(c, M)
+        # g_beta(s) = g(s) + beta s has constant beta + g'(0) on [0, M]
+        inf_d, _ = self.g.slopes(0.0, M)
+        beta = max(0.0, (-inf_d - self.g.gprime0) / 2.0) + 1.0
         k = OneSidedExponential(rate=(1.0 + beta) / abs(c),
                                 direction=1 if c > 0 else -1,
                                 scale=1.0 / (1.0 + beta))
@@ -434,8 +405,8 @@ class NonlocalLattice(ModelSpec):
         s = self.comb.mass
         return _bound_from(lambda x: s * self.g(x) - self.d * x)
 
-    def to_convolution_form(self, c, M=None, margin=1.0):
-        M = self._checked_bound(c, M, margin)
+    def to_convolution_form(self, c, M=None):
+        M = self._checked_bound(c, M)
         H0 = OneSidedExponential(rate=(2.0 * self.D + self.d) / c,
                                  scale=1.0 / (2.0 * self.D + self.d))
         neigh = DiracComb((-1.0, 1.0), (self.D, self.D))
@@ -460,7 +431,10 @@ class NonlocalLattice(ModelSpec):
 
 @dataclass(frozen=True)
 class NonlocalDelayedRD(ModelSpec):
-    """u_t = u_xx - f(u) + (k * g(u(t-h, .)))(x) with strictly increasing damping f."""
+    """u_t = u_xx - f(u) + (k * g(u(t-h, .)))(x) with strictly increasing damping f.
+
+    ``inf_fprime`` is inf f' over s >= 0, read on [0, S_MAX].
+    """
 
     f: Nonlinearity
     g: Nonlinearity
@@ -472,22 +446,27 @@ class NonlocalDelayedRD(ModelSpec):
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
-        if self.f.slopes(0.0, S_MAX)[0] < -1e-9:
+        object.__setattr__(self, "inf_fprime", self.f.slopes(0.0, S_MAX)[0])
+        if self.inf_fprime < -1e-9:
             raise HypothesisViolation("damping term must be increasing")
 
     def default_bound(self):
         mass = self.k.mass
         return _bound_from(lambda x: mass * self.g(x) - self.f(x))
 
-    def to_convolution_form(self, c, M=None, margin=1.0):
-        M = self._checked_bound(c, M, margin)
-        beta = beta_select(self.f, M, role="damping", margin=margin)
+    def to_convolution_form(self, c, M=None):
+        M = self._checked_bound(c, M)
+        # f_beta(s) = beta s - f(s) >= 0 has constant beta - inf f'; the sup f'
+        # term (over [0, M]) keeps it nondecreasing for slope profiles the
+        # midpoint rule alone would miss
+        _, sup_d = self.f.slopes(0.0, M)
+        beta = max(self.f.gprime0, sup_d - self.inf_fprime, sup_d) + 1.0
         green = PiecewiseGreen.from_speed_damping(c, beta)
         k_h = shift_kernel(self.k, c * self.delay)
         fb = _damping_shift(self.f, beta)
         atoms = (
             Atom(convolve(k_h, green), self.g, self.g.gprime0),
-            Atom(green, fb, beta - self.f.slopes(0.0, S_MAX)[0]),
+            Atom(green, fb, beta - self.inf_fprime),
         )
         return ConvolutionProblem(atoms, c, beta, M)
 
@@ -498,7 +477,7 @@ class NonlocalDelayedRD(ModelSpec):
 
     def tilde_chi_lipschitz(self, z, c):
         z = np.asarray(z)
-        return (c * z - z * z + self.f.slopes(0.0, S_MAX)[0]
+        return (c * z - z * z + self.inf_fprime
                 - self.g.gprime0 * np.exp(-z * c * self.delay) * self.k.laplace(z))
 
     def denominator(self, z, c, beta):
@@ -528,8 +507,8 @@ class LocalDelayedRD(ModelSpec):
     def default_bound(self):
         return _bound_from(lambda x: self.g(x) - x)
 
-    def to_convolution_form(self, c, M=None, margin=1.0):
-        M = self._checked_bound(c, M, margin)
+    def to_convolution_form(self, c, M=None):
+        M = self._checked_bound(c, M)
         green = shift_kernel(PiecewiseGreen.from_speed_damping(c, 1.0), c * self.delay)
         atoms = (Atom(green, self.g, self.L),)
         return ConvolutionProblem(atoms, c, 0.0, M)
@@ -564,7 +543,7 @@ def _closed_max_at(m: ModelSpec):
     return _cached_max(lambda c: (partial(m.tilde_chi_lipschitz, c=c), m.tilde_strip(c)))
 
 
-def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
+def model_min_speed(m: ModelSpec, M: float | None = None,
                     via: str = "assembled") -> tuple[float, float]:
     """Minimal admissible speed (c*, z*) of the family's characteristic function.
 
@@ -577,16 +556,16 @@ def model_min_speed(m: ModelSpec, M: float | None = None, margin: float = 1.0,
     """
     if via == "assembled":
         # the bound does not depend on c: resolve it once, not per trial speed
-        M = m._resolve_bound(M, margin)
+        M = m._resolve_bound(M)
 
         def assembled(c: float):
-            cf = m.to_convolution_form(c, M, margin).charfun_lipschitz()
+            cf = m.to_convolution_form(c, M).charfun_lipschitz()
             return cf, cf.strip
 
         max_at = _cached_max(assembled)
     elif via == "closed_form":
         # chi_1(0) < 0 need not mean chi(0) < 0: one assembly checks the latter
-        m.to_convolution_form(1.0, M, margin)
+        m.to_convolution_form(1.0, M)
         max_at = _closed_max_at(m)
     else:
         raise ValueError("via must be 'assembled' or 'closed_form'")
@@ -640,7 +619,7 @@ def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
 
 
 # the keys each family reads, besides "family" and "nonlinearity", and the
-# run keys "c", "bound" and "margin" that the commands read
+# run keys "c" and "bound" that the commands read
 _MODEL_KEYS = {"nonlocal_kpp": ("kernel",),
                "nonlocal_lattice": ("D", "d", "beta", "delay"),
                "nonlocal_delayed_rd": ("damping", "kernel", "delay"),
@@ -652,8 +631,8 @@ def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
     family = _object(spec, "model").get("family")
     if family not in _MODEL_KEYS:
         raise ValueError(f"unknown family {family!r}")
-    _check_keys(spec, ("family", "nonlinearity", "c", "bound", "margin",
-                       *_MODEL_KEYS[family]), f"{family} model")
+    _check_keys(spec, ("family", "nonlinearity", "c", "bound", *_MODEL_KEYS[family]),
+                f"{family} model")
     g = nonlinearity_from_dict(spec["nonlinearity"])
     if family == "nonlocal_kpp":
         return NonlocalKPP(J=kernel_from_dict(spec["kernel"], base_dir), g=g)
@@ -688,12 +667,26 @@ def _float_sized_int(text: str) -> int:
     return n
 
 
+# the keys whose value is a string; every other value is a number, an
+# object or an array, and no value, in an array or not, is a boolean
+_STRING_KEYS = ("family", "kind", "shape", "path")
+
+
+def _typed_object(pairs) -> dict:
+    for key, value in pairs:
+        for v in value if isinstance(value, list) else (value,):
+            if isinstance(v, bool) or (isinstance(v, str) and key not in _STRING_KEYS):
+                kind = "boolean" if isinstance(v, bool) else "string"
+                raise ValueError(f"{key} takes no {kind}, got {json.dumps(v)}")
+    return dict(pairs)
+
+
 def load_model(path) -> tuple[ModelSpec, dict]:
     """Load a model JSON file; returns (spec, full config dict).
 
     A relative kernel ``path`` inside it is read from the file's directory.
     """
     with open(path) as fh:
-        cfg = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float,
-                        parse_int=_float_sized_int)
+        cfg = json.load(fh, object_pairs_hook=_typed_object, parse_constant=_finite_float,
+                        parse_float=_finite_float, parse_int=_float_sized_int)
     return model_from_dict(cfg, os.path.dirname(path)), cfg

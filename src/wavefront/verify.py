@@ -14,7 +14,7 @@ import numpy as np
 
 from . import wavesolver
 from .asymptotics import fit_decay
-from .errors import MaxIterExceeded, NoCrossing, NoWave, TailUnresolved
+from .errors import MaxIterExceeded, NoWave, TailUnresolved
 from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, solve_profile
 
@@ -114,15 +114,17 @@ def _holder_fit(g, sigma: float) -> tuple[float, float] | None:
     return float(np.exp(intercept)), float(alpha)
 
 
-def audit_hypotheses(p: ConvolutionProblem, M: float) -> list[Check]:
+def audit_hypotheses(p: ConvolutionProblem) -> list[Check]:
     """Audit the slope and smallness conditions backing the uniqueness routes.
 
-    Per atom: the subtangential bound |g(u)-g(v)| <= g'(0)|u-v| on [0, M]
-    (sampled slopes), the global Lipschitz alternative with its constant,
-    the small-u deviation exponent |g(u) - g'(0)u| <= C u^{1+alpha}, and
-    exponential domination of the kernel.  The summary check names which
-    uniqueness route the audit supports.
+    Per atom: the subtangential bound |g(u)-g(v)| <= g'(0)|u-v| on [0, M],
+    with M the problem's bound (sampled slopes), the global Lipschitz
+    alternative with its constant, the small-u deviation exponent
+    |g(u) - g'(0)u| <= C u^{1+alpha}, and exponential domination of the
+    kernel.  The summary check names which uniqueness route the audit
+    supports.
     """
+    M = p.bound
     checks: list[Check] = []
     subtangential_all = True
     lipschitz_all = True
@@ -236,13 +238,13 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid, inits,
             "speed must be at or above the minimal admissible speed",
             {"speed": prob.speed, "classification": admissibility}))
         return report
-    report.checks.extend(audit_hypotheses(prob, prob.bound))
+    report.checks.extend(audit_hypotheses(prob))
 
     profiles: list[WaveProfile] = []
     for i, init in enumerate(inits):
         try:
             profiles.append(solve_profile(prob, grid, init, opts))
-        except (NoWave, NoCrossing, MaxIterExceeded, TailUnresolved) as exc:
+        except (NoWave, MaxIterExceeded, TailUnresolved) as exc:
             report.checks.append(Check(
                 f"solve[init{i}]", "fail",
                 "fixed-point solve must produce a resolved profile",

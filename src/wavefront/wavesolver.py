@@ -137,11 +137,11 @@ def residual(p: ConvolutionProblem, profile: WaveProfile) -> float:
 def level_crossing(ts: np.ndarray, values: np.ndarray, level: float) -> float:
     """First upcrossing of ``level`` from the left, sub-grid by interpolation."""
     above = np.where(values >= level)[0]
-    if len(above) == 0 or above[0] == 0:
-        if len(above) and above[0] == 0:
-            return float(ts[0])
+    if len(above) == 0:
         raise NoCrossing(f"profile never reaches level {level:g}")
     i = above[0]
+    if i == 0:
+        return float(ts[0])
     f = (level - values[i - 1]) / (values[i] - values[i - 1])
     return float(ts[i - 1] + f * (ts[i] - ts[i - 1]))
 

@@ -125,7 +125,8 @@ def test_criterion_04_reduction_identity():
 def test_criterion_05_beta_invariance():
     kpp = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
     with criterion(5, 10.0, "c* of the dispersal family is slope-shift invariant"):
-        cs = [wf.model_min_speed(kpp, margin=mg)[0] for mg in (0.1, 1.0, 10.0)]
+        # the bound M sets beta = 2 M - 1: 2, 5 and 19
+        cs = [wf.model_min_speed(kpp, M)[0] for M in (1.5, 3.0, 10.0)]
         assert max(cs) - min(cs) < 1e-8
         for c in cs:
             assert abs(c - GAUSS_C_STAR) < 1e-8

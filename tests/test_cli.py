@@ -88,8 +88,14 @@ LATTICE = {"family": "nonlocal_lattice", "c": 2.5, "D": 1.0, "d": 1.0,
     ("analyze", {**LATTICE, "beta": [[0, 1.0]]}),
     ("solve", {**LOCAL, "bound": "x"}),
     ("analyze", {**KPP, "kernel": {"shape": "gaussian", "variance": 1.0, "shift": "0.5"}}),
+    ("analyze", {**LOCAL, "c": "2.5"}),
+    ("analyze", {**LOCAL, "c": True}),
+    ("analyze", {**LOCAL, "delay": True}),
+    ("analyze", {**LATTICE, "beta": {"0": "1.0"}}),
+    ("analyze", {**KPP, "kernel": {"shape": "dirac_comb", "offsets": [True], "weights": [1.0]}}),
 ], ids=["c-null", "rate-string", "variance-string", "kernel-string", "top-level-list",
-        "offsets-number", "beta-list", "bound-string", "shift-string"])
+        "offsets-number", "beta-list", "bound-string", "shift-string", "c-string", "c-true",
+        "delay-true", "beta-weight-string", "offsets-true"])
 def test_wrongly_typed_model_value_is_usage_error(tmp_path, capsys, command, cfg):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -133,7 +139,7 @@ def test_non_finite_model_number_is_usage_error(tmp_path, capsys, text):
 MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
 
 
-@pytest.mark.parametrize("field", ["bound", "margin"])
+@pytest.mark.parametrize("field", ["bound"])
 @pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
 def test_non_positive_bound_or_margin_is_usage_error(tmp_path, capsys, path, field):
     cfg = json.loads(path.read_text())
@@ -198,7 +204,8 @@ def test_unknown_kernel_key_is_usage_error(tmp_path, capsys, kernel, key):
     ({**KPP, "delay": 0.5}, "delay"),
     ({**KPP, "family": "nonlocal_delayed_rd",
       "damping": {"kind": "linear", "slope": 1.0, "rate": 2.0}}, "rate"),
-], ids=["model", "nonlinearity", "other-family", "damping"])
+    ({**LOCAL, "margin": 1.0}, "margin"),
+], ids=["model", "nonlinearity", "other-family", "damping", "margin"])
 def test_unknown_model_key_is_usage_error(tmp_path, capsys, model, key):
     # each of these once ran with the key dropped: the first gave c* = 2
     bad = tmp_path / "bad.json"

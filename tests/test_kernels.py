@@ -660,11 +660,12 @@ def test_shift_kernel_is_a_unit_point_mass(kd, u, y, data, seed, closed):
 
 # (shift, dt, lam dt): a rightward shift at large lam, where e^{lam dt}
 # overflows from lam dt = 709.8 while the factor itself is at most 1; and
-# 1.516 steps, where e^{-2 lam dt} underflows to 0 from lam dt = 372.5 while
-# the factor, about 0.484 e^{-lam dt}, is a normal float
+# 1.516 steps, where e^{-2 lam dt} is subnormal from lam dt = 354 and 0 from
+# 372.5 while the factor, about 0.484 e^{-lam dt}, is a normal float
 SHIFT_FACTOR_CASES = ([(shift, 0.0244, lam_dt) for lam_dt in (690.0, 700.5, 750.0, 5000.0)
                        for shift in (2.0, 0.5, 0.0370)]
-                      + [(1.516 * 0.0244, 0.0244, lam_dt) for lam_dt in (380.0, 500.0, 690.0)])
+                      + [(1.516 * 0.0244, 0.0244, lam_dt)
+                         for lam_dt in (380.0, 500.0, 690.0, 360.0, 365.0, 370.0, 372.0)])
 
 
 @pytest.mark.parametrize("shift,dt,lam_dt", SHIFT_FACTOR_CASES,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import wavefront as wf
 from wavefront import models
-from wavefront.errors import DegenerateRange, HypothesisViolation, ZeroSpeed
+from wavefront.errors import HypothesisViolation, ZeroSpeed
 from wavefront.models import model_from_dict
 
 from quadrature import laplace_by_quad
@@ -90,7 +90,7 @@ def test_min_speed_samples_each_slope_interval_once(name, intervals, monkeypatch
     monkeypatch.setattr(wf.Nonlinearity, "derivative", counting)
     # loading reads the damping's [0, S_MAX] slopes already
     spec, cfg = wf.load_model(MODELS_DIR / f"{name}.json")
-    wf.model_min_speed(spec, cfg.get("bound"), cfg.get("margin", 1.0))
+    wf.model_min_speed(spec, cfg.get("bound"))
     assert len(sampled) == len(set(sampled)) == intervals
 
 
@@ -105,21 +105,17 @@ def test_shipped_atom_transforms_match_quadrature(path):
 
 
 def test_beta_select_birth_branches():
-    g = wf.logistic(2.0, 1.0)
-    # inf g' on [0, 1.5] is -4: beta = (4 - 2)/2 + margin
-    assert wf.beta_select(g, 1.5, role="birth", margin=1.0) == pytest.approx(2.0)
-    assert wf.beta_select(g, 1.5, role="birth", margin=0.25) == pytest.approx(1.25)
+    m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
+    # inf g' on [0, 1.5] is -4: beta = (4 - 2)/2 + 1
+    assert m.to_convolution_form(3.0, 1.5).beta_used == pytest.approx(2.0)
     # slopes never fall below -g'(0) on [0, 1]: the max(0, .) branch
-    assert wf.beta_select(g, 1.0, role="birth", margin=1.0) == pytest.approx(1.0, rel=1e-3)
+    assert m.to_convolution_form(3.0, 1.0).beta_used == pytest.approx(1.0, rel=1e-3)
 
 
 def test_beta_select_damping_linear():
-    f = wf.linear(1.0)
-    assert wf.beta_select(f, 3.0, role="damping", margin=1.0) == pytest.approx(2.0)
-    with pytest.raises(DegenerateRange):
-        wf.beta_select(f, -1.0, role="damping")
-    with pytest.raises(DegenerateRange):
-        wf.beta_select(f, 0.0, role="birth")
+    m = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
+                             k=wf.GaussianKernel(1.0), delay=0.5)
+    assert m.to_convolution_form(3.0, 3.0).beta_used == pytest.approx(2.0)
 
 
 def test_tabulated_nonlinearity():
@@ -138,7 +134,8 @@ def test_tabulated_nonlinearity():
     assert float(g.derivative(0.0)) == pytest.approx(g.gprime0, rel=1e-9)
     # the steepest segment is the last, [1.995, 2]
     assert g.lipschitz_on(2.0) == pytest.approx(5.99, rel=1e-8)
-    assert wf.beta_select(g, 2.0, role="birth", margin=1.0) == pytest.approx(
+    m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=g)
+    assert m.to_convolution_form(3.0, 2.0).beta_used == pytest.approx(
         (5.99 - 1.99) / 2.0 + 1.0, rel=1e-8)
 
 
@@ -160,7 +157,7 @@ def test_local_family_reduction():
 
 def test_kpp_reduction_atoms():
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    prob = m.to_convolution_form(1.0, M=0.5, margin=1.0)  # beta = 1
+    prob = m.to_convolution_form(1.0, M=0.5)  # beta = 1
     assert prob.beta_used == pytest.approx(1.0, rel=1e-3)
     conv_atom, exp_atom = prob.atoms
     assert isinstance(conv_atom.kernel, wf.ConvolvedKernel)
@@ -175,7 +172,7 @@ def test_kpp_reduction_atoms():
 def test_kpp_assembled_chi_example():
     # beta = 1, c = 1, z = 1: chi = -e^{1/2}/3
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    prob = m.to_convolution_form(1.0, M=0.5, margin=1.0)
+    prob = m.to_convolution_form(1.0, M=0.5)
     assert prob.beta_used == pytest.approx(1.0, rel=1e-6)
     val = complex(prob.charfun()(1.0)).real
     assert val == pytest.approx(-math.exp(0.5) / 3.0, rel=1e-9)
@@ -185,7 +182,7 @@ def test_kpp_assembled_chi_example():
 
 def test_kpp_negative_speed_reduction():
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    prob = m.to_convolution_form(-1.0, M=0.5, margin=1.0)
+    prob = m.to_convolution_form(-1.0, M=0.5)
     k = prob.atoms[1].kernel
     assert k.direction == -1
     # transform is 1/(1 + beta + c z) on Re z < (1+beta)/|c|
@@ -238,7 +235,7 @@ def test_lattice_truncation_reported():
 def test_nonlocal_rd_reduction():
     m = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
                              k=wf.GaussianKernel(1.0), delay=0.5)
-    prob = m.to_convolution_form(2.0, M=1.0, margin=1.0)
+    prob = m.to_convolution_form(2.0, M=1.0)
     assert prob.beta_used == pytest.approx(2.0)  # f' = 1: max(1, 0, 1) + 1
     birth, damping = prob.atoms
     assert isinstance(damping.kernel, wf.PiecewiseGreen)
@@ -503,13 +500,17 @@ def test_shifted_gaussian_kpp_min_speed_matches_grid_search():
 
 def test_beta_invariance_of_min_speed():
     kpp = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    cs = [wf.model_min_speed(kpp, margin=mg)[0] for mg in (0.1, 1.0, 10.0)]
+    # the bound M sets beta = 2 M - 1: 2, 5 and 19
+    cs = [wf.model_min_speed(kpp, M)[0] for M in (1.5, 3.0, 10.0)]
     assert max(cs) - min(cs) < 1e-8
     assert cs[1] == pytest.approx(GAUSS_C_STAR, abs=1e-8)
 
-    nrd = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
-                               k=wf.GaussianKernel(1.0), delay=0.5)
-    cs2 = [wf.model_min_speed(nrd, margin=mg)[0] for mg in (0.1, 1.0, 10.0)]
+    # a linear damping gives beta = 2 whatever M is; f(u) = u + u^2 gives
+    # beta ~ 2 M + 2: about 3.5, 8 and 22
+    u = np.linspace(0.0, 100.0, 2001)
+    nrd = wf.NonlocalDelayedRD(f=wf.tabulated_nonlinearity(u, u + u * u),
+                               g=wf.logistic(2.0, 1.0), k=wf.GaussianKernel(1.0), delay=0.5)
+    cs2 = [wf.model_min_speed(nrd, M)[0] for M in (0.75, 3.0, 10.0)]
     assert max(cs2) - min(cs2) < 1e-8
 
 

@@ -89,7 +89,7 @@ def test_nonexistence_coherence(local_model, rng):
 
 def test_audit_logistic_subtangential(local_model):
     prob = local_model.to_convolution_form(2.5, M=1.0)
-    checks = {c.name: c for c in wf.audit_hypotheses(prob, 1.0)}
+    checks = {c.name: c for c in wf.audit_hypotheses(prob)}
     sub = checks["subtangential[atom0:logistic]"]
     assert sub.status == "pass"
     assert sub.details["sup_abs_slope"] == pytest.approx(2.0, rel=1e-3)
@@ -107,7 +107,7 @@ def test_audit_steep_saturating_term_routes_to_lipschitz():
     g = wf.mackey_glass(2.0, 6.0)
     m = wf.LocalDelayedRD(g=g, L=g.lipschitz_on(2.0), delay=0.0)
     prob = m.to_convolution_form(3.0, M=2.0)
-    checks = {c.name: c for c in wf.audit_hypotheses(prob, 2.0)}
+    checks = {c.name: c for c in wf.audit_hypotheses(prob)}
     sub = checks["subtangential[atom0:mackey_glass]"]
     assert sub.status == "fail"
     assert sub.details["sup_abs_slope"] > 2.0
@@ -123,14 +123,14 @@ def test_audit_route_exclusivity():
     g = wf.logistic(2.0, 1.0)
     m = wf.LocalDelayedRD(g=g, L=3.0, delay=0.0)  # generous global constant
     prob = m.to_convolution_form(2.5, M=1.0)
-    checks = {c.name: c for c in wf.audit_hypotheses(prob, 1.0)}
+    checks = {c.name: c for c in wf.audit_hypotheses(prob)}
     assert checks["lipschitz[atom0:logistic]"].status == "pass"
     assert "subtangential" in checks["uniqueness_route"].details["route"]
 
 
 def test_audit_linear_skips_holder_fit():
     prob = degenerate_problem(2.0, wf.OneSidedExponential(rate=1.0))
-    checks = {c.name: c for c in wf.audit_hypotheses(prob, 1.0)}
+    checks = {c.name: c for c in wf.audit_hypotheses(prob)}
     hol = checks["holder[atom0:linear]"]
     assert hol.status == "pass"
     assert "linear" in hol.details["note"]

@@ -271,7 +271,7 @@ def test_operator_upper_solution_property():
 
 def shipped_problem(path):
     spec, cfg = wf.load_model(path)
-    return spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"), cfg.get("margin", 1.0))
+    return spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"))
 
 
 def full_grid_decay_rate(p, grid, lam_guess):
@@ -316,9 +316,9 @@ def test_closure_rate_is_grid_tangency_point_or_left_zero(path, factor):
     # so the rate is its maximizer; at 1.01 c* it is its left zero.  The
     # oracle is a dense scan of chi_h, refined by SciPy
     spec, cfg = wf.load_model(path)
-    bound, margin = cfg.get("bound"), cfg.get("margin", 1.0)
-    c_star, z_star = wf.model_min_speed(spec, bound, margin)
-    prob = spec.to_convolution_form(factor * c_star, bound, margin)
+    bound = cfg.get("bound")
+    c_star, z_star = wf.model_min_speed(spec, bound)
+    prob = spec.to_convolution_form(factor * c_star, bound)
     grid = wf.Grid(-60.0, 40.0, 4096)
 
     def chi_h(lam):
@@ -446,7 +446,7 @@ def test_relaxation_is_one_on_shipped_models(path):
     # every shipped problem is order-preserving on [0, kappa]; on
     # local_delayed_rd kappa rounds up and leaves theta one rounding below 1
     spec, cfg = wf.load_model(path)
-    prob = spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"), cfg.get("margin", 1.0))
+    prob = spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"))
     assert prob.relaxation == pytest.approx(1.0, abs=1e-12)
 
 
@@ -534,12 +534,12 @@ def test_solve_below_minimal_speed_rejected():
 def test_shipped_models_below_c_star_recede_within_1000_sweeps(path, monkeypatch):
     # chi has no positive zero, so the verdict needs no sweep
     spec, cfg = wf.load_model(path)
-    M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
-    c_star, _ = wf.model_min_speed(spec, M, margin)
+    M = cfg.get("bound")
+    c_star, _ = wf.model_min_speed(spec, M)
     grid = wf.Grid(-60.0, 40.0, 4096)
     sweeps = count_sweeps(monkeypatch)
     for fraction in (0.8, 0.95, 0.99):
-        prob = spec.to_convolution_form(fraction * c_star, M, margin)
+        prob = spec.to_convolution_form(fraction * c_star, M)
         assert prob.spectral is None
         with pytest.raises(NoWave, match="no positive zero of chi"):
             wf.solve_profile(prob, grid,
@@ -552,9 +552,9 @@ def test_shipped_models_just_below_c_star_give_no_wave(path, monkeypatch):
     # just below c* the pinned front barely drifts; with no positive zero of
     # chi there is still no wave (necessity argument), decided before a sweep
     spec, cfg = wf.load_model(path)
-    M, margin = cfg.get("bound"), cfg.get("margin", 1.0)
-    c_star, _ = wf.model_min_speed(spec, M, margin)
-    prob = spec.to_convolution_form(0.999 * c_star, M, margin)
+    M = cfg.get("bound")
+    c_star, _ = wf.model_min_speed(spec, M)
+    prob = spec.to_convolution_form(0.999 * c_star, M)
     assert prob.spectral is None
     sweeps = count_sweeps(monkeypatch)
     # the CLI's grid, tolerance, iteration cap and default init

@@ -22,7 +22,7 @@ from .wavesolver import (CappedExponential, Grid, SolveOptions, WaveProfile,
                          apply_operator, discrete_decay_rate, residual,
                          solve_profile)
 from .asymptotics import (DecayFit, check_representation, fit_decay,
-                          max_supported_delta, psi_integral)
+                          max_supported_delta)
 from .verify import (Check, VerifyReport, align_translate, audit_hypotheses,
                      mollison_check, speed_admissibility, uniqueness_probe)
 

@@ -25,7 +25,6 @@ __all__ = [
     "fit_decay",
     "RepresentationReport",
     "check_representation",
-    "psi_integral",
     "max_supported_delta",
 ]
 
@@ -278,20 +277,3 @@ def check_representation(profile: WaveProfile, sd: SpectralData, delta: float,
                                 l2_refined=l2_ref, stable=stable,
                                 notes="; ".join(notes))
 
-
-def psi_integral(profile: WaveProfile, fit: DecayFit | None = None) -> np.ndarray:
-    """psi(t) = integral_{-inf}^t phi, cumulative trapezoid plus the tail closure.
-
-    The mass left of the grid is closed analytically as phi(t_min)/lambda,
-    using the fitted decay rate.
-    """
-    vals = profile.values
-    kappa = profile.plateau
-    if vals[0] > TAIL_FRACTION * kappa:
-        raise TailUnresolved("left tail not resolved; psi would miss mass")
-    if fit is None:
-        fit = fit_decay(profile)
-    tail = vals[0] / fit.lambda_hat
-    steps = np.diff(profile.grid.ts) * (vals[1:] + vals[:-1]) / 2.0
-    out = np.concatenate(([0.0], np.cumsum(steps)))
-    return out + tail

@@ -25,8 +25,8 @@ from .charfun import chi, real_roots, strip_zero_scan
 from .errors import (MaxIterExceeded, NoRoots, NoWave, TailUnresolved,
                      WavefrontError)
 from .models import load_model, model_min_speed
-from .verify import mollison_check, uniqueness_probe
-from .wavesolver import CappedExponential, Grid, SolveOptions, solve_profile
+from .verify import uniqueness_probe
+from .wavesolver import Grid, SolveOptions, default_init, solve_profile
 
 log = logging.getLogger("wavefront")
 
@@ -104,7 +104,7 @@ def _speed_of(cfg: dict) -> float:
 
 
 def _problem(spec, cfg):
-    return spec.to_convolution_form(_speed_of(cfg), cfg.get("bound"))
+    return spec.to_convolution_form(_speed_of(cfg))
 
 
 def cmd_analyze(args) -> int:
@@ -133,17 +133,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_speed(args) -> int:
     spec, cfg = load_model(args.model)
-    c_star, z_star = model_min_speed(spec, cfg.get("bound"))
+    c_star, z_star = model_min_speed(spec)
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "speed.json"),
            {**_stamp(cfg, args), "c_star": c_star, "z_star": z_star})
     return EXIT_OK
-
-
-def _default_init(prob) -> CappedExponential:
-    kappa = prob.equilibrium()
-    lam = prob.spectral.lambda_l if prob.spectral is not None else 1.0
-    return CappedExponential(rate=lam, cap=kappa / 2.0)
 
 
 def cmd_solve(args) -> int:
@@ -153,7 +147,7 @@ def cmd_solve(args) -> int:
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     os.makedirs(args.out, exist_ok=True)
     try:
-        profile = solve_profile(prob, grid, _default_init(prob), opts)
+        profile = solve_profile(prob, grid, default_init(prob), opts)
     except (NoWave, MaxIterExceeded, TailUnresolved) as exc:
         _write(os.path.join(args.out, "solve.json"),
                {**_stamp(cfg, args), "error": str(exc),
@@ -170,10 +164,7 @@ def cmd_verify(args) -> int:
     spec, cfg = load_model(args.model)
     grid = _parse_grid(args.grid)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
-    prob = _problem(spec, cfg)
-    ramp = np.clip((grid.ts - grid.t_min) / (0.0 - grid.t_min), 0.0, 1.0) * prob.equilibrium()
-    report = uniqueness_probe(prob, grid, [_default_init(prob), ramp], opts)
-    report.checks.insert(0, mollison_check(prob))
+    report = uniqueness_probe(_problem(spec, cfg), grid, opts)
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "verify.json"),
            {**_stamp(cfg, args), **report.to_dict()})

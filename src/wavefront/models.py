@@ -277,11 +277,19 @@ def _smallest_root(F, hi: float) -> float | None:
 
 
 def _bound_from(F) -> float:
-    """1.5 times the smallest positive root of F on (0, 1], (0, 10] or (0, 100]; else 1."""
+    """1.5 times the smallest positive root of F on (0, 1], (0, 10] or (0, 100].
+
+    F > 0 on all of (0, 100] leaves the model without a positive
+    equilibrium: NoRoots, before any command reports on it.  F < 0 there
+    means F'(0) <= 0, that is chi(0) >= 0, which the assembly refuses by
+    name; the bound 1 stands in until then.
+    """
     for hi in (1.0, 10.0, 100.0):
         kappa = _smallest_root(F, hi)
         if kappa is not None:
             return 1.5 * kappa
+    if F(hi) > 0:
+        raise NoRoots(f"no positive equilibrium on (0, {hi:g}]")
     return 1.0
 
 
@@ -619,7 +627,7 @@ def nonlinearity_from_dict(spec: dict) -> Nonlinearity:
 
 
 # the keys each family reads, besides "family" and "nonlinearity", and the
-# run keys "c" and "bound" that the commands read
+# run key "c" that the commands read
 _MODEL_KEYS = {"nonlocal_kpp": ("kernel",),
                "nonlocal_lattice": ("D", "d", "beta", "delay"),
                "nonlocal_delayed_rd": ("damping", "kernel", "delay"),
@@ -631,7 +639,7 @@ def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
     family = _object(spec, "model").get("family")
     if family not in _MODEL_KEYS:
         raise ValueError(f"unknown family {family!r}")
-    _check_keys(spec, ("family", "nonlinearity", "c", "bound", *_MODEL_KEYS[family]),
+    _check_keys(spec, ("family", "nonlinearity", "c", *_MODEL_KEYS[family]),
                 f"{family} model")
     g = nonlinearity_from_dict(spec["nonlinearity"])
     if family == "nonlocal_kpp":

@@ -38,6 +38,7 @@ __all__ = [
     "WaveProfile",
     "SolveOptions",
     "CappedExponential",
+    "default_init",
     "apply_operator",
     "solve_profile",
     "residual",
@@ -180,6 +181,17 @@ class CappedExponential:
     def on(self, grid: Grid) -> np.ndarray:
         t = grid.ts
         return np.minimum(np.exp(np.minimum(self.rate * t, 700.0)), self.cap)
+
+
+def default_init(p: ConvolutionProblem) -> CappedExponential:
+    """min(e^{lambda_l t}, kappa/2), the initial profile of ``solve`` and of verify's probe.
+
+    Below c* chi has no lambda_l, and the rate 1 stands in: the solve
+    then reports NoWave.
+    """
+    kappa = p.equilibrium()
+    lam = p.spectral.lambda_l if p.spectral is not None else 1.0
+    return CappedExponential(rate=lam, cap=kappa / 2.0)
 
 
 @dataclass(frozen=True)

@@ -183,46 +183,3 @@ def test_max_supported_delta(noncritical_profile):
     assert wf.max_supported_delta(sd, alpha=1.0) == pytest.approx(0.5, abs=1e-9)
     assert wf.max_supported_delta(sd, alpha=0.5) == pytest.approx(0.25, abs=1e-9)
 
-
-# --- psi integral ---------------------------------------------------------------
-
-def test_psi_integral_exponential():
-    prof = synthetic_profile(lambda t: math.exp(0.5 * t) if t <= 0 else 1.0 + 0.5 * t,
-                             t_max=20.0, plateau=1.0)
-    psi = wf.psi_integral(prof, fit=wf.fit_decay(prof, window=(-40.0, -20.0)))
-    ts = prof.grid.ts
-    sel = ts <= -5.0
-    np.testing.assert_allclose(psi[sel], 2.0 * np.exp(0.5 * ts[sel]), rtol=1e-4)
-    # psi of the fitted tail decays at the same rate
-    psi_prof = wf.WaveProfile(grid=prof.grid, values=psi, speed=1.0,
-                              plateau=float(psi.max()),
-                              convergence={"final_update": 0.0})
-    fit_psi = wf.fit_decay(psi_prof, window=(-40.0, -20.0))
-    assert fit_psi.lambda_hat == pytest.approx(0.5, abs=1e-5)
-    assert fit_psi.k_hat == 0
-
-
-def test_psi_grows_linearly_on_plateau(noncritical_profile):
-    _, prof = noncritical_profile
-    psi = wf.psi_integral(prof)
-    ts = prof.grid.ts
-    sel = ts > 20.0
-    slopes = np.diff(psi[sel]) / np.diff(ts[sel])
-    np.testing.assert_allclose(slopes, prof.plateau, rtol=1e-3)
-
-
-def test_psi_rate_matches_phi_rate(noncritical_profile):
-    _, prof = noncritical_profile
-    fit = wf.fit_decay(prof)
-    psi = wf.psi_integral(prof, fit=fit)
-    psi_prof = wf.WaveProfile(grid=prof.grid, values=psi, speed=prof.speed,
-                              plateau=float(psi.max()),
-                              convergence=dict(prof.convergence))
-    fit_psi = wf.fit_decay(psi_prof, window=fit.window)
-    assert abs(fit_psi.lambda_hat - fit.lambda_hat) <= 0.02 * fit.lambda_hat
-
-
-def test_psi_requires_resolved_tail():
-    prof = synthetic_profile(lambda t: 0.5 + 0.4 * math.tanh(t / 20.0))
-    with pytest.raises(TailUnresolved):
-        wf.psi_integral(prof)

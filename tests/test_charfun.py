@@ -346,9 +346,9 @@ def test_strip_zero_scan_other_count_fails():
 
 def model_cf(path, at_c_star):
     spec, cfg = wf.load_model(path)
-    c = (wf.model_min_speed(spec, cfg.get("bound"))[0] if at_c_star
+    c = (wf.model_min_speed(spec)[0] if at_c_star
          else float(cfg["c"]))
-    return spec.to_convolution_form(c, cfg.get("bound")).charfun()
+    return spec.to_convolution_form(c).charfun()
 
 
 @pytest.mark.parametrize("at_c_star", [False, True], ids=["c", "c_star"])

@@ -142,6 +142,7 @@ MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
 @pytest.mark.parametrize("field", ["bound"])
 @pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
 def test_non_positive_bound_or_margin_is_usage_error(tmp_path, capsys, path, field):
+    # M = 1.5 kappa is derived, so no model file sets a bound, of any sign
     cfg = json.loads(path.read_text())
     for value in (-1.0, 0.0):
         bad = tmp_path / "bad.json"
@@ -149,7 +150,7 @@ def test_non_positive_bound_or_margin_is_usage_error(tmp_path, capsys, path, fie
         for command in ("analyze", "speed", "solve"):
             rc = main([command, "--model", str(bad), "--out", str(tmp_path / "o")])
             assert rc == 64, (command, value)
-            assert f"invalid input: {field} must be positive" in capsys.readouterr().err
+            assert f"invalid input: unknown key '{field}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -205,7 +206,8 @@ def test_unknown_kernel_key_is_usage_error(tmp_path, capsys, kernel, key):
     ({**KPP, "family": "nonlocal_delayed_rd",
       "damping": {"kind": "linear", "slope": 1.0, "rate": 2.0}}, "rate"),
     ({**LOCAL, "margin": 1.0}, "margin"),
-], ids=["model", "nonlinearity", "other-family", "damping", "margin"])
+    ({**LOCAL, "bound": 1.0}, "bound"),
+], ids=["model", "nonlinearity", "other-family", "damping", "margin", "bound"])
 def test_unknown_model_key_is_usage_error(tmp_path, capsys, model, key):
     # each of these once ran with the key dropped: the first gave c* = 2
     bad = tmp_path / "bad.json"
@@ -213,6 +215,21 @@ def test_unknown_model_key_is_usage_error(tmp_path, capsys, model, key):
     rc = main(["speed", "--model", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 64
     assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_model_without_equilibrium_fails_every_command(tmp_path, capsys):
+    # mass(J) = 1 and g > 0 on (0, inf): (mass(J) - 1) kappa + g(kappa) = 0
+    # has no positive root, although chi(0) < 0 and c = 4.5 is above c*
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "family": "nonlocal_kpp", "c": 4.5,
+        "kernel": {"shape": "exponential_onesided", "rate": 1.5, "direction": -1},
+        "nonlinearity": {"kind": "mackey_glass", "p": 2.0, "n": 4.0}}))
+    for command in ("analyze", "speed", "solve", "verify", "scan"):
+        out = tmp_path / command
+        assert main([command, "--model", str(model), "--out", str(out)]) == 1, command
+        assert "no positive equilibrium on (0, 100]" in capsys.readouterr().err, command
+        assert not out.exists(), command
 
 
 def test_missing_key_is_usage_error(tmp_path):

@@ -89,8 +89,8 @@ def test_min_speed_samples_each_slope_interval_once(name, intervals, monkeypatch
 
     monkeypatch.setattr(wf.Nonlinearity, "derivative", counting)
     # loading reads the damping's [0, S_MAX] slopes already
-    spec, cfg = wf.load_model(MODELS_DIR / f"{name}.json")
-    wf.model_min_speed(spec, cfg.get("bound"))
+    spec, _ = wf.load_model(MODELS_DIR / f"{name}.json")
+    wf.model_min_speed(spec)
     assert len(sampled) == len(set(sampled)) == intervals
 
 

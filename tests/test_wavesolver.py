@@ -271,7 +271,7 @@ def test_operator_upper_solution_property():
 
 def shipped_problem(path):
     spec, cfg = wf.load_model(path)
-    return spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"))
+    return spec.to_convolution_form(float(cfg["c"]))
 
 
 def full_grid_decay_rate(p, grid, lam_guess):
@@ -315,10 +315,9 @@ def test_closure_rate_is_grid_tangency_point_or_left_zero(path, factor):
     # at c* the grid chi_h of every shipped family stays below 0 (by 4e-5 to 7e-5),
     # so the rate is its maximizer; at 1.01 c* it is its left zero.  The
     # oracle is a dense scan of chi_h, refined by SciPy
-    spec, cfg = wf.load_model(path)
-    bound = cfg.get("bound")
-    c_star, z_star = wf.model_min_speed(spec, bound)
-    prob = spec.to_convolution_form(factor * c_star, bound)
+    spec, _ = wf.load_model(path)
+    c_star, z_star = wf.model_min_speed(spec)
+    prob = spec.to_convolution_form(factor * c_star)
     grid = wf.Grid(-60.0, 40.0, 4096)
 
     def chi_h(lam):
@@ -446,7 +445,7 @@ def test_relaxation_is_one_on_shipped_models(path):
     # every shipped problem is order-preserving on [0, kappa]; on
     # local_delayed_rd kappa rounds up and leaves theta one rounding below 1
     spec, cfg = wf.load_model(path)
-    prob = spec.to_convolution_form(float(cfg["c"]), cfg.get("bound"))
+    prob = spec.to_convolution_form(float(cfg["c"]))
     assert prob.relaxation == pytest.approx(1.0, abs=1e-12)
 
 
@@ -533,13 +532,12 @@ def test_solve_below_minimal_speed_rejected():
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_models_below_c_star_recede_within_1000_sweeps(path, monkeypatch):
     # chi has no positive zero, so the verdict needs no sweep
-    spec, cfg = wf.load_model(path)
-    M = cfg.get("bound")
-    c_star, _ = wf.model_min_speed(spec, M)
+    spec, _ = wf.load_model(path)
+    c_star, _ = wf.model_min_speed(spec)
     grid = wf.Grid(-60.0, 40.0, 4096)
     sweeps = count_sweeps(monkeypatch)
     for fraction in (0.8, 0.95, 0.99):
-        prob = spec.to_convolution_form(fraction * c_star, M)
+        prob = spec.to_convolution_form(fraction * c_star)
         assert prob.spectral is None
         with pytest.raises(NoWave, match="no positive zero of chi"):
             wf.solve_profile(prob, grid,
@@ -551,10 +549,9 @@ def test_shipped_models_below_c_star_recede_within_1000_sweeps(path, monkeypatch
 def test_shipped_models_just_below_c_star_give_no_wave(path, monkeypatch):
     # just below c* the pinned front barely drifts; with no positive zero of
     # chi there is still no wave (necessity argument), decided before a sweep
-    spec, cfg = wf.load_model(path)
-    M = cfg.get("bound")
-    c_star, _ = wf.model_min_speed(spec, M)
-    prob = spec.to_convolution_form(0.999 * c_star, M)
+    spec, _ = wf.load_model(path)
+    c_star, _ = wf.model_min_speed(spec)
+    prob = spec.to_convolution_form(0.999 * c_star)
     assert prob.spectral is None
     sweeps = count_sweeps(monkeypatch)
     # the CLI's grid, tolerance, iteration cap and default init

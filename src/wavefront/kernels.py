@@ -363,8 +363,16 @@ class DiracComb(KernelComponent):
         return (min(self.offsets), max(self.offsets))
 
     def grid_convolve(self, ts, G, lam_left):
-        return reduce(np.add, (w * _shift(ts, G, a, lam_left)
-                               for a, w in zip(self.offsets, self.weights)))
+        # w_1 S_1 G + w_2 S_2 G + ..., summed from the first term on in place
+        plans = _comb_plans(self, float(ts[0]), float(ts[-1]), len(ts), lam_left)
+        out = _stencil(G, plans[0], np.empty(len(G)))
+        out *= self.weights[0]
+        term = np.empty(len(G))
+        for plan, w in zip(plans[1:], self.weights[1:]):
+            _stencil(G, plan, term)
+            term *= w
+            out += term
+        return out
 
     def grid_laplace(self, lam, dt):
         return sum(w * _shift_factor(a, lam, dt) for a, w in zip(self.offsets, self.weights))
@@ -687,9 +695,11 @@ def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
                    lam_left: float | None) -> np.ndarray:
     """integral K(s) G~(t - s) ds on the grid, G~ closed per the solver rules.
 
-    G~ is the piecewise-linear interpolant of G on ts, extended by
-    G[0] e^{lam_left (t - t0)} on the left (0 when lam_left is None) and by
-    its last value G[-1] on the right.
+    ts is a grid's points, ``np.linspace(ts[0], ts[-1], len(ts))`` as
+    :attr:`Grid.ts` builds them: a comb's cached constants are built on
+    that linspace.  G~ is the piecewise-linear interpolant of G on ts,
+    extended by G[0] e^{lam_left (t - t0)} on the left (0 when lam_left is
+    None) and by its last value G[-1] on the right.
     """
     return k.grid_convolve(ts, G, lam_left)
 
@@ -796,6 +806,37 @@ def _snap_steps(shift, dt):
     return s, math.ceil(s)
 
 
+def _shift_plan(ts, shift, lam_left):
+    """(s, m, lo, hi, closure): the constants of a shift by ``shift`` on the uniform grid ts.
+
+    s = shift / step, snapped by :func:`_snap_steps`, and m = ceil(s).
+    Points below lo come from left of ts[0] and take G[0] times the
+    ``closure`` vector e^{lam_left (x - t0)} (0 when lam_left is None), and
+    points from hi on come from ts[-1] or right of it.
+    """
+    n = len(ts)
+    s, m = _snap_steps(shift, _grid_step(ts))
+    lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
+    closure = None if lam_left is None else np.exp(lam_left * (ts[:lo] - shift - ts[0]))
+    return s, m, lo, hi, closure
+
+
+@lru_cache(maxsize=32)
+def _comb_plans(comb, t0, t_end, n, lam_left):
+    """The :func:`_shift_plan` of each atom of ``comb`` on the grid ``Grid(t0, t_end, n).ts``.
+
+    Cached per (comb, grid, closure rate), so a solve builds them once, not
+    once per sweep; the closure vectors are read-only.  The grid points are
+    rebuilt from the key: ``Grid.ts`` is this linspace, bit for bit.
+    """
+    ts = np.linspace(t0, t_end, n)
+    plans = tuple(_shift_plan(ts, a, lam_left) for a in comb.offsets)
+    for plan in plans:
+        if plan[4] is not None:
+            plan[4].flags.writeable = False
+    return plans
+
+
 def _shift(ts, G, shift, lam_left):
     """G~(t - shift) on the uniform grid ts, G~ closed as in :func:`convolve_field`.
 
@@ -804,17 +845,21 @@ def _shift(ts, G, shift, lam_left):
     of a whole number of steps moves G by whole indices, bit for bit.
     Points left of ts[0] take the closure (0, or G[0] e^{lam_left (x - t0)}),
     points at or right of ts[-1] take G[-1], and a zero shift is a copy.
+    The constants are built on every call (the solver's pin moves each
+    sweep); a comb reads its atoms' from :func:`_comb_plans`.
     """
     if shift == 0.0:
         return G.copy()
-    n = len(G)
-    s, m = _snap_steps(shift, _grid_step(ts))
-    lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
-    out = np.empty(n)
-    if lam_left is None:
+    return _stencil(G, _shift_plan(ts, shift, lam_left), np.empty(len(G)))
+
+
+def _stencil(G, plan, out):
+    """Write the shift of :func:`_shift` with the constants ``plan`` into ``out``, and return it."""
+    s, m, lo, hi, closure = plan
+    if closure is None:
         out[:lo] = 0.0
     else:
-        out[:lo] = G[0] * np.exp(lam_left * (ts[:lo] - shift - ts[0]))
+        np.multiply(G[0], closure, out=out[:lo])
     mid, g0 = out[lo:hi], G[lo - m:hi - m]
     if m == s:
         mid[:] = g0

@@ -685,6 +685,55 @@ def test_shift_factor_stays_finite_where_the_step_exponential_overflows(shift, d
         assert got == 0.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(dt=st.sampled_from([0.02, 0.05, 0.1]), data=st.data(),
+       lam_left=st.sampled_from([None, 0.3, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_unit_comb_atom_is_the_pin_shift(dt, data, lam_left, seed):
+    # a comb reads its stencil constants from the cache, built on the
+    # linspace of its key, and the solver's pin builds them from the ts it
+    # is given: on a Grid's points the two are one stencil, byte for byte
+    d = data.draw(grid_shifts(dt))
+    ts = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1).ts
+    G = np.random.default_rng(seed).random(len(ts))
+    assert (convolve_field(wf.DiracComb((d,), (1.0,)), ts, G, lam_left).tobytes()
+            == _shift(ts, G, d, lam_left).tobytes())
+
+
+def test_comb_constants_are_cached_per_grid_and_closure():
+    # a comb's stencil constants are cached per (comb, grid, closure rate): in
+    # an interleaved sequence over two grids of one n and different spans
+    # and three closures, every action equals its cold-cache action, byte
+    # for byte, and a shifted Green kernel's comb factor does the same
+    comb = wf.DiracComb((-1.3, 0.4, 2.0), (0.5, 0.25, 0.25))
+    green = shift_kernel(wf.PiecewiseGreen.from_speed_damping(2.5, 1.0), 0.7)
+    grids = (wf.Grid(-40.0, 30.0, 2048), wf.Grid(-60.0, 40.0, 2048))
+    rng = np.random.default_rng(11)
+    fields = {g: rng.random(g.n) for g in grids}
+    cases = [(k, g, lam) for lam in (None, 0.3, 1.1) for k in (comb, green) for g in grids]
+
+    def action(k, g, lam):
+        return convolve_field(k, g.ts, fields[g], lam).tobytes()
+
+    cold = []
+    for case in cases:
+        kernels._comb_plans.cache_clear()
+        cold.append(action(*case))
+    kernels._comb_plans.cache_clear()
+    order = [*range(len(cases)), *reversed(range(len(cases))), *range(0, len(cases), 5)]
+    for i in order:
+        assert action(*cases[i]) == cold[i]
+    assert kernels._comb_plans.cache_info().hits > 0
+    # the cached closure vectors are read-only
+    for k in (comb, green.a):
+        for g in grids:
+            for plan in kernels._comb_plans(k, g.t_min, g.t_max, g.n, 1.1):
+                closure = plan[-1]
+                assert not closure.flags.writeable
+                if len(closure):
+                    with pytest.raises(ValueError):
+                        closure[0] = 0.0
+
+
 # --- sampled convolution --------------------------------------------------------
 
 def direct_convolve(k, ts, G, lam_left):

@@ -360,6 +360,33 @@ def test_decay_rate_makes_no_grid_convolution(path, monkeypatch):
     assert calls
 
 
+# convolve_field calls per kernel class in one sweep: perfbench's per-shape
+# wavesolver.convolve.* spans wrap convolve_field, so a kernel factor applied
+# around it would drop out of those layer metrics
+SWEEP_CONVOLVE_CALLS = {
+    "nonlocal_lattice": {"ConvolvedKernel": 1, "DiracComb": 1, "OneSidedExponential": 2},
+    "nonlocal_delayed_rd": {"ConvolvedKernel": 2, "DiracComb": 1, "GaussianKernel": 1,
+                            "PiecewiseGreen": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CONVOLVE_CALLS))
+def test_each_kernel_factor_goes_through_convolve_field(name, monkeypatch):
+    calls = {}
+
+    def counting(k, *args):
+        calls[type(k).__name__] = calls.get(type(k).__name__, 0) + 1
+        return convolve_field(k, *args)
+
+    monkeypatch.setattr(kernels, "convolve_field", counting)
+    monkeypatch.setattr(wavesolver, "convolve_field", counting)
+    prob = shipped_problem(MODELS_DIR / f"{name}.json")
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    values = wavesolver.default_init(prob).on(grid)
+    wavesolver.apply_operator(prob, values, grid, wf.discrete_decay_rate(prob, grid))
+    assert calls == SWEEP_CONVOLVE_CALLS[name]
+
+
 def test_sampled_kernel_is_sampled_once_per_step(monkeypatch):
     # the lumped samples are cached per (kernel, step): a whole solve samples
     # the Gaussian once, not once per sweep and per closure-rate evaluation

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,7 @@ class CharacteristicFunction:
         if not lo < hi:
             raise ValueError(f"empty common strip ({lo:g}, {hi:g})")
 
-    @property
+    @cached_property
     def strip(self) -> tuple[float, float]:
         lo, hi = -INF, INF
         for k, _ in self.components:

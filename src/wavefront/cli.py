@@ -12,6 +12,7 @@ any usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -41,13 +42,34 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is emitted."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _setup_logging():
+    """Apply WAVEFRONT_LOG to the ``wavefront`` logger; the root logger is the host's."""
     level = os.environ.get("WAVEFRONT_LOG", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(_LOG_LEVELS.get(level, logging.WARNING))
+    log.addHandler(_HANDLER)
+    # a host's root handlers would print each record a second time
+    log.propagate = False
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call."""
     ap = argparse.ArgumentParser(
         prog="wavefront",
         description="Semi-wavefront diagnostics for convolution-form models")

@@ -72,9 +72,13 @@ __all__ = [
 
 def _check_strip(strip, z):
     lo, hi = strip
-    x = np.real(z)
-    xmin = float(np.min(x))
-    xmax = float(np.max(x))
+    if isinstance(z, (int, float, complex, np.number)):
+        # a scalar is its own min and max: no array reduction
+        xmin = xmax = float(z.real)
+    else:
+        x = np.real(z)
+        xmin = float(np.min(x))
+        xmax = float(np.max(x))
     if xmin <= lo or xmax >= hi:
         raise OutOfStrip(
             f"Re z in [{xmin:g}, {xmax:g}] outside open strip ({lo:g}, {hi:g})"

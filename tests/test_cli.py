@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -604,3 +605,46 @@ def test_cli_help_flag_exits_0(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--max-iter" in capsys.readouterr().out
+
+
+def test_shared_parser_carries_no_state_between_calls(local_model_file, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    model = ["--model", str(local_model_file)]
+    calls = [
+        ["scan", *model, "--y-max", "0.05"],
+        ["scan", *model, "--max-iter", "10"],  # a flag of another command: 64
+        ["solve", *model, "--tol", "1e-7"],
+        ["--version"],
+        ["scan", *model],  # the default --y-max again
+    ]
+
+    def run(argv, out):
+        try:
+            rc = main(argv if argv == ["--version"] else [*argv, "--out", str(out)])
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.exists() else {}
+        return rc, capsys.readouterr(), files
+
+    in_turn = [run(argv, tmp_path / "in-turn" / str(j)) for j, argv in enumerate(calls)]
+    alone = []
+    for j, argv in enumerate(calls):
+        build_parser.cache_clear()
+        alone.append(run(argv, tmp_path / "alone" / str(j)))
+    assert [rc for rc, _, _ in in_turn] == [0, 64, 0, ("exit", 0), 0]
+    assert in_turn == alone
+
+
+def test_wavefront_log_is_read_on_every_call(local_model_file, tmp_path, capsys,
+                                             monkeypatch):
+    root = logging.getLogger()
+    before = (list(root.handlers), root.level)
+    printed = []
+    for level in ("warn", "info", "warn"):
+        monkeypatch.setenv("WAVEFRONT_LOG", level)
+        out = tmp_path / level
+        assert main(["speed", "--model", str(local_model_file), "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().err)
+    wrote = f"INFO wavefront: wrote {tmp_path / 'info' / 'speed.json'}\n"
+    assert printed == ["", wrote, ""]
+    assert (list(root.handlers), root.level) == before

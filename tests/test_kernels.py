@@ -150,6 +150,36 @@ def test_out_of_strip_raises():
         wf.laplace(pg, pg.mu)  # boundary excluded
 
 
+def _strip_outcome(strip, z):
+    try:
+        kernels._check_strip(strip, z)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("strip", [(-1.0, 2.0), (-INF, 2.0), (-1.0, INF), (-INF, INF)],
+                         ids=["finite", "lo-inf", "hi-inf", "both-inf"])
+def test_scalar_and_array_strip_checks_agree(strip):
+    lo, hi = strip
+    # inside, at each end, outside on each side, at infinity, and nan
+    for x in (0.5, 0.0, -1.0, 2.0, 3.0, -5.0, INF, -INF, math.nan):
+        for z in (x, complex(x, 0.25)):
+            forms = [z, np.array(z), np.array([z]),
+                     np.float64(z) if isinstance(z, float) else np.complex128(z)]
+            if isinstance(z, float) and math.isfinite(z) and z == int(z):
+                forms.append(int(z))
+            outcomes = [_strip_outcome(strip, form) for form in forms]
+            # every form of z, scalar or array, fails (or passes) like the 1-d array
+            assert outcomes == [outcomes[2]] * len(forms), (strip, z, outcomes)
+            if x <= lo or x >= hi:
+                assert outcomes[0][0] is OutOfStrip
+                assert outcomes[0][1] == (f"Re z in [{x:g}, {x:g}] outside open strip "
+                                          f"({lo:g}, {hi:g})")
+            else:
+                assert outcomes[0] is None, (strip, z)
+
+
 def test_empty_strip_detected():
     with pytest.raises(EmptyStrip):
         wf.ConvolvedKernel(StubKernel((2.0, 3.0)), StubKernel((-3.0, -2.0)))

@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from ._json import config_hash, dumps, write_csv
 from .charfun import chi, real_roots, strip_zero_scan
-from .errors import (MaxIterExceeded, NoRoots, NoWave, TailUnresolved,
-                     WavefrontError)
+from .errors import NoRoots, NoWave, WavefrontError
 from .models import load_model, model_min_speed
 from .verify import uniqueness_probe
-from .wavesolver import Grid, SolveOptions, default_init, solve_profile
+from .wavesolver import (SOLVE_FAILURES, Grid, SolveOptions, default_init,
+                         solve_profile)
 
 log = logging.getLogger("wavefront")
 
@@ -134,7 +134,8 @@ def cmd_analyze(args) -> int:
     prob = _problem(spec, cfg)
     cf = prob.charfun()
     lo, hi = cf.strip
-    lo_plot = max(lo, -10.0) + 1e-6 * max(1.0, abs(lo) if np.isfinite(lo) else 1.0)
+    # the margin off the left end scales with the strip end it keeps; -10 keeps 1e-6
+    lo_plot = lo + 1e-6 * max(1.0, -lo) if lo > -10.0 else -10.0 + 1e-6
     hi_plot = min(hi, 10.0) - 1e-6
     xs = np.linspace(lo_plot, hi_plot, 401)
     trace = np.real(chi(cf, xs))
@@ -170,7 +171,7 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         profile = solve_profile(prob, grid, default_init(prob), opts)
-    except (NoWave, MaxIterExceeded, TailUnresolved) as exc:
+    except SOLVE_FAILURES as exc:
         _write(os.path.join(args.out, "solve.json"),
                {**_stamp(cfg, args), "error": str(exc),
                 "no_wave": isinstance(exc, NoWave)})

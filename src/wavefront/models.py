@@ -223,18 +223,19 @@ class ConvolutionProblem:
 
     @cached_property
     def relaxation(self) -> float:
-        """theta = 2 / (2 + min(ell, 2)) with ell = sum_tau mass_tau max(0, -inf_[0, kappa] g_tau').
+        """theta = 2 / (2 + ell) with ell = sum_tau mass_tau max(0, -inf_[0, kappa] g_tau').
 
         ell bounds the negative part of the sweep map's slope near the
         plateau: theta = 1 (plain iteration) where N is order-preserving on
-        [0, kappa], 2 / (2 + ell) to balance a real spectrum in [-ell, 0],
-        and 1/2 once ell >= 2.  theta <= 1 always, so every sweep stays a
-        convex combination of nonnegative fields.
+        [0, kappa], and 2 / (2 + ell) otherwise, which balances a real
+        spectrum in [-ell, 0] however large ell grows.  0 < theta <= 1
+        always, so every sweep stays a convex combination of nonnegative
+        fields.
         """
         kappa = self.equilibrium()
         ell = sum(a.kernel.mass * max(0.0, -a.nonlinearity.slopes(0.0, kappa)[0])
                   for a in self.atoms)
-        return 2.0 / (2.0 + min(ell, 2.0))
+        return 2.0 / (2.0 + ell)
 
     def chi0(self) -> float:
         return 1.0 - sum(a.weight * a.kernel.mass for a in self.atoms)

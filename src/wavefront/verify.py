@@ -14,7 +14,6 @@ import numpy as np
 
 from . import wavesolver
 from .asymptotics import fit_decay
-from .errors import MaxIterExceeded, NoWave, TailUnresolved
 from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, default_init, solve_profile
 
@@ -226,7 +225,7 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid,
     The two initial profiles are ``solve``'s capped exponential
     min(e^{lambda_l t}, kappa/2) and the ramp from 0 at t_min to kappa at
     t = 0.  PASS is reported as "consistent with uniqueness at tolerance
-    ..."; a solve that ends in NoWave, TailUnresolved or MaxIterExceeded
+    ..."; a solve that ends in one of ``wavesolver.SOLVE_FAILURES``
     aborts with a partial report whose last check is a failing
     ``solve[init i]``.  The tolerance is max(10 * solver tol,
     5 * step^2 * |phi''| estimate).
@@ -246,7 +245,7 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid,
     for i, init in enumerate((default_init(prob), ramp)):
         try:
             profiles.append(solve_profile(prob, grid, init, opts))
-        except (NoWave, MaxIterExceeded, TailUnresolved) as exc:
+        except wavesolver.SOLVE_FAILURES as exc:
             report.checks.append(Check(
                 f"solve[init{i}]", "fail",
                 "fixed-point solve must produce a resolved profile",

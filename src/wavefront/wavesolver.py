@@ -10,9 +10,9 @@ collapses), so the solver iterates with a tail-transparent left closure
 (exponential extension at the discrete decay rate) and pins the phase at
 a fixed level crossing each sweep.  Each sweep is
 phi <- (1 - theta) phi + theta N[phi] with theta = ``p.relaxation``: 1 where
-N is order-preserving on [0, kappa], down to 1/2 as the negative slopes of
-the atoms near the plateau grow.  The reported residual is always measured
-against the plain operator with the zero left closure.
+N is order-preserving on [0, kappa], falling toward 0 as the negative
+slopes of the atoms near the plateau grow.  The reported residual is always
+measured against the plain operator with the zero left closure.
 
 Whether a wave exists is decided by chi alone: with no positive zero of
 chi there is no semi-wavefront, and the solver says so before any sweep.
@@ -44,6 +44,7 @@ __all__ = [
     "residual",
     "discrete_decay_rate",
     "level_crossing",
+    "SOLVE_FAILURES",
 ]
 
 
@@ -58,6 +59,9 @@ TRANSLATION_WINDOW = 50
 # points at each grid edge that the closure reaches: the residual, the
 # profile alignment and the default decay-fit window leave them out
 EDGE_POINTS = 10
+# the verdicts of a solve that ran and did not resolve a profile: ``solve``
+# and ``verify`` report each of them in their artifact and exit 1
+SOLVE_FAILURES = (NoWave, MaxIterExceeded, NegativeValues, TailUnresolved)
 
 
 @dataclass(frozen=True)

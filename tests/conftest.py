@@ -1,7 +1,36 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wavefront as wf
+
+# every model file through the five commands and the golden comparison, in an
+# interpreter no test has loaded SciPy in; it records the scipy modules loaded
+# after the import of the CLI and after each run, and prints them as its last line
+FRESH_RUN = """
+import json
+import sys
+import wavefront.cli
+from pathlib import Path
+from golden import regen
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+at_import, loaded, main = scipy_modules(), {}, wavefront.cli.main
+def recorded(argv):
+    code = main(argv)
+    loaded[regen.run_key(Path(argv[2]), argv[0])] = scipy_modules()
+    return code
+wavefront.cli.main = recorded  # regen.run_all imports main when it runs
+check = regen.main(["--check"])
+print(json.dumps({"check": check, "at_import": at_import, "loaded": loaded}))
+"""
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +63,20 @@ def critical_profile(local_model, solver_grid):
     prof = wf.solve_profile(prob, solver_grid, wf.CappedExponential(1.0, 0.25),
                             wf.SolveOptions(tol=1e-9, max_iter=40000))
     return prob, prof
+
+
+@pytest.fixture(scope="session")
+def fresh_golden_run():
+    """One fresh-interpreter run of ``regen.py --check`` over every model file.
+
+    A dict: ``check`` (its exit code), ``report`` (what it printed),
+    ``at_import`` (the scipy modules after ``import wavefront.cli``) and
+    ``loaded`` (run -> the scipy modules after that run).
+    """
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    *report, last = done.stdout.splitlines()
+    return {**json.loads(last), "report": "\n".join(report)}

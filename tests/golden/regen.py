@@ -1,11 +1,15 @@
-"""Golden artifacts of the shipped CLI runs: rewrite them, or compare with them.
+"""Golden artifacts of the CLI runs: rewrite them, or compare with them.
 
-Every ``models/*.json`` runs through the five commands (analyze, speed,
+Every model file, the shipped ``models/*.json`` and the cases
+``models/cases/*.json``, runs through the five commands (analyze, speed,
 solve, verify, scan) in this process, each into its own directory, with
-the CLI's default flags.  The goldens next to this script are the exit
-code of each run (``exit_codes.json``) and the artifacts it wrote
-(``<model>/<command>/``); ``profile.csv`` keeps its header and every 16th
-row.  From the root of the checkout:
+the CLI's default flags.  A run is named by its model's path under
+``models/`` and its command, as ``cases/kpp_rightward/verify``.  Its exit
+code must be the one ``models/expected.tsv`` gives it; the table lists
+only the runs that do not exit 0, each with the open item behind it.  The
+goldens next to this script are the artifacts each run wrote
+(``<run>/``); ``profile.csv`` keeps its header and every 16th row.  From
+the root of the checkout:
 
     PYTHONPATH=src python tests/golden/regen.py          # rewrite the goldens
     PYTHONPATH=src python tests/golden/regen.py --check  # compare only, exit 1 on a mismatch
@@ -14,7 +18,9 @@ The comparison reads the numbers: keys, strings, ints and exit codes must
 match exactly, floats to a relative ``REL`` (the sampled convolution is one
 ``np.dot``, whose summation order may follow the BLAS build and the CPU).
 A mismatch prints one row per difference: artifact, key or row, old, new
-and relative change.  Needs numpy and wavefront only.
+and relative change.  The rewrite writes nothing while an exit code
+differs from the table, so a new failure is recorded only by editing the
+table.  Needs numpy and wavefront only.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 MODELS = HERE.parents[1] / "models"
+# the runs that do not exit 0: model, command, exit code and the reason
+TABLE = MODELS / "expected.tsv"
 COMMANDS = ("analyze", "speed", "solve", "verify", "scan")
-CODES = "exit_codes.json"
 # artifact -> the stride of the data rows kept in its golden
 THIN = {"profile.csv": 16}
 REL = 1e-12
@@ -42,17 +49,49 @@ SHOWN = 40
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 
 
+def model_files() -> list[Path]:
+    """The shipped models, then the cases."""
+    return sorted(MODELS.glob("*.json")) + sorted((MODELS / "cases").glob("*.json"))
+
+
+def run_key(model: Path, command: str) -> str:
+    """The name of a run: its model's path under ``models/`` and its command."""
+    return f"{model.relative_to(MODELS).with_suffix('').as_posix()}/{command}"
+
+
+def expected_codes() -> dict[str, tuple[int, str]]:
+    """The table: run -> (exit code, reason), for every run that does not exit 0."""
+    table = {}
+    for line in TABLE.read_text().splitlines():
+        if line and not line.startswith("#"):
+            model, command, code, reason = line.split("\t")
+            table[f"{model}/{command}"] = (int(code), reason)
+    return table
+
+
 def run_all(out: Path) -> dict[str, int]:
-    """Run every shipped model through every command under ``out``; the exit code per run."""
+    """Run every model file through every command under ``out``; the exit code per run."""
     from wavefront.cli import main
 
     codes = {}
-    for model in sorted(MODELS.glob("*.json")):
+    for model in model_files():
         for command in COMMANDS:
-            key = f"{model.stem}/{command}"
+            key = run_key(model, command)
             with contextlib.redirect_stderr(io.StringIO()):
                 codes[key] = main([command, "--model", str(model), "--out", str(out / key)])
     return codes
+
+
+def code_rows(codes: dict[str, int]) -> list[tuple]:
+    """Rows (run, "exit code", expected code and reason, code) where ``codes`` leave the table."""
+    table = expected_codes()
+    rows = []
+    for key in sorted(codes):
+        code, reason = table.get(key, (0, ""))
+        if codes[key] != code:
+            rows.append((key, "exit code", f"{code} ({reason})" if reason else code,
+                         codes[key], ""))
+    return rows
 
 
 def thin(name: str, text: str) -> str:
@@ -65,7 +104,7 @@ def thin(name: str, text: str) -> str:
 
 
 def write(golden: Path, fresh: Path, codes: dict[str, int]) -> None:
-    """Replace the goldens with the artifacts under ``fresh`` and their exit codes."""
+    """Replace the goldens with the artifacts under ``fresh``."""
     for old in golden.iterdir():
         if old.is_dir() and old.name != "__pycache__":
             shutil.rmtree(old)
@@ -73,7 +112,6 @@ def write(golden: Path, fresh: Path, codes: dict[str, int]) -> None:
         (golden / key).mkdir(parents=True)
         for path in sorted((fresh / key).iterdir()):
             (golden / key / path.name).write_text(thin(path.name, path.read_text()))
-    (golden / CODES).write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +187,12 @@ def diff_artifact(name: str, old: str, new: str) -> list[tuple]:
 
 
 def compare(golden: Path, fresh: Path, codes: dict[str, int]) -> list[tuple]:
-    """Rows (artifact, key or row, old, new, relative change) where ``fresh`` leaves the goldens."""
-    want = json.loads((golden / CODES).read_text())
-    rows = [(key, "exit code", want.get(key, "(absent)"), codes.get(key, "(absent)"), "")
-            for key in sorted(set(want) | set(codes)) if want.get(key) != codes.get(key)]
+    """Rows (artifact, key or row, old, new, relative change) where a run leaves the table
+    or ``fresh`` leaves the goldens."""
+    rows = code_rows(codes)
+    runs = {d.relative_to(golden).as_posix() for d in golden.rglob("*")
+            if d.is_dir() and d.name in COMMANDS}
+    rows += [(key, "run", "present", "(absent)", "") for key in sorted(runs - set(codes))]
     for key in sorted(codes):
         # the scalar artifacts first, then the long tables
         names = sorted({p.name for d in (golden / key, fresh / key) if d.is_dir()
@@ -188,6 +228,11 @@ def main(argv=None) -> int:
         fresh = Path(tmp)
         codes = run_all(fresh)
         if not args.check:
+            rows = code_rows(codes)
+            if rows:
+                print(f"{len(rows)} exit codes differ from {TABLE.name}; nothing written:")
+                print(report(rows))
+                return 1
             write(HERE, fresh, codes)
             print(f"wrote the goldens of {len(codes)} runs to {HERE}")
             return 0

@@ -1,17 +1,18 @@
 import json
 import logging
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from golden import regen
 from wavefront import cli
 from wavefront.cli import build_parser, main
-from wavefront.models import LocalDelayedRD
+from wavefront.models import LocalDelayedRD, load_model
+
+# CLI test models, one file each (models/expected.tsv lists their exit codes)
+CASES = Path(__file__).resolve().parents[1] / "models" / "cases"
 
 
 @pytest.fixture
@@ -60,6 +61,23 @@ def test_analyze_no_roots_exit_code(tmp_path, capsys):
     assert "no semi-wavefront" in err
     data = read_json(out / "spectral.json")
     assert data["no_roots"] is True
+
+
+def test_analyze_trace_spans_minus_ten_to_ten_on_a_wide_strip(tmp_path):
+    # at c = 1e-7 the Gaussian's strip starts at sigma_K = -3e7: the trace
+    # is clipped to -10, and its margin must not scale with |sigma_K|
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "family": "nonlocal_kpp", "c": 1e-7, "kernel": {"shape": "gaussian", "variance": 1.0},
+        "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}))
+    spec, cfg = load_model(model)
+    assert spec.to_convolution_form(cfg["c"]).charfun().strip[0] < -1e7
+    out = tmp_path / "out"
+    assert main(["analyze", "--model", str(model), "--out", str(out)]) == 1
+    xs = np.loadtxt(out / "chi_trace.csv", delimiter=",", skiprows=1)[:, 0]
+    assert len(xs) == 401 and np.all(np.diff(xs) > 0)
+    assert xs[0] == pytest.approx(-10.0, abs=1e-5)
+    assert xs[-1] == pytest.approx(10.0, abs=1e-5)
 
 
 def test_malformed_model_is_usage_error(tmp_path, capsys):
@@ -274,10 +292,8 @@ def test_solve_command(local_model_file, tmp_path):
 
 def test_solve_records_relaxation(tmp_path):
     # order-preserving logistic: plain sweeps; Mackey-Glass with g'(kappa) = -2: half
-    for nonlinearity, L, theta in [({"kind": "logistic", "rate": 2.0, "carrying": 1.0}, 2.0, 1.0),
-                                   ({"kind": "mackey_glass", "p": 2.0, "n": 6.0}, 3.0, 0.5)]:
-        model = write_model(tmp_path, L=L, nonlinearity=nonlinearity)
-        out = tmp_path / nonlinearity["kind"]
+    for model, theta in [(write_model(tmp_path), 1.0), (CASES / "mackey_glass_h0.json", 0.5)]:
+        out = tmp_path / model.stem
         assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
         assert read_json(out / "solve.json")["convergence"]["relaxation"] == \
             pytest.approx(theta, abs=1e-12)
@@ -286,11 +302,7 @@ def test_solve_records_relaxation(tmp_path):
 def test_solve_rightward_dispersal(tmp_path):
     # J = delta(s - 2), c* = -0.3734: the closure rate's bracket search once
     # overflowed e^{lam dt} in the comb's grid transform
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({
-        "family": "nonlocal_kpp", "c": 1.0,
-        "kernel": {"shape": "dirac_comb", "offsets": [2.0], "weights": [1.0]},
-        "nonlinearity": {"kind": "logistic", "rate": 0.5, "carrying": 1.0}}))
+    model = CASES / "kpp_rightward.json"
     out = tmp_path / "out"
     assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
     assert read_json(out / "solve.json")["convergence"]["closure_rate"] == \
@@ -299,12 +311,7 @@ def test_solve_rightward_dispersal(tmp_path):
 
 def test_solve_delayed_rd_with_kernel_mass_two(tmp_path):
     # g'(0) = 0.8 < f'(0) = 1, but g'(0) mass(k) = 1.6 > 1: chi(0) = -0.3, c* = 1.1763
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({
-        "family": "nonlocal_delayed_rd", "c": 1.3, "delay": 0.5,
-        "damping": {"kind": "linear", "slope": 1.0},
-        "kernel": {"shape": "gaussian", "variance": 1.0, "scale": 2.0},
-        "nonlinearity": {"kind": "logistic", "rate": 0.8, "carrying": 1.0}}))
+    model = CASES / "nlrd_kernel_mass_2.json"
     out = tmp_path / "out"
     assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
     assert read_json(out / "solve.json")["plateau"] == pytest.approx(0.375, abs=1e-6)
@@ -339,8 +346,7 @@ def test_grid_too_short_for_the_tail_fails_without_usage_error(tmp_path, capsys)
     # delayed Mackey-Glass at c = 3 has a wave whose left tail needs
     # t_min <= -84.48: the default grid does not hold it, which is a failed
     # solve (exit 1), not malformed input (exit 64)
-    model = write_model(tmp_path, c=3.0, L=3.0, delay=3.0,
-                        nonlinearity={"kind": "mackey_glass", "p": 2.0, "n": 6.0})
+    model = CASES / "mackey_glass_h3.json"
     out = tmp_path / "out"
     assert main(["solve", "--model", str(model), "--out", str(out)]) == 1
     data = read_json(out / "solve.json")
@@ -351,6 +357,29 @@ def test_grid_too_short_for_the_tail_fails_without_usage_error(tmp_path, capsys)
     last = read_json(out / "verify.json")["checks"][-1]
     assert (last["name"], last["status"]) == ("solve[init0]", "fail")
     assert "left margin too small" in last["details"]["error"]
+
+
+def test_negative_iterates_are_a_reported_failure(tmp_path, capsys):
+    # logistic rate 10 with a Gaussian kernel at c = 8 > c* = 2.999: the
+    # sweeps go negative, which solve and verify record like any failed solve
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "family": "nonlocal_delayed_rd", "c": 8.0, "delay": 0.5,
+        "damping": {"kind": "linear", "slope": 1.0},
+        "kernel": {"shape": "gaussian", "variance": 1.0},
+        "nonlinearity": {"kind": "logistic", "rate": 10.0, "carrying": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 1
+    data = read_json(out / "solve.json")
+    assert "iteration produced negative values" in data["error"]
+    assert data["no_wave"] is False
+    assert "solve failed: iteration produced negative values" in capsys.readouterr().err
+    assert not (out / "profile.csv").exists()
+    assert main(["verify", "--model", str(model), "--out", str(out)]) == 1
+    last = read_json(out / "verify.json")["checks"][-1]
+    assert (last["name"], last["status"]) == ("solve[init0]", "fail")
+    assert "iteration produced negative values" in last["details"]["error"]
+    assert "solve[init0]" in (out / "verify.txt").read_text()
 
 
 def test_scan_command(local_model_file, tmp_path):
@@ -366,8 +395,7 @@ def test_scan_command(local_model_file, tmp_path):
 def test_scan_undetermined_exits_2(tmp_path):
     # Mackey-Glass with L = 3, h = 1 at c = 3: lambda_r sits 2.8e-5 below the
     # Green pole, too close for any certified walk within the point cap
-    model = write_model(tmp_path, c=3.0, L=3.0, delay=1.0,
-                        nonlinearity={"kind": "mackey_glass", "p": 2.0, "n": 6.0})
+    model = CASES / "mackey_glass_h1.json"
     out = tmp_path / "out"
     assert main(["scan", "--model", str(model), "--out", str(out)]) == 2
     data = read_json(out / "scan.json")
@@ -408,7 +436,7 @@ def test_verify_assembles_once(tmp_path, monkeypatch):
 def test_verify_mackey_glass_fails_on_subtangential_only(tmp_path):
     # c = 2.5 is above chi's c* = 2, so the probe runs and passes; the
     # verdict still fails on the subtangential slope bound (ROADMAP item 7)
-    model = write_model(tmp_path, L=3.0, nonlinearity={"kind": "mackey_glass", "p": 2.0, "n": 6.0})
+    model = CASES / "mackey_glass_h0.json"
     out = tmp_path / "out"
     assert main(["verify", "--model", str(model), "--out", str(out)]) == 1
     status = {c["name"]: c["status"] for c in read_json(out / "verify.json")["checks"]}
@@ -419,7 +447,7 @@ def test_verify_mackey_glass_fails_on_subtangential_only(tmp_path):
 
 
 def test_verify_command_critical_records_decay_order(tmp_path):
-    model = write_model(tmp_path, c=2.0)
+    model = CASES / "local_critical.json"
     out = tmp_path / "out"
     rc = main(["verify", "--model", str(model), "--out", str(out),
                "--grid=-60,40,2048", "--tol", "1e-7", "--max-iter", "40000"])
@@ -430,55 +458,20 @@ def test_verify_command_critical_records_decay_order(tmp_path):
     assert probe["details"]["decay_orders"] == [1, 1]
 
 
-SCIPY_PROBE = """
-import sys
-from wavefront.cli import main
-out, models = sys.argv[1], sys.argv[2:]
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not scipy_modules(), scipy_modules()
-for model in models:
-    for command in ("analyze", "speed", "scan"):
-        assert main([command, "--model", model, "--out", out]) == 0, (command, model)
-        assert not scipy_modules(), (command, model, scipy_modules())
-"""
+def test_spectral_commands_load_no_scipy(fresh_golden_run):
+    # the runs of conftest's fresh interpreter, which no other test has loaded SciPy in
+    assert fresh_golden_run["at_import"] == []
+    spectral = {run: mods for run, mods in fresh_golden_run["loaded"].items()
+                if run.rsplit("/", 1)[1] in ("analyze", "speed", "scan")}
+    assert len(spectral) == 3 * len(regen.model_files())
+    assert not {run: mods for run, mods in spectral.items() if mods}
 
 
-def test_spectral_commands_load_no_scipy(tmp_path):
-    # a fresh interpreter, so no other test has loaded SciPy yet
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    models = sorted(str(p) for p in (root / "models").glob("*.json"))
-    assert len(models) == 4
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *models],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-
-
-CLI_PROBE = """
-import sys
-sys.modules["scipy"] = None  # any import of SciPy now fails
-from wavefront.cli import main
-out, models = sys.argv[1], sys.argv[2:]
-for model in models:
-    for command in ("analyze", "speed", "solve", "verify", "scan"):
-        # chi has a positive zero on the shipped nonlocal_delayed_rd, so a wave
-        # exists, but the default grid does not resolve it: the ramp solve of
-        # verify stops with TailUnresolved, so that run exits 1 (ROADMAP item 2)
-        expected = 1 if command == "verify" and model.endswith("nonlocal_delayed_rd.json") else 0
-        assert main([command, "--model", model, "--out", out]) == expected, (command, model)
-"""
-
-
-def test_cli_commands_load_no_scipy(tmp_path):
-    # a fresh interpreter, so no other test has loaded SciPy yet
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    models = sorted(str(p) for p in (root / "models").glob("*.json"))
-    assert len(models) == 4
-    done = subprocess.run([sys.executable, "-c", CLI_PROBE, str(tmp_path), *models],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+def test_cli_commands_load_no_scipy(fresh_golden_run):
+    # every command on every model file; the goldens' table owns the exit codes
+    loaded = fresh_golden_run["loaded"]
+    assert len(loaded) == 5 * len(regen.model_files())
+    assert not {run: mods for run, mods in loaded.items() if mods}
 
 
 def test_outputs_are_deterministic(local_model_file, tmp_path):
@@ -557,14 +550,8 @@ def test_analyze_with_tabulated_kernel(tmp_path):
     assert data["lambda_l"] == pytest.approx(0.7880, abs=5e-3)
 
 
-def tabulated_birth(tmp_path, **extra):
-    u = np.linspace(0.0, 2.0, 401).tolist()
-    return write_model(tmp_path, nonlinearity={"kind": "tabulated", "u": u,
-                                               "g": [2 * x * (1 - x) for x in u], **extra})
-
-
 def test_tabulated_nonlinearity_solves_and_verifies(tmp_path):
-    model = tabulated_birth(tmp_path)
+    model = CASES / "local_tabulated_birth.json"
     for command in ("analyze", "speed", "solve", "verify"):
         assert main([command, "--model", str(model), "--out", str(tmp_path / "out")]) == 0
     conv = read_json(tmp_path / "out" / "solve.json")["convergence"]
@@ -575,7 +562,10 @@ def test_tabulated_nonlinearity_solves_and_verifies(tmp_path):
 def test_tabulated_nonlinearity_with_declared_slope_is_usage_error(tmp_path, capsys):
     # a declared g'(0) of 2 against the interpolant's 1.99 once gave chi and
     # the closure rate one slope and the sweeps another: a false TailUnresolved
-    model = tabulated_birth(tmp_path, gprime0=2.0)
+    cfg = read_json(CASES / "local_tabulated_birth.json")
+    cfg["nonlinearity"]["gprime0"] = 2.0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(cfg))
     assert main(["solve", "--model", str(model), "--out", str(tmp_path / "out")]) == 64
     assert "gprime0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

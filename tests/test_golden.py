@@ -1,18 +1,67 @@
-"""The shipped CLI runs reproduce their committed goldens (``tests/golden/``).
+"""The CLI runs reproduce their committed goldens (``tests/golden/``).
 
 ``tests/golden/regen.py`` owns the runs, the goldens and the comparison:
 keys, strings, ints and exit codes exactly, floats to a relative 1e-12.
+``models/expected.tsv`` owns the exit codes.
 """
+
+import re
+import shutil
 
 from golden import regen
 from wavefront.cli import main
 
+def test_shipped_runs_match_the_goldens(fresh_golden_run):
+    # the shipped models and the cases, run once in conftest's fresh interpreter
+    assert fresh_golden_run["check"] == 0, fresh_golden_run["report"]
+    assert f"{5 * len(regen.model_files())} runs match the goldens" in fresh_golden_run["report"]
 
-def test_shipped_runs_match_the_goldens(tmp_path):
-    codes = regen.run_all(tmp_path)
-    assert len(codes) == 5 * len(list(regen.MODELS.glob("*.json")))
-    rows = regen.compare(regen.HERE, tmp_path, codes)
-    assert not rows, "differences from the goldens:\n" + regen.report(rows)
+
+def test_a_code_that_leaves_the_table_is_reported_with_its_reason(tmp_path):
+    # the goldens of one run the table lists, and that run exiting 0
+    key, (code, reason) = min(regen.expected_codes().items())
+    shutil.copytree(regen.HERE / key, tmp_path / key)
+    rows = regen.compare(tmp_path, tmp_path, {key: 0})
+    assert rows == [(key, "exit code", f"{code} ({reason})", 0, "")]
+    line = regen.report(rows).splitlines()[1]
+    assert line.startswith(key) and f"{code} ({reason})" in line
+    # a run the table does not list expects 0
+    rows = regen.compare(tmp_path, tmp_path, {key: code, "cases/kpp_rightward/analyze": 2})
+    assert ("cases/kpp_rightward/analyze", "exit code", 0, 2, "") in rows
+    # and a golden run that did not run is reported too
+    assert (key, "run", "present", "(absent)", "") in regen.compare(tmp_path, tmp_path, {})
+
+
+def test_every_table_row_names_a_run_and_an_item():
+    runs = {regen.run_key(m, c) for m in regen.model_files() for c in regen.COMMANDS}
+    lines = [line for line in regen.TABLE.read_text().splitlines()
+             if line and not line.startswith("#")]
+    table = regen.expected_codes()
+    assert len(table) == len(lines)  # no run twice
+    for key, (code, reason) in table.items():
+        assert key in runs
+        assert code != 0
+        assert re.search(r"\bitems? \d+", reason), (key, reason)
+
+
+def test_rewrite_writes_nothing_when_a_code_leaves_the_table(tmp_path, monkeypatch, capsys):
+    key = min(regen.expected_codes())
+
+    def run_all(out):
+        return {key: 0}
+
+    def files():
+        return sorted((p.relative_to(golden), p.read_bytes()) for p in golden.rglob("*")
+                      if p.is_file())
+
+    golden = tmp_path / "golden"
+    shutil.copytree(regen.HERE / key, golden / key)
+    before = files()
+    monkeypatch.setattr(regen, "HERE", golden)
+    monkeypatch.setattr(regen, "run_all", run_all)
+    assert regen.main([]) == 1
+    assert "nothing written" in capsys.readouterr().out
+    assert files() == before
 
 
 def test_a_moved_number_is_reported_in_a_table(tmp_path):

@@ -462,7 +462,7 @@ def test_unresolved_left_tail_with_roots_is_no_false_no_wave():
 # --- relaxation ---------------------------------------------------------------
 
 def mackey_glass_problem():
-    # g'(kappa) = -2 on [0, kappa]: ell = 2, the largest theta damps by half
+    # g'(kappa) = -2 on [0, kappa]: ell = 2, so theta = 1/2
     return wf.LocalDelayedRD(g=wf.mackey_glass(2.0, 6.0), L=3.0,
                              delay=0.0).to_convolution_form(2.5)
 
@@ -493,6 +493,19 @@ def test_relaxation_halves_once_ell_reaches_two(monkeypatch):
                         lambda *a: calls.append(a) or derivative(*a))
     assert prob.relaxation == pytest.approx(0.5, abs=1e-9)
     assert calls == []
+
+
+def test_relaxation_falls_below_one_half_and_the_solve_converges():
+    # logistic rate 10 at c = 7.2 > c* = 6: g'(kappa) = -8, ell = 8, theta = 1/5;
+    # theta = 1/2 drove the sweeps negative
+    spec, cfg = wf.load_model(MODELS_DIR / "cases" / "local_rate_10.json")
+    prob = spec.to_convolution_form(float(cfg["c"]))
+    assert prob.relaxation == pytest.approx(0.2, abs=1e-9)
+    prof = wf.solve_profile(prob, wf.Grid(-60.0, 40.0, 4096),
+                            wavesolver.default_init(prob))
+    assert prof.convergence["relaxation"] == prob.relaxation
+    assert prof.convergence["residual"] < 1e-4
+    assert np.all(prof.values >= 0.0)
 
 
 def test_mackey_glass_converges_within_80_sweeps(monkeypatch):

@@ -20,13 +20,13 @@ always by its last value on the right.  There, exponential pieces run
 exact O(n) linear recurrences on the piecewise-linear interpolant, atomic
 combs add shifted copies, Gaussian and tabulated densities are sampled at
 multiples of the grid step and applied as one discrete convolution, summed
-as a blocked Toeplitz product, and a lazy product applies its factors in
-turn.  K(s - d), a delay c h included, is K convolved with a unit point
-mass at d (:func:`shift_kernel`), so a shifted copy (a comb atom or the
-solver's phase pin) is one two-tap stencil on the uniform grid: a whole
-number of steps moves the field by whole indices, any other shift
-interpolates linearly between two neighbours, and the closure fills the
-points moved in from beyond either end.
+as a blocked Toeplitz product, and a lazy product applies its inner
+factor, then its outer one.  K(s - d), a delay c h included, is K
+convolved with a unit point mass at d (:func:`shift_kernel`), so a shifted
+copy (a comb atom or the solver's phase pin) is one two-tap stencil on the
+uniform grid: a whole number of steps moves the field by whole indices,
+any other shift interpolates linearly between two neighbours, and the
+closure fills the points moved in from beyond either end.
 
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
@@ -130,6 +130,15 @@ class KernelComponent:
         with no array and no closure at either end.
         """
         raise TypeError(f"no grid transform for {type(self).__name__}")
+
+    def factors(self) -> tuple["KernelComponent", "KernelComponent | None"]:
+        """(outer, inner): the grid action is the inner one's, then the outer one's.
+
+        A shape that is no product is its own outer factor, with no inner
+        one.  The solver applies an outer factor that atoms share once per
+        sweep, to the sum of their inner fields.
+        """
+        return self, None
 
     @classmethod
     def from_dict(cls, spec: dict, base_dir=None) -> "KernelComponent":
@@ -577,8 +586,10 @@ class ConvolvedKernel(KernelComponent):
     """Lazy convolution a * b: transform is the product of the factor transforms.
 
     A comb factor gives the pointwise density as a sum of shifted copies;
-    two densities have none here.  On the grid the factors act one after
-    the other.
+    two densities have none here.  On the grid b acts first and a, the
+    outer factor, acts on its result; atoms of one problem that share
+    their outer factor have it applied once per sweep, to the sum of their
+    inner fields (see :meth:`factors`).
     """
 
     shape = "convolved"
@@ -622,6 +633,9 @@ class ConvolvedKernel(KernelComponent):
 
     def grid_laplace(self, lam, dt):
         return self.a.grid_laplace(lam, dt) * self.b.grid_laplace(lam, dt)
+
+    def factors(self):
+        return self.a, self.b
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):

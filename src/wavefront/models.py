@@ -237,6 +237,21 @@ class ConvolutionProblem:
                   for a in self.atoms)
         return 2.0 / (2.0 + ell)
 
+    @cached_property
+    def outer_groups(self) -> tuple:
+        """The atoms grouped by the outer factor of their kernels, in order of first atom.
+
+        One group is (outer, ((inner, g), ...)), an atom's kernel being
+        outer * inner (inner None when it is outer itself), so that
+        N[phi] = sum over groups of outer * sum (inner * g(phi)): a sweep
+        applies each outer kernel once.
+        """
+        groups: dict = {}
+        for a in self.atoms:
+            outer, inner = a.kernel.factors()
+            groups.setdefault(outer, []).append((inner, a.nonlinearity))
+        return tuple((outer, tuple(terms)) for outer, terms in groups.items())
+
     def chi0(self) -> float:
         return 1.0 - sum(a.weight * a.kernel.mass for a in self.atoms)
 
@@ -421,8 +436,8 @@ class NonlocalLattice(ModelSpec):
         neigh = DiracComb((-1.0, 1.0), (self.D, self.D))
         comb = shift_kernel(self.comb, c * self.delay)
         atoms = (
-            Atom(convolve(neigh, H0), identity(1.0), 1.0),
-            Atom(convolve(comb, H0), self.g, self.g.gprime0),
+            Atom(convolve(H0, neigh), identity(1.0), 1.0),
+            Atom(convolve(H0, comb), self.g, self.g.gprime0),
         )
         return ConvolutionProblem(atoms, c, 0.0, M)
 
@@ -474,7 +489,7 @@ class NonlocalDelayedRD(ModelSpec):
         k_h = shift_kernel(self.k, c * self.delay)
         fb = _damping_shift(self.f, beta)
         atoms = (
-            Atom(convolve(k_h, green), self.g, self.g.gprime0),
+            Atom(convolve(green, k_h), self.g, self.g.gprime0),
             Atom(green, fb, beta - self.inf_fprime),
         )
         return ConvolutionProblem(atoms, c, beta, M)

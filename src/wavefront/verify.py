@@ -263,7 +263,7 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid,
     report.checks.append(Check(
         "uniqueness_probe", status,
         "aligned profiles from independent initial data agree within tolerance",
-        {"max_sup_diff": sup, "tolerance": tolerance, "worst_pair": [0, 1],
+        {"sup_diff": sup, "tolerance": tolerance,
          "classification": admissibility,
          "decay_rates": [f.lambda_hat for f in fits],
          "decay_orders": [f.k_hat for f in fits],

@@ -1,8 +1,11 @@
 """Semi-wavefront profiles by relaxed fixed-point iteration on a truncated grid.
 
 The wave operator N[phi](t) = sum_tau integral K(s,tau) g(phi(t-s),tau) ds
-is applied kernel-by-kernel through ``convolve_field``; each kernel shape
-defines its own grid action in :mod:`wavefront.kernels`.
+is applied one kernel factor at a time through ``convolve_field``; each
+kernel shape defines its own grid action in :mod:`wavefront.kernels`.  The
+atoms whose kernels share an outer factor (the inverted differential part
+of the model, in three of the four families) are summed before it, so a
+sweep applies each outer kernel once, to the summed inner fields.
 
 Plain iteration of the truncated operator bleeds the marginal left-tail
 mode through the boundary (the profile then slides rightward and
@@ -120,14 +123,22 @@ def apply_operator(p: ConvolutionProblem, values: np.ndarray, grid: Grid,
                    lam_left: float | None = None) -> np.ndarray:
     """One application of the wave operator on grid values.
 
-    The public closure is phi := 0 left of the grid and phi := phi(t_max)
-    right of it (lam_left=None); the solver passes its tail rate instead.
+    Each outer kernel of ``p.outer_groups`` acts once, on the sum of its
+    atoms' inner fields: every grid action is linear, closures included,
+    so this is the sum of the atoms' actions up to rounding.  The public
+    closure is phi := 0 left of the grid and phi := phi(t_max) right of
+    it (lam_left=None); the solver passes its tail rate instead.
     """
     ts = grid.ts
     out = np.zeros_like(values)
-    for atom in p.atoms:
-        G = np.asarray(atom.nonlinearity(values), dtype=float)
-        out += convolve_field(atom.kernel, ts, G, lam_left)
+    for outer, terms in p.outer_groups:
+        rhs = None
+        for inner, g in terms:
+            G = np.asarray(g(values), dtype=float)
+            if inner is not None:
+                G = convolve_field(inner, ts, G, lam_left)
+            rhs = G if rhs is None else rhs + G
+        out += convolve_field(outer, ts, rhs, lam_left)
     return out
 
 

@@ -18,9 +18,10 @@ The comparison reads the numbers: keys, strings, ints and exit codes must
 match exactly, floats to a relative ``REL`` (the sampled convolution is one
 ``np.dot``, whose summation order may follow the BLAS build and the CPU).
 A mismatch prints one row per difference: artifact, key or row, old, new
-and relative change.  The rewrite writes nothing while an exit code
-differs from the table, so a new failure is recorded only by editing the
-table.  Needs numpy and wavefront only.
+and relative change; the report ends with one line per differing artifact,
+its row count and its largest relative change.  The rewrite writes nothing
+while an exit code differs from the table, so a new failure is recorded
+only by editing the table.  Needs numpy and wavefront only.
 """
 
 from __future__ import annotations
@@ -207,15 +208,28 @@ def compare(golden: Path, fresh: Path, codes: dict[str, int]) -> list[tuple]:
     return rows
 
 
+def _table(body: list[tuple]) -> list[str]:
+    widths = [max(len(r[i]) for r in body) for i in range(len(body[0]))]
+    return ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in body]
+
+
 def report(rows: list[tuple]) -> str:
-    """The mismatch table, SHOWN rows at most, then the count of the rest."""
+    """The mismatch table, SHOWN rows at most, the count of the rest, then one
+    line per artifact: its rows and its largest relative change."""
     head = ("artifact", "key or row", "old", "new", "rel. change")
-    body = [head] + [(art, where, str(old), str(new), "" if rel == "" else format(rel, ".3g"))
-                     for art, where, old, new, rel in rows[:SHOWN]]
-    widths = [max(len(r[i]) for r in body) for i in range(5)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in body]
+    lines = _table([head] + [(art, where, str(old), str(new), "" if rel == "" else format(rel, ".3g"))
+                             for art, where, old, new, rel in rows[:SHOWN]])
     if len(rows) > SHOWN:
         lines.append(f"... and {len(rows) - SHOWN} more")
+    per: dict[str, list] = {}
+    for art, _, _, _, rel in rows:
+        per.setdefault(art, []).append(rel)
+    if per:
+        lines.append("")
+        lines += _table([("artifact", "rows", "largest rel. change")] + [
+            (art, str(len(rels)), max((format(r, ".3g") for r in rels if r != ""),
+                                      key=float, default="-"))
+            for art, rels in per.items()])
     return "\n".join(lines)
 
 

@@ -90,3 +90,18 @@ def test_a_moved_number_is_reported_in_a_table(tmp_path):
     assert regen.diff_artifact("solve.json", same, same) == []
     nudged = same.replace('"plateau": 0.49999999999999972', '"plateau": 0.49999999999999978')
     assert nudged != same and regen.diff_artifact("solve.json", same, nudged) == []
+
+
+def test_the_report_ends_with_one_line_per_artifact():
+    # past SHOWN rows the table is cut, and the per-artifact lines still count every row
+    rows = [("a/solve/solve.json", f"k{i}", 1.0, 1.5, 1 / 3) for i in range(regen.SHOWN)]
+    rows += [("a/solve/profile.csv", "row 0.phi", 1.0, 1.25, 0.2),
+             ("a/solve/profile.csv", "row 16.phi", 2.0, 2.0002, 1e-4),
+             ("a/verify/verify.json", "checks length", 11, 10, "")]
+    lines = regen.report(rows).splitlines()
+    assert "... and 3 more" in lines
+    tail = [line.split() for line in lines[lines.index("") + 2:]]
+    assert tail == [["a/solve/solve.json", str(regen.SHOWN), "0.333"],
+                    ["a/solve/profile.csv", "2", "0.2"],
+                    ["a/verify/verify.json", "1", "-"]]
+    assert "" not in regen.report([]).splitlines()

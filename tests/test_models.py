@@ -210,7 +210,7 @@ def test_lattice_delay_shifts_comb_offsets_exactly():
     # offset is the float k + c h, weights unchanged
     beta, c, h = {2: 0.3, -1: 0.3, 0: 0.4}, 2.3, 0.37
     m = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights=beta, g=wf.logistic(2.0, 1.0), delay=h)
-    comb = m.to_convolution_form(c).atoms[1].kernel.a
+    comb = m.to_convolution_form(c).atoms[1].kernel.b
     assert isinstance(comb, wf.DiracComb)
     ks = sorted(beta)
     assert np.array(comb.offsets).tobytes() == np.array([k + c * h for k in ks]).tobytes()

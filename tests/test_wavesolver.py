@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -17,7 +18,8 @@ from wavefront.charfun import _concave_max
 from wavefront.cli import main
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
-from wavefront.kernels import _shift, kernel_from_dict, shift_kernel
+from wavefront.kernels import _shift, convolve, kernel_from_dict, shift_kernel
+from wavefront.models import ConvolutionProblem
 from wavefront.wavesolver import convolve_field, level_crossing
 
 from quadrature import convolve_by_quad
@@ -362,11 +364,13 @@ def test_decay_rate_makes_no_grid_convolution(path, monkeypatch):
 
 # convolve_field calls per kernel class in one sweep: perfbench's per-shape
 # wavesolver.convolve.* spans wrap convolve_field, so a kernel factor applied
-# around it would drop out of those layer metrics
+# around it would drop out of those layer metrics.  The outer kernel the
+# atoms share acts once, on their summed inner fields
 SWEEP_CONVOLVE_CALLS = {
-    "nonlocal_lattice": {"ConvolvedKernel": 1, "DiracComb": 1, "OneSidedExponential": 2},
-    "nonlocal_delayed_rd": {"ConvolvedKernel": 2, "DiracComb": 1, "GaussianKernel": 1,
-                            "PiecewiseGreen": 2},
+    "nonlocal_lattice": {"DiracComb": 1, "OneSidedExponential": 1},
+    "nonlocal_delayed_rd": {"ConvolvedKernel": 1, "DiracComb": 1, "GaussianKernel": 1,
+                            "PiecewiseGreen": 1},
+    "nonlocal_kpp_gaussian": {"GaussianKernel": 1, "OneSidedExponential": 1},
 }
 
 
@@ -385,6 +389,65 @@ def test_each_kernel_factor_goes_through_convolve_field(name, monkeypatch):
     values = wavesolver.default_init(prob).on(grid)
     wavesolver.apply_operator(prob, values, grid, wf.discrete_decay_rate(prob, grid))
     assert calls == SWEEP_CONVOLVE_CALLS[name]
+
+
+def per_atom_operator(p, values, grid, lam_left):
+    """The wave operator atom by atom: each atom's whole kernel acts on its own field."""
+    return sum(convolve_field(a.kernel, grid.ts, np.asarray(a.nonlinearity(values), dtype=float),
+                              lam_left)
+               for a in p.atoms)
+
+
+@pytest.mark.parametrize("closure", [False, True], ids=["zero_closure", "closure_rate"])
+def test_shared_outer_kernel_only_rounds_on_kpp(closure):
+    # both KPP atoms have the exponential k outermost: one action of k on the
+    # summed inner fields is the per-atom sum, since every grid action is linear
+    prob = shipped_problem(MODELS_DIR / "nonlocal_kpp_gaussian.json")
+    assert len(prob.outer_groups) == 1 and len(prob.atoms) == 2
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    lam = wf.discrete_decay_rate(prob, grid) if closure else None
+    values = wavesolver.default_init(prob).on(grid)
+    out = wavesolver.apply_operator(prob, values, grid, lam)
+    ref = per_atom_operator(prob, values, grid, lam)
+    assert np.all(np.abs(out - ref) <= 1e-14 * np.abs(ref))
+
+
+def with_factors_swapped(p):
+    """``p`` with the factors of each product swapped: the atoms share no outer kernel."""
+    atoms = []
+    for a in p.atoms:
+        outer, inner = a.kernel.factors()
+        atoms.append(a if inner is None else dataclasses.replace(a, kernel=convolve(inner, outer)))
+    return ConvolutionProblem(tuple(atoms), p.speed, p.beta_used, p.bound)
+
+
+DELAYED_LATTICE = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={-1: 0.3, 0: 0.4, 1: 0.3},
+                                     g=wf.logistic(2.0, 1.0), delay=0.37)
+
+
+@pytest.mark.parametrize("closure", [False, True], ids=["zero_closure", "closure_rate"])
+@pytest.mark.parametrize("name", ["nonlocal_lattice", "delayed_lattice", "nonlocal_delayed_rd"])
+def test_outer_kernel_first_commutes_away_from_the_edges(name, closure):
+    # the lattice's H0 and the delayed RD's Green kernel are now the outer
+    # factor, (H0 * neigh, green * k_h); the old order (neigh * H0, k_h * green)
+    # differs only through the truncation closures, whose effect decays like
+    # e^{-rate x} from the left edge and spans the comb's reach at the right
+    if name == "delayed_lattice":
+        prob = DELAYED_LATTICE.to_convolution_form(2.0)
+    else:
+        prob = shipped_problem(MODELS_DIR / f"{name}.json")
+    old = with_factors_swapped(prob)
+    assert len(prob.outer_groups) == 1 and len(old.outer_groups) == len(old.atoms) == 2
+    grid = wf.Grid(-200.0, 100.0, 12286)
+    ts = grid.ts
+    lam = wf.discrete_decay_rate(prob, grid) if closure else None
+    values = 0.3 + 0.2 * np.sin(ts / 3.0)
+    out = wavesolver.apply_operator(prob, values, grid, lam)
+    ref = wavesolver.apply_operator(old, values, grid, lam)
+    interior = (ts >= grid.t_min + 60.0) & (ts <= grid.t_max - 20.0)
+    assert np.max(np.abs(out - ref)[interior]) <= 1e-13
+    # at the edges the closures do differ: the comparison sees both orders
+    assert np.max(np.abs(out - ref)) > 1e-6
 
 
 def test_sampled_kernel_is_sampled_once_per_step(monkeypatch):

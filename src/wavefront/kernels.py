@@ -249,7 +249,10 @@ class OneSidedExponential(KernelComponent):
         return (-INF, 0.0)
 
     def grid_convolve(self, ts, G, lam_left):
-        return self.scale * _recurse(ts, G, self.rate, self.direction, lam_left)
+        out = _recurse(ts, G, self.rate, self.direction, lam_left)
+        if self.scale != 1.0:
+            out *= self.scale
+        return out
 
     def grid_laplace(self, lam, dt):
         return self.scale * _recurse_factor(self.rate, self.direction, lam, dt)
@@ -317,8 +320,14 @@ class PiecewiseGreen(KernelComponent):
     def grid_convolve(self, ts, G, lam_left):
         rho1, rho2 = -self.nu, self.mu
         amp = self.scale / (self.mu - self.nu)
-        return amp * (_recurse(ts, G, rho1, 1, lam_left) / rho1
-                      + _recurse(ts, G, rho2, -1, lam_left) / rho2)
+        # amp * (forward / rho1 + backward / rho2), in the forward piece's array
+        out = _recurse(ts, G, rho1, 1, lam_left)
+        out /= rho1
+        backward = _recurse(ts, G, rho2, -1, lam_left)
+        backward /= rho2
+        out += backward
+        out *= amp
+        return out
 
     def grid_laplace(self, lam, dt):
         rho1, rho2 = -self.nu, self.mu
@@ -799,7 +808,8 @@ def _recurse(ts, G, rate, direction, lam_left):
         G, seed = G[::-1], G[-1]
     src = np.empty_like(G)
     src[0] = seed
-    src[1:] = far * G[:-1] + near * G[1:]
+    np.multiply(G[:-1], far, out=src[1:])
+    src[1:] += near * G[1:]
     return _first_order(E, src)[::direction]
 
 
@@ -863,8 +873,10 @@ def _shift(ts, G, shift, lam_left):
     of a whole number of steps moves G by whole indices, bit for bit.
     Points left of ts[0] take the closure (0, or G[0] e^{lam_left (x - t0)}),
     points at or right of ts[-1] take G[-1], and a zero shift is a copy.
-    The constants are built on every call (the solver's pin moves each
-    sweep); a comb reads its atoms' from :func:`_comb_plans`.
+    The constants are built on every call.  A comb reads its atoms' from
+    :func:`_comb_plans`; the solver's pin moves each sweep, so it builds
+    them with :func:`_shift_plan` and writes the stencil into a buffer it
+    owns through :func:`_stencil`.
     """
     if shift == 0.0:
         return G.copy()

@@ -17,6 +17,11 @@ N is order-preserving on [0, kappa], falling toward 0 as the negative
 slopes of the atoms near the plateau grow.  The reported residual is always
 measured against the plain operator with the zero left closure.
 
+A :class:`PinnedMap`, built once per (problem, grid, init), holds the
+closure rate, the pin, theta and two work buffers, and runs each sweep in
+place; :func:`solve_profile` is the Picard driver over it, and
+:func:`_failure` turns the driver's last state into its verdict.
+
 Whether a wave exists is decided by chi alone: with no positive zero of
 chi there is no semi-wavefront, and the solver says so before any sweep.
 """
@@ -33,7 +38,7 @@ from ._json import write_csv
 from .charfun import _left_zero
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
-from .kernels import _shift, convolve_field
+from .kernels import _shift_plan, _stencil, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "CappedExponential",
     "default_init",
     "apply_operator",
+    "PinnedMap",
     "solve_profile",
     "residual",
     "discrete_decay_rate",
@@ -152,10 +158,10 @@ def residual(p: ConvolutionProblem, profile: WaveProfile) -> float:
 
 def level_crossing(ts: np.ndarray, values: np.ndarray, level: float) -> float:
     """First upcrossing of ``level`` from the left, sub-grid by interpolation."""
-    above = np.where(values >= level)[0]
-    if len(above) == 0:
+    above = values >= level
+    i = int(np.argmax(above))
+    if not above[i]:
         raise NoCrossing(f"profile never reaches level {level:g}")
-    i = above[0]
     if i == 0:
         return float(ts[0])
     f = (level - values[i - 1]) / (values[i] - values[i - 1])
@@ -172,14 +178,18 @@ def discrete_decay_rate(p: ConvolutionProblem, grid: Grid) -> float:
     Every grid action is a positive discrete kernel, so chi_h is concave
     like chi, and ``real_roots``' search (:func:`~wavefront.charfun._left_zero`)
     finds it.  This is the rate the discrete profile tail adopts, within
-    O(step^2) of the analytic lambda_l.
+    O(step^2) of the analytic lambda_l.  It is found once per problem and
+    grid step, so verify's two solves share it.
     """
     dt = grid.step
+    # kept on the problem, whose atoms are fixed
+    rates = vars(p).setdefault("_decay_rates", {})
+    if dt not in rates:
+        def chi_h(lam: float) -> float:
+            return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, dt) for a in p.atoms)
 
-    def chi_h(lam: float) -> float:
-        return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, dt) for a in p.atoms)
-
-    return _left_zero(chi_h, p.charfun().strip[1])[2]
+        rates[dt] = _left_zero(chi_h, p.charfun().strip[1])[2]
+    return rates[dt]
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +231,86 @@ class SolveOptions:
 
 def _init_values(init, grid: Grid) -> np.ndarray:
     if isinstance(init, CappedExponential):
-        return init.on(grid)
-    vals = np.asarray(init, dtype=float)
-    if vals.shape != (grid.n,):
-        raise ValueError(f"init array must have shape ({grid.n},)")
-    return vals.copy()
+        vals = init.on(grid)
+    else:
+        vals = np.asarray(init, dtype=float)
+        if vals.shape != (grid.n,):
+            raise ValueError(f"init array must have shape ({grid.n},)")
+        vals = vals.copy()
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("init array must be finite")
+    return vals
+
+
+class PinnedMap:
+    """The pinned sweep phi <- S[(1 - theta) phi + theta N[phi]], run in place.
+
+    Built once per (problem, grid, init), after the checks that need no
+    sweep: the initial profile's shape, finiteness and sign, the existence
+    verdict of chi, a nonzero initial profile and the left margin.  It holds
+    theta, the closure rate, the pin level PIN_FRACTION * min(kappa,
+    max phi_0), its first crossing t_pin on the initial profile, the current
+    iterate ``values`` and two work buffers.  S shifts the relaxed sweep
+    back so that it crosses the pin level at t_pin again.
+    """
+
+    def __init__(self, p: ConvolutionProblem, grid: Grid, init):
+        self.p, self.grid = p, grid
+        self.kappa = kappa = p.equilibrium()
+        values = _init_values(init, grid)
+        if np.any(values < 0):
+            raise NegativeValues("initial profile has negative values")
+        if p.spectral is None:
+            raise NoWave(f"no positive zero of chi: no semi-wavefront at speed {p.speed:g}")
+        # anchor below both the equilibrium and the initial range so the
+        # crossing exists from the first sweep on
+        self.pin_level = PIN_FRACTION * min(kappa, float(np.max(values)))
+        if not self.pin_level > 0.0:
+            raise NoWave("initial profile is identically zero, which is no semi-wavefront")
+        self.t_pin = level_crossing(grid.ts, values, self.pin_level)
+        lam_base = p.spectral.lambda_l
+        if grid.t_min > -5.0 / lam_base:
+            raise TailUnresolved(
+                f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
+        self.closure_rate = discrete_decay_rate(p, grid)
+        self.theta = p.relaxation
+        self.values = values
+        self._buffers = (np.empty(grid.n), np.empty(grid.n))
+
+    def step(self) -> tuple[float, float, float]:
+        """One sweep: ``values`` becomes the next pinned iterate.
+
+        Returns (update, drift, min): the sup-norm change of the iterate,
+        the pin crossing's drift before the shift back, and the minimum of
+        the relaxed sweep.  A sweep with negative values raises
+        NegativeValues, one that collapses to zero or misses the pin level
+        raises TailUnresolved, and ``values`` then keeps the last iterate.
+        """
+        phi, lam, ts = self.values, self.closure_rate, self.grid.ts
+        # the buffer that does not hold phi
+        spare = self._buffers[self._buffers[0] is phi]
+        new = apply_operator(self.p, phi, self.grid, lam)
+        if self.theta != 1.0:
+            # at theta = 1, 0 phi + 1 N is N bit for bit: N is a sum started
+            # from +0.0, so it holds no -0.0
+            np.multiply(phi, 1.0 - self.theta, out=spare)
+            new *= self.theta
+            new += spare
+        low, high = float(new.min()), float(new.max())
+        if low < -1e-10 * max(1.0, self.kappa):
+            raise NegativeValues(f"iteration produced negative values (min {low:g})")
+        if high < 1e-10 * self.kappa:
+            raise TailUnresolved("iterates collapsed to zero")
+        try:
+            drift = level_crossing(ts, new, self.pin_level) - self.t_pin
+        except NoCrossing:
+            raise TailUnresolved("iterates fell below the pinning level") from None
+        if drift != 0.0:
+            new, spare = _stencil(new, _shift_plan(ts, -drift, lam), spare), new
+        np.subtract(new, phi, out=spare)
+        update = float(np.abs(spare, out=spare).max())
+        self.values = new
+        return update, drift, low
 
 
 def solve_profile(p: ConvolutionProblem, grid: Grid, init,
@@ -235,62 +320,30 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     A semi-wavefront needs a positive zero of chi (the Diekmann-Kaper
     necessity condition), so when ``p.spectral is None`` the verdict is
     ``NoWave`` before the first sweep, once the initial profile has passed
-    its shape and sign checks; an all-zero initial profile is ``NoWave``
-    too.  These are the only ``NoWave`` verdicts.  Otherwise a wave exists,
-    and every failure to resolve it on the truncated grid raises
-    ``TailUnresolved``: a shape that settles while the pin keeps
+    its shape, finiteness and sign checks; an all-zero initial profile is
+    ``NoWave`` too.  These are the only ``NoWave`` verdicts.  Otherwise a
+    wave exists, and every failure to resolve it on the truncated grid
+    raises ``TailUnresolved``: a shape that settles while the pin keeps
     translating for ``TRANSLATION_WINDOW`` sweeps, iterates that collapse
     to zero or fall below the pinning level, and a converged constant or
     unresolved left tail; a left margin t_min > -5 / lambda_l raises it
     before the first sweep.  ``MaxIterExceeded`` carries the best-effort
     profile.
 
-    Each solve finds its tail closure rate with :func:`discrete_decay_rate`;
-    theta is cached on the problem.  The pin must drift at most
-    theta * DRIFT_GATE_STEPS grid steps per sweep to count as settled.
+    This is the Picard driver over one :class:`PinnedMap`: it stops once
+    the update is below tol and the pin drifts at most theta *
+    DRIFT_GATE_STEPS grid steps per sweep, and :func:`_failure` judges the
+    state it stops in.
     """
-    ts = grid.ts
-    kappa = p.equilibrium()
-    values = _init_values(init, grid)
-    if np.any(values < 0):
-        raise NegativeValues("initial profile has negative values")
-    if p.spectral is None:
-        raise NoWave(f"no positive zero of chi: no semi-wavefront at speed {p.speed:g}")
-    # anchor below both the equilibrium and the initial range so the
-    # crossing exists from the first sweep on
-    pin_level = PIN_FRACTION * min(kappa, float(np.max(values)))
-    if not pin_level > 0.0:
-        raise NoWave("initial profile is identically zero, which is no semi-wavefront")
-    pin_at = level_crossing(ts, values, pin_level)
-
-    lam_base = p.spectral.lambda_l
-    if grid.t_min > -5.0 / lam_base:
-        raise TailUnresolved(
-            f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
-
-    lam_left = discrete_decay_rate(p, grid)
-
-    theta = p.relaxation
+    pinned = PinnedMap(p, grid, init)
     update = math.inf
     drift = 0.0
-    drift_gate = theta * DRIFT_GATE_STEPS * grid.step
+    drift_gate = pinned.theta * DRIFT_GATE_STEPS * grid.step
     translating_sweeps = 0
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        new = (1.0 - theta) * values + theta * apply_operator(p, values, grid, lam_left)
-        if float(np.min(new)) < -1e-10 * max(1.0, kappa):
-            raise NegativeValues(
-                f"iteration produced negative values (min {float(np.min(new)):g})")
-        if float(np.max(new)) < 1e-10 * kappa:
-            raise TailUnresolved("iterates collapsed to zero")
-        try:
-            drift = level_crossing(ts, new, pin_level) - pin_at
-        except NoCrossing:
-            raise TailUnresolved("iterates fell below the pinning level") from None
-        new = _shift(ts, new, -drift, lam_left)
-        update = float(np.max(np.abs(new - values)))
-        values = new
+        update, drift, _ = pinned.step()
         if update < opts.tol:
             # a settled shape must also stop translating
             if abs(drift) <= drift_gate:
@@ -305,30 +358,37 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     meta = {
         "iterations": iterations,
         "final_update": update,
-        "closure_rate": lam_left,
+        "closure_rate": pinned.closure_rate,
         "final_drift": drift,
-        "relaxation": theta,
+        "relaxation": pinned.theta,
     }
-    profile = WaveProfile(grid=grid, values=values, speed=p.speed,
-                          plateau=kappa, convergence=meta)
-
-    if not converged:
-        if translating_sweeps > 0:
-            raise TailUnresolved(
-                f"profile settles while translating ({drift:+.3g} per sweep over "
-                f"{translating_sweeps} sweeps, sweep {iterations}) although chi has a "
-                f"positive zero, so a wave exists that this grid does not "
-                f"resolve (phi(t_min)/kappa = {values[0] / kappa:.3g})")
-        raise MaxIterExceeded(
-            f"update {update:g} above tol {opts.tol:g} after {iterations} iterations",
-            profile=profile)
-
-    vmax, vmin = float(np.max(values)), float(np.min(values))
-    if vmax - vmin < 1e-6 * max(vmax, kappa):
-        raise TailUnresolved(f"iterates converged to a constant ({vmax:g})")
-    if values[0] > 1e-3 * kappa:
-        raise TailUnresolved(
-            f"left tail unresolved: phi(t_min) = {values[0]:g} > 1e-3 kappa")
-
+    profile = WaveProfile(grid=grid, values=pinned.values, speed=p.speed,
+                          plateau=pinned.kappa, convergence=meta)
+    failure = _failure(profile, converged, translating_sweeps, opts)
+    if failure is not None:
+        raise failure
     meta["residual"] = residual(p, profile)
     return profile
+
+
+def _failure(profile: WaveProfile, converged: bool, translating_sweeps: int,
+             opts: SolveOptions) -> Exception | None:
+    """The verdict on the Picard driver's last state: None for a resolved profile."""
+    values, kappa, meta = profile.values, profile.plateau, profile.convergence
+    if not converged:
+        if translating_sweeps > 0:
+            return TailUnresolved(
+                f"profile settles while translating ({meta['final_drift']:+.3g} per sweep "
+                f"over {translating_sweeps} sweeps, sweep {meta['iterations']}) although "
+                f"chi has a positive zero, so a wave exists that this grid does not "
+                f"resolve (phi(t_min)/kappa = {values[0] / kappa:.3g})")
+        return MaxIterExceeded(
+            f"update {meta['final_update']:g} above tol {opts.tol:g} after "
+            f"{meta['iterations']} iterations", profile=profile)
+    vmax, vmin = float(np.max(values)), float(np.min(values))
+    if vmax - vmin < 1e-6 * max(vmax, kappa):
+        return TailUnresolved(f"iterates converged to a constant ({vmax:g})")
+    if values[0] > 1e-3 * kappa:
+        return TailUnresolved(
+            f"left tail unresolved: phi(t_min) = {values[0]:g} > 1e-3 kappa")
+    return None

@@ -19,7 +19,9 @@ match exactly, floats to a relative ``REL`` (the sampled convolution is one
 ``np.dot``, whose summation order may follow the BLAS build and the CPU).
 A mismatch prints one row per difference: artifact, key or row, old, new
 and relative change; the report ends with one line per differing artifact,
-its row count and its largest relative change.  The rewrite writes nothing
+its row count and its largest relative change.  The lines of a text
+artifact are aligned by ``difflib`` on their text around the numbers
+first, so an added or dropped line is one row.  The rewrite writes nothing
 while an exit code differs from the table, so a new failure is recorded
 only by editing the table.  Needs numpy and wavefront only.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import math
@@ -161,6 +164,27 @@ def _tokens(line: str) -> list:
     return out
 
 
+def _diff_lines(old_lines: list[str], new_lines: list[str]) -> list[tuple]:
+    """Rows for two texts whose lines ``difflib`` aligns by their text around the numbers.
+
+    Aligned lines compare number by number; a line on one side only is one
+    row, numbered on its own side.
+    """
+    def masked(lines):
+        return [tuple(_tokens(line)[::2]) for line in lines]
+
+    rows = []
+    matcher = difflib.SequenceMatcher(None, masked(old_lines), masked(new_lines), autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            for i, j in zip(range(i1, i2), range(j1, j2)):
+                rows += _differ(_tokens(old_lines[i]), _tokens(new_lines[j]), f"line {i + 1}")
+            continue
+        rows += [(f"line {i + 1}", old_lines[i], "(absent)", "") for i in range(i1, i2)]
+        rows += [(f"line {j + 1}", "(absent)", new_lines[j], "") for j in range(j1, j2)]
+    return rows
+
+
 def diff_artifact(name: str, old: str, new: str) -> list[tuple]:
     """Rows (key or row, old, new, relative change) between two texts of one artifact.
 
@@ -170,13 +194,11 @@ def diff_artifact(name: str, old: str, new: str) -> list[tuple]:
     if name.endswith(".json"):
         return _differ(json.loads(old), json.loads(new), "")
     old_lines, new_lines = old.splitlines(), new.splitlines()
+    if not name.endswith(".csv"):
+        return _diff_lines(old_lines, new_lines)
     rows = []
     if len(old_lines) != len(new_lines):
         rows.append(("lines", len(old_lines), len(new_lines), ""))
-    if not name.endswith(".csv"):
-        for i, (a, b) in enumerate(zip(old_lines, new_lines)):
-            rows += _differ(_tokens(a), _tokens(b), f"line {i + 1}")
-        return rows
     rows += _differ(old_lines[0], new_lines[0], "header")
     columns = old_lines[0].split(",")
     step = THIN.get(name, 1)

@@ -8,6 +8,8 @@ keys, strings, ints and exit codes exactly, floats to a relative 1e-12.
 import re
 import shutil
 
+import pytest
+
 from golden import regen
 from wavefront.cli import main
 
@@ -105,3 +107,24 @@ def test_the_report_ends_with_one_line_per_artifact():
                     ["a/solve/profile.csv", "2", "0.2"],
                     ["a/verify/verify.json", "1", "-"]]
     assert "" not in regen.report([]).splitlines()
+
+
+def test_a_dropped_text_line_is_one_row():
+    # the lines are aligned before they are compared: a dropped line does
+    # not shift the lines after it against other golden lines
+    golden = (regen.HERE / "local_delayed_rd" / "verify" / "verify.txt").read_text()
+    lines = golden.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if "sup_abs_slope" in line)
+    dropped = "".join(lines[:k] + lines[k + 1:])
+    assert regen.diff_artifact("verify.txt", golden, dropped) == [
+        (f"line {k + 1}", lines[k].rstrip("\n"), "(absent)", "")]
+    assert regen.diff_artifact("verify.txt", dropped, golden) == [
+        (f"line {k + 1}", "(absent)", lines[k].rstrip("\n"), "")]
+    # a number that moves on a later line is still compared with its own line
+    moved = dropped.replace("sup_diff = 2.30615", "sup_diff = 2.40615")
+    assert moved != dropped
+    j = next(i for i, line in enumerate(lines) if "sup_diff" in line)
+    rows = regen.diff_artifact("verify.txt", golden, moved)
+    assert rows[0][2] == "(absent)"
+    assert rows[1:] == [(f"line {j + 1}[1]", 2.3061568160884227e-06, 2.4061568160884227e-06,
+                         pytest.approx(0.1 / 2.4061568160884227))]

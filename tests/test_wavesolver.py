@@ -491,14 +491,205 @@ def test_verify_solves_report_bit_identical_closure_rate(monkeypatch, tmp_path):
         rates.append(profile.convergence["closure_rate"])
         return profile
 
+    # and they find it once: the rate is kept per problem and grid step
+    searches = []
+    left_zero = wavesolver._left_zero
+    monkeypatch.setattr(wavesolver, "_left_zero", lambda *a: searches.append(a) or left_zero(*a))
     monkeypatch.setattr(wf_verify, "solve_profile", recording)
     path = MODELS_DIR / "local_delayed_rd.json"
     assert main(["verify", "--model", str(path), "--out", str(tmp_path)]) == 0
     assert len(rates) == 2
     assert rates[0].hex() == rates[1].hex()
+    assert len(searches) == 1
     prob = shipped_problem(path)
     direct = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 4096))
     assert rates[0].hex() == direct.hex()
+
+
+# --- the pinned map against the loop it replaced ------------------------------
+
+def reference_crossing(ts, values, level):
+    above = np.where(values >= level)[0]
+    if len(above) == 0:
+        return None
+    i = above[0]
+    if i == 0:
+        return float(ts[0])
+    f = (level - values[i - 1]) / (values[i] - values[i - 1])
+    return float(ts[i - 1] + f * (ts[i] - ts[i - 1]))
+
+
+def reference_sweeps(p, grid, values):
+    """The pinned sweeps with the arithmetic of the loop PinnedMap replaced.
+
+    Yields (values, update, drift, min) per sweep: the blend (1 - theta) phi
+    + theta N[phi] at every theta, np.where's crossing and ``_shift``'s copy.
+    """
+    ts = grid.ts
+    kappa = p.equilibrium()
+    pin_level = 0.5 * min(kappa, float(np.max(values)))
+    pin_at = reference_crossing(ts, values, pin_level)
+    lam = wf.discrete_decay_rate(p, grid)
+    theta = p.relaxation
+    while True:
+        new = (1.0 - theta) * values + theta * wavesolver.apply_operator(p, values, grid, lam)
+        low = float(np.min(new))
+        if low < -1e-10 * max(1.0, kappa):
+            raise NegativeValues(f"iteration produced negative values (min {low:g})")
+        if float(np.max(new)) < 1e-10 * kappa:
+            raise TailUnresolved("iterates collapsed to zero")
+        crossing = reference_crossing(ts, new, pin_level)
+        if crossing is None:
+            raise TailUnresolved("iterates fell below the pinning level")
+        drift = crossing - pin_at
+        new = _shift(ts, new, -drift, lam)
+        update = float(np.max(np.abs(new - values)))
+        values = new
+        yield values, update, drift, low
+
+
+def reference_solve(p, grid, init, opts=wf.SolveOptions()):
+    """The Picard loop over ``reference_sweeps``, with its stop rule, metadata and verdicts."""
+    values = np.asarray(init, dtype=float).copy()
+    kappa = p.equilibrium()
+    gate = p.relaxation * wavesolver.DRIFT_GATE_STEPS * grid.step
+    update, drift, translating, converged, iterations = math.inf, 0.0, 0, False, 0
+    sweeps = reference_sweeps(p, grid, values)
+    for iterations in range(1, opts.max_iter + 1):
+        values, update, drift, _ = next(sweeps)
+        if update < opts.tol:
+            if abs(drift) <= gate:
+                converged = True
+                break
+            translating += 1
+        else:
+            translating = 0
+        if translating >= wavesolver.TRANSLATION_WINDOW:
+            break
+    meta = {"iterations": iterations, "final_update": update,
+            "closure_rate": wf.discrete_decay_rate(p, grid), "final_drift": drift,
+            "relaxation": p.relaxation}
+    profile = wf.WaveProfile(grid, values, p.speed, kappa, meta)
+    if not converged:
+        if translating > 0:
+            raise TailUnresolved(
+                f"profile settles while translating ({drift:+.3g} per sweep over "
+                f"{translating} sweeps, sweep {iterations}) although chi has a "
+                f"positive zero, so a wave exists that this grid does not "
+                f"resolve (phi(t_min)/kappa = {values[0] / kappa:.3g})")
+        raise MaxIterExceeded(
+            f"update {update:g} above tol {opts.tol:g} after {iterations} iterations",
+            profile=profile)
+    meta["residual"] = wf.residual(p, profile)
+    return profile
+
+
+def pinned_case(name):
+    path = MODELS_DIR / f"{name}.json"
+    prob = shipped_problem(path)
+    return prob, wf.Grid(-60.0, 40.0, 4096), wavesolver.default_init(prob)
+
+
+@pytest.mark.parametrize("name, theta", [
+    ("nonlocal_lattice", 1.0),
+    # kappa rounds up, so theta is one rounding below 1 and the blend runs
+    ("local_delayed_rd", 0.99999999999999978),
+    ("cases/local_rate_10", 0.2),
+])
+def test_pinned_map_steps_are_the_old_sweeps_bit_for_bit(name, theta):
+    prob, grid, init = pinned_case(name)
+    assert prob.relaxation == pytest.approx(theta, abs=1e-9)
+    assert (prob.relaxation == 1.0) == (theta == 1.0)
+    pinned = wavesolver.PinnedMap(prob, grid, init)
+    ref = reference_sweeps(prob, grid, init.on(grid))
+    assert pinned.values.tobytes() == init.on(grid).tobytes()
+    # every sweep until the default tol, the settled iterates included
+    update, sweep = math.inf, 0
+    while update >= 1e-8:
+        sweep += 1
+        update, drift, low = pinned.step()
+        values, *record = next(ref)
+        assert pinned.values.tobytes() == values.tobytes(), sweep
+        assert [update.hex(), drift.hex(), low.hex()] == [x.hex() for x in record], sweep
+        assert sweep < 1000
+
+
+def negative_sweep_case():
+    # logistic rate 10 behind a unit Gaussian: theta = 1/3 still lets a sweep go negative
+    prob = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(10.0, 1.0),
+                                k=wf.GaussianKernel(1.0), delay=0.5).to_convolution_form(8.0)
+    return prob, wf.Grid(-60.0, 40.0, 4096), wavesolver.default_init(prob)
+
+
+def ramp_case():
+    prob, grid, _ = pinned_case("nonlocal_delayed_rd")
+    return prob, grid, np.clip((grid.ts - grid.t_min) / -grid.t_min, 0.0, 1.0) * prob.equilibrium()
+
+
+@pytest.mark.parametrize("case, opts, error, message", [
+    (ramp_case, wf.SolveOptions(), TailUnresolved, "settles while translating"),
+    (lambda: pinned_case("local_delayed_rd"), wf.SolveOptions(max_iter=5), MaxIterExceeded,
+     "after 5 iterations"),
+    (negative_sweep_case, wf.SolveOptions(), NegativeValues, r"\(min -0\.0096834\)"),
+    (lambda: pinned_case("nonlocal_lattice"), wf.SolveOptions(), None, None),
+], ids=["translating", "max_iter", "negative", "converged"])
+def test_solve_profile_is_the_old_loop(case, opts, error, message):
+    prob, grid, init = case()
+    if isinstance(init, wf.CappedExponential):
+        init = init.on(grid)
+    if error is None:
+        new, old = wf.solve_profile(prob, grid, init, opts), reference_solve(prob, grid, init, opts)
+    else:
+        with pytest.raises(error, match=message) as new_exc:
+            wf.solve_profile(prob, grid, init, opts)
+        with pytest.raises(error) as old_exc:
+            reference_solve(prob, grid, init, opts)
+        assert str(new_exc.value) == str(old_exc.value)
+        if error is not MaxIterExceeded:
+            return
+        new, old = new_exc.value.profile, old_exc.value.profile
+    assert new.values.tobytes() == old.values.tobytes()
+    assert repr(new.convergence) == repr(old.convergence)
+
+
+def test_no_solve_shares_an_array_with_another(monkeypatch):
+    prob, grid, init = pinned_case("local_delayed_rd")
+    init = init.on(grid)
+    before = init.copy()
+    profile = wf.solve_profile(prob, grid, init)
+    with pytest.raises(MaxIterExceeded) as exc:
+        wf.solve_profile(prob, grid, init, wf.SolveOptions(max_iter=5))
+    partial = exc.value.profile
+    kept = profile.values.copy(), partial.values.copy()
+    later = wf.solve_profile(prob, grid, init)
+    assert later.values.tobytes() == kept[0].tobytes()
+    assert profile.values.tobytes() == kept[0].tobytes()
+    assert partial.values.tobytes() == kept[1].tobytes()
+    assert init.tobytes() == before.tobytes()
+    arrays = (init, profile.values, partial.values, later.values)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    # verify's two profiles are two arrays
+    profiles = []
+    solve = wf_verify.solve_profile
+    monkeypatch.setattr(wf_verify, "solve_profile", lambda *a: profiles.append(solve(*a)) or profiles[-1])
+    wf_verify.uniqueness_probe(prob, grid)
+    assert len(profiles) == 2
+    assert not np.shares_memory(profiles[0].values, profiles[1].values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_init_is_rejected_before_a_sweep(bad, monkeypatch):
+    # one NaN used to end as "iterates fell below the pinning level" after a
+    # sweep: a TailUnresolved verdict, which says a wave exists, on bad input
+    prob, grid, init = pinned_case("local_delayed_rd")
+    values = init.on(grid)
+    values[2000] = bad
+    sweeps = count_sweeps(monkeypatch)
+    with pytest.raises(ValueError, match="finite"):
+        wf.solve_profile(prob, grid, values)
+    with pytest.raises(ValueError, match="finite"):
+        wf.solve_profile(prob, grid, wf.CappedExponential(math.nan, 0.25))
+    assert sweeps == []
 
 
 # --- solver -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Kernel components: transforms, grid action and JSON.
+"""Kernel components: transforms, grid action and JSON, and the grid they act on.
 
 Every kernel here is a nonnegative integrable function K(s) with positive
 mass, represented exactly enough that its transform
@@ -12,21 +12,23 @@ from the roots nu < 0 < mu of z^2 - c z - q = 0), atomic combs, tabulated
 data on a compact grid, and lazy convolutions of the above.
 
 Each shape is one class, the only place that knows it: its transform, its
-action on a grid field (``grid_convolve(ts, G, lam_left)``) and the factor
-that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``), and how
-it is read from JSON (``shape``, ``from_dict``).  On the grid the field is
-closed by an exponential tail at rate ``lam_left`` (or 0) on the left and
-always by its last value on the right.  There, exponential pieces run
-exact O(n) linear recurrences on the piecewise-linear interpolant, atomic
-combs add shifted copies, Gaussian and tabulated densities are sampled at
-multiples of the grid step and applied as one discrete convolution, summed
-as a blocked Toeplitz product, and a lazy product applies its inner
-factor, then its outer one.  K(s - d), a delay c h included, is K
-convolved with a unit point mass at d (:func:`shift_kernel`), so a shifted
-copy (a comb atom or the solver's phase pin) is one two-tap stencil on the
-uniform grid: a whole number of steps moves the field by whole indices,
-any other shift interpolates linearly between two neighbours, and the
-closure fills the points moved in from beyond either end.
+action on a grid field (``grid_convolve(grid, G, lam_left)``) and the
+factor that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``),
+and how it is read from JSON (``shape``, ``from_dict``).  Every grid
+action reads its points and step from its uniform :class:`Grid`, where
+the field is closed by an exponential tail at rate ``lam_left`` (or 0) on
+the left and always by its last value on the right.  There, exponential
+pieces run exact O(n) linear recurrences on the piecewise-linear
+interpolant, atomic combs add shifted copies, Gaussian and tabulated
+densities are sampled at multiples of the grid step and applied as one
+discrete convolution, summed as a blocked Toeplitz product, and a lazy
+product applies its inner factor, then its outer one.  K(s - d), a delay
+c h included, is K convolved with a unit point mass at d
+(:func:`shift_kernel`), so a shifted copy (a comb atom or the solver's
+phase pin) is one two-tap stencil on the uniform grid: a whole number of
+steps moves the field by whole indices, any other shift interpolates
+linearly between two neighbours, and the closure fills the points moved
+in from beyond either end.
 
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
@@ -54,6 +56,7 @@ _SERIES_DIV = np.arange(2.0, 17.0)
 _SERIES_C1 = _SERIES_DIV / (_SERIES_DIV + 1.0)
 
 __all__ = [
+    "Grid",
     "KernelComponent",
     "GaussianKernel",
     "OneSidedExponential",
@@ -68,6 +71,39 @@ __all__ = [
     "load_tabulated",
     "kernel_from_dict",
 ]
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Uniform grid t_min = t_0 < ... < t_{n-1} = t_max with t_min < 0 < t_max.
+
+    Every grid action reads its points ``ts`` and its ``step`` here.  The
+    step is (t_max - t_min) / (n - 1), not ts[1] - ts[0], which carries
+    the rounding of ts[1].
+    """
+
+    t_min: float
+    t_max: float
+    n: int
+
+    def __post_init__(self):
+        if not -math.inf < self.t_min < 0.0 < self.t_max < math.inf:
+            raise ValueError("need finite t_min < 0 < t_max")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
+        if self.n < 64:
+            raise ValueError("need at least 64 grid points")
+
+    @property
+    def step(self) -> float:
+        return (self.t_max - self.t_min) / (self.n - 1)
+
+    @cached_property
+    def ts(self) -> np.ndarray:
+        """The grid points, one read-only array per Grid."""
+        ts = np.linspace(self.t_min, self.t_max, self.n)
+        ts.setflags(write=False)
+        return ts
 
 
 def _check_strip(strip, z):
@@ -118,8 +154,8 @@ class KernelComponent:
         """Closure bounds of the support (may be +-inf)."""
         raise NotImplementedError
 
-    def grid_convolve(self, ts: np.ndarray, G: np.ndarray, lam_left: float | None) -> np.ndarray:
-        """integral K(s) G~(t - s) ds on the uniform grid ts; see :func:`convolve_field`."""
+    def grid_convolve(self, grid: Grid, G: np.ndarray, lam_left: float | None) -> np.ndarray:
+        """integral K(s) G~(t - s) ds on ``grid``; see :func:`convolve_field`."""
         raise TypeError(f"no grid convolution for {type(self).__name__}")
 
     def grid_laplace(self, lam: float, dt: float) -> float:
@@ -156,8 +192,8 @@ class KernelComponent:
 class _SampledDensity(KernelComponent):
     """A density sampled on the grid (:func:`_lumped_samples`) over its ``_sample_window()``."""
 
-    def grid_convolve(self, ts, G, lam_left):
-        return _sampled_convolve(self, ts, G, lam_left)
+    def grid_convolve(self, grid, G, lam_left):
+        return _sampled_convolve(self, grid, G, lam_left)
 
     def grid_laplace(self, lam, dt):
         return _sampled_laplace(self, lam, dt)
@@ -248,8 +284,8 @@ class OneSidedExponential(KernelComponent):
             return (0.0, INF)
         return (-INF, 0.0)
 
-    def grid_convolve(self, ts, G, lam_left):
-        out = _recurse(ts, G, self.rate, self.direction, lam_left)
+    def grid_convolve(self, grid, G, lam_left):
+        out = _recurse(grid, G, self.rate, self.direction, lam_left)
         if self.scale != 1.0:
             out *= self.scale
         return out
@@ -317,13 +353,13 @@ class PiecewiseGreen(KernelComponent):
     def support(self):
         return (-INF, INF)
 
-    def grid_convolve(self, ts, G, lam_left):
+    def grid_convolve(self, grid, G, lam_left):
         rho1, rho2 = -self.nu, self.mu
         amp = self.scale / (self.mu - self.nu)
         # amp * (forward / rho1 + backward / rho2), in the forward piece's array
-        out = _recurse(ts, G, rho1, 1, lam_left)
+        out = _recurse(grid, G, rho1, 1, lam_left)
         out /= rho1
-        backward = _recurse(ts, G, rho2, -1, lam_left)
+        backward = _recurse(grid, G, rho2, -1, lam_left)
         backward /= rho2
         out += backward
         out *= amp
@@ -384,9 +420,9 @@ class DiracComb(KernelComponent):
     def support(self):
         return (min(self.offsets), max(self.offsets))
 
-    def grid_convolve(self, ts, G, lam_left):
+    def grid_convolve(self, grid, G, lam_left):
         # w_1 S_1 G + w_2 S_2 G + ..., summed from the first term on in place
-        plans = _comb_plans(self, float(ts[0]), float(ts[-1]), len(ts), lam_left)
+        plans = _comb_plans(self, grid, lam_left)
         out = _stencil(G, plans[0], np.empty(len(G)))
         out *= self.weights[0]
         term = np.empty(len(G))
@@ -635,10 +671,10 @@ class ConvolvedKernel(KernelComponent):
         lo_b, hi_b = self.b.support()
         return (lo_a + lo_b, hi_a + hi_b)
 
-    def grid_convolve(self, ts, G, lam_left):
+    def grid_convolve(self, grid, G, lam_left):
         # through the module-level name, so each factor is seen as its own shape
-        inner = convolve_field(self.b, ts, G, lam_left)
-        return convolve_field(self.a, ts, inner, lam_left)
+        inner = convolve_field(self.b, grid, G, lam_left)
+        return convolve_field(self.a, grid, inner, lam_left)
 
     def grid_laplace(self, lam, dt):
         return self.a.grid_laplace(lam, dt) * self.b.grid_laplace(lam, dt)
@@ -718,26 +754,15 @@ def shift_kernel(k: KernelComponent, delta: float) -> KernelComponent:
 # grid action: closure-aware sampling and the building blocks of grid_convolve
 
 
-def convolve_field(k: KernelComponent, ts: np.ndarray, G: np.ndarray,
+def convolve_field(k: KernelComponent, grid: Grid, G: np.ndarray,
                    lam_left: float | None) -> np.ndarray:
-    """integral K(s) G~(t - s) ds on the grid, G~ closed per the solver rules.
+    """integral K(s) G~(t - s) ds on ``grid``, G~ closed per the solver rules.
 
-    ts is a grid's points, ``np.linspace(ts[0], ts[-1], len(ts))`` as
-    :attr:`Grid.ts` builds them: a comb's cached constants are built on
-    that linspace.  G~ is the piecewise-linear interpolant of G on ts,
-    extended by G[0] e^{lam_left (t - t0)} on the left (0 when lam_left is
-    None) and by its last value G[-1] on the right.
+    G holds one value per point of ``grid.ts``.  G~ is its piecewise-linear
+    interpolant there, extended by G[0] e^{lam_left (t - t_min)} on the
+    left (0 when lam_left is None) and by its last value G[-1] on the right.
     """
-    return k.grid_convolve(ts, G, lam_left)
-
-
-def _grid_step(ts):
-    """Step of the uniform grid ts, bit for bit ``Grid.step``.
-
-    ts[1] - ts[0] would carry the rounding of ts[1] (1.6e-13 of the step
-    on [-60, 60] with 6,001 points), so every grid action uses this one.
-    """
-    return (ts[-1] - ts[0]) / (len(ts) - 1)
+    return k.grid_convolve(grid, G, lam_left)
 
 
 def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
@@ -774,43 +799,45 @@ def _block_powers(E, blocks):
 
 
 def _first_order(E, src):
-    """y_i = src_i + E y_{i-1}, y_{-1} = 0, for 0 <= E < 1.
+    """y_i = src_i + E y_{i-1}, y_{-1} = 0, for 0 <= E < 1, on whole 64-point blocks.
 
-    Blocked in two levels: one matrix product solves every 64-point block
-    from a zero start, a second one carries the block ends across blocks,
-    and each block then adds its predecessor's end times E^(1..64).  Each
-    y_i is still a sum of E^(i-j) src_j, so its error is at rounding level
-    relative to the same sum over |src_j|.
+    ``src`` is a whole number of blocks long: a caller with n values pads
+    them with zeros, and reads y_i for i < n.  Blocked in two levels: one
+    matrix product solves every block from a zero start, a second one
+    carries the block ends across blocks, and each block then adds its
+    predecessor's end times E^(1..64).  Each y_i is still a sum of
+    E^(i-j) src_j, so its error is at rounding level relative to the same
+    sum over |src_j|.
     """
-    n = len(src)
-    blocks = -(-n // _BLOCK)
+    blocks = len(src) // _BLOCK
     within, across, step = _block_powers(E, blocks)
-    y = np.zeros(blocks * _BLOCK)
-    y[:n] = src
-    y = y.reshape(blocks, _BLOCK) @ within
+    y = src.reshape(blocks, _BLOCK) @ within
     ends = across @ y[:, -1]
     y[1:] += ends[:-1, None] * step
-    return y.ravel()[:n]
+    return y.ravel()
 
 
-def _recurse(ts, G, rate, direction, lam_left):
+def _recurse(grid, G, rate, direction, lam_left):
     """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - direction u) du, exact on the interpolant.
 
     One left-to-right recurrence, seeded by the left closure.  The backward
     piece (direction -1) runs it on the reversed field, whose left closure
-    is the plateau G[-1], and reverses the result.
+    is the plateau G[-1], and reverses the result.  The source is built
+    in the zero-padded blocks :func:`_first_order` reads, so it is never
+    copied.
     """
-    dt = _grid_step(ts)
-    E, far, near = _exp_step_weights(rate, dt)
+    E, far, near = _exp_step_weights(rate, grid.step)
     if direction == 1:
         seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
     else:
         G, seed = G[::-1], G[-1]
-    src = np.empty_like(G)
+    n = grid.n
+    src = np.empty(-(-n // _BLOCK) * _BLOCK)
+    src[n:] = 0.0
     src[0] = seed
-    np.multiply(G[:-1], far, out=src[1:])
-    src[1:] += near * G[1:]
-    return _first_order(E, src)[::direction]
+    np.multiply(G[:-1], far, out=src[1:n])
+    src[1:n] += near * G[1:]
+    return _first_order(E, src)[:n][::direction]
 
 
 def _recurse_factor(rate, direction, lam, dt):
@@ -834,57 +861,48 @@ def _snap_steps(shift, dt):
     return s, math.ceil(s)
 
 
-def _shift_plan(ts, shift, lam_left):
-    """(s, m, lo, hi, closure): the constants of a shift by ``shift`` on the uniform grid ts.
+def _shift_plan(grid, shift, lam_left):
+    """(s, m, lo, hi, closure): the constants of a shift by ``shift`` on ``grid``.
 
     s = shift / step, snapped by :func:`_snap_steps`, and m = ceil(s).
-    Points below lo come from left of ts[0] and take G[0] times the
-    ``closure`` vector e^{lam_left (x - t0)} (0 when lam_left is None), and
-    points from hi on come from ts[-1] or right of it.
+    Points below lo come from left of t_min and take G[0] times the
+    ``closure`` vector e^{lam_left (x - t_min)} (0 when lam_left is None),
+    and points from hi on come from t_max or right of it.
     """
-    n = len(ts)
-    s, m = _snap_steps(shift, _grid_step(ts))
+    n, ts = grid.n, grid.ts
+    s, m = _snap_steps(shift, grid.step)
     lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
     closure = None if lam_left is None else np.exp(lam_left * (ts[:lo] - shift - ts[0]))
     return s, m, lo, hi, closure
 
 
 @lru_cache(maxsize=32)
-def _comb_plans(comb, t0, t_end, n, lam_left):
-    """The :func:`_shift_plan` of each atom of ``comb`` on the grid ``Grid(t0, t_end, n).ts``.
+def _comb_plans(comb, grid, lam_left):
+    """The :func:`_shift_plan` of each atom of ``comb`` on ``grid``.
 
     Cached per (comb, grid, closure rate), so a solve builds them once, not
-    once per sweep; the closure vectors are read-only.  The grid points are
-    rebuilt from the key: ``Grid.ts`` is this linspace, bit for bit.
+    once per sweep; the closure vectors are read-only.
     """
-    ts = np.linspace(t0, t_end, n)
-    plans = tuple(_shift_plan(ts, a, lam_left) for a in comb.offsets)
+    plans = tuple(_shift_plan(grid, a, lam_left) for a in comb.offsets)
     for plan in plans:
         if plan[4] is not None:
             plan[4].flags.writeable = False
     return plans
 
 
-def _shift(ts, G, shift, lam_left):
-    """G~(t - shift) on the uniform grid ts, G~ closed as in :func:`convolve_field`.
-
-    With s = shift / step and m = ceil(s), point i takes the two-tap
-    stencil G[i-m] + (m - s)(G[i-m+1] - G[i-m]).  A shift within rounding
-    of a whole number of steps moves G by whole indices, bit for bit.
-    Points left of ts[0] take the closure (0, or G[0] e^{lam_left (x - t0)}),
-    points at or right of ts[-1] take G[-1], and a zero shift is a copy.
-    The constants are built on every call.  A comb reads its atoms' from
-    :func:`_comb_plans`; the solver's pin moves each sweep, so it builds
-    them with :func:`_shift_plan` and writes the stencil into a buffer it
-    owns through :func:`_stencil`.
-    """
-    if shift == 0.0:
-        return G.copy()
-    return _stencil(G, _shift_plan(ts, shift, lam_left), np.empty(len(G)))
-
-
 def _stencil(G, plan, out):
-    """Write the shift of :func:`_shift` with the constants ``plan`` into ``out``, and return it."""
+    """Write G~(t - shift), from the constants ``plan``, into ``out``, and return it.
+
+    G~ is closed as in :func:`convolve_field`.  With s = shift / step and
+    m = ceil(s), point i takes the two-tap stencil
+    G[i-m] + (m - s)(G[i-m+1] - G[i-m]).  A shift within rounding of a
+    whole number of steps moves G by whole indices, bit for bit, and a
+    zero shift is a copy.  Points left of t_min take the closure (0, or
+    G[0] e^{lam_left (x - t_min)}), and points at or right of t_max take
+    G[-1].  A comb reads its atoms' constants from :func:`_comb_plans`;
+    the solver's pin moves each sweep, so it builds them with
+    :func:`_shift_plan` and writes the stencil into a buffer it owns.
+    """
     s, m, lo, hi, closure = plan
     if closure is None:
         out[:lo] = 0.0
@@ -902,7 +920,7 @@ def _stencil(G, plan, out):
 
 
 def _shift_factor(shift, lam, dt):
-    """Factor by which :func:`_shift` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
+    """Factor by which :func:`_stencil` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
 
     Where e^{lam dt} would overflow or e^{-lam m dt} is subnormal or 0 (m >= 1), it sums
     the two taps one by one: (1 - f) e^{-lam m dt} + f e^{-lam (m - 1) dt}, f = m - s.
@@ -955,7 +973,7 @@ def _toeplitz_block(k: KernelComponent, dt):
     return jlo, jhi, T
 
 
-def _sampled_convolve(k: KernelComponent, ts, G, lam_left):
+def _sampled_convolve(k: KernelComponent, grid, G, lam_left):
     """Discrete convolution with the samples of :func:`_lumped_samples`.
 
     The samples are mass-lumped so constant states stay exact.  Grid-aligned
@@ -970,7 +988,7 @@ def _sampled_convolve(k: KernelComponent, ts, G, lam_left):
     produce negative roundoff, unlike an FFT, and the deep left tail keeps
     its relative accuracy.
     """
-    dt = _grid_step(ts)
+    dt = grid.step
     jlo, jhi, T = _toeplitz_block(k, dt)
     n = len(G)
     blocks = -(-n // _BLOCK)

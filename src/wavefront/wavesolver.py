@@ -2,7 +2,8 @@
 
 The wave operator N[phi](t) = sum_tau integral K(s,tau) g(phi(t-s),tau) ds
 is applied one kernel factor at a time through ``convolve_field``; each
-kernel shape defines its own grid action in :mod:`wavefront.kernels`.  The
+kernel shape defines its own grid action in :mod:`wavefront.kernels`, on
+the uniform :class:`~wavefront.kernels.Grid` defined there.  The
 atoms whose kernels share an outer factor (the inverted differential part
 of the model, in three of the four families) are summed before it, so a
 sweep applies each outer kernel once, to the summed inner fields.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ._json import write_csv
 from .charfun import _left_zero
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
-from .kernels import _shift_plan, _stencil, convolve_field
+from .kernels import Grid, _shift_plan, _stencil, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -71,32 +71,6 @@ EDGE_POINTS = 10
 # the verdicts of a solve that ran and did not resolve a profile: ``solve``
 # and ``verify`` report each of them in their artifact and exit 1
 SOLVE_FAILURES = (NoWave, MaxIterExceeded, NegativeValues, TailUnresolved)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform grid t_min = t_0 < ... < t_{n-1} = t_max with t_min < 0 < t_max."""
-
-    t_min: float
-    t_max: float
-    n: int
-
-    def __post_init__(self):
-        if not -math.inf < self.t_min < 0.0 < self.t_max < math.inf:
-            raise ValueError("need finite t_min < 0 < t_max")
-        if self.n < 64:
-            raise ValueError("need at least 64 grid points")
-
-    @property
-    def step(self) -> float:
-        return (self.t_max - self.t_min) / (self.n - 1)
-
-    @cached_property
-    def ts(self) -> np.ndarray:
-        """The grid points, one read-only array per Grid."""
-        ts = np.linspace(self.t_min, self.t_max, self.n)
-        ts.setflags(write=False)
-        return ts
 
 
 @dataclass
@@ -135,16 +109,15 @@ def apply_operator(p: ConvolutionProblem, values: np.ndarray, grid: Grid,
     closure is phi := 0 left of the grid and phi := phi(t_max) right of
     it (lam_left=None); the solver passes its tail rate instead.
     """
-    ts = grid.ts
     out = np.zeros_like(values)
     for outer, terms in p.outer_groups:
         rhs = None
         for inner, g in terms:
             G = np.asarray(g(values), dtype=float)
             if inner is not None:
-                G = convolve_field(inner, ts, G, lam_left)
+                G = convolve_field(inner, grid, G, lam_left)
             rhs = G if rhs is None else rhs + G
-        out += convolve_field(outer, ts, rhs, lam_left)
+        out += convolve_field(outer, grid, rhs, lam_left)
     return out
 
 
@@ -286,10 +259,10 @@ class PinnedMap:
         NegativeValues, one that collapses to zero or misses the pin level
         raises TailUnresolved, and ``values`` then keeps the last iterate.
         """
-        phi, lam, ts = self.values, self.closure_rate, self.grid.ts
+        phi, lam, grid = self.values, self.closure_rate, self.grid
         # the buffer that does not hold phi
         spare = self._buffers[self._buffers[0] is phi]
-        new = apply_operator(self.p, phi, self.grid, lam)
+        new = apply_operator(self.p, phi, grid, lam)
         if self.theta != 1.0:
             # at theta = 1, 0 phi + 1 N is N bit for bit: N is a sum started
             # from +0.0, so it holds no -0.0
@@ -302,11 +275,11 @@ class PinnedMap:
         if high < 1e-10 * self.kappa:
             raise TailUnresolved("iterates collapsed to zero")
         try:
-            drift = level_crossing(ts, new, self.pin_level) - self.t_pin
+            drift = level_crossing(grid.ts, new, self.pin_level) - self.t_pin
         except NoCrossing:
             raise TailUnresolved("iterates fell below the pinning level") from None
         if drift != 0.0:
-            new, spare = _stencil(new, _shift_plan(ts, -drift, lam), spare), new
+            new, spare = _stencil(new, _shift_plan(grid, -drift, lam), spare), new
         np.subtract(new, phi, out=spare)
         update = float(np.abs(spare, out=spare).max())
         self.values = new

@@ -13,9 +13,10 @@ import wavefront as wf
 from wavefront import kernels
 from wavefront.errors import EmptyStrip, OutOfStrip
 from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
-                               _grid_step, _lumped_samples, _sampled_convolve,
-                               _segments_transform, _shift, _shift_factor,
-                               convolve_field, kernel_from_dict, shift_kernel)
+                               _lumped_samples, _sampled_convolve,
+                               _segments_transform, _shift_factor, _shift_plan,
+                               _stencil, convolve_field, kernel_from_dict,
+                               shift_kernel)
 
 from quadrature import laplace_by_quad
 
@@ -588,12 +589,51 @@ def test_first_order_matches_loop_and_lfilter(E, n, seed, signed):
     exact = first_order_exact(E, src)
     # each y_i sums E^(i-j) src_j; rounding is relative to the sum over |src_j|
     scale = first_order_loop(E, np.abs(src))
-    assert np.all(np.abs(_first_order(E, src) - exact) <= 1e-13 * scale)
+    # _first_order runs on whole 64-point blocks: pad with zeros, read the first n
+    padded = np.zeros(-(-n // 64) * 64)
+    padded[:n] = src
+    assert np.all(np.abs(_first_order(E, padded)[:n] - exact) <= 1e-13 * scale)
     # a step-by-step loop rounds twice per step, so y_i may be (i + 1) eps
     # of the scale off (E^(i-j) scale_j <= scale_i)
     bound = (np.arange(n) + 2) * np.finfo(float).eps * scale
     for ref in (first_order_loop(E, src), lfilter([1.0], [1.0, -E], src)):
         assert np.all(np.abs(ref - exact) <= bound)
+
+
+def padded_recurse(grid, G, rate, direction, lam_left):
+    """The exponential recurrence with its source in an n-array, copied into zero-padded blocks."""
+    E, far, near = kernels._exp_step_weights(rate, grid.step)
+    if direction == 1:
+        seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
+    else:
+        G, seed = G[::-1], G[-1]
+    src = np.empty_like(G)
+    src[0] = seed
+    np.multiply(G[:-1], far, out=src[1:])
+    src[1:] += near * G[1:]
+    n = len(src)
+    blocks = -(-n // 64)
+    within, across, step = kernels._block_powers(E, blocks)
+    y = np.zeros(blocks * 64)
+    y[:n] = src
+    y = y.reshape(blocks, 64) @ within
+    ends = across @ y[:, -1]
+    y[1:] += ends[:-1, None] * step
+    return y.ravel()[:n][::direction]
+
+
+@pytest.mark.parametrize("n", [4096, 4001], ids=["whole_blocks", "padded_last_block"])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("lam_left", [None, 0.7])
+@pytest.mark.parametrize("rate", [1.3, 0.003])
+def test_recurse_builds_its_source_in_the_blocks(n, direction, lam_left, rate):
+    # the source is written straight into the zero-padded blocks: the same
+    # floats as a copy of it padded with zeros, byte for byte (rate 0.003
+    # takes the series branch of the step weights)
+    grid = wf.Grid(-60.0, 40.0, n)
+    G = np.random.default_rng(n).random(n)
+    got = kernels._recurse(grid, G, rate, direction, lam_left)
+    assert got.tobytes() == padded_recurse(grid, G, rate, direction, lam_left).tobytes()
 
 
 # --- grid transform -----------------------------------------------------------
@@ -653,7 +693,7 @@ def test_grid_laplace_matches_convolve_field(kd, u):
     grid = wf.Grid(-half, half, n)
     ts = grid.ts
     mid = n // 2
-    ref = convolve_field(k, ts, np.exp(lam * (ts - ts[mid])), lam)[mid]
+    ref = convolve_field(k, grid, np.exp(lam * (ts - ts[mid])), lam)[mid]
     assert abs(k.grid_laplace(lam, grid.step) - ref) <= 1e-13 * abs(ref)
 
 
@@ -680,12 +720,12 @@ def test_shift_kernel_is_a_unit_point_mass(kd, u, y, data, seed, closed):
         return
     assert got == expect
     assert shifted.grid_laplace(lam, dt) == _shift_factor(d, lam, dt) * k.grid_laplace(lam, dt)
-    ts = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1).ts
-    G = np.random.default_rng(seed).random(len(ts))
+    grid = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1)
+    G = np.random.default_rng(seed).random(grid.n)
     lam_left = lam if closed and lam > 0 else None
-    action = convolve_field(k, ts, G, lam_left)
-    assert (convolve_field(shifted, ts, G, lam_left).tobytes()
-            == _shift(ts, action, d, lam_left).tobytes())
+    action = convolve_field(k, grid, G, lam_left)
+    assert (convolve_field(shifted, grid, G, lam_left).tobytes()
+            == _stencil(action, _shift_plan(grid, d, lam_left), np.empty(grid.n)).tobytes())
 
 
 # (shift, dt, lam dt): a rightward shift at large lam, where e^{lam dt}
@@ -719,14 +759,14 @@ def test_shift_factor_stays_finite_where_the_step_exponential_overflows(shift, d
 @given(dt=st.sampled_from([0.02, 0.05, 0.1]), data=st.data(),
        lam_left=st.sampled_from([None, 0.3, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_a_unit_comb_atom_is_the_pin_shift(dt, data, lam_left, seed):
-    # a comb reads its stencil constants from the cache, built on the
-    # linspace of its key, and the solver's pin builds them from the ts it
-    # is given: on a Grid's points the two are one stencil, byte for byte
+    # a comb reads its stencil constants from the cache and the solver's
+    # pin builds them afresh each sweep, both from the Grid: the two are one
+    # stencil, byte for byte
     d = data.draw(grid_shifts(dt))
-    ts = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1).ts
-    G = np.random.default_rng(seed).random(len(ts))
-    assert (convolve_field(wf.DiracComb((d,), (1.0,)), ts, G, lam_left).tobytes()
-            == _shift(ts, G, d, lam_left).tobytes())
+    grid = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1)
+    G = np.random.default_rng(seed).random(grid.n)
+    assert (convolve_field(wf.DiracComb((d,), (1.0,)), grid, G, lam_left).tobytes()
+            == _stencil(G, _shift_plan(grid, d, lam_left), np.empty(grid.n)).tobytes())
 
 
 def test_comb_constants_are_cached_per_grid_and_closure():
@@ -742,7 +782,7 @@ def test_comb_constants_are_cached_per_grid_and_closure():
     cases = [(k, g, lam) for lam in (None, 0.3, 1.1) for k in (comb, green) for g in grids]
 
     def action(k, g, lam):
-        return convolve_field(k, g.ts, fields[g], lam).tobytes()
+        return convolve_field(k, g, fields[g], lam).tobytes()
 
     cold = []
     for case in cases:
@@ -756,7 +796,7 @@ def test_comb_constants_are_cached_per_grid_and_closure():
     # the cached closure vectors are read-only
     for k in (comb, green.a):
         for g in grids:
-            for plan in kernels._comb_plans(k, g.t_min, g.t_max, g.n, 1.1):
+            for plan in kernels._comb_plans(k, g, 1.1):
                 closure = plan[-1]
                 assert not closure.flags.writeable
                 if len(closure):
@@ -766,9 +806,9 @@ def test_comb_constants_are_cached_per_grid_and_closure():
 
 # --- sampled convolution --------------------------------------------------------
 
-def direct_convolve(k, ts, G, lam_left):
+def direct_convolve(k, grid, G, lam_left):
     """The sampled convolution as one np.convolve of the closure-padded field."""
-    dt = _grid_step(ts)
+    dt = grid.step
     jlo, jhi, kv = _lumped_samples(k, dt)
     left = np.zeros(jhi) if lam_left is None else G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
     padded = np.concatenate((left, G, np.full(-jlo, G[-1])))
@@ -813,9 +853,8 @@ def test_sampled_convolve_matches_direct_sum(case):
     # the blocked Toeplitz product sums the same nonnegative products as the
     # direct convolution, in another order
     k, grid, G, lam_left = case
-    ts = grid.ts
-    ref = direct_convolve(k, ts, G, lam_left)
-    got = _sampled_convolve(k, ts, G, lam_left)
+    ref = direct_convolve(k, grid, G, lam_left)
+    got = _sampled_convolve(k, grid, G, lam_left)
     assert got.shape == ref.shape
     assert not np.any(got < 0)
     normal = ref >= np.finfo(float).tiny

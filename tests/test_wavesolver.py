@@ -18,7 +18,8 @@ from wavefront.charfun import _concave_max
 from wavefront.cli import main
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
-from wavefront.kernels import _shift, convolve, kernel_from_dict, shift_kernel
+from wavefront.kernels import (_shift_plan, _stencil, convolve, kernel_from_dict,
+                               shift_kernel)
 from wavefront.models import ConvolutionProblem
 from wavefront.wavesolver import convolve_field, level_crossing
 
@@ -64,6 +65,20 @@ def test_grid_validation():
     assert len(g.ts) == 101
 
 
+@pytest.mark.parametrize("n", [4096.5, 4096.0, np.float64(4096.0), True, "4096", None])
+def test_grid_rejects_a_size_that_is_no_integer(n):
+    # caught when the grid is built, not when its points are first read
+    with pytest.raises(ValueError, match="must be an integer"):
+        wf.Grid(-60.0, 40.0, n)
+
+
+@pytest.mark.parametrize("n", [np.int64(4096), np.int32(4096), np.uint16(4096)])
+def test_grid_takes_a_numpy_integer_size(n):
+    g, ref = wf.Grid(-60.0, 40.0, n), wf.Grid(-60.0, 40.0, 4096)
+    assert g == ref and hash(g) == hash(ref)
+    assert g.step == ref.step and g.ts.tobytes() == ref.ts.tobytes()
+
+
 # --- field convolution building blocks ---------------------------------------
 
 def skewed_tabulated(n=161):
@@ -90,7 +105,7 @@ def test_convolve_field_against_quadrature(kernel):
     ts = grid.ts
     field_fn = lambda t: math.exp(-((t - 2.0) ** 2) / 8.0)
     G = np.array([field_fn(t) for t in ts])
-    out = convolve_field(kernel, ts, G, lam_left=None)
+    out = convolve_field(kernel, grid, G, lam_left=None)
     for idx in (1000, 2048, 3000):
         expect = convolve_by_quad(kernel, field_fn, ts[idx])
         assert out[idx] == pytest.approx(expect, abs=2e-5 * (1 + abs(expect)))
@@ -104,7 +119,7 @@ def test_convolve_field_second_order_convergence():
         grid = wf.Grid(-40.0, 40.0, n)
         ts = grid.ts
         G = np.array([field_fn(t) for t in ts])
-        out = convolve_field(kernel, ts, G, lam_left=None)
+        out = convolve_field(kernel, grid, G, lam_left=None)
         mid = n // 2
         errs.append(abs(out[mid] - convolve_by_quad(kernel, field_fn, ts[mid])))
     assert errs[1] <= errs[0] / 3.0  # ~ O(step^2)
@@ -112,7 +127,7 @@ def test_convolve_field_second_order_convergence():
 
 @st.composite
 def shifted_cases(draw):
-    """A grid, a shift from one of the classes `_shift` must handle, a field and a closure."""
+    """A grid, a shift from one of the classes `_stencil` must handle, a field and a closure."""
     n = draw(st.integers(64, 8193))
     grid = wf.Grid(-draw(st.floats(1.0, 100.0)), draw(st.floats(1.0, 100.0)), n)
     span = grid.t_max - grid.t_min
@@ -149,20 +164,21 @@ def test_convolve_field_comb_is_exact_shift(case, shape):
     # whole indices, other shifts agree with np.interp plus the closure
     grid, shift, G, lam_left = case
     ts, n, step = grid.ts, grid.n, grid.step
+    plan = _shift_plan(grid, shift, lam_left)
     if shape == "comb":
         kernel, H = wf.DiracComb((shift,), (0.75,)), G
         # the sum starts from the first atom, so a -0.0 stays -0.0
-        expect = 0.75 * _shift(ts, G, shift, lam_left)
+        expect = 0.75 * _stencil(G, plan, np.empty(n))
     else:
         unshifted = (wf.OneSidedExponential(rate=1.3) if shape == "exponential"
                      else wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))
         kernel = shift_kernel(unshifted, shift)
-        H = convolve_field(unshifted, ts, G, lam_left)
-        expect = _shift(ts, H, shift, lam_left)
+        H = convolve_field(unshifted, grid, G, lam_left)
+        expect = _stencil(H, plan, np.empty(n))
     # bytes, so that the sign of a zero counts too
-    assert convolve_field(kernel, ts, G, lam_left).tobytes() == expect.tobytes()
+    assert convolve_field(kernel, grid, G, lam_left).tobytes() == expect.tobytes()
 
-    got = _shift(ts, H, shift, lam_left)
+    got = _stencil(H, plan, np.empty(n))
     ref = interp_shift(ts, H, shift, lam_left)
     k = round(shift / step)
     if shift == k * step:
@@ -198,17 +214,17 @@ def test_convolve_field_mass_on_constant():
                    wf.GaussianKernel(1.0),
                    wf.OneSidedExponential(rate=2.0, scale=0.5),
                    skewed_tabulated()):
-        out = convolve_field(kernel, ts, G, lam_left=0.5)
+        out = convolve_field(kernel, grid, G, lam_left=0.5)
         mid = len(ts) // 2
         assert out[mid] == pytest.approx(kernel.mass, rel=1e-9)
 
 
 def test_convolve_field_rejects_kernel_between_grid_points():
     # a bump that no multiple of the step reaches would act as zero
-    ts = wf.Grid(-10.0, 10.0, 201).ts
+    grid = wf.Grid(-10.0, 10.0, 201)
     bump = wf.TabulatedKernel((0.01, 0.02, 0.03), (0.0, 1.0, 0.0))
     with pytest.raises(ValueError, match="grid step"):
-        convolve_field(bump, ts, np.ones_like(ts), lam_left=None)
+        convolve_field(bump, grid, np.ones(grid.n), lam_left=None)
 
 
 @pytest.mark.parametrize("kernel", [wf.GaussianKernel(0.8), skewed_tabulated()])
@@ -221,7 +237,7 @@ def test_convolve_field_density_nonnegative(kernel, lam_left):
     ts = grid.ts
     G = np.minimum(np.exp(15.0 * ts), 1.0)
     assert G[0] == 0.0 and np.any((G > 0.0) & (G < np.finfo(float).tiny))
-    out = convolve_field(kernel, ts, G, lam_left=lam_left)
+    out = convolve_field(kernel, grid, G, lam_left=lam_left)
     assert float(np.min(out)) >= 0.0
 
 
@@ -285,7 +301,7 @@ def full_grid_decay_rate(p, grid, lam_guess):
         fieldv = np.exp(np.minimum(lam * (ts - ts[mid]), 700.0))
         acc = 0.0
         for atom in p.atoms:
-            acc += atom.weight * convolve_field(atom.kernel, ts, fieldv, lam)[mid]
+            acc += atom.weight * convolve_field(atom.kernel, grid, fieldv, lam)[mid]
         return 1.0 - acc
 
     _, gamma = p.charfun().strip
@@ -393,7 +409,7 @@ def test_each_kernel_factor_goes_through_convolve_field(name, monkeypatch):
 
 def per_atom_operator(p, values, grid, lam_left):
     """The wave operator atom by atom: each atom's whole kernel acts on its own field."""
-    return sum(convolve_field(a.kernel, grid.ts, np.asarray(a.nonlinearity(values), dtype=float),
+    return sum(convolve_field(a.kernel, grid, np.asarray(a.nonlinearity(values), dtype=float),
                               lam_left)
                for a in p.atoms)
 
@@ -523,7 +539,8 @@ def reference_sweeps(p, grid, values):
     """The pinned sweeps with the arithmetic of the loop PinnedMap replaced.
 
     Yields (values, update, drift, min) per sweep: the blend (1 - theta) phi
-    + theta N[phi] at every theta, np.where's crossing and ``_shift``'s copy.
+    + theta N[phi] at every theta, np.where's crossing and a fresh array for
+    the pin shift.
     """
     ts = grid.ts
     kappa = p.equilibrium()
@@ -542,7 +559,7 @@ def reference_sweeps(p, grid, values):
         if crossing is None:
             raise TailUnresolved("iterates fell below the pinning level")
         drift = crossing - pin_at
-        new = _shift(ts, new, -drift, lam)
+        new = _stencil(new, _shift_plan(grid, -drift, lam), np.empty(grid.n))
         update = float(np.max(np.abs(new - values)))
         values = new
         yield values, update, drift, low
@@ -941,6 +958,34 @@ def test_discrete_decay_rate_close_to_analytic():
     # refine the grid: the discrete rate converges to the analytic one
     lam_h2 = wf.discrete_decay_rate(prob, wf.Grid(-60.0, 40.0, 8192))
     assert abs(lam_h2 - 0.5) < 0.3 * abs(lam_h - 0.5)
+
+
+def test_profile_converges_to_the_exact_fisher_wave():
+    # u_t = u_xx + u(1 - u) at c = 5/sqrt(6) has the exact wave
+    # (1 + e^{-(t - s)/sqrt(6)})^{-2} (Ablowitz and Zeppetella, Bull. Math.
+    # Biol. 41, 1979), with lambda_l = sqrt(2/3).  Aligned at its half
+    # crossing, the solved profile is O(step^2) from it: 1.00e-5, 2.57e-6 and
+    # 6.31e-7 at these n, ratios 3.91 and 4.07, and the closure rate sits
+    # 0.272 step^2 above lambda_l
+    spec, cfg = wf.load_model(MODELS_DIR / "cases" / "fisher_exact.json")
+    prob = spec.to_convolution_form(float(cfg["c"]))
+    assert float(cfg["c"]) == pytest.approx(5.0 / math.sqrt(6.0), rel=1e-15)
+    # the exact wave crosses 1/2 at s + sqrt(6) ln(1 + sqrt(2))
+    half = math.sqrt(6.0) * math.log1p(math.sqrt(2.0))
+    errors = {}
+    for n in (2048, 4096, 8192):
+        grid = wf.Grid(-60.0, 40.0, n)
+        prof = wf.solve_profile(prob, grid, wavesolver.default_init(prob),
+                                wf.SolveOptions(tol=1e-12))
+        s = level_crossing(grid.ts, prof.values, 0.5) - half
+        exact = (1.0 + np.exp(-(grid.ts - s) / math.sqrt(6.0))) ** -2
+        inner = slice(wavesolver.EDGE_POINTS, n - wavesolver.EDGE_POINTS)
+        errors[n] = float(np.max(np.abs(prof.values - exact)[inner]))
+        offset = prof.convergence["closure_rate"] - math.sqrt(2.0 / 3.0)
+        assert abs(offset) <= 0.3 * grid.step ** 2
+    assert errors[4096] <= 3e-6
+    for coarse, fine in ((2048, 4096), (4096, 8192)):
+        assert errors[coarse] / errors[fine] == pytest.approx(4.0, abs=0.3)
 
 
 # rightward dispersal: gamma_K = inf and chi_h rises without bound, so the

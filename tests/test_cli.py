@@ -555,7 +555,7 @@ def test_tabulated_nonlinearity_solves_and_verifies(tmp_path):
     for command in ("analyze", "speed", "solve", "verify"):
         assert main([command, "--model", str(model), "--out", str(tmp_path / "out")]) == 0
     conv = read_json(tmp_path / "out" / "solve.json")["convergence"]
-    assert conv["iterations"] == 43
+    assert conv["iterations"] == 33
     assert conv["closure_rate"] == pytest.approx(0.49338, abs=1e-5)
 
 

@@ -19,12 +19,12 @@ slopes of the atoms near the plateau grow.  The reported residual is always
 measured against the plain operator with the zero left closure.
 
 A :class:`PinnedMap`, built once per (problem, grid, init), holds the
-closure rate, the pin, theta and two work buffers, and runs each sweep in
-place.  :func:`solve_profile` is a two-step (heavy-ball) driver over it
-(Polyak 1964; Golub and Varga 1961): once the transient is over it feeds
-the map y + beta (y - y_prev) in place of its last iterate y, with beta
-capped below the bound 1 / ell that keeps the relaxed map's most negative
-mode stable, and it stops only after SETTLE_SWEEPS settled sweeps in a row.
+closure rate, the pin and theta, and sweeps an array into one the caller
+owns.  :func:`solve_profile`, a two-step (heavy-ball) driver that owns
+every iterate (Polyak 1964; Golub and Varga 1961), feeds it y + beta (y -
+y_prev) once the transient is over, with beta below the bound 1 / ell that
+keeps the relaxed map's most negative mode stable, and stops only after
+SETTLE_SWEEPS settled sweeps in a row.
 :func:`_failure` turns the driver's last state into its verdict.
 
 Whether a wave exists is decided by chi alone: with no positive zero of
@@ -209,6 +209,8 @@ class SolveOptions:
     max_iter: int = 20000
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not 0.0 < self.tol < math.inf or self.max_iter < 1:
             raise ValueError("tol must be positive and finite, and max_iter >= 1")
 
@@ -227,15 +229,15 @@ def _init_values(init, grid: Grid) -> np.ndarray:
 
 
 class PinnedMap:
-    """The pinned sweep phi <- S[(1 - theta) phi + theta N[phi]], run in place.
+    """The pinned sweep phi -> S[(1 - theta) phi + theta N[phi]], a function of phi.
 
     Built once per (problem, grid, init), after the checks that need no
     sweep: the initial profile's shape, finiteness and sign, the existence
     verdict of chi, a nonzero initial profile and the left margin.  It holds
     theta, the closure rate, the pin level PIN_FRACTION * min(kappa,
-    max phi_0), its first crossing t_pin on the initial profile, the current
-    iterate ``values`` and two work buffers.  S shifts the relaxed sweep
-    back so that it crosses the pin level at t_pin again.
+    max phi_0), its first crossing t_pin and the profile phi_0 itself as
+    ``initial``, which it never writes: it keeps no iterate.  S shifts the
+    relaxed sweep back so that it crosses the pin level at t_pin again.
     """
 
     def __init__(self, p: ConvolutionProblem, grid: Grid, init):
@@ -258,28 +260,25 @@ class PinnedMap:
                 f"left margin too small: need t_min <= {-5.0 / lam_base:g} for tail closure")
         self.closure_rate = discrete_decay_rate(p, grid)
         self.theta = p.relaxation
-        self.values = values
-        self._buffers = (np.empty(grid.n), np.empty(grid.n))
+        self.initial = values
 
-    def step(self) -> tuple[float, float, float]:
-        """One sweep: ``values`` becomes the next pinned iterate.
+    def step(self, phi: np.ndarray, out: np.ndarray) -> tuple[float, float, float]:
+        """One sweep of ``phi``, which it only reads, into ``out``, which must not be ``phi``.
 
-        Returns (update, drift, min): the sup-norm change of the iterate,
-        the pin crossing's drift before the shift back, and the minimum of
-        the relaxed sweep.  A sweep with negative values raises
-        NegativeValues, one that collapses to zero or misses the pin level
-        raises TailUnresolved, and ``values`` then keeps the last iterate.
+        Returns (update, drift, min): the sup-norm change from phi to the
+        pinned iterate, the pin crossing's drift before the shift back, and
+        the minimum of the relaxed sweep.  A sweep with negative values
+        raises NegativeValues, one that collapses to zero or misses the pin
+        level raises TailUnresolved, and ``out`` then holds no iterate.
         """
-        phi, lam, grid = self.values, self.closure_rate, self.grid
-        # the buffer that does not hold phi
-        spare = self._buffers[self._buffers[0] is phi]
+        lam, grid = self.closure_rate, self.grid
         new = apply_operator(self.p, phi, grid, lam)
         if self.theta != 1.0:
             # at theta = 1, 0 phi + 1 N is N bit for bit: N is a sum started
             # from +0.0, so it holds no -0.0
-            np.multiply(phi, 1.0 - self.theta, out=spare)
+            np.multiply(phi, 1.0 - self.theta, out=out)
             new *= self.theta
-            new += spare
+            new += out
         low, high = float(new.min()), float(new.max())
         if low < -1e-10 * max(1.0, self.kappa):
             raise NegativeValues(f"iteration produced negative values (min {low:g})")
@@ -289,11 +288,10 @@ class PinnedMap:
             drift = level_crossing(grid.ts, new, self.pin_level) - self.t_pin
         except NoCrossing:
             raise TailUnresolved("iterates fell below the pinning level") from None
-        if drift != 0.0:
-            new, spare = _stencil(new, _shift_plan(grid, -drift, lam), spare), new
-        np.subtract(new, phi, out=spare)
-        update = float(np.abs(spare, out=spare).max())
-        self.values = new
+        # a zero drift is a bitwise copy; the spent blend is the update's scratch
+        _stencil(new, _shift_plan(grid, -drift, lam), out)
+        np.subtract(out, phi, out=new)
+        update = float(np.abs(new, out=new).max())
         return update, drift, low
 
 
@@ -328,10 +326,11 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     before the first sweep.  ``MaxIterExceeded`` carries the best-effort
     profile.
 
-    This is the two-step (heavy-ball) driver over one :class:`PinnedMap`.
-    Each sweep maps x to the pinned iterate y; x is y_prev, the last
-    iterate, until a sweep's update falls below EXTRAPOLATE_BELOW, and
-    from then on x = max(0, y + beta (y - y_prev)) with beta =
+    This is the two-step (heavy-ball) driver over one :class:`PinnedMap`,
+    and it owns the arrays x, y and y_prev.  Each sweep maps x to the
+    pinned iterate y, written over y_prev before the two swap; x is y,
+    the last iterate, until a sweep's update falls below EXTRAPOLATE_BELOW,
+    and from then on x = max(0, y + beta (y - y_prev)) with beta =
     ``_extrapolation(theta)``.  It stops once the update is below tol and
     the pin drifts at most theta * DRIFT_GATE_STEPS grid steps per sweep
     on SETTLE_SWEEPS sweeps in a row, and :func:`_failure` judges the
@@ -340,17 +339,15 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
     """
     pinned = PinnedMap(p, grid, init)
     beta = _extrapolation(pinned.theta)
-    # the driver's own buffers: the extrapolated x and the last iterate
-    x, y_prev = np.empty(grid.n), pinned.values.copy()
-    update = math.inf
-    drift = 0.0
+    # the driver's arrays: the sweep's input phi is the extrapolated x or the iterate y
+    phi = y = pinned.initial.copy()
+    y_prev, x = np.empty(grid.n), np.empty(grid.n)
     drift_gate = pinned.theta * DRIFT_GATE_STEPS * grid.step
     settled_sweeps = translating_sweeps = 0
     extrapolating = converged = False
-    iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        update, drift, _ = pinned.step()
-        y = pinned.values
+        update, drift, _ = pinned.step(phi, y_prev)
+        y, y_prev = y_prev, y
         if update < opts.tol:
             # a settled shape must also stop translating
             if abs(drift) <= drift_gate:
@@ -374,8 +371,7 @@ def solve_profile(p: ConvolutionProblem, grid: Grid, init,
             # only the extrapolation can go negative here: the map's own
             # NegativeValues check still judges the model's sign
             np.maximum(x, 0.0, out=x)
-            pinned.values = x
-        np.copyto(y_prev, y)
+        phi = x if extrapolating else y
 
     meta = {
         "iterations": iterations,

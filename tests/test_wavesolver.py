@@ -72,6 +72,20 @@ def test_grid_rejects_a_size_that_is_no_integer(n):
         wf.Grid(-60.0, 40.0, n)
 
 
+@pytest.mark.parametrize("max_iter", [5.0, math.inf, np.float64(5.0), True, "5", None])
+def test_solve_options_reject_a_max_iter_that_is_no_integer(max_iter):
+    # caught when the options are built, not when the driver first loops
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        wf.SolveOptions(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [np.int64(5), np.uint16(5)])
+def test_solve_options_take_a_numpy_integer_max_iter(max_iter):
+    prob, grid, init = pinned_case("local_delayed_rd")
+    with pytest.raises(MaxIterExceeded, match="after 5 iterations"):
+        wf.solve_profile(prob, grid, init, wf.SolveOptions(max_iter=max_iter))
+
+
 @pytest.mark.parametrize("n", [np.int64(4096), np.int32(4096), np.uint16(4096)])
 def test_grid_takes_a_numpy_integer_size(n):
     g, ref = wf.Grid(-60.0, 40.0, n), wf.Grid(-60.0, 40.0, 4096)
@@ -201,6 +215,20 @@ def test_convolve_field_comb_is_exact_shift(case, shape):
     # either side of it
     keep = np.abs(ts - shift - ts[0]) > rounding if lam_left is None else np.ones(n, bool)
     assert np.all(np.abs(got - ref)[keep] <= tol[keep])
+
+
+@pytest.mark.parametrize("n", [4096, 4001])
+@pytest.mark.parametrize("lam_left", [None, 0.5])
+@pytest.mark.parametrize("shift", [0.0, -0.0])
+def test_a_zero_shift_is_a_bitwise_copy(shift, lam_left, n):
+    # the pinned map shifts every sweep back, by a zero drift too
+    grid = wf.Grid(-60.0, 40.0, n)
+    G = np.random.default_rng(n).standard_normal(n)
+    G[::5], G[1::5], G[2::5], G[3::7] = -0.0, 0.0, 5e-324, -2.5e-310
+    G[0], G[-1] = -0.0, -5e-324
+    out = np.full(n, np.nan)
+    assert _stencil(G, _shift_plan(grid, shift, lam_left), out) is out
+    assert out.tobytes() == G.tobytes()
 
 
 def test_convolve_field_mass_on_constant():
@@ -638,16 +666,48 @@ def test_pinned_map_steps_are_the_old_sweeps_bit_for_bit(name, theta):
     assert (prob.relaxation == 1.0) == (theta == 1.0)
     pinned = wavesolver.PinnedMap(prob, grid, init)
     ref = reference_sweeps(prob, grid, init.on(grid))
-    assert pinned.values.tobytes() == init.on(grid).tobytes()
+    assert pinned.initial.tobytes() == init.on(grid).tobytes()
     # every sweep until the default tol, the settled iterates included
     update, sweep = math.inf, 0
+    phi, out = pinned.initial.copy(), np.empty(grid.n)
     while update >= 1e-8:
         sweep += 1
-        update, drift, low = pinned.step()
+        update, drift, low = pinned.step(phi, out)
         values, *record = next(ref)
-        assert pinned.values.tobytes() == values.tobytes(), sweep
+        assert out.tobytes() == values.tobytes(), sweep
         assert [update.hex(), drift.hex(), low.hex()] == [x.hex() for x in record], sweep
         assert sweep < 1000
+        phi, out = out, phi
+
+
+def hexes(record):
+    return [x.hex() for x in record]
+
+
+@pytest.mark.parametrize("name", ["nonlocal_lattice", "cases/local_rate_10"])
+def test_pinned_map_is_a_function_of_its_input(name):
+    # theta = 1 skips the blend, theta = 0.2 runs it with out as its scratch
+    prob, grid, init = pinned_case(name)
+    pinned = wavesolver.PinnedMap(prob, grid, init)
+    initial = pinned.initial.tobytes()
+    inputs, results = [pinned.initial.copy()], []
+    for _ in range(6):
+        phi = inputs[-1]
+        before = phi.tobytes()
+        # two outs that hold different garbage
+        out, other = np.full(grid.n, np.nan), np.full(grid.n, -1.0)
+        record = hexes(pinned.step(phi, out))
+        assert hexes(pinned.step(phi, other)) == record
+        assert out.tobytes() == other.tobytes()
+        assert phi.tobytes() == before
+        results.append((out.tobytes(), record))
+        inputs.append(out)
+    assert pinned.initial.tobytes() == initial
+    # an earlier input, stepped again after the later ones, sweeps the same
+    for phi, (values, record) in zip(inputs, results):
+        out = np.empty(grid.n)
+        assert hexes(pinned.step(phi, out)) == record
+        assert out.tobytes() == values
 
 
 def negative_sweep_case():
@@ -893,9 +953,9 @@ def test_no_iterate_the_map_receives_is_negative(tmp_path, monkeypatch):
     received = []
     step = wavesolver.PinnedMap.step
 
-    def checking(self):
-        received.append(float(np.min(self.values)))
-        return step(self)
+    def checking(self, phi, out):
+        received.append(float(np.min(phi)))
+        return step(self, phi, out)
 
     monkeypatch.setattr(wavesolver.PinnedMap, "step", checking)
     for path in sorted(MODELS_DIR.glob("*.json")):

@@ -26,7 +26,7 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj) -> str:
+def dumps(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -38,17 +38,13 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _emit(obj.tolist())
+        return dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in items) + "}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps(obj) -> str:
-    return _emit(obj)
 
 
 def config_hash(cfg: dict) -> str:

@@ -140,10 +140,7 @@ def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None) -
     if int(mask.sum()) < 30:
         raise TailUnresolved(f"only {int(mask.sum())} window points; need >= 30")
     t = ts[mask]
-    p = vals[mask]
-    if np.any(p <= 0.0):
-        raise NonPositiveTail("window contains non-positive values")
-    logp = np.log(p)
+    logp = np.log(vals[mask])
 
     lam0, b0, res0 = _fit_k0(t, logp)
     r0 = float(np.sqrt(np.mean(res0 ** 2)))
@@ -153,19 +150,13 @@ def fit_decay(profile: WaveProfile, window: tuple[float, float] | None = None) -
         r1 = float(np.sqrt(np.mean(res1 ** 2)))
 
     if r1 <= PARSIMONY * r0:
-        k, lam, b = 1, lam1, b1
-        res = res1
-        m = -b / lam
-        a = A1 - m
-        rms = r1
+        k, lam, b, res, rms = 1, lam1, b1, res1, r1
     else:
-        k, lam, b = 0, lam0, b0
-        res = res0
-        m = -b / lam
-        a = 0.0
-        rms = r0
+        k, lam, b, res, rms = 0, lam0, b0, res0, r0
     if lam <= 0:
         raise TailUnresolved(f"fitted rate {lam:g} is not positive")
+    m = -b / lam
+    a = A1 - m if k else 0.0
     return DecayFit(lambda_hat=float(lam), k_hat=k, a=float(a), m=float(m),
                     window=(float(t[0]), float(t[-1])),
                     residual_sup=float(np.max(np.abs(res))), residual_l2=rms,

@@ -106,27 +106,21 @@ def _parse_grid(text: str) -> Grid:
     return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _stamp(cfg: dict, args) -> dict:
+def _write(args, cfg: dict, name: str, payload: dict) -> None:
+    """Write ``payload`` to args.out/name, stamped with the version and the config hash."""
     resolved = {**vars(args), "model": cfg}
     del resolved["out"]
-    return {"version": __version__, "config_hash": config_hash(resolved)}
-
-
-def _write(path: str, payload: dict) -> None:
+    text = dumps({"version": __version__, "config_hash": config_hash(resolved), **payload})
+    path = os.path.join(args.out, name)
     with open(path, "w") as fh:
-        fh.write(dumps(payload))
-        fh.write("\n")
+        fh.write(text + "\n")
     log.info("wrote %s", path)
 
 
-def _speed_of(cfg: dict) -> float:
+def _problem(spec, cfg):
     if "c" not in cfg:
         raise ValueError("model file must set \"c\" for this command")
-    return float(cfg["c"])
-
-
-def _problem(spec, cfg):
-    return spec.to_convolution_form(_speed_of(cfg))
+    return spec.to_convolution_form(float(cfg["c"]))
 
 
 def cmd_analyze(args) -> int:
@@ -144,13 +138,11 @@ def cmd_analyze(args) -> int:
     try:
         sd = real_roots(cf)
     except NoRoots as exc:
-        _write(os.path.join(args.out, "spectral.json"),
-               {**_stamp(cfg, args), "error": str(exc), "no_roots": True})
+        _write(args, cfg, "spectral.json", {"error": str(exc), "no_roots": True})
         print("no positive zero of the characteristic function: no semi-wavefront "
               "vanishing at -infinity exists at this speed", file=sys.stderr)
         return EXIT_FAIL
-    _write(os.path.join(args.out, "spectral.json"),
-           {**_stamp(cfg, args), **sd.to_dict()})
+    _write(args, cfg, "spectral.json", sd.to_dict())
     return EXIT_OK
 
 
@@ -158,8 +150,7 @@ def cmd_speed(args) -> int:
     spec, cfg = load_model(args.model)
     c_star, z_star = model_min_speed(spec)
     os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "speed.json"),
-           {**_stamp(cfg, args), "c_star": c_star, "z_star": z_star})
+    _write(args, cfg, "speed.json", {"c_star": c_star, "z_star": z_star})
     return EXIT_OK
 
 
@@ -172,14 +163,12 @@ def cmd_solve(args) -> int:
     try:
         profile = solve_profile(prob, grid, default_init(prob), opts)
     except SOLVE_FAILURES as exc:
-        _write(os.path.join(args.out, "solve.json"),
-               {**_stamp(cfg, args), "error": str(exc),
-                "no_wave": isinstance(exc, NoWave)})
+        _write(args, cfg, "solve.json",
+               {"error": str(exc), "no_wave": isinstance(exc, NoWave)})
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     profile.to_csv(os.path.join(args.out, "profile.csv"))
-    _write(os.path.join(args.out, "solve.json"),
-           {**_stamp(cfg, args), **profile.meta_dict()})
+    _write(args, cfg, "solve.json", profile.meta_dict())
     return EXIT_OK
 
 
@@ -189,8 +178,7 @@ def cmd_verify(args) -> int:
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     report = uniqueness_probe(_problem(spec, cfg), grid, opts)
     os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "verify.json"),
-           {**_stamp(cfg, args), **report.to_dict()})
+    _write(args, cfg, "verify.json", report.to_dict())
     with open(os.path.join(args.out, "verify.txt"), "w") as fh:
         fh.write(report.to_text() + "\n")
     return EXIT_OF_VERDICT[report.verdict]
@@ -207,8 +195,7 @@ def cmd_scan(args) -> int:
         return EXIT_FAIL
     report = strip_zero_scan(cf, sd, y_max=args.y_max)
     os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "scan.json"),
-           {**_stamp(cfg, args), **report.to_dict()})
+    _write(args, cfg, "scan.json", report.to_dict())
     return EXIT_OF_VERDICT[report.status]
 
 

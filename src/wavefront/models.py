@@ -138,9 +138,6 @@ def linear(slope: float = 1.0) -> Nonlinearity:
                         gprime0=slope, name="linear")
 
 
-identity = linear  # the tau-atoms carrying the linear part use g(s, tau) = s
-
-
 def tabulated_nonlinearity(u, g) -> Nonlinearity:
     """Piecewise-linear interpolant of the samples; g'(0) is its first segment's slope."""
     u = np.asarray(u, dtype=float)
@@ -157,20 +154,12 @@ def tabulated_nonlinearity(u, g) -> Nonlinearity:
                         gprime0=float(g[1] / u[1]), name="tabulated")
 
 
-def _birth_shift(g: Nonlinearity, beta: float) -> Nonlinearity:
-    return Nonlinearity(fn=lambda u: np.asarray(g.fn(u)) + beta * np.asarray(u, dtype=float),
+def _slope_shift(g: Nonlinearity, sign: float, beta: float, name: str) -> Nonlinearity:
+    """sign * g(u) + beta * u: the birth shift g_beta (sign 1) or the damping shift f_beta (-1)."""
+    return Nonlinearity(fn=lambda u: sign * np.asarray(g.fn(u)) + beta * np.asarray(u, dtype=float),
                         deriv=(None if g.deriv is None
-                               else lambda u: np.asarray(g.deriv(u)) + beta),
-                        gprime0=g.gprime0 + beta,
-                        name=f"{g.name}+beta*u")
-
-
-def _damping_shift(f: Nonlinearity, beta: float) -> Nonlinearity:
-    return Nonlinearity(fn=lambda u: beta * np.asarray(u, dtype=float) - np.asarray(f.fn(u)),
-                        deriv=(None if f.deriv is None
-                               else lambda u: beta - np.asarray(f.deriv(u))),
-                        gprime0=beta - f.gprime0,
-                        name=f"beta*u-{f.name}")
+                               else lambda u: sign * np.asarray(g.deriv(u)) + beta),
+                        gprime0=sign * g.gprime0 + beta, name=name)
 
 
 @dataclass(frozen=True)
@@ -377,9 +366,9 @@ class NonlocalKPP(ModelSpec):
         k = OneSidedExponential(rate=(1.0 + beta) / abs(c),
                                 direction=1 if c > 0 else -1,
                                 scale=1.0 / (1.0 + beta))
-        gb = _birth_shift(self.g, beta)
+        gb = _slope_shift(self.g, 1.0, beta, f"{self.g.name}+beta*u")
         atoms = (
-            Atom(convolve(k, self.J), identity(1.0), 1.0),
+            Atom(convolve(k, self.J), linear(1.0), 1.0),
             Atom(k, gb, gb.gprime0),
         )
         return ConvolutionProblem(atoms, c, beta, M)
@@ -398,8 +387,9 @@ class NonlocalKPP(ModelSpec):
 class NonlocalLattice(ModelSpec):
     """Lattice sites coupled to nearest neighbours with dispersed delayed birth.
 
-    ``comb`` is the birth comb sum_k beta(k) delta(s - k), offsets increasing,
-    without the weights below TRUNCATE_RTOL of the largest.
+    ``beta_weights`` gives each site k one nonnegative weight beta(k).  ``comb``
+    is the birth comb sum_k beta(k) delta(s - k), offsets increasing, without
+    the weights below TRUNCATE_RTOL of the largest (zero weights included).
     """
 
     D: float
@@ -416,11 +406,15 @@ class NonlocalLattice(ModelSpec):
             raise ValueError("need D > 0 and d > 0")
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
-        clean = {int(k): float(w) for k, w in self.beta_weights.items() if float(w) > 0}
-        if not clean:
+        sites = {int(k): float(w) for k, w in self.beta_weights.items()}
+        if len(sites) < len(self.beta_weights):
+            raise ValueError("comb weights must name each site once")
+        if not all(w >= 0 for w in sites.values()):
+            raise ValueError("comb weights must be nonnegative")
+        wmax = max(sites.values(), default=0.0)
+        if not wmax > 0:
             raise ValueError("comb weights must include a positive entry")
-        wmax = max(clean.values())
-        kept = {k: w for k, w in clean.items() if w > self.TRUNCATE_RTOL * wmax}
+        kept = {k: w for k, w in sites.items() if w > self.TRUNCATE_RTOL * wmax}
         object.__setattr__(self, "beta_weights", kept)
         ks = sorted(kept)
         object.__setattr__(self, "comb", DiracComb(tuple(ks), tuple(kept[k] for k in ks)))
@@ -436,7 +430,7 @@ class NonlocalLattice(ModelSpec):
         neigh = DiracComb((-1.0, 1.0), (self.D, self.D))
         comb = shift_kernel(self.comb, c * self.delay)
         atoms = (
-            Atom(convolve(H0, neigh), identity(1.0), 1.0),
+            Atom(convolve(H0, neigh), linear(1.0), 1.0),
             Atom(convolve(H0, comb), self.g, self.g.gprime0),
         )
         return ConvolutionProblem(atoms, c, 0.0, M)
@@ -487,7 +481,7 @@ class NonlocalDelayedRD(ModelSpec):
         beta = max(self.f.gprime0, sup_d - self.inf_fprime, sup_d) + 1.0
         green = PiecewiseGreen.from_speed_damping(c, beta)
         k_h = shift_kernel(self.k, c * self.delay)
-        fb = _damping_shift(self.f, beta)
+        fb = _slope_shift(self.f, -1.0, beta, f"beta*u-{self.f.name}")
         atoms = (
             Atom(convolve(green, k_h), self.g, self.g.gprime0),
             Atom(green, fb, beta - self.inf_fprime),
@@ -697,12 +691,16 @@ _STRING_KEYS = ("family", "kind", "shape", "path")
 
 
 def _typed_object(pairs) -> dict:
+    obj = {}
     for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
         for v in value if isinstance(value, list) else (value,):
             if isinstance(v, bool) or (isinstance(v, str) and key not in _STRING_KEYS):
                 kind = "boolean" if isinstance(v, bool) else "string"
                 raise ValueError(f"{key} takes no {kind}, got {json.dumps(v)}")
-    return dict(pairs)
+        obj[key] = value
+    return obj
 
 
 def load_model(path) -> tuple[ModelSpec, dict]:

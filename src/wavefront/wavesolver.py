@@ -34,6 +34,7 @@ chi there is no semi-wavefront, and the solver says so before any sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,6 +212,8 @@ class SolveOptions:
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if not 0.0 < self.tol < math.inf or self.max_iter < 1:
             raise ValueError("tol must be positive and finite, and max_iter >= 1")
 

@@ -236,6 +236,27 @@ def test_unknown_model_key_is_usage_error(tmp_path, capsys, model, key):
     assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(LOCAL).replace('"c": 2.5', '"c": 2.5, "c": 1.0'), "repeated key 'c'"),
+    (json.dumps(LOCAL).replace('"rate": 2.0', '"rate": 2.0, "rate": 0.5'), "repeated key 'rate'"),
+    (json.dumps({**LATTICE, "beta": {"0": 1.0}}).replace('"0": 1.0', '"0": 0.6, "0": 0.6'),
+     "repeated key '0'"),
+    (json.dumps({**LATTICE, "beta": {"-1": 0.6, "0": -0.9, "1": 0.3}}),
+     "comb weights must be nonnegative"),
+    (json.dumps({**LATTICE, "beta": {"0": 0.6, "00": 0.6}}),
+     "comb weights must name each site once"),
+], ids=["model", "nonlinearity", "beta", "negative-weight", "one-site-twice"])
+def test_repeated_key_or_comb_site_is_usage_error(tmp_path, capsys, text, message):
+    # each once ran on a changed model: the first solved at the last c = 1,
+    # below c*, and exited 1; the last gave c* = 0.9017 for a comb of weight 0.6
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc = main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert f"invalid input: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_model_without_equilibrium_fails_every_command(tmp_path, capsys):
     # mass(J) = 1 and g > 0 on (0, inf): (mass(J) - 1) kappa + g(kappa) = 0
     # has no positive root, although chi(0) < 0 and c = 4.5 is above c*

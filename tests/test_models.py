@@ -232,6 +232,54 @@ def test_lattice_truncation_reported():
     assert 7 not in m.beta_weights
 
 
+def test_lattice_drops_zero_weights_as_it_truncates():
+    m = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={-1: 0.6, 0: 0.0, 1: 0.3, 7: 1e-20},
+                           g=wf.logistic(2.0, 1.0))
+    assert m.beta_weights == {-1: 0.6, 1: 0.3}
+
+
+@pytest.mark.parametrize("beta, match", [
+    ({-1: 0.6, 0: -0.9, 1: 0.3}, "nonnegative"),
+    ({0: 1.0, 1: -1e-300}, "nonnegative"),
+    ({"0": 0.6, "00": 0.6}, "each site once"),
+    ({0: 0.6, "0": 0.6}, "each site once"),
+    ({"-1": 0.6, "-01": 0.0}, "each site once"),
+], ids=["negative", "tiny-negative", "string-keys", "int-and-string", "zero-weight-twice"])
+def test_lattice_rejects_a_negative_or_repeated_site(beta, match):
+    # each was once changed silently: the weight dropped, or one of the two kept
+    with pytest.raises(ValueError, match=match):
+        wf.NonlocalLattice(D=1.0, d=1.0, beta_weights=beta, g=wf.logistic(2.0, 1.0))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("g", [
+    wf.logistic(0.4, 1.0),
+    wf.mackey_glass(0.3, 6.0),
+    wf.linear(0.25),
+    wf.tabulated_nonlinearity([0.0, 0.5, 1.0, 2.0], [0.0, 0.2, 0.3, 0.1]),
+], ids=lambda g: g.name)
+def test_slope_shift_is_both_old_shifts_by_bytes(g, beta):
+    # the birth shift g + beta u (sign 1) and the damping shift beta u - g
+    # (sign -1), as the two helpers the slope shift replaced wrote them
+    u = np.linspace(0.0, 2.5, 251)
+    old = {1.0: (lambda x: np.asarray(g.fn(x)) + beta * np.asarray(x, dtype=float),
+                 lambda x: np.asarray(g.deriv(x)) + beta, g.gprime0 + beta),
+           -1.0: (lambda x: beta * np.asarray(x, dtype=float) - np.asarray(g.fn(x)),
+                  lambda x: beta - np.asarray(g.deriv(x)), beta - g.gprime0)}
+    for sign, (fn, deriv, gprime0) in old.items():
+        shifted = models._slope_shift(g, sign, beta, "shifted")
+        assert shifted.name == "shifted"
+        assert shifted.fn(u).tobytes() == fn(u).tobytes()
+        assert shifted.gprime0.hex() == gprime0.hex()
+        if g.deriv is None:
+            assert shifted.deriv is None
+            lo = np.maximum(u - models.DERIV_STEP, 0.0)
+            expected = (fn(u + models.DERIV_STEP) - fn(lo)) / (u + models.DERIV_STEP - lo)
+        else:
+            expected = deriv(u)
+        assert shifted.derivative(u).tobytes() == expected.tobytes()
+
+
 def test_nonlocal_rd_reduction():
     m = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
                              k=wf.GaussianKernel(1.0), delay=0.5)

@@ -79,6 +79,18 @@ def test_solve_options_reject_a_max_iter_that_is_no_integer(max_iter):
         wf.SolveOptions(max_iter=max_iter)
 
 
+@pytest.mark.parametrize("tol", [True, False, "1e-8", None, 1e-8 + 0j, [1e-8]])
+def test_solve_options_reject_a_tol_that_is_no_real_number(tol):
+    # True once ran as tol = 1.0; a string or None failed with a TypeError
+    with pytest.raises(ValueError, match="tol must be a real number"):
+        wf.SolveOptions(tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1, np.float64(1e-8), np.float32(1e-4), np.int64(1)])
+def test_solve_options_take_a_real_tol(tol):
+    assert wf.SolveOptions(tol=tol).tol == tol
+
+
 @pytest.mark.parametrize("max_iter", [np.int64(5), np.uint16(5)])
 def test_solve_options_take_a_numpy_integer_max_iter(max_iter):
     prob, grid, init = pinned_case("local_delayed_rd")

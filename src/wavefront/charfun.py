@@ -28,7 +28,7 @@ import numpy as np
 
 from ._scalar import brentq, minimize_bounded
 from .errors import BracketFailure, NoRoots, StripTooNarrow
-from .kernels import KernelComponent, _check_strip
+from .kernels import KernelComponent, _check_param, _check_strip
 
 INF = math.inf
 
@@ -71,8 +71,7 @@ class CharacteristicFunction:
         if not self.components:
             raise ValueError("need at least one weighted kernel")
         for _, w in self.components:
-            if w <= 0:
-                raise ValueError("weights must be positive")
+            _check_param("weight", w)
         lo, hi = self.strip
         if not lo < hi:
             raise ValueError(f"empty common strip ({lo:g}, {hi:g})")
@@ -120,10 +119,9 @@ class SpectralData:
     chi_prime_at_ll: float
 
     def __post_init__(self):
-        if not self.lambda_l > 0:
-            raise ValueError("lambda_l must be positive")
-        if self.lambda_r is not None and self.lambda_r < self.lambda_l - 1e-12:
-            raise ValueError("need lambda_l <= lambda_r")
+        _check_param("lambda_l", self.lambda_l)
+        if self.lambda_r is not None:
+            _check_param("lambda_r", self.lambda_r, self.lambda_l - 1e-12, closed=True)
 
     @property
     def lambda_rK(self) -> float:

@@ -25,10 +25,6 @@ class BracketFailure(WavefrontError):
     """A speed bracket does not straddle the sign change of the inner maximum."""
 
 
-class DegenerateRange(WavefrontError):
-    """A solution bound M <= 0 was supplied."""
-
-
 class HypothesisViolation(WavefrontError):
     """A model family's standing hypothesis fails for the given parameters."""
 

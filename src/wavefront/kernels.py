@@ -209,10 +209,8 @@ class GaussianKernel(_SampledDensity):
     shape = "gaussian"
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        _check_param("variance", self.variance)
+        _check_param("scale", self.scale)
 
     @property
     def mass(self) -> float:
@@ -253,12 +251,10 @@ class OneSidedExponential(KernelComponent):
     shape = "exponential_onesided"
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        _check_param("rate", self.rate)
         if self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        _check_param("scale", self.scale)
 
     @property
     def mass(self) -> float:
@@ -312,15 +308,13 @@ class PiecewiseGreen(KernelComponent):
     shape = "piecewise_green"
 
     def __post_init__(self):
-        if not (self.nu < 0 < self.mu):
-            raise ValueError("need nu < 0 < mu")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        _check_param("-nu", -self.nu)
+        _check_param("mu", self.mu)
+        _check_param("scale", self.scale)
 
     @classmethod
     def from_speed_damping(cls, c: float, q: float, scale: float = 1.0):
-        if q <= 0:
-            raise ValueError("damping q must be positive")
+        _check_param("damping q", q)
         disc = math.sqrt(c * c + 4.0 * q)
         return cls(nu=(c - disc) / 2.0, mu=(c + disc) / 2.0, scale=scale)
 
@@ -344,9 +338,14 @@ class PiecewiseGreen(KernelComponent):
         den = self.damping + self.speed * z - z * z
         return self.scale / den
 
+    @cached_property
+    def _pieces(self) -> tuple[float, float, float]:
+        """(amp, rho1, rho2) = (scale / (mu - nu), -nu, mu): the amplitude and the two rates."""
+        return self.scale / (self.mu - self.nu), -self.nu, self.mu
+
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        amp = self.scale / (self.mu - self.nu)
+        amp = self._pieces[0]
         return amp * np.where(s >= 0, np.exp(self.nu * np.maximum(s, 0.0)),
                               np.exp(self.mu * np.minimum(s, 0.0)))
 
@@ -354,8 +353,7 @@ class PiecewiseGreen(KernelComponent):
         return (-INF, INF)
 
     def grid_convolve(self, grid, G, lam_left):
-        rho1, rho2 = -self.nu, self.mu
-        amp = self.scale / (self.mu - self.nu)
+        amp, rho1, rho2 = self._pieces
         # amp * (forward / rho1 + backward / rho2), in the forward piece's array
         out = _recurse(grid, G, rho1, 1, lam_left)
         out /= rho1
@@ -366,8 +364,7 @@ class PiecewiseGreen(KernelComponent):
         return out
 
     def grid_laplace(self, lam, dt):
-        rho1, rho2 = -self.nu, self.mu
-        amp = self.scale / (self.mu - self.nu)
+        amp, rho1, rho2 = self._pieces
         return amp * (_recurse_factor(rho1, 1, lam, dt) / rho1
                       + _recurse_factor(rho2, -1, lam, dt) / rho2)
 
@@ -396,10 +393,10 @@ class DiracComb(KernelComponent):
     def __post_init__(self):
         if len(self.offsets) != len(self.weights) or not self.offsets:
             raise ValueError("offsets and weights must be equal-length and nonempty")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if sum(self.weights) <= 0:
-            raise ValueError("total weight must be positive")
+        for a, w in zip(self.offsets, self.weights):
+            _check_param("offset", a, -INF)
+            _check_param("weight", w, closed=True)
+        _check_param("total weight", sum(self.weights))
         object.__setattr__(self, "offsets", tuple(float(a) for a in self.offsets))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
@@ -702,6 +699,24 @@ def _check_keys(spec: dict, allowed, what: str | None = None) -> None:
         raise ValueError(f"unknown key {unknown[0]!r} in {what}")
 
 
+def _check_param(name: str, x, lo: float = 0.0, closed: bool = False):
+    """``x`` if it is a finite real above ``lo`` (or at it, when ``closed``), else ValueError.
+
+    The one rule for a model parameter: a plain comparison, which NaN and
+    +-inf fail as an out-of-range value does.  The message names the
+    parameter and its value.
+    """
+    if (lo <= x if closed else lo < x) and x < INF:
+        return x
+    if lo == -INF:
+        rule = "finite"
+    elif lo == 0.0:
+        rule = f"{'nonnegative' if closed else 'positive'} and finite"
+    else:
+        rule = f"{'>=' if closed else '>'} {lo:g} and finite"
+    raise ValueError(f"{name} must be {rule}, got {x:g}")
+
+
 def _object(spec, what: str) -> dict:
     if not isinstance(spec, dict):
         raise ValueError(f"{what} must be an object, got {spec!r}")
@@ -935,13 +950,18 @@ def _shift_factor(shift, lam, dt):
     return step * (1.0 + (m - s) * math.expm1(lam * dt))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _lumped_samples(k: KernelComponent, dt):
-    """(jlo, jhi, kv): K at j dt for jlo <= j <= jhi, mass-lumped to sum to k.mass.
+    """(jlo, jhi, kv, T): K at j dt for jlo <= j <= jhi, mass-lumped to sum to k.mass, as one Toeplitz block.
 
-    The indices cover ``k._sample_window()`` and always include 0.  Cached
-    per (kernel, step), so ``k.value`` runs once per kernel and grid, not
-    once per sweep and per closure-rate evaluation; ``kv`` is read-only.
+    The indices cover ``k._sample_window()`` and always include 0.  With m
+    samples, T is the (64 + m - 1) x 64 matrix whose column c holds the
+    reversed samples from row c down, so one row of 64 + m - 1 field
+    values times T gives 64 consecutive outputs of the convolution.
+    Cached per (kernel, step), so ``k.value`` runs once per kernel and
+    grid, not once per sweep and per closure-rate evaluation; ``kv`` and
+    ``T`` are read-only.  The cache is small, since T takes 64 times the
+    memory of the samples.
     """
     lo, hi = k._sample_window()
     jlo = min(math.floor(lo / dt), 0)
@@ -951,26 +971,11 @@ def _lumped_samples(k: KernelComponent, dt):
     if not total > 0:
         raise ValueError(f"{type(k).__name__} has no mass on multiples of the grid step {dt:g}")
     kv *= k.mass / total
-    kv.flags.writeable = False
-    return jlo, jhi, kv
-
-
-@lru_cache(maxsize=8)
-def _toeplitz_block(k: KernelComponent, dt):
-    """(jlo, jhi, T): the samples of :func:`_lumped_samples` as one Toeplitz block.
-
-    With m samples, T is the (64 + m - 1) x 64 matrix whose column c holds
-    the reversed samples from row c down, so one row of 64 + m - 1 field
-    values times T gives 64 consecutive outputs of the convolution.
-    Cached per (kernel, step) and read-only, like the samples; the cache
-    is smaller, since T takes 64 times the memory of the samples.
-    """
-    jlo, jhi, kv = _lumped_samples(k, dt)
     m = len(kv)
     d = np.arange(_BLOCK + m - 1)[:, None] - np.arange(_BLOCK)
     T = np.where((d >= 0) & (d < m), kv[::-1][np.clip(d, 0, m - 1)], 0.0)
-    T.flags.writeable = False
-    return jlo, jhi, T
+    kv.flags.writeable = T.flags.writeable = False
+    return jlo, jhi, kv, T
 
 
 def _sampled_convolve(k: KernelComponent, grid, G, lam_left):
@@ -982,14 +987,14 @@ def _sampled_convolve(k: KernelComponent, grid, G, lam_left):
     out[i] = sum_j kv_j G[i - j].  That sum is one matrix product: the
     padded field, with zeros after it to fill the last block, is viewed as
     rows of 64 + m - 1 values, one row starting every 64 points, and each
-    row times the Toeplitz block of :func:`_toeplitz_block` gives 64
+    row times the Toeplitz block of :func:`_lumped_samples` gives 64
     outputs.  Every output is still a sum of the same nonnegative products,
     summed in another order, so nonnegative weights and fields cannot
     produce negative roundoff, unlike an FFT, and the deep left tail keeps
     its relative accuracy.
     """
     dt = grid.step
-    jlo, jhi, T = _toeplitz_block(k, dt)
+    jlo, jhi, _, T = _lumped_samples(k, dt)
     n = len(G)
     blocks = -(-n // _BLOCK)
     padded = np.zeros(blocks * _BLOCK + jhi - jlo)
@@ -1004,7 +1009,7 @@ def _sampled_convolve(k: KernelComponent, grid, G, lam_left):
 
 def _sampled_laplace(k: KernelComponent, lam, dt):
     """Factor by which :func:`_sampled_convolve` multiplies e^{lam t}: sum_j kv_j e^{-lam j dt}."""
-    jlo, jhi, kv = _lumped_samples(k, dt)
+    jlo, jhi, kv, _ = _lumped_samples(k, dt)
     return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
 
 

@@ -22,11 +22,10 @@ import numpy as np
 from ._scalar import brentq
 from .charfun import (CharacteristicFunction, SpectralData, _strip_max,
                       min_speed, real_roots)
-from .errors import (DegenerateRange, HypothesisViolation, NoRoots,
-                     StripTooNarrow, ZeroSpeed)
+from .errors import HypothesisViolation, NoRoots, StripTooNarrow, ZeroSpeed
 from .kernels import (DiracComb, KernelComponent, OneSidedExponential,
-                      PiecewiseGreen, _check_keys, _object, convolve,
-                      kernel_from_dict, shift_kernel)
+                      PiecewiseGreen, _check_keys, _check_param, _object,
+                      convolve, kernel_from_dict, shift_kernel)
 
 INF = math.inf
 DERIV_SAMPLES = 10_000
@@ -69,8 +68,7 @@ class Nonlinearity:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.gprime0 <= 0:
-            raise ValueError("g'(0) must be positive")
+        _check_param("g'(0)", self.gprime0)
         g0 = float(self.fn(0.0))
         if abs(g0) > 1e-12:
             raise ValueError(f"g(0) = {g0:g} must vanish")
@@ -95,16 +93,14 @@ class Nonlinearity:
 
     def lipschitz_on(self, M: float) -> float:
         """Lipschitz constant of g on [0, M] (sup |g'|, analytic or sampled)."""
-        if M <= 0:
-            raise DegenerateRange("bound M must be positive")
-        inf_d, sup_d = self.slopes(0.0, M)
+        inf_d, sup_d = self.slopes(0.0, _check_param("bound M", M))
         return max(sup_d, -inf_d)
 
 
 def logistic(rate: float = 2.0, carrying: float = 1.0) -> Nonlinearity:
     """g(u) = rate * u * (1 - u/carrying); slope at zero is ``rate``."""
-    if rate <= 0 or carrying <= 0:
-        raise ValueError("rate and carrying capacity must be positive")
+    _check_param("rate", rate)
+    _check_param("carrying", carrying)
     return Nonlinearity(
         fn=lambda u: rate * np.asarray(u) * (1.0 - np.asarray(u) / carrying),
         deriv=lambda u: rate * (1.0 - 2.0 * np.asarray(u) / carrying),
@@ -115,8 +111,8 @@ def logistic(rate: float = 2.0, carrying: float = 1.0) -> Nonlinearity:
 
 def mackey_glass(p: float = 2.0, n: float = 6.0) -> Nonlinearity:
     """g(u) = p u / (1 + u^n), the saturating feedback nonlinearity."""
-    if p <= 0 or n <= 0:
-        raise ValueError("p and n must be positive")
+    _check_param("p", p)
+    _check_param("n", n)
 
     def fn(u):
         u = np.asarray(u, dtype=float)
@@ -131,8 +127,7 @@ def mackey_glass(p: float = 2.0, n: float = 6.0) -> Nonlinearity:
 
 
 def linear(slope: float = 1.0) -> Nonlinearity:
-    if slope <= 0:
-        raise ValueError("slope must be positive")
+    _check_param("slope", slope)
     return Nonlinearity(fn=lambda u: slope * np.asarray(u, dtype=float),
                         deriv=lambda u: np.full_like(np.asarray(u, dtype=float), slope),
                         gprime0=slope, name="linear")
@@ -192,9 +187,6 @@ class ConvolutionProblem:
     bound: float
 
     def __post_init__(self):
-        for a in self.atoms:
-            if a.kernel.mass <= 0:
-                raise ValueError("atom kernels must have positive mass")
         chi0 = self.chi0()
         if chi0 >= 0:
             raise HypothesisViolation(f"chi(0) = {chi0:g} must be negative")
@@ -313,11 +305,7 @@ class ModelSpec:
 
     def _resolve_bound(self, M: float | None) -> float:
         """The solution bound M (``default_bound()`` when None); M must be positive."""
-        if M is None:
-            return self.default_bound()
-        if not M > 0:
-            raise ValueError(f"bound must be positive, got {M:g}")
-        return M
+        return self.default_bound() if M is None else _check_param("bound M", M)
 
     def tilde_chi(self, z, c: float):
         """Closed-form numerator of the assembled chi (derivative weights)."""
@@ -338,6 +326,7 @@ class ModelSpec:
         """Every family's ``to_convolution_form`` preamble: check c, then resolve M."""
         if c == 0:
             raise ZeroSpeed("c = 0: stationary fronts are out of scope")
+        _check_param("c", c, -INF)
         if c < 0 and not self.admits_nonpositive_speed:
             raise HypothesisViolation(
                 f"family '{self.family}' supports positive wave speeds only")
@@ -383,6 +372,17 @@ class NonlocalKPP(ModelSpec):
         return self.J.abscissas()
 
 
+def _comb_site(k) -> int:
+    """The lattice site a comb key names: 1, -1, "-1" and 1.0 name one; 0.5, "0.5" and True do not."""
+    try:
+        site = int(k)
+    except (TypeError, ValueError, OverflowError):
+        site = None
+    if site is None or isinstance(k, bool) or not (isinstance(k, str) or site == k):
+        raise ValueError(f"comb site must be an integer, got {k!r}")
+    return site
+
+
 @dataclass(frozen=True)
 class NonlocalLattice(ModelSpec):
     """Lattice sites coupled to nearest neighbours with dispersed delayed birth.
@@ -402,18 +402,14 @@ class NonlocalLattice(ModelSpec):
     TRUNCATE_RTOL = 1e-15
 
     def __post_init__(self):
-        if self.D <= 0 or self.d <= 0:
-            raise ValueError("need D > 0 and d > 0")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-        sites = {int(k): float(w) for k, w in self.beta_weights.items()}
+        _check_param("D", self.D)
+        _check_param("d", self.d)
+        _check_param("delay", self.delay, closed=True)
+        sites = {_comb_site(k): _check_param("comb weights", float(w), closed=True)
+                 for k, w in self.beta_weights.items()}
         if len(sites) < len(self.beta_weights):
             raise ValueError("comb weights must name each site once")
-        if not all(w >= 0 for w in sites.values()):
-            raise ValueError("comb weights must be nonnegative")
-        wmax = max(sites.values(), default=0.0)
-        if not wmax > 0:
-            raise ValueError("comb weights must include a positive entry")
+        wmax = _check_param("largest comb weight", max(sites.values(), default=0.0))
         kept = {k: w for k, w in sites.items() if w > self.TRUNCATE_RTOL * wmax}
         object.__setattr__(self, "beta_weights", kept)
         ks = sorted(kept)
@@ -462,8 +458,7 @@ class NonlocalDelayedRD(ModelSpec):
     family = "nonlocal_delayed_rd"
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
+        _check_param("delay", self.delay, closed=True)
         object.__setattr__(self, "inf_fprime", self.f.slopes(0.0, S_MAX)[0])
         if self.inf_fprime < -1e-9:
             raise HypothesisViolation("damping term must be increasing")
@@ -517,10 +512,8 @@ class LocalDelayedRD(ModelSpec):
     family = "local_delayed_rd"
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-        if self.L < self.g.gprime0:
-            raise ValueError("Lipschitz bound L must be >= g'(0)")
+        _check_param("delay", self.delay, closed=True)
+        _check_param("Lipschitz bound L", self.L, self.g.gprime0, closed=True)
 
     def default_bound(self):
         return _bound_from(lambda x: self.g(x) - x)

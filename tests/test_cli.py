@@ -245,10 +245,12 @@ def test_unknown_model_key_is_usage_error(tmp_path, capsys, model, key):
      "comb weights must be nonnegative"),
     (json.dumps({**LATTICE, "beta": {"0": 0.6, "00": 0.6}}),
      "comb weights must name each site once"),
-], ids=["model", "nonlinearity", "beta", "negative-weight", "one-site-twice"])
+    (json.dumps({**LATTICE, "beta": {"0.5": 1.0}}), "comb site must be an integer, got '0.5'"),
+], ids=["model", "nonlinearity", "beta", "negative-weight", "one-site-twice", "non-integer-site"])
 def test_repeated_key_or_comb_site_is_usage_error(tmp_path, capsys, text, message):
     # each once ran on a changed model: the first solved at the last c = 1,
-    # below c*, and exited 1; the last gave c* = 0.9017 for a comb of weight 0.6
+    # below c*, and exited 1; one-site-twice gave c* = 0.9017 for a comb of
+    # weight 0.6.  The non-integer site exited 64 naming no comb site
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     rc = main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")])

@@ -809,7 +809,7 @@ def test_comb_constants_are_cached_per_grid_and_closure():
 def direct_convolve(k, grid, G, lam_left):
     """The sampled convolution as one np.convolve of the closure-padded field."""
     dt = grid.step
-    jlo, jhi, kv = _lumped_samples(k, dt)
+    jlo, jhi, kv, _ = _lumped_samples(k, dt)
     left = np.zeros(jhi) if lam_left is None else G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
     padded = np.concatenate((left, G, np.full(-jlo, G[-1])))
     return np.convolve(padded, kv, "valid")

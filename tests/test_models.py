@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,21 @@ def test_lattice_rejects_a_negative_or_repeated_site(beta, match):
         wf.NonlocalLattice(D=1.0, d=1.0, beta_weights=beta, g=wf.logistic(2.0, 1.0))
 
 
+@pytest.mark.parametrize("site, expected", [(1, 1), (-1, -1), ("-1", -1), (1.0, 1), (np.int64(2), 2)],
+                         ids=["int", "negative", "string", "float", "numpy"])
+def test_lattice_comb_site_names_an_integer(site, expected):
+    m = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={site: 0.4, 0: 0.6}, g=wf.logistic(2.0, 1.0))
+    assert m.beta_weights == {expected: 0.4, 0: 0.6}
+
+
+@pytest.mark.parametrize("site", [0.5, "0.5", True, math.nan, math.inf, "one"],
+                         ids=["float", "string", "bool", "nan", "inf", "word"])
+def test_lattice_refuses_a_non_integer_comb_site(site):
+    # 0.5 was once truncated to site 0 and True read as site 1
+    with pytest.raises(ValueError, match=f"comb site must be an integer, got {re.escape(repr(site))}"):
+        wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={site: 1.0}, g=wf.logistic(2.0, 1.0))
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("g", [
     wf.logistic(0.4, 1.0),
@@ -313,6 +329,65 @@ def test_standing_hypotheses():
         wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0).to_convolution_form(0.0)
     with pytest.raises(HypothesisViolation):
         wf.LocalDelayedRD(g=wf.logistic(2.0, 1.0), L=2.0).to_convolution_form(-1.0)
+
+
+# every model parameter the one rule covers: (build from x, the name its
+# message gives, the in-range boundary value refused before NaN and inf were)
+_LOGISTIC = wf.logistic(2.0, 1.0)
+_PARAMETERS = {
+    "gaussian-variance": (lambda x: wf.GaussianKernel(x), "variance", 0.0),
+    "gaussian-scale": (lambda x: wf.GaussianKernel(1.0, scale=x), "scale", 0.0),
+    "exponential-rate": (lambda x: wf.OneSidedExponential(rate=x), "rate", 0.0),
+    "exponential-scale": (lambda x: wf.OneSidedExponential(rate=1.0, scale=x), "scale", 0.0),
+    "green-nu": (lambda x: wf.PiecewiseGreen(nu=-x, mu=1.0), "-nu", 0.0),
+    "green-mu": (lambda x: wf.PiecewiseGreen(nu=-1.0, mu=x), "mu", 0.0),
+    "green-scale": (lambda x: wf.PiecewiseGreen(nu=-1.0, mu=1.0, scale=x), "scale", 0.0),
+    "green-q": (lambda x: wf.PiecewiseGreen.from_speed_damping(2.0, x), "damping q", 0.0),
+    "comb-offset": (lambda x: wf.DiracComb((0.0, x), (0.5, 0.5)), "offset", None),
+    "comb-weight": (lambda x: wf.DiracComb((0.0, 1.0), (0.5, x)), "weight", -1e-300),
+    "nonlinearity-gprime0": (lambda x: wf.Nonlinearity(fn=lambda u: u, gprime0=x), "g'(0)", 0.0),
+    "logistic-rate": (lambda x: wf.logistic(x, 1.0), "rate", 0.0),
+    "logistic-carrying": (lambda x: wf.logistic(2.0, x), "carrying", 0.0),
+    "mackey_glass-p": (lambda x: wf.mackey_glass(x, 6.0), "p", 0.0),
+    "mackey_glass-n": (lambda x: wf.mackey_glass(2.0, x), "n", 0.0),
+    "linear-slope": (lambda x: wf.linear(x), "slope", 0.0),
+    "lipschitz_on-M": (lambda x: _LOGISTIC.lipschitz_on(x), "bound M", 0.0),
+    "charfun-weight": (lambda x: wf.CharacteristicFunction(((wf.GaussianKernel(1.0), x),)),
+                       "weight", 0.0),
+    "spectral-lambda_l": (lambda x: wf.SpectralData(x, None, 3.0, -1.0, False, 1.0),
+                          "lambda_l", 0.0),
+    "spectral-lambda_r": (lambda x: wf.SpectralData(0.5, x, 3.0, -1.0, False, 1.0),
+                          "lambda_r", 0.4),
+    "lattice-D": (lambda x: wf.NonlocalLattice(D=x, d=1.0, beta_weights={0: 1.0}, g=_LOGISTIC),
+                  "D", 0.0),
+    "lattice-d": (lambda x: wf.NonlocalLattice(D=1.0, d=x, beta_weights={0: 1.0}, g=_LOGISTIC),
+                  "d", 0.0),
+    "lattice-delay": (lambda x: wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={0: 1.0},
+                                                   g=_LOGISTIC, delay=x), "delay", -1e-300),
+    "lattice-weight": (lambda x: wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={0: 1.0, 1: x},
+                                                    g=_LOGISTIC), "comb weights", -1e-300),
+    "local-delay": (lambda x: wf.LocalDelayedRD(g=_LOGISTIC, L=2.0, delay=x), "delay", -1e-300),
+    "local-L": (lambda x: wf.LocalDelayedRD(g=_LOGISTIC, L=x), "Lipschitz bound L", 1.5),
+    "delayed_rd-delay": (lambda x: wf.NonlocalDelayedRD(f=wf.linear(1.0), g=_LOGISTIC,
+                                                        k=wf.GaussianKernel(1.0), delay=x),
+                         "delay", -1e-300),
+    "speed-c": (lambda x: wf.LocalDelayedRD(g=_LOGISTIC, L=2.0).to_convolution_form(x), "c", None),
+    "bound-M": (lambda x: wf.LocalDelayedRD(g=_LOGISTIC, L=2.0).to_convolution_form(2.5, M=x),
+                "bound M", 0.0),
+}
+
+
+@pytest.mark.parametrize("build, name, x", [
+    pytest.param(build, name, x, id=f"{param}-{label}")
+    for param, (build, name, boundary) in _PARAMETERS.items()
+    for label, x in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                     ("boundary", boundary))
+    if x is not None])
+def test_every_parameter_refuses_nan_inf_and_out_of_range_values(build, name, x):
+    # the NaN cases and most of the infinite ones once built a model, or
+    # failed far from their cause (c = nan as an empty kernel strip)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {re.escape(f'{x:g}')}$"):
+        build(x)
 
 
 def test_delayed_rd_hypothesis_weighs_the_kernel_mass():

@@ -507,10 +507,10 @@ def test_outer_kernel_first_commutes_away_from_the_edges(name, closure):
 
 
 def test_sampled_kernel_is_sampled_once_per_step(monkeypatch):
-    # the lumped samples are cached per (kernel, step): a whole solve samples
-    # the Gaussian once, not once per sweep and per closure-rate evaluation
+    # the lumped samples and their Toeplitz block are cached per (kernel,
+    # step): a whole solve samples the Gaussian once, not once per sweep and
+    # per closure-rate evaluation
     kernels._lumped_samples.cache_clear()
-    kernels._toeplitz_block.cache_clear()
     calls = []
     value = wf.GaussianKernel.value
 
@@ -530,8 +530,7 @@ def test_sampled_kernel_is_sampled_once_per_step(monkeypatch):
         wf.solve_profile(prob, grid, init)
     assert len(sweeps) > 2 * len(grids)
     assert calls == [kernel, kernel]
-    for cached in (kernels._lumped_samples(kernel, grids[0].step)[2],
-                   kernels._toeplitz_block(kernel, grids[0].step)[2]):
+    for cached in kernels._lumped_samples(kernel, grids[0].step)[2:]:
         with pytest.raises(ValueError):
             cached[0] = 1.0
 

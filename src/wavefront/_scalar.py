@@ -25,7 +25,7 @@ def _signbit(v: float) -> bool:
 
 
 def _div(num: float, den: float) -> float:
-    """num / den with C semantics: a zero denominator gives inf or NaN."""
+    """num / den with C semantics: a zero divisor gives inf or NaN."""
     if den != 0.0:
         return num / den
     if num != num or num == 0.0:

@@ -315,6 +315,7 @@ class PiecewiseGreen(KernelComponent):
     @classmethod
     def from_speed_damping(cls, c: float, q: float, scale: float = 1.0):
         _check_param("damping q", q)
+        _check_param("speed c", c, -INF)
         disc = math.sqrt(c * c + 4.0 * q)
         return cls(nu=(c - disc) / 2.0, mu=(c + disc) / 2.0, scale=scale)
 
@@ -729,6 +730,7 @@ def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
     shift = spec.get("shift", 0.0)
     if isinstance(shift, bool) or not isinstance(shift, (int, float)):
         raise ValueError(f"kernel shift must be a number, got {shift!r}")
+    _check_param("kernel shift", shift, -INF)
     for cls in _SHAPES:
         if cls.shape == shape:
             return shift_kernel(cls.from_dict(spec, base_dir), shift)

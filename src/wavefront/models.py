@@ -307,21 +307,6 @@ class ModelSpec:
         """The solution bound M (``default_bound()`` when None); M must be positive."""
         return self.default_bound() if M is None else _check_param("bound M", M)
 
-    def tilde_chi(self, z, c: float):
-        """Closed-form numerator of the assembled chi (derivative weights)."""
-        raise NotImplementedError
-
-    def tilde_chi_lipschitz(self, z, c: float):
-        """Closed-form numerator of the assembled chi_1 (Lipschitz weights)."""
-        return self.tilde_chi(z, c)
-
-    def denominator(self, z, c: float, beta: float):
-        raise NotImplementedError
-
-    def tilde_strip(self, c: float) -> tuple[float, float]:
-        """z-interval on which tilde_chi is evaluable (independent of beta)."""
-        raise NotImplementedError
-
     def _checked_bound(self, c: float, M: float | None) -> float:
         """Every family's ``to_convolution_form`` preamble: check c, then resolve M."""
         if c == 0:
@@ -362,11 +347,8 @@ class NonlocalKPP(ModelSpec):
         )
         return ConvolutionProblem(atoms, c, beta, M)
 
-    def tilde_chi(self, z, c):
+    def tilde_chi_lipschitz(self, z, c):
         return 1.0 - self.g.gprime0 + c * np.asarray(z) - self.J.laplace(z)
-
-    def denominator(self, z, c, beta):
-        return 1.0 + beta + c * np.asarray(z)
 
     def tilde_strip(self, c):
         return self.J.abscissas()
@@ -431,13 +413,10 @@ class NonlocalLattice(ModelSpec):
         )
         return ConvolutionProblem(atoms, c, 0.0, M)
 
-    def tilde_chi(self, z, c):
+    def tilde_chi_lipschitz(self, z, c):
         z = np.asarray(z)
         return (self.d + 2.0 * self.D + c * z - self.D * (np.exp(z) + np.exp(-z))
                 - self.g.gprime0 * np.exp(-c * self.delay * z) * self.comb.laplace(z))
-
-    def denominator(self, z, c, beta):
-        return 2.0 * self.D + self.d + c * np.asarray(z)
 
     def tilde_strip(self, c):
         return (-INF, INF)
@@ -483,19 +462,10 @@ class NonlocalDelayedRD(ModelSpec):
         )
         return ConvolutionProblem(atoms, c, beta, M)
 
-    def tilde_chi(self, z, c):
-        z = np.asarray(z)
-        return (c * z - z * z + self.f.gprime0
-                - self.g.gprime0 * np.exp(-z * c * self.delay) * self.k.laplace(z))
-
     def tilde_chi_lipschitz(self, z, c):
         z = np.asarray(z)
         return (c * z - z * z + self.inf_fprime
                 - self.g.gprime0 * np.exp(-z * c * self.delay) * self.k.laplace(z))
-
-    def denominator(self, z, c, beta):
-        z = np.asarray(z)
-        return beta + c * z - z * z
 
     def tilde_strip(self, c):
         return self.k.abscissas()
@@ -524,17 +494,9 @@ class LocalDelayedRD(ModelSpec):
         atoms = (Atom(green, self.g, self.L),)
         return ConvolutionProblem(atoms, c, 0.0, M)
 
-    def tilde_chi(self, z, c):
-        z = np.asarray(z)
-        return 1.0 + c * z - z * z - self.g.gprime0 * np.exp(-z * c * self.delay)
-
     def tilde_chi_lipschitz(self, z, c):
         z = np.asarray(z)
         return 1.0 + c * z - z * z - self.L * np.exp(-z * c * self.delay)
-
-    def denominator(self, z, c, beta):
-        z = np.asarray(z)
-        return 1.0 + c * z - z * z
 
     def tilde_strip(self, c):
         return (-INF, INF)
@@ -551,6 +513,7 @@ def _cached_max(chi_at):
 
 
 def _closed_max_at(m: ModelSpec):
+    """max_at on the family's beta-free chi_1 numerator ``tilde_chi_lipschitz`` over ``tilde_strip``."""
     return _cached_max(lambda c: (partial(m.tilde_chi_lipschitz, c=c), m.tilde_strip(c)))
 
 

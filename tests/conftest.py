@@ -11,12 +11,19 @@ import wavefront as wf
 
 # every model file through the five commands and the golden comparison, in an
 # interpreter no test has loaded SciPy in; it records the scipy modules loaded
-# after the import of the CLI and after each run, and prints them as its last line
+# after the import of the CLI and after each run, and every function of the
+# package that the import and the runs entered, and prints them as its last line
 FRESH_RUN = """
 import json
 import sys
-import wavefront.cli
 from pathlib import Path
+
+entered = set()
+def called(frame, event, arg):  # a global trace function sees only "call" events
+    entered.add(frame.f_code)
+sys.settrace(called)
+
+import wavefront.cli
 from golden import regen
 
 def scipy_modules():
@@ -29,7 +36,11 @@ def recorded(argv):
     return code
 wavefront.cli.main = recorded  # regen.run_all imports main when it runs
 check = regen.main(["--check"])
-print(json.dumps({"check": check, "at_import": at_import, "loaded": loaded}))
+sys.settrace(None)
+src = Path(wavefront.cli.__file__).parent
+entered = sorted([Path(code.co_filename).name, code.co_firstlineno, code.co_name]
+                 for code in entered if Path(code.co_filename).parent == src)
+print(json.dumps({"check": check, "at_import": at_import, "loaded": loaded, "entered": entered}))
 """
 
 
@@ -70,8 +81,10 @@ def fresh_golden_run():
     """One fresh-interpreter run of ``regen.py --check`` over every model file.
 
     A dict: ``check`` (its exit code), ``report`` (what it printed),
-    ``at_import`` (the scipy modules after ``import wavefront.cli``) and
-    ``loaded`` (run -> the scipy modules after that run).
+    ``at_import`` (the scipy modules after ``import wavefront.cli``),
+    ``loaded`` (run -> the scipy modules after that run) and ``entered``
+    (the code objects of ``src/wavefront`` that were called, each as
+    [file, first line, name]).
     """
     here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -12,6 +13,8 @@ from wavefront import charfun
 from wavefront.charfun import _strip_max, chi_prime
 from wavefront.errors import BracketFailure, NoRoots, OutOfStrip, StripTooNarrow
 from wavefront.kernels import KernelComponent, shift_kernel
+
+import closed_forms
 
 MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
 
@@ -194,14 +197,16 @@ def test_min_speed_local_family_closed_form():
 
 def test_min_speed_gaussian_dispersal():
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    c_star, z_star = wf.min_speed(max_at_of(m.tilde_chi, m.tilde_strip), (1.0, 4.0))
+    c_star, z_star = wf.min_speed(max_at_of(partial(closed_forms.tilde_chi, m), m.tilde_strip),
+                                  (1.0, 4.0))
     assert c_star == pytest.approx(GAUSS_C_STAR, abs=1e-9)
     assert z_star == pytest.approx(GAUSS_Z_STAR, abs=1e-6)
 
 
 def test_min_speed_lattice():
     m = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={0: 1.0}, g=wf.logistic(2.0, 1.0))
-    c_star, z_star = wf.min_speed(max_at_of(m.tilde_chi, lambda c: (0.0, 6.0)), (1.0, 4.0))
+    c_star, z_star = wf.min_speed(
+        max_at_of(partial(closed_forms.tilde_chi, m), lambda c: (0.0, 6.0)), (1.0, 4.0))
     assert c_star == pytest.approx(LATTICE_C_STAR, abs=1e-9)
     assert c_star == pytest.approx(2.07, abs=5e-3)
     assert z_star == pytest.approx(LATTICE_Z_STAR, abs=1e-6)
@@ -236,7 +241,8 @@ def test_monotone_in_speed(rng):
             z = rng.uniform(0.05, 1.5)
             c = rng.uniform(0.5, 3.0)
             c2 = c + rng.uniform(0.1, 1.0)
-            assert float(np.real(m.tilde_chi(z, c2))) > float(np.real(m.tilde_chi(z, c)))
+            assert (float(np.real(closed_forms.tilde_chi(m, z, c2)))
+                    > float(np.real(closed_forms.tilde_chi(m, z, c))))
 
 
 # --- zero count and strip scan ----------------------------------------------

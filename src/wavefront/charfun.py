@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from functools import cached_property
 
 import numpy as np
 
 from ._scalar import brentq, minimize_bounded
 from .errors import BracketFailure, NoRoots, StripTooNarrow
-from .kernels import KernelComponent, _check_param, _check_strip
+from .kernels import KernelComponent, _check_param, _check_strip, _common_strip
 
 INF = math.inf
 
@@ -62,7 +61,8 @@ class CharacteristicFunction:
 
     The weights are the slopes at zero of the per-atom nonlinearities, or
     their Lipschitz constants for the chi_1 variant used by the fast-front
-    uniqueness route.
+    uniqueness route.  ``strip`` is the kernels' common strip, derived
+    once; it is no field, so equality ignores it.
     """
 
     components: tuple[tuple[KernelComponent, float], ...]
@@ -72,17 +72,8 @@ class CharacteristicFunction:
             raise ValueError("need at least one weighted kernel")
         for _, w in self.components:
             _check_param("weight", w)
-        lo, hi = self.strip
-        if not lo < hi:
-            raise ValueError(f"empty common strip ({lo:g}, {hi:g})")
-
-    @cached_property
-    def strip(self) -> tuple[float, float]:
-        lo, hi = -INF, INF
-        for k, _ in self.components:
-            a, b = k.abscissas()
-            lo, hi = max(lo, a), min(hi, b)
-        return (lo, hi)
+        strip = _common_strip(*[k.abscissas() for k, _ in self.components])
+        object.__setattr__(self, "strip", strip)
 
     def __call__(self, z):
         return chi(self, z)

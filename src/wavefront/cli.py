@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -42,19 +41,7 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to ``sys.stderr`` as it is when the record is emitted."""
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-    @stream.setter
-    def stream(self, _):
-        pass
-
-
-_HANDLER = _StderrHandler()
+_HANDLER = logging.StreamHandler()
 _HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
@@ -62,6 +49,8 @@ def _setup_logging():
     """Apply WAVEFRONT_LOG to the ``wavefront`` logger; the root logger is the host's."""
     level = os.environ.get("WAVEFRONT_LOG", "warn").lower()
     log.setLevel(_LOG_LEVELS.get(level, logging.WARNING))
+    # sys.stderr as it is at this call, which a host or a test may have replaced
+    _HANDLER.stream = sys.stderr
     log.addHandler(_HANDLER)
     # a host's root handlers would print each record a second time
     log.propagate = False
@@ -214,7 +203,7 @@ def main(argv=None) -> int:
         raise
     try:
         return _COMMANDS[args.command](args)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (WavefrontError, ArithmeticError) as exc:

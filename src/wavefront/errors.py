@@ -10,7 +10,7 @@ class OutOfStrip(WavefrontError):
 
 
 class EmptyStrip(WavefrontError):
-    """Convolution factors have no common strip of convergence."""
+    """Kernels (a product's factors, or the terms of chi) have no common strip of convergence."""
 
 
 class NoRoots(WavefrontError):

@@ -106,6 +106,21 @@ class Grid:
         return ts
 
 
+def _common_strip(*strips) -> tuple[float, float]:
+    """The intersection of the open strips (lo, hi); EmptyStrip, naming each, when it is empty."""
+    lo, hi = -INF, INF
+    for a, b in strips:
+        # comparisons, not max/min: a third of the time, and the same first maximum
+        if a > lo:
+            lo = a
+        if b < hi:
+            hi = b
+    if not lo < hi:
+        raise EmptyStrip("strips " + ", ".join(f"({a:g}, {b:g})" for a, b in strips)
+                         + " have no common part")
+    return (lo, hi)
+
+
 def _check_strip(strip, z):
     lo, hi = strip
     if isinstance(z, (int, float, complex, np.number)):
@@ -125,10 +140,11 @@ class KernelComponent:
     """Base class: one kernel K(s) and everything the package does with it.
 
     A new shape sets ``shape`` and implements ``mass``, ``abscissas``,
-    ``laplace``, ``value``, ``support``, ``grid_convolve`` and
-    ``grid_laplace``; a sampled density takes the last two from
-    ``_SampledDensity`` and sets ``_sample_window``.  A shape has no shift
-    of its own: K(s - d) is :func:`shift_kernel`.
+    ``laplace``, ``support``, ``grid_convolve`` and ``grid_laplace``; a
+    sampled density takes the last two from ``_SampledDensity``, sets
+    ``_sample_window`` and implements ``value(s)``, the pointwise density
+    it samples.  A shape has no shift of its own: K(s - d) is
+    :func:`shift_kernel`.
     ``from_dict`` works on any frozen dataclass of JSON-ready fields.
     """
 
@@ -144,10 +160,6 @@ class KernelComponent:
 
     def laplace(self, z):
         """Transform at complex z (scalar or ndarray), Re z inside the strip."""
-        raise NotImplementedError
-
-    def value(self, s):
-        """Pointwise density K(s).  Atomic kernels have no density."""
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
@@ -412,9 +424,6 @@ class DiracComb(KernelComponent):
         z = np.asarray(z)
         return reduce(np.add, (w * np.exp(-z * a) for a, w in zip(self.offsets, self.weights)))
 
-    def value(self, s):
-        raise TypeError("atomic comb has no pointwise density")
-
     def support(self):
         return (min(self.offsets), max(self.offsets))
 
@@ -628,24 +637,18 @@ class TabulatedKernel(_SampledDensity):
 class ConvolvedKernel(KernelComponent):
     """Lazy convolution a * b: transform is the product of the factor transforms.
 
-    A comb factor gives the pointwise density as a sum of shifted copies;
-    two densities have none here.  On the grid b acts first and a, the
-    outer factor, acts on its result; atoms of one problem that share
-    their outer factor have it applied once per sweep, to the sum of their
-    inner fields (see :meth:`factors`).
+    It has no pointwise density of its own.  On the grid b acts first and
+    a, the outer factor, acts on its result; atoms of one problem that
+    share their outer factor have it applied once per sweep, to the sum of
+    their inner fields (see :meth:`factors`).
     """
 
     shape = "convolved"
 
     def __init__(self, a: KernelComponent, b: KernelComponent):
-        lo_a, hi_a = a.abscissas()
-        lo_b, hi_b = b.abscissas()
-        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-        if not lo < hi:
-            raise EmptyStrip(f"factor strips ({lo_a:g},{hi_a:g}) and ({lo_b:g},{hi_b:g}) do not overlap")
         self.a = a
         self.b = b
-        self._strip = (lo, hi)
+        self._strip = _common_strip(a.abscissas(), b.abscissas())
 
     @property
     def mass(self) -> float:
@@ -656,13 +659,6 @@ class ConvolvedKernel(KernelComponent):
 
     def laplace(self, z):
         return self.a.laplace(z) * self.b.laplace(z)
-
-    def value(self, s):
-        for comb, other in ((self.a, self.b), (self.b, self.a)):
-            if isinstance(comb, DiracComb):
-                s = np.asarray(s, dtype=float)
-                return sum(w * other.value(s - off) for off, w in zip(comb.offsets, comb.weights))
-        raise TypeError("convolution of two densities has no pointwise density")
 
     def support(self):
         lo_a, hi_a = self.a.support()

@@ -80,14 +80,6 @@ def test_analyze_trace_spans_minus_ten_to_ten_on_a_wide_strip(tmp_path):
     assert xs[-1] == pytest.approx(10.0, abs=1e-5)
 
 
-def test_malformed_model_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 64
-    assert "invalid input" in capsys.readouterr().err
-
-
 KPP = {"family": "nonlocal_kpp", "c": 3.0,
        "kernel": {"shape": "gaussian", "variance": 1.0},
        "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
@@ -95,64 +87,168 @@ LOCAL = {"family": "local_delayed_rd", "c": 2.5, "L": 2.0,
          "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
 LATTICE = {"family": "nonlocal_lattice", "c": 2.5, "D": 1.0, "d": 1.0,
            "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
-
-
-@pytest.mark.parametrize("command, cfg", [
-    ("analyze", {**LOCAL, "c": None}),
-    ("analyze", {**LOCAL, "nonlinearity": {"kind": "logistic", "rate": "2"}}),
-    ("analyze", {**KPP, "kernel": {"shape": "gaussian", "variance": "1"}}),
-    ("analyze", {**KPP, "kernel": "gaussian"}),
-    ("analyze", [LOCAL]),
-    ("analyze", {**KPP, "kernel": {"shape": "dirac_comb", "offsets": 1.0, "weights": [1.0]}}),
-    ("analyze", {**LATTICE, "beta": [[0, 1.0]]}),
-    ("solve", {**LOCAL, "bound": "x"}),
-    ("analyze", {**KPP, "kernel": {"shape": "gaussian", "variance": 1.0, "shift": "0.5"}}),
-    ("analyze", {**LOCAL, "c": "2.5"}),
-    ("analyze", {**LOCAL, "c": True}),
-    ("analyze", {**LOCAL, "delay": True}),
-    ("analyze", {**LATTICE, "beta": {"0": "1.0"}}),
-    ("analyze", {**KPP, "kernel": {"shape": "dirac_comb", "offsets": [True], "weights": [1.0]}}),
-], ids=["c-null", "rate-string", "variance-string", "kernel-string", "top-level-list",
-        "offsets-number", "beta-list", "bound-string", "shift-string", "c-string", "c-true",
-        "delay-true", "beta-weight-string", "offsets-true"])
-def test_wrongly_typed_model_value_is_usage_error(tmp_path, capsys, command, cfg):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(cfg))
-    rc = main([command, "--model", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 64
-    assert "invalid input" in capsys.readouterr().err
-
-
 NLRD = {"family": "nonlocal_delayed_rd", "c": 3.0, "delay": 0.5,
         "damping": {"kind": "linear", "slope": 1.0},
         "kernel": {"shape": "gaussian", "variance": 1.0},
         "nonlinearity": {"kind": "logistic", "rate": 2.0, "carrying": 1.0}}
 NAN, INF = math.nan, math.inf
 
+# Model files the CLI refuses, one table: for each test below, its rows of
+# (id, file text, command, exit code, text that stderr holds).  Each file
+# is refused before any output directory is made.
+BAD_MODELS = {
+    "malformed": [("malformed", "{not json", "analyze", 64, "invalid input")],
+    "wrongly_typed": [
+        ("c-null", json.dumps({**LOCAL, "c": None}), "analyze", 64, "invalid input"),
+        ("rate-string", json.dumps({**LOCAL, "nonlinearity": {"kind": "logistic", "rate": "2"}}),
+         "analyze", 64, "invalid input"),
+        ("variance-string", json.dumps({**KPP, "kernel": {"shape": "gaussian", "variance": "1"}}),
+         "analyze", 64, "invalid input"),
+        ("kernel-string", json.dumps({**KPP, "kernel": "gaussian"}), "analyze", 64,
+         "invalid input"),
+        ("top-level-list", json.dumps([LOCAL]), "analyze", 64, "invalid input"),
+        ("offsets-number", json.dumps({**KPP, "kernel": {"shape": "dirac_comb", "offsets": 1.0,
+                                                        "weights": [1.0]}}),
+         "analyze", 64, "invalid input"),
+        ("beta-list", json.dumps({**LATTICE, "beta": [[0, 1.0]]}), "analyze", 64,
+         "invalid input"),
+        ("bound-string", json.dumps({**LOCAL, "bound": "x"}), "solve", 64, "invalid input"),
+        ("shift-string", json.dumps({**KPP, "kernel": {"shape": "gaussian", "variance": 1.0,
+                                                      "shift": "0.5"}}),
+         "analyze", 64, "invalid input"),
+        ("c-string", json.dumps({**LOCAL, "c": "2.5"}), "analyze", 64, "invalid input"),
+        ("c-true", json.dumps({**LOCAL, "c": True}), "analyze", 64, "invalid input"),
+        ("delay-true", json.dumps({**LOCAL, "delay": True}), "analyze", 64, "invalid input"),
+        ("beta-weight-string", json.dumps({**LATTICE, "beta": {"0": "1.0"}}), "analyze", 64,
+         "invalid input"),
+        ("offsets-true", json.dumps({**KPP, "kernel": {"shape": "dirac_comb", "offsets": [True],
+                                                      "weights": [1.0]}}),
+         "analyze", 64, "invalid input"),
+    ],
+    "non_finite": [
+        ("kpp-c-nan", json.dumps({**KPP, "c": NAN}), "analyze", 64, "invalid input"),
+        ("local-c-minus-inf", json.dumps({**LOCAL, "c": -INF}), "analyze", 64, "invalid input"),
+        ("lattice-c-minus-inf", json.dumps({**LATTICE, "c": -INF}), "analyze", 64,
+         "invalid input"),
+        ("nlrd-c-minus-inf", json.dumps({**NLRD, "c": -INF}), "analyze", 64, "invalid input"),
+        ("L-nan", json.dumps({**LOCAL, "L": NAN}), "analyze", 64, "invalid input"),
+        ("bound-nan", json.dumps({**LOCAL, "bound": NAN}), "analyze", 64, "invalid input"),
+        ("margin-nan", json.dumps({**LOCAL, "margin": NAN}), "analyze", 64, "invalid input"),
+        ("damping-slope-nan", json.dumps({**NLRD, "damping": {"kind": "linear", "slope": NAN}}),
+         "analyze", 64, "invalid input"),
+        ("c-overflow", json.dumps(LOCAL).replace("2.5", "1e999"), "analyze", 64,
+         "invalid input"),
+        # J.csv, beside every file of the table, holds a nan
+        ("tabulated-csv-nan", json.dumps({**KPP, "kernel": {"shape": "tabulated",
+                                                           "path": "J.csv"}}),
+         "analyze", 64, "invalid input"),
+        ("c-int-overflow", json.dumps({**LOCAL, "c": 10 ** 400}), "analyze", 64,
+         "invalid input"),
+        ("L-int-overflow", json.dumps({**LOCAL, "L": 10 ** 400}), "analyze", 64,
+         "invalid input"),
+    ],
+    "unknown_kernel_key": [
+        ("top-level", json.dumps({**KPP, "kernel": {"shape": "gaussian", "variance": 1.0,
+                                                   "scael": 2.0}}),
+         "speed", 64, "unknown key 'scael'"),
+        ("nested", json.dumps({**KPP, "kernel": {
+            "shape": "convolved", "a": {"shape": "gaussian", "variance": 1.0},
+            "b": {"shape": "dirac_comb", "offsets": [0.5], "weights": [1.0], "delay": 1.0}}}),
+         "speed", 64, "unknown key 'delay'"),
+        # a Green kernel takes c and q, or nu and mu, not both spellings
+        ("mixed-green", json.dumps({**KPP, "c": 3.7, "kernel": {
+            "shape": "piecewise_green", "c": 0.5, "q": 1.0, "nu": -1.0}}),
+         "speed", 64, "unknown key 'nu'"),
+    ],
+    # each of these once ran with the key dropped: the first gave c* = 2
+    "unknown_model_key": [
+        ("model", json.dumps({**LOCAL, "dealy": 0.5,
+                              "nonlinearity": {"kind": "logistic", "rat": 3.0}}),
+         "speed", 64, "unknown key 'dealy'"),
+        ("nonlinearity", json.dumps({**LOCAL, "nonlinearity": {"kind": "logistic", "rat": 3.0}}),
+         "speed", 64, "unknown key 'rat'"),
+        ("other-family", json.dumps({**KPP, "delay": 0.5}), "speed", 64, "unknown key 'delay'"),
+        ("damping", json.dumps({**KPP, "family": "nonlocal_delayed_rd",
+                                "damping": {"kind": "linear", "slope": 1.0, "rate": 2.0}}),
+         "speed", 64, "unknown key 'rate'"),
+        ("margin", json.dumps({**LOCAL, "margin": 1.0}), "speed", 64, "unknown key 'margin'"),
+        ("bound", json.dumps({**LOCAL, "bound": 1.0}), "speed", 64, "unknown key 'bound'"),
+    ],
+    # each once ran on a changed model: "model" solved at the last c = 1,
+    # below c*, and exited 1; one-site-twice gave c* = 0.9017 for a comb of
+    # weight 0.6.  The non-integer site exited 64 naming no comb site
+    "repeated_key_or_comb_site": [
+        ("model", json.dumps(LOCAL).replace('"c": 2.5', '"c": 2.5, "c": 1.0'), "solve", 64,
+         "invalid input: repeated key 'c'"),
+        ("nonlinearity", json.dumps(LOCAL).replace('"rate": 2.0', '"rate": 2.0, "rate": 0.5'),
+         "solve", 64, "invalid input: repeated key 'rate'"),
+        ("beta", json.dumps({**LATTICE, "beta": {"0": 1.0}}).replace('"0": 1.0',
+                                                                     '"0": 0.6, "0": 0.6'),
+         "solve", 64, "invalid input: repeated key '0'"),
+        ("negative-weight", json.dumps({**LATTICE, "beta": {"-1": 0.6, "0": -0.9, "1": 0.3}}),
+         "solve", 64, "invalid input: comb weights must be nonnegative"),
+        ("one-site-twice", json.dumps({**LATTICE, "beta": {"0": 0.6, "00": 0.6}}), "solve", 64,
+         "invalid input: comb weights must name each site once"),
+        ("non-integer-site", json.dumps({**LATTICE, "beta": {"0.5": 1.0}}), "solve", 64,
+         "invalid input: comb site must be an integer, got '0.5'"),
+    ],
+    # a hypothesis that fails when the file is read: the logistic damping
+    # decreases past u = 1/2
+    "hypothesis": [
+        ("decreasing-damping", json.dumps({**NLRD, "damping": {"kind": "logistic", "rate": 1.0,
+                                                               "carrying": 1.0}}),
+         "analyze", 1, "damping term must be increasing"),
+    ],
+}
 
-@pytest.mark.parametrize("text", [
-    json.dumps({**KPP, "c": NAN}),
-    json.dumps({**LOCAL, "c": -INF}),
-    json.dumps({**LATTICE, "c": -INF}),
-    json.dumps({**NLRD, "c": -INF}),
-    json.dumps({**LOCAL, "L": NAN}),
-    json.dumps({**LOCAL, "bound": NAN}),
-    json.dumps({**LOCAL, "margin": NAN}),
-    json.dumps({**NLRD, "damping": {"kind": "linear", "slope": NAN}}),
-    json.dumps(LOCAL).replace("2.5", "1e999"),
-    json.dumps({**KPP, "kernel": {"shape": "tabulated", "path": "J.csv"}}),
-    json.dumps({**LOCAL, "c": 10 ** 400}),
-    json.dumps({**LOCAL, "L": 10 ** 400}),
-], ids=["kpp-c-nan", "local-c-minus-inf", "lattice-c-minus-inf", "nlrd-c-minus-inf",
-        "L-nan", "bound-nan", "margin-nan", "damping-slope-nan", "c-overflow",
-        "tabulated-csv-nan", "c-int-overflow", "L-int-overflow"])
-def test_non_finite_model_number_is_usage_error(tmp_path, capsys, text):
+
+def bad_models(test):
+    return [pytest.param(row[1:], id=row[0]) for row in BAD_MODELS[test]]
+
+
+def refused(tmp_path, capsys, text, command, code, message):
     (tmp_path / "J.csv").write_text("-1.0,0.0\n0.0,nan\n1.0,0.0\n")
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 64
-    assert "invalid input" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main([command, "--model", str(bad), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_model_is_usage_error(tmp_path, capsys):
+    (case,) = bad_models("malformed")
+    refused(tmp_path, capsys, *case.values[0])
+
+
+@pytest.mark.parametrize("case", bad_models("wrongly_typed"))
+def test_wrongly_typed_model_value_is_usage_error(tmp_path, capsys, case):
+    refused(tmp_path, capsys, *case)
+
+
+@pytest.mark.parametrize("case", bad_models("non_finite"))
+def test_non_finite_model_number_is_usage_error(tmp_path, capsys, case):
+    refused(tmp_path, capsys, *case)
+
+
+@pytest.mark.parametrize("case", bad_models("unknown_kernel_key"))
+def test_unknown_kernel_key_is_usage_error(tmp_path, capsys, case):
+    refused(tmp_path, capsys, *case)
+
+
+@pytest.mark.parametrize("case", bad_models("unknown_model_key"))
+def test_unknown_model_key_is_usage_error(tmp_path, capsys, case):
+    refused(tmp_path, capsys, *case)
+
+
+@pytest.mark.parametrize("case", bad_models("repeated_key_or_comb_site"))
+def test_repeated_key_or_comb_site_is_usage_error(tmp_path, capsys, case):
+    refused(tmp_path, capsys, *case)
+
+
+@pytest.mark.parametrize("case", bad_models("hypothesis"))
+def test_hypothesis_breaking_model_fails_when_read(tmp_path, capsys, case):
+    refused(tmp_path, capsys, *case)
 
 
 MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
@@ -203,60 +299,6 @@ def test_tabulated_path_is_relative_to_model_file(tmp_path, monkeypatch):
     assert main(["analyze", "--model", "model.json", "--out", "out"]) == 0
     assert read_json(tmp_path / "out" / "spectral.json") == read_json(
         model_dir / "out" / "spectral.json")
-
-
-@pytest.mark.parametrize("kernel, key", [
-    ({"shape": "gaussian", "variance": 1.0, "scael": 2.0}, "scael"),
-    ({"shape": "convolved", "a": {"shape": "gaussian", "variance": 1.0},
-      "b": {"shape": "dirac_comb", "offsets": [0.5], "weights": [1.0], "delay": 1.0}}, "delay"),
-], ids=["top-level", "nested"])
-def test_unknown_kernel_key_is_usage_error(tmp_path, capsys, kernel, key):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**KPP, "kernel": kernel}))
-    rc = main(["speed", "--model", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 64
-    assert f"unknown key '{key}'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("model, key", [
-    ({**LOCAL, "dealy": 0.5, "nonlinearity": {"kind": "logistic", "rat": 3.0}}, "dealy"),
-    ({**LOCAL, "nonlinearity": {"kind": "logistic", "rat": 3.0}}, "rat"),
-    ({**KPP, "delay": 0.5}, "delay"),
-    ({**KPP, "family": "nonlocal_delayed_rd",
-      "damping": {"kind": "linear", "slope": 1.0, "rate": 2.0}}, "rate"),
-    ({**LOCAL, "margin": 1.0}, "margin"),
-    ({**LOCAL, "bound": 1.0}, "bound"),
-], ids=["model", "nonlinearity", "other-family", "damping", "margin", "bound"])
-def test_unknown_model_key_is_usage_error(tmp_path, capsys, model, key):
-    # each of these once ran with the key dropped: the first gave c* = 2
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(model))
-    rc = main(["speed", "--model", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 64
-    assert f"unknown key '{key}'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("text, message", [
-    (json.dumps(LOCAL).replace('"c": 2.5', '"c": 2.5, "c": 1.0'), "repeated key 'c'"),
-    (json.dumps(LOCAL).replace('"rate": 2.0', '"rate": 2.0, "rate": 0.5'), "repeated key 'rate'"),
-    (json.dumps({**LATTICE, "beta": {"0": 1.0}}).replace('"0": 1.0', '"0": 0.6, "0": 0.6'),
-     "repeated key '0'"),
-    (json.dumps({**LATTICE, "beta": {"-1": 0.6, "0": -0.9, "1": 0.3}}),
-     "comb weights must be nonnegative"),
-    (json.dumps({**LATTICE, "beta": {"0": 0.6, "00": 0.6}}),
-     "comb weights must name each site once"),
-    (json.dumps({**LATTICE, "beta": {"0.5": 1.0}}), "comb site must be an integer, got '0.5'"),
-], ids=["model", "nonlinearity", "beta", "negative-weight", "one-site-twice", "non-integer-site"])
-def test_repeated_key_or_comb_site_is_usage_error(tmp_path, capsys, text, message):
-    # each once ran on a changed model: the first solved at the last c = 1,
-    # below c*, and exited 1; one-site-twice gave c* = 0.9017 for a comb of
-    # weight 0.6.  The non-integer site exited 64 naming no comb site
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    rc = main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 64
-    assert f"invalid input: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
 
 
 def test_model_without_equilibrium_fails_every_command(tmp_path, capsys):

@@ -22,6 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wavefront"
 LEDGER = Path(__file__).resolve().parent / "reachability.tsv"
 REASONS = re.compile(r"test oracle|error path|base-class stub|benchmark reference"
                      r"|item \d+ wires it")
+# the suffix that names a property's setter or deleter apart from its getter
+ACCESSORS = {"setter": ".fset", "deleter": ".fdel"}
 
 
 @cache
@@ -31,7 +33,9 @@ def definitions(path: Path) -> dict[int, str]:
     The first line is the code object's ``co_firstlineno``: the line of the
     first decorator of a decorated function.  The qualname is the one
     ``co_qualname`` (Python 3.11+) gives: ``Class.method`` and
-    ``outer.<locals>.inner``.  A property's getter and setter share theirs.
+    ``outer.<locals>.inner``.  A property's setter and deleter, which
+    share that qualname with its getter, are ``Class.prop.fset`` and
+    ``Class.prop.fdel``, the names Python gives them as attributes.
     """
     names = {}
 
@@ -39,7 +43,9 @@ def definitions(path: Path) -> dict[int, str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                names[first] = prefix + child.name
+                accessor = "".join(ACCESSORS[d.attr] for d in child.decorator_list
+                                   if isinstance(d, ast.Attribute) and d.attr in ACCESSORS)
+                names[first] = prefix + child.name + accessor
                 walk(child, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, f"{prefix}{child.name}.")
@@ -50,13 +56,20 @@ def definitions(path: Path) -> dict[int, str]:
     return names
 
 
+def code_qualname(name: str) -> str:
+    """The ``co_qualname`` of the function ``definitions`` names ``name``: no accessor suffix."""
+    for suffix in ACCESSORS.values():
+        name = name.removesuffix(suffix)
+    return name
+
+
 def qualname(path: Path, line: int, code_name: str) -> str | None:
-    """The qualname of the function whose code starts at ``line`` of ``path`` and is named ``code_name``.
+    """The ``definitions`` name of the code named ``code_name`` that starts at ``line`` of ``path``.
 
     None for the code of a lambda, a comprehension, a class body or a module.
     """
     name = definitions(path).get(line)
-    return name if name is not None and name.rpartition(".")[2] == code_name else None
+    return name if name is not None and code_qualname(name).rpartition(".")[2] == code_name else None
 
 
 def ledger() -> dict[tuple[str, str], str]:
@@ -90,8 +103,41 @@ def test_the_mapper_names_code_as_its_qualname():
     assert {"Nonlinearity.slopes", "ConvolutionProblem.spectral",
             "model_min_speed.<locals>.assembled"} <= set(names.values())
     for code, name in names.items():
-        if hasattr(code, "co_qualname"):  # Python 3.11+
-            assert name in (None, code.co_qualname), (name, code.co_qualname)
+        if hasattr(code, "co_qualname") and name is not None:  # Python 3.11+
+            assert code_qualname(name) == code.co_qualname, (name, code.co_qualname)
+
+
+def test_the_mapper_names_a_setter_apart_from_its_getter(tmp_path):
+    path = tmp_path / "accessors.py"
+    path.write_text("class Box:\n"
+                    "    @property\n"
+                    "    def size(self):\n"
+                    "        return self._size\n"
+                    "\n"
+                    "    @size.setter\n"
+                    "    def size(self, value):\n"
+                    "        self._size = value\n")
+    module = {}
+    exec(compile(path.read_text(), str(path), "exec"), module)
+    entered = set()
+
+    def called(frame, event, arg):
+        entered.add(frame.f_code)
+
+    box = module["Box"]()
+    before = sys.gettrace()
+    sys.settrace(called)
+    try:
+        box.size = 3  # the setter only
+    finally:
+        sys.settrace(before)
+    (setter,) = [code for code in entered if code.co_filename == str(path)]
+    name = qualname(path, setter.co_firstlineno, setter.co_name)
+    assert name == "Box.size.fset"
+    if hasattr(setter, "co_qualname"):  # Python 3.11+: the getter's qualname too
+        assert code_qualname(name) == setter.co_qualname == "Box.size"
+    # the getter, never entered, is what the ledger would report
+    assert set(definitions(path).values()) - {name} == {"Box.size"}
 
 
 def test_every_function_the_runs_do_not_enter_has_a_row_in_the_ledger(fresh_golden_run):

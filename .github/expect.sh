@@ -10,9 +10,3 @@ expect() {
     exit 1
   fi
 }
-# expected_code RUN: the exit code that models/expected.tsv gives RUN (a
-# model's path under models/ without .json, a slash and a command), or 0 for
-# a run it does not list.
-expected_code() {
-  awk -F '\t' -v run="$1" '!/^#/ && $1 "/" $2 == run { code = $3 } END { print code + 0 }' models/expected.tsv
-}

@@ -205,10 +205,37 @@ class _SampledDensity(KernelComponent):
     """A density sampled on the grid (:func:`_lumped_samples`) over its ``_sample_window()``."""
 
     def grid_convolve(self, grid, G, lam_left):
-        return _sampled_convolve(self, grid, G, lam_left)
+        """Discrete convolution with the samples of :func:`_lumped_samples`.
+
+        The samples are mass-lumped so constant states stay exact.  Grid-aligned
+        samples need no interpolation: the field is padded with its closure
+        values (the exponential extension on the left, G[-1] on the right), so
+        out[i] = sum_j kv_j G[i - j].  That sum is one matrix product: the
+        padded field, with zeros after it to fill the last block, is viewed as
+        rows of 64 + m - 1 values, one row starting every 64 points, and each
+        row times the Toeplitz block of :func:`_lumped_samples` gives 64
+        outputs.  Every output is still a sum of the same nonnegative products,
+        summed in another order, so nonnegative weights and fields cannot
+        produce negative roundoff, unlike an FFT, and the deep left tail keeps
+        its relative accuracy.
+        """
+        dt = grid.step
+        jlo, jhi, _, T = _lumped_samples(self, dt)
+        n = len(G)
+        blocks = -(-n // _BLOCK)
+        padded = np.zeros(blocks * _BLOCK + jhi - jlo)
+        if lam_left is not None:
+            padded[:jhi] = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
+        padded[jhi:jhi + n] = G
+        padded[jhi + n:jhi + n - jlo] = G[-1]
+        item = padded.itemsize
+        rows = as_strided(padded, (blocks, len(T)), (_BLOCK * item, item), writeable=False)
+        return np.dot(rows, T).ravel()[:n]
 
     def grid_laplace(self, lam, dt):
-        return _sampled_laplace(self, lam, dt)
+        """Factor by which ``grid_convolve`` multiplies e^{lam t}: sum_j kv_j e^{-lam j dt}."""
+        jlo, jhi, kv, _ = _lumped_samples(self, dt)
+        return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
 
 
 @dataclass(frozen=True)
@@ -976,43 +1003,12 @@ def _lumped_samples(k: KernelComponent, dt):
     return jlo, jhi, kv, T
 
 
-def _sampled_convolve(k: KernelComponent, grid, G, lam_left):
-    """Discrete convolution with the samples of :func:`_lumped_samples`.
-
-    The samples are mass-lumped so constant states stay exact.  Grid-aligned
-    samples need no interpolation: the field is padded with its closure
-    values (the exponential extension on the left, G[-1] on the right), so
-    out[i] = sum_j kv_j G[i - j].  That sum is one matrix product: the
-    padded field, with zeros after it to fill the last block, is viewed as
-    rows of 64 + m - 1 values, one row starting every 64 points, and each
-    row times the Toeplitz block of :func:`_lumped_samples` gives 64
-    outputs.  Every output is still a sum of the same nonnegative products,
-    summed in another order, so nonnegative weights and fields cannot
-    produce negative roundoff, unlike an FFT, and the deep left tail keeps
-    its relative accuracy.
-    """
-    dt = grid.step
-    jlo, jhi, _, T = _lumped_samples(k, dt)
-    n = len(G)
-    blocks = -(-n // _BLOCK)
-    padded = np.zeros(blocks * _BLOCK + jhi - jlo)
-    if lam_left is not None:
-        padded[:jhi] = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
-    padded[jhi:jhi + n] = G
-    padded[jhi + n:jhi + n - jlo] = G[-1]
-    item = padded.itemsize
-    rows = as_strided(padded, (blocks, len(T)), (_BLOCK * item, item), writeable=False)
-    return np.dot(rows, T).ravel()[:n]
-
-
-def _sampled_laplace(k: KernelComponent, lam, dt):
-    """Factor by which :func:`_sampled_convolve` multiplies e^{lam t}: sum_j kv_j e^{-lam j dt}."""
-    jlo, jhi, kv, _ = _lumped_samples(k, dt)
-    return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
-
-
 def load_tabulated(path) -> TabulatedKernel:
-    """Load a two-column CSV (t, value); a leading '# t,value' comment is tolerated."""
+    """Load a two-column CSV (t, value), every data row exactly two fields.
+
+    Blank lines and lines whose first field starts with '#' (a '# t,value'
+    header, say) are skipped wherever they stand.
+    """
     ts, vs = [], []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -1021,7 +1017,7 @@ def load_tabulated(path) -> TabulatedKernel:
             first = row[0].strip()
             if first.startswith("#"):
                 continue
-            if len(row) < 2:
+            if len(row) != 2:
                 raise ValueError(f"expected two columns, got {row!r}")
             ts.append(float(first))
             vs.append(float(row[1]))

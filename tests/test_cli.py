@@ -124,6 +124,10 @@ BAD_MODELS = {
         ("offsets-true", json.dumps({**KPP, "kernel": {"shape": "dirac_comb", "offsets": [True],
                                                       "weights": [1.0]}}),
          "analyze", 64, "invalid input"),
+        # J3.csv, beside every file of the table, has a row of three fields
+        ("tabulated-csv-three-columns", json.dumps({**KPP, "kernel": {"shape": "tabulated",
+                                                                     "path": "J3.csv"}}),
+         "analyze", 64, "invalid input: expected two columns"),
     ],
     "non_finite": [
         ("kpp-c-nan", json.dumps({**KPP, "c": NAN}), "analyze", 64, "invalid input"),
@@ -208,6 +212,7 @@ def bad_models(test):
 
 def refused(tmp_path, capsys, text, command, code, message):
     (tmp_path / "J.csv").write_text("-1.0,0.0\n0.0,nan\n1.0,0.0\n")
+    (tmp_path / "J3.csv").write_text("-1.0,0.0\n0.0,1.0,5\n1.0,0.0\n")
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     out = tmp_path / "o"
@@ -254,18 +259,17 @@ def test_hypothesis_breaking_model_fails_when_read(tmp_path, capsys, case):
 MODELS = sorted((Path(__file__).resolve().parents[1] / "models").glob("*.json"))
 
 
-@pytest.mark.parametrize("field", ["bound"])
 @pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
-def test_non_positive_bound_or_margin_is_usage_error(tmp_path, capsys, path, field):
+def test_non_positive_bound_or_margin_is_usage_error(tmp_path, capsys, path):
     # M = 1.5 kappa is derived, so no model file sets a bound, of any sign
     cfg = json.loads(path.read_text())
     for value in (-1.0, 0.0):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**cfg, field: value}))
+        bad.write_text(json.dumps({**cfg, "bound": value}))
         for command in ("analyze", "speed", "solve"):
             rc = main([command, "--model", str(bad), "--out", str(tmp_path / "o")])
             assert rc == 64, (command, value)
-            assert f"invalid input: unknown key '{field}'" in capsys.readouterr().err
+            assert "invalid input: unknown key 'bound'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -523,17 +527,10 @@ def test_verify_command_critical_records_decay_order(tmp_path):
     assert probe["details"]["decay_orders"] == [1, 1]
 
 
-def test_spectral_commands_load_no_scipy(fresh_golden_run):
-    # the runs of conftest's fresh interpreter, which no other test has loaded SciPy in
-    assert fresh_golden_run["at_import"] == []
-    spectral = {run: mods for run, mods in fresh_golden_run["loaded"].items()
-                if run.rsplit("/", 1)[1] in ("analyze", "speed", "scan")}
-    assert len(spectral) == 3 * len(regen.model_files())
-    assert not {run: mods for run, mods in spectral.items() if mods}
-
-
 def test_cli_commands_load_no_scipy(fresh_golden_run):
-    # every command on every model file; the goldens' table owns the exit codes
+    # every command on every model file, in conftest's fresh interpreter, which
+    # no other test has loaded SciPy in; the goldens' table owns the exit codes
+    assert fresh_golden_run["at_import"] == []
     loaded = fresh_golden_run["loaded"]
     assert len(loaded) == 5 * len(regen.model_files())
     assert not {run: mods for run, mods in loaded.items() if mods}

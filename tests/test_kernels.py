@@ -12,9 +12,8 @@ import wavefront as wf
 from wavefront import kernels
 from wavefront.errors import EmptyStrip, OutOfStrip
 from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
-                               _lumped_samples, _sampled_convolve,
-                               _segments_transform, _shift_factor, _shift_plan,
-                               _stencil, convolve_field, kernel_from_dict,
+                               _lumped_samples, _segments_transform, _shift_factor,
+                               _shift_plan, _stencil, convolve_field, kernel_from_dict,
                                shift_kernel)
 
 from quadrature import laplace_by_quad
@@ -456,7 +455,8 @@ def test_tabulated_laplace_segment_sum_only_off_uniform_nodes(monkeypatch):
 
 def test_csv_loading(tmp_path):
     p = tmp_path / "kern.csv"
-    p.write_text("# t,value\n-1.0,0.0\n0.0,1.0\n1.0,0.0\n")
+    # blank and '#' lines are skipped wherever they stand
+    p.write_text("# t,value\n-1.0,0.0\n\n# mid\n0.0,1.0\n1.0,0.0\n")
     k = wf.load_tabulated(p)
     assert k.mass == pytest.approx(1.0)
     assert k.support() == (-1.0, 1.0)
@@ -464,6 +464,15 @@ def test_csv_loading(tmp_path):
     bad.write_text("0.0,1.0\n0.0,2.0\n")
     with pytest.raises(ValueError):
         wf.load_tabulated(bad)
+
+
+@pytest.mark.parametrize("row", ["0.0", "0.0,1.0,5", "0.0,1.0,"])
+def test_csv_row_without_exactly_two_fields_is_refused(tmp_path, row):
+    # a third column was once dropped without a word
+    p = tmp_path / "kern.csv"
+    p.write_text(f"# t,value\n-1.0,0.0\n{row}\n1.0,0.0\n")
+    with pytest.raises(ValueError, match="expected two columns"):
+        wf.load_tabulated(p)
 
 
 # each shape's JSON form, with every field written out, and the kernel it names
@@ -840,7 +849,7 @@ def test_sampled_convolve_matches_direct_sum(case):
     # direct convolution, in another order
     k, grid, G, lam_left = case
     ref = direct_convolve(k, grid, G, lam_left)
-    got = _sampled_convolve(k, grid, G, lam_left)
+    got = k.grid_convolve(grid, G, lam_left)
     assert got.shape == ref.shape
     assert not np.any(got < 0)
     normal = ref >= np.finfo(float).tiny

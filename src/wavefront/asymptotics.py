@@ -99,17 +99,24 @@ def _fit_k1(t, logp):
 
     Variable projection: at fixed A the model is linear in (lambda, b), so
     only u = log((A - t_hi) / span) is searched, over A in
-    (t_hi + 1e-9, 1e9).
+    (t_hi + 1e-9, 1e9).  The linear part is the straight-line fit of
+    r = logp - log(A - t) on t in closed form, with the centred abscissas
+    d = t - mean(t) and sum(d^2) computed once per fit:
+    lambda = sum(d r) / sum(d^2) and b = mean(r) - lambda mean(t).
     """
     t_hi = t[-1]
     span = t_hi - t[0]
-    design = np.column_stack((t, np.ones_like(t)))
+    t_mean = float(np.mean(t))
+    d = t - t_mean
+    dd = float(d @ d)
 
     def project(u):
         A = t_hi + span * math.exp(u)
         shift = np.log(A - t)
-        (lam, b), *_ = np.linalg.lstsq(design, logp - shift, rcond=None)
-        return A, lam, b, logp - (lam * t + shift + b)
+        r = logp - shift
+        lam = float(d @ r) / dd
+        b = float(np.mean(r)) - lam * t_mean
+        return A, lam, b, r - (lam * t + b)
 
     def cost(u):
         res = project(u)[3]

@@ -320,10 +320,7 @@ class OneSidedExponential(KernelComponent):
         return (-INF, 0.0)
 
     def grid_convolve(self, grid, G, lam_left):
-        out = _recurse(grid, G, self.rate, self.direction, lam_left)
-        if self.scale != 1.0:
-            out *= self.scale
-        return out
+        return _recurse(grid, G, self.rate, self.direction, lam_left, self.scale)
 
     def grid_laplace(self, lam, dt):
         return self.scale * _recurse_factor(self.rate, self.direction, lam, dt)
@@ -393,15 +390,10 @@ class PiecewiseGreen(KernelComponent):
         return (-INF, INF)
 
     def grid_convolve(self, grid, G, lam_left):
+        """amp (forward / rho1 + backward / rho2): each recurrence takes its factor, one add sums them."""
         amp, rho1, rho2 = self._pieces
-        # amp * (forward / rho1 + backward / rho2), in the forward piece's array
-        out = _recurse(grid, G, rho1, 1, lam_left)
-        out /= rho1
-        backward = _recurse(grid, G, rho2, -1, lam_left)
-        backward /= rho2
-        out += backward
-        out *= amp
-        return out
+        return (_recurse(grid, G, rho1, 1, lam_left, amp / rho1)
+                + _recurse(grid, G, rho2, -1, lam_left, amp / rho2))
 
     def grid_laplace(self, lam, dt):
         amp, rho1, rho2 = self._pieces
@@ -455,15 +447,17 @@ class DiracComb(KernelComponent):
         return (min(self.offsets), max(self.offsets))
 
     def grid_convolve(self, grid, G, lam_left):
-        # w_1 S_1 G + w_2 S_2 G + ..., summed from the first term on in place
+        """w_1 S_1 G + w_2 S_2 G + ..., each weight applied inside its atom's stencil.
+
+        The first atom is written straight into the result and every other
+        one into one scratch array, which is added to it.
+        """
         plans = _comb_plans(self, grid, lam_left)
-        out = _stencil(G, plans[0], np.empty(len(G)))
-        out *= self.weights[0]
-        term = np.empty(len(G))
-        for plan, w in zip(plans[1:], self.weights[1:]):
-            _stencil(G, plan, term)
-            term *= w
-            out += term
+        out = _stencil(G, plans[0], np.empty(len(G)), self.weights[0])
+        if len(plans) > 1:
+            term = np.empty(len(G))
+            for plan, w in zip(plans[1:], self.weights[1:]):
+                out += _stencil(G, plan, term, w)
         return out
 
     def grid_laplace(self, lam, dt):
@@ -857,20 +851,23 @@ def _first_order(E, src):
     return y.ravel()
 
 
-def _recurse(grid, G, rate, direction, lam_left):
-    """H(x_i) = rate * int_0^inf e^{-rate u} G~(x_i - direction u) du, exact on the interpolant.
+def _recurse(grid, G, rate, direction, lam_left, scale):
+    """scale H(x_i), H(x_i) = rate int_0^inf e^{-rate u} G~(x_i - direction u) du, exact on the interpolant.
 
     One left-to-right recurrence, seeded by the left closure.  The backward
     piece (direction -1) runs it on the reversed field, whose left closure
-    is the plateau G[-1], and reverses the result.  The source is built
-    in the zero-padded blocks :func:`_first_order` reads, so it is never
-    copied.
+    is the plateau G[-1], and reverses the result.  The recurrence is
+    linear, so ``scale`` multiplies its step weights far and near and its
+    seed, and the solution comes out scaled with no pass of its own.  The
+    source is built in the zero-padded blocks :func:`_first_order` reads,
+    so it is never copied.
     """
     E, far, near = _exp_step_weights(rate, grid.step)
+    far, near = far * scale, near * scale
     if direction == 1:
-        seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
+        seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
     else:
-        G, seed = G[::-1], G[-1]
+        G, seed = G[::-1], G[-1] * scale
     n = grid.n
     src = np.empty(-(-n // _BLOCK) * _BLOCK)
     src[n:] = 0.0
@@ -930,32 +927,36 @@ def _comb_plans(comb, grid, lam_left):
     return plans
 
 
-def _stencil(G, plan, out):
-    """Write G~(t - shift), from the constants ``plan``, into ``out``, and return it.
+def _stencil(G, plan, out, w=1.0):
+    """Write w G~(t - shift), from the constants ``plan``, into ``out``, and return it.
 
-    G~ is closed as in :func:`convolve_field`.  With s = shift / step and
-    m = ceil(s), point i takes the two-tap stencil
-    G[i-m] + (m - s)(G[i-m+1] - G[i-m]).  A shift within rounding of a
-    whole number of steps moves G by whole indices, bit for bit, and a
-    zero shift is a copy.  Points left of t_min take the closure (0, or
-    G[0] e^{lam_left (x - t_min)}), and points at or right of t_max take
-    G[-1].  A comb reads its atoms' constants from :func:`_comb_plans`;
-    the solver's pin moves each sweep, so it builds them with
-    :func:`_shift_plan` and writes the stencil into a buffer it owns.
+    G~ is closed as in :func:`convolve_field`.  With s = shift / step,
+    m = ceil(s) and f = m - s, point i takes the two-tap stencil
+    w (1 - f) G[i-m] + (w f) G[i-m+1], the weight folded into the taps.
+    A shift within rounding of a whole number of steps writes w G[i-m]:
+    it moves G by whole indices, bit for bit at w = 1, and a zero shift
+    is then a copy.  Points left of t_min take the closure (0, or
+    (w G[0]) e^{lam_left (x - t_min)}), and points at or right of t_max
+    take w G[-1].  A comb reads its atoms' constants from
+    :func:`_comb_plans` and passes each atom's weight; the solver's pin
+    moves each sweep, so it builds them with :func:`_shift_plan` and
+    writes the unweighted stencil into a buffer it owns.
     """
     s, m, lo, hi, closure = plan
     if closure is None:
         out[:lo] = 0.0
     else:
-        np.multiply(G[0], closure, out=out[:lo])
+        np.multiply(w * G[0], closure, out=out[:lo])
     mid, g0 = out[lo:hi], G[lo - m:hi - m]
-    if m == s:
+    if m != s:
+        f = m - s
+        np.multiply(g0, w * (1.0 - f), out=mid)
+        mid += (w * f) * G[lo - m + 1:hi - m + 1]
+    elif w == 1.0:
         mid[:] = g0
     else:
-        np.subtract(G[lo - m + 1:hi - m + 1], g0, out=mid)
-        mid *= m - s
-        mid += g0
-    out[hi:] = G[-1]
+        np.multiply(g0, w, out=mid)
+    out[hi:] = w * G[-1]
     return out
 
 

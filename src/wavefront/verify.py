@@ -14,6 +14,7 @@ import numpy as np
 
 from . import wavesolver
 from .asymptotics import fit_decay
+from .errors import NonPositiveTail, TailUnresolved
 from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, default_init, solve_profile
 
@@ -227,8 +228,10 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid,
     t = 0.  PASS is reported as "consistent with uniqueness at tolerance
     ..."; a solve that ends in one of ``wavesolver.SOLVE_FAILURES``
     aborts with a partial report whose last check is a failing
-    ``solve[init i]``.  The tolerance is max(10 * solver tol,
-    5 * step^2 * |phi''| estimate).
+    ``solve[init i]``, and a solved profile whose left tail admits no
+    decay fit (TailUnresolved or NonPositiveTail from :func:`fit_decay`)
+    with one whose last check is a failing ``decay_fit[init i]``.  The
+    tolerance is max(10 * solver tol, 5 * step^2 * |phi''| estimate).
     """
     report = VerifyReport([mollison_check(prob)])
     admissibility = speed_admissibility(prob)
@@ -252,10 +255,20 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid,
                 {"error": str(exc)}))
             return report
 
+    fits = []
+    for i, pr in enumerate(profiles):
+        try:
+            fits.append(fit_decay(pr))
+        except (TailUnresolved, NonPositiveTail) as exc:
+            report.checks.append(Check(
+                f"decay_fit[init{i}]", "fail",
+                "the solved profile's left tail must admit a decay fit",
+                {"error": str(exc)}))
+            return report
+
     dphi2 = np.max(np.abs(np.diff(profiles[0].values, 2))) / grid.step ** 2
     tolerance = max(10.0 * opts.tol, 5.0 * grid.step ** 2 * float(dphi2))
     _, sup = align_translate(*profiles)
-    fits = [fit_decay(pr) for pr in profiles]
     status = "pass" if sup <= tolerance else "fail"
     verdict_note = (f"consistent with uniqueness modulo translation at tolerance "
                     f"{tolerance:g}" if status == "pass"

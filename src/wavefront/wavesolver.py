@@ -117,11 +117,13 @@ def apply_operator(p: ConvolutionProblem, values: np.ndarray, grid: Grid,
 
     Each outer kernel of ``p.outer_groups`` acts once, on the sum of its
     atoms' inner fields: every grid action is linear, closures included,
-    so this is the sum of the atoms' actions up to rounding.  The public
+    so this is the sum of the atoms' actions up to rounding.  The sum
+    starts from the first group's field: every grid action returns a
+    fresh array, so the result is the caller's to overwrite.  The public
     closure is phi := 0 left of the grid and phi := phi(t_max) right of
     it (lam_left=None); the solver passes its tail rate instead.
     """
-    out = np.zeros_like(values)
+    out = None
     for outer, terms in p.outer_groups:
         rhs = None
         for inner, g in terms:
@@ -129,7 +131,11 @@ def apply_operator(p: ConvolutionProblem, values: np.ndarray, grid: Grid,
             if inner is not None:
                 G = convolve_field(inner, grid, G, lam_left)
             rhs = G if rhs is None else rhs + G
-        out += convolve_field(outer, grid, rhs, lam_left)
+        H = convolve_field(outer, grid, rhs, lam_left)
+        if out is None:
+            out = H
+        else:
+            out += H
     return out
 
 
@@ -277,8 +283,7 @@ class PinnedMap:
         lam, grid = self.closure_rate, self.grid
         new = apply_operator(self.p, phi, grid, lam)
         if self.theta != 1.0:
-            # at theta = 1, 0 phi + 1 N is N bit for bit: N is a sum started
-            # from +0.0, so it holds no -0.0
+            # at theta = 1 the blend 0 phi + 1 N is N, up to the sign of a zero
             np.multiply(phi, 1.0 - self.theta, out=out)
             new *= self.theta
             new += out

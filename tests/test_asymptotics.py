@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,13 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 import wavefront as wf
-from wavefront.asymptotics import _fit_k0, _fit_k1
+from wavefront._scalar import minimize_bounded
+from wavefront.asymptotics import NOISE_ULPS, PARSIMONY, _default_window, _fit_k0, _fit_k1
 from wavefront.errors import NonPositiveTail, TailUnresolved
+from wavefront.models import load_model
+from wavefront.wavesolver import default_init
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def synthetic_profile(fn, t_min=-60.0, t_max=5.0, n=4096, plateau=None):
@@ -59,6 +65,57 @@ def test_fit_k1_matches_trust_region_on_critical_tails(lam, a):
     assert lam1 == pytest.approx(lam, rel=1e-8)
     assert A1 == pytest.approx(A_ref, rel=1e-6, abs=1e-9)
     assert float(np.sqrt(np.mean(res ** 2))) < 1e-8
+
+
+def lstsq_line(t, r):
+    """(lambda, b) of the least-squares line r ~ lambda t + b, by np.linalg.lstsq."""
+    (lam, b), *_ = np.linalg.lstsq(np.column_stack((t, np.ones_like(t))), r, rcond=None)
+    return lam, b
+
+
+def lstsq_fit_k1(t, logp):
+    """The k=1 fit with its linear parameters from np.linalg.lstsq at every trial A."""
+    t_hi, span = t[-1], t[-1] - t[0]
+
+    def project(u):
+        A = t_hi + span * math.exp(u)
+        shift = np.log(A - t)
+        lam, b = lstsq_line(t, logp - shift)
+        return A, lam, b, logp - (lam * t + shift + b)
+
+    def cost(u):
+        res = project(u)[3]
+        return float(res @ res)
+
+    u, _ = minimize_bounded(cost, math.log(1e-9 / span), math.log((1e9 - t_hi) / span),
+                            xatol=1e-10)
+    return project(u)
+
+
+@pytest.fixture(scope="module",
+                params=[*sorted(MODELS.glob("*.json")), MODELS / "cases" / "local_critical.json"],
+                ids=lambda path: path.stem)
+def solved_tail(request):
+    """(profile, t, log phi) on the default decay window of a model file's ``solve`` profile."""
+    spec, cfg = load_model(request.param)
+    prob = spec.to_convolution_form(float(cfg["c"]))
+    prof = wf.solve_profile(prob, wf.Grid(-60.0, 40.0, 4096), default_init(prob))
+    mask = _default_window(prof)
+    return prof, prof.grid.ts[mask], np.log(prof.values[mask])
+
+
+def test_fit_k1_projection_is_the_least_squares_line(solved_tail):
+    # the closed-form projection is the line np.linalg.lstsq fits at the same A,
+    # and fit_decay picks the order that the lstsq projection picks
+    prof, t, logp = solved_tail
+    lam, A, b, res = _fit_k1(t, logp)
+    lam_ref, b_ref = lstsq_line(t, logp - np.log(A - t))
+    assert lam == pytest.approx(lam_ref, rel=1e-12)
+    assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-12)
+    r0 = float(np.sqrt(np.mean(_fit_k0(t, logp)[2] ** 2)))
+    r1 = float(np.sqrt(np.mean(lstsq_fit_k1(t, logp)[3] ** 2)))
+    assert r0 > NOISE_ULPS * np.finfo(float).eps * float(np.max(np.abs(logp)))
+    assert wf.fit_decay(prof).k_hat == (1 if r1 <= PARSIMONY * r0 else 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -411,6 +411,22 @@ def test_verify_reports_a_solve_that_hits_max_iter(tmp_path):
     assert "solve[init0]" in (out / "verify.txt").read_text()
 
 
+def test_verify_reports_a_tail_that_admits_no_decay_fit(tmp_path):
+    # on 64 points the shipped local model solves, but its left tail holds
+    # only 9 points of the fit window: verify writes its report with a
+    # failing decay_fit check, as it does for a failed solve
+    model = Path(__file__).resolve().parents[1] / "models" / "local_delayed_rd.json"
+    out = tmp_path / "out"
+    assert main(["solve", "--model", str(model), "--grid=-60,40,64", "--out", str(out)]) == 0
+    assert main(["verify", "--model", str(model), "--grid=-60,40,64", "--out", str(out)]) == 1
+    data = read_json(out / "verify.json")
+    assert data["verdict"] == "fail"
+    last = data["checks"][-1]
+    assert (last["name"], last["status"]) == ("decay_fit[init0]", "fail")
+    assert "window points" in last["details"]["error"]
+    assert "decay_fit[init0]" in (out / "verify.txt").read_text()
+
+
 def test_grid_too_short_for_the_tail_fails_without_usage_error(tmp_path, capsys):
     # delayed Mackey-Glass at c = 3 has a wave whose left tail needs
     # t_min <= -84.48: the default grid does not hold it, which is a failed

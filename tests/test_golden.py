@@ -124,7 +124,9 @@ def test_a_dropped_text_line_is_one_row():
     moved = dropped.replace("sup_diff = 3.64695", "sup_diff = 3.74695")
     assert moved != dropped
     j = next(i for i, line in enumerate(lines) if "sup_diff" in line)
+    old = lines[j].split("=")[1].strip()
+    new = old.replace("3.64695", "3.74695")
     rows = regen.diff_artifact("verify.txt", golden, moved)
     assert rows[0][2] == "(absent)"
-    assert rows[1:] == [(f"line {j + 1}[1]", 3.646954930963675e-07, 3.746954930963675e-07,
-                         pytest.approx(0.1 / 3.746954930963675))]
+    assert rows[1:] == [(f"line {j + 1}[1]", float(old), float(new),
+                         pytest.approx(1e-8 / float(new)))]

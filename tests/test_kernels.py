@@ -595,13 +595,14 @@ def test_first_order_matches_loop_and_lfilter(E, n, seed, signed):
         assert np.all(np.abs(ref - exact) <= bound)
 
 
-def padded_recurse(grid, G, rate, direction, lam_left):
+def padded_recurse(grid, G, rate, direction, lam_left, scale):
     """The exponential recurrence with its source in an n-array, copied into zero-padded blocks."""
     E, far, near = kernels._exp_step_weights(rate, grid.step)
+    far, near = far * scale, near * scale
     if direction == 1:
-        seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left)
+        seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
     else:
-        G, seed = G[::-1], G[-1]
+        G, seed = G[::-1], G[-1] * scale
     src = np.empty_like(G)
     src[0] = seed
     np.multiply(G[:-1], far, out=src[1:])
@@ -624,11 +625,78 @@ def padded_recurse(grid, G, rate, direction, lam_left):
 def test_recurse_builds_its_source_in_the_blocks(n, direction, lam_left, rate):
     # the source is written straight into the zero-padded blocks: the same
     # floats as a copy of it padded with zeros, byte for byte (rate 0.003
-    # takes the series branch of the step weights)
+    # takes the series branch of the step weights), with the kernel's scale
+    # in its step weights and seed
     grid = wf.Grid(-60.0, 40.0, n)
     G = np.random.default_rng(n).random(n)
-    got = kernels._recurse(grid, G, rate, direction, lam_left)
-    assert got.tobytes() == padded_recurse(grid, G, rate, direction, lam_left).tobytes()
+    for scale in (1.0, 0.37):
+        got = kernels._recurse(grid, G, rate, direction, lam_left, scale)
+        want = padded_recurse(grid, G, rate, direction, lam_left, scale)
+        assert got.tobytes() == want.tobytes()
+
+
+def unweighted_stencil(G, plan, combine):
+    """The stencil's two taps g0 = G[i-m], g1 = G[i-m+1] put together by ``combine(g0, g1, f)``, f = m - s.
+
+    Whole steps take g0; points from left of t_min take the closure, and
+    points from t_max or right of it G[-1].
+    """
+    s, m, lo, hi, closure = plan
+    out = np.empty_like(G)
+    out[:lo] = 0.0 if closure is None else G[0] * closure
+    g0 = G[lo - m:hi - m]
+    out[lo:hi] = g0 if m == s else combine(g0, G[lo - m + 1:hi - m + 1], m - s)
+    out[hi:] = G[-1]
+    return out
+
+
+def scale_after_actions(k, grid, G, lam_left):
+    """(H, bound): the grid action with each weight and scale applied after it, and its rounding scale.
+
+    A comb sums w_j times its stencils G[i-m] + (m - s)(G[i-m+1] - G[i-m]),
+    an exponential multiplies its unscaled recurrence by its scale, and a
+    Green kernel is amp (forward / rho1 + backward / rho2) of its unscaled
+    recurrences.  The recurrences sum positive terms, so ``bound`` is |H|;
+    the comb's stencil cancels where m - s is near 1 and G[i-m] is the
+    larger tap, so its ``bound`` is sum_j w_j times the larger tap.
+    """
+    if isinstance(k, wf.DiracComb):
+        plans = [_shift_plan(grid, a, lam_left) for a in k.offsets]
+        H = sum(w * unweighted_stencil(G, plan, lambda g0, g1, f: g0 + f * (g1 - g0))
+                for plan, w in zip(plans, k.weights))
+        taps = sum(w * unweighted_stencil(G, plan, lambda g0, g1, f: np.maximum(g0, g1))
+                   for plan, w in zip(plans, k.weights))
+        return H, taps
+    if isinstance(k, wf.OneSidedExponential):
+        H = k.scale * padded_recurse(grid, G, k.rate, k.direction, lam_left, 1.0)
+    else:
+        amp, rho1, rho2 = k.scale / (k.mu - k.nu), -k.nu, k.mu
+        H = amp * (padded_recurse(grid, G, rho1, 1, lam_left, 1.0) / rho1
+                   + padded_recurse(grid, G, rho2, -1, lam_left, 1.0) / rho2)
+    return H, np.abs(H)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(64, 5000), seed=st.integers(0, 2 ** 32 - 1),
+       lam_left=st.none() | st.floats(0.01, 5.0), data=st.data())
+def test_folded_weights_agree_with_weights_applied_after(n, seed, lam_left, data):
+    # the comb folds its weights into the stencil taps and the exponential
+    # pieces fold their scales into the recurrence: on a positive field this
+    # moves every value by a few roundings of what it sums at most
+    grid = wf.Grid(-60.0, 40.0, n)
+    dt = grid.step
+    positive = st.floats(0.1, 3.0)
+    atoms = st.lists(st.tuples(grid_shifts(dt), positive), min_size=1, max_size=4)
+    k = data.draw(st.one_of(
+        atoms.map(lambda aw: wf.DiracComb(*zip(*aw))),
+        st.builds(wf.OneSidedExponential, rate=st.floats(0.003, 4.0),
+                  direction=st.sampled_from([1, -1]), scale=positive),
+        st.builds(wf.PiecewiseGreen, nu=st.floats(-4.0, -0.1), mu=st.floats(0.1, 4.0),
+                  scale=positive)))
+    G = np.exp(np.random.default_rng(seed).uniform(math.log(1e-30), math.log(1e3), n))
+    got = convolve_field(k, grid, G, lam_left)
+    ref, bound = scale_after_actions(k, grid, G, lam_left)
+    assert np.all(np.abs(got - ref) <= 1e-14 * bound)
 
 
 # --- grid transform -----------------------------------------------------------

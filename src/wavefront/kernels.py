@@ -454,10 +454,9 @@ class DiracComb(KernelComponent):
         """
         plans = _comb_plans(self, grid, lam_left)
         out = _stencil(G, plans[0], np.empty(len(G)), self.weights[0])
-        if len(plans) > 1:
-            term = np.empty(len(G))
-            for plan, w in zip(plans[1:], self.weights[1:]):
-                out += _stencil(G, plan, term, w)
+        term = np.empty(len(G))
+        for plan, w in zip(plans[1:], self.weights[1:]):
+            out += _stencil(G, plan, term, w)
         return out
 
     def grid_laplace(self, lam, dt):
@@ -952,8 +951,6 @@ def _stencil(G, plan, out, w=1.0):
         f = m - s
         np.multiply(g0, w * (1.0 - f), out=mid)
         mid += (w * f) * G[lo - m + 1:hi - m + 1]
-    elif w == 1.0:
-        mid[:] = g0
     else:
         np.multiply(g0, w, out=mid)
     out[hi:] = w * G[-1]

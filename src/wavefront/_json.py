@@ -5,6 +5,11 @@ files and every value round-trips exactly.  Non-finite values have no
 JSON literal and are emitted as the strings "inf", "-inf", "nan"
 (extended-real abscissas are data here, not errors); in CSV they are
 written bare, as '%.17g' prints them.
+
+A CSV is a header line and two columns.  Its first column is formatted
+once into a row template (:func:`row_format`), so a caller that writes
+many second columns against one first column, as every ``profile.csv``
+on one grid does, formats only the second column on each write.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dumps", "config_hash", "write_csv"]
+__all__ = ["dumps", "config_hash", "row_format", "write_csv"]
 
 
 def _fmt_float(x: float) -> str:
@@ -52,8 +57,24 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(dumps(cfg).encode()).hexdigest()[:16]
 
 
-def write_csv(path, header: str, a, b) -> None:
-    """Two float columns under a header line, each value as '%.17g', in one write."""
-    rows = np.column_stack((a, b)).ravel().tolist()
+def row_format(a) -> str:
+    """The rows of a two-column CSV with the first column ``a`` filled in.
+
+    Line i reads ``<a_i as '%.17g'>,%.17g``: a ``%`` template for the second
+    column, built in one ``%`` pass.  '%.17g' never prints a ``%``, so every
+    float, -0, +-inf, nan and subnormals included, leaves the template whole.
+    """
+    a = np.asarray(a, dtype=float)
+    return ("%.17g,%%.17g\n" * len(a)) % tuple(a.tolist())
+
+
+def write_csv(path, header: str, rows: str, b) -> None:
+    """The header line, then ``rows`` (from :func:`row_format`) filled with ``b``, in one write.
+
+    Every value is '%.17g', so the bytes are those of the per-row loop
+    ``f"{a:.17g},{b:.17g}\n"``.
+    """
+    # formatted before the file opens: a length mismatch leaves no empty file
+    text = rows % tuple(np.asarray(b, dtype=float).tolist())
     with open(path, "w") as fh:
-        fh.write(header + "\n" + ("%.17g,%.17g\n" * (len(rows) // 2)) % tuple(rows))
+        fh.write(header + "\n" + text)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._json import config_hash, dumps, write_csv
+from ._json import config_hash, dumps, row_format, write_csv
 from .charfun import chi, real_roots, strip_zero_scan
 from .errors import NoRoots, NoWave, WavefrontError
 from .models import load_model, model_min_speed
@@ -123,7 +123,7 @@ def cmd_analyze(args) -> int:
     xs = np.linspace(lo_plot, hi_plot, 401)
     trace = np.real(chi(cf, xs))
     os.makedirs(args.out, exist_ok=True)
-    write_csv(os.path.join(args.out, "chi_trace.csv"), "x,chi", xs, trace)
+    write_csv(os.path.join(args.out, "chi_trace.csv"), "x,chi", row_format(xs), trace)
     try:
         sd = real_roots(cf)
     except NoRoots as exc:

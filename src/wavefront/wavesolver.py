@@ -33,13 +33,14 @@ chi there is no semi-wavefront, and the solver says so before any sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._json import write_csv
+from ._json import row_format, write_csv
 from .charfun import _left_zero
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
@@ -85,6 +86,16 @@ EDGE_POINTS = 10
 SOLVE_FAILURES = (NoWave, MaxIterExceeded, NegativeValues, TailUnresolved)
 
 
+@functools.lru_cache(maxsize=8)
+def _profile_rows(grid: Grid) -> str:
+    """The rows of a profile.csv on ``grid``, its t column filled in (~0.1 MB at n = 4,096).
+
+    Built on the first write on a grid, never at import; equal grids share
+    one entry.
+    """
+    return row_format(grid.ts)
+
+
 @dataclass
 class WaveProfile:
     """Grid-sampled profile with speed, plateau and convergence metadata."""
@@ -96,7 +107,15 @@ class WaveProfile:
     convergence: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t,phi", self.grid.ts, self.values)
+        """Write ``t,phi`` and one row per grid point, each value as '%.17g'.
+
+        The t column's text is formatted once per grid and reused by later
+        writes on an equal grid, so such a write formats only the values.
+        """
+        if len(self.values) != self.grid.n:
+            raise ValueError(f"profile has {len(self.values)} values on a grid "
+                             f"of {self.grid.n} points")
+        write_csv(path, "t,phi", _profile_rows(self.grid), self.values)
 
     def meta_dict(self) -> dict:
         return {

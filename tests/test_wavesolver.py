@@ -13,7 +13,7 @@ import wavefront as wf
 from wavefront import charfun, kernels, wavesolver
 from wavefront import verify as wf_verify
 from wavefront._scalar import brentq
-from wavefront._json import write_csv
+from wavefront._json import row_format, write_csv
 from wavefront.charfun import _concave_max
 from wavefront.cli import main
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
@@ -1234,19 +1234,53 @@ def test_profile_csv_round_trip(tmp_path, noncritical_profile):
     np.testing.assert_allclose(data[:, 1], prof.values, rtol=1e-15)
 
 
+def _row_loop(header, a, b) -> bytes:
+    """The CSV that the per-row f"{a:.17g},{b:.17g}" loop writes."""
+    return (header + "\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a, b))).encode()
+
+
 def test_csv_writer_matches_row_loop(tmp_path):
-    # profile.csv and chi_trace.csv are written in one call; the bytes must be
-    # those of the per-row f"{a:.17g},{b:.17g}" loop they replaced
+    # profile.csv and chi_trace.csv are written in one call over a row
+    # template; the bytes must be those of the per-row loop they replaced
     grid = wf.Grid(-3.0, 2.0, 64)
     values = np.linspace(-1.0, 1.0, 64) / 3.0
     values[[0, 5, 9, 17, 30, 41, 63]] = [-0.0, np.inf, np.nan, 5e-324, -np.inf,
                                          2.2250738585072014e-308 / 3.0, 0.0]
     path = tmp_path / "profile.csv"
     wf.WaveProfile(grid, values, speed=1.0, plateau=1.0).to_csv(path)
-    loop = "t,phi\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(grid.ts, values))
-    assert path.read_bytes() == loop.encode()
-    for text in (",-0\n", ",inf\n", ",-inf\n", ",nan\n", ",4.9406564584124654e-324\n"):
+    loop = _row_loop("t,phi", grid.ts, values)
+    assert path.read_bytes() == loop
+    for text in (b",-0\n", b",inf\n", b",-inf\n", b",nan\n", b",4.9406564584124654e-324\n"):
         assert text in loop
-    write_csv(path, "x,chi", values[::-1], values)
-    loop = "x,chi\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(values[::-1], values))
-    assert path.read_bytes() == loop.encode()
+    # the special values in the first column too, as chi_trace.csv's x can hold them
+    write_csv(path, "x,chi", row_format(values[::-1]), values)
+    loop = _row_loop("x,chi", values[::-1], values)
+    assert path.read_bytes() == loop
+    for text in (b"\n-0,", b"\ninf,", b"\n-inf,", b"\nnan,", b"\n4.9406564584124654e-324,"):
+        assert text in loop
+
+
+def test_profile_csv_rows_are_cached_per_grid(tmp_path):
+    # one process writes on two grids in turn, then on the first again, on an
+    # equal but distinct Grid and on one of the same size with other bounds:
+    # every file is the per-row loop's, byte for byte
+    grids = [wf.Grid(-60.0, 40.0, 4096), wf.Grid(-60.0, 40.0, 4001),
+             wf.Grid(-60.0, 40.0, 4096), wf.Grid(-60.0, 40.0, 4096),
+             wf.Grid(-50.0, 50.0, 4096)]
+    assert grids[3] is not grids[0] and grids[3] == grids[0]
+    for i, grid in enumerate(grids):
+        values = np.tanh(grid.ts / (i + 1.0)) + 1.0
+        path = tmp_path / f"profile-{i}.csv"
+        wf.WaveProfile(grid, values, speed=1.0, plateau=2.0).to_csv(path)
+        assert path.read_bytes() == _row_loop("t,phi", grid.ts, values)
+    assert wavesolver._profile_rows(grids[3]) is wavesolver._profile_rows(grids[0])
+
+
+def test_profile_csv_refuses_a_length_mismatch(tmp_path):
+    grid = wf.Grid(-3.0, 2.0, 64)
+    values = np.linspace(0.0, 1.0, 64)
+    for wrong in (values[:-1], np.append(values, 1.0)):
+        prof = wf.WaveProfile(grid, wrong, speed=1.0, plateau=1.0)
+        with pytest.raises(ValueError, match=f"{len(wrong)} values on a grid of 64 points"):
+            prof.to_csv(tmp_path / "profile.csv")
+    assert not (tmp_path / "profile.csv").exists()

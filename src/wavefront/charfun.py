@@ -16,6 +16,7 @@ certified by a bound on |chi'| (:func:`zero_count`).
 The maximizer is Brent's bounded golden-section/parabolic search and the
 root finder Brent's ``brentq``, both ported bit for bit from SciPy in
 :mod:`wavefront._scalar` so that the spectral commands load no SciPy.
+The searches take chi at a float, in float arithmetic bit-identical to the array path.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def chi(cf: CharacteristicFunction, z):
 def chi_prime(cf: CharacteristicFunction, x: float) -> float:
     """d chi / dz at real x via a complex step (chi is analytic in the strip)."""
     h = 1e-20
-    return float(np.imag(chi(cf, x + 1j * h))) / h
+    # a 0-d array: numpy's complex arithmetic, not Python's (its division rounds otherwise)
+    return float(np.imag(chi(cf, np.asarray(x + 1j * h)))) / h
 
 
 @dataclass(frozen=True)
@@ -212,12 +214,12 @@ def real_roots(cf: CharacteristicFunction) -> SpectralData:
         raise StripTooNarrow(f"gamma_K = {gamma_K:g} <= 0")
     if sigma_K >= 0:
         raise StripTooNarrow(f"sigma_K = {sigma_K:g} >= 0; cannot evaluate chi(0)")
-    chi0 = float(np.real(chi(cf, 0.0)))
+    chi0 = float(chi(cf, 0.0))
     if chi0 >= 0:
         raise ValueError(f"chi(0) = {chi0:g} must be negative for a wave analysis")
 
     def f(x):
-        return float(np.real(chi(cf, x)))
+        return float(chi(cf, x))
 
     xhat, chimax, lam_l = _left_zero(f, gamma_K)
     if chimax < -ROOT_VALUE_TOL:
@@ -348,6 +350,6 @@ def chi1_margin(cf1: CharacteristicFunction, sd: SpectralData) -> tuple[float, f
     Returns None when max chi_1 < 0, i.e. the Lipschitz-weighted route has
     no usable margin.
     """
-    m, val = _strip_max(lambda x: float(np.real(chi(cf1, x))),
+    m, val = _strip_max(lambda x: float(chi(cf1, x)),
                         (0.0, min(sd.lambda_rK, cf1.strip[1])))
     return (m, val) if val >= 0.0 else None

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache, reduce
@@ -127,9 +128,7 @@ def _check_strip(strip, z):
         # a scalar is its own min and max: no array reduction
         xmin = xmax = float(z.real)
     else:
-        x = np.real(z)
-        xmin = float(np.min(x))
-        xmax = float(np.max(x))
+        xmin, xmax = float(np.min(np.real(z))), float(np.max(np.real(z)))
     if xmin <= lo or xmax >= hi:
         raise OutOfStrip(
             f"Re z in [{xmin:g}, {xmax:g}] outside open strip ({lo:g}, {hi:g})"
@@ -159,7 +158,10 @@ class KernelComponent:
         raise NotImplementedError
 
     def laplace(self, z):
-        """Transform at complex z (scalar or ndarray), Re z inside the strip."""
+        """Transform at complex z (scalar or ndarray), Re z inside the strip.
+
+        A float stays a float, in float arithmetic with numpy's ``exp``: an array element's bits.
+        """
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
@@ -259,7 +261,6 @@ class GaussianKernel(_SampledDensity):
         return (-INF, INF)
 
     def laplace(self, z):
-        z = np.asarray(z)
         return self.scale * np.exp(self.variance * z * z / 2.0)
 
     def value(self, s):
@@ -305,7 +306,6 @@ class OneSidedExponential(KernelComponent):
         return (-INF, self.rate)
 
     def laplace(self, z):
-        z = np.asarray(z)
         r = self.rate
         den = r + z if self.direction == 1 else r - z
         return self.scale * r / den
@@ -371,7 +371,6 @@ class PiecewiseGreen(KernelComponent):
         return (self.nu, self.mu)
 
     def laplace(self, z):
-        z = np.asarray(z)
         den = self.damping + self.speed * z - z * z
         return self.scale / den
 
@@ -440,8 +439,8 @@ class DiracComb(KernelComponent):
         return (-INF, INF)
 
     def laplace(self, z):
-        z = np.asarray(z)
-        return reduce(np.add, (w * np.exp(-z * a) for a, w in zip(self.offsets, self.weights)))
+        # summed left to right, a float in float arithmetic
+        return reduce(operator.add, (w * np.exp(-z * a) for a, w in zip(self.offsets, self.weights)))
 
     def support(self):
         return (min(self.offsets), max(self.offsets))
@@ -759,6 +758,7 @@ def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
 
 def laplace(k: KernelComponent, z):
     """Bilateral Laplace transform of k at z; raises OutOfStrip outside the strip."""
+    z = z if np.isscalar(z) else np.asarray(z)  # an array-like z (a list) as one array
     _check_strip(k.abscissas(), z)
     return k.laplace(z)
 

@@ -101,12 +101,9 @@ def logistic(rate: float = 2.0, carrying: float = 1.0) -> Nonlinearity:
     """g(u) = rate * u * (1 - u/carrying); slope at zero is ``rate``."""
     _check_param("rate", rate)
     _check_param("carrying", carrying)
-    return Nonlinearity(
-        fn=lambda u: rate * np.asarray(u) * (1.0 - np.asarray(u) / carrying),
-        deriv=lambda u: rate * (1.0 - 2.0 * np.asarray(u) / carrying),
-        gprime0=rate,
-        name="logistic",
-    )
+    return Nonlinearity(fn=lambda u: rate * u * (1.0 - u / carrying),
+                        deriv=lambda u: rate * (1.0 - 2.0 * np.asarray(u) / carrying),
+                        gprime0=rate, name="logistic")
 
 
 def mackey_glass(p: float = 2.0, n: float = 6.0) -> Nonlinearity:
@@ -114,21 +111,17 @@ def mackey_glass(p: float = 2.0, n: float = 6.0) -> Nonlinearity:
     _check_param("p", p)
     _check_param("n", n)
 
-    def fn(u):
-        u = np.asarray(u, dtype=float)
-        return p * u / (1.0 + u ** n)
-
     def deriv(u):
-        u = np.asarray(u, dtype=float)
-        un = u ** n
+        un = np.power(u, n)
         return p * (1.0 + (1.0 - n) * un) / (1.0 + un) ** 2
 
-    return Nonlinearity(fn=fn, deriv=deriv, gprime0=p, name="mackey_glass")
+    return Nonlinearity(fn=lambda u: p * u / (1.0 + np.power(u, n)), deriv=deriv,
+                        gprime0=p, name="mackey_glass")
 
 
 def linear(slope: float = 1.0) -> Nonlinearity:
     _check_param("slope", slope)
-    return Nonlinearity(fn=lambda u: slope * np.asarray(u, dtype=float),
+    return Nonlinearity(fn=lambda u: slope * u,
                         deriv=lambda u: np.full_like(np.asarray(u, dtype=float), slope),
                         gprime0=slope, name="linear")
 
@@ -151,7 +144,7 @@ def tabulated_nonlinearity(u, g) -> Nonlinearity:
 
 def _slope_shift(g: Nonlinearity, sign: float, beta: float, name: str) -> Nonlinearity:
     """sign * g(u) + beta * u: the birth shift g_beta (sign 1) or the damping shift f_beta (-1)."""
-    return Nonlinearity(fn=lambda u: sign * np.asarray(g.fn(u)) + beta * np.asarray(u, dtype=float),
+    return Nonlinearity(fn=lambda u: sign * g.fn(u) + beta * u,
                         deriv=(None if g.deriv is None
                                else lambda u: sign * np.asarray(g.deriv(u)) + beta),
                         gprime0=sign * g.gprime0 + beta, name=name)
@@ -202,6 +195,9 @@ class ConvolutionProblem:
         except NoRoots:
             return None
 
+    # a drop -inf g' within 4 eps of g'(0) is rounding, as a shift within 4 eps is (_snap_steps)
+    SLOPE_SNAP_RTOL = 4.0 * np.finfo(float).eps
+
     @cached_property
     def relaxation(self) -> float:
         """theta = 2 / (2 + ell) with ell = sum_tau mass_tau max(0, -inf_[0, kappa] g_tau').
@@ -211,11 +207,13 @@ class ConvolutionProblem:
         [0, kappa], and 2 / (2 + ell) otherwise, which balances a real
         spectrum in [-ell, 0] however large ell grows.  0 < theta <= 1
         always, so every sweep stays a convex combination of nonnegative
-        fields.
+        fields.  A drop of at most SLOPE_SNAP_RTOL g'(0) counts as 0: the
+        logistic's g'(kappa) = -4.4e-16 at kappa = 0.5000000000000001 is one.
         """
         kappa = self.equilibrium()
-        ell = sum(a.kernel.mass * max(0.0, -a.nonlinearity.slopes(0.0, kappa)[0])
-                  for a in self.atoms)
+        ell = sum(a.kernel.mass * drop for a in self.atoms
+                  if (drop := -a.nonlinearity.slopes(0.0, kappa)[0])
+                  > self.SLOPE_SNAP_RTOL * a.nonlinearity.gprime0)
         return 2.0 / (2.0 + ell)
 
     @cached_property
@@ -348,7 +346,7 @@ class NonlocalKPP(ModelSpec):
         return ConvolutionProblem(atoms, c, beta, M)
 
     def tilde_chi_lipschitz(self, z, c):
-        return 1.0 - self.g.gprime0 + c * np.asarray(z) - self.J.laplace(z)
+        return 1.0 - self.g.gprime0 + c * z - self.J.laplace(z)
 
     def tilde_strip(self, c):
         return self.J.abscissas()
@@ -414,7 +412,6 @@ class NonlocalLattice(ModelSpec):
         return ConvolutionProblem(atoms, c, 0.0, M)
 
     def tilde_chi_lipschitz(self, z, c):
-        z = np.asarray(z)
         return (self.d + 2.0 * self.D + c * z - self.D * (np.exp(z) + np.exp(-z))
                 - self.g.gprime0 * np.exp(-c * self.delay * z) * self.comb.laplace(z))
 
@@ -463,7 +460,6 @@ class NonlocalDelayedRD(ModelSpec):
         return ConvolutionProblem(atoms, c, beta, M)
 
     def tilde_chi_lipschitz(self, z, c):
-        z = np.asarray(z)
         return (c * z - z * z + self.inf_fprime
                 - self.g.gprime0 * np.exp(-z * c * self.delay) * self.k.laplace(z))
 
@@ -495,7 +491,6 @@ class LocalDelayedRD(ModelSpec):
         return ConvolutionProblem(atoms, c, 0.0, M)
 
     def tilde_chi_lipschitz(self, z, c):
-        z = np.asarray(z)
         return 1.0 + c * z - z * z - self.L * np.exp(-z * c * self.delay)
 
     def tilde_strip(self, c):
@@ -507,7 +502,7 @@ def _cached_max(chi_at):
     @cache
     def max_at(c: float) -> tuple[float, float]:
         f, strip = chi_at(c)
-        return _strip_max(lambda z: float(np.real(f(z))), strip)
+        return _strip_max(lambda z: float(f(z)), strip)
 
     return max_at
 

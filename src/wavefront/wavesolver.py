@@ -306,15 +306,18 @@ class PinnedMap:
             np.multiply(phi, 1.0 - self.theta, out=out)
             new *= self.theta
             new += out
-        low, high = float(new.min()), float(new.max())
+        low = float(new.min())
         if low < -1e-10 * max(1.0, self.kappa):
             raise NegativeValues(f"iteration produced negative values (min {low:g})")
-        if high < 1e-10 * self.kappa:
+        # a max below the floor misses a pin above it: max waits for the miss there
+        floor = 1e-10 * self.kappa
+        if self.pin_level < floor and float(new.max()) < floor:
             raise TailUnresolved("iterates collapsed to zero")
         try:
             drift = level_crossing(grid.ts, new, self.pin_level) - self.t_pin
         except NoCrossing:
-            raise TailUnresolved("iterates fell below the pinning level") from None
+            raise TailUnresolved("iterates collapsed to zero" if float(new.max()) < floor
+                                 else "iterates fell below the pinning level") from None
         # a zero drift is a bitwise copy; the spent blend is the update's scratch
         _stencil(new, _shift_plan(grid, -drift, lam), out)
         np.subtract(out, phi, out=new)
@@ -328,9 +331,9 @@ def _extrapolation(theta: float) -> float:
     The relaxed map's most negative mode is mu = -ell / (2 + ell), and the
     two-step iteration x <- y + beta (y - y_prev) is stable on it exactly
     when beta < 1 / ell; half that bound keeps a margin.  Where ell = 0
-    (theta = 1, or one rounding below it) only the cap EXTRAPOLATION_CAP
-    holds: at 0.4 the shipped local_delayed_rd stops at sweep 31, 3.1e-6
-    from its tol = 1e-12 solve, against 1.5e-8 at 0.3.
+    (theta = 1) only the cap EXTRAPOLATION_CAP holds: at 0.4 the shipped
+    local_delayed_rd stops at sweep 31, 3.1e-6 from its tol = 1e-12
+    solve, against 1.5e-8 at 0.3.
     """
     ell = 2.0 / theta - 2.0
     return min(EXTRAPOLATION_CAP, 0.5 / ell) if ell > 0.0 else EXTRAPOLATION_CAP

@@ -692,8 +692,7 @@ def pinned_case(name):
 
 @pytest.mark.parametrize("name, theta", [
     ("nonlocal_lattice", 1.0),
-    # kappa rounds up, so theta is one rounding below 1 and the blend runs
-    ("local_delayed_rd", 0.99999999999999978),
+    ("local_delayed_rd", 1.0),
     ("cases/local_rate_10", 0.2),
 ])
 def test_pinned_map_steps_are_the_old_sweeps_bit_for_bit(name, theta):
@@ -827,6 +826,29 @@ def test_non_finite_init_is_rejected_before_a_sweep(bad, monkeypatch):
     assert sweeps == []
 
 
+def test_collapse_and_a_missed_pin_keep_their_verdicts():
+    # max is read before the crossing only for a pin below 1e-10 kappa; above
+    # it, a collapsed sweep misses the pin and is told apart there
+    prob, grid, init = pinned_case("local_delayed_rd")
+    floor = 1e-10 * prob.equilibrium()
+    pinned = wavesolver.PinnedMap(prob, grid, init)
+    assert pinned.pin_level >= floor
+    out = np.empty(grid.n)
+    with pytest.raises(TailUnresolved, match="^iterates collapsed to zero$"):
+        pinned.step(np.zeros(grid.n), out)
+    with pytest.raises(TailUnresolved, match="^iterates collapsed to zero$"):
+        pinned.step(1e-12 * pinned.initial, out)
+    with pytest.raises(TailUnresolved, match="^iterates fell below the pinning level$"):
+        pinned.step(1e-3 * pinned.initial, out)
+    # an init scaled by 1e-10 pins below the floor and collapses before any crossing
+    prob = local_problem()
+    small = 1e-10 * wavesolver.default_init(prob).on(grid)
+    low_pin = wavesolver.PinnedMap(prob, grid, small)
+    assert low_pin.pin_level < 1e-10 * prob.equilibrium()
+    with pytest.raises(TailUnresolved, match="^iterates collapsed to zero$"):
+        wf.solve_profile(prob, grid, small)
+
+
 # --- solver -------------------------------------------------------------------
 
 def test_solve_zero_init_is_no_wave(monkeypatch):
@@ -859,10 +881,46 @@ def mackey_glass_problem():
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_relaxation_is_one_on_shipped_models(path):
     # every shipped problem is order-preserving on [0, kappa]; on
-    # local_delayed_rd kappa rounds up and leaves theta one rounding below 1
+    # local_delayed_rd kappa rounds up, g'(kappa) = -4.4e-16 is snapped to 0,
+    # and theta is 1 exactly
     spec, cfg = wf.load_model(path)
     prob = spec.to_convolution_form(float(cfg["c"]))
-    assert prob.relaxation == pytest.approx(1.0, abs=1e-12)
+    assert prob.relaxation == 1.0
+
+
+@pytest.mark.parametrize("name", ["local_delayed_rd", "cases/local_delay_half"])
+def test_snapped_relaxation_skips_the_blend(name):
+    # kappa = 0.5000000000000001 puts the logistic's g'(kappa) one rounding
+    # below 0: the drop is within SLOPE_SNAP_RTOL g'(0), so theta is 1 and a
+    # sweep is the pin shift of N[phi] itself, with no (1 - theta) phi term
+    prob, grid, init = pinned_case(name)
+    kappa = prob.equilibrium()
+    g = prob.atoms[0].nonlinearity
+    assert kappa == 0.5000000000000001
+    assert 0.0 < -g.slopes(0.0, kappa)[0] <= ConvolutionProblem.SLOPE_SNAP_RTOL * g.gprime0
+    assert prob.relaxation == 1.0
+    pinned = wavesolver.PinnedMap(prob, grid, init)
+    assert pinned.theta == 1.0
+    phi, out = pinned.initial, np.empty(grid.n)
+    for _ in range(3):
+        update, drift, low = pinned.step(phi, out)
+        lam = pinned.closure_rate
+        new = wavesolver.apply_operator(prob, phi, grid, lam)
+        assert low.hex() == float(new.min()).hex()
+        assert drift.hex() == (level_crossing(grid.ts, new, pinned.pin_level) - pinned.t_pin).hex()
+        expect = _stencil(new, _shift_plan(grid, -drift, lam), np.empty(grid.n))
+        assert out.tobytes() == expect.tobytes()
+        phi, out = out, np.empty(grid.n)
+
+
+@pytest.mark.parametrize("name, theta", [
+    # g'(kappa) = -8 and -2: a real drop, far beyond the snap
+    ("cases/local_rate_10", 0.20000000000000026),
+    ("cases/mackey_glass_h0", 0.5),
+])
+def test_relaxation_keeps_a_real_negative_slope(name, theta):
+    spec, cfg = wf.load_model(MODELS_DIR / f"{name}.json")
+    assert spec.to_convolution_form(float(cfg["c"])).relaxation == theta
 
 
 def test_relaxation_balances_a_negative_slope():

@@ -19,10 +19,11 @@ action reads its points and step from its uniform :class:`Grid`, where
 the field is closed by an exponential tail at rate ``lam_left`` (or 0) on
 the left and always by its last value on the right.  There, exponential
 pieces run exact O(n) linear recurrences on the piecewise-linear
-interpolant, atomic combs add shifted copies, Gaussian and tabulated
-densities are sampled at multiples of the grid step and applied as one
-discrete convolution, summed as a blocked Toeplitz product, and a lazy
-product applies its inner factor, then its outer one.  K(s - d), a delay
+interpolant, all pieces of a kernel in one block product, atomic combs
+add shifted copies, Gaussian and tabulated densities are sampled at
+multiples of the grid step and applied as one discrete convolution,
+summed as a blocked Toeplitz product, and a lazy product applies its
+inner factor, then its outer one.  K(s - d), a delay
 c h included, is K convolved with a unit point mass at d
 (:func:`shift_kernel`), so a shifted copy (a comb atom or the solver's
 phase pin) is one two-tap stencil on the uniform grid: a whole number of
@@ -320,9 +321,11 @@ class OneSidedExponential(KernelComponent):
         return (-INF, 0.0)
 
     def grid_convolve(self, grid, G, lam_left):
-        return _recurse(grid, G, self.rate, self.direction, lam_left, self.scale)
+        """scale H, the recurrence of :func:`_exponential_action`: one block product."""
+        return _exponential_action(((self.rate, self.direction, self.scale),), grid, G, lam_left)
 
     def grid_laplace(self, lam, dt):
+        """scale times :func:`_recurse_factor`: the factor of the recurrence the block product sums."""
         return self.scale * _recurse_factor(self.rate, self.direction, lam, dt)
 
 
@@ -389,12 +392,13 @@ class PiecewiseGreen(KernelComponent):
         return (-INF, INF)
 
     def grid_convolve(self, grid, G, lam_left):
-        """amp (forward / rho1 + backward / rho2): each recurrence takes its factor, one add sums them."""
+        """amp (forward / rho1 + backward / rho2): both recurrences, summed in one block product."""
         amp, rho1, rho2 = self._pieces
-        return (_recurse(grid, G, rho1, 1, lam_left, amp / rho1)
-                + _recurse(grid, G, rho2, -1, lam_left, amp / rho2))
+        return _exponential_action(((rho1, 1, amp / rho1), (rho2, -1, amp / rho2)),
+                                   grid, G, lam_left)
 
     def grid_laplace(self, lam, dt):
+        """amp (forward / rho1 + backward / rho2) of :func:`_recurse_factor`, the pieces' factors."""
         amp, rho1, rho2 = self._pieces
         return amp * (_recurse_factor(rho1, 1, lam, dt) / rho1
                       + _recurse_factor(rho2, -1, lam, dt) / rho2)
@@ -810,79 +814,114 @@ def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
     return E, far, near
 
 
-_BLOCK = 64   # points per block of the first-order recurrence and the sampled convolution
+_BLOCK = 64   # points per block of the exponential action and the sampled convolution
 
 
 @lru_cache(maxsize=32)
-def _block_powers(E, blocks):
-    """(within, across, step) for :func:`_first_order` on ``blocks`` blocks.
+def _exponential_plan(pieces, dt, blocks):
+    """(M, W, Q): the cached matrices of :func:`_exponential_action` for c pieces on ``blocks`` blocks.
 
-    ``within`` is the upper-triangular matrix E^(j-i) that maps one block
-    row to its solution from a zero start, ``across`` the lower-triangular
-    matrix (E^64)^(k-j) on the block ends, and ``step`` the row E^(1..64).
-    Powers that underflow are 0.
+    Piece i, (rate, direction, scale), is the recurrence y_i = far G_{i-1}
+    + near G_i + E y_{i-1} with the weights of :func:`_exp_step_weights`
+    at step dt times scale; backward it runs from right to left, with i + 1
+    for i - 1.  Its carry in a block is the block's first output in its
+    direction, which holds that point's near term, so M's 64 rows for the
+    field points hold every other weight of every piece, summed, and its
+    row 64 + i the powers of E from piece i's carry: a block row with its
+    carries, times the (64 + c) x 64 matrix ``M``, is 64 outputs.  Column
+    i of the (64 + c) x c matrix ``W`` takes a block row whose column
+    64 + i holds the point piece i reads across the block edge (the next
+    block's first forward, the previous block's last backward) to d, that
+    row's share of the adjacent block's carry.  The carries are x = Q[i] d:
+    forward x_b = sum_{a < b} (E^64)^(b - a - 1) d_a + (E^64)^b seed, the
+    seed in the slot d_{blocks - 1} that no block follows.  The backward
+    piece is the forward one mirrored.  Powers that underflow are 0; all
+    three matrices are read-only.
     """
-    def lower(base, size):
-        d = np.arange(size)[:, None] - np.arange(size)
-        return np.where(d >= 0, base ** np.maximum(d, 0), 0.0)
+    c = len(pieces)
+    M = np.zeros((_BLOCK + c, _BLOCK))
+    W = np.zeros((_BLOCK + c, c))
+    Q = np.empty((c, blocks, blocks))
+    # D[j, k]: steps from field point j to output k of a block; output 64
+    # is the next block's carry
+    j = np.arange(_BLOCK)[:, None]
+    D = np.arange(_BLOCK + 1) - j
+    b = np.arange(blocks)
+    for i, (rate, direction, scale) in enumerate(pieces):
+        E, far, near = _exp_step_weights(rate, dt)
+        far, near = far * scale, near * scale
+        A = (np.where(D > 0, far * E ** np.maximum(D - 1, 0), 0.0)
+             + np.where((D >= 0) & (j > 0), near * E ** np.maximum(D, 0), 0.0))
+        carry = E ** np.arange(_BLOCK)
+        base = E ** _BLOCK
+        d = b[:, None] - b
+        q = np.where(d > 0, base ** np.maximum(d - 1, 0), 0.0)
+        q[:, -1] = base ** b
+        if direction == -1:
+            A = np.hstack([A[::-1, -2::-1], A[::-1, -1:]])
+            carry, q = carry[::-1], q[::-1, ::-1]
+        M[:_BLOCK] += A[:, :_BLOCK]
+        M[_BLOCK + i] = carry
+        W[:_BLOCK, i] = A[:, _BLOCK]
+        W[_BLOCK + i, i] = near
+        Q[i] = q
+    M.flags.writeable = W.flags.writeable = Q.flags.writeable = False
+    return M, W, Q
 
-    step = E ** np.arange(1, _BLOCK + 1)
-    # C-contiguous: the block product runs faster than on a transposed view
-    return lower(E, _BLOCK).T.copy(), lower(step[-1], blocks), step
 
+def _exponential_action(pieces, grid, G, lam_left):
+    """sum of scale H(x_i) over ``pieces``, H(x_i) = rate int_0^inf e^{-rate u} G~(x_i - direction u) du.
 
-def _first_order(E, src):
-    """y_i = src_i + E y_{i-1}, y_{-1} = 0, for 0 <= E < 1, on whole 64-point blocks.
-
-    ``src`` is a whole number of blocks long: a caller with n values pads
-    them with zeros, and reads y_i for i < n.  Blocked in two levels: one
-    matrix product solves every block from a zero start, a second one
-    carries the block ends across blocks, and each block then adds its
-    predecessor's end times E^(1..64).  Each y_i is still a sum of
-    E^(i-j) src_j, so its error is at rounding level relative to the same
-    sum over |src_j|.
+    Each piece (rate, direction, scale) is exact on the interpolant: a
+    linear recurrence seeded by the closure.  Forward the seed is y_0 =
+    G[0] rate / (rate + lam_left) scale (0 when lam_left is None) alone;
+    backward it is the plateau G[-1] scale at the end of the last block,
+    which is filled with the plateau G[-1].  The field's 64-point blocks
+    are the rows of one blocks x (64 + c) array with one carry column per
+    piece.  A carry column first holds the point its piece reads across
+    the block edge, so one product with ``W`` gives each block's share of
+    its neighbour's carry, ``Q`` turns those and the seed into the
+    carries, and one product of the rows, carries in place, with ``M``
+    gives every output of every piece, summed (:func:`_exponential_plan`).
+    Each output is still a sum of the recurrence's terms: on a nonnegative
+    field none is negative, and its error is at rounding level relative to
+    the same sum over |G|.
     """
-    blocks = len(src) // _BLOCK
-    within, across, step = _block_powers(E, blocks)
-    y = src.reshape(blocks, _BLOCK) @ within
-    ends = across @ y[:, -1]
-    y[1:] += ends[:-1, None] * step
-    return y.ravel()
-
-
-def _recurse(grid, G, rate, direction, lam_left, scale):
-    """scale H(x_i), H(x_i) = rate int_0^inf e^{-rate u} G~(x_i - direction u) du, exact on the interpolant.
-
-    One left-to-right recurrence, seeded by the left closure.  The backward
-    piece (direction -1) runs it on the reversed field, whose left closure
-    is the plateau G[-1], and reverses the result.  The recurrence is
-    linear, so ``scale`` multiplies its step weights far and near and its
-    seed, and the solution comes out scaled with no pass of its own.  The
-    source is built in the zero-padded blocks :func:`_first_order` reads,
-    so it is never copied.
-    """
-    E, far, near = _exp_step_weights(rate, grid.step)
-    far, near = far * scale, near * scale
-    if direction == 1:
-        seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
-    else:
-        G, seed = G[::-1], G[-1] * scale
-    n = grid.n
-    src = np.empty(-(-n // _BLOCK) * _BLOCK)
-    src[n:] = 0.0
-    src[0] = seed
-    np.multiply(G[:-1], far, out=src[1:n])
-    src[1:n] += near * G[1:]
-    return _first_order(E, src)[:n][::direction]
+    n = len(G)
+    blocks = -(-n // _BLOCK)
+    M, W, Q = _exponential_plan(pieces, grid.step, blocks)
+    rows = np.empty((blocks, _BLOCK + len(pieces)))
+    body, carries = rows[:, :_BLOCK], rows[:, _BLOCK:]
+    last = n - _BLOCK * (blocks - 1)   # points in the last block, 1 to 64
+    body[:-1] = G[:n - last].reshape(blocks - 1, _BLOCK)
+    body[-1, :last] = G[n - last:]
+    body[-1, last:] = G[-1]
+    # the slot with no adjacent block is 0 here and holds the seed below
+    for i, (_, direction, _) in enumerate(pieces):
+        if direction == 1:
+            carries[:-1, i] = body[1:, 0]
+            carries[-1, i] = 0.0
+        else:
+            carries[1:, i] = body[:-1, -1]
+            carries[0, i] = 0.0
+    ends = rows @ W
+    for i, (rate, direction, scale) in enumerate(pieces):
+        if direction == 1:
+            ends[-1, i] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
+        else:
+            ends[0, i] = G[-1] * scale
+        carries[:, i] = Q[i] @ ends[:, i]
+    return (rows @ M).ravel()[:n]
 
 
 def _recurse_factor(rate, direction, lam, dt):
-    """Factor (far e + near) / (1 - E e) by which :func:`_recurse` multiplies e^{lam t}.
+    """Factor (far e + near) / (1 - E e) by which a unit-scale exponential piece multiplies e^{lam t}.
 
     y_i = c G_i solves y_i = far G_{i-1} + near G_i + E y_{i-1} when
     G_{i-1} = e G_i, with e = e^{-direction lam dt}: the backward piece runs
-    on the reversed field.  The strip is lam > -rate forward, lam < rate
-    backward.
+    from right to left.  The block product is the same linear map, summed
+    in another order, so it multiplies e^{lam t} by this factor up to
+    rounding.  The strip is lam > -rate forward, lam < rate backward.
     """
     E, far, near = _exp_step_weights(rate, dt)
     e = math.exp(-direction * lam * dt)

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -11,10 +12,9 @@ from scipy.signal import lfilter
 import wavefront as wf
 from wavefront import kernels
 from wavefront.errors import EmptyStrip, OutOfStrip
-from wavefront.kernels import (ConvolvedKernel, KernelComponent, _first_order,
-                               _lumped_samples, _segments_transform, _shift_factor,
-                               _shift_plan, _stencil, convolve_field, kernel_from_dict,
-                               shift_kernel)
+from wavefront.kernels import (ConvolvedKernel, KernelComponent, _lumped_samples,
+                               _segments_transform, _shift_factor, _shift_plan, _stencil,
+                               convolve_field, kernel_from_dict, shift_kernel)
 
 from quadrature import laplace_by_quad
 
@@ -570,56 +570,73 @@ def first_order_exact(E, src):
     return np.array(out)
 
 
-decays = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-    st.floats(min_value=0.99999, max_value=1.0, exclude_max=True),
-    st.just(math.exp(-800.0)),  # underflows to 0
-)
+def step_weights(q):
+    """(E, far, near) of one step at q = rate dt, in float64 as the exponential kernels round them.
+
+    far = q int_0^1 s e^{-q s} ds weighs the point one step back and
+    near = (1 - E) - far the point itself, so that far + near = 1 - E;
+    below q = 1e-4 far is its series q/2 - q^2/3 + q^3/8.
+    """
+    E = math.exp(-q)
+    far = q / 2.0 - q * q / 3.0 + q ** 3 / 8.0 if q < 1e-4 else (1.0 - E * (1.0 + q)) / q
+    return E, far, (1.0 - E) - far
 
 
-@settings(max_examples=150, deadline=None)
-@given(E=decays, n=st.sampled_from([1, 63, 64, 65, 4096, 8193]),
-       seed=st.integers(0, 2 ** 32 - 1), signed=st.booleans())
-# the float64 loop is 1.7e-13 of the scale off here, past the 1e-13 bound
-@example(E=0.9999999999999999, n=8193, seed=0, signed=False)
-def test_first_order_matches_loop_and_lfilter(E, n, seed, signed):
-    rng = np.random.default_rng(seed)
-    src = rng.standard_normal(n) if signed else rng.random(n)
-    exact = first_order_exact(E, src)
-    # each y_i sums E^(i-j) src_j; rounding is relative to the sum over |src_j|
-    scale = first_order_loop(E, np.abs(src))
-    # _first_order runs on whole 64-point blocks: pad with zeros, read the first n
-    padded = np.zeros(-(-n // 64) * 64)
-    padded[:n] = src
-    assert np.all(np.abs(_first_order(E, padded)[:n] - exact) <= 1e-13 * scale)
-    # a step-by-step loop rounds twice per step, so y_i may be (i + 1) eps
-    # of the scale off (E^(i-j) scale_j <= scale_i)
-    bound = (np.arange(n) + 2) * np.finfo(float).eps * scale
-    for ref in (first_order_loop(E, src), lfilter([1.0], [1.0, -E], src)):
-        assert np.all(np.abs(ref - exact) <= bound)
+def piece_source(rate, direction, scale, step, G, lam_left):
+    """(E, src): one exponential piece as y_i = src_i + E y_{i-1}, in the piece's direction.
 
-
-def padded_recurse(grid, G, rate, direction, lam_left, scale):
-    """The exponential recurrence with its source in an n-array, copied into zero-padded blocks."""
-    E, far, near = kernels._exp_step_weights(rate, grid.step)
-    far, near = far * scale, near * scale
+    src_0 is the closure's seed, G[0] rate / (rate + lam_left) scale (0
+    when lam_left is None) forward and the plateau G[-1] scale backward;
+    then src_i = far G_{i-1} + near G_i, scaled, on the field read in the
+    piece's direction.  Solve it and read it back with ``[::direction]``.
+    """
+    E, far, near = step_weights(rate * step)
     if direction == 1:
         seed = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
     else:
         G, seed = G[::-1], G[-1] * scale
-    src = np.empty_like(G)
-    src[0] = seed
-    np.multiply(G[:-1], far, out=src[1:])
-    src[1:] += near * G[1:]
-    n = len(src)
-    blocks = -(-n // 64)
-    within, across, step = kernels._block_powers(E, blocks)
-    y = np.zeros(blocks * 64)
-    y[:n] = src
-    y = y.reshape(blocks, 64) @ within
-    ends = across @ y[:, -1]
-    y[1:] += ends[:-1, None] * step
-    return y.ravel()[:n][::direction]
+    return E, np.concatenate([[seed], (far * scale) * G[:-1] + (near * scale) * G[1:]])
+
+
+def piece_terms(rate, direction, scale, step, G, lam_left):
+    """The sum over |terms| of each value of the piece: its recurrence on |G|, summed in float64."""
+    E, src = piece_source(rate, direction, scale, step, np.abs(G), lam_left)
+    return first_order_loop(E, src)[::direction]
+
+
+def any_grid(step):
+    """A stand-in for a Grid of any size: an exponential action reads the step and len(G) only."""
+    return types.SimpleNamespace(step=step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.one_of(st.floats(1e-3, 40.0), st.floats(1e-9, 1e-5), st.floats(745.0, 1000.0)),
+       n=st.sampled_from([1, 63, 64, 65, 4001, 4096, 8193]),
+       direction=st.sampled_from([1, -1]), lam_left=st.none() | st.floats(0.01, 5.0),
+       scale=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 32 - 1), signed=st.booleans())
+# E = 1 - eps: the float64 loop is 1.7e-13 of the scale off here, past the 1e-13 bound
+@example(q=1e-16, n=8193, direction=1, lam_left=None, scale=1.0, seed=0, signed=False)
+def test_first_order_matches_loop_and_lfilter(q, n, direction, lam_left, scale, seed, signed):
+    # an exponential's grid action solves the first-order recurrence of its
+    # step weights, seeded by the closure, to rounding: E near 1, E that
+    # underflows (q >= 745), fields of one point, of a part of a block and
+    # of whole and padded 64-point blocks, in both directions
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal(n) if signed else rng.random(n)
+    step = 0.1
+    rate = q / step
+    k = wf.OneSidedExponential(rate, direction, scale)
+    E, src = piece_source(rate, direction, scale, step, G, lam_left)
+    exact = first_order_exact(E, src)
+    # each y_i sums E^(i-j) src_j; rounding is relative to the sum over |terms|
+    terms = piece_terms(rate, direction, scale, step, G, lam_left)[::direction]
+    got = k.grid_convolve(any_grid(step), G, lam_left)[::direction]
+    assert np.all(np.abs(got - exact) <= 1e-13 * terms)
+    # a step-by-step loop rounds twice per step, so y_i may be (i + 1) eps
+    # of the scale off (E^(i-j) terms_j <= terms_i)
+    bound = (np.arange(n) + 2) * np.finfo(float).eps * terms
+    for ref in (first_order_loop(E, src), lfilter([1.0], [1.0, -E], src)):
+        assert np.all(np.abs(ref - exact) <= bound)
 
 
 @pytest.mark.parametrize("n", [4096, 4001], ids=["whole_blocks", "padded_last_block"])
@@ -627,16 +644,55 @@ def padded_recurse(grid, G, rate, direction, lam_left, scale):
 @pytest.mark.parametrize("lam_left", [None, 0.7])
 @pytest.mark.parametrize("rate", [1.3, 0.003])
 def test_recurse_builds_its_source_in_the_blocks(n, direction, lam_left, rate):
-    # the source is written straight into the zero-padded blocks: the same
-    # floats as a copy of it padded with zeros, byte for byte (rate 0.003
-    # takes the series branch of the step weights), with the kernel's scale
-    # in its step weights and seed
+    # the field fills 64-point blocks, the last one padded with the plateau
+    # G[-1]: the action is the exact recurrence, with the kernel's scale in
+    # its step weights and seed (rate 0.003 takes the series branch of the
+    # step weights), and on a padded last block it is, byte for byte, the
+    # action on the field extended by its plateau to whole blocks
     grid = wf.Grid(-60.0, 40.0, n)
     G = np.random.default_rng(n).random(n)
+    extended = np.concatenate([G, np.full(-n % 64, G[-1])])
     for scale in (1.0, 0.37):
-        got = kernels._recurse(grid, G, rate, direction, lam_left, scale)
-        want = padded_recurse(grid, G, rate, direction, lam_left, scale)
-        assert got.tobytes() == want.tobytes()
+        k = wf.OneSidedExponential(rate, direction, scale)
+        got = convolve_field(k, grid, G, lam_left)
+        E, src = piece_source(rate, direction, scale, grid.step, G, lam_left)
+        exact = first_order_exact(E, src)[::direction]
+        assert np.all(np.abs(got - exact) <= 1e-13 * exact)
+        whole = k.grid_convolve(any_grid(grid.step), extended, lam_left)
+        assert got.tobytes() == whole[:n].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([64, 65, 127, 4001, 4096, 8193]), rate=st.floats(0.003, 50.0),
+       mu=st.floats(0.003, 50.0), scale=st.floats(0.1, 3.0),
+       lam_left=st.none() | st.floats(0.01, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_exponential_pieces_start_from_their_closures(n, rate, mu, scale, lam_left, seed):
+    # the forward piece at t_min is its left closure's seed alone, which
+    # near G[0] does not enter, and the backward piece at t_max the plateau
+    # G[-1] scale: on whole blocks each is its block's carry, exactly; on a
+    # padded last block t_max sums the plateau's padded terms, so it is
+    # within the rounding of a sum of that many terms.  On a nonnegative
+    # field with zero stretches no value falls below -4 eps sum|terms|,
+    # which the solver's NegativeValues gate relies on
+    eps = np.finfo(float).eps
+    grid = wf.Grid(-60.0, 40.0, n)
+    rng = np.random.default_rng(seed)
+    G = rng.random(n) * (rng.random(n) < 0.8)
+    forward = convolve_field(wf.OneSidedExponential(rate, 1, scale), grid, G, lam_left)
+    backward = convolve_field(wf.OneSidedExponential(rate, -1, scale), grid, G, lam_left)
+    seed_value = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
+    assert abs(forward[0] - seed_value) <= 4 * eps * seed_value
+    # the padded points, t_max itself and the carry
+    summed = 64 - n % 64 + 2 if n % 64 else 1
+    assert abs(backward[-1] - G[-1] * scale) <= max(4, summed / 2) * eps * G[-1] * scale
+    green = wf.PiecewiseGreen(-rate, mu, scale)
+    amp = scale / (mu + rate)
+    green_terms = (piece_terms(rate, 1, amp / rate, grid.step, G, lam_left)
+                   + piece_terms(mu, -1, amp / mu, grid.step, G, lam_left))
+    for H, terms in ((forward, piece_terms(rate, 1, scale, grid.step, G, lam_left)),
+                     (backward, piece_terms(rate, -1, scale, grid.step, G, lam_left)),
+                     (convolve_field(green, grid, G, lam_left), green_terms)):
+        assert np.all(H >= -4 * eps * terms)
 
 
 def unweighted_stencil(G, plan, combine):
@@ -658,11 +714,12 @@ def scale_after_actions(k, grid, G, lam_left):
     """(H, bound): the grid action with each weight and scale applied after it, and its rounding scale.
 
     A comb sums w_j times its stencils G[i-m] + (m - s)(G[i-m+1] - G[i-m]),
-    an exponential multiplies its unscaled recurrence by its scale, and a
-    Green kernel is amp (forward / rho1 + backward / rho2) of its unscaled
-    recurrences.  The recurrences sum positive terms, so ``bound`` is |H|;
-    the comb's stencil cancels where m - s is near 1 and G[i-m] is the
-    larger tap, so its ``bound`` is sum_j w_j times the larger tap.
+    an exponential multiplies its unscaled recurrence, solved exactly, by
+    its scale, and a Green kernel is amp (forward / rho1 + backward / rho2)
+    of its unscaled recurrences.  The recurrences sum positive terms, so
+    ``bound`` is |H|; the comb's stencil cancels where m - s is near 1 and
+    G[i-m] is the larger tap, so its ``bound`` is sum_j w_j times the larger
+    tap.
     """
     if isinstance(k, wf.DiracComb):
         plans = [_shift_plan(grid, a, lam_left) for a in k.offsets]
@@ -672,12 +729,18 @@ def scale_after_actions(k, grid, G, lam_left):
                    for plan, w in zip(plans, k.weights))
         return H, taps
     if isinstance(k, wf.OneSidedExponential):
-        H = k.scale * padded_recurse(grid, G, k.rate, k.direction, lam_left, 1.0)
+        H = k.scale * unit_recurrence(grid, G, k.rate, k.direction, lam_left)
     else:
         amp, rho1, rho2 = k.scale / (k.mu - k.nu), -k.nu, k.mu
-        H = amp * (padded_recurse(grid, G, rho1, 1, lam_left, 1.0) / rho1
-                   + padded_recurse(grid, G, rho2, -1, lam_left, 1.0) / rho2)
+        H = amp * (unit_recurrence(grid, G, rho1, 1, lam_left) / rho1
+                   + unit_recurrence(grid, G, rho2, -1, lam_left) / rho2)
     return H, np.abs(H)
+
+
+def unit_recurrence(grid, G, rate, direction, lam_left):
+    """One exponential piece of unit scale on ``grid``, solved in 113-bit arithmetic."""
+    E, src = piece_source(rate, direction, 1.0, grid.step, G, lam_left)
+    return first_order_exact(E, src)[::direction]
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,14 +17,14 @@ factor that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``),
 and how it is read from JSON (``shape``, ``from_dict``).  Every grid
 action reads its points and step from its uniform :class:`Grid`, where
 the field is closed by an exponential tail at rate ``lam_left`` (or 0) on
-the left and always by its last value on the right.  There, exponential
-pieces run exact O(n) linear recurrences on the piecewise-linear
-interpolant, all pieces of a kernel in one block product, atomic combs
-add shifted copies, Gaussian and tabulated densities are sampled at
-multiples of the grid step and applied as one discrete convolution,
-summed as a blocked Toeplitz product, and a lazy product applies its
-inner factor, then its outer one.  K(s - d), a delay
-c h included, is K convolved with a unit point mass at d
+the left and always by its last value on the right.  There, the one-sided
+``pieces`` (rate, direction, scale) of an exponential shape run exact O(n)
+recurrences on the piecewise-linear interpolant, in Filon's weights, all
+in one block product, atomic combs add shifted copies, Gaussian and
+tabulated densities are sampled at multiples of the grid step and applied
+as one discrete convolution, summed as a blocked Toeplitz product, and a
+lazy product applies its inner factor, then its outer one.  K(s - d), a
+delay c h included, is K convolved with a unit point mass at d
 (:func:`shift_kernel`), so a shifted copy (a comb atom or the solver's
 phase pin) is one two-tap stencil on the uniform grid: a whole number of
 steps moves the field by whole indices, any other shift interpolates
@@ -143,7 +143,8 @@ class KernelComponent:
     ``laplace``, ``support``, ``grid_convolve`` and ``grid_laplace``; a
     sampled density takes the last two from ``_SampledDensity``, sets
     ``_sample_window`` and implements ``value(s)``, the pointwise density
-    it samples.  A shape has no shift of its own: K(s - d) is
+    it samples; a sum of exponentials takes them from ``_ExponentialPieces``
+    and sets ``pieces``.  A shape has no shift of its own: K(s - d) is
     :func:`shift_kernel`.
     ``from_dict`` works on any frozen dataclass of JSON-ready fields.
     """
@@ -241,6 +242,29 @@ class _SampledDensity(KernelComponent):
         return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
 
 
+class _ExponentialPieces(KernelComponent):
+    """A sum of one-sided exponential ``pieces`` (rate, direction, scale), run as one block product."""
+
+    def grid_convolve(self, grid, G, lam_left):
+        """sum of scale H over the pieces: :func:`_exponential_action`."""
+        return _exponential_action(self.pieces, grid, G, lam_left)
+
+    def grid_laplace(self, lam, dt):
+        """sum of scale (far e + near) / (1 - E e) over the pieces, e = e^{-direction lam dt}.
+
+        y_i = c G_i solves a piece's y_i = far G_{i-1} + near G_i + E y_{i-1}
+        (:func:`_step_weights`) when G_{i-1} = e G_i: the backward piece runs
+        from right to left.  The block product is the same linear map, summed
+        in another order, so it multiplies e^{lam t} by this factor up to
+        rounding.  The strip is lam > -rate forward, lam < rate backward.
+        """
+        pieces, total = self.pieces, 0.0
+        for (_, direction, scale), (E, far, near) in zip(pieces, _step_weights(pieces, dt)):
+            e = math.exp(-direction * lam * dt)
+            total += scale * (far * e + near) / (1.0 - E * e)
+        return total
+
+
 @dataclass(frozen=True)
 class GaussianKernel(_SampledDensity):
     """scale * normal density with the given variance; transform e^{v z^2 / 2}."""
@@ -278,7 +302,7 @@ class GaussianKernel(_SampledDensity):
 
 
 @dataclass(frozen=True)
-class OneSidedExponential(KernelComponent):
+class OneSidedExponential(_ExponentialPieces):
     """One-sided exponential of unit mass times ``scale``.
 
     direction=+1: K(s) = rate e^{-rate s} on s >= 0, strip (-rate, inf).
@@ -320,17 +344,13 @@ class OneSidedExponential(KernelComponent):
             return (0.0, INF)
         return (-INF, 0.0)
 
-    def grid_convolve(self, grid, G, lam_left):
-        """scale H, the recurrence of :func:`_exponential_action`: one block product."""
-        return _exponential_action(((self.rate, self.direction, self.scale),), grid, G, lam_left)
-
-    def grid_laplace(self, lam, dt):
-        """scale times :func:`_recurse_factor`: the factor of the recurrence the block product sums."""
-        return self.scale * _recurse_factor(self.rate, self.direction, lam, dt)
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, int, float], ...]:
+        return ((self.rate, self.direction, self.scale),)
 
 
 @dataclass(frozen=True)
-class PiecewiseGreen(KernelComponent):
+class PiecewiseGreen(_ExponentialPieces):
     """Two-sided piecewise exponential from the roots nu < 0 < mu of z^2 - c z - q = 0.
 
     K(s) = scale/(mu - nu) * { e^{nu s}  for s >= 0,
@@ -378,30 +398,19 @@ class PiecewiseGreen(KernelComponent):
         return self.scale / den
 
     @cached_property
-    def _pieces(self) -> tuple[float, float, float]:
-        """(amp, rho1, rho2) = (scale / (mu - nu), -nu, mu): the amplitude and the two rates."""
-        return self.scale / (self.mu - self.nu), -self.nu, self.mu
+    def pieces(self) -> tuple[tuple[float, int, float], ...]:
+        """amp (forward / rho1 + backward / rho2): amp = scale / (mu - nu), rho1 = -nu, rho2 = mu."""
+        amp = self.scale / (self.mu - self.nu)
+        return ((-self.nu, 1, amp / -self.nu), (self.mu, -1, amp / self.mu))
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        amp = self._pieces[0]
+        amp = self.scale / (self.mu - self.nu)
         return amp * np.where(s >= 0, np.exp(self.nu * np.maximum(s, 0.0)),
                               np.exp(self.mu * np.minimum(s, 0.0)))
 
     def support(self):
         return (-INF, INF)
-
-    def grid_convolve(self, grid, G, lam_left):
-        """amp (forward / rho1 + backward / rho2): both recurrences, summed in one block product."""
-        amp, rho1, rho2 = self._pieces
-        return _exponential_action(((rho1, 1, amp / rho1), (rho2, -1, amp / rho2)),
-                                   grid, G, lam_left)
-
-    def grid_laplace(self, lam, dt):
-        """amp (forward / rho1 + backward / rho2) of :func:`_recurse_factor`, the pieces' factors."""
-        amp, rho1, rho2 = self._pieces
-        return amp * (_recurse_factor(rho1, 1, lam, dt) / rho1
-                      + _recurse_factor(rho2, -1, lam, dt) / rho2)
 
     @classmethod
     def from_dict(cls, spec, base_dir=None):
@@ -802,16 +811,19 @@ def convolve_field(k: KernelComponent, grid: Grid, G: np.ndarray,
     return k.grid_convolve(grid, G, lam_left)
 
 
-def _exp_step_weights(rate: float, dt: float) -> tuple[float, float, float]:
-    """(E, w_far, w_near) for one exact step of rate*int_0^dt e^{-rate u} P1 du."""
-    q = rate * dt
-    E = math.exp(-q)
-    if q < 1e-4:
-        far = q / 2.0 - q * q / 3.0 + q ** 3 / 8.0
-    else:
-        far = (1.0 - E * (1.0 + q)) / q
-    near = (1.0 - E) - far
-    return E, far, near
+@lru_cache(maxsize=32)
+def _step_weights(pieces, dt):
+    """((E, far, near), ...): each piece's exact step at dt on the interpolant, in Filon's weights.
+
+    With q = rate dt, rate int_0^dt e^{-rate u} G~(x_i - u) du = far G_{i-1}
+    + near G_i: far = q c1(q) and near = q (c0(q) - c1(q)) in the weights of
+    :func:`_filon_weights`.  E = e^{-q} is ``math.exp``'s: numpy's vector
+    exp may be an ulp off, an error that n steps of the recurrence multiply by n.
+    Cached per (pieces, dt), as the grid transform reads it per evaluation.
+    """
+    q = np.array([rate * dt for rate, _, _ in pieces])
+    c0, c1 = _filon_weights(q)
+    return tuple(zip(map(math.exp, (-q).tolist()), (q * c1).tolist(), (q * (c0 - c1)).tolist()))
 
 
 _BLOCK = 64   # points per block of the exponential action and the sampled convolution
@@ -821,22 +833,22 @@ _BLOCK = 64   # points per block of the exponential action and the sampled convo
 def _exponential_plan(pieces, dt, blocks):
     """(M, W, Q): the cached matrices of :func:`_exponential_action` for c pieces on ``blocks`` blocks.
 
-    Piece i, (rate, direction, scale), is the recurrence y_i = far G_{i-1}
-    + near G_i + E y_{i-1} with the weights of :func:`_exp_step_weights`
-    at step dt times scale; backward it runs from right to left, with i + 1
-    for i - 1.  Its carry in a block is the block's first output in its
-    direction, which holds that point's near term, so M's 64 rows for the
-    field points hold every other weight of every piece, summed, and its
-    row 64 + i the powers of E from piece i's carry: a block row with its
-    carries, times the (64 + c) x 64 matrix ``M``, is 64 outputs.  Column
-    i of the (64 + c) x c matrix ``W`` takes a block row whose column
-    64 + i holds the point piece i reads across the block edge (the next
-    block's first forward, the previous block's last backward) to d, that
-    row's share of the adjacent block's carry.  The carries are x = Q[i] d:
-    forward x_b = sum_{a < b} (E^64)^(b - a - 1) d_a + (E^64)^b seed, the
-    seed in the slot d_{blocks - 1} that no block follows.  The backward
-    piece is the forward one mirrored.  Powers that underflow are 0; all
-    three matrices are read-only.
+    Piece i of a kernel's ``pieces``, (rate, direction, scale), is the
+    recurrence y_i = far G_{i-1} + near G_i + E y_{i-1} in Filon's weights
+    (:func:`_step_weights`) at step dt times scale; backward it runs from
+    right to left, with i + 1 for i - 1.  Its carry in a block is the
+    block's first output in its direction, which holds that point's near
+    term, so M's 64 rows for the field points hold every other weight of
+    every piece, summed, and its row 64 + i the powers of E from piece i's
+    carry: a block row with its carries, times the (64 + c) x 64 matrix
+    ``M``, is 64 outputs.  Column i of the (64 + c) x c matrix ``W`` takes a
+    block row whose column 64 + i holds the point piece i reads across the
+    block edge (the next block's first forward, the previous block's last
+    backward) to d, that row's share of the adjacent block's carry.  The
+    carries are x = Q[i] d: forward x_b = sum_{a < b} (E^64)^(b - a - 1)
+    d_a + (E^64)^b seed, the seed in the slot d_{blocks - 1} that no block
+    follows.  The backward piece is the forward one mirrored.  Powers that
+    underflow are 0; all three matrices are read-only.
     """
     c = len(pieces)
     M = np.zeros((_BLOCK + c, _BLOCK))
@@ -847,8 +859,8 @@ def _exponential_plan(pieces, dt, blocks):
     j = np.arange(_BLOCK)[:, None]
     D = np.arange(_BLOCK + 1) - j
     b = np.arange(blocks)
-    for i, (rate, direction, scale) in enumerate(pieces):
-        E, far, near = _exp_step_weights(rate, dt)
+    weights = _step_weights(pieces, dt)
+    for i, ((_, direction, scale), (E, far, near)) in enumerate(zip(pieces, weights)):
         far, near = far * scale, near * scale
         A = (np.where(D > 0, far * E ** np.maximum(D - 1, 0), 0.0)
              + np.where((D >= 0) & (j > 0), near * E ** np.maximum(D, 0), 0.0))
@@ -872,9 +884,10 @@ def _exponential_plan(pieces, dt, blocks):
 def _exponential_action(pieces, grid, G, lam_left):
     """sum of scale H(x_i) over ``pieces``, H(x_i) = rate int_0^inf e^{-rate u} G~(x_i - direction u) du.
 
-    Each piece (rate, direction, scale) is exact on the interpolant: a
-    linear recurrence seeded by the closure.  Forward the seed is y_0 =
-    G[0] rate / (rate + lam_left) scale (0 when lam_left is None) alone;
+    Each piece (rate, direction, scale) of a kernel's ``pieces`` is exact
+    on the interpolant: a linear recurrence in Filon's weights, seeded by
+    the closure.  Forward the seed is y_0 = G[0] rate / (rate + lam_left)
+    scale (0 when lam_left is None) alone;
     backward it is the plateau G[-1] scale at the end of the last block,
     which is filled with the plateau G[-1].  The field's 64-point blocks
     are the rows of one blocks x (64 + c) array with one carry column per
@@ -912,20 +925,6 @@ def _exponential_action(pieces, grid, G, lam_left):
             ends[0, i] = G[-1] * scale
         carries[:, i] = Q[i] @ ends[:, i]
     return (rows @ M).ravel()[:n]
-
-
-def _recurse_factor(rate, direction, lam, dt):
-    """Factor (far e + near) / (1 - E e) by which a unit-scale exponential piece multiplies e^{lam t}.
-
-    y_i = c G_i solves y_i = far G_{i-1} + near G_i + E y_{i-1} when
-    G_{i-1} = e G_i, with e = e^{-direction lam dt}: the backward piece runs
-    from right to left.  The block product is the same linear map, summed
-    in another order, so it multiplies e^{lam t} by this factor up to
-    rounding.  The strip is lam > -rate forward, lam < rate backward.
-    """
-    E, far, near = _exp_step_weights(rate, dt)
-    e = math.exp(-direction * lam * dt)
-    return (far * e + near) / (1.0 - E * e)
 
 
 def _snap_steps(shift, dt):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import wavesolver
 from .asymptotics import fit_decay
-from .errors import NonPositiveTail, TailUnresolved
+from .errors import TailUnresolved
 from .models import ConvolutionProblem
 from .wavesolver import Grid, SolveOptions, WaveProfile, default_init, solve_profile
 
@@ -148,26 +148,20 @@ def audit_hypotheses(p: ConvolutionProblem) -> list[Check]:
             "|g(u) - g(v)| <= lambda |u - v| on [0, M] with finite lambda",
             {"lambda": lip, "sup_abs_slope": sup_abs}))
 
-        if g.name == "linear":
+        sigma = min(1.0, M)
+        fitted = _holder_fit(g, sigma)
+        if fitted is None:
             checks.append(Check(
                 f"holder[{tag}]", "pass",
                 "|g(u) - g'(0) u| <= C u^{1+alpha} near 0",
-                {"note": "exactly linear near 0; fit skipped"}))
+                {"note": "deviation below 1e-14; effectively linear near 0"}))
         else:
-            sigma = min(1.0, M)
-            fitted = _holder_fit(g, sigma)
-            if fitted is None:
-                checks.append(Check(
-                    f"holder[{tag}]", "pass",
-                    "|g(u) - g'(0) u| <= C u^{1+alpha} near 0",
-                    {"note": "deviation below 1e-14; effectively linear near 0"}))
-            else:
-                C, alpha = fitted
-                ok_h = alpha > 0.01
-                checks.append(Check(
-                    f"holder[{tag}]", "pass" if ok_h else "fail",
-                    "|g(u) - g'(0) u| <= C u^{1+alpha} near 0 with alpha > 0",
-                    {"C": C, "alpha": alpha, "sigma": sigma}))
+            C, alpha = fitted
+            ok_h = alpha > 0.01
+            checks.append(Check(
+                f"holder[{tag}]", "pass" if ok_h else "fail",
+                "|g(u) - g'(0) u| <= C u^{1+alpha} near 0 with alpha > 0",
+                {"C": C, "alpha": alpha, "sigma": sigma}))
 
         lam_l = p.spectral.lambda_l if p.spectral is not None else 1.0
         rho = 0.5 * lam_l
@@ -229,9 +223,9 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid,
     ..."; a solve that ends in one of ``wavesolver.SOLVE_FAILURES``
     aborts with a partial report whose last check is a failing
     ``solve[init i]``, and a solved profile whose left tail admits no
-    decay fit (TailUnresolved or NonPositiveTail from :func:`fit_decay`)
-    with one whose last check is a failing ``decay_fit[init i]``.  The
-    tolerance is max(10 * solver tol, 5 * step^2 * |phi''| estimate).
+    decay fit (TailUnresolved from :func:`fit_decay`) with one whose last
+    check is a failing ``decay_fit[init i]``.  The tolerance is
+    max(10 * solver tol, 5 * step^2 * |phi''| estimate).
     """
     report = VerifyReport([mollison_check(prob)])
     admissibility = speed_admissibility(prob)
@@ -259,7 +253,7 @@ def uniqueness_probe(prob: ConvolutionProblem, grid: Grid,
     for i, pr in enumerate(profiles):
         try:
             fits.append(fit_decay(pr))
-        except (TailUnresolved, NonPositiveTail) as exc:
+        except TailUnresolved as exc:
             report.checks.append(Check(
                 f"decay_fit[init{i}]", "fail",
                 "the solved profile's left tail must admit a decay fit",

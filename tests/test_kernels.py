@@ -570,16 +570,34 @@ def first_order_exact(E, src):
     return np.array(out)
 
 
-def step_weights(q):
-    """(E, far, near) of one step at q = rate dt, in float64 as the exponential kernels round them.
+def exact_step_weights(q):
+    """(E, far, near) of one step at q = rate dt, in 256-bit arithmetic.
 
-    far = q int_0^1 s e^{-q s} ds weighs the point one step back and
-    near = (1 - E) - far the point itself, so that far + near = 1 - E;
-    below q = 1e-4 far is its series q/2 - q^2/3 + q^3/8.
+    far = q int_0^1 s e^{-q s} ds = (1 - E (1 + q)) / q weighs the point one
+    step back and near = (1 - E) - far the point itself; at 256 bits
+    neither 1 - E nor 1 - E (1 + q) cancels to below float64 rounding.
     """
-    E = math.exp(-q)
-    far = q / 2.0 - q * q / 3.0 + q ** 3 / 8.0 if q < 1e-4 else (1.0 - E * (1.0 + q)) / q
-    return E, far, (1.0 - E) - far
+    with mpmath.workprec(256):
+        q = mpmath.mpf(q)
+        E = mpmath.exp(-q)
+        far = (1 - E * (1 + q)) / q
+        return E, far, (1 - E) - far
+
+
+def step_weights(q):
+    """(E, far, near) of one step at q = rate dt, each the float64 nearest its exact value."""
+    return tuple(float(w) for w in exact_step_weights(q))
+
+
+def test_step_weights_match_256_bit_values():
+    # every exponential piece takes its (E, far, near) from Filon's weights:
+    # to 4e-16 relative below q = 0.2, where they are series, and to 1e-14
+    # above, where 1 - E (1 + q) cancels by up to ~60x at q = 0.2
+    qs = np.geomspace(1e-12, 700.0, 1500).tolist() + [0.2]
+    got = kernels._step_weights(tuple((q, 1, 1.0) for q in qs), 1.0)
+    for q, weights in zip(qs, got):
+        for w, exact in zip(weights, exact_step_weights(q)):
+            assert abs(w - exact) <= (4e-16 if q < 0.2 else 1e-14) * exact, (q, w)
 
 
 def piece_source(rate, direction, scale, step, G, lam_left):
@@ -646,8 +664,8 @@ def test_first_order_matches_loop_and_lfilter(q, n, direction, lam_left, scale, 
 def test_recurse_builds_its_source_in_the_blocks(n, direction, lam_left, rate):
     # the field fills 64-point blocks, the last one padded with the plateau
     # G[-1]: the action is the exact recurrence, with the kernel's scale in
-    # its step weights and seed (rate 0.003 takes the series branch of the
-    # step weights), and on a padded last block it is, byte for byte, the
+    # its step weights and seed (both rates take the series form of Filon's
+    # weights, q < 0.2), and on a padded last block it is, byte for byte, the
     # action on the field extended by its plateau to whole blocks
     grid = wf.Grid(-60.0, 40.0, n)
     G = np.random.default_rng(n).random(n)

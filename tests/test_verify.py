@@ -8,9 +8,9 @@ from wavefront.kernels import shift_kernel
 from wavefront.models import Atom, ConvolutionProblem
 
 
-def degenerate_problem(weight, kernel):
-    """Assemble a one-atom problem without the wave-hypothesis gate."""
-    atoms = (Atom(kernel, wf.linear(weight), weight),)
+def degenerate_problem(weight, kernel, g=None):
+    """Assemble a one-atom problem (g = ``wf.linear(weight)`` by default) without the wave-hypothesis gate."""
+    atoms = (Atom(kernel, wf.linear(weight) if g is None else g, weight),)
     prob = ConvolutionProblem.__new__(ConvolutionProblem)
     prob.atoms = atoms
     prob.speed = 1.0
@@ -128,11 +128,23 @@ def test_audit_route_exclusivity():
 
 
 def test_audit_linear_skips_holder_fit():
+    # an exactly linear g has no deviation to fit: the check passes on that
+    # alone, with no exponent
     prob = degenerate_problem(2.0, wf.OneSidedExponential(rate=1.0))
     checks = {c.name: c for c in wf.audit_hypotheses(prob)}
     hol = checks["holder[atom0:linear]"]
     assert hol.status == "pass"
-    assert "linear" in hol.details["note"]
+    assert hol.details == {"note": "deviation below 1e-14; effectively linear near 0"}
+
+
+def test_audit_fits_the_deviation_of_g_whatever_its_name():
+    # a g named "linear" whose deviation is u^{1.005} has alpha = 0.005,
+    # below the audit's 0.01
+    g = wf.Nonlinearity(fn=lambda u: 2.0 * u + np.power(u, 1.005), gprime0=2.0, name="linear")
+    prob = degenerate_problem(2.0, wf.OneSidedExponential(rate=1.0), g)
+    hol = {c.name: c for c in wf.audit_hypotheses(prob)}["holder[atom0:linear]"]
+    assert hol.status == "fail"
+    assert hol.details["alpha"] == pytest.approx(0.005, abs=1e-6)
 
 
 # --- alignment ------------------------------------------------------------------

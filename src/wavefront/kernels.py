@@ -31,6 +31,15 @@ steps moves the field by whole indices, any other shift interpolates
 linearly between two neighbours, and the closure fills the points moved
 in from beyond either end.
 
+A grid action keeps one plan per (grid, closure rate) on its kernel
+instance (``KernelComponent._plan``): the constants it reads besides the
+field, such as a density's Toeplitz block and closure vector, an
+exponential's matrices or a comb's weighted taps, and the scratch arrays
+it refills.  A solve builds each plan on its first sweep and every later
+sweep reuses it; every action still returns a fresh array, the caller's
+to overwrite.  The scratch makes one kernel instance unfit for
+concurrent use.
+
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
 sentinel float.
@@ -56,6 +65,10 @@ _EPS = np.finfo(float).eps
 # k + 1 and (k + 1) / (k + 2) for k = 1..15, the terms of the series in _filon_weights
 _SERIES_DIV = np.arange(2.0, 17.0)
 _SERIES_C1 = _SERIES_DIV / (_SERIES_DIV + 1.0)
+# grid-action plans one kernel instance keeps, the oldest dropped first: a
+# solve acts on one grid at two closure rates, its tail rate and the
+# residual's zero closure, and a problem may be solved on a few grids
+_PLANS_KEPT = 16
 
 __all__ = [
     "Grid",
@@ -144,7 +157,9 @@ class KernelComponent:
     sampled density takes the last two from ``_SampledDensity``, sets
     ``_sample_window`` and implements ``value(s)``, the pointwise density
     it samples; a sum of exponentials takes them from ``_ExponentialPieces``
-    and sets ``pieces``.  A shape has no shift of its own: K(s - d) is
+    and sets ``pieces``.  An action with constants of its own builds them
+    in ``_build_plan(grid, lam_left, n)`` and reads them through
+    :meth:`_plan`.  A shape has no shift of its own: K(s - d) is
     :func:`shift_kernel`.
     ``from_dict`` works on any frozen dataclass of JSON-ready fields.
     """
@@ -192,6 +207,30 @@ class KernelComponent:
         """
         return self, None
 
+    @cached_property
+    def _plans(self) -> dict:
+        """(id(grid), lam_left, n) -> (grid, plan): the plans of :meth:`_plan`, oldest first."""
+        return {}
+
+    def _plan(self, grid: Grid, lam_left: float | None, n: int):
+        """The shape's ``_build_plan(grid, lam_left, n)``, built on first use and then reused.
+
+        A plan holds what a grid action reads besides the field: constants
+        of the (grid, closure rate) and scratch arrays it refills, so a
+        solve builds it on its first sweep and every later sweep reuses it.
+        The instance keeps its last ``_PLANS_KEPT`` plans in ``_plans``,
+        keyed on the grid object, the closure rate and n; each entry holds
+        its grid, so no other grid can take that grid's id while it is kept.
+        """
+        plans = self._plans
+        key = (id(grid), lam_left, n)
+        entry = plans.get(key)
+        if entry is None:
+            if len(plans) == _PLANS_KEPT:
+                del plans[next(iter(plans))]
+            entry = plans[key] = (grid, self._build_plan(grid, lam_left, n))
+        return entry[1]
+
     @classmethod
     def from_dict(cls, spec: dict, base_dir=None) -> "KernelComponent":
         """Kernel from a JSON object holding one key per dataclass field.
@@ -208,6 +247,23 @@ class KernelComponent:
 class _SampledDensity(KernelComponent):
     """A density sampled on the grid (:func:`_lumped_samples`) over its ``_sample_window()``."""
 
+    def _build_plan(self, grid, lam_left, n):
+        """(jlo, jhi, T, closure, padded, rows): the samples' block, the closure and the padded field.
+
+        ``closure`` is e^{lam_left dt j} for the jhi points left of t_min
+        (None for the zero closure), and ``rows`` is the read-only strided
+        view of ``padded``, the scratch each action fills, that the block
+        ``T`` multiplies.
+        """
+        dt = grid.step
+        jlo, jhi, _, T = _lumped_samples(self, dt)
+        blocks = -(-n // _BLOCK)
+        padded = np.zeros(blocks * _BLOCK + jhi - jlo)
+        closure = None if lam_left is None else np.exp(lam_left * dt * np.arange(-jhi, 0))
+        item = padded.itemsize
+        rows = as_strided(padded, (blocks, len(T)), (_BLOCK * item, item), writeable=False)
+        return jlo, jhi, T, closure, padded, rows
+
     def grid_convolve(self, grid, G, lam_left):
         """Discrete convolution with the samples of :func:`_lumped_samples`.
 
@@ -221,19 +277,17 @@ class _SampledDensity(KernelComponent):
         outputs.  Every output is still a sum of the same nonnegative products,
         summed in another order, so nonnegative weights and fields cannot
         produce negative roundoff, unlike an FFT, and the deep left tail keeps
-        its relative accuracy.
+        its relative accuracy.  The block, the closure vector, the padded
+        buffer and its row view are the plan (``_build_plan``) of the grid
+        and closure rate; each action refills the buffer and returns a
+        fresh array.
         """
-        dt = grid.step
-        jlo, jhi, _, T = _lumped_samples(self, dt)
         n = len(G)
-        blocks = -(-n // _BLOCK)
-        padded = np.zeros(blocks * _BLOCK + jhi - jlo)
-        if lam_left is not None:
-            padded[:jhi] = G[0] * np.exp(lam_left * dt * np.arange(-jhi, 0))
+        jlo, jhi, T, closure, padded, rows = self._plan(grid, lam_left, n)
+        if closure is not None:
+            np.multiply(G[0], closure, out=padded[:jhi])
         padded[jhi:jhi + n] = G
         padded[jhi + n:jhi + n - jlo] = G[-1]
-        item = padded.itemsize
-        rows = as_strided(padded, (blocks, len(T)), (_BLOCK * item, item), writeable=False)
         return np.dot(rows, T).ravel()[:n]
 
     def grid_laplace(self, lam, dt):
@@ -245,9 +299,71 @@ class _SampledDensity(KernelComponent):
 class _ExponentialPieces(KernelComponent):
     """A sum of one-sided exponential ``pieces`` (rate, direction, scale), run as one block product."""
 
+    def _build_plan(self, grid, lam_left, n):
+        """(M, W, pieces, rows): :func:`_exponential_plan`'s matrices, the seeds and the block rows.
+
+        One entry of ``pieces`` per piece: its column i, its direction, the
+        rate and rate + lam_left (None for the zero closure) of its seed,
+        its scale and its carry solve; ``rows`` is the scratch each action
+        fills.
+        """
+        blocks = -(-n // _BLOCK)
+        M, W, carries = _exponential_plan(self.pieces, grid.step, blocks)
+        pieces = tuple((i, direction, rate, None if lam_left is None else rate + lam_left,
+                        scale, carries[i])
+                       for i, (rate, direction, scale) in enumerate(self.pieces))
+        return M, W, pieces, np.empty((blocks, _BLOCK + len(pieces)))
+
     def grid_convolve(self, grid, G, lam_left):
-        """sum of scale H over the pieces: :func:`_exponential_action`."""
-        return _exponential_action(self.pieces, grid, G, lam_left)
+        """sum of scale H(x_i) over ``pieces``, H(x_i) = rate int_0^inf e^{-rate u} G~(x_i - direction u) du.
+
+        Each piece (rate, direction, scale) of a kernel's ``pieces`` is exact
+        on the interpolant: a linear recurrence in Filon's weights, seeded by
+        the closure.  Forward the seed is y_0 = G[0] rate / (rate + lam_left)
+        scale (0 when lam_left is None) alone;
+        backward it is the plateau G[-1] scale at the end of the last block,
+        which is filled with the plateau G[-1].  The field's 64-point blocks
+        are the rows of one blocks x (64 + c) array with one carry column per
+        piece.  A carry column first holds the point its piece reads across
+        the block edge, so one product with ``W`` gives each block's share of
+        its neighbour's carry, the carry solve (:func:`_carries`) turns those
+        and the seed into the carries, and one product of the rows, carries
+        in place, with ``M`` gives every output of every piece, summed
+        (:func:`_exponential_plan`).  Each output is still a sum of the
+        recurrence's terms: on a nonnegative field none is negative, and its
+        error is at rounding level relative to the same sum over |G|.  The
+        matrices, the seeds' constants and the rows array are the plan
+        (``_build_plan``) of the grid and closure rate; each action refills
+        the rows and returns a fresh array.
+        """
+        n = len(G)
+        M, W, pieces, rows = self._plan(grid, lam_left, n)
+        body, carries = rows[:, :_BLOCK], rows[:, _BLOCK:]
+        last = n - _BLOCK * (len(rows) - 1)   # points in the last block, 1 to 64
+        body[:-1] = G[:n - last].reshape(-1, _BLOCK)
+        body[-1, :last] = G[n - last:]
+        body[-1, last:] = G[-1]
+        # the slot with no adjacent block is 0 here and holds the seed below
+        for i, direction, *_ in pieces:
+            if direction == 1:
+                carries[:-1, i] = body[1:, 0]
+                carries[-1, i] = 0.0
+            else:
+                carries[1:, i] = body[:-1, -1]
+                carries[0, i] = 0.0
+        ends = rows @ W
+        for i, direction, rate, denom, scale, carry in pieces:
+            if direction == 1:
+                ends[-1, i] = 0.0 if denom is None else G[0] * rate / denom * scale
+            else:
+                ends[0, i] = G[-1] * scale
+            carries[:, i] = _carries(carry, ends[:, i])
+        return (rows @ M).ravel()[:n]
+
+    @cached_property
+    def _steps(self) -> dict:
+        """dt -> ((direction, scale, E, far, near), ...): the pieces' terms in :meth:`grid_laplace`."""
+        return {}
 
     def grid_laplace(self, lam, dt):
         """sum of scale (far e + near) / (1 - E e) over the pieces, e = e^{-direction lam dt}.
@@ -257,9 +373,16 @@ class _ExponentialPieces(KernelComponent):
         from right to left.  The block product is the same linear map, summed
         in another order, so it multiplies e^{lam t} by this factor up to
         rounding.  The strip is lam > -rate forward, lam < rate backward.
+        Each piece's (direction, scale, E, far, near) at dt is kept on the
+        instance (``_steps``), one entry per step it has been evaluated at.
         """
-        pieces, total = self.pieces, 0.0
-        for (_, direction, scale), (E, far, near) in zip(pieces, _step_weights(pieces, dt)):
+        terms = self._steps.get(dt)
+        if terms is None:
+            terms = self._steps[dt] = tuple(
+                (direction, scale, *weights)
+                for (_, direction, scale), weights in zip(self.pieces, _step_weights(self.pieces, dt)))
+        total = 0.0
+        for direction, scale, E, far, near in terms:
             e = math.exp(-direction * lam * dt)
             total += scale * (far * e + near) / (1.0 - E * e)
         return total
@@ -458,17 +581,21 @@ class DiracComb(KernelComponent):
     def support(self):
         return (min(self.offsets), max(self.offsets))
 
+    def _build_plan(self, grid, lam_left, n):
+        """(stencils, term): each atom's weighted stencil (:func:`_weighted_taps`) and one scratch field."""
+        return (tuple(_weighted_taps(_shift_plan(grid, a, lam_left), w)
+                      for a, w in zip(self.offsets, self.weights)), np.empty(n))
+
     def grid_convolve(self, grid, G, lam_left):
         """w_1 S_1 G + w_2 S_2 G + ..., each weight applied inside its atom's stencil.
 
         The first atom is written straight into the result and every other
-        one into one scratch array, which is added to it.
+        one into the plan's scratch array, which is added to it.
         """
-        plans = _comb_plans(self, grid, lam_left)
-        out = _stencil(G, plans[0], np.empty(len(G)), self.weights[0])
-        term = np.empty(len(G))
-        for plan, w in zip(plans[1:], self.weights[1:]):
-            out += _stencil(G, plan, term, w)
+        stencils, term = self._plan(grid, lam_left, len(G))
+        out = _apply_taps(G, stencils[0], np.empty(len(G)))
+        for stencil in stencils[1:]:
+            out += _apply_taps(G, stencil, term)
         return out
 
     def grid_laplace(self, lam, dt):
@@ -819,7 +946,8 @@ def _step_weights(pieces, dt):
     + near G_i: far = q c1(q) and near = q (c0(q) - c1(q)) in the weights of
     :func:`_filon_weights`.  E = e^{-q} is ``math.exp``'s: numpy's vector
     exp may be an ulp off, an error that n steps of the recurrence multiply by n.
-    Cached per (pieces, dt), as the grid transform reads it per evaluation.
+    Cached per (pieces, dt), so equal kernels on one step share them; the
+    plans and the grid transform read them once per kernel instance.
     """
     q = np.array([rate * dt for rate, _, _ in pieces])
     c0, c1 = _filon_weights(q)
@@ -831,7 +959,7 @@ _BLOCK = 64   # points per block of the exponential action and the sampled convo
 
 @lru_cache(maxsize=32)
 def _exponential_plan(pieces, dt, blocks):
-    """(M, W, Q): the cached matrices of :func:`_exponential_action` for c pieces on ``blocks`` blocks.
+    """(M, W, carries): the cached constants of an exponential action with c pieces on ``blocks`` blocks.
 
     Piece i of a kernel's ``pieces``, (rate, direction, scale), is the
     recurrence y_i = far G_{i-1} + near G_i + E y_{i-1} in Filon's weights
@@ -845,86 +973,85 @@ def _exponential_plan(pieces, dt, blocks):
     block row whose column 64 + i holds the point piece i reads across the
     block edge (the next block's first forward, the previous block's last
     backward) to d, that row's share of the adjacent block's carry.  The
-    carries are x = Q[i] d: forward x_b = sum_{a < b} (E^64)^(b - a - 1)
-    d_a + (E^64)^b seed, the seed in the slot d_{blocks - 1} that no block
-    follows.  The backward piece is the forward one mirrored.  Powers that
-    underflow are 0; all three matrices are read-only.
+    carries solve x_b = E^64 x_{b-1} + d_{b-1} from the seed, which sits in
+    the slot d_{blocks - 1} that no block follows; ``carries[i]`` is piece
+    i's :func:`_carry_plan`.  The backward piece is the forward one
+    mirrored.  Powers that underflow are 0; every array is read-only.
     """
     c = len(pieces)
     M = np.zeros((_BLOCK + c, _BLOCK))
     W = np.zeros((_BLOCK + c, c))
-    Q = np.empty((c, blocks, blocks))
+    carries = []
     # D[j, k]: steps from field point j to output k of a block; output 64
     # is the next block's carry
     j = np.arange(_BLOCK)[:, None]
     D = np.arange(_BLOCK + 1) - j
-    b = np.arange(blocks)
     weights = _step_weights(pieces, dt)
     for i, ((_, direction, scale), (E, far, near)) in enumerate(zip(pieces, weights)):
         far, near = far * scale, near * scale
         A = (np.where(D > 0, far * E ** np.maximum(D - 1, 0), 0.0)
              + np.where((D >= 0) & (j > 0), near * E ** np.maximum(D, 0), 0.0))
         carry = E ** np.arange(_BLOCK)
-        base = E ** _BLOCK
-        d = b[:, None] - b
-        q = np.where(d > 0, base ** np.maximum(d - 1, 0), 0.0)
-        q[:, -1] = base ** b
         if direction == -1:
             A = np.hstack([A[::-1, -2::-1], A[::-1, -1:]])
-            carry, q = carry[::-1], q[::-1, ::-1]
+            carry = carry[::-1]
         M[:_BLOCK] += A[:, :_BLOCK]
         M[_BLOCK + i] = carry
         W[:_BLOCK, i] = A[:, _BLOCK]
         W[_BLOCK + i, i] = near
-        Q[i] = q
-    M.flags.writeable = W.flags.writeable = Q.flags.writeable = False
-    return M, W, Q
+        carries.append(_carry_plan(E ** _BLOCK, blocks, direction))
+    M.flags.writeable = W.flags.writeable = False
+    return M, W, tuple(carries)
 
 
-def _exponential_action(pieces, grid, G, lam_left):
-    """sum of scale H(x_i) over ``pieces``, H(x_i) = rate int_0^inf e^{-rate u} G~(x_i - direction u) du.
+def _carry_plan(base, blocks, direction):
+    """How :func:`_carries` solves the carry recurrence of multiplier ``base`` on ``blocks`` blocks.
 
-    Each piece (rate, direction, scale) of a kernel's ``pieces`` is exact
-    on the interpolant: a linear recurrence in Filon's weights, seeded by
-    the closure.  Forward the seed is y_0 = G[0] rate / (rate + lam_left)
-    scale (0 when lam_left is None) alone;
-    backward it is the plateau G[-1] scale at the end of the last block,
-    which is filled with the plateau G[-1].  The field's 64-point blocks
-    are the rows of one blocks x (64 + c) array with one carry column per
-    piece.  A carry column first holds the point its piece reads across
-    the block edge, so one product with ``W`` gives each block's share of
-    its neighbour's carry, ``Q`` turns those and the seed into the
-    carries, and one product of the rows, carries in place, with ``M``
-    gives every output of every piece, summed (:func:`_exponential_plan`).
-    Each output is still a sum of the recurrence's terms: on a nonnegative
-    field none is negative, and its error is at rounding level relative to
-    the same sum over |G|.
+    Up to 64 blocks it is the one read-only blocks x blocks matrix Q with
+    x = Q d, Q[b, a] = base^(b - a - 1) for a < b and base^b in the seed's
+    column, mirrored for the backward direction.  Beyond, the blocks fall
+    into groups of 64 and the plan is (Q^T, powers, inner, direction): Q
+    the 64-block matrix, powers[k] = base^(63 - k), which sums a group's
+    inputs into the input of the next group's first carry, and inner the
+    forward plan of those first carries, a recurrence of multiplier
+    base^64 on the groups.  Its size is linear in the number of blocks, as
+    is the solve's work.
     """
-    n = len(G)
-    blocks = -(-n // _BLOCK)
-    M, W, Q = _exponential_plan(pieces, grid.step, blocks)
-    rows = np.empty((blocks, _BLOCK + len(pieces)))
-    body, carries = rows[:, :_BLOCK], rows[:, _BLOCK:]
-    last = n - _BLOCK * (blocks - 1)   # points in the last block, 1 to 64
-    body[:-1] = G[:n - last].reshape(blocks - 1, _BLOCK)
-    body[-1, :last] = G[n - last:]
-    body[-1, last:] = G[-1]
-    # the slot with no adjacent block is 0 here and holds the seed below
-    for i, (_, direction, _) in enumerate(pieces):
-        if direction == 1:
-            carries[:-1, i] = body[1:, 0]
-            carries[-1, i] = 0.0
-        else:
-            carries[1:, i] = body[:-1, -1]
-            carries[0, i] = 0.0
-    ends = rows @ W
-    for i, (rate, direction, scale) in enumerate(pieces):
-        if direction == 1:
-            ends[-1, i] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
-        else:
-            ends[0, i] = G[-1] * scale
-        carries[:, i] = Q[i] @ ends[:, i]
-    return (rows @ M).ravel()[:n]
+    if blocks <= _BLOCK:
+        b = np.arange(blocks)
+        d = b[:, None] - b
+        q = np.where(d > 0, base ** np.maximum(d - 1, 0), 0.0)
+        q[:, -1] = base ** b
+        q = np.ascontiguousarray(q if direction == 1 else q[::-1, ::-1])
+        q.flags.writeable = False
+        return q
+    q = _carry_plan(base, _BLOCK, 1).T.copy()
+    powers = base ** np.arange(_BLOCK - 1, -1, -1)
+    q.flags.writeable = powers.flags.writeable = False
+    return q, powers, _carry_plan(base ** _BLOCK, -(-blocks // _BLOCK), 1), direction
+
+
+def _carries(plan, d):
+    """The carries x of :func:`_carry_plan`'s ``plan`` from the inputs d, the seed in its slot.
+
+    Forward x_0 = d_{-1} and x_b = base x_{b-1} + d_{b-1}; backward the same
+    on the mirrored blocks.  In groups of 64 blocks each group's first carry
+    comes from the solve one level up, whose inputs are the powers-weighted
+    sums of the groups' inputs, and then one product with the 64-block
+    matrix gives every carry of every group.
+    """
+    if isinstance(plan, np.ndarray):
+        return plan @ d
+    qt, powers, inner, direction = plan
+    d = d[::direction]
+    blocks = len(d)
+    # the seed's slot reaches no carry here, only carries past the last block
+    rows = np.zeros((-(-blocks // _BLOCK), _BLOCK))
+    rows.reshape(-1)[:blocks] = d
+    ends = rows @ powers
+    ends[-1] = d[-1]
+    rows[:, -1] = _carries(inner, ends)
+    return (rows @ qt).ravel()[:blocks][::direction]
 
 
 def _snap_steps(shift, dt):
@@ -950,49 +1077,54 @@ def _shift_plan(grid, shift, lam_left):
     return s, m, lo, hi, closure
 
 
-@lru_cache(maxsize=32)
-def _comb_plans(comb, grid, lam_left):
-    """The :func:`_shift_plan` of each atom of ``comb`` on ``grid``.
+def _weighted_taps(plan, w=1.0):
+    """(lo, hi, src, near, a, b, w, closure): the stencil of ``plan`` (:func:`_shift_plan`), weight w folded in.
 
-    Cached per (comb, grid, closure rate), so a solve builds them once, not
-    once per sweep; the closure vectors are read-only.
-    """
-    plans = tuple(_shift_plan(grid, a, lam_left) for a in comb.offsets)
-    for plan in plans:
-        if plan[4] is not None:
-            plan[4].flags.writeable = False
-    return plans
-
-
-def _stencil(G, plan, out, w=1.0):
-    """Write w G~(t - shift), from the constants ``plan``, into ``out``, and return it.
-
-    G~ is closed as in :func:`convolve_field`.  With s = shift / step,
-    m = ceil(s) and f = m - s, point i takes the two-tap stencil
-    w (1 - f) G[i-m] + (w f) G[i-m+1], the weight folded into the taps.
-    A shift within rounding of a whole number of steps writes w G[i-m]:
-    it moves G by whole indices, bit for bit at w = 1, and a zero shift
-    is then a copy.  Points left of t_min take the closure (0, or
-    (w G[0]) e^{lam_left (x - t_min)}), and points at or right of t_max
-    take w G[-1].  A comb reads its atoms' constants from
-    :func:`_comb_plans` and passes each atom's weight; the solver's pin
-    moves each sweep, so it builds them with :func:`_shift_plan` and
-    writes the unweighted stencil into a buffer it owns.
+    With f = m - s, points lo to hi - 1 take a G[src] + b G[near]: the
+    slices src = G[i-m] and near = G[i-m+1] and the taps a = w (1 - f) and
+    b = w f.  A shift within rounding of a whole number of steps has a = w
+    and no ``near`` or b.
     """
     s, m, lo, hi, closure = plan
+    src = slice(lo - m, hi - m)
+    if m == s:
+        return lo, hi, src, None, w, None, w, closure
+    f = m - s
+    return lo, hi, src, slice(lo - m + 1, hi - m + 1), w * (1.0 - f), w * f, w, closure
+
+
+def _apply_taps(G, stencil, out):
+    """Write w G~(t - shift), from the ``stencil`` of :func:`_weighted_taps`, into ``out``; return it.
+
+    G~ is closed as in :func:`convolve_field`.  Point i takes the two-tap
+    stencil w (1 - f) G[i-m] + (w f) G[i-m+1], the weight folded into the
+    taps.  A shift within rounding of a whole number of steps writes
+    w G[i-m]: it moves G by whole indices, bit for bit at w = 1, and a zero
+    shift is then a copy.  Points left of t_min take the closure (0, or
+    (w G[0]) e^{lam_left (x - t_min)}), and points at or right of t_max
+    take w G[-1].
+    """
+    lo, hi, src, near, a, b, w, closure = stencil
     if closure is None:
         out[:lo] = 0.0
     else:
         np.multiply(w * G[0], closure, out=out[:lo])
-    mid, g0 = out[lo:hi], G[lo - m:hi - m]
-    if m != s:
-        f = m - s
-        np.multiply(g0, w * (1.0 - f), out=mid)
-        mid += (w * f) * G[lo - m + 1:hi - m + 1]
-    else:
-        np.multiply(g0, w, out=mid)
+    mid = out[lo:hi]
+    np.multiply(G[src], a, out=mid)
+    if near is not None:
+        mid += b * G[near]
     out[hi:] = w * G[-1]
     return out
+
+
+def _stencil(G, plan, out):
+    """Write G~(t - shift), from the constants ``plan`` of :func:`_shift_plan`, into ``out``; return it.
+
+    This is :func:`_apply_taps` at unit weight.  A comb keeps its atoms'
+    weighted taps in its plan; the solver's pin moves each sweep, so it
+    builds its constants afresh and writes into a buffer it owns.
+    """
+    return _apply_taps(G, _weighted_taps(plan), out)
 
 
 def _shift_factor(shift, lam, dt):

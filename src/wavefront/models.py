@@ -120,8 +120,12 @@ def mackey_glass(p: float = 2.0, n: float = 6.0) -> Nonlinearity:
 
 
 def linear(slope: float = 1.0) -> Nonlinearity:
+    """g(u) = slope u; at slope 1 it returns its argument, which 1.0 * u equals bit for bit.
+
+    No caller writes into a nonlinearity's result, so the identity need not copy.
+    """
     _check_param("slope", slope)
-    return Nonlinearity(fn=lambda u: slope * u,
+    return Nonlinearity(fn=(lambda u: u) if slope == 1.0 else (lambda u: slope * u),
                         deriv=lambda u: np.full_like(np.asarray(u, dtype=float), slope),
                         gprime0=slope, name="linear")
 

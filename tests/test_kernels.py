@@ -713,6 +713,94 @@ def test_exponential_pieces_start_from_their_closures(n, rate, mu, scale, lam_le
         assert np.all(H >= -4 * eps * terms)
 
 
+@pytest.mark.parametrize("base", [1.0 - 1e-6, 0.5, 1e-200, 0.0])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("blocks", [1, 63, 64, 65, 1000, 4097])
+def test_carry_solve_is_the_block_recurrence(blocks, direction, base):
+    # an exponential piece's block carries solve x_0 = seed, x_b = base
+    # x_{b-1} + d_{b-1} (mirrored backward), the seed in the slot no block
+    # follows: one matrix up to 64 blocks, groups of 64 beyond it, two
+    # levels at 1,000 blocks and three at 4,097
+    d = np.random.default_rng(blocks).random(blocks)
+    got = kernels._carries(kernels._carry_plan(base, blocks, direction), d)
+    forward = d[::direction]
+    exact = first_order_exact(base, np.concatenate([forward[-1:], forward[:-1]]))[::direction]
+    assert np.all(np.abs(got - exact) <= 1e-13 * exact)
+
+
+def dense_carry_action(k, grid, G, lam_left):
+    """k's exponential action with each piece's carries from one blocks x blocks matrix of powers of E^64."""
+    pieces, n = k.pieces, len(G)
+    blocks = -(-n // 64)
+    M, W, _ = kernels._exponential_plan(pieces, grid.step, blocks)
+    rows = np.empty((blocks, 64 + len(pieces)))
+    body, carries = rows[:, :64], rows[:, 64:]
+    last = n - 64 * (blocks - 1)
+    body[:-1] = G[:n - last].reshape(blocks - 1, 64)
+    body[-1, :last] = G[n - last:]
+    body[-1, last:] = G[-1]
+    for i, (_, direction, _) in enumerate(pieces):
+        if direction == 1:
+            carries[:-1, i], carries[-1, i] = body[1:, 0], 0.0
+        else:
+            carries[1:, i], carries[0, i] = body[:-1, -1], 0.0
+    ends = rows @ W
+    b = np.arange(blocks)
+    steps = b[:, None] - b
+    for i, ((rate, direction, scale), (E, _, _)) in enumerate(
+            zip(pieces, kernels._step_weights(pieces, grid.step))):
+        base = E ** 64
+        q = np.where(steps > 0, base ** np.maximum(steps - 1, 0), 0.0)
+        q[:, -1] = base ** b
+        if direction == 1:
+            ends[-1, i] = 0.0 if lam_left is None else G[0] * rate / (rate + lam_left) * scale
+        else:
+            ends[0, i] = G[-1] * scale
+            q = np.ascontiguousarray(q[::-1, ::-1])
+        carries[:, i] = q @ ends[:, i]
+    return (rows @ M).ravel()[:n]
+
+
+@pytest.mark.parametrize("lam_left", [None, 0.7])
+def test_exponential_carries_agree_with_the_dense_product(lam_left):
+    # the block carries come from one blocks x blocks matrix per piece up
+    # to 64 blocks, byte for byte, and 64 blocks at a time beyond: at
+    # 65,536 points (1,024 blocks) they agree with the dense product to
+    # 1e-13 relative
+    kinds = (wf.PiecewiseGreen.from_speed_damping(2.5, 1.0), wf.OneSidedExponential(0.003, 1, 0.4),
+             wf.OneSidedExponential(1.3, -1, 1.0))
+    for n in (4001, 4096, 65536):
+        grid = wf.Grid(-60.0, 40.0, n)
+        G = np.random.default_rng(n).random(n)
+        for k in kinds:
+            got = convolve_field(k, grid, G, lam_left)
+            ref = dense_carry_action(k, grid, G, lam_left)
+            if n <= 4096:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+def plan_bytes(plan):
+    """The bytes of the arrays a plan owns; a view owns none of its base's."""
+    if isinstance(plan, np.ndarray):
+        return plan.nbytes if plan.base is None else 0
+    return sum(map(plan_bytes, plan)) if isinstance(plan, tuple) else 0
+
+
+def test_exponential_plan_grows_linearly():
+    # the carries' matrices are 64-block ones at every level, so the plan
+    # (the matrices and the block rows) grows no faster than the grid; one
+    # blocks x blocks matrix per piece would take 268 MB at 262,144 points
+    k = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
+    sizes = []
+    for n in (4096, 16384, 65536, 262144):
+        grid = wf.Grid(-60.0, 40.0, n)
+        convolve_field(k, grid, np.ones(n), None)
+        sizes.append(plan_bytes(k._plan(grid, None, n)))
+    assert all(b <= 4 * a for a, b in zip(sizes, sizes[1:])), sizes
+
+
 def unweighted_stencil(G, plan, combine):
     """The stencil's two taps g0 = G[i-m], g1 = G[i-m+1] put together by ``combine(g0, g1, f)``, f = m - s.
 
@@ -907,7 +995,7 @@ def test_shift_factor_stays_finite_where_the_step_exponential_overflows(shift, d
 @given(dt=st.sampled_from([0.02, 0.05, 0.1]), data=st.data(),
        lam_left=st.sampled_from([None, 0.3, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_a_unit_comb_atom_is_the_pin_shift(dt, data, lam_left, seed):
-    # a comb reads its stencil constants from the cache and the solver's
+    # a comb reads its stencil constants from its plan and the solver's
     # pin builds them afresh each sweep, both from the Grid: the two are one
     # stencil, byte for byte
     d = data.draw(grid_shifts(dt))
@@ -917,39 +1005,74 @@ def test_a_unit_comb_atom_is_the_pin_shift(dt, data, lam_left, seed):
             == _stencil(G, _shift_plan(grid, d, lam_left), np.empty(grid.n)).tobytes())
 
 
-def test_comb_constants_are_cached_per_grid_and_closure():
-    # a comb's stencil constants are cached per (comb, grid, closure rate): in
-    # an interleaved sequence over two grids of one n and different spans
-    # and three closures, every action equals its cold-cache action, byte
-    # for byte, and a shifted Green kernel's comb factor does the same
-    comb = wf.DiracComb((-1.3, 0.4, 2.0), (0.5, 0.25, 0.25))
-    green = shift_kernel(wf.PiecewiseGreen.from_speed_damping(2.5, 1.0), 0.7)
-    grids = (wf.Grid(-40.0, 30.0, 2048), wf.Grid(-60.0, 40.0, 2048))
+def plan_builds(monkeypatch):
+    """[(kernel, grid, lam_left), ...]: every plan a grid action builds from here on, in order."""
+    builds = []
+    for cls in (kernels._SampledDensity, kernels._ExponentialPieces, wf.DiracComb):
+        def counting(self, grid, lam_left, n, build=vars(cls)["_build_plan"]):
+            builds.append((self, grid, lam_left))
+            return build(self, grid, lam_left, n)
+
+        monkeypatch.setattr(cls, "_build_plan", counting)
+    return builds
+
+
+def test_grid_plans_are_built_once_per_grid_and_closure(monkeypatch):
+    # each grid action keeps one plan per (grid, closure rate) on its kernel
+    # instance: in an interleaved sequence over two grids of one n and
+    # different spans, a 4,001-point grid and three closures, every action
+    # equals its cold action (a new instance, the value-keyed caches
+    # cleared), byte for byte; writing into a returned array leaves the
+    # next action as it was, and no later action writes into it.  A comb, a
+    # shifted Green kernel (a comb factor and two exponential pieces), a
+    # Gaussian, a tabulated density and a backward one-sided exponential
+    # each build one plan per (grid, rate)
+    makers = (lambda: wf.DiracComb((-1.3, 0.4, 2.0), (0.5, 0.25, 0.25)),
+              lambda: shift_kernel(wf.PiecewiseGreen.from_speed_damping(2.5, 1.0), 0.7),
+              lambda: wf.GaussianKernel(0.8, 1.2),
+              lambda: tabulated_on(-1.0, 3.0, [0.2, 1.0, 0.6, 0.1]),
+              lambda: wf.OneSidedExponential(1.3, -1, 0.7))
+    grids = (wf.Grid(-40.0, 30.0, 2048), wf.Grid(-60.0, 40.0, 2048), wf.Grid(-60.0, 40.0, 4001))
     rng = np.random.default_rng(11)
     fields = {g: rng.random(g.n) for g in grids}
-    cases = [(k, g, lam) for lam in (None, 0.3, 1.1) for k in (comb, green) for g in grids]
+    copies = {g: G.copy() for g, G in fields.items()}
+    rates = (None, 0.3, 1.1)
+    cases = [(i, g, lam) for lam in rates for i in range(len(makers)) for g in grids]
 
-    def action(k, g, lam):
-        return convolve_field(k, g, fields[g], lam).tobytes()
+    def cold(i, g, lam):
+        kernels._lumped_samples.cache_clear()
+        kernels._exponential_plan.cache_clear()
+        return convolve_field(makers[i](), g, fields[g], lam).tobytes()
 
-    cold = []
-    for case in cases:
-        kernels._comb_plans.cache_clear()
-        cold.append(action(*case))
-    kernels._comb_plans.cache_clear()
+    expected = [cold(*case) for case in cases]
+    warm = [make() for make in makers]
+    builds = plan_builds(monkeypatch)
     order = [*range(len(cases)), *reversed(range(len(cases))), *range(0, len(cases), 5)]
-    for i in order:
-        assert action(*cases[i]) == cold[i]
-    assert kernels._comb_plans.cache_info().hits > 0
-    # the cached closure vectors are read-only
-    for k in (comb, green.a):
-        for g in grids:
-            for plan in kernels._comb_plans(k, g, 1.1):
-                closure = plan[-1]
-                assert not closure.flags.writeable
-                if len(closure):
-                    with pytest.raises(ValueError):
-                        closure[0] = 0.0
+    returned = []
+    for j in order:
+        i, g, lam = cases[j]
+        out = convolve_field(warm[i], g, fields[g], lam)
+        assert out.tobytes() == expected[j]
+        # every returned array is the caller's: no later action writes into it
+        assert all(np.isnan(earlier).all() for earlier in returned)
+        out[:] = np.nan
+        returned.append(out)
+    # the actions only read their field
+    assert all(fields[g].tobytes() == copies[g].tobytes() for g in grids)
+    # a shifted Green kernel is a comb factor over the Green kernel
+    leaves = [warm[0], warm[1].a, warm[1].b, *warm[2:]]
+    built = [(id(k), g, lam) for k, g, lam in builds]
+    assert sorted(built, key=repr) == sorted(
+        [(id(k), g, lam) for k in leaves for g in grids for lam in rates], key=repr)
+    # an instance keeps its last _PLANS_KEPT plans, the oldest dropped first
+    k, g = warm[2], grids[0]
+    for lam in np.linspace(0.1, 2.0, 2 * kernels._PLANS_KEPT):
+        convolve_field(k, g, fields[g], lam)
+    assert len(k._plans) == kernels._PLANS_KEPT
+    del builds[:]
+    convolve_field(k, g, fields[g], 2.0)
+    convolve_field(k, g, fields[g], 0.1)
+    assert [lam for _, _, lam in builds] == [0.1]
 
 
 # --- sampled convolution --------------------------------------------------------

@@ -44,6 +44,21 @@ def test_logistic_basics():
     assert g.lipschitz_on(1.5) == pytest.approx(4.0, rel=1e-3)
 
 
+def test_unit_linear_returns_its_argument():
+    # linear(1) skips the multiplication: 1.0 * u is u bit for bit, signed
+    # zeros, subnormals, infinities and nan included, so the identity is
+    # the same function; any other slope still multiplies
+    u = np.array([0.0, -0.0, 5e-324, -2.5e-310, 0.7, -3.0, 1e308, math.inf, -math.inf, math.nan])
+    for slope in (1.0, 1):
+        g = wf.linear(slope)
+        assert g(u) is u
+        assert g(u).tobytes() == (1.0 * u).tobytes()
+        assert g.derivative(u).tobytes() == np.ones(u.size).tobytes()
+    g = wf.linear(1.5)
+    assert g(u).tobytes() == (1.5 * u).tobytes()
+    assert g(u) is not u
+
+
 def test_mackey_glass_derivative_extremes():
     g = wf.mackey_glass(2.0, 6.0)
     # min g' = -p (n-1)^2 / (4 n) at u = ((n+1)/(n-1))^{1/n}

@@ -13,7 +13,7 @@ data on a compact grid, and lazy convolutions of the above.
 
 Each shape is one class, the only place that knows it: its transform, its
 action on a grid field (``grid_convolve(grid, G, lam_left)``) and the
-factor that action multiplies e^{lam t} by (``grid_laplace(lam, dt)``),
+factor that action multiplies e^{lam t} by (``grid_laplace(lam, grid)``),
 and how it is read from JSON (``shape``, ``from_dict``).  Every grid
 action reads its points and step from its uniform :class:`Grid`, where
 the field is closed by an exponential tail at rate ``lam_left`` (or 0) on
@@ -33,12 +33,15 @@ in from beyond either end.
 
 A grid action keeps one plan per (grid, closure rate) on its kernel
 instance (``KernelComponent._plan``): the constants it reads besides the
-field, such as a density's Toeplitz block and closure vector, an
-exponential's matrices or a comb's weighted taps, and the scratch arrays
-it refills.  A solve builds each plan on its first sweep and every later
-sweep reuses it; every action still returns a fresh array, the caller's
-to overwrite.  The scratch makes one kernel instance unfit for
-concurrent use.
+field, such as a density's samples, Toeplitz block and closure vector,
+an exponential's matrices and step weights or a comb's weighted taps,
+and the scratch arrays it refills.  A solve builds each plan on its
+first sweep and every later sweep reuses it; the grid transform reads
+the zero-closure plan, which the residual acts with too.  Every action
+still returns a fresh array, the caller's to overwrite.  The scratch
+makes one kernel instance unfit for concurrent use.  Across kernel
+instances, two value-keyed caches share what costs most to build:
+:func:`_lumped_samples` and :func:`_exponential_plan`.
 
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
@@ -158,7 +161,7 @@ class KernelComponent:
     ``_sample_window`` and implements ``value(s)``, the pointwise density
     it samples; a sum of exponentials takes them from ``_ExponentialPieces``
     and sets ``pieces``.  An action with constants of its own builds them
-    in ``_build_plan(grid, lam_left, n)`` and reads them through
+    in ``_build_plan(grid, lam_left)`` and reads them through
     :meth:`_plan`.  A shape has no shift of its own: K(s - d) is
     :func:`shift_kernel`.
     ``from_dict`` works on any frozen dataclass of JSON-ready fields.
@@ -189,12 +192,13 @@ class KernelComponent:
         """integral K(s) G~(t - s) ds on ``grid``; see :func:`convolve_field`."""
         raise TypeError(f"no grid convolution for {type(self).__name__}")
 
-    def grid_laplace(self, lam: float, dt: float) -> float:
-        """Factor by which ``grid_convolve`` multiplies e^{lam t} on an unbounded grid of step dt.
+    def grid_laplace(self, lam: float, grid: Grid) -> float:
+        """Factor by which ``grid_convolve`` multiplies e^{lam t} on an unbounded grid of ``grid``'s step.
 
         This is the grid-level transform at real lam inside the strip: the
         same arithmetic as ``grid_convolve`` applied to an exact exponential,
-        with no array and no closure at either end.
+        with no array and no closure at either end.  A shape with a plan
+        reads its constants from the zero-closure plan ``_plan(grid, None)``.
         """
         raise TypeError(f"no grid transform for {type(self).__name__}")
 
@@ -209,26 +213,26 @@ class KernelComponent:
 
     @cached_property
     def _plans(self) -> dict:
-        """(id(grid), lam_left, n) -> (grid, plan): the plans of :meth:`_plan`, oldest first."""
+        """(id(grid), lam_left) -> (grid, plan): the plans of :meth:`_plan`, oldest first."""
         return {}
 
-    def _plan(self, grid: Grid, lam_left: float | None, n: int):
-        """The shape's ``_build_plan(grid, lam_left, n)``, built on first use and then reused.
+    def _plan(self, grid: Grid, lam_left: float | None):
+        """The shape's ``_build_plan(grid, lam_left)``, built on first use and then reused.
 
         A plan holds what a grid action reads besides the field: constants
         of the (grid, closure rate) and scratch arrays it refills, so a
         solve builds it on its first sweep and every later sweep reuses it.
         The instance keeps its last ``_PLANS_KEPT`` plans in ``_plans``,
-        keyed on the grid object, the closure rate and n; each entry holds
-        its grid, so no other grid can take that grid's id while it is kept.
+        keyed on the grid object and the closure rate; each entry holds its
+        grid, so no other grid can take that grid's id while it is kept.
         """
         plans = self._plans
-        key = (id(grid), lam_left, n)
+        key = (id(grid), lam_left)
         entry = plans.get(key)
         if entry is None:
             if len(plans) == _PLANS_KEPT:
                 del plans[next(iter(plans))]
-            entry = plans[key] = (grid, self._build_plan(grid, lam_left, n))
+            entry = plans[key] = (grid, self._build_plan(grid, lam_left))
         return entry[1]
 
     @classmethod
@@ -247,22 +251,23 @@ class KernelComponent:
 class _SampledDensity(KernelComponent):
     """A density sampled on the grid (:func:`_lumped_samples`) over its ``_sample_window()``."""
 
-    def _build_plan(self, grid, lam_left, n):
-        """(jlo, jhi, T, closure, padded, rows): the samples' block, the closure and the padded field.
+    def _build_plan(self, grid, lam_left):
+        """(samples, closure, padded, rows): the samples and block, the closure and the padded field.
 
+        ``samples`` is :func:`_lumped_samples`' (jlo, jhi, kv, T),
         ``closure`` is e^{lam_left dt j} for the jhi points left of t_min
         (None for the zero closure), and ``rows`` is the read-only strided
         view of ``padded``, the scratch each action fills, that the block
         ``T`` multiplies.
         """
         dt = grid.step
-        jlo, jhi, _, T = _lumped_samples(self, dt)
-        blocks = -(-n // _BLOCK)
+        samples = jlo, jhi, _, T = _lumped_samples(self, dt)
+        blocks = -(-grid.n // _BLOCK)
         padded = np.zeros(blocks * _BLOCK + jhi - jlo)
         closure = None if lam_left is None else np.exp(lam_left * dt * np.arange(-jhi, 0))
         item = padded.itemsize
         rows = as_strided(padded, (blocks, len(T)), (_BLOCK * item, item), writeable=False)
-        return jlo, jhi, T, closure, padded, rows
+        return samples, closure, padded, rows
 
     def grid_convolve(self, grid, G, lam_left):
         """Discrete convolution with the samples of :func:`_lumped_samples`.
@@ -277,40 +282,40 @@ class _SampledDensity(KernelComponent):
         outputs.  Every output is still a sum of the same nonnegative products,
         summed in another order, so nonnegative weights and fields cannot
         produce negative roundoff, unlike an FFT, and the deep left tail keeps
-        its relative accuracy.  The block, the closure vector, the padded
-        buffer and its row view are the plan (``_build_plan``) of the grid
-        and closure rate; each action refills the buffer and returns a
-        fresh array.
+        its relative accuracy.  The samples, the block, the closure vector,
+        the padded buffer and its row view are the plan (``_build_plan``) of
+        the grid and closure rate; each action refills the buffer and
+        returns a fresh array.
         """
-        n = len(G)
-        jlo, jhi, T, closure, padded, rows = self._plan(grid, lam_left, n)
+        n = grid.n
+        (jlo, jhi, _, T), closure, padded, rows = self._plan(grid, lam_left)
         if closure is not None:
             np.multiply(G[0], closure, out=padded[:jhi])
         padded[jhi:jhi + n] = G
         padded[jhi + n:jhi + n - jlo] = G[-1]
         return np.dot(rows, T).ravel()[:n]
 
-    def grid_laplace(self, lam, dt):
-        """Factor by which ``grid_convolve`` multiplies e^{lam t}: sum_j kv_j e^{-lam j dt}."""
-        jlo, jhi, kv, _ = _lumped_samples(self, dt)
-        return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
+    def grid_laplace(self, lam, grid):
+        """Factor by which ``grid_convolve`` multiplies e^{lam t}: sum_j kv_j e^{-lam j dt}, kv the plan's."""
+        jlo, jhi, kv, _ = self._plan(grid, None)[0]
+        return float(kv @ np.exp(-lam * grid.step * np.arange(jlo, jhi + 1)))
 
 
 class _ExponentialPieces(KernelComponent):
     """A sum of one-sided exponential ``pieces`` (rate, direction, scale), run as one block product."""
 
-    def _build_plan(self, grid, lam_left, n):
-        """(M, W, pieces, rows): :func:`_exponential_plan`'s matrices, the seeds and the block rows.
+    def _build_plan(self, grid, lam_left):
+        """(M, W, pieces, rows): :func:`_exponential_plan`'s matrices, each piece's constants and the rows.
 
         One entry of ``pieces`` per piece: its column i, its direction, the
         rate and rate + lam_left (None for the zero closure) of its seed,
-        its scale and its carry solve; ``rows`` is the scratch each action
-        fills.
+        its scale, its carry solve and its step weights (E, far, near);
+        ``rows`` is the scratch each action fills.
         """
-        blocks = -(-n // _BLOCK)
-        M, W, carries = _exponential_plan(self.pieces, grid.step, blocks)
+        blocks = -(-grid.n // _BLOCK)
+        M, W, weights, carries = _exponential_plan(self.pieces, grid.step, blocks)
         pieces = tuple((i, direction, rate, None if lam_left is None else rate + lam_left,
-                        scale, carries[i])
+                        scale, carries[i], weights[i])
                        for i, (rate, direction, scale) in enumerate(self.pieces))
         return M, W, pieces, np.empty((blocks, _BLOCK + len(pieces)))
 
@@ -336,8 +341,8 @@ class _ExponentialPieces(KernelComponent):
         (``_build_plan``) of the grid and closure rate; each action refills
         the rows and returns a fresh array.
         """
-        n = len(G)
-        M, W, pieces, rows = self._plan(grid, lam_left, n)
+        n = grid.n
+        M, W, pieces, rows = self._plan(grid, lam_left)
         body, carries = rows[:, :_BLOCK], rows[:, _BLOCK:]
         last = n - _BLOCK * (len(rows) - 1)   # points in the last block, 1 to 64
         body[:-1] = G[:n - last].reshape(-1, _BLOCK)
@@ -352,7 +357,7 @@ class _ExponentialPieces(KernelComponent):
                 carries[1:, i] = body[:-1, -1]
                 carries[0, i] = 0.0
         ends = rows @ W
-        for i, direction, rate, denom, scale, carry in pieces:
+        for i, direction, rate, denom, scale, carry, _ in pieces:
             if direction == 1:
                 ends[-1, i] = 0.0 if denom is None else G[0] * rate / denom * scale
             else:
@@ -360,29 +365,20 @@ class _ExponentialPieces(KernelComponent):
             carries[:, i] = _carries(carry, ends[:, i])
         return (rows @ M).ravel()[:n]
 
-    @cached_property
-    def _steps(self) -> dict:
-        """dt -> ((direction, scale, E, far, near), ...): the pieces' terms in :meth:`grid_laplace`."""
-        return {}
-
-    def grid_laplace(self, lam, dt):
+    def grid_laplace(self, lam, grid):
         """sum of scale (far e + near) / (1 - E e) over the pieces, e = e^{-direction lam dt}.
 
         y_i = c G_i solves a piece's y_i = far G_{i-1} + near G_i + E y_{i-1}
-        (:func:`_step_weights`) when G_{i-1} = e G_i: the backward piece runs
-        from right to left.  The block product is the same linear map, summed
-        in another order, so it multiplies e^{lam t} by this factor up to
-        rounding.  The strip is lam > -rate forward, lam < rate backward.
-        Each piece's (direction, scale, E, far, near) at dt is kept on the
-        instance (``_steps``), one entry per step it has been evaluated at.
+        (:func:`_exponential_plan`) when G_{i-1} = e G_i: the backward piece
+        runs from right to left.  The block product is the same linear map,
+        summed in another order, so it multiplies e^{lam t} by this factor up
+        to rounding.  The strip is lam > -rate forward, lam < rate backward.
+        Each piece's direction, scale and (E, far, near) come from the
+        zero-closure plan.
         """
-        terms = self._steps.get(dt)
-        if terms is None:
-            terms = self._steps[dt] = tuple(
-                (direction, scale, *weights)
-                for (_, direction, scale), weights in zip(self.pieces, _step_weights(self.pieces, dt)))
+        dt = grid.step
         total = 0.0
-        for direction, scale, E, far, near in terms:
+        for _, direction, _, _, scale, _, (E, far, near) in self._plan(grid, None)[2]:
             e = math.exp(-direction * lam * dt)
             total += scale * (far * e + near) / (1.0 - E * e)
         return total
@@ -581,10 +577,10 @@ class DiracComb(KernelComponent):
     def support(self):
         return (min(self.offsets), max(self.offsets))
 
-    def _build_plan(self, grid, lam_left, n):
-        """(stencils, term): each atom's weighted stencil (:func:`_weighted_taps`) and one scratch field."""
-        return (tuple(_weighted_taps(_shift_plan(grid, a, lam_left), w)
-                      for a, w in zip(self.offsets, self.weights)), np.empty(n))
+    def _build_plan(self, grid, lam_left):
+        """(stencils, term): each atom's weighted stencil (:func:`_taps`) and one scratch field."""
+        return (tuple(_taps(grid, a, lam_left, w) for a, w in zip(self.offsets, self.weights)),
+                np.empty(grid.n))
 
     def grid_convolve(self, grid, G, lam_left):
         """w_1 S_1 G + w_2 S_2 G + ..., each weight applied inside its atom's stencil.
@@ -592,14 +588,14 @@ class DiracComb(KernelComponent):
         The first atom is written straight into the result and every other
         one into the plan's scratch array, which is added to it.
         """
-        stencils, term = self._plan(grid, lam_left, len(G))
-        out = _apply_taps(G, stencils[0], np.empty(len(G)))
+        stencils, term = self._plan(grid, lam_left)
+        out = _apply_taps(G, stencils[0], np.empty(grid.n))
         for stencil in stencils[1:]:
             out += _apply_taps(G, stencil, term)
         return out
 
-    def grid_laplace(self, lam, dt):
-        return sum(w * _shift_factor(a, lam, dt) for a, w in zip(self.offsets, self.weights))
+    def grid_laplace(self, lam, grid):
+        return sum(w * _shift_factor(a, lam, grid.step) for a, w in zip(self.offsets, self.weights))
 
 
 def _filon_weights(q):
@@ -829,8 +825,8 @@ class ConvolvedKernel(KernelComponent):
         inner = convolve_field(self.b, grid, G, lam_left)
         return convolve_field(self.a, grid, inner, lam_left)
 
-    def grid_laplace(self, lam, dt):
-        return self.a.grid_laplace(lam, dt) * self.b.grid_laplace(lam, dt)
+    def grid_laplace(self, lam, grid):
+        return self.a.grid_laplace(lam, grid) * self.b.grid_laplace(lam, grid)
 
     def factors(self):
         return self.a, self.b
@@ -931,27 +927,14 @@ def convolve_field(k: KernelComponent, grid: Grid, G: np.ndarray,
                    lam_left: float | None) -> np.ndarray:
     """integral K(s) G~(t - s) ds on ``grid``, G~ closed per the solver rules.
 
-    G holds one value per point of ``grid.ts``.  G~ is its piecewise-linear
-    interpolant there, extended by G[0] e^{lam_left (t - t_min)} on the
-    left (0 when lam_left is None) and by its last value G[-1] on the right.
+    G holds one value per point of ``grid.ts``; a field of any other length
+    is a ValueError.  G~ is its piecewise-linear interpolant there, extended
+    by G[0] e^{lam_left (t - t_min)} on the left (0 when lam_left is None)
+    and by its last value G[-1] on the right.
     """
+    if len(G) != grid.n:
+        raise ValueError(f"field has {len(G)} values on a grid of {grid.n} points")
     return k.grid_convolve(grid, G, lam_left)
-
-
-@lru_cache(maxsize=32)
-def _step_weights(pieces, dt):
-    """((E, far, near), ...): each piece's exact step at dt on the interpolant, in Filon's weights.
-
-    With q = rate dt, rate int_0^dt e^{-rate u} G~(x_i - u) du = far G_{i-1}
-    + near G_i: far = q c1(q) and near = q (c0(q) - c1(q)) in the weights of
-    :func:`_filon_weights`.  E = e^{-q} is ``math.exp``'s: numpy's vector
-    exp may be an ulp off, an error that n steps of the recurrence multiply by n.
-    Cached per (pieces, dt), so equal kernels on one step share them; the
-    plans and the grid transform read them once per kernel instance.
-    """
-    q = np.array([rate * dt for rate, _, _ in pieces])
-    c0, c1 = _filon_weights(q)
-    return tuple(zip(map(math.exp, (-q).tolist()), (q * c1).tolist(), (q * (c0 - c1)).tolist()))
 
 
 _BLOCK = 64   # points per block of the exponential action and the sampled convolution
@@ -959,12 +942,17 @@ _BLOCK = 64   # points per block of the exponential action and the sampled convo
 
 @lru_cache(maxsize=32)
 def _exponential_plan(pieces, dt, blocks):
-    """(M, W, carries): the cached constants of an exponential action with c pieces on ``blocks`` blocks.
+    """(M, W, weights, carries): the constants of an exponential action with c pieces on ``blocks`` blocks.
 
     Piece i of a kernel's ``pieces``, (rate, direction, scale), is the
-    recurrence y_i = far G_{i-1} + near G_i + E y_{i-1} in Filon's weights
-    (:func:`_step_weights`) at step dt times scale; backward it runs from
-    right to left, with i + 1 for i - 1.  Its carry in a block is the
+    recurrence y_i = far G_{i-1} + near G_i + E y_{i-1} at step dt times
+    scale; backward it runs from right to left, with i + 1 for i - 1.
+    ``weights[i]`` is its unscaled step (E, far, near), exact on the
+    interpolant: with q = rate dt, rate int_0^dt e^{-rate u} G~(x_i - u) du
+    = far G_{i-1} + near G_i, far = q c1(q) and near = q (c0(q) - c1(q)) in
+    Filon's weights (:func:`_filon_weights`).  E = e^{-q} is ``math.exp``'s:
+    numpy's vector exp may be an ulp off, an error that n steps of the
+    recurrence multiply by n.  Its carry in a block is the
     block's first output in its direction, which holds that point's near
     term, so M's 64 rows for the field points hold every other weight of
     every piece, summed, and its row 64 + i the powers of E from piece i's
@@ -977,6 +965,8 @@ def _exponential_plan(pieces, dt, blocks):
     the slot d_{blocks - 1} that no block follows; ``carries[i]`` is piece
     i's :func:`_carry_plan`.  The backward piece is the forward one
     mirrored.  Powers that underflow are 0; every array is read-only.
+    Cached per (pieces, dt, blocks), so equal kernels, which each load of a
+    model makes afresh, share them on one grid.
     """
     c = len(pieces)
     M = np.zeros((_BLOCK + c, _BLOCK))
@@ -986,7 +976,9 @@ def _exponential_plan(pieces, dt, blocks):
     # is the next block's carry
     j = np.arange(_BLOCK)[:, None]
     D = np.arange(_BLOCK + 1) - j
-    weights = _step_weights(pieces, dt)
+    q = np.array([rate * dt for rate, _, _ in pieces])
+    c0, c1 = _filon_weights(q)
+    weights = tuple(zip(map(math.exp, (-q).tolist()), (q * c1).tolist(), (q * (c0 - c1)).tolist()))
     for i, ((_, direction, scale), (E, far, near)) in enumerate(zip(pieces, weights)):
         far, near = far * scale, near * scale
         A = (np.where(D > 0, far * E ** np.maximum(D - 1, 0), 0.0)
@@ -1001,7 +993,7 @@ def _exponential_plan(pieces, dt, blocks):
         W[_BLOCK + i, i] = near
         carries.append(_carry_plan(E ** _BLOCK, blocks, direction))
     M.flags.writeable = W.flags.writeable = False
-    return M, W, tuple(carries)
+    return M, W, weights, tuple(carries)
 
 
 def _carry_plan(base, blocks, direction):
@@ -1062,30 +1054,21 @@ def _snap_steps(shift, dt):
     return s, math.ceil(s)
 
 
-def _shift_plan(grid, shift, lam_left):
-    """(s, m, lo, hi, closure): the constants of a shift by ``shift`` on ``grid``.
+def _taps(grid, shift, lam_left, w=1.0):
+    """(lo, hi, src, near, a, b, w, closure): the stencil of w times a shift by ``shift`` on ``grid``.
 
-    s = shift / step, snapped by :func:`_snap_steps`, and m = ceil(s).
-    Points below lo come from left of t_min and take G[0] times the
-    ``closure`` vector e^{lam_left (x - t_min)} (0 when lam_left is None),
-    and points from hi on come from t_max or right of it.
+    s = shift / step, snapped by :func:`_snap_steps`, m = ceil(s) and
+    f = m - s.  Points below lo come from left of t_min and take w G[0]
+    times the ``closure`` vector e^{lam_left (x - t_min)} (0 when lam_left
+    is None), and points from hi on come from t_max or right of it.  Points
+    lo to hi - 1 take a G[src] + b G[near]: the slices src = G[i-m] and
+    near = G[i-m+1] and the taps a = w (1 - f) and b = w f.  A shift within
+    rounding of a whole number of steps has a = w and no ``near`` or b.
     """
     n, ts = grid.n, grid.ts
     s, m = _snap_steps(shift, grid.step)
     lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
     closure = None if lam_left is None else np.exp(lam_left * (ts[:lo] - shift - ts[0]))
-    return s, m, lo, hi, closure
-
-
-def _weighted_taps(plan, w=1.0):
-    """(lo, hi, src, near, a, b, w, closure): the stencil of ``plan`` (:func:`_shift_plan`), weight w folded in.
-
-    With f = m - s, points lo to hi - 1 take a G[src] + b G[near]: the
-    slices src = G[i-m] and near = G[i-m+1] and the taps a = w (1 - f) and
-    b = w f.  A shift within rounding of a whole number of steps has a = w
-    and no ``near`` or b.
-    """
-    s, m, lo, hi, closure = plan
     src = slice(lo - m, hi - m)
     if m == s:
         return lo, hi, src, None, w, None, w, closure
@@ -1094,7 +1077,7 @@ def _weighted_taps(plan, w=1.0):
 
 
 def _apply_taps(G, stencil, out):
-    """Write w G~(t - shift), from the ``stencil`` of :func:`_weighted_taps`, into ``out``; return it.
+    """Write w G~(t - shift), from the ``stencil`` of :func:`_taps`, into ``out``; return it.
 
     G~ is closed as in :func:`convolve_field`.  Point i takes the two-tap
     stencil w (1 - f) G[i-m] + (w f) G[i-m+1], the weight folded into the
@@ -1102,7 +1085,9 @@ def _apply_taps(G, stencil, out):
     w G[i-m]: it moves G by whole indices, bit for bit at w = 1, and a zero
     shift is then a copy.  Points left of t_min take the closure (0, or
     (w G[0]) e^{lam_left (x - t_min)}), and points at or right of t_max
-    take w G[-1].
+    take w G[-1].  A comb keeps its atoms' weighted taps in its plan; the
+    solver's pin moves each sweep, so it builds its unit taps afresh and
+    writes into a buffer it owns.
     """
     lo, hi, src, near, a, b, w, closure = stencil
     if closure is None:
@@ -1117,18 +1102,8 @@ def _apply_taps(G, stencil, out):
     return out
 
 
-def _stencil(G, plan, out):
-    """Write G~(t - shift), from the constants ``plan`` of :func:`_shift_plan`, into ``out``; return it.
-
-    This is :func:`_apply_taps` at unit weight.  A comb keeps its atoms'
-    weighted taps in its plan; the solver's pin moves each sweep, so it
-    builds its constants afresh and writes into a buffer it owns.
-    """
-    return _apply_taps(G, _weighted_taps(plan), out)
-
-
 def _shift_factor(shift, lam, dt):
-    """Factor by which :func:`_stencil` multiplies e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
+    """Factor by which unit :func:`_taps` multiply e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
 
     Where e^{lam dt} would overflow or e^{-lam m dt} is subnormal or 0 (m >= 1), it sums
     the two taps one by one: (1 - f) e^{-lam m dt} + f e^{-lam (m - 1) dt}, f = m - s.
@@ -1151,9 +1126,10 @@ def _lumped_samples(k: KernelComponent, dt):
     samples, T is the (64 + m - 1) x 64 matrix whose column c holds the
     reversed samples from row c down, so one row of 64 + m - 1 field
     values times T gives 64 consecutive outputs of the convolution.
-    Cached per (kernel, step), so ``k.value`` runs once per kernel and
-    grid, not once per sweep and per closure-rate evaluation; ``kv`` and
-    ``T`` are read-only.  The cache is small, since T takes 64 times the
+    Cached per (kernel, step), so equal kernels, which each load of a
+    model makes afresh, share them, and ``k.value`` runs once per kernel
+    and step; an instance's plans read them once per grid and closure
+    rate.  ``kv`` and ``T`` are read-only.  The cache is small, since T takes 64 times the
     memory of the samples.
     """
     lo, hi = k._sample_window()

@@ -44,7 +44,7 @@ from ._json import row_format, write_csv
 from .charfun import _left_zero
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
-from .kernels import Grid, _shift_plan, _stencil, convolve_field
+from .kernels import Grid, _apply_taps, _taps, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -183,8 +183,10 @@ def discrete_decay_rate(p: ConvolutionProblem, grid: Grid) -> float:
 
     The left zero (or tangency point) of the grid-level characteristic
     function chi_h(lam) = 1 - sum_tau g'(0,tau) T_h[K_tau](lam), where
-    T_h = ``kernel.grid_laplace(lam, step)`` is the factor by which the
+    T_h = ``kernel.grid_laplace(lam, grid)`` is the factor by which the
     kernel's grid action multiplies e^{lam t}: no field and no grid sweep.
+    It reads each kernel's zero-closure plan on ``grid``, which the
+    residual acts with too.
     Every grid action is a positive discrete kernel, so chi_h is concave
     like chi, and ``real_roots``' search (:func:`~wavefront.charfun._left_zero`)
     finds it.  This is the rate the discrete profile tail adopts, within
@@ -196,7 +198,7 @@ def discrete_decay_rate(p: ConvolutionProblem, grid: Grid) -> float:
     rates = vars(p).setdefault("_decay_rates", {})
     if dt not in rates:
         def chi_h(lam: float) -> float:
-            return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, dt) for a in p.atoms)
+            return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, grid) for a in p.atoms)
 
         rates[dt] = _left_zero(chi_h, p.charfun().strip[1])[2]
     return rates[dt]
@@ -319,7 +321,7 @@ class PinnedMap:
             raise TailUnresolved("iterates collapsed to zero" if float(new.max()) < floor
                                  else "iterates fell below the pinning level") from None
         # a zero drift is a bitwise copy; the spent blend is the update's scratch
-        _stencil(new, _shift_plan(grid, -drift, lam), out)
+        _apply_taps(new, _taps(grid, -drift, lam), out)
         np.subtract(out, phi, out=new)
         update = float(np.abs(new, out=new).max())
         return update, drift, low

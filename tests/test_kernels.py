@@ -1,6 +1,7 @@
 import json
 import math
 import types
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,13 +13,14 @@ from scipy.signal import lfilter
 import wavefront as wf
 from wavefront import kernels
 from wavefront.errors import EmptyStrip, OutOfStrip
-from wavefront.kernels import (ConvolvedKernel, KernelComponent, _lumped_samples,
-                               _segments_transform, _shift_factor, _shift_plan, _stencil,
+from wavefront.kernels import (ConvolvedKernel, KernelComponent, _apply_taps, _lumped_samples,
+                               _segments_transform, _shift_factor, _snap_steps, _taps,
                                convolve_field, kernel_from_dict, shift_kernel)
 
 from quadrature import laplace_by_quad
 
 INF = math.inf
+MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 
 
 class StubKernel(KernelComponent):
@@ -594,7 +596,8 @@ def test_step_weights_match_256_bit_values():
     # to 4e-16 relative below q = 0.2, where they are series, and to 1e-14
     # above, where 1 - E (1 + q) cancels by up to ~60x at q = 0.2
     qs = np.geomspace(1e-12, 700.0, 1500).tolist() + [0.2]
-    got = kernels._step_weights(tuple((q, 1, 1.0) for q in qs), 1.0)
+    # _exponential_plan's step weights, one piece per q, uncached: its W holds c^2 values
+    got = kernels._exponential_plan.__wrapped__(tuple((q, 1, 1.0) for q in qs), 1.0, 1)[2]
     for q, weights in zip(qs, got):
         for w, exact in zip(weights, exact_step_weights(q)):
             assert abs(w - exact) <= (4e-16 if q < 0.2 else 1e-14) * exact, (q, w)
@@ -622,9 +625,9 @@ def piece_terms(rate, direction, scale, step, G, lam_left):
     return first_order_loop(E, src)[::direction]
 
 
-def any_grid(step):
-    """A stand-in for a Grid of any size: an exponential action reads the step and len(G) only."""
-    return types.SimpleNamespace(step=step)
+def any_grid(step, n):
+    """A stand-in for a Grid of any size: an exponential action reads the step and n only."""
+    return types.SimpleNamespace(step=step, n=n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -648,7 +651,7 @@ def test_first_order_matches_loop_and_lfilter(q, n, direction, lam_left, scale, 
     exact = first_order_exact(E, src)
     # each y_i sums E^(i-j) src_j; rounding is relative to the sum over |terms|
     terms = piece_terms(rate, direction, scale, step, G, lam_left)[::direction]
-    got = k.grid_convolve(any_grid(step), G, lam_left)[::direction]
+    got = k.grid_convolve(any_grid(step, n), G, lam_left)[::direction]
     assert np.all(np.abs(got - exact) <= 1e-13 * terms)
     # a step-by-step loop rounds twice per step, so y_i may be (i + 1) eps
     # of the scale off (E^(i-j) terms_j <= terms_i)
@@ -676,7 +679,7 @@ def test_recurse_builds_its_source_in_the_blocks(n, direction, lam_left, rate):
         E, src = piece_source(rate, direction, scale, grid.step, G, lam_left)
         exact = first_order_exact(E, src)[::direction]
         assert np.all(np.abs(got - exact) <= 1e-13 * exact)
-        whole = k.grid_convolve(any_grid(grid.step), extended, lam_left)
+        whole = k.grid_convolve(any_grid(grid.step, len(extended)), extended, lam_left)
         assert got.tobytes() == whole[:n].tobytes()
 
 
@@ -732,7 +735,7 @@ def dense_carry_action(k, grid, G, lam_left):
     """k's exponential action with each piece's carries from one blocks x blocks matrix of powers of E^64."""
     pieces, n = k.pieces, len(G)
     blocks = -(-n // 64)
-    M, W, _ = kernels._exponential_plan(pieces, grid.step, blocks)
+    M, W, weights, _ = kernels._exponential_plan(pieces, grid.step, blocks)
     rows = np.empty((blocks, 64 + len(pieces)))
     body, carries = rows[:, :64], rows[:, 64:]
     last = n - 64 * (blocks - 1)
@@ -747,8 +750,7 @@ def dense_carry_action(k, grid, G, lam_left):
     ends = rows @ W
     b = np.arange(blocks)
     steps = b[:, None] - b
-    for i, ((rate, direction, scale), (E, _, _)) in enumerate(
-            zip(pieces, kernels._step_weights(pieces, grid.step))):
+    for i, ((rate, direction, scale), (E, _, _)) in enumerate(zip(pieces, weights)):
         base = E ** 64
         q = np.where(steps > 0, base ** np.maximum(steps - 1, 0), 0.0)
         q[:, -1] = base ** b
@@ -797,19 +799,22 @@ def test_exponential_plan_grows_linearly():
     for n in (4096, 16384, 65536, 262144):
         grid = wf.Grid(-60.0, 40.0, n)
         convolve_field(k, grid, np.ones(n), None)
-        sizes.append(plan_bytes(k._plan(grid, None, n)))
+        sizes.append(plan_bytes(k._plan(grid, None)))
     assert all(b <= 4 * a for a, b in zip(sizes, sizes[1:])), sizes
 
 
-def unweighted_stencil(G, plan, combine):
-    """The stencil's two taps g0 = G[i-m], g1 = G[i-m+1] put together by ``combine(g0, g1, f)``, f = m - s.
+def unweighted_stencil(G, grid, shift, lam_left, combine):
+    """The shift's two taps g0 = G[i-m], g1 = G[i-m+1] put together by ``combine(g0, g1, f)``, f = m - s.
 
-    Whole steps take g0; points from left of t_min take the closure, and
-    points from t_max or right of it G[-1].
+    Whole steps take g0; points from left of t_min take the closure
+    G[0] e^{lam_left (x - t_min)} (0 when lam_left is None), and points from
+    t_max or right of it G[-1].
     """
-    s, m, lo, hi, closure = plan
+    s, m = _snap_steps(shift, grid.step)
+    n, ts = grid.n, grid.ts
+    lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
     out = np.empty_like(G)
-    out[:lo] = 0.0 if closure is None else G[0] * closure
+    out[:lo] = 0.0 if lam_left is None else G[0] * np.exp(lam_left * (ts[:lo] - shift - ts[0]))
     g0 = G[lo - m:hi - m]
     out[lo:hi] = g0 if m == s else combine(g0, G[lo - m + 1:hi - m + 1], m - s)
     out[hi:] = G[-1]
@@ -828,11 +833,10 @@ def scale_after_actions(k, grid, G, lam_left):
     tap.
     """
     if isinstance(k, wf.DiracComb):
-        plans = [_shift_plan(grid, a, lam_left) for a in k.offsets]
-        H = sum(w * unweighted_stencil(G, plan, lambda g0, g1, f: g0 + f * (g1 - g0))
-                for plan, w in zip(plans, k.weights))
-        taps = sum(w * unweighted_stencil(G, plan, lambda g0, g1, f: np.maximum(g0, g1))
-                   for plan, w in zip(plans, k.weights))
+        H = sum(w * unweighted_stencil(G, grid, a, lam_left, lambda g0, g1, f: g0 + f * (g1 - g0))
+                for a, w in zip(k.offsets, k.weights))
+        taps = sum(w * unweighted_stencil(G, grid, a, lam_left, lambda g0, g1, f: np.maximum(g0, g1))
+                   for a, w in zip(k.offsets, k.weights))
         return H, taps
     if isinstance(k, wf.OneSidedExponential):
         H = k.scale * unit_recurrence(grid, G, k.rate, k.direction, lam_left)
@@ -930,7 +934,7 @@ def test_grid_laplace_matches_convolve_field(kd, u):
     ts = grid.ts
     mid = n // 2
     ref = convolve_field(k, grid, np.exp(lam * (ts - ts[mid])), lam)[mid]
-    assert abs(k.grid_laplace(lam, grid.step) - ref) <= 1e-13 * abs(ref)
+    assert abs(k.grid_laplace(lam, grid) - ref) <= 1e-13 * abs(ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -955,13 +959,14 @@ def test_shift_kernel_is_a_unit_point_mass(kd, u, y, data, seed, closed):
         assert abs(got - expect) <= 1e-13 * scale
         return
     assert got == expect
-    assert shifted.grid_laplace(lam, dt) == _shift_factor(d, lam, dt) * k.grid_laplace(lam, dt)
     grid = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1)
+    assert (shifted.grid_laplace(lam, grid)
+            == _shift_factor(d, lam, grid.step) * k.grid_laplace(lam, grid))
     G = np.random.default_rng(seed).random(grid.n)
     lam_left = lam if closed and lam > 0 else None
     action = convolve_field(k, grid, G, lam_left)
     assert (convolve_field(shifted, grid, G, lam_left).tobytes()
-            == _stencil(action, _shift_plan(grid, d, lam_left), np.empty(grid.n)).tobytes())
+            == _apply_taps(action, _taps(grid, d, lam_left), np.empty(grid.n)).tobytes())
 
 
 # (shift, dt, lam dt): a rightward shift at large lam, where e^{lam dt}
@@ -1002,16 +1007,16 @@ def test_a_unit_comb_atom_is_the_pin_shift(dt, data, lam_left, seed):
     grid = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1)
     G = np.random.default_rng(seed).random(grid.n)
     assert (convolve_field(wf.DiracComb((d,), (1.0,)), grid, G, lam_left).tobytes()
-            == _stencil(G, _shift_plan(grid, d, lam_left), np.empty(grid.n)).tobytes())
+            == _apply_taps(G, _taps(grid, d, lam_left), np.empty(grid.n)).tobytes())
 
 
 def plan_builds(monkeypatch):
     """[(kernel, grid, lam_left), ...]: every plan a grid action builds from here on, in order."""
     builds = []
     for cls in (kernels._SampledDensity, kernels._ExponentialPieces, wf.DiracComb):
-        def counting(self, grid, lam_left, n, build=vars(cls)["_build_plan"]):
+        def counting(self, grid, lam_left, build=vars(cls)["_build_plan"]):
             builds.append((self, grid, lam_left))
-            return build(self, grid, lam_left, n)
+            return build(self, grid, lam_left)
 
         monkeypatch.setattr(cls, "_build_plan", counting)
     return builds
@@ -1026,7 +1031,8 @@ def test_grid_plans_are_built_once_per_grid_and_closure(monkeypatch):
     # next action as it was, and no later action writes into it.  A comb, a
     # shifted Green kernel (a comb factor and two exponential pieces), a
     # Gaussian, a tabulated density and a backward one-sided exponential
-    # each build one plan per (grid, rate)
+    # each build one plan per (grid, rate).  A full solve (the decay rate,
+    # the sweeps and the residual) builds two per leaf kernel and grid
     makers = (lambda: wf.DiracComb((-1.3, 0.4, 2.0), (0.5, 0.25, 0.25)),
               lambda: shift_kernel(wf.PiecewiseGreen.from_speed_damping(2.5, 1.0), 0.7),
               lambda: wf.GaussianKernel(0.8, 1.2),
@@ -1073,6 +1079,47 @@ def test_grid_plans_are_built_once_per_grid_and_closure(monkeypatch):
     convolve_field(k, g, fields[g], 2.0)
     convolve_field(k, g, fields[g], 0.1)
     assert [lam for _, _, lam in builds] == [0.1]
+
+    # the shipped nonlocal_delayed_rd: a Green kernel over a comb over a
+    # Gaussian, and the Green kernel alone.  The grid transform builds the
+    # zero-closure plans of the Green kernel and the Gaussian, whose
+    # constants it reads (a comb's transform needs none), the sweeps build
+    # every leaf's plan at the closure rate, and the residual builds the
+    # comb's zero-closure plan and reuses the other two
+    spec, cfg = wf.load_model(MODELS_DIR / "nonlocal_delayed_rd.json")
+    prob = spec.to_convolution_form(float(cfg["c"]))
+    green, (comb, gaussian) = prob.atoms[0].kernel.factors()[0], prob.atoms[0].kernel.b.factors()
+    assert (type(green), type(comb), type(gaussian)) == (wf.PiecewiseGreen, wf.DiracComb,
+                                                         wf.GaussianKernel)
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    del builds[:]
+    rate = wf.discrete_decay_rate(prob, grid)
+    assert sorted((id(k), g, lam) for k, g, lam in builds) == sorted(
+        (id(k), grid, None) for k in (green, gaussian))
+    init = wf.CappedExponential(prob.spectral.lambda_l, prob.equilibrium() / 2.0)
+    profile = wf.solve_profile(prob, grid, init)
+    assert profile.convergence["closure_rate"] == rate
+    built = [(id(k), g, lam) for k, g, lam in builds]
+    assert sorted(built, key=repr) == sorted(
+        [(id(k), grid, lam) for k in (green, comb, gaussian) for lam in (None, rate)], key=repr)
+
+
+@pytest.mark.parametrize("size", [4095, 4097, 2048])
+def test_a_field_of_another_length_is_refused(size):
+    # every grid action reads its size from its Grid: a field of any other
+    # length is a ValueError naming both lengths, on every shape and on a
+    # lazy product, under the zero closure and a tail closure alike
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    G = np.ones(size)
+    green = wf.PiecewiseGreen.from_speed_damping(2.5, 1.0)
+    shapes = (wf.GaussianKernel(0.8), tabulated_on(-1.0, 3.0, [0.2, 1.0, 0.6, 0.1]),
+              wf.OneSidedExponential(1.3, -1, 0.7), green,
+              wf.DiracComb((-1.3, 0.4), (0.5, 0.5)),
+              ConvolvedKernel(green, wf.GaussianKernel(0.8)))
+    for k in shapes:
+        for lam_left in (None, 0.5):
+            with pytest.raises(ValueError, match=f"field has {size} values on a grid of 4096 points"):
+                convolve_field(k, grid, G, lam_left)
 
 
 # --- sampled convolution --------------------------------------------------------

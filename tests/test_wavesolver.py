@@ -18,7 +18,7 @@ from wavefront.charfun import _concave_max
 from wavefront.cli import main
 from wavefront.errors import (MaxIterExceeded, NegativeValues, NoRoots, NoWave,
                               TailUnresolved)
-from wavefront.kernels import (_shift_plan, _stencil, convolve, kernel_from_dict,
+from wavefront.kernels import (_apply_taps, _snap_steps, _taps, convolve, kernel_from_dict,
                                shift_kernel)
 from wavefront.models import ConvolutionProblem
 from wavefront.wavesolver import convolve_field, level_crossing
@@ -154,7 +154,7 @@ def test_convolve_field_second_order_convergence():
 
 @st.composite
 def shifted_cases(draw):
-    """A grid, a shift from one of the classes `_stencil` must handle, a field and a closure."""
+    """A grid, a shift from one of the classes `_taps` must handle, a field and a closure."""
     n = draw(st.integers(64, 8193))
     grid = wf.Grid(-draw(st.floats(1.0, 100.0)), draw(st.floats(1.0, 100.0)), n)
     span = grid.t_max - grid.t_min
@@ -215,22 +215,22 @@ def test_convolve_field_comb_is_exact_shift(case, shape):
     # whole indices, other shifts agree with np.interp plus the closure
     grid, shift, G, lam_left = case
     ts, n, step = grid.ts, grid.n, grid.step
-    plan = _shift_plan(grid, shift, lam_left)
+    plan = _taps(grid, shift, lam_left)
     if shape == "comb":
         kernel, H = wf.DiracComb((shift,), (0.75,)), G
         # the weight is folded into the taps, and the sum starts from the
         # first atom, so a -0.0 stays -0.0
-        expect = weighted_two_tap(grid, G, shift, plan[:2], 0.75, lam_left)
+        expect = weighted_two_tap(grid, G, shift, _snap_steps(shift, step), 0.75, lam_left)
     else:
         unshifted = (wf.OneSidedExponential(rate=1.3) if shape == "exponential"
                      else wf.PiecewiseGreen.from_speed_damping(2.5, 1.0))
         kernel = shift_kernel(unshifted, shift)
         H = convolve_field(unshifted, grid, G, lam_left)
-        expect = _stencil(H, plan, np.empty(n))
+        expect = _apply_taps(H, plan, np.empty(n))
     # bytes, so that the sign of a zero counts too
     assert convolve_field(kernel, grid, G, lam_left).tobytes() == expect.tobytes()
 
-    got = _stencil(H, plan, np.empty(n))
+    got = _apply_taps(H, plan, np.empty(n))
     ref = interp_shift(ts, H, shift, lam_left)
     k = round(shift / step)
     if shift == k * step:
@@ -265,7 +265,7 @@ def test_a_zero_shift_is_a_bitwise_copy(shift, lam_left, n):
     G[::5], G[1::5], G[2::5], G[3::7] = -0.0, 0.0, 5e-324, -2.5e-310
     G[0], G[-1] = -0.0, -5e-324
     out = np.full(n, np.nan)
-    assert _stencil(G, _shift_plan(grid, shift, lam_left), out) is out
+    assert _apply_taps(G, _taps(grid, shift, lam_left), out) is out
     assert out.tobytes() == G.tobytes()
 
 
@@ -405,7 +405,7 @@ def test_closure_rate_is_grid_tangency_point_or_left_zero(path, factor):
     grid = wf.Grid(-60.0, 40.0, 4096)
 
     def chi_h(lam):
-        return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, grid.step) for a in prob.atoms)
+        return 1.0 - sum(a.weight * a.kernel.grid_laplace(lam, grid) for a in prob.atoms)
 
     xs = np.linspace(0.0, 2.0 * z_star, 2001)
     vals = np.array([chi_h(x) for x in xs])
@@ -561,6 +561,59 @@ def test_sampled_kernel_is_sampled_once_per_step(monkeypatch):
             cached[0] = 1.0
 
 
+@pytest.mark.parametrize("size", [4095, 4097, 2048])
+@pytest.mark.parametrize("name", ["nonlocal_kpp_gaussian", "local_delayed_rd", "nonlocal_lattice"])
+def test_operator_refuses_a_field_of_another_length(name, size):
+    # the wave operator and the residual act through convolve_field, which
+    # refuses values that are not one per grid point, naming both lengths
+    prob = shipped_problem(MODELS_DIR / f"{name}.json")
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    values = np.full(size, 0.25)
+    message = f"field has {size} values on a grid of 4096 points"
+    for lam_left in (None, prob.spectral.lambda_l):
+        with pytest.raises(ValueError, match=message):
+            wavesolver.apply_operator(prob, values, grid, lam_left)
+    profile = wf.WaveProfile(grid=grid, values=values, speed=prob.speed, plateau=1.0)
+    with pytest.raises(ValueError, match=message):
+        wf.residual(prob, profile)
+
+
+def test_decay_rate_hashes_a_tabulated_kernel_at_most_once(monkeypatch):
+    # the grid transform reads the zero-closure plan kept on the kernel
+    # instance, keyed on the grid object: during discrete_decay_rate the
+    # 121-node tabulated kernel is hashed at most once, when its plan looks
+    # up the lumped samples, not once per chi_h evaluation.  The rate is,
+    # bit for bit, the left zero of chi_h summed with the samples read from
+    # their value-keyed cache on every evaluation
+    grid = wf.Grid(-60.0, 40.0, 4096)
+    dt = grid.step
+    path = MODELS_DIR / "cases" / "kpp_tabulated_uniform.json"
+    ref = shipped_problem(path)
+
+    def transform(k, lam):
+        if isinstance(k, kernels.ConvolvedKernel):
+            return transform(k.a, lam) * transform(k.b, lam)
+        if isinstance(k, wf.TabulatedKernel):
+            jlo, jhi, kv, _ = kernels._lumped_samples(k, dt)
+            return float(kv @ np.exp(-lam * dt * np.arange(jlo, jhi + 1)))
+        return k.grid_laplace(lam, grid)
+
+    def chi_h(lam):
+        return 1.0 - sum(a.weight * transform(a.kernel, lam) for a in ref.atoms)
+
+    expected = wavesolver._left_zero(chi_h, ref.charfun().strip[1])[2]
+    hashes = []
+    tabulated_hash = vars(wf.TabulatedKernel)["__hash__"]
+    monkeypatch.setattr(wf.TabulatedKernel, "__hash__",
+                        lambda self: hashes.append(self) or tabulated_hash(self))
+    prob = shipped_problem(path)
+    assert any(isinstance(k, wf.TabulatedKernel) for k in prob.atoms[0].kernel.factors())
+    del hashes[:]
+    rate = wf.discrete_decay_rate(prob, grid)
+    assert len(hashes) <= 1
+    assert rate.hex() == expected.hex()
+
+
 def test_verify_solves_report_bit_identical_closure_rate(monkeypatch, tmp_path):
     # each solve finds its own closure rate; the two verify solves on one
     # problem and grid must find the same float
@@ -625,7 +678,7 @@ def reference_sweeps(p, grid, values):
         if crossing is None:
             raise TailUnresolved("iterates fell below the pinning level")
         drift = crossing - pin_at
-        new = _stencil(new, _shift_plan(grid, -drift, lam), np.empty(grid.n))
+        new = _apply_taps(new, _taps(grid, -drift, lam), np.empty(grid.n))
         update = float(np.max(np.abs(new - values)))
         values = new
         sent = yield values, update, drift, low
@@ -909,7 +962,7 @@ def test_snapped_relaxation_skips_the_blend(name):
         new = wavesolver.apply_operator(prob, phi, grid, lam)
         assert low.hex() == float(new.min()).hex()
         assert drift.hex() == (level_crossing(grid.ts, new, pinned.pin_level) - pinned.t_pin).hex()
-        expect = _stencil(new, _shift_plan(grid, -drift, lam), np.empty(grid.n))
+        expect = _apply_taps(new, _taps(grid, -drift, lam), np.empty(grid.n))
         assert out.tobytes() == expect.tobytes()
         phi, out = out, np.empty(grid.n)
 

@@ -36,12 +36,12 @@ instance (``KernelComponent._plan``): the constants it reads besides the
 field, such as a density's samples, Toeplitz block and closure vector,
 an exponential's matrices and step weights or a comb's weighted taps,
 and the scratch arrays it refills.  A solve builds each plan on its
-first sweep and every later sweep reuses it; the grid transform reads
-the zero-closure plan, which the residual acts with too.  Every action
-still returns a fresh array, the caller's to overwrite.  The scratch
-makes one kernel instance unfit for concurrent use.  Across kernel
-instances, two value-keyed caches share what costs most to build:
-:func:`_lumped_samples` and :func:`_exponential_plan`.
+first sweep and every later sweep reuses it; every shape's grid
+transform reads its zero-closure plan, which the residual acts with
+too.  Every action still returns a fresh array, the caller's to
+overwrite.  The scratch makes one kernel instance unfit for concurrent
+use.  Across kernel instances, two value-keyed caches share what costs
+most to build: :func:`_lumped_samples` and :func:`_exponential_plan`.
 
 Extended-real abscissas use ``math.inf`` directly; +inf is a meaningful
 value (a Gaussian converges everywhere) and is never replaced by a large
@@ -105,7 +105,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not -math.inf < self.t_min < 0.0 < self.t_max < math.inf:
+        # a boolean t_min is never below 0, and a boolean t_max is refused
+        if not -INF < self.t_min < 0.0 < self.t_max < INF or isinstance(self.t_max, (bool, np.bool_)):
             raise ValueError("need finite t_min < 0 < t_max")
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
             raise ValueError(f"grid size n must be an integer, got {self.n!r}")
@@ -197,8 +198,9 @@ class KernelComponent:
 
         This is the grid-level transform at real lam inside the strip: the
         same arithmetic as ``grid_convolve`` applied to an exact exponential,
-        with no array and no closure at either end.  A shape with a plan
-        reads its constants from the zero-closure plan ``_plan(grid, None)``.
+        with no array and no closure at either end.  Every shape reads its
+        constants from its zero-closure plan ``_plan(grid, None)``, a lazy
+        product from its factors'.
         """
         raise TypeError(f"no grid transform for {type(self).__name__}")
 
@@ -436,7 +438,7 @@ class OneSidedExponential(_ExponentialPieces):
 
     def __post_init__(self):
         _check_param("rate", self.rate)
-        if self.direction not in (1, -1):
+        if isinstance(self.direction, (bool, np.bool_)) or self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
         _check_param("scale", self.scale)
 
@@ -486,7 +488,8 @@ class PiecewiseGreen(_ExponentialPieces):
     shape = "piecewise_green"
 
     def __post_init__(self):
-        _check_param("-nu", -self.nu)
+        # 0.0 - nu, not -nu: numpy refuses to negate its boolean
+        _check_param("-nu", 0.0 - self.nu)
         _check_param("mu", self.mu)
         _check_param("scale", self.scale)
 
@@ -595,7 +598,14 @@ class DiracComb(KernelComponent):
         return out
 
     def grid_laplace(self, lam, grid):
-        return sum(w * _shift_factor(a, lam, grid.step) for a, w in zip(self.offsets, self.weights))
+        """sum of a e^{-lam m dt} + b e^{-lam (m - 1) dt}: the taps of the zero-closure plan on e^{lam t}."""
+        dt = grid.step
+        total = 0.0
+        for _, _, m, a, b, _, _ in self._plan(grid, None)[0]:
+            total += a * math.exp(-lam * m * dt)
+            if b is not None:
+                total += b * math.exp(-lam * (m - 1) * dt)
+        return total
 
 
 def _filon_weights(q):
@@ -855,9 +865,12 @@ def _check_param(name: str, x, lo: float = 0.0, closed: bool = False):
     """``x`` if it is a finite real above ``lo`` (or at it, when ``closed``), else ValueError.
 
     The one rule for a model parameter: a plain comparison, which NaN and
-    +-inf fail as an out-of-range value does.  The message names the
+    +-inf fail as an out-of-range value does, and a boolean (Python's or
+    numpy's) is refused rather than read as 0 or 1.  The message names the
     parameter and its value.
     """
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
     if (lo <= x if closed else lo < x) and x < INF:
         return x
     if lo == -INF:
@@ -879,7 +892,7 @@ def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
     """Kernel from its JSON form, moved by any ``"shift"``; a relative ``path`` is read from ``base_dir``."""
     shape = _object(spec, "kernel").get("shape")
     shift = spec.get("shift", 0.0)
-    if isinstance(shift, bool) or not isinstance(shift, (int, float)):
+    if not isinstance(shift, (int, float)):
         raise ValueError(f"kernel shift must be a number, got {shift!r}")
     _check_param("kernel shift", shift, -INF)
     for cls in _SHAPES:
@@ -1055,25 +1068,24 @@ def _snap_steps(shift, dt):
 
 
 def _taps(grid, shift, lam_left, w=1.0):
-    """(lo, hi, src, near, a, b, w, closure): the stencil of w times a shift by ``shift`` on ``grid``.
+    """(lo, hi, m, a, b, w, closure): the stencil of w times a shift by ``shift`` on ``grid``.
 
     s = shift / step, snapped by :func:`_snap_steps`, m = ceil(s) and
     f = m - s.  Points below lo come from left of t_min and take w G[0]
     times the ``closure`` vector e^{lam_left (x - t_min)} (0 when lam_left
     is None), and points from hi on come from t_max or right of it.  Points
-    lo to hi - 1 take a G[src] + b G[near]: the slices src = G[i-m] and
-    near = G[i-m+1] and the taps a = w (1 - f) and b = w f.  A shift within
-    rounding of a whole number of steps has a = w and no ``near`` or b.
+    lo to hi - 1 take a G[i-m] + b G[i-m+1], the taps a = w (1 - f) and
+    b = w f.  A shift within rounding of a whole number of steps has a = w
+    and no second tap (b is None).
     """
     n, ts = grid.n, grid.ts
     s, m = _snap_steps(shift, grid.step)
     lo, hi = min(max(m, 0), n), min(max(n - 1 + m, 0), n)
     closure = None if lam_left is None else np.exp(lam_left * (ts[:lo] - shift - ts[0]))
-    src = slice(lo - m, hi - m)
     if m == s:
-        return lo, hi, src, None, w, None, w, closure
+        return lo, hi, m, w, None, w, closure
     f = m - s
-    return lo, hi, src, slice(lo - m + 1, hi - m + 1), w * (1.0 - f), w * f, w, closure
+    return lo, hi, m, w * (1.0 - f), w * f, w, closure
 
 
 def _apply_taps(G, stencil, out):
@@ -1089,33 +1101,17 @@ def _apply_taps(G, stencil, out):
     solver's pin moves each sweep, so it builds its unit taps afresh and
     writes into a buffer it owns.
     """
-    lo, hi, src, near, a, b, w, closure = stencil
+    lo, hi, m, a, b, w, closure = stencil
     if closure is None:
         out[:lo] = 0.0
     else:
         np.multiply(w * G[0], closure, out=out[:lo])
     mid = out[lo:hi]
-    np.multiply(G[src], a, out=mid)
-    if near is not None:
-        mid += b * G[near]
+    np.multiply(G[lo - m:hi - m], a, out=mid)
+    if b is not None:
+        mid += b * G[lo - m + 1:hi - m + 1]
     out[hi:] = w * G[-1]
     return out
-
-
-def _shift_factor(shift, lam, dt):
-    """Factor by which unit :func:`_taps` multiply e^{lam t}: e^{-lam m dt} (1 + (m - s)(e^{lam dt} - 1)).
-
-    Where e^{lam dt} would overflow or e^{-lam m dt} is subnormal or 0 (m >= 1), it sums
-    the two taps one by one: (1 - f) e^{-lam m dt} + f e^{-lam (m - 1) dt}, f = m - s.
-    """
-    if shift == 0.0:
-        return 1.0
-    s, m = _snap_steps(shift, dt)
-    step = math.exp(-lam * m * dt)
-    if m >= 1 and (lam * dt > 700.0 or step < np.finfo(float).tiny):
-        f = m - s
-        return (1.0 - f) * step + f * math.exp(-lam * (m - 1) * dt)
-    return step * (1.0 + (m - s) * math.expm1(lam * dt))
 
 
 @lru_cache(maxsize=8)

@@ -180,7 +180,6 @@ class ConvolutionProblem:
 
     atoms: tuple[Atom, ...]
     speed: float
-    beta_used: float
     bound: float
 
     def __post_init__(self):
@@ -311,9 +310,9 @@ class ModelSpec:
 
     def _checked_bound(self, c: float, M: float | None) -> float:
         """Every family's ``to_convolution_form`` preamble: check c, then resolve M."""
+        _check_param("c", c, -INF)
         if c == 0:
             raise ZeroSpeed("c = 0: stationary fronts are out of scope")
-        _check_param("c", c, -INF)
         if c < 0 and not self.admits_nonpositive_speed:
             raise HypothesisViolation(
                 f"family '{self.family}' supports positive wave speeds only")
@@ -347,7 +346,7 @@ class NonlocalKPP(ModelSpec):
             Atom(convolve(k, self.J), linear(1.0), 1.0),
             Atom(k, gb, gb.gprime0),
         )
-        return ConvolutionProblem(atoms, c, beta, M)
+        return ConvolutionProblem(atoms, c, M)
 
     def tilde_chi_lipschitz(self, z, c):
         return 1.0 - self.g.gprime0 + c * z - self.J.laplace(z)
@@ -389,7 +388,7 @@ class NonlocalLattice(ModelSpec):
         _check_param("D", self.D)
         _check_param("d", self.d)
         _check_param("delay", self.delay, closed=True)
-        sites = {_comb_site(k): _check_param("comb weights", float(w), closed=True)
+        sites = {_comb_site(k): float(_check_param("comb weights", w, closed=True))
                  for k, w in self.beta_weights.items()}
         if len(sites) < len(self.beta_weights):
             raise ValueError("comb weights must name each site once")
@@ -413,7 +412,7 @@ class NonlocalLattice(ModelSpec):
             Atom(convolve(H0, neigh), linear(1.0), 1.0),
             Atom(convolve(H0, comb), self.g, self.g.gprime0),
         )
-        return ConvolutionProblem(atoms, c, 0.0, M)
+        return ConvolutionProblem(atoms, c, M)
 
     def tilde_chi_lipschitz(self, z, c):
         return (self.d + 2.0 * self.D + c * z - self.D * (np.exp(z) + np.exp(-z))
@@ -461,7 +460,7 @@ class NonlocalDelayedRD(ModelSpec):
             Atom(convolve(green, k_h), self.g, self.g.gprime0),
             Atom(green, fb, beta - self.inf_fprime),
         )
-        return ConvolutionProblem(atoms, c, beta, M)
+        return ConvolutionProblem(atoms, c, M)
 
     def tilde_chi_lipschitz(self, z, c):
         return (c * z - z * z + self.inf_fprime
@@ -492,7 +491,7 @@ class LocalDelayedRD(ModelSpec):
         M = self._checked_bound(c, M)
         green = shift_kernel(PiecewiseGreen.from_speed_damping(c, 1.0), c * self.delay)
         atoms = (Atom(green, self.g, self.L),)
-        return ConvolutionProblem(atoms, c, 0.0, M)
+        return ConvolutionProblem(atoms, c, M)
 
     def tilde_chi_lipschitz(self, z, c):
         return 1.0 + c * z - z * z - self.L * np.exp(-z * c * self.delay)

@@ -39,3 +39,17 @@ def denominator(m, z, c, beta):
         return beta + c * z - z * z
     assert m.family == "local_delayed_rd", m.family
     return 1.0 + c * z - z * z
+
+
+def slope_shift(m, prob):
+    """The slope shift beta of ``prob``, model m's reduction, read from its assembled kernels.
+
+    A KPP reduction's exponential atom has scale 1 / (1 + beta) and a
+    nonlocal delayed one's Green atom damping beta; the lattice and local
+    reductions shift no slope.
+    """
+    if m.family == "nonlocal_kpp":
+        return 1.0 / prob.atoms[1].kernel.scale - 1.0
+    if m.family == "nonlocal_delayed_rd":
+        return prob.atoms[1].kernel.damping
+    return 0.0

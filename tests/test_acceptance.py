@@ -119,7 +119,8 @@ def test_criterion_04_reduction_identity():
                 z = complex(x, rng.uniform(-2, 2) if j % 2 else 0.0)
                 lhs = complex(np.asarray(cf(z)).item())
                 closed = (closed_forms.tilde_chi(m, z, 2.0)
-                          / closed_forms.denominator(m, z, 2.0, prob.beta_used))
+                          / closed_forms.denominator(m, z, 2.0,
+                                                     closed_forms.slope_shift(m, prob)))
                 rhs = complex(np.asarray(closed).item())
                 assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
 

@@ -14,7 +14,7 @@ import wavefront as wf
 from wavefront import kernels
 from wavefront.errors import EmptyStrip, OutOfStrip
 from wavefront.kernels import (ConvolvedKernel, KernelComponent, _apply_taps, _lumped_samples,
-                               _segments_transform, _shift_factor, _snap_steps, _taps,
+                               _segments_transform, _snap_steps, _taps,
                                convolve_field, kernel_from_dict, shift_kernel)
 
 from quadrature import laplace_by_quad
@@ -942,7 +942,7 @@ def test_grid_laplace_matches_convolve_field(kd, u):
        data=st.data(), seed=st.integers(0, 2 ** 32 - 1), closed=st.booleans())
 def test_shift_kernel_is_a_unit_point_mass(kd, u, y, data, seed, closed):
     # K(. - d) multiplies the transform by e^{-z d}, the grid transform by
-    # the two-tap stencil's factor, and the grid action is that stencil
+    # the unit comb's, and the grid action is that two-tap stencil
     # applied to the unshifted action, byte for byte; a comb takes the shift
     # into its offsets instead (one stencil per atom, not two), and its
     # transform agrees to rounding
@@ -961,7 +961,7 @@ def test_shift_kernel_is_a_unit_point_mass(kd, u, y, data, seed, closed):
     assert got == expect
     grid = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1)
     assert (shifted.grid_laplace(lam, grid)
-            == _shift_factor(d, lam, grid.step) * k.grid_laplace(lam, grid))
+            == wf.DiracComb((d,), (1.0,)).grid_laplace(lam, grid) * k.grid_laplace(lam, grid))
     G = np.random.default_rng(seed).random(grid.n)
     lam_left = lam if closed and lam > 0 else None
     action = convolve_field(k, grid, G, lam_left)
@@ -982,6 +982,11 @@ SHIFT_FACTOR_CASES = ([(shift, 0.0244, lam_dt) for lam_dt in (690.0, 700.5, 750.
 @pytest.mark.parametrize("shift,dt,lam_dt", SHIFT_FACTOR_CASES,
                          ids=[f"{lam_dt}-{shift}-{dt}" for shift, dt, lam_dt in SHIFT_FACTOR_CASES])
 def test_shift_factor_stays_finite_where_the_step_exponential_overflows(shift, dt, lam_dt):
+    # a unit comb's grid transform sums its two taps one by one, so it
+    # stays finite and accurate where e^{lam dt} overflows and where the
+    # first tap's exponential is subnormal
+    grid = wf.Grid(-32 * dt, 31 * dt, 64)
+    assert grid.step == dt
     lam = lam_dt / dt
     s = mpmath.mpf(shift) / dt
     if abs(s - round(s)) <= 4.0 * np.finfo(float).eps * abs(s):
@@ -989,11 +994,38 @@ def test_shift_factor_stays_finite_where_the_step_exponential_overflows(shift, d
     m = int(mpmath.ceil(s))
     with mpmath.workdps(40):
         exact = mpmath.exp(-lam * m * dt) * (1 + (m - s) * mpmath.expm1(lam * dt))
-    got = _shift_factor(shift, lam, dt)
+    got = wf.DiracComb((shift,), (1.0,)).grid_laplace(lam, grid)
     if float(exact) >= np.finfo(float).tiny:
         assert abs(got - float(exact)) <= 1e-12 * float(exact)
     else:
         assert got == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(dt=st.sampled_from([0.02, 0.05, 0.1]), lam=st.floats(-3.0, 3.0),
+       atoms=st.lists(st.tuples(st.one_of(st.just(0.0), st.integers(-60, 60), st.floats(-3.0, 3.0)),
+                                st.floats(0.1, 3.0)), min_size=1, max_size=4))
+@example(dt=0.05, lam=1.7, atoms=[(0.0, 0.75)])
+@example(dt=0.05, lam=-2.3, atoms=[(0.0, 1.0), (-7, 0.3), (-0.123, 2.5), (9, 1.0)])
+def test_comb_grid_laplace_is_its_tap_sum(dt, lam, atoms):
+    # the comb's grid transform is its stencils' action on e^{lam t}, tap by
+    # tap, bit for bit: a e^{-lam m dt} + b e^{-lam (m - 1) dt} summed over
+    # _taps, over whole steps (an integer offset is that many steps),
+    # fractional ones and weights w != 1 alike; a zero shift is w exactly
+    grid = wf.Grid(-20.0, 20.0, round(40.0 / dt) + 1)
+    offsets = tuple(a * dt if isinstance(a, int) else a for a, _ in atoms)
+    weights = tuple(w for _, w in atoms)
+    expect = 0.0
+    for a, w in zip(offsets, weights):
+        _, _, m, ta, tb, tw, _ = _taps(grid, a, None, w)
+        assert tw == w
+        expect += ta * math.exp(-lam * m * dt)
+        if tb is not None:
+            expect += tb * math.exp(-lam * (m - 1) * dt)
+    got = wf.DiracComb(offsets, weights).grid_laplace(lam, grid)
+    assert got == expect
+    if offsets == (0.0,):
+        assert got == weights[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1082,10 +1114,9 @@ def test_grid_plans_are_built_once_per_grid_and_closure(monkeypatch):
 
     # the shipped nonlocal_delayed_rd: a Green kernel over a comb over a
     # Gaussian, and the Green kernel alone.  The grid transform builds the
-    # zero-closure plans of the Green kernel and the Gaussian, whose
-    # constants it reads (a comb's transform needs none), the sweeps build
-    # every leaf's plan at the closure rate, and the residual builds the
-    # comb's zero-closure plan and reuses the other two
+    # zero-closure plan of every leaf, whose constants it reads, the sweeps
+    # build every leaf's plan at the closure rate, and the residual reuses
+    # the zero-closure plans
     spec, cfg = wf.load_model(MODELS_DIR / "nonlocal_delayed_rd.json")
     prob = spec.to_convolution_form(float(cfg["c"]))
     green, (comb, gaussian) = prob.atoms[0].kernel.factors()[0], prob.atoms[0].kernel.b.factors()
@@ -1095,7 +1126,7 @@ def test_grid_plans_are_built_once_per_grid_and_closure(monkeypatch):
     del builds[:]
     rate = wf.discrete_decay_rate(prob, grid)
     assert sorted((id(k), g, lam) for k, g, lam in builds) == sorted(
-        (id(k), grid, None) for k in (green, gaussian))
+        (id(k), grid, None) for k in (green, comb, gaussian))
     init = wf.CappedExponential(prob.spectral.lambda_l, prob.equilibrium() / 2.0)
     profile = wf.solve_profile(prob, grid, init)
     assert profile.convergence["closure_rate"] == rate

@@ -125,15 +125,15 @@ def test_shipped_atom_transforms_match_quadrature(path):
 def test_beta_select_birth_branches():
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
     # inf g' on [0, 1.5] is -4: beta = (4 - 2)/2 + 1
-    assert m.to_convolution_form(3.0, 1.5).beta_used == pytest.approx(2.0)
+    assert closed_forms.slope_shift(m, m.to_convolution_form(3.0, 1.5)) == pytest.approx(2.0)
     # slopes never fall below -g'(0) on [0, 1]: the max(0, .) branch
-    assert m.to_convolution_form(3.0, 1.0).beta_used == pytest.approx(1.0, rel=1e-3)
+    assert closed_forms.slope_shift(m, m.to_convolution_form(3.0, 1.0)) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_beta_select_damping_linear():
     m = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
                              k=wf.GaussianKernel(1.0), delay=0.5)
-    assert m.to_convolution_form(3.0, 3.0).beta_used == pytest.approx(2.0)
+    assert closed_forms.slope_shift(m, m.to_convolution_form(3.0, 3.0)) == pytest.approx(2.0)
 
 
 def test_tabulated_nonlinearity():
@@ -153,7 +153,7 @@ def test_tabulated_nonlinearity():
     # the steepest segment is the last, [1.995, 2]
     assert g.lipschitz_on(2.0) == pytest.approx(5.99, rel=1e-8)
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=g)
-    assert m.to_convolution_form(3.0, 2.0).beta_used == pytest.approx(
+    assert closed_forms.slope_shift(m, m.to_convolution_form(3.0, 2.0)) == pytest.approx(
         (5.99 - 1.99) / 2.0 + 1.0, rel=1e-8)
 
 
@@ -167,35 +167,37 @@ def test_local_family_reduction():
     # the delay is a unit point mass at c * h convolved with the Green kernel
     assert isinstance(k, wf.ConvolvedKernel) and isinstance(k.b, wf.PiecewiseGreen)
     assert k.a == wf.DiracComb((2.5,), (1.0,))  # c * h
+    # no slope shift: the damping is the model's own 1, beta = 0
     assert k.b.damping == pytest.approx(1.0, rel=1e-12)
     assert prob.atoms[0].weight == 2.0
     assert prob.atoms[0].lipschitz_weight == 2.0
-    assert prob.beta_used == 0.0
 
 
 def test_kpp_reduction_atoms():
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
-    prob = m.to_convolution_form(1.0, M=0.5)  # beta = 1
-    assert prob.beta_used == pytest.approx(1.0, rel=1e-3)
+    prob = m.to_convolution_form(1.0, M=0.5)
+    beta = closed_forms.slope_shift(m, prob)
+    assert beta == pytest.approx(1.0, rel=1e-3)
     conv_atom, exp_atom = prob.atoms
     assert isinstance(conv_atom.kernel, wf.ConvolvedKernel)
     assert conv_atom.weight == 1.0
     k = exp_atom.kernel
     assert isinstance(k, wf.OneSidedExponential)
-    assert k.rate == pytest.approx((1.0 + prob.beta_used) / 1.0, rel=1e-9)
-    assert k.mass == pytest.approx(1.0 / (1.0 + prob.beta_used), rel=1e-9)
-    assert exp_atom.weight == pytest.approx(2.0 + prob.beta_used, rel=1e-9)
+    assert k.rate == pytest.approx((1.0 + beta) / 1.0, rel=1e-9)
+    assert k.mass == pytest.approx(1.0 / (1.0 + beta), rel=1e-9)
+    assert exp_atom.weight == pytest.approx(2.0 + beta, rel=1e-9)
 
 
 def test_kpp_assembled_chi_example():
     # beta = 1, c = 1, z = 1: chi = -e^{1/2}/3
     m = wf.NonlocalKPP(J=wf.GaussianKernel(1.0), g=wf.logistic(2.0, 1.0))
     prob = m.to_convolution_form(1.0, M=0.5)
-    assert prob.beta_used == pytest.approx(1.0, rel=1e-6)
+    beta = closed_forms.slope_shift(m, prob)
+    assert beta == pytest.approx(1.0, rel=1e-6)
     val = complex(prob.charfun()(1.0)).real
     assert val == pytest.approx(-math.exp(0.5) / 3.0, rel=1e-9)
     closed = (closed_forms.tilde_chi(m, 1.0, 1.0)
-              / closed_forms.denominator(m, 1.0, 1.0, prob.beta_used))
+              / closed_forms.denominator(m, 1.0, 1.0, beta))
     assert val == pytest.approx(float(np.real(closed)), rel=1e-12)
 
 
@@ -207,7 +209,7 @@ def test_kpp_negative_speed_reduction():
     # transform is 1/(1 + beta + c z) on Re z < (1+beta)/|c|
     z = 0.7
     assert complex(np.asarray(k.laplace(z)).item()).real == pytest.approx(
-        1.0 / (1.0 + prob.beta_used - z), rel=1e-12)
+        1.0 / (1.0 + closed_forms.slope_shift(m, prob) - z), rel=1e-12)
 
 
 def test_lattice_reduction_and_comb():
@@ -318,15 +320,16 @@ def test_nonlocal_rd_reduction():
     m = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(2.0, 1.0),
                              k=wf.GaussianKernel(1.0), delay=0.5)
     prob = m.to_convolution_form(2.0, M=1.0)
-    assert prob.beta_used == pytest.approx(2.0)  # f' = 1: max(1, 0, 1) + 1
     birth, damping = prob.atoms
     assert isinstance(damping.kernel, wf.PiecewiseGreen)
-    assert damping.kernel.damping == pytest.approx(prob.beta_used, rel=1e-12)
-    assert damping.weight == pytest.approx(prob.beta_used - 1.0)
-    assert damping.lipschitz_weight == pytest.approx(prob.beta_used - 1.0)
+    # the Green kernel's damping is the slope shift beta
+    beta = damping.kernel.damping
+    assert beta == pytest.approx(2.0)  # f' = 1: max(1, 0, 1) + 1
+    assert damping.weight == pytest.approx(beta - 1.0)
+    assert damping.lipschitz_weight == pytest.approx(beta - 1.0)
     # f_beta(s) = (beta - 1) s stays nonnegative
     fb = damping.nonlinearity
-    assert float(fb(0.7)) == pytest.approx((prob.beta_used - 1.0) * 0.7, rel=1e-12)
+    assert float(fb(0.7)) == pytest.approx((beta - 1.0) * 0.7, rel=1e-12)
 
 
 def test_standing_hypotheses():
@@ -411,6 +414,34 @@ def test_every_parameter_refuses_nan_inf_and_out_of_range_values(build, name, x)
         build(x)
 
 
+_BOOLEANS = (("True", True), ("False", False), ("np.True_", np.True_))
+
+
+@pytest.mark.parametrize("build, name, x", [
+    pytest.param(build, name, x, id=f"{param}-{label}")
+    for param, (build, name, _) in _PARAMETERS.items() for label, x in _BOOLEANS
+    if param != "green-nu"])
+def test_every_parameter_refuses_a_boolean(build, name, x):
+    # Python's and numpy's booleans once passed as 1 and 0
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got {re.escape(repr(x))}$"):
+        build(x)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda x: wf.OneSidedExponential(1.0, direction=x), "direction must be"),
+    # nu < 0 is never 0 or 1
+    (lambda x: wf.PiecewiseGreen(nu=x, mu=1.0), "-nu must be positive"),
+    (lambda x: wf.Grid(-1.0, x, 64), "need finite t_min < 0 < t_max"),
+    (lambda x: wf.Grid(x, 1.0, 64), "need finite t_min < 0 < t_max"),
+], ids=["exponential-direction", "green-nu", "grid-t_max", "grid-t_min"])
+@pytest.mark.parametrize("x", [x for _, x in _BOOLEANS], ids=[label for label, _ in _BOOLEANS])
+def test_every_other_constructor_parameter_refuses_a_boolean(build, match, x):
+    # the parameters outside the one rule: a direction, a Green kernel's nu and the grid's
+    # ends (its size and the solver options: test_wavesolver)
+    with pytest.raises(ValueError, match=match):
+        build(x)
+
+
 def test_delayed_rd_hypothesis_weighs_the_kernel_mass():
     # chi(0) < 0 reads g'(0) mass(k) > f'(0): 0.8 * 2 > 1 although g'(0) < f'(0)
     m = wf.NonlocalDelayedRD(f=wf.linear(1.0), g=wf.logistic(0.8, 1.0),
@@ -467,7 +498,7 @@ def test_reduction_identity(m, rng):
     ys = rng.uniform(-2.0, 2.0, size=50)
     for j, (x, y) in enumerate(zip(xs, ys)):
         z = complex(x, y if j % 2 else 0.0)
-        den = closed_forms.denominator(m, z, c, prob.beta_used)
+        den = closed_forms.denominator(m, z, c, closed_forms.slope_shift(m, prob))
         lhs = complex(np.asarray(cf(z)).item())
         rhs = complex(np.asarray(closed_forms.tilde_chi(m, z, c) / den).item())
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))

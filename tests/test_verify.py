@@ -14,7 +14,6 @@ def degenerate_problem(weight, kernel, g=None):
     prob = ConvolutionProblem.__new__(ConvolutionProblem)
     prob.atoms = atoms
     prob.speed = 1.0
-    prob.beta_used = 0.0
     prob.bound = 1.0
     prob.spectral = None  # seeds the cached value: no root search runs
     return prob
@@ -40,7 +39,7 @@ def test_mollison_premise_gate():
     # weighted mass 0.9 < 1 is chi(0) > 0, which no assembled problem has
     k = wf.OneSidedExponential(rate=1.0)
     with pytest.raises(HypothesisViolation):
-        ConvolutionProblem((Atom(k, wf.linear(0.9), 0.9),), 1.0, 0.0, 1.0)
+        ConvolutionProblem((Atom(k, wf.linear(0.9), 0.9),), 1.0, 1.0)
 
 
 def test_mollison_implied_by_solved_profile(noncritical_profile):

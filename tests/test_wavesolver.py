@@ -66,21 +66,22 @@ def test_grid_validation():
     assert len(g.ts) == 101
 
 
-@pytest.mark.parametrize("n", [4096.5, 4096.0, np.float64(4096.0), True, "4096", None])
+@pytest.mark.parametrize("n", [4096.5, 4096.0, np.float64(4096.0), True, "4096", None, False,
+                               np.True_])
 def test_grid_rejects_a_size_that_is_no_integer(n):
     # caught when the grid is built, not when its points are first read
     with pytest.raises(ValueError, match="must be an integer"):
         wf.Grid(-60.0, 40.0, n)
 
 
-@pytest.mark.parametrize("max_iter", [5.0, math.inf, np.float64(5.0), True, "5", None])
+@pytest.mark.parametrize("max_iter", [5.0, math.inf, np.float64(5.0), True, "5", None, np.True_])
 def test_solve_options_reject_a_max_iter_that_is_no_integer(max_iter):
     # caught when the options are built, not when the driver first loops
     with pytest.raises(ValueError, match="max_iter must be an integer"):
         wf.SolveOptions(max_iter=max_iter)
 
 
-@pytest.mark.parametrize("tol", [True, False, "1e-8", None, 1e-8 + 0j, [1e-8]])
+@pytest.mark.parametrize("tol", [True, False, "1e-8", None, 1e-8 + 0j, [1e-8], np.True_])
 def test_solve_options_reject_a_tol_that_is_no_real_number(tol):
     # True once ran as tol = 1.0; a string or None failed with a TypeError
     with pytest.raises(ValueError, match="tol must be a real number"):
@@ -500,7 +501,7 @@ def with_factors_swapped(p):
     for a in p.atoms:
         outer, inner = a.kernel.factors()
         atoms.append(a if inner is None else dataclasses.replace(a, kernel=convolve(inner, outer)))
-    return ConvolutionProblem(tuple(atoms), p.speed, p.beta_used, p.bound)
+    return ConvolutionProblem(tuple(atoms), p.speed, p.bound)
 
 
 DELAYED_LATTICE = wf.NonlocalLattice(D=1.0, d=1.0, beta_weights={-1: 0.3, 0: 0.4, 1: 0.3},

@@ -1017,8 +1017,7 @@ def test_comb_grid_laplace_is_its_tap_sum(dt, lam, atoms):
     weights = tuple(w for _, w in atoms)
     expect = 0.0
     for a, w in zip(offsets, weights):
-        _, _, m, ta, tb, tw, _ = _taps(grid, a, None, w)
-        assert tw == w
+        _, _, m, ta, tb, _, _ = _taps(grid, a, None, w)
         expect += ta * math.exp(-lam * m * dt)
         if tb is not None:
             expect += tb * math.exp(-lam * (m - 1) * dt)

@@ -324,8 +324,7 @@ def strip_zero_scan(cf: CharacteristicFunction, sd: SpectralData, y_max: float) 
     d = d_max 2^(-k/2), k < 40, with d_max half the least of the box's width
     and the band's margins in the strip.
     """
-    if not 0.0 < y_max < INF:
-        raise ValueError(f"y_max must be finite and > 0, got {y_max:g}")
+    _check_param("y_max", y_max)
     sigma_K, gamma_K = cf.strip
     lam_l, lam_r = sd.lambda_l, sd.lambda_r
     right, reach, expected = ((lam_l, SCAN_RIGHT_CAP, 1) if lam_r is None

@@ -105,13 +105,9 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        # a boolean t_min is never below 0, and a boolean t_max is refused
-        if not -INF < self.t_min < 0.0 < self.t_max < INF or isinstance(self.t_max, (bool, np.bool_)):
-            raise ValueError("need finite t_min < 0 < t_max")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
-        if self.n < 64:
-            raise ValueError("need at least 64 grid points")
+        _check_param("-t_min", -_check_param("t_min", self.t_min, -INF))
+        _check_param("t_max", self.t_max)
+        _check_count("grid size n", self.n, 64)
 
     @property
     def step(self) -> float:
@@ -488,8 +484,7 @@ class PiecewiseGreen(_ExponentialPieces):
     shape = "piecewise_green"
 
     def __post_init__(self):
-        # 0.0 - nu, not -nu: numpy refuses to negate its boolean
-        _check_param("-nu", 0.0 - self.nu)
+        _check_param("-nu", -_check_param("nu", self.nu, -INF))
         _check_param("mu", self.mu)
         _check_param("scale", self.scale)
 
@@ -739,12 +734,10 @@ class TabulatedKernel(_SampledDensity):
     shape = "tabulated"
 
     def __post_init__(self):
-        t = np.array(self.grid, dtype=float)
-        v = np.array(self.values, dtype=float)
+        t = _check_samples("kernel grid", self.grid)
+        v = _check_samples("kernel values", self.values)
         if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
             raise ValueError("need matching 1-d grid/values with >= 2 points")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("kernel grid and values must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(v < 0):
@@ -864,12 +857,13 @@ def _check_keys(spec: dict, allowed, what: str | None = None) -> None:
 def _check_param(name: str, x, lo: float = 0.0, closed: bool = False):
     """``x`` if it is a finite real above ``lo`` (or at it, when ``closed``), else ValueError.
 
-    The one rule for a model parameter: a plain comparison, which NaN and
-    +-inf fail as an out-of-range value does, and a boolean (Python's or
-    numpy's) is refused rather than read as 0 or 1.  The message names the
-    parameter and its value.
+    The one rule for a scalar parameter: an int, a float or a numpy integer or
+    floating scalar, then a plain comparison, which NaN and +-inf fail as an
+    out-of-range value does.  A boolean (Python's or numpy's), a string, None
+    or a sequence is refused by name, not read as 0 or 1 or left to the
+    comparison.  The message names the parameter and its value.
     """
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {x!r}")
     if (lo <= x if closed else lo < x) and x < INF:
         return x
@@ -882,6 +876,26 @@ def _check_param(name: str, x, lo: float = 0.0, closed: bool = False):
     raise ValueError(f"{name} must be {rule}, got {x:g}")
 
 
+def _check_count(name: str, n, least: int):
+    """``n`` if it is an integer (Python's or numpy's, not a boolean) >= ``least``, else ValueError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
+
+
+def _check_samples(name: str, x) -> np.ndarray:
+    """A float copy of the samples ``x`` if every entry is a finite real by ``_check_param``'s rule."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        # entry by entry before numpy converts, which reads a boolean as 0 or 1 and parses a string
+        x = np.array(x, dtype=object)
+        for v in x.flat:
+            _check_param(name, v, -INF)
+    a = x.astype(float)
+    for v in a[~np.isfinite(a)]:  # the first raises
+        _check_param(name, v, -INF)
+    return a
+
+
 def _object(spec, what: str) -> dict:
     if not isinstance(spec, dict):
         raise ValueError(f"{what} must be an object, got {spec!r}")
@@ -891,10 +905,7 @@ def _object(spec, what: str) -> dict:
 def kernel_from_dict(spec: dict, base_dir=None) -> KernelComponent:
     """Kernel from its JSON form, moved by any ``"shift"``; a relative ``path`` is read from ``base_dir``."""
     shape = _object(spec, "kernel").get("shape")
-    shift = spec.get("shift", 0.0)
-    if not isinstance(shift, (int, float)):
-        raise ValueError(f"kernel shift must be a number, got {shift!r}")
-    _check_param("kernel shift", shift, -INF)
+    shift = _check_param("kernel shift", spec.get("shift", 0.0), -INF)
     for cls in _SHAPES:
         if cls.shape == shape:
             return shift_kernel(cls.from_dict(spec, base_dir), shift)

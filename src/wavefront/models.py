@@ -24,7 +24,7 @@ from .charfun import (CharacteristicFunction, SpectralData, _strip_max,
                       min_speed, real_roots)
 from .errors import HypothesisViolation, NoRoots, StripTooNarrow, ZeroSpeed
 from .kernels import (DiracComb, KernelComponent, OneSidedExponential,
-                      PiecewiseGreen, _check_keys, _check_param, _object,
+                      PiecewiseGreen, _check_keys, _check_param, _check_samples, _object,
                       convolve, kernel_from_dict, shift_kernel)
 
 INF = math.inf
@@ -132,12 +132,10 @@ def linear(slope: float = 1.0) -> Nonlinearity:
 
 def tabulated_nonlinearity(u, g) -> Nonlinearity:
     """Piecewise-linear interpolant of the samples; g'(0) is its first segment's slope."""
-    u = np.asarray(u, dtype=float)
-    g = np.asarray(g, dtype=float)
+    u = _check_samples("u samples", u)
+    g = _check_samples("g samples", g)
     if u.ndim != 1 or u.shape != g.shape or u.size < 3:
         raise ValueError("need matching 1-d u/g samples with >= 3 points")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
-        raise ValueError("u/g samples must be finite")
     if u[0] != 0.0 or abs(g[0]) > 1e-12:
         raise ValueError("samples must start at u=0 with g(0)=0")
     if np.any(np.diff(u) <= 0):
@@ -183,6 +181,8 @@ class ConvolutionProblem:
     bound: float
 
     def __post_init__(self):
+        _check_param("speed", self.speed, -INF)
+        _check_param("bound", self.bound)
         chi0 = self.chi0()
         if chi0 >= 0:
             raise HypothesisViolation(f"chi(0) = {chi0:g} must be negative")

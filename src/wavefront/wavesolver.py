@@ -34,8 +34,6 @@ chi there is no semi-wavefront, and the solver says so before any sweep.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +42,7 @@ from ._json import row_format, write_csv
 from .charfun import _left_zero
 from .errors import (MaxIterExceeded, NegativeValues, NoCrossing, NoWave,
                      TailUnresolved)
-from .kernels import Grid, _apply_taps, _taps, convolve_field
+from .kernels import Grid, _apply_taps, _check_count, _check_param, _check_samples, _taps, convolve_field
 from .models import ConvolutionProblem
 
 __all__ = [
@@ -215,6 +213,10 @@ class CappedExponential:
     rate: float
     cap: float
 
+    def __post_init__(self):
+        _check_param("rate", self.rate)
+        _check_param("cap", self.cap)
+
     def on(self, grid: Grid) -> np.ndarray:
         t = grid.ts
         return np.minimum(np.exp(np.minimum(self.rate * t, 700.0)), self.cap)
@@ -237,24 +239,17 @@ class SolveOptions:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ValueError(f"tol must be a real number, got {self.tol!r}")
-        if not 0.0 < self.tol < math.inf or self.max_iter < 1:
-            raise ValueError("tol must be positive and finite, and max_iter >= 1")
+        _check_param("tol", self.tol)
+        _check_count("max_iter", self.max_iter, 1)
 
 
 def _init_values(init, grid: Grid) -> np.ndarray:
+    """A fresh array of the initial profile: a CappedExponential on ``grid``, or a checked float copy."""
     if isinstance(init, CappedExponential):
-        vals = init.on(grid)
-    else:
-        vals = np.asarray(init, dtype=float)
-        if vals.shape != (grid.n,):
-            raise ValueError(f"init array must have shape ({grid.n},)")
-        vals = vals.copy()
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("init array must be finite")
+        return init.on(grid)
+    vals = _check_samples("init array", init)
+    if vals.shape != (grid.n,):
+        raise ValueError(f"init array must have shape ({grid.n},)")
     return vals
 
 

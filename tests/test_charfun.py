@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 from functools import partial
 from pathlib import Path
@@ -327,8 +328,16 @@ def test_strip_zero_scan_vacuous():
     cf = local_cf(2.5)
     sd = wf.real_roots(cf)
     for y_max in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="y_max must be finite and > 0"):
+        with pytest.raises(ValueError, match="y_max must be positive and finite"):
             wf.strip_zero_scan(cf, sd, y_max=y_max)
+
+
+@pytest.mark.parametrize("y_max", [True, np.True_, "1", None, [1.0], 1 + 0j])
+def test_strip_zero_scan_refuses_a_y_max_that_is_no_number(y_max):
+    # True once scanned a box of height 1, and a string raised TypeError
+    cf = local_cf(2.5)
+    with pytest.raises(ValueError, match=f"^y_max must be a number, got {re.escape(repr(y_max))}$"):
+        wf.strip_zero_scan(cf, wf.real_roots(cf), y_max=y_max)
 
 
 def test_strip_zero_scan_critical_interior_empty():

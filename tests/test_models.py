@@ -410,7 +410,11 @@ _PARAMETERS = {
 def test_every_parameter_refuses_nan_inf_and_out_of_range_values(build, name, x):
     # the NaN cases and most of the infinite ones once built a model, or
     # failed far from their cause (c = nan as an empty kernel strip)
-    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {re.escape(f'{x:g}')}$"):
+    value = x
+    if name == "-nu" and not math.isfinite(x):
+        # the entry builds nu = -x, and a nu that is no finite number is refused as nu
+        name, value = "nu", -x
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {re.escape(f'{value:g}')}$"):
         build(x)
 
 
@@ -427,19 +431,93 @@ def test_every_parameter_refuses_a_boolean(build, name, x):
         build(x)
 
 
+# the scalars outside the table: a Green kernel's nu, whose table entry negates it
+# (a boolean's negation is an int), and the grid's ends
+_OTHER_SCALARS = {
+    "green-nu": (lambda x: wf.PiecewiseGreen(nu=x, mu=1.0), "nu"),
+    "grid-t_max": (lambda x: wf.Grid(-1.0, x, 64), "t_max"),
+    "grid-t_min": (lambda x: wf.Grid(x, 1.0, 64), "t_min"),
+}
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda x: wf.OneSidedExponential(1.0, direction=x), "direction must be"),
-    # nu < 0 is never 0 or 1
-    (lambda x: wf.PiecewiseGreen(nu=x, mu=1.0), "-nu must be positive"),
-    (lambda x: wf.Grid(-1.0, x, 64), "need finite t_min < 0 < t_max"),
-    (lambda x: wf.Grid(x, 1.0, 64), "need finite t_min < 0 < t_max"),
-], ids=["exponential-direction", "green-nu", "grid-t_max", "grid-t_min"])
+    *((build, f"^{name} must be a number, got ") for build, name in _OTHER_SCALARS.values()),
+], ids=["exponential-direction", *_OTHER_SCALARS])
 @pytest.mark.parametrize("x", [x for _, x in _BOOLEANS], ids=[label for label, _ in _BOOLEANS])
 def test_every_other_constructor_parameter_refuses_a_boolean(build, match, x):
-    # the parameters outside the one rule: a direction, a Green kernel's nu and the grid's
-    # ends (its size and the solver options: test_wavesolver)
+    # a direction, which is a choice and no number, and the scalars outside the table
+    # (the grid's size and the solver options: test_wavesolver)
     with pytest.raises(ValueError, match=match):
         build(x)
+
+
+_NON_NUMBERS = (("str", "1"), ("None", None), ("list", [1.0]), ("complex", 1 + 0j))
+
+# None stands for "not given" there: no lambda_r, or the default bound
+_NONE_IS_DEFAULT = ("spectral-lambda_r", "bound-M")
+
+
+@pytest.mark.parametrize("build, name, x", [
+    pytest.param(build, name, x, id=f"{param}-{label}")
+    for param, (build, name) in {**{p: entry[:2] for p, entry in _PARAMETERS.items()},
+                                 **_OTHER_SCALARS}.items()
+    for label, x in _NON_NUMBERS
+    if not (x is None and param in _NONE_IS_DEFAULT)])
+def test_every_parameter_refuses_a_value_that_is_no_number(build, name, x):
+    # a string or None once reached a comparison and raised TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got {re.escape(repr(x))}$"):
+        build(x)
+
+
+@pytest.mark.parametrize("field, x, refusal", [
+    ("speed", math.nan, "finite, got nan"),
+    ("speed", math.inf, "finite, got inf"),
+    ("speed", True, "a number, got True"),
+    ("speed", "1", "a number, got '1'"),
+    ("bound", math.nan, "positive and finite, got nan"),
+    ("bound", -1.0, "positive and finite, got -1"),
+    ("bound", 0.0, "positive and finite, got 0"),
+    ("bound", np.True_, f"a number, got {np.True_!r}"),
+    ("bound", "1", "a number, got '1'"),
+])
+def test_convolution_problem_refuses_a_bad_speed_or_bound(field, x, refusal):
+    # a NaN bound once failed inside brentq, and a negative one read as "no
+    # positive equilibrium": a non-existence verdict for a malformed input
+    p = wf.LocalDelayedRD(g=_LOGISTIC, L=2.0).to_convolution_form(2.5)
+    fields = {"speed": p.speed, "bound": p.bound, field: x}
+    with pytest.raises(ValueError, match=f"^{field} must be {re.escape(refusal)}$"):
+        wf.ConvolutionProblem(p.atoms, **fields)
+
+
+# each bad sample array of length n, and the refusal after "<name> must be "
+_BAD_SAMPLES = [
+    ("booleans", lambda n: np.arange(n) > 0, "a number, got False"),
+    ("mixed", lambda n: [False] + [0.5] * (n - 2) + [True], "a number, got False"),
+    ("strings", lambda n: ("0",) + ("1",) * (n - 1), "a number, got '0'"),
+    ("None", lambda n: None, "a number, got None"),
+    ("nan", lambda n: [0.0] + [math.nan] * (n - 1), "finite, got nan"),
+    ("inf", lambda n: np.full(n, math.inf), "finite, got inf"),
+    ("-inf", lambda n: (0.0,) * (n - 1) + (-math.inf,), "finite, got -inf"),
+]
+_INIT_GRID = wf.Grid(-30.0, 20.0, 64)
+
+
+@pytest.mark.parametrize("build, name, n", [
+    (lambda x: wf.TabulatedKernel(x, (1.0, 1.0, 1.0)), "kernel grid", 3),
+    (lambda x: wf.TabulatedKernel((0.0, 0.5, 1.0), x), "kernel values", 3),
+    (lambda x: wf.tabulated_nonlinearity(x, [0.0, 0.25, 0.0]), "u samples", 3),
+    (lambda x: wf.tabulated_nonlinearity([0.0, 0.5, 1.0], x), "g samples", 3),
+    (lambda x: wf.solve_profile(wf.LocalDelayedRD(g=_LOGISTIC, L=2.0).to_convolution_form(2.5),
+                                _INIT_GRID, x), "init array", _INIT_GRID.n),
+], ids=["kernel-grid", "kernel-values", "u-samples", "g-samples", "init"])
+@pytest.mark.parametrize("make, refusal", [(make, refusal) for _, make, refusal in _BAD_SAMPLES],
+                         ids=[label for label, _, _ in _BAD_SAMPLES])
+def test_every_sample_array_refuses_an_entry_that_is_no_finite_number(build, name, n, make,
+                                                                      refusal):
+    # numpy once read a boolean entry as 0 or 1 and parsed a string one
+    with pytest.raises(ValueError, match=f"^{name} must be {re.escape(refusal)}$"):
+        build(make(n))
 
 
 def test_delayed_rd_hypothesis_weighs_the_kernel_mass():

@@ -84,8 +84,42 @@ def test_solve_options_reject_a_max_iter_that_is_no_integer(max_iter):
 @pytest.mark.parametrize("tol", [True, False, "1e-8", None, 1e-8 + 0j, [1e-8], np.True_])
 def test_solve_options_reject_a_tol_that_is_no_real_number(tol):
     # True once ran as tol = 1.0; a string or None failed with a TypeError
-    with pytest.raises(ValueError, match="tol must be a real number"):
+    with pytest.raises(ValueError, match=f"^tol must be a number, got {re.escape(repr(tol))}$"):
         wf.SolveOptions(tol=tol)
+
+
+@pytest.mark.parametrize("tol, max_iter, message", [
+    (math.nan, 5, "tol must be positive and finite, got nan"),
+    (0.0, 5, "tol must be positive and finite, got 0"),
+    (1e-8, 0, "max_iter must be an integer >= 1, got 0"),
+])
+def test_solve_options_name_the_option_out_of_range(tol, max_iter, message):
+    # one message once named both options, whichever was at fault
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        wf.SolveOptions(tol=tol, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("field", ["rate", "cap"])
+@pytest.mark.parametrize("x, refusal", [
+    (True, "a number, got True"), (np.True_, f"a number, got {np.True_!r}"),
+    (math.nan, "positive and finite, got nan"), (0.0, "positive and finite, got 0"),
+    (-1.0, "positive and finite, got -1"), ("1", "a number, got '1'"),
+], ids=["True", "np.True_", "nan", "zero", "negative", "str"])
+def test_capped_exponential_refuses_a_bad_field(field, x, refusal):
+    # it once built with any fields, a NaN caught only by the solver's init check
+    fields = {"rate": 0.5, "cap": 0.25, field: x}
+    with pytest.raises(ValueError, match=f"^{field} must be {re.escape(refusal)}$"):
+        wf.CappedExponential(**fields)
+
+
+def test_a_float_init_array_is_checked_whole(monkeypatch):
+    # only a sequence or an array of another dtype is read entry by entry
+    calls = []
+    monkeypatch.setattr(kernels, "_check_param", lambda *a, **k: calls.append(a))
+    values = np.linspace(0.0, 1.0, 4096)
+    checked = kernels._check_samples("init array", values)
+    assert calls == [] and checked.tobytes() == values.tobytes()
+    assert not np.shares_memory(checked, values)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1, np.float64(1e-8), np.float32(1e-4), np.int64(1)])

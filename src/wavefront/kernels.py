@@ -54,6 +54,7 @@ import csv
 import math
 import operator
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache, reduce
 
@@ -552,6 +553,9 @@ class DiracComb(KernelComponent):
     shape = "dirac_comb"
 
     def __post_init__(self):
+        for name, x in (("offsets", self.offsets), ("weights", self.weights)):
+            if not isinstance(x, (tuple, list)):
+                raise ValueError(f"{name} must be a list of numbers, got {x!r}")
         if len(self.offsets) != len(self.weights) or not self.offsets:
             raise ValueError("offsets and weights must be equal-length and nonempty")
         for a, w in zip(self.offsets, self.weights):
@@ -859,13 +863,17 @@ def _check_param(name: str, x, lo: float = 0.0, closed: bool = False):
 
     The one rule for a scalar parameter: an int, a float or a numpy integer or
     floating scalar, then a plain comparison, which NaN and +-inf fail as an
-    out-of-range value does.  A boolean (Python's or numpy's), a string, None
-    or a sequence is refused by name, not read as 0 or 1 or left to the
-    comparison.  The message names the parameter and its value.
+    out-of-range value does.  A Python int must also lie within the float
+    range, which the comparison with inf cannot tell.  A boolean (Python's or
+    numpy's), a string, None or a sequence is refused by name, not read as 0
+    or 1 or left to the comparison.  The message names the parameter and its
+    value, or the size of an int too large to print as a float.
     """
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {x!r}")
-    if (lo <= x if closed else lo < x) and x < INF:
+    # only a Python int exceeds the float range; numpy scalars stay with x < INF
+    huge = isinstance(x, int) and abs(x) > sys.float_info.max
+    if not huge and (lo <= x if closed else lo < x) and x < INF:
         return x
     if lo == -INF:
         rule = "finite"
@@ -873,7 +881,8 @@ def _check_param(name: str, x, lo: float = 0.0, closed: bool = False):
         rule = f"{'nonnegative' if closed else 'positive'} and finite"
     else:
         rule = f"{'>=' if closed else '>'} {lo:g} and finite"
-    raise ValueError(f"{name} must be {rule}, got {x:g}")
+    got = f"an integer of {x.bit_length()} bits" if huge else f"{x:g}"
+    raise ValueError(f"{name} must be {rule}, got {got}")
 
 
 def _check_count(name: str, n, least: int):

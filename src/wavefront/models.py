@@ -605,6 +605,8 @@ def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
         raise ValueError(f"unknown family {family!r}")
     _check_keys(spec, ("family", "nonlinearity", "c", *_MODEL_KEYS[family]),
                 f"{family} model")
+    if "c" in spec:  # read by the commands, not the model: speed never reads it
+        _check_param("c", spec["c"], -INF)
     g = nonlinearity_from_dict(spec["nonlinearity"])
     if family == "nonlocal_kpp":
         return NonlocalKPP(J=kernel_from_dict(spec["kernel"], base_dir), g=g)
@@ -619,40 +621,15 @@ def model_from_dict(spec: dict, base_dir=None) -> ModelSpec:
     return LocalDelayedRD(g=g, L=spec.get("L", g.gprime0), delay=spec.get("delay", 0.0))
 
 
-def _finite_float(text: str) -> float:
-    # json hands NaN, Infinity and -Infinity (not JSON) here as well as
-    # literals such as 1e999 that overflow
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text} is not a finite number")
-    return x
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, refusing a repeated key, which json would keep the last of.
 
-
-def _float_sized_int(text: str) -> int:
-    # every model number is used as a float; a larger integer would
-    # overflow there
-    n = int(text)
-    try:
-        float(n)
-    except OverflowError:
-        raise ValueError(f"integer of {len(text)} digits is too large for a float") from None
-    return n
-
-
-# the keys whose value is a string; every other value is a number, an
-# object or an array, and no value, in an array or not, is a boolean
-_STRING_KEYS = ("family", "kind", "shape", "path")
-
-
-def _typed_object(pairs) -> dict:
+    The reader judges no value: every number meets its parameter's check.
+    """
     obj = {}
     for key, value in pairs:
         if key in obj:
             raise ValueError(f"repeated key {key!r}")
-        for v in value if isinstance(value, list) else (value,):
-            if isinstance(v, bool) or (isinstance(v, str) and key not in _STRING_KEYS):
-                kind = "boolean" if isinstance(v, bool) else "string"
-                raise ValueError(f"{key} takes no {kind}, got {json.dumps(v)}")
         obj[key] = value
     return obj
 
@@ -663,6 +640,5 @@ def load_model(path) -> tuple[ModelSpec, dict]:
     A relative kernel ``path`` inside it is read from the file's directory.
     """
     with open(path) as fh:
-        cfg = json.load(fh, object_pairs_hook=_typed_object, parse_constant=_finite_float,
-                        parse_float=_finite_float, parse_int=_float_sized_int)
+        cfg = json.load(fh, object_pairs_hook=_unique_keys)
     return model_from_dict(cfg, os.path.dirname(path)), cfg

@@ -95,61 +95,79 @@ NAN, INF = math.nan, math.inf
 
 # Model files the CLI refuses, one table: for each test below, its rows of
 # (id, file text, command, exit code, text that stderr holds).  Each file
-# is refused before any output directory is made.
+# is refused before any output directory is made.  A row whose bad value is
+# c names two commands: speed, the one command that never reads c, also
+# refuses it
+C_COMMANDS = ("analyze", "speed")
 BAD_MODELS = {
     "malformed": [("malformed", "{not json", "analyze", 64, "invalid input")],
     "wrongly_typed": [
-        ("c-null", json.dumps({**LOCAL, "c": None}), "analyze", 64, "invalid input"),
+        ("c-null", json.dumps({**LOCAL, "c": None}), C_COMMANDS, 64,
+         "invalid input: c must be a number, got None"),
+        ("c-list", json.dumps({**LOCAL, "c": [2.5]}), C_COMMANDS, 64,
+         "invalid input: c must be a number, got [2.5]"),
         ("rate-string", json.dumps({**LOCAL, "nonlinearity": {"kind": "logistic", "rate": "2"}}),
-         "analyze", 64, "invalid input"),
+         "analyze", 64, "invalid input: rate must be a number, got '2'"),
         ("variance-string", json.dumps({**KPP, "kernel": {"shape": "gaussian", "variance": "1"}}),
-         "analyze", 64, "invalid input"),
+         "analyze", 64, "invalid input: variance must be a number, got '1'"),
         ("kernel-string", json.dumps({**KPP, "kernel": "gaussian"}), "analyze", 64,
-         "invalid input"),
-        ("top-level-list", json.dumps([LOCAL]), "analyze", 64, "invalid input"),
+         "invalid input: kernel must be an object, got 'gaussian'"),
+        ("top-level-list", json.dumps([LOCAL]), "analyze", 64,
+         "invalid input: model must be an object, got ["),
         ("offsets-number", json.dumps({**KPP, "kernel": {"shape": "dirac_comb", "offsets": 1.0,
                                                         "weights": [1.0]}}),
-         "analyze", 64, "invalid input"),
+         "analyze", 64, "invalid input: offsets must be a list of numbers, got 1.0"),
         ("beta-list", json.dumps({**LATTICE, "beta": [[0, 1.0]]}), "analyze", 64,
-         "invalid input"),
-        ("bound-string", json.dumps({**LOCAL, "bound": "x"}), "solve", 64, "invalid input"),
+         "invalid input: beta must be an object, got [[0, 1.0]]"),
+        ("bound-string", json.dumps({**LOCAL, "bound": "x"}), "solve", 64,
+         "invalid input: unknown key 'bound'"),
         ("shift-string", json.dumps({**KPP, "kernel": {"shape": "gaussian", "variance": 1.0,
                                                       "shift": "0.5"}}),
-         "analyze", 64, "invalid input"),
-        ("c-string", json.dumps({**LOCAL, "c": "2.5"}), "analyze", 64, "invalid input"),
-        ("c-true", json.dumps({**LOCAL, "c": True}), "analyze", 64, "invalid input"),
-        ("delay-true", json.dumps({**LOCAL, "delay": True}), "analyze", 64, "invalid input"),
+         "analyze", 64, "invalid input: kernel shift must be a number, got '0.5'"),
+        ("c-string", json.dumps({**LOCAL, "c": "2.5"}), C_COMMANDS, 64,
+         "invalid input: c must be a number, got '2.5'"),
+        ("c-true", json.dumps({**LOCAL, "c": True}), C_COMMANDS, 64,
+         "invalid input: c must be a number, got True"),
+        ("delay-true", json.dumps({**LOCAL, "delay": True}), "analyze", 64,
+         "invalid input: delay must be a number, got True"),
         ("beta-weight-string", json.dumps({**LATTICE, "beta": {"0": "1.0"}}), "analyze", 64,
-         "invalid input"),
+         "invalid input: comb weights must be a number, got '1.0'"),
         ("offsets-true", json.dumps({**KPP, "kernel": {"shape": "dirac_comb", "offsets": [True],
                                                       "weights": [1.0]}}),
-         "analyze", 64, "invalid input"),
+         "analyze", 64, "invalid input: offset must be a number, got True"),
         # J3.csv, beside every file of the table, has a row of three fields
         ("tabulated-csv-three-columns", json.dumps({**KPP, "kernel": {"shape": "tabulated",
                                                                      "path": "J3.csv"}}),
          "analyze", 64, "invalid input: expected two columns"),
     ],
+    # NaN, Infinity and 1e999 parse as floats, and each parameter's own check refuses them
     "non_finite": [
-        ("kpp-c-nan", json.dumps({**KPP, "c": NAN}), "analyze", 64, "invalid input"),
-        ("local-c-minus-inf", json.dumps({**LOCAL, "c": -INF}), "analyze", 64, "invalid input"),
-        ("lattice-c-minus-inf", json.dumps({**LATTICE, "c": -INF}), "analyze", 64,
-         "invalid input"),
-        ("nlrd-c-minus-inf", json.dumps({**NLRD, "c": -INF}), "analyze", 64, "invalid input"),
-        ("L-nan", json.dumps({**LOCAL, "L": NAN}), "analyze", 64, "invalid input"),
-        ("bound-nan", json.dumps({**LOCAL, "bound": NAN}), "analyze", 64, "invalid input"),
-        ("margin-nan", json.dumps({**LOCAL, "margin": NAN}), "analyze", 64, "invalid input"),
+        ("kpp-c-nan", json.dumps({**KPP, "c": NAN}), C_COMMANDS, 64,
+         "invalid input: c must be finite, got nan"),
+        ("local-c-minus-inf", json.dumps({**LOCAL, "c": -INF}), C_COMMANDS, 64,
+         "invalid input: c must be finite, got -inf"),
+        ("lattice-c-minus-inf", json.dumps({**LATTICE, "c": -INF}), C_COMMANDS, 64,
+         "invalid input: c must be finite, got -inf"),
+        ("nlrd-c-minus-inf", json.dumps({**NLRD, "c": -INF}), C_COMMANDS, 64,
+         "invalid input: c must be finite, got -inf"),
+        ("L-nan", json.dumps({**LOCAL, "L": NAN}), "analyze", 64,
+         "invalid input: Lipschitz bound L must be >= 2 and finite, got nan"),
+        ("bound-nan", json.dumps({**LOCAL, "bound": NAN}), "analyze", 64,
+         "invalid input: unknown key 'bound'"),
+        ("margin-nan", json.dumps({**LOCAL, "margin": NAN}), "analyze", 64,
+         "invalid input: unknown key 'margin'"),
         ("damping-slope-nan", json.dumps({**NLRD, "damping": {"kind": "linear", "slope": NAN}}),
-         "analyze", 64, "invalid input"),
-        ("c-overflow", json.dumps(LOCAL).replace("2.5", "1e999"), "analyze", 64,
-         "invalid input"),
+         "analyze", 64, "invalid input: slope must be positive and finite, got nan"),
+        ("c-overflow", json.dumps(LOCAL).replace("2.5", "1e999"), C_COMMANDS, 64,
+         "invalid input: c must be finite, got inf"),
         # J.csv, beside every file of the table, holds a nan
         ("tabulated-csv-nan", json.dumps({**KPP, "kernel": {"shape": "tabulated",
                                                            "path": "J.csv"}}),
-         "analyze", 64, "invalid input"),
-        ("c-int-overflow", json.dumps({**LOCAL, "c": 10 ** 400}), "analyze", 64,
-         "invalid input"),
+         "analyze", 64, "invalid input: kernel values must be finite, got nan"),
+        ("c-int-overflow", json.dumps({**LOCAL, "c": 10 ** 400}), C_COMMANDS, 64,
+         "invalid input: c must be finite, got an integer of 1329 bits"),
         ("L-int-overflow", json.dumps({**LOCAL, "L": 10 ** 400}), "analyze", 64,
-         "invalid input"),
+         "invalid input: Lipschitz bound L must be >= 2 and finite, got an integer of 1329 bits"),
     ],
     "unknown_kernel_key": [
         ("top-level", json.dumps({**KPP, "kernel": {"shape": "gaussian", "variance": 1.0,
@@ -207,7 +225,10 @@ BAD_MODELS = {
 
 
 def bad_models(test):
-    return [pytest.param(row[1:], id=row[0]) for row in BAD_MODELS[test]]
+    """One input per row and command; a row's second command adds its name to the row's id."""
+    return [pytest.param((text, command, *rest), id=name if i == 0 else f"{name}-{command}")
+            for name, text, commands, *rest in BAD_MODELS[test]
+            for i, command in enumerate((commands,) if isinstance(commands, str) else commands)]
 
 
 def refused(tmp_path, capsys, text, command, code, message):

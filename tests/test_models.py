@@ -470,6 +470,31 @@ def test_every_parameter_refuses_a_value_that_is_no_number(build, name, x):
         build(x)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: wf.GaussianKernel(10 ** 400), "variance"),
+    (lambda: wf.Grid(-1, 10 ** 400, 64), "t_max"),
+    (lambda: wf.Grid(-10 ** 400, 1, 64), "t_min"),
+    (lambda: wf.DiracComb((-10 ** 400,), (1.0,)), "offset"),
+    (lambda: wf.TabulatedKernel((0, 10 ** 400), (1.0, 1.0)), "kernel grid"),
+    (lambda: wf.logistic(10 ** 400), "rate"),
+], ids=["gaussian-variance", "grid-t_max", "grid-t_min", "comb-offset", "kernel-grid",
+        "logistic-rate"])
+def test_every_parameter_refuses_an_integer_beyond_the_float_range(build, name):
+    # such an int is below inf, so each once built, or raised OverflowError as a float
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got an integer of 1329 bits$"):
+        build()
+
+
+@pytest.mark.parametrize("offsets, weights, name", [
+    (1.0, (1.0,), "offsets"),
+    ((0.0,), 1.0, "weights"),
+])
+def test_dirac_comb_refuses_offsets_or_weights_that_are_no_list(offsets, weights, name):
+    # a number once raised TypeError: "object of type 'float' has no len()"
+    with pytest.raises(ValueError, match=f"^{name} must be a list of numbers, got 1.0$"):
+        wf.DiracComb(offsets, weights)
+
+
 @pytest.mark.parametrize("field, x, refusal", [
     ("speed", math.nan, "finite, got nan"),
     ("speed", math.inf, "finite, got inf"),
